@@ -49,7 +49,7 @@ from .solver import (
     solve,
     step,
 )
-from .diagnostics import condtg_check, dwdt_norm, energy, nse_residual
+from .diagnostics import condtg_check, dwdt_norm, nse_residual
 from .config import ExperimentConfig, parse_config
 from .checkpoint import load_checkpoint, save_checkpoint
 from .experiments import run_experiment

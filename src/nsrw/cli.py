@@ -1,15 +1,17 @@
 """Command-line entry point: one verb per experiment, flags override the
-config file (flag > file > default)."""
+config file (flag > file > default).
+
+Exit status: 0 every assertion passed, 1 an assertion failed, 2 invalid
+config or input, 3 numerical failure (a non-finite solver state)."""
 
 from __future__ import annotations
 
 import argparse
 import sys
 
-from .config import ConfigError, parse_config, validate_config
+from .config import EXPERIMENTS, ConfigError, parse_config, validate_config
 from .experiments import run_experiment
-
-VERBS = ("randomize", "heatflow", "tails", "solve", "report")
+from .solver import StepFailureError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -18,7 +20,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral experiments with randomized rough initial data",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in VERBS:
+    for verb in EXPERIMENTS:
         sp = sub.add_parser(verb, help=f"run the {verb} experiment")
         sp.add_argument("--config", required=True, help="JSON config file")
         sp.add_argument("--seed", type=int, default=None, help="override master_seed")
@@ -48,6 +50,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except StepFailureError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     failures = result.summary.get("failures", [])
     if failures:
         print(f"{cfg.experiment}: {len(failures)} assertion(s) failed", file=sys.stderr)

@@ -56,7 +56,6 @@ class ExperimentConfig:
     r: float = 4.0
     # sampling and reporting
     monte_carlo_M: int = 1000
-    lambda_points: int = 33
     k_orders: list = field(default_factory=lambda: [0, 1])
     t_points_per_decade: int = 16
     output_dir: str = "out"
@@ -99,7 +98,7 @@ _FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
 
 _INT_FIELDS = (
     "d", "N", "master_seed", "snapshot_cadence", "monte_carlo_M",
-    "lambda_points", "t_points_per_decade", "workers",
+    "t_points_per_decade", "workers",
 )
 _BOOL_FIELDS = (
     "normalize_data", "randomize_data", "substep_near_zero", "write_checkpoints",
@@ -147,8 +146,6 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         _fail("p", f"exponents must satisfy r >= p >= q, got r={cfg.r}, p={cfg.p}, q={cfg.q}")
     if cfg.monte_carlo_M < 1:
         _fail("monte_carlo_M", "must be >= 1")
-    if cfg.lambda_points < 3:
-        _fail("lambda_points", "must be >= 3")
     if cfg.t_points_per_decade < 4:
         _fail("t_points_per_decade", "must be >= 4")
     if cfg.workers < 1:

@@ -1,9 +1,9 @@
 """Scalar time series derived from trajectories and reconstructed fields.
 
-Everything here is pure post-processing: the energy functional, the dual
-norm of dw/dt, the weighted forcing norms whose size plays the role of the
-threshold lambda, and finite-difference residuals of the reconstructed
-velocity against the projected equation.
+Everything here is pure post-processing: the dual norm of dw/dt, the
+weighted forcing norms whose size plays the role of the threshold lambda,
+and finite-difference residuals of the reconstructed velocity against the
+projected equation. The energy ledger is the solver's EnergyLog.
 
 H^{-1} is realized with the inhomogeneous symbol (1 + |xi|^2)^{-1/2}; the
 grid has a zero mode where the homogeneous version is singular, and all
@@ -17,78 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import SolverConfig, Trajectory, nonlinear_rhs
-from .spectral import (
-    SpectralField,
-    dealias,
-    fourier_field,
-    leray_project,
-)
+from .spectral import SpectralField, fourier_field, projected_transport
 from .tails import NormSpec, check_admissible, space_time_norm
 
 __all__ = [
-    "EnergySeries",
-    "energy",
     "DwdtReport",
     "dwdt_norm",
     "CondtgReport",
     "condtg_check",
     "nse_residual",
 ]
-
-MIN_SNAPSHOT_RATE = 32.0  # snapshots per unit time required by energy()
-
-
-@dataclass(frozen=True)
-class EnergySeries:
-    """Kinetic energy, accumulated dissipation and their combinations.
-
-    total is the energy functional |w|^2 + int |grad w|^2; balance carries
-    the factor 2 on the dissipation, which is the combination conserved
-    exactly by pure heat flow.
-    """
-
-    times: np.ndarray
-    kinetic: np.ndarray
-    dissipation_cum: np.ndarray
-    total: np.ndarray
-    balance: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.diff(self.dissipation_cum) < 0):
-            raise ValueError("cumulative dissipation must be nondecreasing")
-        for arr in (self.kinetic, self.dissipation_cum):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("energy series contains non-finite entries")
-
-
-def energy(trajectory: Trajectory) -> EnergySeries:
-    """Energy series on the snapshot grid, dissipation by trapezoid rule."""
-    times = np.asarray(trajectory.times, dtype=np.float64)
-    if times.size < 2:
-        raise ValueError("energy needs at least two snapshots")
-    if np.max(np.diff(times)) > 1.0 / MIN_SNAPSHOT_RATE + 1e-12:
-        raise ValueError(
-            f"snapshot cadence too coarse for energy quadrature: need at least "
-            f"{MIN_SNAPSHOT_RATE} snapshots per unit time"
-        )
-    grid = trajectory.w_states[0].grid
-    vol = grid.cell_volume
-    kinetic = np.array(
-        [vol * np.sum(np.abs(w.data) ** 2) for w in trajectory.w_states]
-    )
-    gradsq = np.array(
-        [vol * np.sum(grid.ksq * np.abs(w.data) ** 2) for w in trajectory.w_states]
-    )
-    diss = np.concatenate(
-        [[0.0], np.cumsum(0.5 * np.diff(times) * (gradsq[:-1] + gradsq[1:]))]
-    )
-    return EnergySeries(
-        times=times,
-        kinetic=kinetic,
-        dissipation_cum=diss,
-        total=kinetic + diss,
-        balance=kinetic + 2.0 * diss,
-    )
 
 
 @dataclass(frozen=True)
@@ -170,26 +108,6 @@ def condtg_check(
     return CondtgReport(d=3, components=comps, lam=float(sum(comps.values())))
 
 
-def _projected_transport(u: SpectralField) -> SpectralField:
-    """P div(u x u) with dealiased physical-space products."""
-    grid = u.grid
-    axes = tuple(range(1, grid.d + 1))
-    ud = dealias(u)
-    U = np.fft.ifftn(ud.data, axes=axes, norm="ortho")
-    div = np.empty_like(ud.data)
-    that = {}
-    for i in range(grid.d):
-        for j in range(i, grid.d):
-            that[(i, j)] = np.fft.fftn(U[i] * U[j], norm="ortho")
-    for i in range(grid.d):
-        acc = np.zeros(grid.shape, dtype=np.complex128)
-        for j in range(grid.d):
-            tij = that[(i, j)] if i <= j else that[(j, i)]
-            acc += 1j * grid.axis_frequency(j) * tij
-        div[i] = acc
-    return leray_project(fourier_field(grid, div))
-
-
 def nse_residual(
     times: np.ndarray, u_states: list, include_nonlinear: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -211,7 +129,7 @@ def nse_residual(
         um = 0.5 * (u1 + u2)
         resid = (u2.data - u1.data) / h + grid.ksq * um.data
         if include_nonlinear:
-            resid = resid + _projected_transport(um).data
+            resid = resid + projected_transport(um).data
         mids.append(times[j] + 0.5 * h)
         vals.append(np.sqrt(vol * np.sum(weight * np.abs(resid) ** 2)))
     return np.array(mids), np.array(vals)

@@ -14,7 +14,6 @@ import datetime
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from .randomization import (
 )
 from .solver import solve
 from .spectral import divergence_ratio, l2_norm, make_grid, ring_partition
-from .tails import fit_gaussian_tail, monte_carlo_tails
+from .tails import _ordered_map, fit_gaussian_tail, monte_carlo_tails
 
 ENERGY_TOL = 1e-8
 DIVERGENCE_TOL = 1e-10
@@ -57,22 +56,22 @@ def resolve_workers(cfg: ExperimentConfig) -> int:
     return max(workers, 1)
 
 
-def _ordered_map(fn, count: int, workers: int) -> list:
-    if workers <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def _jsonable(obj):
+    """Plain JSON types; non-finite floats become the strings "NaN",
+    "Infinity" and "-Infinity", so artifacts stay strict JSON."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if np.isnan(x):
+            return "NaN"
+        if np.isinf(x):
+            return "Infinity" if x > 0 else "-Infinity"
+        return x
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -119,7 +118,7 @@ def _randomized_data(cfg: ExperimentConfig, grid, f, sample_index: int = 0):
 # individual experiments
 
 
-def _run_randomize(cfg: ExperimentConfig, workers: int):
+def _run_randomize(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | None):
     grid, f = build_data_field(cfg)
     part = ring_partition(grid)
     model = cfg.random_model()
@@ -170,7 +169,7 @@ def _run_randomize(cfg: ExperimentConfig, workers: int):
     return summary, failures, series, plotdata
 
 
-def _run_heatflow(cfg: ExperimentConfig, workers: int):
+def _run_heatflow(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | None):
     grid, f = build_data_field(cfg)
     f_om = _randomized_data(cfg, grid, f)
     t_grid = default_decay_time_grid(grid, cfg.T, cfg.t_points_per_decade)
@@ -213,7 +212,7 @@ def _run_heatflow(cfg: ExperimentConfig, workers: int):
     return summary, failures, (names, columns), plotdata
 
 
-def _run_tails(cfg: ExperimentConfig, workers: int):
+def _run_tails(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | None):
     grid, f = build_data_field(cfg)
     model = cfg.random_model()
     spec = cfg.norm_spec()
@@ -344,7 +343,7 @@ def _run_solve(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
     return summary, failures, series, plotdata
 
 
-def _run_report(cfg: ExperimentConfig, workers: int):
+def _run_report(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | None):
     grid, f = build_data_field(cfg)
     part = ring_partition(grid)
     model = cfg.random_model()
@@ -371,26 +370,28 @@ def _run_report(cfg: ExperimentConfig, workers: int):
     return summary, [], series, {}
 
 
+# one runner per verb of config.EXPERIMENTS
+_RUNNERS = {
+    "randomize": _run_randomize,
+    "heatflow": _run_heatflow,
+    "tails": _run_tails,
+    "solve": _run_solve,
+    "report": _run_report,
+}
+
+
 def run_experiment(cfg: ExperimentConfig, resume: str | None = None) -> ExperimentResult:
     """Execute the configured experiment; exit status 0 iff all enabled
     assertions pass. Artifacts land in cfg.output_dir only."""
-    if cfg.experiment not in ("randomize", "heatflow", "tails", "solve", "report"):
+    runner = _RUNNERS.get(cfg.experiment)
+    if runner is None:
         raise ValueError(f"no experiment selected (got {cfg.experiment!r})")
     workers = resolve_workers(cfg)
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
 
-    if cfg.experiment == "randomize":
-        summary, failures, series, plotdata = _run_randomize(cfg, workers)
-    elif cfg.experiment == "heatflow":
-        summary, failures, series, plotdata = _run_heatflow(cfg, workers)
-    elif cfg.experiment == "tails":
-        summary, failures, series, plotdata = _run_tails(cfg, workers)
-    elif cfg.experiment == "solve":
-        summary, failures, series, plotdata = _run_solve(cfg, workers, outdir, resume)
-    else:
-        summary, failures, series, plotdata = _run_report(cfg, workers)
+    summary, failures, series, plotdata = runner(cfg, workers, outdir, resume)
 
     # workers and output_dir are execution environment, not experiment
     # identity: they live in meta.json so summaries stay byte-reproducible
@@ -405,7 +406,7 @@ def run_experiment(cfg: ExperimentConfig, resume: str | None = None) -> Experime
     }
     summary = _jsonable(summary)
     (outdir / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n"
+        json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n"
     )
     _write_table(outdir / "series.csv", series[0], series[1])
     if plotdata:
@@ -419,7 +420,7 @@ def run_experiment(cfg: ExperimentConfig, resume: str | None = None) -> Experime
         "workers": workers,
         "output_dir": str(outdir),
     }
-    (outdir / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    (outdir / "meta.json").write_text(json.dumps(meta, indent=2, allow_nan=False) + "\n")
     return ExperimentResult(
         status=0 if not failures else 1, summary=summary, output_dir=outdir
     )

@@ -59,6 +59,18 @@ class CoefficientDraw:
     values: np.ndarray
 
 
+def _family_draw(model: RandomModel, sample_index, n: np.ndarray) -> np.ndarray:
+    """Coefficients of the model's family at ring numbers n; sample_index
+    and n broadcast against each other."""
+    w0 = _rng.fold(model.master_seed, _rng.STREAM_COEFFICIENTS, sample_index, 0, n)
+    if model.family == "rademacher":
+        return _rng.rademacher(w0)
+    if model.family == "gaussian":
+        w1 = _rng.fold(model.master_seed, _rng.STREAM_COEFFICIENTS, sample_index, 1, n)
+        return _rng.standard_gaussian(w0, w1)
+    return _rng.uniform_symmetric(w0)
+
+
 def sample_coefficients(model: RandomModel, max_ring: int, sample_index: int) -> CoefficientDraw:
     """Draw l_1..l_max_ring from counter streams keyed by (seed, sample, n).
 
@@ -68,15 +80,7 @@ def sample_coefficients(model: RandomModel, max_ring: int, sample_index: int) ->
     if max_ring < 1:
         raise ValueError(f"max_ring must be >= 1, got {max_ring}")
     n = np.arange(1, max_ring + 1, dtype=np.int64)
-    w0 = _rng.fold(model.master_seed, _rng.STREAM_COEFFICIENTS, sample_index, 0, n)
-    if model.family == "rademacher":
-        values = _rng.rademacher(w0)
-    elif model.family == "gaussian":
-        w1 = _rng.fold(model.master_seed, _rng.STREAM_COEFFICIENTS, sample_index, 1, n)
-        values = _rng.standard_gaussian(w0, w1)
-    else:
-        values = _rng.uniform_symmetric(w0)
-    return CoefficientDraw(sample_index, values)
+    return CoefficientDraw(sample_index, _family_draw(model, sample_index, n))
 
 
 def randomize(f: SpectralField, draw: CoefficientDraw, partition: RingPartition) -> SpectralField:
@@ -154,10 +158,4 @@ def coefficient_matrix(model: RandomModel, max_ring: int, n_samples: int) -> np.
     """
     idx = np.arange(n_samples, dtype=np.int64)[:, None]
     n = np.arange(1, max_ring + 1, dtype=np.int64)[None, :]
-    w0 = _rng.fold(model.master_seed, _rng.STREAM_COEFFICIENTS, idx, 0, n)
-    if model.family == "rademacher":
-        return _rng.rademacher(w0)
-    if model.family == "gaussian":
-        w1 = _rng.fold(model.master_seed, _rng.STREAM_COEFFICIENTS, idx, 1, n)
-        return _rng.standard_gaussian(w0, w1)
-    return _rng.uniform_symmetric(w0)
+    return _family_draw(model, idx, n)

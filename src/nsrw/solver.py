@@ -9,8 +9,9 @@ free heat evolution g = e^{tD} f of the data. It solves
 with P the divergence-free projection and T the sharp truncation to the
 frequency ball of the configured radius. The heat term is integrated
 exactly through the factor e^{-dt |xi|^2}; the nonlinear terms are stepped
-explicitly (RK4 or Euler) with g evaluated exactly at stage times, and all
-products are formed in physical space on dealiased inputs.
+explicitly (RK4 or Euler) with g evaluated exactly at stage times. The four
+transport terms are the one product (w + Tg) x (w + Tg), formed in physical
+space on dealiased inputs by spectral.projected_transport.
 """
 
 from __future__ import annotations
@@ -25,9 +26,11 @@ from .spectral import (
     SpectralField,
     divergence_ratio,
     fourier_field,
+    friedrichs_cutoff,
     linf_norm,
     make_grid,
     mean_mode_magnitude,
+    projected_transport,
 )
 
 __all__ = [
@@ -156,67 +159,11 @@ def time_partition(T: float, dt: float, substep_near_zero: bool) -> np.ndarray:
 # right-hand side
 
 
-def _nonlinear_core(
-    what: np.ndarray,
-    ghat_cut: np.ndarray,
-    grid: Grid,
-    ball: np.ndarray,
-    want_pairing: bool = False,
-):
-    """-T P div of the summed tensor products, on raw coefficient arrays.
-
-    Inputs are assumed dealiased and (for g) already truncated; the tensor
-    w x w + w x g + g x w + g x g is symmetric, so only the upper triangle
-    is transformed. With want_pairing the scalar 2<w, g-forcing terms> is
-    accumulated from the same physical-space arrays (the truncation and
-    projection drop out of that pairing because w is supported in the ball
-    and divergence-free).
-    """
-    d = grid.d
-    axes = tuple(range(1, d + 1))
-    W = np.fft.ifftn(what, axes=axes, norm="ortho")
-    G = np.fft.ifftn(ghat_cut, axes=axes, norm="ortho")
-
-    pairing = None
-    if want_pairing:
-        pairing = 0.0
-        for i in range(d):
-            for j in range(d):
-                dwij = np.fft.ifftn(
-                    1j * grid.axis_frequency(j) * what[i], norm="ortho"
-                ).real
-                tg = (W[i] * G[j] + G[i] * W[j] + G[i] * G[j]).real
-                pairing += float(np.sum(dwij * tg))
-        pairing *= 2.0 * grid.cell_volume
-
-    that = {}
-    for i in range(d):
-        for j in range(i, d):
-            tij = W[i] * W[j] + W[i] * G[j] + G[i] * W[j] + G[i] * G[j]
-            that[(i, j)] = np.fft.fftn(tij, norm="ortho")
-
-    div = np.empty_like(what)
-    for i in range(d):
-        acc = np.zeros(grid.shape, dtype=np.complex128)
-        for j in range(d):
-            tij = that[(i, j)] if i <= j else that[(j, i)]
-            acc += 1j * grid.axis_frequency(j) * tij
-        div[i] = acc
-
-    ksq_safe = np.where(grid.ksq == 0.0, 1.0, grid.ksq)
-    dot = np.zeros(grid.shape, dtype=np.complex128)
-    for i in range(d):
-        dot += grid.axis_frequency(i) * div[i]
-    dot /= ksq_safe
-    for i in range(d):
-        div[i] -= grid.axis_frequency(i) * dot
-
-    return -(div * ball), pairing
-
-
 def nonlinear_rhs(w: SpectralField, g: SpectralField, cutoff: float) -> SpectralField:
     """The four truncated-projected transport terms driving w.
 
+    w x w + w x Tg + Tg x w + Tg x Tg is the single product (w + Tg) x (w + Tg),
+    so one transport evaluation of the summed field covers all four.
     w must be supported inside the cutoff ball; g is truncated internally.
     """
     if w.space != FOURIER or g.space != FOURIER:
@@ -231,9 +178,8 @@ def nonlinear_rhs(w: SpectralField, g: SpectralField, cutoff: float) -> Spectral
     outside = float(np.abs(w.data * ~ball).max())
     if outside > 1e-13 * max(wmax, 1e-300):
         raise ValueError("fluctuation has support outside the cutoff ball")
-    keep = grid.dealias_keep
-    out, _ = _nonlinear_core(w.data * keep, g.data * (ball & keep), grid, ball)
-    return fourier_field(grid, out)
+    u = w + friedrichs_cutoff(g, cutoff)
+    return -friedrichs_cutoff(projected_transport(u), cutoff)
 
 
 class _Stepper:
@@ -258,12 +204,11 @@ class _Stepper:
     def g_hat_cut(self, t: float) -> np.ndarray:
         return self.fhat * (np.exp(-t * self.ksq) * self.keep)
 
-    def rhs(self, what: np.ndarray, t: float, want_pairing: bool = False):
+    def rhs(self, what: np.ndarray, t: float) -> np.ndarray:
         if self.config.disable_nonlinear:
-            return np.zeros_like(what), (0.0 if want_pairing else None)
-        return _nonlinear_core(
-            what * self.keep, self.g_hat_cut(t), self.grid, self.ball, want_pairing
-        )
+            return np.zeros_like(what)
+        u = fourier_field(self.grid, what * self.keep + self.g_hat_cut(t))
+        return -(projected_transport(u).data * self.ball)
 
     def gradsq(self, what: np.ndarray) -> float:
         return self.grid.cell_volume * float(np.sum(self.ksq * np.abs(what) ** 2))
@@ -271,9 +216,12 @@ class _Stepper:
     def kinetic(self, what: np.ndarray) -> float:
         return self.grid.cell_volume * float(np.sum(np.abs(what) ** 2))
 
-    def _pairing_only(self, what: np.ndarray, t: float) -> float:
-        _, pairing = self.rhs(what, t, want_pairing=True)
-        return pairing
+    def pairing(self, what: np.ndarray, rhs: np.ndarray) -> float:
+        """2<w, rhs>, which equals 2<w, g-forcing terms>: w is divergence-free
+        and supported in the ball, so the truncation and projection drop out,
+        and the self-transport pairing <w, P div(w x w)> vanishes to rounding
+        because no product of two ball modes aliases back into the ball."""
+        return 2.0 * self.grid.cell_volume * float(np.vdot(what, rhs).real)
 
     def advance(self, what: np.ndarray, t: float, dt: float, track: bool = False):
         """One step; with track, also the step's contribution to the
@@ -282,20 +230,23 @@ class _Stepper:
         integrator's order."""
         E, E2 = self.decay(dt)
         if self.config.integrator == "ifeuler":
-            a, pair_a = self.rhs(what, t, want_pairing=track)
+            a = self.rhs(what, t)
             w_new = E * (what + dt * a)
             if not track:
                 return w_new, None
+            a_new = self.rhs(w_new, t + dt)
             d_incr = 0.5 * dt * (self.gradsq(what) + self.gradsq(w_new))
-            p_incr = 0.5 * dt * (abs(pair_a) + abs(self._pairing_only(w_new, t + dt)))
+            p_incr = 0.5 * dt * (
+                abs(self.pairing(what, a)) + abs(self.pairing(w_new, a_new))
+            )
             return w_new, (d_incr, p_incr)
-        a, pair_a = self.rhs(what, t, want_pairing=track)
+        a = self.rhs(what, t)
         w1 = E2 * (what + (0.5 * dt) * a)
-        b, pair_b = self.rhs(w1, t + 0.5 * dt, want_pairing=track)
+        b = self.rhs(w1, t + 0.5 * dt)
         w2 = E2 * what + (0.5 * dt) * b
-        c, pair_c = self.rhs(w2, t + 0.5 * dt, want_pairing=track)
+        c = self.rhs(w2, t + 0.5 * dt)
         w3 = E * what + dt * (E2 * c)
-        dd, pair_d = self.rhs(w3, t + dt, want_pairing=track)
+        dd = self.rhs(w3, t + dt)
         w_new = E * what + (dt / 6.0) * (E * a + 2.0 * E2 * (b + c) + dd)
         if not track:
             return w_new, None
@@ -305,7 +256,9 @@ class _Stepper:
             + self.gradsq(w3)
         )
         p_incr = (dt / 6.0) * (
-            abs(pair_a) + 2.0 * (abs(pair_b) + abs(pair_c)) + abs(pair_d)
+            abs(self.pairing(what, a))
+            + 2.0 * (abs(self.pairing(w1, b)) + abs(self.pairing(w2, c)))
+            + abs(self.pairing(w3, dd))
         )
         return w_new, (d_incr, p_incr)
 

@@ -40,6 +40,7 @@ __all__ = [
     "leray_project",
     "multiplier",
     "dealias",
+    "projected_transport",
     "l2_norm",
     "lp_norm",
     "linf_norm",
@@ -377,6 +378,30 @@ def dealias(f: SpectralField) -> SpectralField:
     """Two-thirds rule: zero every mode with any |xi_i| > (N/3)*(2*pi/L)."""
     _require_fourier(f)
     return fourier_field(f.grid, f.data * f.grid.dealias_keep)
+
+
+def projected_transport(u: SpectralField) -> SpectralField:
+    """P div(u x u) with dealiased physical-space products.
+
+    The tensor is symmetric, so only its upper triangle is transformed:
+    d inverse and d(d+1)/2 forward transforms per call.
+    """
+    grid = u.grid
+    axes = tuple(range(1, grid.d + 1))
+    ud = dealias(u)
+    U = np.fft.ifftn(ud.data, axes=axes, norm="ortho")
+    div = np.empty_like(ud.data)
+    that = {}
+    for i in range(grid.d):
+        for j in range(i, grid.d):
+            that[(i, j)] = np.fft.fftn(U[i] * U[j], norm="ortho")
+    for i in range(grid.d):
+        acc = np.zeros(grid.shape, dtype=np.complex128)
+        for j in range(grid.d):
+            tij = that[(i, j)] if i <= j else that[(j, i)]
+            acc += 1j * grid.axis_frequency(j) * tij
+        div[i] = acc
+    return leray_project(fourier_field(grid, div))
 
 
 # ---------------------------------------------------------------------------

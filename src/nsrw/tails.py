@@ -198,6 +198,14 @@ def space_time_norm(
     return float(_power_law_cells(times, F) ** (1.0 / spec.q))
 
 
+def _ordered_map(fn, count: int, workers: int) -> list:
+    """[fn(0), ..., fn(count - 1)] on up to `workers` threads, in index order."""
+    if workers <= 1:
+        return [fn(i) for i in range(count)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, range(count)))
+
+
 def sample_space_time_norms(
     f: SpectralField,
     model: RandomModel,
@@ -219,13 +227,7 @@ def sample_space_time_norms(
         draw = sample_coefficients(model, part.max_ring, sample_offset + i)
         return space_time_norm(randomize(f, draw, part), spec, times)
 
-    if workers <= 1:
-        return np.array([one(i) for i in range(M)])
-    out = np.empty(M)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for i, v in enumerate(pool.map(one, range(M))):
-            out[i] = v
-    return out
+    return np.array(_ordered_map(one, M, workers))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from conftest import TWO_PI, random_divfree_field
 from nsrw.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from nsrw.cli import build_parser, main
 from nsrw.config import (
+    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     config_from_dict,
@@ -168,6 +169,12 @@ class TestCli:
         parser = build_parser()
         args = parser.parse_args(["tails", "--config", "c.json", "--M", "100"])
         assert args.verb == "tails" and args.M == 100
+        # every configured experiment is a verb with a runner behind it
+        from nsrw.experiments import _RUNNERS
+
+        assert set(_RUNNERS) == set(EXPERIMENTS)
+        for verb in EXPERIMENTS:
+            assert parser.parse_args([verb, "--config", "c.json"]).verb == verb
 
     def test_verb_and_overrides(self, tmp_path):
         cfgfile = write_config(
@@ -187,3 +194,17 @@ class TestCli:
     def test_invalid_config_exit_code(self, tmp_path):
         cfgfile = write_config(tmp_path, d=3, s=0.3)
         assert main(["solve", "--config", str(cfgfile)]) == 2
+
+    def test_step_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        import nsrw.experiments as experiments
+        from nsrw.solver import StepFailureError
+
+        def blow_up(*args, **kwargs):
+            raise StepFailureError(0.5)
+
+        monkeypatch.setattr(experiments, "solve", blow_up)
+        cfgfile = write_config(tmp_path, d=2, N=16)
+        status = main(["solve", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+        assert status == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

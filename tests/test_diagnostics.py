@@ -3,7 +3,7 @@ import pytest
 
 from conftest import TWO_PI
 from nsrw.data import borderline_field, smooth_random_field, taylor_green
-from nsrw.diagnostics import condtg_check, dwdt_norm, energy, nse_residual
+from nsrw.diagnostics import condtg_check, dwdt_norm, nse_residual
 from nsrw.heat import heat_semigroup
 from nsrw.randomization import RandomModel, randomize, sample_coefficients
 from nsrw.solver import SolverConfig, Trajectory, solve
@@ -27,11 +27,15 @@ def heat_trajectory(grid, w0, times, cutoff=4.0):
 
 
 class TestEnergy:
+    """The solver's per-step EnergyLog, the package's one energy ledger."""
+
     def test_zero_trajectory(self, grid2):
-        times = np.linspace(0.0, 1.0, 64)
-        traj = heat_trajectory(grid2, zeros_field(grid2, 2), times)
-        series = energy(traj)
-        assert np.all(series.total == 0.0)
+        cfg = SolverConfig(d=2, N=16, L=TWO_PI, cutoff=4.0, T=1.0, dt=1.0 / 64.0)
+        log = solve(cfg, zeros_field(grid2, 2)).energy_log
+        assert np.all(log.kinetic == 0.0)
+        assert np.all(log.dissipation_cum == 0.0)
+        assert np.all(log.pairing_abs_cum == 0.0)
+        assert log.energy_sup() == 0.0
 
     def test_heat_flow_balance(self, grid2):
         # mode-wise: e^{-2t|xi|^2} + 2|xi|^2 int_0^t e^{-2tau|xi|^2} = 1,
@@ -41,24 +45,24 @@ class TestEnergy:
         w0.data[0, -1, -1] = 0.7 + 0.2j
         w0.data[1, 2, 0] = 0.4j
         w0.data[1, -2, 0] = -0.4j
-        times = np.linspace(0.0, 1.0, 1500)
-        series = energy(heat_trajectory(grid2, w0, times))
+        cfg = SolverConfig(d=2, N=16, L=TWO_PI, cutoff=4.0, T=1.0, dt=1.0 / 128.0,
+                           disable_nonlinear=True)
+        # start the heat flow at w0 through the resume entry point
+        traj = solve(cfg, zeros_field(grid2, 2), resume_state=w0, resume_time=0.0)
+        log = traj.energy_log
         base = l2_norm(w0) ** 2
-        assert np.abs(series.balance - base).max() <= 1e-6 * base
-
-    def test_rejects_coarse_cadence(self, grid2):
-        times = np.linspace(0.0, 1.0, 8)  # far below 32 per unit time
-        traj = heat_trajectory(grid2, zeros_field(grid2, 2), times)
-        with pytest.raises(ValueError):
-            energy(traj)
+        assert log.kinetic[0] == pytest.approx(base, rel=1e-14)
+        balance = log.kinetic + 2.0 * log.dissipation_cum
+        assert np.abs(balance - base).max() <= 1e-6 * base
+        assert np.all(log.pairing_abs_cum == 0.0)
 
     def test_dissipation_nondecreasing_on_solver_run(self, grid2_mid):
         f = smooth_random_field(grid2_mid, seed=1, band=2)
         cfg = SolverConfig(d=2, N=32, L=TWO_PI, cutoff=8.0, T=0.5, dt=1.0 / 128.0,
-                           substep_near_zero=False, snapshot_cadence=2)
-        series = energy(solve(cfg, f))
-        assert np.all(np.diff(series.dissipation_cum) >= 0)
-        assert np.all(np.isfinite(series.total))
+                           substep_near_zero=False)
+        log = solve(cfg, f).energy_log
+        assert np.all(np.diff(log.dissipation_cum) >= 0)
+        assert np.all(np.isfinite(log.kinetic + log.dissipation_cum))
 
 
 class TestDwdt:

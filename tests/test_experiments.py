@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
+
 from nsrw.cli import main
 from nsrw.config import ExperimentConfig, validate_config
-from nsrw.experiments import run_experiment
+from nsrw.experiments import _jsonable, run_experiment
 
 
 def run(tmp_path, name, **fields):
@@ -171,6 +173,22 @@ class TestArtifacts:
         )
         meta = json.loads((res.output_dir / "meta.json").read_text())
         assert meta["workers"] == 1
+
+
+class TestStrictJson:
+    def test_non_finite_floats_encoded_as_strings(self):
+        raw = {
+            "nan": float("nan"),
+            "values": np.array([np.inf, -np.inf, 0.5]),
+            "nested": [np.float64(-np.inf), (np.float32(2.0), 3)],
+        }
+        got = _jsonable(raw)
+        assert got == {
+            "nan": "NaN",
+            "values": ["Infinity", "-Infinity", 0.5],
+            "nested": ["-Infinity", [2.0, 3]],
+        }
+        assert json.loads(json.dumps(got, allow_nan=False)) == got
 
 
 class TestResume:
