@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .heat import _heat_norms
 from .randomization import (
     RandomModel,
     hminus_s_norm,
@@ -71,79 +72,6 @@ def default_time_grid(T: float, points_per_decade: int = 64, decades: float = 6.
     return np.geomspace(T * 10.0**-decades, T, npts)
 
 
-def _is_hermitian(base: np.ndarray, d: int) -> bool:
-    axes = tuple(range(1, 1 + d))
-    mirrored = np.roll(np.flip(base, axis=axes), 1, axis=axes)
-    scale = np.abs(base).max()
-    if scale == 0.0:
-        return True
-    return bool(np.abs(np.conj(mirrored) - base).max() <= 1e-12 * scale)
-
-
-_DECAY_CACHE: dict = {}
-_DECAY_CACHE_MAX_ELEMS = 16_000_000
-
-
-def _half_decay(grid, times: np.ndarray) -> np.ndarray | None:
-    """exp(-t |xi|^2) on the rfft half-spectrum for every t, cached while
-    small enough to keep; None tells the caller to stream per chunk."""
-    half = grid.N // 2 + 1
-    if times.size * grid.ksq.size // grid.N * half > _DECAY_CACHE_MAX_ELEMS:
-        return None
-    key = (grid.d, grid.N, grid.L, times.tobytes())
-    hit = _DECAY_CACHE.get(key)
-    if hit is None:
-        ksq_half = grid.ksq[..., :half]
-        shape = (-1,) + (1,) * grid.d
-        hit = np.exp(-times.reshape(shape) * ksq_half[None])
-        if len(_DECAY_CACHE) >= 4:
-            _DECAY_CACHE.pop(next(iter(_DECAY_CACHE)))
-        _DECAY_CACHE[key] = hit
-    return hit
-
-
-def _lp_norms_over_times(
-    f: SpectralField, sigma: float, times: np.ndarray, p: float, chunk: int = 48
-) -> np.ndarray:
-    """|(-Laplacian)^{sigma/2} e^{tD} f|_{L^p} for every t, batched FFTs.
-
-    Real (conjugate-symmetric) data takes a half-spectrum irfft path.
-    """
-    g = f.grid
-    axes = tuple(range(2, 2 + g.d))
-    sym = g.kabs**sigma if sigma > 0 else 1.0
-    base = f.data * sym
-    vol = g.cell_volume
-    out = np.empty(times.size)
-    sp = tuple(range(1, 1 + g.d))
-
-    if _is_hermitian(base, g.d):
-        half = g.N // 2 + 1
-        base_h = np.ascontiguousarray(base[..., :half])
-        cached = _half_decay(g, times)
-        ksq_h = g.ksq[..., :half]
-        for lo in range(0, times.size, chunk):
-            tt = times[lo : lo + chunk]
-            if cached is not None:
-                decay = cached[lo : lo + tt.size]
-            else:
-                decay = np.exp(-tt.reshape((-1,) + (1,) * g.d) * ksq_h[None])
-            block = np.fft.irfftn(
-                base_h[None] * decay[:, None], s=g.shape, axes=axes, norm="ortho"
-            )
-            msq = np.sum(block * block, axis=1)
-            out[lo : lo + tt.size] = (vol * np.sum(msq ** (p / 2.0), axis=sp)) ** (1.0 / p)
-        return out
-
-    for lo in range(0, times.size, chunk):
-        tt = times[lo : lo + chunk]
-        decay = np.exp(-tt.reshape((-1, 1) + (1,) * g.d) * g.ksq[None, None])
-        block = np.fft.ifftn(base[None] * decay, axes=axes, norm="ortho")
-        msq = np.sum(np.abs(block) ** 2, axis=1)
-        out[lo : lo + tt.size] = (vol * np.sum(msq ** (p / 2.0), axis=sp)) ** (1.0 / p)
-    return out
-
-
 def _power_law_cells(times: np.ndarray, F: np.ndarray) -> float:
     """Integrate F over [times[0], times[-1]] treating each cell as a power
     law, plus the [0, times[0]] head extrapolated from the first cell."""
@@ -193,7 +121,7 @@ def space_time_norm(
     times = default_time_grid(spec.T) if time_grid is None else np.asarray(time_grid, float)
     if times.size < 2 or not np.all(np.diff(times) > 0) or not np.all(times > 0):
         raise ValueError("time grid must be increasing and positive")
-    vals = _lp_norms_over_times(f_omega, spec.sigma, times, spec.p)
+    vals = _heat_norms(f_omega, [f_omega.grid.kabs**spec.sigma], times, spec.p)
     F = times ** (spec.q * spec.gamma) * vals**spec.q
     return float(_power_law_cells(times, F) ** (1.0 / spec.q))
 

@@ -1,10 +1,12 @@
 import json
 
 import numpy as np
+import pytest
 
 from nsrw.cli import main
 from nsrw.config import ExperimentConfig, validate_config
-from nsrw.experiments import _jsonable, run_experiment
+from nsrw.experiments import _jsonable, _randomized_data, build_data_field, run_experiment
+from nsrw.heat import condg_check, default_decay_time_grid
 
 
 def run(tmp_path, name, **fields):
@@ -112,6 +114,29 @@ class TestArtifacts:
         header = (res.output_dir / "series.csv").read_text().splitlines()[0]
         assert header.startswith("time,l2_k0,linf_k0")
         assert (res.output_dir / "plotdata" / "condg_ratios.tsv").exists()
+
+    @pytest.mark.parametrize("k_orders", [[0, 1], [2]])
+    def test_heatflow_condg_matches_condg_check(self, tmp_path, k_orders):
+        # the runner reads condg off its own k = 0, 1 sweeps, whatever k_orders is
+        res, cfg = run(
+            tmp_path,
+            "heatflow",
+            experiment="heatflow",
+            d=2,
+            N=32,
+            family="rademacher",
+            master_seed=4,
+            k_orders=k_orders,
+        )
+        grid, f = build_data_field(cfg)
+        t_grid = default_decay_time_grid(grid, cfg.T, cfg.t_points_per_decade)
+        cg = condg_check(_randomized_data(cfg, grid, f), cfg.s, t_grid)
+        summary = json.loads((res.output_dir / "summary.json").read_text())
+        got = [summary[k] for k in ("condg_sup_l2", "condg_sup_linf_k0", "condg_sup_linf_k1")]
+        np.testing.assert_allclose(got, [cg.sup_l2, cg.sup_linf[0], cg.sup_linf[1]], rtol=1e-12)
+        table = np.loadtxt(res.output_dir / "plotdata" / "condg_ratios.tsv", skiprows=1)
+        expected = np.column_stack([cg.times, cg.l2_ratios, cg.linf_ratios[0], cg.linf_ratios[1]])
+        np.testing.assert_allclose(table, expected, rtol=1e-12)
 
     def test_report_outputs(self, tmp_path):
         res, _ = run(

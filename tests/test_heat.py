@@ -13,12 +13,16 @@ from nsrw.heat import (
 )
 from nsrw.randomization import RandomModel, randomize, sample_coefficients
 from nsrw.spectral import (
+    fourier_field,
     l2_norm,
+    linf_norm,
     make_grid,
+    multiplier,
     physical_field,
     ring_partition,
     transform,
     zero_mean,
+    zero_nyquist,
 )
 
 
@@ -120,6 +124,25 @@ class TestLinearEstimates:
             grid2.cell_volume * np.sum(grid2.ksq * np.abs(heated.data) ** 2)
         )
         assert abs(rep.l2.values[0] - direct) < 1e-12 * direct
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("d, nyquist", [(2, True), (3, True), (2, False)])
+    def test_linf_matches_per_time_oracle(self, d, nyquist, k):
+        # real data with Nyquist content: its derivatives are not
+        # conjugate-symmetric on the Nyquist rows, so they need the full transform
+        grid = make_grid(d, 16, TWO_PI)
+        f = random_real_field(grid, d, seed=11)
+        if not nyquist:
+            f = zero_nyquist(f)
+        ts = np.geomspace(0.01, 1.0, 6)
+        rep = check_linear_estimates(f, 0.25, k, ts)
+        oracle = []
+        for t in ts:
+            stack = [heat_semigroup(f, t)]
+            for _ in range(k):
+                stack = [multiplier(x, "gradient", ax) for x in stack for ax in range(d)]
+            oracle.append(linf_norm(fourier_field(grid, np.concatenate([x.data for x in stack]))))
+        np.testing.assert_allclose(rep.linf.values, oracle, rtol=1e-12, atol=0)
 
     def test_rejects_bad_inputs(self, grid2):
         f = random_divfree_field(grid2, seed=6)
