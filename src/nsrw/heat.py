@@ -19,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .randomization import hminus_s_norm
-from .spectral import FOURIER, SpectralField, fourier_field
+from .spectral import (
+    FOURIER,
+    HERMITIAN_RTOL,
+    SpectralField,
+    conjugate_asymmetry,
+    fourier_field,
+)
 
 __all__ = [
     "heat_semigroup",
@@ -98,15 +104,6 @@ def _fit_loglog_slope(times: np.ndarray, values: np.ndarray, window: tuple[float
     return float(np.polyfit(np.log(times[sel]), np.log(values[sel]), 1)[0])
 
 
-def _is_hermitian(base: np.ndarray, d: int) -> bool:
-    axes = tuple(range(1, 1 + d))
-    mirrored = np.roll(np.flip(base, axis=axes), 1, axis=axes)
-    scale = np.abs(base).max()
-    if scale == 0.0:
-        return True
-    return bool(np.abs(np.conj(mirrored) - base).max() <= 1e-12 * scale)
-
-
 # A table of up to 4M entries (32 MB) is kept: the Monte Carlo table, reused
 # by every sample (385 x 64*33 at d=2 N=64), stays; the heatflow table at
 # d=3 N=64 (43 x 64*64*33, 46 MiB), used by a few sweeps, is streamed.
@@ -150,7 +147,7 @@ def _heat_norms(f: SpectralField, symbols: list, times: np.ndarray, p: float) ->
     vol = g.cell_volume
     half = g.N // 2 + 1
     ksq_h = g.ksq[..., :half]
-    hermitian = [_is_hermitian(f.data * sym, g.d) for sym in symbols]
+    hermitian = [conjugate_asymmetry(f.data * sym, g.d) <= HERMITIAN_RTOL for sym in symbols]
     cached = _half_decay(g, times) if any(hermitian) else None
     chunk = max(1, _BLOCK_ELEMS // (f.ncomp * g.ksq.size))
     out = np.empty(times.size)

@@ -9,9 +9,15 @@ free heat evolution g = e^{tD} f of the data. It solves
 with P the divergence-free projection and T the sharp truncation to the
 frequency ball of the configured radius. The heat term is integrated
 exactly through the factor e^{-dt |xi|^2}; the nonlinear terms are stepped
-explicitly (RK4 or Euler) with g evaluated exactly at stage times. The four
-transport terms are the one product (w + Tg) x (w + Tg), formed in physical
-space on dealiased inputs by spectral.projected_transport.
+explicitly (RK4 or Euler) with g formed once per step and carried to the
+stage times by the cached heat factors. The four transport terms are the one
+product (w + Tg) x (w + Tg), formed in physical space on dealiased inputs by
+the transport kernel.
+
+Data, w and g are real fields, so the stepper keeps their rfft half spectra
+(spectral.HalfLattice) and expands to the full lattice only for snapshots
+and step() output; solve refuses data and resume states that are not
+conjugate-symmetric.
 """
 
 from __future__ import annotations
@@ -22,8 +28,10 @@ import numpy as np
 
 from .spectral import (
     FOURIER,
+    HERMITIAN_RTOL,
     Grid,
     SpectralField,
+    conjugate_asymmetry,
     divergence_ratio,
     fourier_field,
     friedrichs_cutoff,
@@ -31,6 +39,7 @@ from .spectral import (
     make_grid,
     mean_mode_magnitude,
     projected_transport,
+    projected_transport_half,
 )
 
 __all__ = [
@@ -183,45 +192,56 @@ def nonlinear_rhs(w: SpectralField, g: SpectralField, cutoff: float) -> Spectral
 
 
 class _Stepper:
-    """Array-level stepping context: cached masks, exponentials, forcing."""
+    """Array-level stepping context on the rfft half lattice: cached masks,
+    decay factors and truncated data.
+
+    States are half spectra; the Parseval weights make kinetic, gradsq and
+    pairing equal to the full-lattice sums.
+    """
 
     def __init__(self, grid: Grid, fhat: np.ndarray, config: SolverConfig):
         self.grid = grid
         self.config = config
-        self.ksq = grid.ksq
-        self.ball = grid.kabs < config.cutoff
-        self.keep = self.ball & grid.dealias_keep
-        self.fhat = fhat
+        self.half = grid.half
+        self.ksq = self.half.ksq
+        self.ball = self.half.kabs < config.cutoff
+        self.keep = self.ball & self.half.dealias_keep
+        self.fcut = self.half.cut(fhat) * self.keep
+        self.weight_ksq = self.half.weight * self.ksq
         self._exp_cache: dict = {}
 
     def decay(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """(e^{-dt|xi|^2}, e^{-dt|xi|^2/2}), kept for the current dt only:
+        ramp steps never repeat and the uniform steps share one pair."""
         cached = self._exp_cache.get(dt)
         if cached is None:
+            self._exp_cache.clear()
             cached = (np.exp(-dt * self.ksq), np.exp(-0.5 * dt * self.ksq))
             self._exp_cache[dt] = cached
         return cached
 
     def g_hat_cut(self, t: float) -> np.ndarray:
-        return self.fhat * (np.exp(-t * self.ksq) * self.keep)
+        return self.fcut * np.exp(-t * self.ksq)
 
-    def rhs(self, what: np.ndarray, t: float) -> np.ndarray:
+    def rhs(self, what: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Stage right-hand side for w against the truncated forcing g at
+        the stage time."""
         if self.config.disable_nonlinear:
             return np.zeros_like(what)
-        u = fourier_field(self.grid, what * self.keep + self.g_hat_cut(t))
-        return -(projected_transport(u).data * self.ball)
+        return -(projected_transport_half(what * self.keep + g, self.grid) * self.ball)
 
     def gradsq(self, what: np.ndarray) -> float:
-        return self.grid.cell_volume * float(np.sum(self.ksq * np.abs(what) ** 2))
+        return self.grid.cell_volume * float(np.sum(self.weight_ksq * np.abs(what) ** 2))
 
     def kinetic(self, what: np.ndarray) -> float:
-        return self.grid.cell_volume * float(np.sum(np.abs(what) ** 2))
+        return self.grid.cell_volume * float(np.sum(self.half.weight * np.abs(what) ** 2))
 
     def pairing(self, what: np.ndarray, rhs: np.ndarray) -> float:
         """2<w, rhs>, which equals 2<w, g-forcing terms>: w is divergence-free
         and supported in the ball, so the truncation and projection drop out,
         and the self-transport pairing <w, P div(w x w)> vanishes to rounding
         because no product of two ball modes aliases back into the ball."""
-        return 2.0 * self.grid.cell_volume * float(np.vdot(what, rhs).real)
+        return 2.0 * self.grid.cell_volume * float(np.vdot(what, self.half.weight * rhs).real)
 
     def advance(self, what: np.ndarray, t: float, dt: float, track: bool = False):
         """One step; with track, also the step's contribution to the
@@ -229,24 +249,26 @@ class _Stepper:
         scheme's own stage quadrature so the energy ledger converges at the
         integrator's order."""
         E, E2 = self.decay(dt)
+        g0 = self.g_hat_cut(t)
         if self.config.integrator == "ifeuler":
-            a = self.rhs(what, t)
+            a = self.rhs(what, g0)
             w_new = E * (what + dt * a)
             if not track:
                 return w_new, None
-            a_new = self.rhs(w_new, t + dt)
+            a_new = self.rhs(w_new, E * g0)
             d_incr = 0.5 * dt * (self.gradsq(what) + self.gradsq(w_new))
             p_incr = 0.5 * dt * (
                 abs(self.pairing(what, a)) + abs(self.pairing(w_new, a_new))
             )
             return w_new, (d_incr, p_incr)
-        a = self.rhs(what, t)
+        g_mid = E2 * g0
+        a = self.rhs(what, g0)
         w1 = E2 * (what + (0.5 * dt) * a)
-        b = self.rhs(w1, t + 0.5 * dt)
+        b = self.rhs(w1, g_mid)
         w2 = E2 * what + (0.5 * dt) * b
-        c = self.rhs(w2, t + 0.5 * dt)
+        c = self.rhs(w2, g_mid)
         w3 = E * what + dt * (E2 * c)
-        dd = self.rhs(w3, t + dt)
+        dd = self.rhs(w3, E * g0)
         w_new = E * what + (dt / 6.0) * (E * a + 2.0 * E2 * (b + c) + dd)
         if not track:
             return w_new, None
@@ -270,14 +292,24 @@ def step(state: SpectralField, t: float, dt: float, config: SolverConfig,
         raise ValueError("step time must be nonnegative")
     grid = state.grid
     stepper = _Stepper(grid, f_omega.data, config)
-    out, _ = stepper.advance(state.data, t, dt)
+    out, _ = stepper.advance(grid.half.cut(state.data), t, dt)
     if not np.all(np.isfinite(out)):
         raise StepFailureError(t)
-    return fourier_field(grid, out)
+    return fourier_field(grid, grid.half.expand(out))
+
+
+def _require_real_field(name: str, f: SpectralField):
+    asym = conjugate_asymmetry(f.data, f.grid.d)
+    if asym > HERMITIAN_RTOL:
+        raise ValueError(
+            f"{name} is not conjugate-symmetric (not a real field): the largest "
+            f"conjugate asymmetry |a(xi) - conj a(-xi)| is {asym:.3e} of its "
+            f"largest coefficient (tolerance {HERMITIAN_RTOL:g})"
+        )
 
 
 def _check_stability(config: SolverConfig, stepper: _Stepper, grid: Grid):
-    g0 = fourier_field(grid, stepper.g_hat_cut(config.dt))
+    g0 = fourier_field(grid, grid.half.expand(stepper.g_hat_cut(config.dt)))
     gmax = linf_norm(g0)
     if gmax <= 0:
         return
@@ -310,6 +342,7 @@ def solve(
         raise ValueError("data must be mean-zero")
     if divergence_ratio(f_omega) > 1e-8:
         raise ValueError("data must be divergence-free")
+    _require_real_field("data", f_omega)
 
     stepper = _Stepper(grid, f_omega.data, config)
     if not config.disable_nonlinear:
@@ -318,7 +351,7 @@ def solve(
     times = time_partition(config.T, config.dt, config.substep_near_zero)
     if resume_state is None:
         start = 0
-        what = np.zeros_like(f_omega.data)
+        what = np.zeros((grid.d,) + grid.half.shape, dtype=np.complex128)
     else:
         if resume_time is None:
             raise ValueError("resume_state requires resume_time")
@@ -327,12 +360,18 @@ def solve(
             raise ValueError(
                 f"resume time {resume_time} is not a step boundary of this config"
             )
+        _require_real_field("resume state", resume_state)
         start = int(hits[0])
-        what = resume_state.data.copy()
+        what = grid.half.cut(resume_state.data)
 
-    snap_times = [times[start]]
-    w_states = [fourier_field(grid, what.copy())]
-    g_states = [fourier_field(grid, stepper.g_hat_cut(times[start]))]
+    snap_times, w_states, g_states = [], [], []
+
+    def snapshot(t: float, state: np.ndarray):
+        snap_times.append(t)
+        w_states.append(fourier_field(grid, grid.half.expand(state)))
+        g_states.append(fourier_field(grid, grid.half.expand(stepper.g_hat_cut(t))))
+
+    snapshot(times[start], what)
 
     track = config.track_energy
     if track:
@@ -353,9 +392,7 @@ def solve(
             pair_cum.append(pair_cum[-1] + incr[1])
         steps_done = idx + 1 - start
         if steps_done % config.snapshot_cadence == 0 or idx + 1 == len(times) - 1:
-            snap_times.append(t1)
-            w_states.append(fourier_field(grid, what.copy()))
-            g_states.append(fourier_field(grid, stepper.g_hat_cut(t1)))
+            snapshot(t1, what)
 
     log = None
     if track:

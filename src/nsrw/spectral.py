@@ -5,12 +5,16 @@ identity is exact up to rounding, and every norm carries the explicit cell
 volume (L/N)^d as quadrature weight. Frequencies along each axis are
 (2*pi/L) * {-N/2, ..., N/2 - 1} in standard FFT ordering; the Nyquist row
 (-N/2) is a convention-zero row that constructed data never populates.
+
+Real fields have conjugate-symmetric spectra, a(-xi) = conj a(xi), so the
+rfft half of the lattice (last-axis indices 0..N/2, `Grid.half`) holds all
+of their content; the transport kernel works there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -21,6 +25,7 @@ __all__ = [
     "FOURIER",
     "PHYSICAL",
     "Grid",
+    "HalfLattice",
     "SpectralField",
     "RingPartition",
     "make_grid",
@@ -41,6 +46,10 @@ __all__ = [
     "multiplier",
     "dealias",
     "projected_transport",
+    "projected_transport_half",
+    "HERMITIAN_RTOL",
+    "conjugate_mirror",
+    "conjugate_asymmetry",
     "l2_norm",
     "lp_norm",
     "linf_norm",
@@ -118,6 +127,74 @@ class Grid:
         """Physical mesh, one (N, ..., N) array per axis."""
         x1 = self.L * np.arange(self.N) / self.N
         return np.meshgrid(*([x1] * self.d), indexing="ij")
+
+    @cached_property
+    def half(self) -> "HalfLattice":
+        """The rfft half lattice, derived on first use and kept."""
+        return HalfLattice.of(self)
+
+
+@dataclass(frozen=True, eq=False)
+class HalfLattice:
+    """The rfft half of a grid's Fourier lattice: last-axis indices 0..N/2.
+
+    Arrays have shape (N, ..., N, N/2 + 1) and hold the full lattice's
+    values on that half. The last-axis planes 0 and N/2 are their own
+    mirror images; every other mode stands for itself and its conjugate
+    mirror, so the Parseval weight is 1 on those two planes and 2
+    elsewhere: sum(weight * |a_half|^2) is the full-lattice sum of |a|^2
+    for a conjugate-symmetric a. inv_ksq is 1/|xi|^2, set to 1 at xi = 0.
+    """
+
+    shape: tuple
+    freqs: tuple
+    ksq: np.ndarray
+    inv_ksq: np.ndarray
+    kabs: np.ndarray
+    dealias_keep: np.ndarray
+    nyquist_mask: np.ndarray
+    weight: np.ndarray
+
+    @classmethod
+    def of(cls, grid: Grid) -> "HalfLattice":
+        n = grid.N // 2 + 1
+        freqs = tuple(
+            np.ascontiguousarray(grid.axis_frequency(ax)[..., :n]) for ax in range(grid.d)
+        )
+        ksq = np.ascontiguousarray(grid.ksq[..., :n])
+        weight = np.full(ksq.shape, 2.0)
+        weight[..., 0] = 1.0
+        weight[..., -1] = 1.0
+        return cls(
+            shape=ksq.shape,
+            freqs=freqs,
+            ksq=ksq,
+            inv_ksq=1.0 / np.where(ksq == 0.0, 1.0, ksq),
+            kabs=np.ascontiguousarray(grid.kabs[..., :n]),
+            dealias_keep=np.ascontiguousarray(grid.dealias_keep[..., :n]),
+            nyquist_mask=np.ascontiguousarray(grid.nyquist_mask[..., :n]),
+            weight=weight,
+        )
+
+    def cut(self, a: np.ndarray) -> np.ndarray:
+        """The half of a full-lattice array, as a contiguous copy."""
+        return np.ascontiguousarray(a[..., : self.shape[-1]])
+
+    def expand(self, h: np.ndarray) -> np.ndarray:
+        """The conjugate-symmetric full-lattice array whose half is h.
+
+        On the self-mirrored last-axis planes 0 and N/2 the result is the
+        conjugate-symmetric part of h, which is all that irfftn reads there,
+        so the result is exactly conjugate-symmetric.
+        """
+        n = self.shape[-1]
+        full = np.zeros(h.shape[:-1] + (self.shape[0],), dtype=np.complex128)
+        full[..., :n] = h
+        mirror = conjugate_mirror(full, len(self.shape))
+        full[..., n:] = mirror[..., n:]
+        for plane in (0, n - 1):
+            full[..., plane] = 0.5 * (full[..., plane] + mirror[..., plane])
+        return full
 
 
 def make_grid(d: int, N: int, L: float) -> Grid:
@@ -246,6 +323,24 @@ def mean_mode_magnitude(f: SpectralField) -> float:
 def _require_fourier(f: SpectralField):
     if f.space != FOURIER:
         raise ValueError("operation requires a fourier-space field")
+
+
+# relative conjugate asymmetry below which a spectrum counts as a real field's
+HERMITIAN_RTOL = 1e-12
+
+
+def conjugate_mirror(a: np.ndarray, d: int) -> np.ndarray:
+    """conj a(-xi) over the trailing d frequency axes (standard FFT layout)."""
+    axes = tuple(range(a.ndim - d, a.ndim))
+    return np.conj(np.roll(np.flip(a, axis=axes), 1, axis=axes))
+
+
+def conjugate_asymmetry(a: np.ndarray, d: int) -> float:
+    """max |a(xi) - conj a(-xi)| relative to max |a|; 0 for a zero array."""
+    scale = np.abs(a).max()
+    if scale == 0.0:
+        return 0.0
+    return float(np.abs(conjugate_mirror(a, d) - a).max() / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -381,27 +476,49 @@ def dealias(f: SpectralField) -> SpectralField:
 
 
 def projected_transport(u: SpectralField) -> SpectralField:
-    """P div(u x u) with dealiased physical-space products.
+    """P div(u x u) of a real field u, on the full lattice.
 
-    The tensor is symmetric, so only its upper triangle is transformed:
-    d inverse and d(d+1)/2 forward transforms per call.
+    Only the half spectrum of u is read (for a real field the rest is its
+    conjugate mirror); the result is projected_transport_half expanded to
+    the full lattice, exactly conjugate-symmetric, zero on the Nyquist rows.
     """
-    grid = u.grid
-    axes = tuple(range(1, grid.d + 1))
-    ud = dealias(u)
-    U = np.fft.ifftn(ud.data, axes=axes, norm="ortho")
-    div = np.empty_like(ud.data)
+    half = u.grid.half
+    return fourier_field(u.grid, half.expand(projected_transport_half(half.cut(u.data), u.grid)))
+
+
+def projected_transport_half(uh: np.ndarray, grid: Grid) -> np.ndarray:
+    """P div(u x u) on the rfft half lattice, for the real field u whose half
+    spectrum is uh, shape (d,) + grid.half.shape.
+
+    Products are formed in physical space on the dealiased input. The
+    tensor is symmetric, so only its upper triangle is transformed: d
+    inverse and d(d+1)/2 forward real transforms per call. The output's
+    Nyquist rows are zero: they hold aliasing only, and there the symbol
+    i xi is not odd, so keeping them would break conjugate symmetry.
+    """
+    h = grid.half
+    U = np.fft.irfftn(
+        uh * h.dealias_keep, s=grid.shape, axes=tuple(range(1, grid.d + 1)), norm="ortho"
+    )
     that = {}
     for i in range(grid.d):
         for j in range(i, grid.d):
-            that[(i, j)] = np.fft.fftn(U[i] * U[j], norm="ortho")
+            that[(i, j)] = that[(j, i)] = np.fft.rfftn(U[i] * U[j], norm="ortho")
+    # P div T = i (S - xi (xi . S) / |xi|^2) with S_i = sum_j xi_j T_ij
+    out = np.empty((grid.d,) + h.shape, dtype=np.complex128)
     for i in range(grid.d):
-        acc = np.zeros(grid.shape, dtype=np.complex128)
-        for j in range(grid.d):
-            tij = that[(i, j)] if i <= j else that[(j, i)]
-            acc += 1j * grid.axis_frequency(j) * tij
-        div[i] = acc
-    return leray_project(fourier_field(grid, div))
+        np.multiply(h.freqs[0], that[(i, 0)], out=out[i])
+        for j in range(1, grid.d):
+            out[i] += h.freqs[j] * that[(i, j)]
+    dot = h.freqs[0] * out[0]
+    for i in range(1, grid.d):
+        dot += h.freqs[i] * out[i]
+    dot *= h.inv_ksq
+    for i in range(grid.d):
+        out[i] -= h.freqs[i] * dot
+    out *= 1j
+    out[:, h.nyquist_mask] = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------

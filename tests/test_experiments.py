@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from nsrw.checkpoint import load_checkpoint, save_checkpoint
 from nsrw.cli import main
 from nsrw.config import ExperimentConfig, validate_config
 from nsrw.experiments import _jsonable, _randomized_data, build_data_field, run_experiment
@@ -253,6 +254,36 @@ class TestResume:
         s_res = json.loads((res2.output_dir / "summary.json").read_text())
         assert abs(s_res["terminal_w_l2"] - s_full["terminal_w_l2"]) <= 1e-12
         assert s_res["terminal_time"] == s_full["terminal_time"]
+
+    def test_resume_refuses_non_symmetric_state(self, tmp_path):
+        common = dict(
+            experiment="solve",
+            d=2,
+            N=32,
+            T=0.25,
+            dt=1.0 / 128.0,
+            data="smooth_random",
+            randomize_data=False,
+            substep_near_zero=False,
+            snapshot_cadence=16,
+            write_checkpoints=True,
+            master_seed=21,
+        )
+        res_full, _ = run(tmp_path, "full", **common)
+        ckpt = sorted(res_full.output_dir.glob("checkpoint_*.nsrw"))[1]
+        state, t, cutoff = load_checkpoint(ckpt)
+        # perturb a coefficient of the mirrored half (last-axis index N-2)
+        # whose partner (1, 2) lies in the cutoff ball
+        state.data[0, -1, -2] += 1e-3 * np.abs(state.data).max()
+        bad = tmp_path / "bad.nsrw"
+        save_checkpoint(state, t, cutoff, bad)
+        assert bad.stat().st_size == ckpt.stat().st_size
+        cfg2 = validate_config(
+            ExperimentConfig(**{**common, "output_dir": str(tmp_path / "resumed"),
+                                "write_checkpoints": False})
+        )
+        with pytest.raises(ValueError, match="resume state is not conjugate-symmetric"):
+            run_experiment(cfg2, resume=str(bad))
 
     def test_cli_resume(self, tmp_path):
         cfgfile = tmp_path / "solve.json"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, random_divfree_field
+from conftest import TWO_PI, random_divfree_field, random_real_field
 from nsrw.data import borderline_field, smooth_random_field, taylor_green
 from nsrw.heat import heat_semigroup
 from nsrw.randomization import RandomModel, randomize, sample_coefficients
@@ -117,9 +117,38 @@ class TestEnergyLedger:
         g = random_divfree_field(grid, seed=30 + d, scale=0.1)
         cfg = SolverConfig(d=d, N=N, L=TWO_PI, cutoff=cutoff, T=1.0, dt=1e-3)
         stepper = _Stepper(grid, g.data, cfg)
-        got = stepper.pairing(w.data, stepper.rhs(w.data, 0.0))
+        wh = grid.half.cut(w.data)
+        got = stepper.pairing(wh, stepper.rhs(wh, stepper.g_hat_cut(0.0)))
         want = physical_pairing_oracle(w, g, cutoff)
         assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
+    def test_weighted_half_sums_match_full_spectrum(self, d, N):
+        # the Parseval weights (1 on last-axis planes 0 and N/2, 2 elsewhere)
+        # turn half-lattice sums into full-lattice ones; the data carry
+        # Nyquist content so the weight-1 plane N/2 is exercised
+        grid = make_grid(d, N, TWO_PI)
+        w = random_real_field(grid, seed=40 + d)
+        cfg = SolverConfig(d=d, N=N, L=TWO_PI, cutoff=N / 4.0, T=1.0, dt=1e-3)
+        stepper = _Stepper(grid, w.data, cfg)
+        wh = grid.half.cut(w.data)
+        vol = grid.cell_volume
+        kinetic = vol * np.sum(np.abs(w.data) ** 2)
+        gradsq = vol * np.sum(grid.ksq * np.abs(w.data) ** 2)
+        assert abs(stepper.kinetic(wh) - kinetic) <= 1e-14 * kinetic
+        assert abs(stepper.gradsq(wh) - gradsq) <= 1e-14 * gradsq
+
+
+class TestStepper:
+    def test_decay_cache_keeps_one_pair(self, grid2_mid):
+        f = smooth_random_field(grid2_mid, seed=16, band=2)
+        stepper = _Stepper(grid2_mid, f.data, config32())
+        what = np.zeros((2,) + grid2_mid.half.shape, dtype=np.complex128)
+        t = 0.0
+        for dt in (1e-3, 2e-3, 4e-3):
+            what, _ = stepper.advance(what, t, dt, track=True)
+            t += dt
+            assert len(stepper._exp_cache) <= 1
 
 
 class TestStep:
@@ -278,6 +307,15 @@ class TestSolve:
         notdivfree = zero_mean(zero_nyquist(notdivfree))
         with pytest.raises(ValueError):
             solve(cfg, notdivfree)
+
+    def test_rejects_data_not_conjugate_symmetric(self, grid2_mid):
+        # a phase on one mode keeps the data mean-zero and divergence-free
+        # but leaves its mirror mode unmatched: the half-lattice stepper
+        # would silently drop that half
+        f = smooth_random_field(grid2_mid, seed=15, band=2)
+        f.data[:, 1, 2] *= 1j
+        with pytest.raises(ValueError, match="largest conjugate asymmetry"):
+            solve(config32(), f)
 
     def test_rejects_resume_off_partition(self, grid2_mid):
         f = smooth_random_field(grid2_mid, seed=13, band=2)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import TWO_PI, random_real_field, single_mode_field
 from nsrw.spectral import (
+    conjugate_mirror,
     dealias,
     fourier_field,
     friedrichs_cutoff,
@@ -13,6 +14,7 @@ from nsrw.spectral import (
     make_grid,
     multiplier,
     physical_field,
+    projected_transport,
     ring_index,
     ring_partition,
     ring_project,
@@ -325,6 +327,34 @@ class TestDealias:
                 got = ps[k1 % 16, k2 % 16] * scale
                 want = conv.get((k1, k2), 0.0)
                 assert abs(got - want) < 1e-11
+
+
+def complex_transport_oracle(u):
+    """P div(u x u) with every transform a complex full-lattice FFT."""
+    grid = u.grid
+    phys = transform(dealias(u), "inverse")
+    div = np.zeros_like(u.data)
+    for i in range(grid.d):
+        for j in range(grid.d):
+            that = np.fft.fftn(phys.data[i] * phys.data[j], norm="ortho")
+            div[i] += 1j * grid.axis_frequency(j) * that
+    return leray_project(fourier_field(grid, div)).data
+
+
+class TestProjectedTransport:
+    @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
+    def test_matches_complex_oracle(self, d, N):
+        # random real data with Nyquist content; the oracle's Nyquist rows
+        # hold aliasing only and are zero in the half-lattice kernel
+        grid = make_grid(d, N, TWO_PI)
+        u = random_real_field(grid, seed=50 + d)
+        got = projected_transport(u).data
+        want = complex_transport_oracle(u)
+        off = ~grid.nyquist_mask
+        scale = np.abs(want[:, off]).max()
+        assert np.abs(got[:, off] - want[:, off]).max() <= 1e-12 * scale
+        assert np.all(got[:, grid.nyquist_mask] == 0.0)
+        assert np.array_equal(conjugate_mirror(got, d), got)
 
 
 class TestHausdorffYoung:
