@@ -1,9 +1,11 @@
 """Scalar time series derived from trajectories and reconstructed fields.
 
-Everything here is pure post-processing: the dual norm of dw/dt, the
-weighted forcing norms whose size plays the role of the threshold lambda,
-and finite-difference residuals of the reconstructed velocity against the
-projected equation. The energy ledger is the solver's EnergyLog.
+Everything here is pure post-processing: the time norm of the dual norm
+of dw/dt, the weighted forcing norms whose size plays the role of the
+threshold lambda, and finite-difference residuals of the reconstructed
+velocity against the projected equation. The energy ledger and the
+per-snapshot |dw/dt|_{H^{-1}} are recorded by the solver itself;
+dwdt_norm recomputes the latter from the snapshots as a reference.
 
 H^{-1} is realized with the inhomogeneous symbol (1 + |xi|^2)^{-1/2}; the
 grid has a zero mode where the homogeneous version is singular, and all
@@ -17,11 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import SolverConfig, Trajectory, nonlinear_rhs
-from .spectral import SpectralField, fourier_field, projected_transport
+from .spectral import SpectralField, fourier_field, projected_transport_half
 from .tails import NormSpec, check_admissible, space_time_norm
 
 __all__ = [
     "DwdtReport",
+    "dwdt_report",
     "dwdt_norm",
     "CondtgReport",
     "condtg_check",
@@ -37,24 +40,34 @@ class DwdtReport:
     time_exponent: float
 
 
+def dwdt_report(times: np.ndarray, values: np.ndarray, d: int) -> DwdtReport:
+    """The L^{4/d}-in-time norm (trapezoid rule) of per-snapshot
+    |dw/dt|_{H^{-1}} values."""
+    times = np.asarray(times, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    a = 4.0 / d
+    time_norm = float(np.trapezoid(values**a, times) ** (1.0 / a))
+    return DwdtReport(times=times, values=values, time_norm=time_norm, time_exponent=a)
+
+
 def dwdt_norm(trajectory: Trajectory, config: SolverConfig) -> DwdtReport:
     """H^{-1} size of dw/dt per snapshot and its L^{4/d}-in-time norm.
 
-    dw/dt is reassembled from the right-hand side (heat term plus the
-    truncated transport terms) at each snapshot.
+    dw/dt is reassembled from the right-hand side (heat term plus, unless
+    the config disables them, the truncated transport terms) at each
+    snapshot. solve records the same values as it steps
+    (Trajectory.dwdt_hminus1); this recomputation is their reference.
     """
     grid = trajectory.w_states[0].grid
     vol = grid.cell_volume
     weight = 1.0 / (1.0 + grid.ksq)
     values = []
     for w, g in zip(trajectory.w_states, trajectory.g_states):
-        rhs = nonlinear_rhs(w, g, config.cutoff).data - grid.ksq * w.data
-        values.append(np.sqrt(vol * np.sum(weight * np.abs(rhs) ** 2)))
-    values = np.array(values)
-    times = np.asarray(trajectory.times, dtype=np.float64)
-    a = 4.0 / grid.d
-    time_norm = float(np.trapezoid(values**a, times) ** (1.0 / a))
-    return DwdtReport(times=times, values=values, time_norm=time_norm, time_exponent=a)
+        dwdt = -grid.ksq * w.data
+        if not config.disable_nonlinear:
+            dwdt = dwdt + nonlinear_rhs(w, g, config.cutoff).data
+        values.append(np.sqrt(vol * np.sum(weight * np.abs(dwdt) ** 2)))
+    return dwdt_report(trajectory.times, np.array(values), grid.d)
 
 
 @dataclass(frozen=True)
@@ -109,27 +122,39 @@ def condtg_check(
 
 
 def nse_residual(
-    times: np.ndarray, u_states: list, include_nonlinear: bool = True
+    times: np.ndarray, u_states, include_nonlinear: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
     """H^{-1} residual of the projected equation at snapshot midpoints.
 
     Uses the centered difference (u(t+h) - u(t))/h against the right-hand
     side evaluated on the midpoint average, so exact solutions show O(h^2).
+    u_states is any iterable of the real fields u(times[j]); they are
+    consumed pairwise on the rfft half lattice, so at most two are held.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.size < 2:
         raise ValueError("nse_residual needs at least two snapshots")
-    grid = u_states[0].grid
+    states = iter(u_states)
+    first = next(states, None)
+    if first is None:
+        raise ValueError(f"nse_residual got 0 states for {times.size} times")
+    grid = first.grid
+    half = grid.half
     vol = grid.cell_volume
-    weight = 1.0 / (1.0 + grid.ksq)
+    weight = half.weight / (1.0 + half.ksq)
+    prev = half.cut(first.data)
     mids, vals = [], []
     for j in range(times.size - 1):
+        u = next(states, None)
+        if u is None:
+            raise ValueError(f"nse_residual got {j + 1} states for {times.size} times")
+        cur = half.cut(u.data)
         h = times[j + 1] - times[j]
-        u1, u2 = u_states[j], u_states[j + 1]
-        um = 0.5 * (u1 + u2)
-        resid = (u2.data - u1.data) / h + grid.ksq * um.data
+        um = 0.5 * (prev + cur)
+        resid = (cur - prev) / h + half.ksq * um
         if include_nonlinear:
-            resid = resid + projected_transport(um).data
+            resid += projected_transport_half(um, grid)
         mids.append(times[j] + 0.5 * h)
         vals.append(np.sqrt(vol * np.sum(weight * np.abs(resid) ** 2)))
+        prev = cur
     return np.array(mids), np.array(vals)

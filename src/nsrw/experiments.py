@@ -22,7 +22,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig
 from .data import borderline_field, smooth_random_field, taylor_green
-from .diagnostics import condtg_check, dwdt_norm
+from .diagnostics import condtg_check, dwdt_report, nse_residual
 from .heat import _condg_from_sweeps, check_linear_estimates, default_decay_time_grid
 from .randomization import (
     hminus_s_norm,
@@ -30,7 +30,7 @@ from .randomization import (
     sample_coefficients,
     verify_subgaussian,
 )
-from .solver import reconstruct_u, solve
+from .solver import iter_u, solve
 from .spectral import divergence_ratio, l2_norm, make_grid, ring_partition
 from .tails import _ordered_map, fit_gaussian_tail, monte_carlo_tails
 
@@ -272,10 +272,10 @@ def _run_solve(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
     snap_idx = np.searchsorted(log.times, traj.times)
     w_l2 = np.sqrt(log.kinetic[snap_idx])
     div_rel = np.array([divergence_ratio(w) for w in traj.w_states])
-    dwdt = dwdt_norm(traj, sconf)
+    dwdt = dwdt_report(traj.times, traj.dwdt_hminus1, grid.d)
 
     f_l2 = l2_norm(f_om)
-    recon = reconstruct_u(traj, f_om)
+    residual_times, residuals = nse_residual(traj.times, iter_u(traj, f_om))
 
     ckpt_files = []
     if cfg.write_checkpoints:
@@ -296,8 +296,8 @@ def _run_solve(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
         "energy_violation_max": log.max_violation(),
         "divergence_max": float(div_rel.max()),
         "dwdt_time_norm": dwdt.time_norm,
-        "nse_residual_max": float(recon.residuals.max()),
-        "nse_residual_median": float(np.median(recon.residuals)),
+        "nse_residual_max": float(residuals.max()),
+        "nse_residual_median": float(np.median(residuals)),
         "checkpoints": ckpt_files,
     }
     failures = []
@@ -341,7 +341,7 @@ def _run_solve(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
     plotdata = {
         "nse_residual": (
             ["time", "residual_hminus1"],
-            [recon.residual_times, recon.residuals],
+            [residual_times, residuals],
         )
     }
     return summary, failures, series, plotdata

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import _rng
 from .spectral import (
@@ -127,13 +126,13 @@ def _log_mgf(family: str, gamma: float) -> float:
         return float(np.logaddexp(gamma, -gamma) - np.log(2.0))
     if family == "gaussian":
         return 0.5 * gamma * gamma
-    # uniform on [-1, 1]: numerical quadrature of the density 1/2
-    val, err = quad(
-        lambda x: 0.5 * np.exp(gamma * x), -1.0, 1.0, limit=200, epsabs=0.0, epsrel=1e-12
-    )
-    if not np.isfinite(val) or err > 1e-9 * max(1.0, abs(val)):
-        raise ArithmeticError(f"mgf quadrature did not converge at gamma={gamma}")
-    return float(np.log(val))
+    # uniform on [-1, 1]: log(sinh(gamma)/gamma), stably as
+    # |gamma| + log(1 - e^{-2|gamma|}) - log(2|gamma|); expm1 keeps the
+    # middle term accurate for small |gamma|
+    g = abs(gamma)
+    if g == 0.0:
+        return 0.0
+    return float(g + np.log(-np.expm1(-2.0 * g)) - np.log(2.0 * g))
 
 
 def verify_subgaussian(model: RandomModel, gamma_grid: np.ndarray) -> SubgaussianReport:

@@ -50,6 +50,7 @@ __all__ = [
     "nonlinear_rhs",
     "step",
     "solve",
+    "iter_u",
     "reconstruct_u",
     "ReconstructionReport",
     "time_partition",
@@ -131,13 +132,18 @@ class EnergyLog:
 
 @dataclass
 class Trajectory:
-    """Snapshots of w and of the truncated forcing field along a run."""
+    """Snapshots of w and of the truncated forcing field along a run.
+
+    dwdt_hminus1 holds |dw/dt|_{H^{-1}} at each snapshot as the solver
+    recorded it; hand-built trajectories leave it None.
+    """
 
     times: np.ndarray
     w_states: list
     g_states: list
     config: SolverConfig
     energy_log: EnergyLog | None = None
+    dwdt_hminus1: np.ndarray | None = None
 
 
 def time_partition(T: float, dt: float, substep_near_zero: bool) -> np.ndarray:
@@ -208,6 +214,7 @@ class _Stepper:
         self.keep = self.ball & self.half.dealias_keep
         self.fcut = self.half.cut(fhat) * self.keep
         self.weight_ksq = self.half.weight * self.ksq
+        self.weight_hminus1 = self.half.weight / (1.0 + self.ksq)
         self._exp_cache: dict = {}
 
     def decay(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -236,6 +243,14 @@ class _Stepper:
     def kinetic(self, what: np.ndarray) -> float:
         return self.grid.cell_volume * float(np.sum(self.half.weight * np.abs(what) ** 2))
 
+    def dwdt_hminus1(self, what: np.ndarray, rhs: np.ndarray) -> float:
+        """|dw/dt|_{H^{-1}} of the state whose stage right-hand side is rhs:
+        dw/dt = D w + rhs."""
+        dwdt = rhs - self.ksq * what
+        return float(np.sqrt(
+            self.grid.cell_volume * np.sum(self.weight_hminus1 * np.abs(dwdt) ** 2)
+        ))
+
     def pairing(self, what: np.ndarray, rhs: np.ndarray) -> float:
         """2<w, rhs>, which equals 2<w, g-forcing terms>: w is divergence-free
         and supported in the ball, so the truncation and projection drop out,
@@ -243,15 +258,17 @@ class _Stepper:
         because no product of two ball modes aliases back into the ball."""
         return 2.0 * self.grid.cell_volume * float(np.vdot(what, self.half.weight * rhs).real)
 
-    def advance(self, what: np.ndarray, t: float, dt: float, track: bool = False):
+    def advance(self, what: np.ndarray, t: float, dt: float, track: bool = False,
+                rhs0: np.ndarray | None = None):
         """One step; with track, also the step's contribution to the
         dissipation and |forcing pairing| integrals, accumulated with the
         scheme's own stage quadrature so the energy ledger converges at the
-        integrator's order."""
+        integrator's order. rhs0 is the stage-0 right-hand side
+        rhs(what, g(t)) when the caller has already formed it."""
         E, E2 = self.decay(dt)
         g0 = self.g_hat_cut(t)
+        a = self.rhs(what, g0) if rhs0 is None else rhs0
         if self.config.integrator == "ifeuler":
-            a = self.rhs(what, g0)
             w_new = E * (what + dt * a)
             if not track:
                 return w_new, None
@@ -262,7 +279,6 @@ class _Stepper:
             )
             return w_new, (d_incr, p_incr)
         g_mid = E2 * g0
-        a = self.rhs(what, g0)
         w1 = E2 * (what + (0.5 * dt) * a)
         b = self.rhs(w1, g_mid)
         w2 = E2 * what + (0.5 * dt) * b
@@ -330,7 +346,9 @@ def solve(
     """Integrate from w = 0 at t = 0 (or a checkpointed state) up to T.
 
     Snapshots of w and of the truncated forcing are taken every
-    snapshot_cadence accepted steps plus at both endpoints; the per-step
+    snapshot_cadence accepted steps plus at both endpoints, each with
+    |dw/dt|_{H^{-1}} from its stage-0 right-hand side, which the next step
+    reuses (only the last snapshot costs an extra one); the per-step
     energy log rides along unless track_energy is off.
     """
     grid = f_omega.grid
@@ -364,14 +382,20 @@ def solve(
         start = int(hits[0])
         what = grid.half.cut(resume_state.data)
 
-    snap_times, w_states, g_states = [], [], []
+    snap_times, w_states, g_states, dwdt = [], [], [], []
 
-    def snapshot(t: float, state: np.ndarray):
+    def snapshot(t: float, state: np.ndarray) -> np.ndarray:
+        """Record the state and return its stage-0 right-hand side, which
+        gives dw/dt here and starts the next step."""
+        g = stepper.g_hat_cut(t)
+        rhs0 = stepper.rhs(state, g)
         snap_times.append(t)
         w_states.append(fourier_field(grid, grid.half.expand(state)))
-        g_states.append(fourier_field(grid, grid.half.expand(stepper.g_hat_cut(t))))
+        g_states.append(fourier_field(grid, grid.half.expand(g)))
+        dwdt.append(stepper.dwdt_hminus1(state, rhs0))
+        return rhs0
 
-    snapshot(times[start], what)
+    rhs0 = snapshot(times[start], what)
 
     track = config.track_energy
     if track:
@@ -382,7 +406,8 @@ def solve(
 
     for idx in range(start, len(times) - 1):
         t0, t1 = times[idx], times[idx + 1]
-        what, incr = stepper.advance(what, t0, t1 - t0, track=track)
+        what, incr = stepper.advance(what, t0, t1 - t0, track=track, rhs0=rhs0)
+        rhs0 = None
         if not np.all(np.isfinite(what)):
             raise StepFailureError(t1)
         if track:
@@ -392,7 +417,7 @@ def solve(
             pair_cum.append(pair_cum[-1] + incr[1])
         steps_done = idx + 1 - start
         if steps_done % config.snapshot_cadence == 0 or idx + 1 == len(times) - 1:
-            snapshot(t1, what)
+            rhs0 = snapshot(t1, what)
 
     log = None
     if track:
@@ -408,6 +433,7 @@ def solve(
         g_states=g_states,
         config=config,
         energy_log=log,
+        dwdt_hminus1=np.array(dwdt),
     )
 
 
@@ -419,16 +445,20 @@ class ReconstructionReport:
     residuals: np.ndarray
 
 
+def iter_u(trajectory: Trajectory, f_omega: SpectralField):
+    """u(t) = e^{tD} f + w(t) per snapshot, formed one at a time."""
+    from .heat import heat_semigroup
+
+    for t, w in zip(trajectory.times, trajectory.w_states):
+        yield heat_semigroup(f_omega, float(t)) + w
+
+
 def reconstruct_u(trajectory: Trajectory, f_omega: SpectralField) -> ReconstructionReport:
     """u(t) = e^{tD} f + w(t) per snapshot, with the equation residual in
     H^{-1} evaluated at snapshot midpoints."""
     from .diagnostics import nse_residual
-    from .heat import heat_semigroup
 
-    u_states = [
-        heat_semigroup(f_omega, float(t)) + w
-        for t, w in zip(trajectory.times, trajectory.w_states)
-    ]
+    u_states = list(iter_u(trajectory, f_omega))
     mid_times, residuals = nse_residual(trajectory.times, u_states)
     return ReconstructionReport(
         times=trajectory.times,

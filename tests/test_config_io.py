@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nsrw
 from conftest import TWO_PI, random_divfree_field
 from nsrw.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from nsrw.cli import build_parser, main
@@ -165,6 +170,15 @@ class TestCheckpoint:
 
 
 class TestCli:
+    def test_import_leaves_scipy_unloaded(self):
+        # only the tests use scipy; the CLI must start without it
+        env = dict(os.environ, PYTHONPATH=str(Path(nsrw.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, nsrw.cli; print('scipy' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
+
     def test_parser_verbs(self):
         parser = build_parser()
         args = parser.parse_args(["tails", "--config", "c.json", "--M", "100"])

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import TWO_PI
+from conftest import TWO_PI, random_divfree_field, random_real_field
 from nsrw.data import borderline_field, smooth_random_field, taylor_green
 from nsrw.diagnostics import condtg_check, dwdt_norm, nse_residual
 from nsrw.heat import heat_semigroup
 from nsrw.randomization import RandomModel, randomize, sample_coefficients
-from nsrw.solver import SolverConfig, Trajectory, solve
+from nsrw.solver import SolverConfig, Trajectory, solve, time_partition
 from nsrw.spectral import (
+    friedrichs_cutoff,
     l2_norm,
     make_grid,
+    projected_transport,
     ring_partition,
     zeros_field,
 )
@@ -24,6 +26,34 @@ def heat_trajectory(grid, w0, times, cutoff=4.0):
     g_states = [zeros_field(grid, grid.d) for _ in times]
     return Trajectory(times=np.asarray(times, float), w_states=w_states,
                       g_states=g_states, config=cfg)
+
+
+def randomized_borderline(d, N, seed):
+    g = make_grid(d, N, TWO_PI)
+    f = borderline_field(g, 0.25 if d == 2 else 0.2, seed=seed)
+    part = ring_partition(g)
+    return randomize(
+        f, sample_coefficients(RandomModel("gaussian", seed), part.max_ring, 0), part
+    )
+
+
+def full_lattice_residual_oracle(times, u_states, include_nonlinear=True):
+    """The residual assembled on the full lattice: midpoint, difference
+    quotient and transport of every snapshot pair, summed over all modes."""
+    grid = u_states[0].grid
+    vol = grid.cell_volume
+    weight = 1.0 / (1.0 + grid.ksq)
+    mids, vals = [], []
+    for j in range(len(times) - 1):
+        h = times[j + 1] - times[j]
+        u1, u2 = u_states[j], u_states[j + 1]
+        um = 0.5 * (u1 + u2)
+        resid = (u2.data - u1.data) / h + grid.ksq * um.data
+        if include_nonlinear:
+            resid = resid + projected_transport(um).data
+        mids.append(times[j] + 0.5 * h)
+        vals.append(np.sqrt(vol * np.sum(weight * np.abs(resid) ** 2)))
+    return np.array(mids), np.array(vals)
 
 
 class TestEnergy:
@@ -105,6 +135,59 @@ class TestDwdt:
         a, b = run(8), run(4)
         assert np.isfinite(a) and a > 0
         assert abs(a - b) / b < 0.15
+
+
+class TestRecordedDwdt:
+    """solve records |dw/dt|_{H^-1} off its stage-0 right-hand side;
+    dwdt_norm recomputes it from the snapshots and is the reference."""
+
+    @staticmethod
+    def config(d, N, **kw):
+        base = dict(d=d, N=N, L=TWO_PI, cutoff=8.0 if d == 2 else 5.0, T=0.1,
+                    dt=1.0 / 128.0)
+        base.update(kw)
+        return SolverConfig(**base)
+
+    @pytest.mark.parametrize("integrator", ["ifrk4", "ifeuler"])
+    @pytest.mark.parametrize("cadence", [1, 3])
+    @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
+    def test_matches_reference(self, d, N, cadence, integrator):
+        cfg = self.config(d, N, snapshot_cadence=cadence, integrator=integrator)
+        steps = time_partition(cfg.T, cfg.dt, cfg.substep_near_zero).size - 1
+        assert steps % 3 != 0  # at cadence 3 the last snapshot is off cadence
+        traj = solve(cfg, randomized_borderline(d, N, seed=21))
+        ref = dwdt_norm(traj, cfg)
+        assert ref.values.min() > 0
+        np.testing.assert_allclose(traj.dwdt_hminus1, ref.values, rtol=1e-12, atol=0)
+
+    def test_matches_reference_after_resume(self):
+        cfg = self.config(3, 16, snapshot_cadence=4)
+        f = randomized_borderline(3, 16, seed=22)
+        full = solve(cfg, f)
+        j = 3
+        part = solve(cfg, f, resume_state=full.w_states[j], resume_time=float(full.times[j]))
+        ref = dwdt_norm(part, cfg)
+        np.testing.assert_allclose(part.dwdt_hminus1, ref.values, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            part.dwdt_hminus1[0], full.dwdt_hminus1[j], rtol=1e-12, atol=0
+        )
+
+    def test_linear_run_is_heat_term_only(self, grid2_mid):
+        # with the transport terms disabled dw/dt = laplacian(w), whose
+        # H^{-1} size is |xi|^2 / (1+|xi|^2)^{1/2} mode by mode; the
+        # forcing data must not enter
+        cfg = self.config(2, 32, disable_nonlinear=True, snapshot_cadence=5)
+        w0 = friedrichs_cutoff(random_divfree_field(grid2_mid, seed=23), cfg.cutoff)
+        f = randomized_borderline(2, 32, seed=24)
+        traj = solve(cfg, f, resume_state=w0, resume_time=0.0)
+        ref = dwdt_norm(traj, cfg)
+        ksq = grid2_mid.ksq
+        heat = np.array([
+            np.sqrt(grid2_mid.cell_volume * np.sum(ksq**2 / (1.0 + ksq) * np.abs(w.data) ** 2))
+            for w in traj.w_states
+        ])
+        np.testing.assert_allclose(traj.dwdt_hminus1, ref.values, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(ref.values, heat, rtol=1e-12, atol=0)
 
 
 class TestCondtg:
@@ -193,3 +276,29 @@ class TestNseResidual:
     def test_requires_two_snapshots(self, grid2):
         with pytest.raises(ValueError):
             nse_residual(np.array([0.0]), [zeros_field(grid2, 2)])
+
+    def test_requires_a_state_per_time(self, grid2):
+        with pytest.raises(ValueError, match="2 states for 3 times"):
+            nse_residual(np.array([0.0, 0.1, 0.2]), [zeros_field(grid2, 2)] * 2)
+
+    @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
+    def test_half_spectrum_matches_full_lattice_oracle(self, d, N):
+        # real fields with Nyquist content on every axis, uneven spacing
+        grid = make_grid(d, N, TWO_PI)
+        times = np.array([0.0, 0.01, 0.025, 0.03, 0.05])
+        states = [random_real_field(grid, seed=50 + j) for j in range(times.size)]
+        assert np.abs(states[0].data * grid.nyquist_mask).max() > 0
+        for include in (True, False):
+            mids, vals = nse_residual(times, states, include_nonlinear=include)
+            want_mids, want = full_lattice_residual_oracle(times, states, include)
+            np.testing.assert_array_equal(mids, want_mids)
+            np.testing.assert_allclose(vals, want, rtol=1e-12, atol=0)
+
+    def test_consumes_a_one_shot_generator(self):
+        grid = make_grid(2, 32, TWO_PI)
+        times = np.linspace(0.0, 0.1, 6)
+        states = [random_real_field(grid, seed=60 + j) for j in range(times.size)]
+        mids, vals = nse_residual(times, states)
+        gmids, gvals = nse_residual(times, (u for u in states))
+        np.testing.assert_array_equal(gmids, mids)
+        np.testing.assert_array_equal(gvals, vals)

@@ -97,12 +97,16 @@ class TestSubgaussian:
         assert abs(report.max_margin) <= 1e-12
 
     def test_uniform_margin_and_quadrature(self):
+        from scipy.integrate import quad
+
         report = verify_subgaussian(RandomModel("uniform", 1), self.GAMMAS)
         assert report.max_margin <= 1e-9
-        # quadrature agrees with the closed form sinh(g)/g
+        # the closed form log(sinh(g)/g) agrees with quadrature of the
+        # density 1/2 on [-1, 1]
         for g, margin in zip(report.gammas, report.margins):
-            closed = np.log(np.sinh(g) / g) if g != 0 else 0.0
-            assert abs((margin + report.c * g * g) - closed) < 1e-9
+            mgf, _ = quad(lambda x: 0.5 * np.exp(g * x), -1.0, 1.0,
+                          limit=200, epsabs=0.0, epsrel=1e-12)
+            assert abs((margin + report.c * g * g) - np.log(mgf)) < 1e-9
 
     def test_wrong_constant_flagged(self):
         report = verify_subgaussian(RandomModel("gaussian", 1, c=0.25), self.GAMMAS)
