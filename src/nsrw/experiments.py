@@ -30,7 +30,7 @@ from .randomization import (
     sample_coefficients,
     verify_subgaussian,
 )
-from .solver import iter_u, solve
+from .solver import iter_u, solve, stepping_lattice_size
 from .spectral import divergence_ratio, l2_norm, make_grid, ring_partition
 from .tails import _ordered_map, fit_gaussian_tail, monte_carlo_tails
 
@@ -424,6 +424,13 @@ def run_experiment(cfg: ExperimentConfig, resume: str | None = None) -> Experime
         "workers": workers,
         "output_dir": str(outdir),
     }
+    if cfg.experiment == "solve":
+        # how the solver ran, not what it computed
+        grid = make_grid(cfg.d, cfg.N, cfg.L)
+        meta["stepping_lattice"] = {
+            "N": cfg.N,
+            "M": stepping_lattice_size(grid, cfg.effective_cutoff()),
+        }
     (outdir / "meta.json").write_text(json.dumps(meta, indent=2, allow_nan=False) + "\n")
     return ExperimentResult(
         status=0 if not failures else 1, summary=summary, output_dir=outdir

@@ -14,15 +14,25 @@ stage times by the cached heat factors. The four transport terms are the one
 product (w + Tg) x (w + Tg), formed in physical space on dealiased inputs by
 the transport kernel.
 
-Data, w and g are real fields, so the stepper keeps their rfft half spectra
-(spectral.HalfLattice) and expands to the full lattice only for snapshots
-and step() output; solve refuses data and resume states that are not
+Data, w and g are real fields, so the stepper keeps rfft half spectra
+(spectral.HalfLattice); solve refuses data and resume states that are not
 conjugate-symmetric.
+
+Every stage field lives in the ball, so the stepper runs on the smallest
+grid on which products of ball fields do not alias back into the ball
+(stepping_lattice_size): M points per axis, with M >= 2 k_max + kappa for
+kappa = cutoff L / 2 pi and k_max = ceil(kappa) - 1 (M = 24 at N = 32 and
+the default cutoff N/4), and M = N when that bound reaches N. States are embedded into
+that lattice once on entry (data, resume state, step() input) and
+extracted to the N grid only for snapshots, the stability check and
+step() output; coefficients keep the N grid's unitary normalisation
+throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,6 +64,7 @@ __all__ = [
     "reconstruct_u",
     "ReconstructionReport",
     "time_partition",
+    "stepping_lattice_size",
 ]
 
 INTEGRATORS = ("ifrk4", "ifeuler")
@@ -107,10 +118,17 @@ class SolverConfig:
 class EnergyLog:
     """Per-step energy bookkeeping on the full stepping partition.
 
-    kinetic is |w|_L2^2 at each boundary, dissipation_cum the trapezoid
-    accumulation of |grad w|_L2^2, pairing_abs_cum the accumulation of
-    |2 <w, g-forcing terms>|. The discrete energy inequality is
+    kinetic is |w|_L2^2 at each boundary, dissipation_cum the accumulation
+    of |grad w|_L2^2 and pairing_abs_cum that of |2 <w, g-forcing terms>|.
+    The discrete energy inequality is
     kinetic + 2*dissipation_cum <= pairing_abs_cum up to tolerance.
+
+    ifrk4 accumulates both integrals with its own stage quadrature. ifeuler
+    steps w -> E v with v = w + dt a, a the stage right-hand side and
+    E = e^{-dt|xi|^2}; its ledger is exact for that map: the dissipation
+    increment is the heat loss sum (1 - E^2)|v|^2 / 2 and the pairing
+    increment dt |2<w, a>| + dt^2 |a|^2, where dt^2 |a|^2 is the scheme's
+    own energy production.
     """
 
     times: np.ndarray
@@ -173,6 +191,30 @@ def time_partition(T: float, dt: float, substep_near_zero: bool) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # right-hand side
 
+# largest coefficient outside the cutoff ball, relative to the largest
+# coefficient, for which a fluctuation still counts as supported in the ball
+BALL_RTOL = 1e-13
+
+
+def _require_in_ball(name: str, f: SpectralField, cutoff: float):
+    """Refuse a field with support outside the ball |xi| < cutoff, naming its
+    largest coefficient there."""
+    mag = np.abs(f.data)
+    outside = mag * (f.grid.kabs >= cutoff)
+    worst = float(outside.max())
+    scale = max(float(mag.max()), 1e-300)
+    if worst <= BALL_RTOL * scale:
+        return
+    comp, *idx = np.unravel_index(np.argmax(outside), outside.shape)
+    N = f.grid.N
+    mode = tuple(int(i) if i < N // 2 else int(i) - N for i in idx)
+    raise ValueError(
+        f"{name} has support outside the cutoff ball |xi| < {cutoff:g}: its largest "
+        f"coefficient there, component {int(comp)} at lattice mode {mode}, has "
+        f"magnitude {worst:.3e}, {worst / scale:.3e} of its largest coefficient "
+        f"(tolerance {BALL_RTOL:g})"
+    )
+
 
 def nonlinear_rhs(w: SpectralField, g: SpectralField, cutoff: float) -> SpectralField:
     """The four truncated-projected transport terms driving w.
@@ -188,34 +230,132 @@ def nonlinear_rhs(w: SpectralField, g: SpectralField, cutoff: float) -> Spectral
     grid = w.grid
     if w.ncomp != grid.d or g.ncomp != grid.d:
         raise ValueError("nonlinear_rhs needs one component per dimension")
-    ball = grid.kabs < cutoff
-    wmax = float(np.abs(w.data).max())
-    outside = float(np.abs(w.data * ~ball).max())
-    if outside > 1e-13 * max(wmax, 1e-300):
-        raise ValueError("fluctuation has support outside the cutoff ball")
+    _require_in_ball("fluctuation", w, cutoff)
     u = w + friedrichs_cutoff(g, cutoff)
     return -friedrichs_cutoff(projected_transport(u), cutoff)
 
 
-class _Stepper:
-    """Array-level stepping context on the rfft half lattice: cached masks,
-    decay factors and truncated data.
+# ---------------------------------------------------------------------------
+# stepping lattice
 
-    States are half spectra; the Parseval weights make kinetic, gradsq and
-    pairing equal to the full-lattice sums.
+
+def _smooth_even_at_least(n: int) -> int:
+    """Smallest even 2,3,5-smooth integer >= n."""
+    m = n + n % 2
+    while True:
+        r = m
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 2
+
+
+def stepping_lattice_size(grid: Grid, cutoff: float) -> int:
+    """Points per axis of the lattice the fluctuation is stepped on.
+
+    Modes of the ball |xi| < cutoff have integer components |k_i| <= k_max
+    (k_max = ceil(kappa) - 1 for kappa = cutoff L / 2 pi), so a product of
+    two ball fields has |k_i| <= 2 k_max, and its aliases on an M-point grid
+    have a component of size at least M - 2 k_max. They all miss the ball
+    once M >= 2 k_max + kappa, which for integer M is M >= 3 k_max + 1. The
+    size is the smallest even 2,3,5-smooth M that clears this bound (and
+    the smallest grid, 8), or N when that reaches N. N itself always clears
+    the bound, because the cutoff lies inside the 2/3 band.
+    """
+    return _stepping_lattice(grid, cutoff).step_grid.N
+
+
+@dataclass(frozen=True, eq=False)
+class _SteppingLattice:
+    """The stepping grid of a (grid, cutoff) pair, the index maps of the
+    cube |k_i| <= k_max, which holds the ball, between the two half
+    lattices, and the ball on the stepping half lattice.
+
+    With M == N the embed is the identity on the cube.
+    """
+
+    grid: Grid
+    step_grid: Grid
+    src: tuple
+    dst: tuple
+    ball: np.ndarray
+
+    @classmethod
+    def of(cls, grid: Grid, cutoff: float) -> "_SteppingLattice":
+        ball = grid.half.kabs < cutoff
+        # k_max read off the ball mask itself, along the first axis
+        k = np.arange(grid.N)
+        on_axis = ball[(slice(None),) + (0,) * (grid.d - 1)]
+        k_max = int(np.minimum(k, grid.N - k)[on_axis].max())
+        M = min(_smooth_even_at_least(max(3 * k_max + 1, 8)), grid.N)
+        step_grid = grid if M == grid.N else make_grid(grid.d, M, grid.L)
+
+        def cube(n: int) -> tuple:
+            axis = np.r_[0 : k_max + 1, n - k_max : n]
+            return np.ix_(*([axis] * (grid.d - 1) + [np.arange(k_max + 1)]))
+
+        src, dst = cube(grid.N), cube(M)
+        step_ball = np.zeros(step_grid.half.shape, dtype=bool)
+        step_ball[dst] = ball[src]
+        return cls(grid, step_grid, src, dst, step_ball)
+
+    def embed(self, h: np.ndarray) -> np.ndarray:
+        """The grid half-lattice array h (trailing d axes) on the stepping
+        half lattice; modes outside the cube are dropped."""
+        d = self.grid.d
+        out = np.zeros(h.shape[:-d] + self.step_grid.half.shape, dtype=h.dtype)
+        out[(Ellipsis,) + self.dst] = h[(Ellipsis,) + self.src]
+        return out
+
+    def extract(self, h: np.ndarray) -> np.ndarray:
+        """The stepping half-lattice array h back on the grid's half lattice."""
+        d = self.grid.d
+        out = np.zeros(h.shape[:-d] + self.grid.half.shape, dtype=h.dtype)
+        out[(Ellipsis,) + self.src] = h[(Ellipsis,) + self.dst]
+        return out
+
+
+@lru_cache(maxsize=16)
+def _stepping_lattice(grid: Grid, cutoff: float) -> _SteppingLattice:
+    return _SteppingLattice.of(grid, cutoff)
+
+
+class _Stepper:
+    """Array-level stepping context on the stepping half lattice: cached
+    masks, decay factors and truncated data.
+
+    States are half spectra on the stepping lattice, supported in the ball,
+    with the coefficients of the N grid's unitary normalisation; the
+    Parseval weights make kinetic, gradsq and pairing equal to the N grid's
+    full-lattice sums.
     """
 
     def __init__(self, grid: Grid, fhat: np.ndarray, config: SolverConfig):
         self.grid = grid
         self.config = config
-        self.half = grid.half
+        self.lattice = _stepping_lattice(grid, config.cutoff)
+        self.half = self.lattice.step_grid.half
         self.ksq = self.half.ksq
-        self.ball = self.half.kabs < config.cutoff
-        self.keep = self.ball & self.half.dealias_keep
-        self.fcut = self.half.cut(fhat) * self.keep
+        self.ball = self.lattice.ball
+        # the kernel's unitary M-point transforms return (N/M)^{d/2} times
+        # the N-normalised coefficients of the product; the output mask
+        # undoes that
+        scale = (self.lattice.step_grid.N / grid.N) ** (grid.d / 2.0)
+        self.out_mask = self.ball * scale
+        self.fcut = self.embed(fhat)
         self.weight_ksq = self.half.weight * self.ksq
         self.weight_hminus1 = self.half.weight / (1.0 + self.ksq)
         self._exp_cache: dict = {}
+
+    def embed(self, a: np.ndarray) -> np.ndarray:
+        """A full N-grid spectrum's ball part on the stepping half lattice."""
+        return self.lattice.embed(self.grid.half.cut(a)) * self.ball
+
+    def expand(self, h: np.ndarray) -> np.ndarray:
+        """The full N-grid spectrum of a stepping half-lattice array."""
+        return self.grid.half.expand(self.lattice.extract(h))
 
     def decay(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
         """(e^{-dt|xi|^2}, e^{-dt|xi|^2/2}), kept for the current dt only:
@@ -232,10 +372,10 @@ class _Stepper:
 
     def rhs(self, what: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Stage right-hand side for w against the truncated forcing g at
-        the stage time."""
+        the stage time; both are supported in the ball."""
         if self.config.disable_nonlinear:
             return np.zeros_like(what)
-        return -(projected_transport_half(what * self.keep + g, self.grid) * self.ball)
+        return -(projected_transport_half(what + g, self.lattice.step_grid) * self.out_mask)
 
     def gradsq(self, what: np.ndarray) -> float:
         return self.grid.cell_volume * float(np.sum(self.weight_ksq * np.abs(what) ** 2))
@@ -255,28 +395,32 @@ class _Stepper:
         """2<w, rhs>, which equals 2<w, g-forcing terms>: w is divergence-free
         and supported in the ball, so the truncation and projection drop out,
         and the self-transport pairing <w, P div(w x w)> vanishes to rounding
-        because no product of two ball modes aliases back into the ball."""
+        because the stepping lattice lets no product of two ball modes alias
+        back into the ball."""
         return 2.0 * self.grid.cell_volume * float(np.vdot(what, self.half.weight * rhs).real)
 
     def advance(self, what: np.ndarray, t: float, dt: float, track: bool = False,
                 rhs0: np.ndarray | None = None):
         """One step; with track, also the step's contribution to the
-        dissipation and |forcing pairing| integrals, accumulated with the
-        scheme's own stage quadrature so the energy ledger converges at the
-        integrator's order. rhs0 is the stage-0 right-hand side
-        rhs(what, g(t)) when the caller has already formed it."""
+        dissipation and |forcing pairing| integrals. RK4 accumulates them
+        with its own stage quadrature, so its ledger converges at fourth
+        order; the Euler ledger is exact for the scheme (see EnergyLog).
+        rhs0 is the stage-0 right-hand side rhs(what, g(t)) when the caller
+        has already formed it."""
         E, E2 = self.decay(dt)
         g0 = self.g_hat_cut(t)
         a = self.rhs(what, g0) if rhs0 is None else rhs0
         if self.config.integrator == "ifeuler":
-            w_new = E * (what + dt * a)
+            v = what + dt * a
+            w_new = E * v
             if not track:
                 return w_new, None
-            a_new = self.rhs(w_new, E * g0)
-            d_incr = 0.5 * dt * (self.gradsq(what) + self.gradsq(w_new))
-            p_incr = 0.5 * dt * (
-                abs(self.pairing(what, a)) + abs(self.pairing(w_new, a_new))
+            # |E v|^2 + sum (1 - e^{-2dt|xi|^2}) |v|^2 = |w|^2 + 2dt<w, a> + dt^2 |a|^2
+            heat = -np.expm1(-2.0 * dt * self.ksq)
+            d_incr = 0.5 * self.grid.cell_volume * float(
+                np.sum(self.half.weight * heat * np.abs(v) ** 2)
             )
+            p_incr = dt * abs(self.pairing(what, a)) + dt * dt * self.kinetic(a)
             return w_new, (d_incr, p_incr)
         g_mid = E2 * g0
         w1 = E2 * (what + (0.5 * dt) * a)
@@ -303,15 +447,17 @@ class _Stepper:
 
 def step(state: SpectralField, t: float, dt: float, config: SolverConfig,
          f_omega: SpectralField) -> SpectralField:
-    """Advance the fluctuation by one step of the configured scheme."""
+    """Advance the fluctuation, supported in the cutoff ball, by one step of
+    the configured scheme."""
     if t < 0:
         raise ValueError("step time must be nonnegative")
     grid = state.grid
+    _require_in_ball("state", state, config.cutoff)
     stepper = _Stepper(grid, f_omega.data, config)
-    out, _ = stepper.advance(grid.half.cut(state.data), t, dt)
+    out, _ = stepper.advance(stepper.embed(state.data), t, dt)
     if not np.all(np.isfinite(out)):
         raise StepFailureError(t)
-    return fourier_field(grid, grid.half.expand(out))
+    return fourier_field(grid, stepper.expand(out))
 
 
 def _require_real_field(name: str, f: SpectralField):
@@ -325,7 +471,7 @@ def _require_real_field(name: str, f: SpectralField):
 
 
 def _check_stability(config: SolverConfig, stepper: _Stepper, grid: Grid):
-    g0 = fourier_field(grid, grid.half.expand(stepper.g_hat_cut(config.dt)))
+    g0 = fourier_field(grid, stepper.expand(stepper.g_hat_cut(config.dt)))
     gmax = linf_norm(g0)
     if gmax <= 0:
         return
@@ -369,7 +515,7 @@ def solve(
     times = time_partition(config.T, config.dt, config.substep_near_zero)
     if resume_state is None:
         start = 0
-        what = np.zeros((grid.d,) + grid.half.shape, dtype=np.complex128)
+        what = np.zeros((grid.d,) + stepper.half.shape, dtype=np.complex128)
     else:
         if resume_time is None:
             raise ValueError("resume_state requires resume_time")
@@ -379,8 +525,9 @@ def solve(
                 f"resume time {resume_time} is not a step boundary of this config"
             )
         _require_real_field("resume state", resume_state)
+        _require_in_ball("resume state", resume_state, config.cutoff)
         start = int(hits[0])
-        what = grid.half.cut(resume_state.data)
+        what = stepper.embed(resume_state.data)
 
     snap_times, w_states, g_states, dwdt = [], [], [], []
 
@@ -390,8 +537,8 @@ def solve(
         g = stepper.g_hat_cut(t)
         rhs0 = stepper.rhs(state, g)
         snap_times.append(t)
-        w_states.append(fourier_field(grid, grid.half.expand(state)))
-        g_states.append(fourier_field(grid, grid.half.expand(g)))
+        w_states.append(fourier_field(grid, stepper.expand(state)))
+        g_states.append(fourier_field(grid, stepper.expand(g)))
         dwdt.append(stepper.dwdt_hminus1(state, rhs0))
         return rhs0
 

@@ -8,6 +8,7 @@ from nsrw.cli import main
 from nsrw.config import ExperimentConfig, validate_config
 from nsrw.experiments import _jsonable, _randomized_data, build_data_field, run_experiment
 from nsrw.heat import condg_check, default_decay_time_grid
+from nsrw.solver import _Stepper
 
 
 def run(tmp_path, name, **fields):
@@ -95,6 +96,15 @@ class TestArtifacts:
         assert (out / "plotdata" / "nse_residual.tsv").exists()
         meta = json.loads((out / "meta.json").read_text())
         assert "created_utc" in meta
+        # the default cutoff N/4 holds modes |k_i| <= 3, so products of
+        # ball fields alias clear of the ball on M >= 10 points
+        assert meta["stepping_lattice"] == {"N": 16, "M": 10}
+        assert set(summary) == {
+            "experiment", "config", "failures", "steps", "snapshots",
+            "terminal_time", "terminal_w_l2", "w_sup_l2", "w_sup_ratio", "data_l2",
+            "energy_sup", "energy_violation_max", "divergence_max", "dwdt_time_norm",
+            "nse_residual_max", "nse_residual_median", "checkpoints",
+        }
 
     def test_heatflow_outputs(self, tmp_path):
         res, _ = run(
@@ -215,6 +225,26 @@ class TestStrictJson:
             "nested": ["-Infinity", [2.0, 3]],
         }
         assert json.loads(json.dumps(got, allow_nan=False)) == got
+
+
+class TestEnergyCheck:
+    # d=2 N=32 T=0.25 at the default dt=1/256, seed 7: a trapezoid ledger
+    # of the Euler scheme, first order in dt, misses the 1e-8 tolerance
+    # here by 7e-7
+    solve_cfg = dict(experiment="solve", d=2, N=32, T=0.25, master_seed=7)
+
+    def test_euler_energy_check_passes(self, tmp_path):
+        res, _ = run(tmp_path, "ifeuler", integrator="ifeuler", **self.solve_cfg)
+        assert res.status == 0
+        assert res.summary["energy_violation_max"] <= 1e-8
+
+    @pytest.mark.parametrize("integrator", ["ifrk4", "ifeuler"])
+    def test_halved_pairing_fails(self, tmp_path, monkeypatch, integrator):
+        pairing = _Stepper.pairing
+        monkeypatch.setattr(_Stepper, "pairing", lambda self, w, r: 0.5 * pairing(self, w, r))
+        res, _ = run(tmp_path, integrator, integrator=integrator, **self.solve_cfg)
+        assert res.status == 1
+        assert any("energy inequality violated" in f for f in res.summary["failures"])
 
 
 class TestResume:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from nsrw.solver import (
     reconstruct_u,
     solve,
     step,
+    stepping_lattice_size,
     time_partition,
 )
 from nsrw.spectral import (
@@ -23,6 +26,7 @@ from nsrw.spectral import (
     leray_project,
     make_grid,
     multiplier,
+    projected_transport_half,
     ring_partition,
     transform,
     zeros_field,
@@ -117,38 +121,101 @@ class TestEnergyLedger:
         g = random_divfree_field(grid, seed=30 + d, scale=0.1)
         cfg = SolverConfig(d=d, N=N, L=TWO_PI, cutoff=cutoff, T=1.0, dt=1e-3)
         stepper = _Stepper(grid, g.data, cfg)
-        wh = grid.half.cut(w.data)
+        wh = stepper.embed(w.data)
         got = stepper.pairing(wh, stepper.rhs(wh, stepper.g_hat_cut(0.0)))
         want = physical_pairing_oracle(w, g, cutoff)
         assert abs(got - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
     def test_weighted_half_sums_match_full_spectrum(self, d, N):
-        # the Parseval weights (1 on last-axis planes 0 and N/2, 2 elsewhere)
-        # turn half-lattice sums into full-lattice ones; the data carry
-        # Nyquist content so the weight-1 plane N/2 is exercised
+        # the Parseval weights (1 on last-axis planes 0 and M/2, 2 elsewhere)
+        # turn stepping half-lattice sums into full-lattice ones; the data
+        # carry Nyquist content of the M-point stepping lattice so the
+        # weight-1 plane M/2 is exercised, and the sums carry the N grid's
+        # cell volume because coefficients keep its normalisation
         grid = make_grid(d, N, TWO_PI)
-        w = random_real_field(grid, seed=40 + d)
         cfg = SolverConfig(d=d, N=N, L=TWO_PI, cutoff=N / 4.0, T=1.0, dt=1e-3)
-        stepper = _Stepper(grid, w.data, cfg)
-        wh = grid.half.cut(w.data)
+        stepper = _Stepper(grid, random_real_field(grid, seed=50 + d).data, cfg)
+        step_grid = stepper.lattice.step_grid
+        assert step_grid.N < N
+        w = random_real_field(step_grid, seed=40 + d)
+        wh = step_grid.half.cut(w.data)
         vol = grid.cell_volume
         kinetic = vol * np.sum(np.abs(w.data) ** 2)
-        gradsq = vol * np.sum(grid.ksq * np.abs(w.data) ** 2)
+        gradsq = vol * np.sum(step_grid.ksq * np.abs(w.data) ** 2)
         assert abs(stepper.kinetic(wh) - kinetic) <= 1e-14 * kinetic
         assert abs(stepper.gradsq(wh) - gradsq) <= 1e-14 * gradsq
+        # an N-grid ball field embedded keeps its N-grid sums
+        v = random_real_field(grid, seed=60 + d).data * (grid.kabs < cfg.cutoff)
+        vh = stepper.embed(v)
+        kinetic = vol * np.sum(np.abs(v) ** 2)
+        gradsq = vol * np.sum(grid.ksq * np.abs(v) ** 2)
+        assert abs(stepper.kinetic(vh) - kinetic) <= 1e-14 * kinetic
+        assert abs(stepper.gradsq(vh) - gradsq) <= 1e-14 * gradsq
 
 
 class TestStepper:
     def test_decay_cache_keeps_one_pair(self, grid2_mid):
         f = smooth_random_field(grid2_mid, seed=16, band=2)
         stepper = _Stepper(grid2_mid, f.data, config32())
-        what = np.zeros((2,) + grid2_mid.half.shape, dtype=np.complex128)
+        what = np.zeros((2,) + stepper.half.shape, dtype=np.complex128)
         t = 0.0
         for dt in (1e-3, 2e-3, 4e-3):
             what, _ = stepper.advance(what, t, dt, track=True)
             t += dt
             assert len(stepper._exp_cache) <= 1
+
+
+def _is_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+class TestSteppingLattice:
+    @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
+    @pytest.mark.parametrize("frac", [6, 4, 3])
+    def test_stage_rhs_matches_full_grid_kernel(self, d, N, frac):
+        # cutoff N/3 needs the full grid (the fallback); N/6 and N/4 step
+        # on a smaller lattice
+        grid = make_grid(d, N, TWO_PI)
+        cutoff = N / frac
+        ball = grid.kabs < cutoff
+        w = random_real_field(grid, seed=70 + d).data * ball
+        f = random_real_field(grid, seed=80 + d)
+        cfg = SolverConfig(d=d, N=N, L=TWO_PI, cutoff=cutoff, T=1.0, dt=1e-3)
+        stepper = _Stepper(grid, f.data, cfg)
+        assert (stepper.lattice.step_grid.N == N) == (frac == 3)
+        rhs = stepper.rhs(stepper.embed(w), stepper.g_hat_cut(0.0))
+        got = stepper.lattice.extract(rhs)
+        half = grid.half
+        hball = half.kabs < cutoff
+        want = -projected_transport_half(
+            half.cut(w) + half.cut(f.data) * hball, grid
+        ) * hball
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize(
+        "d, N, kappa",
+        [(2, 32, 32 / 6), (2, 32, 8.0), (2, 32, 32 / 3), (3, 16, 16 / 6),
+         (3, 16, 4.0), (3, 16, 16 / 3), (2, 64, 16.0), (2, 64, 6.0),
+         (2, 64, 0.5), (2, 44, 14.0), (2, 44, 14.5)],
+    )
+    def test_size_rule(self, d, N, kappa):
+        # L = 2 pi, so the cutoff is kappa lattice units. N/3 cutoffs and
+        # (44, 14.5), whose bound 42.5 lies below N = 44 but whose next even
+        # 2,3,5-smooth size is 48, fall back to N
+        grid = make_grid(d, N, TWO_PI)
+        M = stepping_lattice_size(grid, kappa)
+        k_max = math.ceil(kappa) - 1
+        bound = 2 * k_max + kappa
+        assert M >= bound and M % 2 == 0
+        smallest = next(m for m in range(8, 4 * N, 2) if m >= bound and _is_smooth(m))
+        if smallest >= N:
+            assert M == N
+        else:
+            assert M == smallest and _is_smooth(M)
 
 
 class TestStep:
@@ -322,6 +389,22 @@ class TestSolve:
         cfg = config32()
         with pytest.raises(ValueError):
             solve(cfg, f, resume_state=zeros_field(grid2_mid, 2), resume_time=0.1234567)
+
+    def test_rejects_resume_state_outside_ball(self, grid2_mid):
+        # a real, divergence-free perturbation at mode (0, 12), outside the
+        # ball |xi| < 8: the stepping lattice would drop it
+        f = smooth_random_field(grid2_mid, seed=17, band=2)
+        cfg = config32()
+        full = solve(cfg, f)
+        state = full.w_states[2].copy()
+        amp = 1e-6 * np.abs(state.data).max()
+        state.data[0, 0, 12] += amp * (1 + 1j)
+        state.data[0, 0, -12] += amp * (1 - 1j)
+        with pytest.raises(ValueError, match=r"resume state has support outside the cutoff "
+                           r"ball .* at lattice mode \(0, -?12\)"):
+            solve(cfg, f, resume_state=state, resume_time=float(full.times[2]))
+        with pytest.raises(ValueError, match="state has support outside the cutoff ball"):
+            step(state, float(full.times[2]), cfg.dt, cfg, f)
 
     def test_stability_guard(self):
         g = make_grid(2, 32, TWO_PI)
