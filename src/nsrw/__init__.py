@@ -45,7 +45,6 @@ from .solver import (
     SolverConfig,
     Trajectory,
     nonlinear_rhs,
-    reconstruct_u,
     solve,
     step,
 )

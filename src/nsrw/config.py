@@ -74,8 +74,6 @@ class ExperimentConfig:
             cutoff=self.effective_cutoff(),
             T=self.T,
             dt=self.dt,
-            s=self.s,
-            gamma=self.gamma,
             integrator=self.integrator,
             substep_near_zero=self.substep_near_zero,
             snapshot_cadence=self.snapshot_cadence,

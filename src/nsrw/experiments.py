@@ -275,7 +275,7 @@ def _run_solve(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
     dwdt = dwdt_report(traj.times, traj.dwdt_hminus1, grid.d)
 
     f_l2 = l2_norm(f_om)
-    residual_times, residuals = nse_residual(traj.times, iter_u(traj, f_om))
+    residual_times, residuals = nse_residual(traj.times, iter_u(traj))
 
     ckpt_files = []
     if cfg.write_checkpoints:

@@ -116,13 +116,12 @@ _BLOCK_ELEMS = 48 * 2 * 64**2
 def _half_decay(grid, times: np.ndarray) -> np.ndarray | None:
     """exp(-t |xi|^2) on the rfft half-spectrum for every t, cached while
     small enough to keep; None tells the caller to stream per chunk."""
-    half = grid.N // 2 + 1
-    if times.size * grid.ksq.size // grid.N * half > _DECAY_CACHE_MAX_ELEMS:
+    ksq_half = grid.half.ksq
+    if times.size * ksq_half.size > _DECAY_CACHE_MAX_ELEMS:
         return None
     key = (grid.d, grid.N, grid.L, times.tobytes())
     hit = _DECAY_CACHE.get(key)
     if hit is None:
-        ksq_half = grid.ksq[..., :half]
         shape = (-1,) + (1,) * grid.d
         hit = np.exp(-times.reshape(shape) * ksq_half[None])
         if len(_DECAY_CACHE) >= 4:
@@ -145,8 +144,7 @@ def _heat_norms(f: SpectralField, symbols: list, times: np.ndarray, p: float) ->
     axes = tuple(range(2, 2 + g.d))
     sp = tuple(range(1, 1 + g.d))
     vol = g.cell_volume
-    half = g.N // 2 + 1
-    ksq_h = g.ksq[..., :half]
+    ksq_h = g.half.ksq
     hermitian = [conjugate_asymmetry(f.data * sym, g.d) <= HERMITIAN_RTOL for sym in symbols]
     cached = _half_decay(g, times) if any(hermitian) else None
     chunk = max(1, _BLOCK_ELEMS // (f.ncomp * g.ksq.size))
@@ -161,7 +159,8 @@ def _heat_norms(f: SpectralField, symbols: list, times: np.ndarray, p: float) ->
                     decay = cached[lo : lo + tt.size]
                 else:
                     decay = np.exp(-tt.reshape((-1,) + (1,) * g.d) * ksq_h[None])
-                base_h = f.data[..., :half] * sym[..., :half]
+                base_h = g.half.cut(f.data)
+                base_h *= g.half.cut(sym)
                 block = np.fft.irfftn(
                     base_h[None] * decay[:, None], s=g.shape, axes=axes, norm="ortho"
                 )

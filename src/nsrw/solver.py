@@ -24,9 +24,8 @@ grid on which products of ball fields do not alias back into the ball
 kappa = cutoff L / 2 pi and k_max = ceil(kappa) - 1 (M = 24 at N = 32 and
 the default cutoff N/4), and M = N when that bound reaches N. States are embedded into
 that lattice once on entry (data, resume state, step() input) and
-extracted to the N grid only for snapshots, the stability check and
-step() output; coefficients keep the N grid's unitary normalisation
-throughout.
+extracted to the N grid only for snapshots and step() output;
+coefficients keep the N grid's unitary normalisation throughout.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .heat import heat_semigroup
 from .spectral import (
     FOURIER,
     HERMITIAN_RTOL,
@@ -61,8 +61,6 @@ __all__ = [
     "step",
     "solve",
     "iter_u",
-    "reconstruct_u",
-    "ReconstructionReport",
     "time_partition",
     "stepping_lattice_size",
 ]
@@ -88,8 +86,6 @@ class SolverConfig:
     cutoff: float
     T: float
     dt: float
-    s: float = 0.25
-    gamma: float = 0.0
     integrator: str = "ifrk4"
     substep_near_zero: bool = True
     snapshot_cadence: int = 8
@@ -150,18 +146,28 @@ class EnergyLog:
 
 @dataclass
 class Trajectory:
-    """Snapshots of w and of the truncated forcing field along a run.
+    """Snapshots of w along a run, with the data it was solved from.
 
-    dwdt_hminus1 holds |dw/dt|_{H^{-1}} at each snapshot as the solver
-    recorded it; hand-built trajectories leave it None.
+    The forcing is not stored: g_states derives the truncated free
+    evolution T e^{tD} f_omega at each snapshot time. dwdt_hminus1 holds
+    |dw/dt|_{H^{-1}} at each snapshot as the solver recorded it;
+    hand-built trajectories leave it None.
     """
 
     times: np.ndarray
     w_states: list
-    g_states: list
+    f_omega: SpectralField
     config: SolverConfig
     energy_log: EnergyLog | None = None
     dwdt_hminus1: np.ndarray | None = None
+
+    @property
+    def g_states(self) -> list:
+        """T e^{tD} f_omega at each snapshot time, formed on every access."""
+        return [
+            friedrichs_cutoff(heat_semigroup(self.f_omega, float(t)), self.config.cutoff)
+            for t in self.times
+        ]
 
 
 def time_partition(T: float, dt: float, substep_near_zero: bool) -> np.ndarray:
@@ -470,9 +476,8 @@ def _require_real_field(name: str, f: SpectralField):
         )
 
 
-def _check_stability(config: SolverConfig, stepper: _Stepper, grid: Grid):
-    g0 = fourier_field(grid, stepper.expand(stepper.g_hat_cut(config.dt)))
-    gmax = linf_norm(g0)
+def _check_stability(config: SolverConfig, f_omega: SpectralField):
+    gmax = linf_norm(friedrichs_cutoff(heat_semigroup(f_omega, config.dt), config.cutoff))
     if gmax <= 0:
         return
     bound = 1.0 / (config.cutoff * gmax)
@@ -491,11 +496,11 @@ def solve(
 ) -> Trajectory:
     """Integrate from w = 0 at t = 0 (or a checkpointed state) up to T.
 
-    Snapshots of w and of the truncated forcing are taken every
-    snapshot_cadence accepted steps plus at both endpoints, each with
-    |dw/dt|_{H^{-1}} from its stage-0 right-hand side, which the next step
-    reuses (only the last snapshot costs an extra one); the per-step
-    energy log rides along unless track_energy is off.
+    Snapshots of w are taken every snapshot_cadence accepted steps plus at
+    both endpoints, each with |dw/dt|_{H^{-1}} from its stage-0 right-hand
+    side, which the next step reuses (only the last snapshot costs an
+    extra one); the per-step energy log rides along unless track_energy is
+    off. The trajectory keeps f_omega, from which it derives the forcing.
     """
     grid = f_omega.grid
     if (grid.d, grid.N) != (config.d, config.N) or not np.isclose(grid.L, config.L):
@@ -510,7 +515,7 @@ def solve(
 
     stepper = _Stepper(grid, f_omega.data, config)
     if not config.disable_nonlinear:
-        _check_stability(config, stepper, grid)
+        _check_stability(config, f_omega)
 
     times = time_partition(config.T, config.dt, config.substep_near_zero)
     if resume_state is None:
@@ -529,16 +534,14 @@ def solve(
         start = int(hits[0])
         what = stepper.embed(resume_state.data)
 
-    snap_times, w_states, g_states, dwdt = [], [], [], []
+    snap_times, w_states, dwdt = [], [], []
 
     def snapshot(t: float, state: np.ndarray) -> np.ndarray:
         """Record the state and return its stage-0 right-hand side, which
         gives dw/dt here and starts the next step."""
-        g = stepper.g_hat_cut(t)
-        rhs0 = stepper.rhs(state, g)
+        rhs0 = stepper.rhs(state, stepper.g_hat_cut(t))
         snap_times.append(t)
         w_states.append(fourier_field(grid, stepper.expand(state)))
-        g_states.append(fourier_field(grid, stepper.expand(g)))
         dwdt.append(stepper.dwdt_hminus1(state, rhs0))
         return rhs0
 
@@ -577,39 +580,14 @@ def solve(
     return Trajectory(
         times=np.array(snap_times),
         w_states=w_states,
-        g_states=g_states,
+        f_omega=f_omega,
         config=config,
         energy_log=log,
         dwdt_hminus1=np.array(dwdt),
     )
 
 
-@dataclass(frozen=True)
-class ReconstructionReport:
-    times: np.ndarray
-    u_states: list
-    residual_times: np.ndarray
-    residuals: np.ndarray
-
-
-def iter_u(trajectory: Trajectory, f_omega: SpectralField):
-    """u(t) = e^{tD} f + w(t) per snapshot, formed one at a time."""
-    from .heat import heat_semigroup
-
+def iter_u(trajectory: Trajectory):
+    """u(t) = e^{tD} f_omega + w(t) per snapshot, formed one at a time."""
     for t, w in zip(trajectory.times, trajectory.w_states):
-        yield heat_semigroup(f_omega, float(t)) + w
-
-
-def reconstruct_u(trajectory: Trajectory, f_omega: SpectralField) -> ReconstructionReport:
-    """u(t) = e^{tD} f + w(t) per snapshot, with the equation residual in
-    H^{-1} evaluated at snapshot midpoints."""
-    from .diagnostics import nse_residual
-
-    u_states = list(iter_u(trajectory, f_omega))
-    mid_times, residuals = nse_residual(trajectory.times, u_states)
-    return ReconstructionReport(
-        times=trajectory.times,
-        u_states=u_states,
-        residual_times=mid_times,
-        residuals=residuals,
-    )
+        yield heat_semigroup(trajectory.f_omega, float(t)) + w

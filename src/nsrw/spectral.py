@@ -131,10 +131,9 @@ class Grid:
     @cached_property
     def half(self) -> "HalfLattice":
         """The rfft half lattice, derived on first use and kept."""
-        return HalfLattice.of(self)
+        return HalfLattice(self)
 
 
-@dataclass(frozen=True, eq=False)
 class HalfLattice:
     """The rfft half of a grid's Fourier lattice: last-axis indices 0..N/2.
 
@@ -144,37 +143,44 @@ class HalfLattice:
     mirror, so the Parseval weight is 1 on those two planes and 2
     elsewhere: sum(weight * |a_half|^2) is the full-lattice sum of |a|^2
     for a conjugate-symmetric a. inv_ksq is 1/|xi|^2, set to 1 at xi = 0.
+    Each array is derived on first use and kept, so a caller that needs
+    only ksq (the heat sweeps) does not hold the others.
     """
 
-    shape: tuple
-    freqs: tuple
-    ksq: np.ndarray
-    inv_ksq: np.ndarray
-    kabs: np.ndarray
-    dealias_keep: np.ndarray
-    nyquist_mask: np.ndarray
-    weight: np.ndarray
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self.shape = grid.shape[:-1] + (grid.N // 2 + 1,)
 
-    @classmethod
-    def of(cls, grid: Grid) -> "HalfLattice":
-        n = grid.N // 2 + 1
-        freqs = tuple(
-            np.ascontiguousarray(grid.axis_frequency(ax)[..., :n]) for ax in range(grid.d)
-        )
-        ksq = np.ascontiguousarray(grid.ksq[..., :n])
-        weight = np.full(ksq.shape, 2.0)
+    @cached_property
+    def freqs(self) -> tuple:
+        return tuple(self.cut(self.grid.axis_frequency(ax)) for ax in range(self.grid.d))
+
+    @cached_property
+    def ksq(self) -> np.ndarray:
+        return self.cut(self.grid.ksq)
+
+    @cached_property
+    def inv_ksq(self) -> np.ndarray:
+        return 1.0 / np.where(self.ksq == 0.0, 1.0, self.ksq)
+
+    @cached_property
+    def kabs(self) -> np.ndarray:
+        return self.cut(self.grid.kabs)
+
+    @cached_property
+    def dealias_keep(self) -> np.ndarray:
+        return self.cut(self.grid.dealias_keep)
+
+    @cached_property
+    def nyquist_mask(self) -> np.ndarray:
+        return self.cut(self.grid.nyquist_mask)
+
+    @cached_property
+    def weight(self) -> np.ndarray:
+        weight = np.full(self.shape, 2.0)
         weight[..., 0] = 1.0
         weight[..., -1] = 1.0
-        return cls(
-            shape=ksq.shape,
-            freqs=freqs,
-            ksq=ksq,
-            inv_ksq=1.0 / np.where(ksq == 0.0, 1.0, ksq),
-            kabs=np.ascontiguousarray(grid.kabs[..., :n]),
-            dealias_keep=np.ascontiguousarray(grid.dealias_keep[..., :n]),
-            nyquist_mask=np.ascontiguousarray(grid.nyquist_mask[..., :n]),
-            weight=weight,
-        )
+        return weight
 
     def cut(self, a: np.ndarray) -> np.ndarray:
         """The half of a full-lattice array, as a contiguous copy."""

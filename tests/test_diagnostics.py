@@ -23,9 +23,8 @@ def heat_trajectory(grid, w0, times, cutoff=4.0):
     cfg = SolverConfig(d=grid.d, N=grid.N, L=grid.L, cutoff=cutoff, T=float(times[-1]),
                        dt=1e-2, disable_nonlinear=True)
     w_states = [heat_semigroup(w0, float(t)) for t in times]
-    g_states = [zeros_field(grid, grid.d) for _ in times]
     return Trajectory(times=np.asarray(times, float), w_states=w_states,
-                      g_states=g_states, config=cfg)
+                      f_omega=zeros_field(grid, grid.d), config=cfg)
 
 
 def randomized_borderline(d, N, seed):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from nsrw.solver import (
     SolverConfig,
     StepFailureError,
     _Stepper,
+    iter_u,
     nonlinear_rhs,
-    reconstruct_u,
     solve,
     step,
     stepping_lattice_size,
@@ -292,6 +293,23 @@ class TestSolve:
             if nrm > 0:
                 assert l2_norm(multiplier(w, "divergence")) / nrm <= 1e-10
 
+    def test_peak_memory_is_the_w_snapshots(self, grid3):
+        # the trajectory keeps its data and derives g, so a run holds one
+        # list of full-spectrum snapshots, not two
+        f = smooth_random_field(grid3, seed=3, band=2)
+        cfg = SolverConfig(d=3, N=16, L=TWO_PI, cutoff=4.0, T=40.0 / 128.0, dt=1.0 / 128.0,
+                           substep_near_zero=False, snapshot_cadence=1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            traj = solve(cfg, f)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(traj.w_states) == 41
+        w_bytes = sum(w.data.nbytes for w in traj.w_states)
+        assert peak <= 1.25 * w_bytes + 2**20
+
     def test_energy_inequality_randomized(self):
         g = make_grid(2, 32, TWO_PI)
         f = borderline_field(g, 0.25, seed=11)
@@ -427,8 +445,8 @@ class TestReconstruct:
     def test_initial_snapshot_is_data(self, grid2_mid):
         f = smooth_random_field(grid2_mid, seed=14, band=2)
         traj = solve(config32(), f)
-        rec = reconstruct_u(traj, f)
-        assert np.abs(rec.u_states[0].data - f.data).max() < 1e-14 * np.abs(f.data).max()
+        u_states = list(iter_u(traj))
+        assert np.abs(u_states[0].data - f.data).max() < 1e-14 * np.abs(f.data).max()
 
     def test_taylor_green_exact_solution(self):
         g = make_grid(2, 64, TWO_PI)
@@ -436,7 +454,7 @@ class TestReconstruct:
         cfg = SolverConfig(d=2, N=64, L=TWO_PI, cutoff=16.0, T=0.5, dt=1.0 / 64.0,
                            substep_near_zero=False, snapshot_cadence=8)
         traj = solve(cfg, f)
-        rec = reconstruct_u(traj, f)
+        u_states = list(iter_u(traj))
         t_end = float(traj.times[-1])
         exact = np.exp(-2.0 * t_end) * f.data
-        assert np.abs(rec.u_states[-1].data - exact).max() <= 1e-5 * np.abs(f.data).max()
+        assert np.abs(u_states[-1].data - exact).max() <= 1e-5 * np.abs(f.data).max()
