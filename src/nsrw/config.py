@@ -79,6 +79,18 @@ class ExperimentConfig:
             snapshot_cadence=self.snapshot_cadence,
         )
 
+    def trajectory_fingerprint(self) -> dict:
+        """The settings that fix a solve trajectory: grid, data, draw,
+        stepping and cutoff (not T, the snapshot cadence or the outputs).
+        Checkpoints carry it, and a resume refuses a checkpoint whose
+        fingerprint differs."""
+        keys = (
+            "d", "N", "L", "data", "data_tilt", "normalize_data", "randomize_data",
+            "family", "subgaussian_c", "master_seed", "s", "dt", "substep_near_zero",
+            "integrator",
+        )
+        return {**{k: getattr(self, k) for k in keys}, "cutoff": self.effective_cutoff()}
+
     def norm_spec(self) -> NormSpec:
         return NormSpec(
             gamma=self.gamma, sigma=self.sigma, p=self.p, q=self.q, r=self.r,

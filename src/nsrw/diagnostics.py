@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import SolverConfig, Trajectory, nonlinear_rhs
-from .spectral import SpectralField, fourier_field, projected_transport_half
+from .spectral import Grid, SpectralField, fourier_field, projected_transport_half
 from .tails import NormSpec, check_admissible, space_time_norm
 
 __all__ = [
@@ -58,7 +58,7 @@ def dwdt_norm(trajectory: Trajectory, config: SolverConfig) -> DwdtReport:
     snapshot. solve records the same values as it steps
     (Trajectory.dwdt_hminus1); this recomputation is their reference.
     """
-    grid = trajectory.w_states[0].grid
+    grid = trajectory.f_omega.grid
     vol = grid.cell_volume
     weight = 1.0 / (1.0 + grid.ksq)
     values = []
@@ -122,33 +122,30 @@ def condtg_check(
 
 
 def nse_residual(
-    times: np.ndarray, u_states, include_nonlinear: bool = True
+    grid: Grid, times: np.ndarray, u_half, include_nonlinear: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
     """H^{-1} residual of the projected equation at snapshot midpoints.
 
     Uses the centered difference (u(t+h) - u(t))/h against the right-hand
     side evaluated on the midpoint average, so exact solutions show O(h^2).
-    u_states is any iterable of the real fields u(times[j]); they are
-    consumed pairwise on the rfft half lattice, so at most two are held.
+    u_half is any iterable of the half spectra (on grid.half) of the real
+    fields u(times[j]); they are consumed pairwise, so at most two are held.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.size < 2:
         raise ValueError("nse_residual needs at least two snapshots")
-    states = iter(u_states)
-    first = next(states, None)
-    if first is None:
+    states = iter(u_half)
+    prev = next(states, None)
+    if prev is None:
         raise ValueError(f"nse_residual got 0 states for {times.size} times")
-    grid = first.grid
     half = grid.half
     vol = grid.cell_volume
     weight = half.weight / (1.0 + half.ksq)
-    prev = half.cut(first.data)
     mids, vals = [], []
     for j in range(times.size - 1):
-        u = next(states, None)
-        if u is None:
+        cur = next(states, None)
+        if cur is None:
             raise ValueError(f"nse_residual got {j + 1} states for {times.size} times")
-        cur = half.cut(u.data)
         h = times[j + 1] - times[j]
         um = 0.5 * (prev + cur)
         resid = (cur - prev) / h + half.ksq * um

@@ -1,11 +1,13 @@
 """Experiment orchestration and artifact emission.
 
 Each experiment writes series.csv, summary.json, plotdata/*.tsv and a
-meta.json (timestamps and execution environment) under the configured
-output directory, and nothing anywhere else. summary.json and series.csv
-are byte-deterministic for a fixed config and seed, independent of the
-worker count: every Monte Carlo sample derives its own counter stream and
-results are reduced in sample-index order.
+meta.json (timestamps, execution environment and, for a solve, per-phase
+wall seconds and counters) under the configured output directory, and
+nothing anywhere else; a solve with write_checkpoints also writes each
+snapshot's checkpoint there as the snapshot is taken. summary.json and
+series.csv are byte-deterministic for a fixed config and seed,
+independent of the worker count: every Monte Carlo sample derives its own
+counter stream and results are reduced in sample-index order.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .randomization import (
     verify_subgaussian,
 )
 from .solver import iter_u, solve, stepping_lattice_size
-from .spectral import divergence_ratio, l2_norm, make_grid, ring_partition
+from .spectral import l2_norm, make_grid, ring_partition
 from .tails import _ordered_map, fit_gaussian_tail, monte_carlo_tails
 
 ENERGY_TOL = 1e-8
@@ -166,7 +168,7 @@ def _run_randomize(cfg: ExperimentConfig, workers: int, outdir: Path, resume: st
     plotdata = {
         "subgaussian_margin": (["gamma", "margin"], [report.gammas, report.margins])
     }
-    return summary, failures, series, plotdata
+    return summary, failures, series, plotdata, {}
 
 
 def _run_heatflow(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | None):
@@ -215,7 +217,7 @@ def _run_heatflow(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str
             [cg.times, cg.l2_ratios, cg.linf_ratios[0], cg.linf_ratios[1]],
         )
     }
-    return summary, failures, (names, columns), plotdata
+    return summary, failures, (names, columns), plotdata, {}
 
 
 def _run_tails(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | None):
@@ -251,38 +253,58 @@ def _run_tails(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
             [lam2, logp, fitline],
         )
     }
-    return summary, failures, series, plotdata
+    return summary, failures, series, plotdata, {}
+
+
+def _divergence_ratio_half(half, w_half: np.ndarray) -> float:
+    """|div w|_L2 / |w|_L2 of the real field whose half spectrum is w_half,
+    summed over the half lattice with its Parseval weights; 0/0 is 0."""
+    div = sum(k * c for k, c in zip(half.freqs, w_half))
+    den = float(np.sum(half.weight * np.abs(w_half) ** 2))
+    if den == 0.0:
+        return 0.0
+    return float(np.sqrt(np.sum(half.weight * np.abs(div) ** 2) / den))
 
 
 def _run_solve(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | None):
     grid, f = build_data_field(cfg)
     f_om = _randomized_data(cfg, grid, f)
     sconf = cfg.solver_config()
+    fingerprint = cfg.trajectory_fingerprint()
+    resume_state = resume_time = None
     if resume is not None:
-        state, t0, ck_cutoff = load_checkpoint(resume)
-        if state.grid != grid:
+        resume_state, resume_time, ck_cutoff = load_checkpoint(resume, fingerprint)
+        if resume_state.grid != grid:
             raise ValueError("checkpoint grid does not match config")
         if not np.isclose(ck_cutoff, sconf.cutoff):
             raise ValueError("checkpoint cutoff does not match config")
-        traj = solve(sconf, f_om, resume_state=state, resume_time=t0)
-    else:
-        traj = solve(sconf, f_om)
+
+    ckpt_files = []
+    ckpt_seconds = 0.0
+
+    def write_checkpoint(i: int, t: float, w_half: np.ndarray):
+        nonlocal ckpt_seconds
+        started = time.perf_counter()
+        name = f"checkpoint_{i:04d}.nsrw"
+        save_checkpoint(grid, w_half, t, sconf.cutoff, fingerprint, outdir / name)
+        ckpt_files.append({"file": name, "time": t})
+        ckpt_seconds += time.perf_counter() - started
+
+    started = time.perf_counter()
+    traj = solve(sconf, f_om, resume_state=resume_state, resume_time=resume_time,
+                 on_snapshot=write_checkpoint if cfg.write_checkpoints else None)
+    solve_s = time.perf_counter() - started - ckpt_seconds
 
     log = traj.energy_log
     snap_idx = np.searchsorted(log.times, traj.times)
     w_l2 = np.sqrt(log.kinetic[snap_idx])
-    div_rel = np.array([divergence_ratio(w) for w in traj.w_states])
+    div_rel = np.array([_divergence_ratio_half(grid.half, w) for w in traj.w_half])
     dwdt = dwdt_report(traj.times, traj.dwdt_hminus1, grid.d)
 
     f_l2 = l2_norm(f_om)
-    residual_times, residuals = nse_residual(traj.times, iter_u(traj))
-
-    ckpt_files = []
-    if cfg.write_checkpoints:
-        for i, (t, w) in enumerate(zip(traj.times, traj.w_states)):
-            name = f"checkpoint_{i:04d}.nsrw"
-            save_checkpoint(w, float(t), sconf.cutoff, outdir / name)
-            ckpt_files.append({"file": name, "time": float(t)})
+    started = time.perf_counter()
+    residual_times, residuals = nse_residual(grid, traj.times, iter_u(traj))
+    residual_s = time.perf_counter() - started
 
     summary = {
         "steps": int(log.times.size - 1),
@@ -344,7 +366,23 @@ def _run_solve(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
             [residual_times, residuals],
         )
     }
-    return summary, failures, series, plotdata
+    # how the solver ran, not what it computed: meta.json only, so
+    # summary.json and series.csv stay byte-reproducible
+    meta = {
+        "stepping_lattice": {"N": cfg.N, "M": stepping_lattice_size(grid, sconf.cutoff)},
+        "phase_seconds": {
+            "solve": solve_s,
+            "residual": residual_s,
+            "checkpoint_writes": ckpt_seconds,
+        },
+        "counters": {
+            "steps": summary["steps"],
+            "snapshots": summary["snapshots"],
+            "checkpoint_files": len(ckpt_files),
+            "checkpoint_bytes": sum((outdir / c["file"]).stat().st_size for c in ckpt_files),
+        },
+    }
+    return summary, failures, series, plotdata, meta
 
 
 def _run_report(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | None):
@@ -371,7 +409,7 @@ def _run_report(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str |
         summary["tail_C2"] = fit.C2
         summary["tail_r_squared"] = fit.r_squared
     series = (["sample", "lambda"], [np.arange(M), lams])
-    return summary, [], series, {}
+    return summary, [], series, {}, {}
 
 
 # one runner per verb of config.EXPERIMENTS
@@ -395,7 +433,7 @@ def run_experiment(cfg: ExperimentConfig, resume: str | None = None) -> Experime
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
 
-    summary, failures, series, plotdata = runner(cfg, workers, outdir, resume)
+    summary, failures, series, plotdata, run_meta = runner(cfg, workers, outdir, resume)
 
     # workers and output_dir are execution environment, not experiment
     # identity: they live in meta.json so summaries stay byte-reproducible
@@ -423,14 +461,8 @@ def run_experiment(cfg: ExperimentConfig, resume: str | None = None) -> Experime
         "elapsed_seconds": time.time() - started,
         "workers": workers,
         "output_dir": str(outdir),
+        **run_meta,
     }
-    if cfg.experiment == "solve":
-        # how the solver ran, not what it computed
-        grid = make_grid(cfg.d, cfg.N, cfg.L)
-        meta["stepping_lattice"] = {
-            "N": cfg.N,
-            "M": stepping_lattice_size(grid, cfg.effective_cutoff()),
-        }
     (outdir / "meta.json").write_text(json.dumps(meta, indent=2, allow_nan=False) + "\n")
     return ExperimentResult(
         status=0 if not failures else 1, summary=summary, output_dir=outdir

@@ -30,6 +30,7 @@ coefficients keep the N grid's unitary normalisation throughout.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -148,18 +149,28 @@ class EnergyLog:
 class Trajectory:
     """Snapshots of w along a run, with the data it was solved from.
 
-    The forcing is not stored: g_states derives the truncated free
-    evolution T e^{tD} f_omega at each snapshot time. dwdt_hminus1 holds
-    |dw/dt|_{H^{-1}} at each snapshot as the solver recorded it;
-    hand-built trajectories leave it None.
+    w_half holds each snapshot as its half spectrum on the data grid's
+    half lattice (grid.half), planes 0 and N/2 conjugate-symmetric; the
+    full spectra are formed only on access (w_states). The forcing is not
+    stored: g_states derives the truncated free evolution T e^{tD} f_omega
+    at each snapshot time. dwdt_hminus1 holds |dw/dt|_{H^{-1}} at each
+    snapshot as the solver recorded it; hand-built trajectories leave it
+    None.
     """
 
     times: np.ndarray
-    w_states: list
+    w_half: list
     f_omega: SpectralField
     config: SolverConfig
     energy_log: EnergyLog | None = None
     dwdt_hminus1: np.ndarray | None = None
+
+    @property
+    def w_states(self) -> list:
+        """w at each snapshot time as a full-spectrum field, formed on every
+        access."""
+        grid = self.f_omega.grid
+        return [fourier_field(grid, grid.half.expand(h)) for h in self.w_half]
 
     @property
     def g_states(self) -> list:
@@ -493,6 +504,7 @@ def solve(
     f_omega: SpectralField,
     resume_state: SpectralField | None = None,
     resume_time: float | None = None,
+    on_snapshot: Callable[[int, float, np.ndarray], None] | None = None,
 ) -> Trajectory:
     """Integrate from w = 0 at t = 0 (or a checkpointed state) up to T.
 
@@ -500,7 +512,10 @@ def solve(
     both endpoints, each with |dw/dt|_{H^{-1}} from its stage-0 right-hand
     side, which the next step reuses (only the last snapshot costs an
     extra one); the per-step energy log rides along unless track_energy is
-    off. The trajectory keeps f_omega, from which it derives the forcing.
+    off. Each snapshot is the half spectrum of w on the data grid (see
+    Trajectory.w_half); on_snapshot, if given, is called as
+    on_snapshot(index, t, w_half) as each one is taken, while the run goes
+    on. The trajectory keeps f_omega, from which it derives the forcing.
     """
     grid = f_omega.grid
     if (grid.d, grid.N) != (config.d, config.N) or not np.isclose(grid.L, config.L):
@@ -534,15 +549,17 @@ def solve(
         start = int(hits[0])
         what = stepper.embed(resume_state.data)
 
-    snap_times, w_states, dwdt = [], [], []
+    snap_times, w_half, dwdt = [], [], []
 
     def snapshot(t: float, state: np.ndarray) -> np.ndarray:
         """Record the state and return its stage-0 right-hand side, which
         gives dw/dt here and starts the next step."""
         rhs0 = stepper.rhs(state, stepper.g_hat_cut(t))
         snap_times.append(t)
-        w_states.append(fourier_field(grid, stepper.expand(state)))
+        w_half.append(grid.half.symmetrize(stepper.lattice.extract(state)))
         dwdt.append(stepper.dwdt_hminus1(state, rhs0))
+        if on_snapshot is not None:
+            on_snapshot(len(snap_times) - 1, float(t), w_half[-1])
         return rhs0
 
     rhs0 = snapshot(times[start], what)
@@ -579,7 +596,7 @@ def solve(
         )
     return Trajectory(
         times=np.array(snap_times),
-        w_states=w_states,
+        w_half=w_half,
         f_omega=f_omega,
         config=config,
         energy_log=log,
@@ -588,6 +605,9 @@ def solve(
 
 
 def iter_u(trajectory: Trajectory):
-    """u(t) = e^{tD} f_omega + w(t) per snapshot, formed one at a time."""
-    for t, w in zip(trajectory.times, trajectory.w_states):
-        yield heat_semigroup(trajectory.f_omega, float(t)) + w
+    """The half spectrum of u(t) = e^{tD} f_omega + w(t) per snapshot, on
+    the data grid's half lattice, formed one at a time."""
+    half = trajectory.f_omega.grid.half
+    fhat = half.cut(trajectory.f_omega.data)
+    for t, w in zip(trajectory.times, trajectory.w_half):
+        yield fhat * np.exp(-float(t) * half.ksq) + w

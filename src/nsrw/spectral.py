@@ -186,20 +186,36 @@ class HalfLattice:
         """The half of a full-lattice array, as a contiguous copy."""
         return np.ascontiguousarray(a[..., : self.shape[-1]])
 
-    def expand(self, h: np.ndarray) -> np.ndarray:
-        """The conjugate-symmetric full-lattice array whose half is h.
+    def symmetrize(self, h: np.ndarray) -> np.ndarray:
+        """A copy of the half array h whose self-mirrored last-axis planes 0
+        and N/2 hold their conjugate-symmetric part, which is all that
+        irfftn reads there; the other planes are copied unchanged."""
+        out = np.array(h, dtype=np.complex128)
+        for plane in (0, self.shape[-1] - 1):
+            p = h[..., plane]
+            out[..., plane] = 0.5 * (p + conjugate_mirror(p, len(self.shape) - 1))
+        return out
 
-        On the self-mirrored last-axis planes 0 and N/2 the result is the
-        conjugate-symmetric part of h, which is all that irfftn reads there,
-        so the result is exactly conjugate-symmetric.
-        """
+    def plane_asymmetry(self, h: np.ndarray) -> float:
+        """max |a(xi) - conj a(-xi)| over the planes 0 and N/2 of the half
+        array h, relative to max |h|; 0 for a zero array."""
+        scale = np.abs(h).max()
+        if scale == 0.0:
+            return 0.0
+        worst = max(
+            np.abs(conjugate_mirror(p, len(self.shape) - 1) - p).max()
+            for p in (h[..., 0], h[..., self.shape[-1] - 1])
+        )
+        return float(worst / scale)
+
+    def expand(self, h: np.ndarray) -> np.ndarray:
+        """The conjugate-symmetric full-lattice array whose half is
+        symmetrize(h): the result is exactly conjugate-symmetric."""
         n = self.shape[-1]
         full = np.zeros(h.shape[:-1] + (self.shape[0],), dtype=np.complex128)
-        full[..., :n] = h
-        mirror = conjugate_mirror(full, len(self.shape))
-        full[..., n:] = mirror[..., n:]
-        for plane in (0, n - 1):
-            full[..., plane] = 0.5 * (full[..., plane] + mirror[..., plane])
+        full[..., :n] = self.symmetrize(h)
+        # the mirrored planes n.. read the planes 1..N/2-1, left unchanged
+        full[..., n:] = conjugate_mirror(full, len(self.shape))[..., n:]
         return full
 
 

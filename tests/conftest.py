@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,14 @@ def single_mode_field(grid, mode, amplitudes):
     for c, a in enumerate(amplitudes):
         f[(c,) + idx] = a
     return fourier_field(grid, f)
+
+
+def pack_v1(field, t, cutoff):
+    """A version-1 checkpoint of field: magic, version 1, d, N, L, t and
+    cutoff, then the full spectrum, no fingerprint."""
+    g = field.grid
+    header = struct.pack("<4sIIIddd", b"NSRW", 1, g.d, g.N, g.L, t, cutoff)
+    return header + np.ascontiguousarray(field.data).astype("<c16").tobytes()
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,13 @@ import numpy as np
 import pytest
 
 import nsrw
-from conftest import TWO_PI, random_divfree_field
-from nsrw.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from conftest import TWO_PI, pack_v1, random_divfree_field
+from nsrw.checkpoint import (
+    CheckpointError,
+    load_checkpoint,
+    save_checkpoint,
+    save_field_checkpoint,
+)
 from nsrw.cli import build_parser, main
 from nsrw.config import (
     EXPERIMENTS,
@@ -19,6 +25,7 @@ from nsrw.config import (
     parse_config,
     serialize_config,
 )
+from nsrw.spectral import fourier_field
 
 
 def write_config(tmp_path, **fields):
@@ -111,24 +118,78 @@ class TestConfigParsing:
         assert cfg2.effective_cutoff() == 10.0
 
 
+def real_state(grid, seed):
+    """A divergence-free state whose spectrum is exactly conjugate-symmetric:
+    the full spectrum of its own half."""
+    f = random_divfree_field(grid, seed=seed)
+    return fourier_field(grid, grid.half.expand(grid.half.cut(f.data)))
+
+
+FINGERPRINT = {"d": 2, "N": 16, "master_seed": 7, "dt": 0.0078125}
+
+
 class TestCheckpoint:
-    def test_bitwise_round_trip(self, tmp_path, grid2):
-        f = random_divfree_field(grid2, seed=1)
-        path = tmp_path / "state.nsrw"
-        save_checkpoint(f, 0.375, 4.0, path)
-        g, t, cutoff = load_checkpoint(path)
-        assert t == 0.375 and cutoff == 4.0
-        assert g.grid == f.grid
+    def test_bitwise_round_trip(self, tmp_path, grid2, grid3):
+        for grid in (grid2, grid3):
+            f = real_state(grid, seed=1)
+            path = tmp_path / f"state{grid.d}.nsrw"
+            save_field_checkpoint(f, 0.375, 4.0, FINGERPRINT, path)
+            g, t, cutoff = load_checkpoint(path, FINGERPRINT)
+            assert t == 0.375 and cutoff == 4.0
+            assert g.grid == f.grid
+            assert np.array_equal(g.data, f.data)
+            # the half array the solver writes comes back bit for bit
+            h = grid.half.cut(f.data)
+            save_checkpoint(grid, h, 0.375, 4.0, FINGERPRINT, path)
+            assert np.array_equal(grid.half.cut(load_checkpoint(path)[0].data), h)
+            # and the file itself is stable: saving again is byte-identical
+            path2 = tmp_path / f"again{grid.d}.nsrw"
+            save_field_checkpoint(f, 0.375, 4.0, FINGERPRINT, path2)
+            assert path.read_bytes() == path2.read_bytes()
+        assert not list(tmp_path.glob(".*.tmp"))
+
+    def test_v1_full_spectrum_file_loads(self, tmp_path, grid3):
+        f = random_divfree_field(grid3, seed=6)
+        path = tmp_path / "v1.nsrw"
+        path.write_bytes(pack_v1(f, 0.25, 4.0))
+        # no fingerprint to check: an expected one is ignored
+        g, t, cutoff = load_checkpoint(path, FINGERPRINT)
+        assert (t, cutoff) == (0.25, 4.0)
         assert np.array_equal(g.data, f.data)
-        # and the file itself is stable: saving again is byte-identical
-        path2 = tmp_path / "again.nsrw"
-        save_checkpoint(f, 0.375, 4.0, path2)
-        assert path.read_bytes() == path2.read_bytes()
+
+    def test_helper_refuses_asymmetric_field(self, tmp_path, grid2):
+        f = real_state(grid2, seed=7)
+        f.data[0, 1, 2] *= 1j
+        path = tmp_path / "state.nsrw"
+        with pytest.raises(ValueError, match="not conjugate-symmetric"):
+            save_field_checkpoint(f, 0.0, 4.0, FINGERPRINT, path)
+        assert not path.exists() and not list(tmp_path.iterdir())
+
+    def test_refuses_v2_payload_asymmetric_on_plane_zero(self, tmp_path, grid2):
+        f = real_state(grid2, seed=8)
+        path = tmp_path / "state.nsrw"
+        save_field_checkpoint(f, 0.0, 4.0, FINGERPRINT, path)
+        blob = bytearray(path.read_bytes())
+        payload = len(blob) - 2 * 16 * 9 * 16
+        # component 0, mode (1, 0): last-axis plane 0, mirror partner (-1, 0)
+        offset = payload + (1 * 9 + 0) * 16
+        blob[offset : offset + 8] = struct.pack("<d", 0.5)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="planes 0 and N/2 are not conjugate"):
+            load_checkpoint(path)
+
+    def test_fingerprint_mismatch_names_field(self, tmp_path, grid2):
+        path = tmp_path / "state.nsrw"
+        save_field_checkpoint(real_state(grid2, seed=9), 0.0, 4.0, FINGERPRINT, path)
+        load_checkpoint(path, FINGERPRINT)
+        with pytest.raises(CheckpointError, match="'master_seed' is 7 in the checkpoint "
+                           "and 8 in the config"):
+            load_checkpoint(path, {**FINGERPRINT, "master_seed": 8})
 
     def test_corrupt_magic(self, tmp_path, grid2):
-        f = random_divfree_field(grid2, seed=2)
+        f = real_state(grid2, seed=2)
         path = tmp_path / "state.nsrw"
-        save_checkpoint(f, 0.0, 4.0, path)
+        save_field_checkpoint(f, 0.0, 4.0, FINGERPRINT, path)
         blob = bytearray(path.read_bytes())
         blob[:4] = b"XXXX"
         path.write_bytes(bytes(blob))
@@ -136,9 +197,9 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path, grid2):
-        f = random_divfree_field(grid2, seed=3)
+        f = real_state(grid2, seed=3)
         path = tmp_path / "state.nsrw"
-        save_checkpoint(f, 0.0, 4.0, path)
+        save_field_checkpoint(f, 0.0, 4.0, FINGERPRINT, path)
         blob = bytearray(path.read_bytes())
         blob[4] = 99
         path.write_bytes(bytes(blob))
@@ -146,27 +207,32 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_truncated_payload(self, tmp_path, grid2):
-        f = random_divfree_field(grid2, seed=4)
+        f = real_state(grid2, seed=4)
         path = tmp_path / "state.nsrw"
-        save_checkpoint(f, 0.0, 4.0, path)
+        save_field_checkpoint(f, 0.0, 4.0, FINGERPRINT, path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 16])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
     def test_header_layout(self, tmp_path, grid2):
-        # magic, version u32, d u32, N u32, L f64, t f64, cutoff f64, LE
-        import struct
-
-        f = random_divfree_field(grid2, seed=5)
+        # magic, version u32, d u32, N u32, L f64, t f64, cutoff f64, then a
+        # u32 length and the canonical JSON fingerprint, then the half
+        # spectrum (d, N, N/2 + 1) as complex128, all little-endian
+        f = real_state(grid2, seed=5)
         path = tmp_path / "state.nsrw"
-        save_checkpoint(f, 1.5, 4.0, path)
+        save_field_checkpoint(f, 1.5, 4.0, FINGERPRINT, path)
         blob = path.read_bytes()
         magic, version, d, N, L, t, n = struct.unpack_from("<4sIIIddd", blob)
-        assert magic == b"NSRW" and version == 1
+        assert magic == b"NSRW" and version == 2
         assert (d, N) == (2, 16) and L == pytest.approx(TWO_PI)
         assert (t, n) == (1.5, 4.0)
-        assert len(blob) == 40 + d * N**d * 16
+        (length,) = struct.unpack_from("<I", blob, 40)
+        fp = blob[44 : 44 + length]
+        assert fp == json.dumps(FINGERPRINT, sort_keys=True, separators=(",", ":")).encode()
+        assert len(blob) == 44 + length + d * N ** (d - 1) * (N // 2 + 1) * 16
+        payload = np.frombuffer(blob[44 + length :], dtype="<c16").reshape(2, 16, 9)
+        assert np.array_equal(payload, grid2.half.cut(f.data))
 
 
 class TestCli:

@@ -22,8 +22,8 @@ def heat_trajectory(grid, w0, times, cutoff=4.0):
     """Hand-built trajectory: pure heat flow of w0, no solver involved."""
     cfg = SolverConfig(d=grid.d, N=grid.N, L=grid.L, cutoff=cutoff, T=float(times[-1]),
                        dt=1e-2, disable_nonlinear=True)
-    w_states = [heat_semigroup(w0, float(t)) for t in times]
-    return Trajectory(times=np.asarray(times, float), w_states=w_states,
+    w_half = [grid.half.cut(heat_semigroup(w0, float(t)).data) for t in times]
+    return Trajectory(times=np.asarray(times, float), w_half=w_half,
                       f_omega=zeros_field(grid, grid.d), config=cfg)
 
 
@@ -111,7 +111,7 @@ class TestDwdt:
         w.data[0, 0, -2] = amp
         times = np.array([0.0, 0.1])
         traj = heat_trajectory(grid2, w, times, cutoff=4.0)
-        traj.w_states = [w, w]  # freeze the state; rhs evaluated per snapshot
+        traj.w_half = [grid2.half.cut(w.data)] * 2  # freeze the state; rhs per snapshot
         rep = dwdt_norm(traj, traj.config)
         ksq = 4.0
         want = ksq / np.sqrt(1.0 + ksq) * l2_norm(w)
@@ -244,20 +244,20 @@ class TestCondtg:
 class TestNseResidual:
     def taylor_green_states(self, grid, times):
         f = taylor_green(grid)
-        return [heat_semigroup(f, float(t)) for t in times]
+        return [grid.half.cut(heat_semigroup(f, float(t)).data) for t in times]
 
     def test_taylor_green_second_order(self):
         g = make_grid(2, 32, TWO_PI)
         for h, bound in ((0.02, None), (0.01, None)):
             times = np.arange(0.0, 0.2 + h / 2, h)
-            mids, vals = nse_residual(times, self.taylor_green_states(g, times))
+            mids, vals = nse_residual(g, times, self.taylor_green_states(g, times))
             if bound is None:
                 bound = vals
         # halving h drops the residual about 4x
         times_h = np.arange(0.0, 0.2 + 0.01, 0.02)
         times_h2 = np.arange(0.0, 0.2 + 0.005, 0.01)
-        _, r_h = nse_residual(times_h, self.taylor_green_states(g, times_h))
-        _, r_h2 = nse_residual(times_h2, self.taylor_green_states(g, times_h2))
+        _, r_h = nse_residual(g, times_h, self.taylor_green_states(g, times_h))
+        _, r_h2 = nse_residual(g, times_h2, self.taylor_green_states(g, times_h2))
         ratio = r_h.max() / r_h2.max()
         assert 2.5 < ratio < 6.0
 
@@ -267,18 +267,19 @@ class TestNseResidual:
         w0.data[1, -1, 0] = 1.0
         h = 0.01
         times = np.arange(0.0, 0.1 + h / 2, h)
-        states = [heat_semigroup(w0, float(t)) for t in times]
-        mids, vals = nse_residual(times, states, include_nonlinear=False)
+        states = [grid2.half.cut(heat_semigroup(w0, float(t)).data) for t in times]
+        mids, vals = nse_residual(grid2, times, states, include_nonlinear=False)
         # pure finite-difference error of e^{-t}: O(h^2)
         assert vals.max() < 1e-3
 
     def test_requires_two_snapshots(self, grid2):
         with pytest.raises(ValueError):
-            nse_residual(np.array([0.0]), [zeros_field(grid2, 2)])
+            nse_residual(grid2, np.array([0.0]), [grid2.half.cut(zeros_field(grid2, 2).data)])
 
     def test_requires_a_state_per_time(self, grid2):
         with pytest.raises(ValueError, match="2 states for 3 times"):
-            nse_residual(np.array([0.0, 0.1, 0.2]), [zeros_field(grid2, 2)] * 2)
+            nse_residual(grid2, np.array([0.0, 0.1, 0.2]),
+                         [grid2.half.cut(zeros_field(grid2, 2).data)] * 2)
 
     @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
     def test_half_spectrum_matches_full_lattice_oracle(self, d, N):
@@ -287,8 +288,9 @@ class TestNseResidual:
         times = np.array([0.0, 0.01, 0.025, 0.03, 0.05])
         states = [random_real_field(grid, seed=50 + j) for j in range(times.size)]
         assert np.abs(states[0].data * grid.nyquist_mask).max() > 0
+        halves = [grid.half.cut(u.data) for u in states]
         for include in (True, False):
-            mids, vals = nse_residual(times, states, include_nonlinear=include)
+            mids, vals = nse_residual(grid, times, halves, include_nonlinear=include)
             want_mids, want = full_lattice_residual_oracle(times, states, include)
             np.testing.assert_array_equal(mids, want_mids)
             np.testing.assert_allclose(vals, want, rtol=1e-12, atol=0)
@@ -296,8 +298,9 @@ class TestNseResidual:
     def test_consumes_a_one_shot_generator(self):
         grid = make_grid(2, 32, TWO_PI)
         times = np.linspace(0.0, 0.1, 6)
-        states = [random_real_field(grid, seed=60 + j) for j in range(times.size)]
-        mids, vals = nse_residual(times, states)
-        gmids, gvals = nse_residual(times, (u for u in states))
+        states = [grid.half.cut(random_real_field(grid, seed=60 + j).data)
+                  for j in range(times.size)]
+        mids, vals = nse_residual(grid, times, states)
+        gmids, gvals = nse_residual(grid, times, (u for u in states))
         np.testing.assert_array_equal(gmids, mids)
         np.testing.assert_array_equal(gvals, vals)

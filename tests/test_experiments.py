@@ -1,9 +1,17 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nsrw.checkpoint import load_checkpoint, save_checkpoint
+import nsrw
+from conftest import pack_v1
+from nsrw.checkpoint import load_checkpoint
 from nsrw.cli import main
 from nsrw.config import ExperimentConfig, validate_config
 from nsrw.experiments import _jsonable, _randomized_data, build_data_field, run_experiment
@@ -105,6 +113,37 @@ class TestArtifacts:
             "energy_sup", "energy_violation_max", "divergence_max", "dwdt_time_norm",
             "nse_residual_max", "nse_residual_median", "checkpoints",
         }
+
+    def test_solve_telemetry_goes_to_meta_only(self, tmp_path):
+        # per-phase wall seconds and counters land in meta.json; summary.json
+        # and series.csv of two runs stay byte-identical, checkpoints or not
+        fields = dict(
+            experiment="solve", d=2, N=16, T=0.25, dt=1.0 / 64.0, data="smooth_random",
+            randomize_data=False, substep_near_zero=False, snapshot_cadence=2,
+        )
+        blobs = []
+        for name, write in (("a", True), ("b", True), ("c", False)):
+            res, _ = run(tmp_path, name, write_checkpoints=write, **fields)
+            out = res.output_dir
+            summary = json.loads((out / "summary.json").read_text())
+            if write:
+                blobs.append((out / "summary.json").read_bytes()
+                             + (out / "series.csv").read_bytes())
+            else:
+                assert summary["checkpoints"] == []
+            meta = json.loads((out / "meta.json").read_text())
+            assert set(meta["phase_seconds"]) == {"solve", "residual", "checkpoint_writes"}
+            assert all(v >= 0.0 for v in meta["phase_seconds"].values())
+            files = sorted(out.glob("checkpoint_*.nsrw"))
+            assert meta["counters"] == {
+                "steps": summary["steps"],
+                "snapshots": summary["snapshots"],
+                "checkpoint_files": len(files),
+                "checkpoint_bytes": sum(p.stat().st_size for p in files),
+            }
+            assert len(files) == (summary["snapshots"] if write else 0)
+            assert not set(meta["phase_seconds"]) & set(summary)
+        assert blobs[0] == blobs[1]
 
     def test_heatflow_outputs(self, tmp_path):
         res, _ = run(
@@ -285,6 +324,89 @@ class TestResume:
         assert abs(s_res["terminal_w_l2"] - s_full["terminal_w_l2"]) <= 1e-12
         assert s_res["terminal_time"] == s_full["terminal_time"]
 
+    def test_resume_from_v1_file_matches_uninterrupted(self, tmp_path):
+        # a version-1 file (full spectrum, no fingerprint) still resumes,
+        # checked only for its grid and cutoff
+        common = dict(
+            experiment="solve", d=2, N=32, T=0.5, dt=1.0 / 128.0, data="smooth_random",
+            randomize_data=False, substep_near_zero=False, snapshot_cadence=16,
+            master_seed=21,
+        )
+        res_full, _ = run(tmp_path, "full", write_checkpoints=True, **common)
+        mid = next(c for c in res_full.summary["checkpoints"] if abs(c["time"] - 0.25) < 1e-12)
+        state, t, cutoff = load_checkpoint(res_full.output_dir / mid["file"])
+        v1 = tmp_path / "v1.nsrw"
+        v1.write_bytes(pack_v1(state, t, cutoff))
+        cfg2 = validate_config(ExperimentConfig(output_dir=str(tmp_path / "resumed"), **common))
+        res = run_experiment(cfg2, resume=str(v1))
+        gap = abs(res.summary["terminal_w_l2"] - res_full.summary["terminal_w_l2"])
+        assert gap <= 1e-12
+
+    def test_resume_refuses_checkpoint_of_another_run(self, tmp_path):
+        common = dict(
+            experiment="solve", d=2, N=32, T=0.25, dt=1.0 / 128.0, data="smooth_random",
+            randomize_data=False, substep_near_zero=False, snapshot_cadence=16,
+        )
+        res_full, _ = run(tmp_path, "full", write_checkpoints=True, master_seed=21, **common)
+        ckpt = str(res_full.output_dir / res_full.summary["checkpoints"][1]["file"])
+        for field, mine, theirs in (("master_seed", 21, 22), ("integrator", "ifrk4", "ifeuler")):
+            cfg2 = validate_config(ExperimentConfig(
+                output_dir=str(tmp_path / field), **{"master_seed": 21, **common, field: theirs}
+            ))
+            with pytest.raises(ValueError, match=f"'{field}' is {mine!r} in the checkpoint "
+                               f"and {theirs!r} in the config"):
+                run_experiment(cfg2, resume=ckpt)
+        # T and the snapshot cadence are not part of the fingerprint
+        cfg3 = validate_config(ExperimentConfig(
+            output_dir=str(tmp_path / "longer"),
+            **{**common, "T": 0.5, "snapshot_cadence": 4, "master_seed": 21},
+        ))
+        assert run_experiment(cfg3, resume=ckpt).status == 0
+
+    def test_killed_run_resumes_from_newest_checkpoint(self, tmp_path):
+        # checkpoints are written while the run goes on, each one atomically:
+        # a run killed after a few snapshots leaves complete files to resume
+        fields = dict(
+            d=2, N=32, T=4.0, dt=1.0 / 128.0, data="smooth_random", randomize_data=False,
+            substep_near_zero=False, snapshot_cadence=1, master_seed=21,
+        )
+        cfgfile = tmp_path / "solve.json"
+        cfgfile.write_text(json.dumps({**fields, "write_checkpoints": True}))
+        out = tmp_path / "killed"
+        env = dict(os.environ, PYTHONPATH=str(Path(nsrw.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nsrw.cli", "solve", "--config", str(cfgfile),
+             "--out", str(out)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while not (out / "checkpoint_0003.nsrw").exists():
+                assert proc.poll() is None, "solve exited before its fourth checkpoint"
+                assert time.monotonic() < deadline, "no fourth checkpoint within 60 s"
+                time.sleep(0.001)
+            proc.send_signal(signal.SIGKILL)
+        finally:
+            proc.kill()
+            status = proc.wait(timeout=30)
+        assert status == -signal.SIGKILL
+        assert not (out / "summary.json").exists()
+        newest = None
+        for path in sorted(out.glob("checkpoint_*.nsrw"), reverse=True):
+            try:
+                load_checkpoint(path)
+            except ValueError:
+                continue
+            newest = path
+            break
+        assert newest is not None and newest.name >= "checkpoint_0003.nsrw"
+        cfg = ExperimentConfig(experiment="solve", output_dir=str(tmp_path / "resumed"), **fields)
+        resumed = run_experiment(validate_config(cfg), resume=str(newest))
+        full, _ = run(tmp_path, "full", experiment="solve", **fields)
+        assert resumed.status == 0 and full.status == 0
+        gap = abs(resumed.summary["terminal_w_l2"] - full.summary["terminal_w_l2"])
+        assert gap <= 1e-12
+
     def test_resume_refuses_non_symmetric_state(self, tmp_path):
         common = dict(
             experiment="solve",
@@ -303,11 +425,12 @@ class TestResume:
         ckpt = sorted(res_full.output_dir.glob("checkpoint_*.nsrw"))[1]
         state, t, cutoff = load_checkpoint(ckpt)
         # perturb a coefficient of the mirrored half (last-axis index N-2)
-        # whose partner (1, 2) lies in the cutoff ball
+        # whose partner (1, 2) lies in the cutoff ball; only a version-1
+        # file, which holds the full spectrum, can carry that half
         state.data[0, -1, -2] += 1e-3 * np.abs(state.data).max()
         bad = tmp_path / "bad.nsrw"
-        save_checkpoint(state, t, cutoff, bad)
-        assert bad.stat().st_size == ckpt.stat().st_size
+        bad.write_bytes(pack_v1(state, t, cutoff))
+        assert bad.stat().st_size == 40 + 2 * 32**2 * 16
         cfg2 = validate_config(
             ExperimentConfig(**{**common, "output_dir": str(tmp_path / "resumed"),
                                 "write_checkpoints": False})

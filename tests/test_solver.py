@@ -293,9 +293,26 @@ class TestSolve:
             if nrm > 0:
                 assert l2_norm(multiplier(w, "divergence")) / nrm <= 1e-10
 
+    def test_snapshots_are_half_spectra(self, grid3):
+        # each snapshot is the half of the full spectrum it stands for, bit
+        # for bit, with exactly conjugate-symmetric planes 0 and N/2
+        f = smooth_random_field(grid3, seed=4, band=2)
+        cfg = SolverConfig(d=3, N=16, L=TWO_PI, cutoff=4.0, T=4.0 / 128.0, dt=1.0 / 128.0,
+                           substep_near_zero=False, snapshot_cadence=1)
+        seen = []
+        traj = solve(cfg, f, on_snapshot=lambda i, t, w: seen.append((i, t, w)))
+        half = grid3.half
+        assert [i for i, _, _ in seen] == list(range(5))
+        assert [t for _, t, _ in seen] == list(traj.times)
+        for (_, _, w), h, full in zip(seen, traj.w_half, traj.w_states):
+            assert w is h and h.shape == (3,) + half.shape
+            assert np.array_equal(h, half.cut(full.data))
+            assert half.plane_asymmetry(h) == 0.0
+        assert np.abs(traj.w_half[-1]).max() > 0
+
     def test_peak_memory_is_the_w_snapshots(self, grid3):
-        # the trajectory keeps its data and derives g, so a run holds one
-        # list of full-spectrum snapshots, not two
+        # the trajectory keeps its data and derives g, and keeps each w
+        # snapshot as a half spectrum: a run holds one list of half spectra
         f = smooth_random_field(grid3, seed=3, band=2)
         cfg = SolverConfig(d=3, N=16, L=TWO_PI, cutoff=4.0, T=40.0 / 128.0, dt=1.0 / 128.0,
                            substep_near_zero=False, snapshot_cadence=1)
@@ -306,8 +323,8 @@ class TestSolve:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert len(traj.w_states) == 41
-        w_bytes = sum(w.data.nbytes for w in traj.w_states)
+        assert len(traj.w_half) == 41
+        w_bytes = sum(w.nbytes for w in traj.w_half)
         assert peak <= 1.25 * w_bytes + 2**20
 
     def test_energy_inequality_randomized(self):
@@ -445,8 +462,9 @@ class TestReconstruct:
     def test_initial_snapshot_is_data(self, grid2_mid):
         f = smooth_random_field(grid2_mid, seed=14, band=2)
         traj = solve(config32(), f)
-        u_states = list(iter_u(traj))
-        assert np.abs(u_states[0].data - f.data).max() < 1e-14 * np.abs(f.data).max()
+        u_half = list(iter_u(traj))
+        want = grid2_mid.half.cut(f.data)
+        assert np.abs(u_half[0] - want).max() < 1e-14 * np.abs(f.data).max()
 
     def test_taylor_green_exact_solution(self):
         g = make_grid(2, 64, TWO_PI)
@@ -454,7 +472,7 @@ class TestReconstruct:
         cfg = SolverConfig(d=2, N=64, L=TWO_PI, cutoff=16.0, T=0.5, dt=1.0 / 64.0,
                            substep_near_zero=False, snapshot_cadence=8)
         traj = solve(cfg, f)
-        u_states = list(iter_u(traj))
+        u_half = list(iter_u(traj))
         t_end = float(traj.times[-1])
-        exact = np.exp(-2.0 * t_end) * f.data
-        assert np.abs(u_states[-1].data - exact).max() <= 1e-5 * np.abs(f.data).max()
+        exact = np.exp(-2.0 * t_end) * g.half.cut(f.data)
+        assert np.abs(u_half[-1] - exact).max() <= 1e-5 * np.abs(f.data).max()

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import TWO_PI, random_real_field, single_mode_field
 from nsrw.spectral import (
+    conjugate_asymmetry,
     conjugate_mirror,
     dealias,
     fourier_field,
@@ -339,6 +340,38 @@ def complex_transport_oracle(u):
             that = np.fft.fftn(phys.data[i] * phys.data[j], norm="ortho")
             div[i] += 1j * grid.axis_frequency(j) * that
     return leray_project(fourier_field(grid, div)).data
+
+
+def expand_oracle(h, grid):
+    """The full spectrum of the half array h as assembled before symmetrize
+    existed: mirror the half, then average planes 0 and N/2 with their
+    mirror images."""
+    n = grid.N // 2 + 1
+    full = np.zeros(h.shape[:-1] + (grid.N,), dtype=np.complex128)
+    full[..., :n] = h
+    mirror = conjugate_mirror(full, grid.d)
+    full[..., n:] = mirror[..., n:]
+    for plane in (0, n - 1):
+        full[..., plane] = 0.5 * (full[..., plane] + mirror[..., plane])
+    return full
+
+
+class TestHalfLattice:
+    @pytest.mark.parametrize("d, N", [(2, 16), (3, 16)])
+    def test_symmetrize_is_the_half_of_expand(self, d, N):
+        # an arbitrary complex half array: planes 0 and N/2 asymmetric
+        grid = make_grid(d, N, TWO_PI)
+        half = grid.half
+        rng = np.random.default_rng(d)
+        h = rng.standard_normal((d,) + half.shape) + 1j * rng.standard_normal((d,) + half.shape)
+        assert half.plane_asymmetry(h) > 0.1
+        sym = half.symmetrize(h)
+        full = half.expand(h)
+        assert np.array_equal(full, expand_oracle(h, grid))
+        assert np.array_equal(sym, half.cut(full))
+        assert np.array_equal(sym[..., 1:-1], h[..., 1:-1])
+        assert half.plane_asymmetry(sym) == 0.0
+        assert conjugate_asymmetry(full, d) == 0.0
 
 
 class TestProjectedTransport:
