@@ -12,7 +12,6 @@ from .spectral import (
     l2_norm,
     leray_project,
     linf_norm,
-    lp_norm,
     make_grid,
     multiplier,
     physical_field,

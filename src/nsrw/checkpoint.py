@@ -28,8 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .solver import _require_real_field
-from .spectral import FOURIER, HERMITIAN_RTOL, Grid, SpectralField, fourier_field, make_grid
+from .spectral import HERMITIAN_RTOL, Grid, fourier_field, make_grid
 
 MAGIC = b"NSRW"
 VERSION = 2
@@ -69,18 +68,6 @@ def save_checkpoint(grid: Grid, w_half: np.ndarray, t: float, cutoff: float,
         raise
 
 
-def save_field_checkpoint(field: SpectralField, t: float, cutoff: float,
-                          fingerprint: dict, path: str | Path) -> None:
-    """Write a full-spectrum state: its half, after refusing a field that is
-    not conjugate-symmetric (not a real field), whose other half the file
-    could not hold."""
-    if field.space != FOURIER:
-        raise ValueError("checkpoints store fourier-space states")
-    _require_real_field("checkpoint state", field)
-    grid = field.grid
-    save_checkpoint(grid, grid.half.cut(field.data), t, cutoff, fingerprint, path)
-
-
 def _check_fingerprint(found: dict, expected: dict):
     expected = json.loads(_canonical(expected))
     for key in sorted(set(found) | set(expected)):
@@ -100,7 +87,10 @@ def load_checkpoint(path: str | Path, expect_fingerprint: dict | None = None):
     refused, naming the first differing setting and both values. Version-1
     files carry no fingerprint and are not checked.
     """
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint: {exc}") from None
     if len(blob) < _HEADER.size:
         raise CheckpointError("checkpoint truncated: header incomplete")
     magic, version, d, N, L, t, cutoff = _HEADER.unpack_from(blob)

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .randomization import FAMILIES, RandomModel
 from .solver import INTEGRATORS, SolverConfig
@@ -56,7 +58,7 @@ class ExperimentConfig:
     r: float = 4.0
     # sampling and reporting
     monte_carlo_M: int = 1000
-    k_orders: list = field(default_factory=lambda: [0, 1])
+    k_orders: list[int] = field(default_factory=lambda: [0, 1])
     t_points_per_decade: int = 16
     output_dir: str = "out"
     workers: int = 1
@@ -104,15 +106,20 @@ class ExperimentConfig:
         return asdict(self)
 
 
-_FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
+# field name -> its annotation, the one place field types are written down
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
 
-_INT_FIELDS = (
-    "d", "N", "master_seed", "snapshot_cadence", "monte_carlo_M",
-    "t_points_per_decade", "workers",
-)
-_BOOL_FIELDS = (
-    "normalize_data", "randomize_data", "substep_near_zero", "write_checkpoints",
-)
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation: an int stands in for a
+    float, a bool only for a bool, null only in an optional field."""
+    if get_origin(hint) is UnionType:
+        return any(_fits(value, h) for h in get_args(hint))
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(v, get_args(hint)[0]) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def _fail(name: str, message: str):
@@ -191,27 +198,22 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = sorted(set(raw) - _FIELD_NAMES)
+    unknown = sorted(set(raw) - set(_FIELD_TYPES))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    kwargs = {}
     for name, value in raw.items():
-        if name in _INT_FIELDS:
-            if not isinstance(value, int) or isinstance(value, bool):
-                _fail(name, f"must be an integer, got {value!r}")
-        if name in _BOOL_FIELDS and not isinstance(value, bool):
-            _fail(name, f"must be a boolean, got {value!r}")
-        kwargs[name] = value
-    try:
-        cfg = ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    return validate_config(cfg)
+        if not _fits(value, _FIELD_TYPES[name]):
+            hint = ExperimentConfig.__annotations__[name]
+            _fail(name, f"must be of type {hint}, got {json.dumps(value)}")
+    return validate_config(ExperimentConfig(**raw))
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
     """Load, validate and default-fill a JSON config file."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -26,12 +26,7 @@ from .config import ExperimentConfig
 from .data import borderline_field, smooth_random_field, taylor_green
 from .diagnostics import condtg_check, dwdt_report, nse_residual
 from .heat import _condg_from_sweeps, check_linear_estimates, default_decay_time_grid
-from .randomization import (
-    hminus_s_norm,
-    randomize,
-    sample_coefficients,
-    verify_subgaussian,
-)
+from .randomization import hminus_s_norm, randomized, verify_subgaussian
 from .solver import iter_u, solve, stepping_lattice_size
 from .spectral import l2_norm, make_grid, ring_partition
 from .tails import _ordered_map, fit_gaussian_tail, monte_carlo_tails
@@ -108,12 +103,8 @@ def build_data_field(cfg: ExperimentConfig):
     )
 
 
-def _randomized_data(cfg: ExperimentConfig, grid, f, sample_index: int = 0):
-    if not cfg.randomize_data:
-        return f
-    part = ring_partition(grid)
-    model = cfg.random_model()
-    return randomize(f, sample_coefficients(model, part.max_ring, sample_index), part)
+def _randomized_data(cfg: ExperimentConfig, f):
+    return randomized(f, cfg.random_model(), 0) if cfg.randomize_data else f
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +117,9 @@ def _run_randomize(cfg: ExperimentConfig, workers: int, outdir: Path, resume: st
     model = cfg.random_model()
     base = hminus_s_norm(f, cfg.s)
     M = cfg.monte_carlo_M
-
-    def one(i: int) -> float:
-        f_om = randomize(f, sample_coefficients(model, part.max_ring, i), part)
-        return hminus_s_norm(f_om, cfg.s) / base
-
-    ratios = np.array(_ordered_map(one, M, workers))
+    ratios = np.array(_ordered_map(
+        lambda i: hminus_s_norm(randomized(f, model, i), cfg.s) / base, M, workers
+    ))
     report = verify_subgaussian(model, np.linspace(-10.0, 10.0, 200))
     occ = part.occupancy()
 
@@ -173,7 +161,7 @@ def _run_randomize(cfg: ExperimentConfig, workers: int, outdir: Path, resume: st
 
 def _run_heatflow(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | None):
     grid, f = build_data_field(cfg)
-    f_om = _randomized_data(cfg, grid, f)
+    f_om = _randomized_data(cfg, f)
     t_grid = default_decay_time_grid(grid, cfg.T, cfg.t_points_per_decade)
 
     summary = {"times": len(t_grid), "k_orders": list(cfg.k_orders)}
@@ -243,32 +231,18 @@ def _run_tails(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
         if fit.C2 <= 0:
             failures.append(f"tail exponent C2 {fit.C2} not positive")
     series = (["lambda", "empirical_prob"], [fit.lambda_grid, fit.empirical_prob])
-    mask = (fit.empirical_prob >= 5.0 / fit.M) & (fit.empirical_prob <= 0.5)
-    lam2 = fit.lambda_grid[mask] ** 2 / hnorm**2
-    logp = np.log(fit.empirical_prob[mask])
-    fitline = np.log(fit.C1) - fit.C2 * lam2
     plotdata = {
         "tail_fit": (
             ["lambda_sq_scaled", "log_prob", "fit"],
-            [lam2, logp, fitline],
+            [fit.fit_x, fit.fit_y, np.log(fit.C1) - fit.C2 * fit.fit_x],
         )
     }
     return summary, failures, series, plotdata, {}
 
 
-def _divergence_ratio_half(half, w_half: np.ndarray) -> float:
-    """|div w|_L2 / |w|_L2 of the real field whose half spectrum is w_half,
-    summed over the half lattice with its Parseval weights; 0/0 is 0."""
-    div = sum(k * c for k, c in zip(half.freqs, w_half))
-    den = float(np.sum(half.weight * np.abs(w_half) ** 2))
-    if den == 0.0:
-        return 0.0
-    return float(np.sqrt(np.sum(half.weight * np.abs(div) ** 2) / den))
-
-
 def _run_solve(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | None):
     grid, f = build_data_field(cfg)
-    f_om = _randomized_data(cfg, grid, f)
+    f_om = _randomized_data(cfg, f)
     sconf = cfg.solver_config()
     fingerprint = cfg.trajectory_fingerprint()
     resume_state = resume_time = None
@@ -298,7 +272,7 @@ def _run_solve(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
     log = traj.energy_log
     snap_idx = np.searchsorted(log.times, traj.times)
     w_l2 = np.sqrt(log.kinetic[snap_idx])
-    div_rel = np.array([_divergence_ratio_half(grid.half, w) for w in traj.w_half])
+    div_rel = np.array([grid.half.divergence_ratio(w) for w in traj.w_half])
     dwdt = dwdt_report(traj.times, traj.dwdt_hminus1, grid.d)
 
     f_l2 = l2_norm(f_om)
@@ -386,16 +360,13 @@ def _run_solve(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
 
 
 def _run_report(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | None):
-    grid, f = build_data_field(cfg)
-    part = ring_partition(grid)
+    _, f = build_data_field(cfg)
     model = cfg.random_model()
     M = cfg.monte_carlo_M
-
-    def one(i: int) -> float:
-        f_om = randomize(f, sample_coefficients(model, part.max_ring, i), part)
-        return condtg_check(f_om, cfg.s, cfg.gamma, cfg.T).lam
-
-    lams = np.array(_ordered_map(one, M, workers))
+    lams = np.array(_ordered_map(
+        lambda i: condtg_check(randomized(f, model, i), cfg.s, cfg.gamma, cfg.T).lam,
+        M, workers,
+    ))
     qlevels = [0.5, 0.75, 0.9, 0.95, 0.99, 0.995]
     quantiles = {f"q{int(q * 1000):03d}": float(np.quantile(lams, q)) for q in qlevels}
     summary = {

@@ -19,6 +19,7 @@ from .spectral import (
     SpectralField,
     fourier_field,
     mean_mode_magnitude,
+    ring_partition,
     sobolev_norm,
 )
 
@@ -101,6 +102,13 @@ def randomize(f: SpectralField, draw: CoefficientDraw, partition: RingPartition)
         )
     factors = draw.values[partition.index_of - 1]
     return fourier_field(f.grid, f.data * factors)
+
+
+def randomized(f: SpectralField, model: RandomModel, sample_index: int) -> SpectralField:
+    """Sample sample_index of the model's randomization of f on its grid's
+    ring partition: f_omega = sum_n l_n * (ring n piece of f)."""
+    part = ring_partition(f.grid)
+    return randomize(f, sample_coefficients(model, part.max_ring, sample_index), part)
 
 
 def hminus_s_norm(f: SpectralField, s: float) -> float:

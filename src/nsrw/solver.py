@@ -43,13 +43,11 @@ from .spectral import (
     Grid,
     SpectralField,
     conjugate_asymmetry,
-    divergence_ratio,
     fourier_field,
     friedrichs_cutoff,
     linf_norm,
     make_grid,
     mean_mode_magnitude,
-    projected_transport,
     projected_transport_half,
 )
 
@@ -248,8 +246,11 @@ def nonlinear_rhs(w: SpectralField, g: SpectralField, cutoff: float) -> Spectral
     if w.ncomp != grid.d or g.ncomp != grid.d:
         raise ValueError("nonlinear_rhs needs one component per dimension")
     _require_in_ball("fluctuation", w, cutoff)
-    u = w + friedrichs_cutoff(g, cutoff)
-    return -friedrichs_cutoff(projected_transport(u), cutoff)
+    half = grid.half
+    u = half.cut((w + friedrichs_cutoff(g, cutoff)).data)
+    return -friedrichs_cutoff(
+        fourier_field(grid, half.expand(projected_transport_half(u, grid))), cutoff
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +371,6 @@ class _Stepper:
         """A full N-grid spectrum's ball part on the stepping half lattice."""
         return self.lattice.embed(self.grid.half.cut(a)) * self.ball
 
-    def expand(self, h: np.ndarray) -> np.ndarray:
-        """The full N-grid spectrum of a stepping half-lattice array."""
-        return self.grid.half.expand(self.lattice.extract(h))
-
     def decay(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
         """(e^{-dt|xi|^2}, e^{-dt|xi|^2/2}), kept for the current dt only:
         ramp steps never repeat and the uniform steps share one pair."""
@@ -474,7 +471,7 @@ def step(state: SpectralField, t: float, dt: float, config: SolverConfig,
     out, _ = stepper.advance(stepper.embed(state.data), t, dt)
     if not np.all(np.isfinite(out)):
         raise StepFailureError(t)
-    return fourier_field(grid, stepper.expand(out))
+    return fourier_field(grid, grid.half.expand(stepper.lattice.extract(out)))
 
 
 def _require_real_field(name: str, f: SpectralField):
@@ -524,9 +521,9 @@ def solve(
         raise ValueError("solve expects fourier-space data")
     if mean_mode_magnitude(f_omega) != 0.0:
         raise ValueError("data must be mean-zero")
-    if divergence_ratio(f_omega) > 1e-8:
-        raise ValueError("data must be divergence-free")
     _require_real_field("data", f_omega)
+    if grid.half.divergence_ratio(grid.half.cut(f_omega.data)) > 1e-8:
+        raise ValueError("data must be divergence-free")
 
     stepper = _Stepper(grid, f_omega.data, config)
     if not config.disable_nonlinear:

@@ -45,16 +45,13 @@ __all__ = [
     "leray_project",
     "multiplier",
     "dealias",
-    "projected_transport",
     "projected_transport_half",
     "HERMITIAN_RTOL",
     "conjugate_mirror",
     "conjugate_asymmetry",
     "l2_norm",
-    "lp_norm",
     "linf_norm",
     "sobolev_norm",
-    "divergence_ratio",
 ]
 
 
@@ -207,6 +204,15 @@ class HalfLattice:
             for p in (h[..., 0], h[..., self.shape[-1] - 1])
         )
         return float(worst / scale)
+
+    def divergence_ratio(self, h: np.ndarray) -> float:
+        """|div u|_L2 / |u|_L2 of the real field u whose half spectrum is h,
+        summed over the half lattice with its Parseval weights; 0/0 is 0."""
+        div = sum(k * c for k, c in zip(self.freqs, h))
+        den = float(np.sum(self.weight * np.abs(h) ** 2))
+        if den == 0.0:
+            return 0.0
+        return float(np.sqrt(np.sum(self.weight * np.abs(div) ** 2) / den))
 
     def expand(self, h: np.ndarray) -> np.ndarray:
         """The conjugate-symmetric full-lattice array whose half is
@@ -497,17 +503,6 @@ def dealias(f: SpectralField) -> SpectralField:
     return fourier_field(f.grid, f.data * f.grid.dealias_keep)
 
 
-def projected_transport(u: SpectralField) -> SpectralField:
-    """P div(u x u) of a real field u, on the full lattice.
-
-    Only the half spectrum of u is read (for a real field the rest is its
-    conjugate mirror); the result is projected_transport_half expanded to
-    the full lattice, exactly conjugate-symmetric, zero on the Nyquist rows.
-    """
-    half = u.grid.half
-    return fourier_field(u.grid, half.expand(projected_transport_half(half.cut(u.data), u.grid)))
-
-
 def projected_transport_half(uh: np.ndarray, grid: Grid) -> np.ndarray:
     """P div(u x u) on the rfft half lattice, for the real field u whose half
     spectrum is uh, shape (d,) + grid.half.shape.
@@ -552,21 +547,10 @@ def l2_norm(f: SpectralField) -> float:
     return float(np.sqrt(f.grid.cell_volume * np.sum(np.abs(f.data) ** 2)))
 
 
-def _pointwise_magnitude(f: SpectralField) -> np.ndarray:
-    phys = as_physical(f)
-    return np.sqrt(np.sum(np.abs(phys.data) ** 2, axis=0))
-
-
-def lp_norm(f: SpectralField, p: float) -> float:
-    """Physical-space L^p norm of the pointwise Euclidean magnitude."""
-    mag = _pointwise_magnitude(f)
-    if np.isinf(p):
-        return float(mag.max())
-    return float((f.grid.cell_volume * np.sum(mag**p)) ** (1.0 / p))
-
-
 def linf_norm(f: SpectralField) -> float:
-    return lp_norm(f, np.inf)
+    """Physical-space maximum of the pointwise Euclidean magnitude."""
+    phys = as_physical(f)
+    return float(np.sqrt(np.sum(np.abs(phys.data) ** 2, axis=0)).max())
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:
@@ -578,11 +562,3 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
     fh = as_fourier(f)
     w = (1.0 + fh.grid.ksq) ** s
     return float(np.sqrt(fh.grid.cell_volume * np.sum(w * np.abs(fh.data) ** 2)))
-
-
-def divergence_ratio(f: SpectralField) -> float:
-    """|div f|_L2 / |f|_L2, with 0/0 reported as 0."""
-    fh = as_fourier(f)
-    num = l2_norm(multiplier(fh, "divergence"))
-    den = l2_norm(fh)
-    return num / den if den > 0 else 0.0

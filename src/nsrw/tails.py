@@ -18,13 +18,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .heat import _heat_norms
-from .randomization import (
-    RandomModel,
-    hminus_s_norm,
-    randomize,
-    sample_coefficients,
-)
-from .spectral import FOURIER, SpectralField, ring_partition
+from .randomization import RandomModel, hminus_s_norm, randomized
+from .spectral import FOURIER, SpectralField
 
 __all__ = [
     "NormSpec",
@@ -141,21 +136,16 @@ def sample_space_time_norms(
     M: int,
     time_grid: np.ndarray | None = None,
     workers: int = 1,
-    sample_offset: int = 0,
 ) -> np.ndarray:
     """Space-time norms of M randomizations, in sample-index order.
 
     Each sample derives its own counter stream, so the result is identical
     for any worker count.
     """
-    part = ring_partition(f.grid)
     times = default_time_grid(spec.T) if time_grid is None else np.asarray(time_grid, float)
-
-    def one(i: int) -> float:
-        draw = sample_coefficients(model, part.max_ring, sample_offset + i)
-        return space_time_norm(randomize(f, draw, part), spec, times)
-
-    return np.array(_ordered_map(one, M, workers))
+    return np.array(_ordered_map(
+        lambda i: space_time_norm(randomized(f, model, i), spec, times), M, workers
+    ))
 
 
 @dataclass(frozen=True)
@@ -163,7 +153,8 @@ class TailFitResult:
     """Empirical tail of the ensemble with its Gaussian-exponent fit.
 
     The fit is log P(lambda) = log C1 - C2 * lambda^2 / hnorm^2 over the
-    grid points whose empirical probability lies in [5/M, 0.5].
+    grid points whose empirical probability lies in [5/M, 0.5]; fit_x and
+    fit_y are that window's lambda^2 / hnorm^2 and log P.
     """
 
     lambda_grid: np.ndarray
@@ -173,6 +164,8 @@ class TailFitResult:
     r_squared: float
     M: int
     samples: np.ndarray
+    fit_x: np.ndarray
+    fit_y: np.ndarray
 
     def __post_init__(self):
         if np.any(np.diff(self.empirical_prob) > 0):
@@ -218,6 +211,8 @@ def fit_gaussian_tail(
         r_squared=float(r2),
         M=M,
         samples=values,
+        fit_x=x,
+        fit_y=y,
     )
 
 

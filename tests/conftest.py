@@ -8,6 +8,7 @@ from nsrw.spectral import (
     leray_project,
     make_grid,
     physical_field,
+    projected_transport_half,
     transform,
     zero_mean,
     zero_nyquist,
@@ -37,6 +38,13 @@ def single_mode_field(grid, mode, amplitudes):
     for c, a in enumerate(amplitudes):
         f[(c,) + idx] = a
     return fourier_field(grid, f)
+
+
+def full_transport(u):
+    """P div(u x u) of the real field u on the full lattice: the half-lattice
+    kernel on u's half spectrum, expanded."""
+    half = u.grid.half
+    return half.expand(projected_transport_half(half.cut(u.data), u.grid))
 
 
 def pack_v1(field, t, cutoff):

@@ -10,12 +10,7 @@ import pytest
 
 import nsrw
 from conftest import TWO_PI, pack_v1, random_divfree_field
-from nsrw.checkpoint import (
-    CheckpointError,
-    load_checkpoint,
-    save_checkpoint,
-    save_field_checkpoint,
-)
+from nsrw.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from nsrw.cli import build_parser, main
 from nsrw.config import (
     EXPERIMENTS,
@@ -133,18 +128,17 @@ class TestCheckpoint:
         for grid in (grid2, grid3):
             f = real_state(grid, seed=1)
             path = tmp_path / f"state{grid.d}.nsrw"
-            save_field_checkpoint(f, 0.375, 4.0, FINGERPRINT, path)
+            h = grid.half.cut(f.data)
+            save_checkpoint(grid, h, 0.375, 4.0, FINGERPRINT, path)
             g, t, cutoff = load_checkpoint(path, FINGERPRINT)
             assert t == 0.375 and cutoff == 4.0
             assert g.grid == f.grid
+            # the full spectrum comes back bit for bit, and so does its half
             assert np.array_equal(g.data, f.data)
-            # the half array the solver writes comes back bit for bit
-            h = grid.half.cut(f.data)
-            save_checkpoint(grid, h, 0.375, 4.0, FINGERPRINT, path)
-            assert np.array_equal(grid.half.cut(load_checkpoint(path)[0].data), h)
+            assert np.array_equal(grid.half.cut(g.data), h)
             # and the file itself is stable: saving again is byte-identical
             path2 = tmp_path / f"again{grid.d}.nsrw"
-            save_field_checkpoint(f, 0.375, 4.0, FINGERPRINT, path2)
+            save_checkpoint(grid, h, 0.375, 4.0, FINGERPRINT, path2)
             assert path.read_bytes() == path2.read_bytes()
         assert not list(tmp_path.glob(".*.tmp"))
 
@@ -157,18 +151,10 @@ class TestCheckpoint:
         assert (t, cutoff) == (0.25, 4.0)
         assert np.array_equal(g.data, f.data)
 
-    def test_helper_refuses_asymmetric_field(self, tmp_path, grid2):
-        f = real_state(grid2, seed=7)
-        f.data[0, 1, 2] *= 1j
-        path = tmp_path / "state.nsrw"
-        with pytest.raises(ValueError, match="not conjugate-symmetric"):
-            save_field_checkpoint(f, 0.0, 4.0, FINGERPRINT, path)
-        assert not path.exists() and not list(tmp_path.iterdir())
-
     def test_refuses_v2_payload_asymmetric_on_plane_zero(self, tmp_path, grid2):
         f = real_state(grid2, seed=8)
         path = tmp_path / "state.nsrw"
-        save_field_checkpoint(f, 0.0, 4.0, FINGERPRINT, path)
+        save_checkpoint(grid2, grid2.half.cut(f.data), 0.0, 4.0, FINGERPRINT, path)
         blob = bytearray(path.read_bytes())
         payload = len(blob) - 2 * 16 * 9 * 16
         # component 0, mode (1, 0): last-axis plane 0, mirror partner (-1, 0)
@@ -180,7 +166,8 @@ class TestCheckpoint:
 
     def test_fingerprint_mismatch_names_field(self, tmp_path, grid2):
         path = tmp_path / "state.nsrw"
-        save_field_checkpoint(real_state(grid2, seed=9), 0.0, 4.0, FINGERPRINT, path)
+        f = real_state(grid2, seed=9)
+        save_checkpoint(grid2, grid2.half.cut(f.data), 0.0, 4.0, FINGERPRINT, path)
         load_checkpoint(path, FINGERPRINT)
         with pytest.raises(CheckpointError, match="'master_seed' is 7 in the checkpoint "
                            "and 8 in the config"):
@@ -189,7 +176,7 @@ class TestCheckpoint:
     def test_corrupt_magic(self, tmp_path, grid2):
         f = real_state(grid2, seed=2)
         path = tmp_path / "state.nsrw"
-        save_field_checkpoint(f, 0.0, 4.0, FINGERPRINT, path)
+        save_checkpoint(grid2, grid2.half.cut(f.data), 0.0, 4.0, FINGERPRINT, path)
         blob = bytearray(path.read_bytes())
         blob[:4] = b"XXXX"
         path.write_bytes(bytes(blob))
@@ -199,7 +186,7 @@ class TestCheckpoint:
     def test_version_mismatch(self, tmp_path, grid2):
         f = real_state(grid2, seed=3)
         path = tmp_path / "state.nsrw"
-        save_field_checkpoint(f, 0.0, 4.0, FINGERPRINT, path)
+        save_checkpoint(grid2, grid2.half.cut(f.data), 0.0, 4.0, FINGERPRINT, path)
         blob = bytearray(path.read_bytes())
         blob[4] = 99
         path.write_bytes(bytes(blob))
@@ -209,7 +196,7 @@ class TestCheckpoint:
     def test_truncated_payload(self, tmp_path, grid2):
         f = real_state(grid2, seed=4)
         path = tmp_path / "state.nsrw"
-        save_field_checkpoint(f, 0.0, 4.0, FINGERPRINT, path)
+        save_checkpoint(grid2, grid2.half.cut(f.data), 0.0, 4.0, FINGERPRINT, path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 16])
         with pytest.raises(CheckpointError, match="truncated"):
@@ -221,7 +208,7 @@ class TestCheckpoint:
         # spectrum (d, N, N/2 + 1) as complex128, all little-endian
         f = real_state(grid2, seed=5)
         path = tmp_path / "state.nsrw"
-        save_field_checkpoint(f, 1.5, 4.0, FINGERPRINT, path)
+        save_checkpoint(grid2, grid2.half.cut(f.data), 1.5, 4.0, FINGERPRINT, path)
         blob = path.read_bytes()
         magic, version, d, N, L, t, n = struct.unpack_from("<4sIIIddd", blob)
         assert magic == b"NSRW" and version == 2
@@ -274,6 +261,41 @@ class TestCli:
     def test_invalid_config_exit_code(self, tmp_path):
         cfgfile = write_config(tmp_path, d=3, s=0.3)
         assert main(["solve", "--config", str(cfgfile)]) == 2
+
+    @pytest.mark.parametrize("name, value", [
+        ("T", "1"),
+        ("T", True),
+        ("s", None),
+        ("k_orders", 5),
+        ("k_orders", [True]),
+        ("cutoff", "4"),
+        ("output_dir", 3),
+    ])
+    def test_wrong_field_type_exit_code(self, tmp_path, capsys, name, value):
+        cfgfile = write_config(tmp_path, d=2, N=16, **{name: value})
+        out = tmp_path / "out"
+        status = main(["randomize", "--config", str(cfgfile), "--M", "1", "--out", str(out)])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field {name!r}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_missing_config_exit_code(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["solve", "--config", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "missing.json" in err
+
+    def test_missing_checkpoint_exit_code(self, tmp_path, capsys):
+        cfgfile = write_config(tmp_path, d=2, N=16, T=0.25, dt=0.015625)
+        missing = tmp_path / "missing.nsrw"
+        status = main(["solve", "--config", str(cfgfile), "--out", str(tmp_path / "out"),
+                       "--resume", str(missing)])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "missing.nsrw" in err
 
     def test_step_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         import nsrw.experiments as experiments

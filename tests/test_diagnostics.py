@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, random_divfree_field, random_real_field
+from conftest import TWO_PI, full_transport, random_divfree_field, random_real_field
 from nsrw.data import borderline_field, smooth_random_field, taylor_green
 from nsrw.diagnostics import condtg_check, dwdt_norm, nse_residual
 from nsrw.heat import heat_semigroup
@@ -11,7 +11,6 @@ from nsrw.spectral import (
     friedrichs_cutoff,
     l2_norm,
     make_grid,
-    projected_transport,
     ring_partition,
     zeros_field,
 )
@@ -49,7 +48,7 @@ def full_lattice_residual_oracle(times, u_states, include_nonlinear=True):
         um = 0.5 * (u1 + u2)
         resid = (u2.data - u1.data) / h + grid.ksq * um.data
         if include_nonlinear:
-            resid = resid + projected_transport(um).data
+            resid = resid + full_transport(um)
         mids.append(times[j] + 0.5 * h)
         vals.append(np.sqrt(vol * np.sum(weight * np.abs(resid) ** 2)))
     return np.array(mids), np.array(vals)

@@ -180,7 +180,7 @@ class TestArtifacts:
         )
         grid, f = build_data_field(cfg)
         t_grid = default_decay_time_grid(grid, cfg.T, cfg.t_points_per_decade)
-        cg = condg_check(_randomized_data(cfg, grid, f), cfg.s, t_grid)
+        cg = condg_check(_randomized_data(cfg, f), cfg.s, t_grid)
         summary = json.loads((res.output_dir / "summary.json").read_text())
         got = [summary[k] for k in ("condg_sup_l2", "condg_sup_linf_k0", "condg_sup_linf_k1")]
         np.testing.assert_allclose(got, [cg.sup_l2, cg.sup_linf[0], cg.sup_linf[1]], rtol=1e-12)

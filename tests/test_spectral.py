@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, random_real_field, single_mode_field
+from conftest import TWO_PI, full_transport, random_real_field, single_mode_field
 from nsrw.spectral import (
     conjugate_asymmetry,
     conjugate_mirror,
@@ -15,7 +15,6 @@ from nsrw.spectral import (
     make_grid,
     multiplier,
     physical_field,
-    projected_transport,
     ring_index,
     ring_partition,
     ring_project,
@@ -374,6 +373,27 @@ class TestHalfLattice:
         assert conjugate_asymmetry(full, d) == 0.0
 
 
+class TestDivergenceRatio:
+    @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
+    def test_half_lattice_matches_full_lattice(self, d, N):
+        # random real fields with Nyquist content on the last axis, which the
+        # half lattice stores as its own plane N/2. The leading axes' Nyquist
+        # rows are zeroed: there the full lattice's symbol i xi takes
+        # xi = -N/2 on both mirror sides, so it is not odd and the two sums
+        # differ (by about 1e-3 relative for these fields).
+        grid = make_grid(d, N, TWO_PI)
+        half = grid.half
+        for seed in range(4):
+            f = random_real_field(grid, seed=60 + seed)
+            for ax in range(d - 1):
+                f.data[(slice(None),) * (ax + 1) + (N // 2,)] = 0.0
+            assert np.abs(f.data[..., N // 2]).max() > 1.0
+            want = l2_norm(multiplier(f, "divergence")) / l2_norm(f)
+            assert half.divergence_ratio(half.cut(f.data)) == pytest.approx(want, rel=1e-12)
+        # 0/0 is 0
+        assert half.divergence_ratio(np.zeros((d,) + half.shape, dtype=np.complex128)) == 0.0
+
+
 class TestProjectedTransport:
     @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
     def test_matches_complex_oracle(self, d, N):
@@ -381,7 +401,7 @@ class TestProjectedTransport:
         # hold aliasing only and are zero in the half-lattice kernel
         grid = make_grid(d, N, TWO_PI)
         u = random_real_field(grid, seed=50 + d)
-        got = projected_transport(u).data
+        got = full_transport(u)
         want = complex_transport_oracle(u)
         off = ~grid.nyquist_mask
         scale = np.abs(want[:, off]).max()

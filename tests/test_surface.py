@@ -1,9 +1,11 @@
 """Every exported name is used by the program or its benchmark.
 
-A name in a module's __all__ needs a caller in src/nsrw/*.py or
-perfbench/*.py: a Name, an Attribute or an ImportFrom alias that refers to
-it. The package's __init__ re-exports names and does not count. A name
-kept only for the tests is listed in ORACLES with the reason it stays.
+A module exports every name in its __all__ and every public (not
+underscored) top-level function and class, whether or not it has an
+__all__. Each needs a caller in src/nsrw/*.py or perfbench/*.py: a Name,
+an Attribute or an ImportFrom alias that refers to it. The package's
+__init__ re-exports names and does not count. A name kept only for the
+tests is listed in ORACLES with the reason it stays.
 """
 
 import ast
@@ -24,12 +26,18 @@ ORACLES = {
     "ring_index": "criterion-1 operator: the ring label of each lattice mode",
     "ring_project": "criterion-1 operator: one ring's piece of a field",
     "dealias": "criterion-1 operator: the 2/3-rule truncation",
+    "multiplier": "criterion-1 operator: the gradient, divergence, fractional-Laplacian "
+                  "and bracket symbols",
+    "serialize_config": "the parse -> serialize -> parse identity of the config schema",
+    "coefficient_matrix": "the vectorised draws behind the acceptance statistics, "
+                          "row i bit-identical to sample i",
     "moment_bound_check": "the paper's moment bound; no verb reads the config field r yet",
 }
 
 
 def _exports() -> dict:
-    """name -> module file for every entry of every module's __all__."""
+    """name -> module file for every entry of every module's __all__ and
+    every public top-level function and class."""
     out = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -38,6 +46,8 @@ def _exports() -> dict:
             ):
                 for name in ast.literal_eval(node.value):
                     out[name] = path.name
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                out[node.name] = path.name
     return out
 
 
