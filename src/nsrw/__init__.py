@@ -36,7 +36,6 @@ from .tails import (
     NormSpec,
     TailFitResult,
     check_admissible,
-    monte_carlo_tails,
     moment_bound_check,
     space_time_norm,
 )

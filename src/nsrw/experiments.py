@@ -1,9 +1,9 @@
 """Experiment orchestration and artifact emission.
 
 Each experiment writes series.csv, summary.json, plotdata/*.tsv and a
-meta.json (timestamps, execution environment and, for a solve, per-phase
-wall seconds and counters) under the configured output directory, and
-nothing anywhere else; a solve with write_checkpoints also writes each
+meta.json (timestamps, execution environment and, for solve, heatflow
+and tails, per-phase wall seconds and counters) under the configured
+output directory, and nothing anywhere else; a solve with write_checkpoints also writes each
 snapshot's checkpoint there as the snapshot is taken. summary.json and
 series.csv are byte-deterministic for a fixed config and seed,
 independent of the worker count: every Monte Carlo sample derives its own
@@ -29,7 +29,7 @@ from .heat import _condg_from_sweeps, check_linear_estimates, default_decay_time
 from .randomization import hminus_s_norm, randomized, verify_subgaussian
 from .solver import iter_u, solve, stepping_lattice_size
 from .spectral import l2_norm, make_grid, ring_partition
-from .tails import _ordered_map, fit_gaussian_tail, monte_carlo_tails
+from .tails import _ordered_map, default_time_grid, fit_gaussian_tail, sample_space_time_norms
 
 ENERGY_TOL = 1e-8
 DIVERGENCE_TOL = 1e-10
@@ -169,10 +169,10 @@ def _run_heatflow(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str
     names = ["time"]
     columns = [t_grid]
     # condg is read off the k = 0 and k = 1 sweeps, so those always run
-    reports = {
-        k: check_linear_estimates(f_om, cfg.s, k, t_grid)
-        for k in sorted(set(cfg.k_orders) | {0, 1})
-    }
+    swept = sorted(set(cfg.k_orders) | {0, 1})
+    started = time.perf_counter()
+    reports = {k: check_linear_estimates(f_om, cfg.s, k, t_grid) for k in swept}
+    sweeps_s = time.perf_counter() - started
     for k in cfg.k_orders:
         rep = reports[k]
         target = -(cfg.s + k) / 2.0
@@ -205,15 +205,30 @@ def _run_heatflow(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str
             [cg.times, cg.l2_ratios, cg.linf_ratios[0], cg.linf_ratios[1]],
         )
     }
-    return summary, failures, (names, columns), plotdata, {}
+    # each decay time transforms every component of every order-k
+    # derivative (d^k of them) once
+    meta = {
+        "phase_seconds": {"sweeps": sweeps_s},
+        "counters": {
+            "decay_times": len(t_grid),
+            "field_transforms": len(t_grid) * sum(grid.d**k for k in swept) * f_om.ncomp,
+        },
+    }
+    return summary, failures, (names, columns), plotdata, meta
 
 
 def _run_tails(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | None):
     grid, f = build_data_field(cfg)
     model = cfg.random_model()
     spec = cfg.norm_spec()
-    fit = monte_carlo_tails(f, model, spec, cfg.monte_carlo_M, workers=workers)
+    times = default_time_grid(spec.T)
+    started = time.perf_counter()
+    samples = sample_space_time_norms(f, model, spec, cfg.monte_carlo_M, times, workers)
+    samples_s = time.perf_counter() - started
     hnorm = hminus_s_norm(f, cfg.s)
+    started = time.perf_counter()
+    fit = fit_gaussian_tail(samples, hnorm)
+    fit_s = time.perf_counter() - started
     summary = {
         "C1": fit.C1,
         "C2": fit.C2,
@@ -237,7 +252,11 @@ def _run_tails(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
             [fit.fit_x, fit.fit_y, np.log(fit.C1) - fit.C2 * fit.fit_x],
         )
     }
-    return summary, failures, series, plotdata, {}
+    meta = {
+        "phase_seconds": {"samples": samples_s, "fit": fit_s},
+        "counters": {"samples": cfg.monte_carlo_M, "time_points": times.size},
+    }
+    return summary, failures, series, plotdata, meta
 
 
 def _run_solve(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | None):
@@ -401,10 +420,18 @@ def run_experiment(cfg: ExperimentConfig, resume: str | None = None) -> Experime
         raise ValueError(f"no experiment selected (got {cfg.experiment!r})")
     workers = resolve_workers(cfg)
     outdir = Path(cfg.output_dir)
+    # made before the runner, which may write checkpoints into it as it goes
+    created = not outdir.exists()
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
 
-    summary, failures, series, plotdata, run_meta = runner(cfg, workers, outdir, resume)
+    try:
+        summary, failures, series, plotdata, run_meta = runner(cfg, workers, outdir, resume)
+    except BaseException:
+        # an input the runner refused leaves no empty directory behind
+        if created and not any(outdir.iterdir()):
+            outdir.rmdir()
+        raise
 
     # workers and output_dir are execution environment, not experiment
     # identity: they live in meta.json so summaries stay byte-reproducible

@@ -106,7 +106,9 @@ def _fit_loglog_slope(times: np.ndarray, values: np.ndarray, window: tuple[float
 
 # A table of up to 4M entries (32 MB) is kept: the Monte Carlo table, reused
 # by every sample (385 x 64*33 at d=2 N=64), stays; the heatflow table at
-# d=3 N=64 (43 x 64*64*33, 46 MiB), used by a few sweeps, is streamed.
+# d=3 N=64 (43 x 64*64*33, 46 MiB), used by a few sweeps, is streamed one
+# time block at a time. Either way one decay block per time block is shared
+# by all the symbols of a sweep.
 _DECAY_CACHE: dict = {}
 _DECAY_CACHE_MAX_ELEMS = 4_000_000
 # field elements per block of times: 48 times of a two-component d=2 N=64 field
@@ -136,43 +138,70 @@ def _heat_norms(f: SpectralField, symbols: list, times: np.ndarray, p: float) ->
     F stacks symbol * component for every symbol (arrays broadcastable to
     the grid). One symbol's components are transformed at a time and the
     pointwise |.|^2 accumulated, so the whole stack is never held. Rows
-    that are conjugate-symmetric take a half-spectrum irfft path; the test
-    is made per symbol, since a derivative symbol breaks the symmetry on
-    the Nyquist rows of symmetric data.
+    that are conjugate-symmetric take a half-spectrum path; the test is
+    made per symbol, since a derivative symbol breaks the symmetry on the
+    Nyquist rows of symmetric data.
+
+    The half-spectrum path runs in work arrays allocated once per call and
+    reused for every time block and symbol: the data and each symbol are
+    cut to the half lattice once, one decay block per time block serves
+    all symbols, and the block is inverse-transformed axis by axis in
+    place (ifft over the leading axes, then irfft into the real block),
+    the same 1-D transforms irfftn runs, so the bits match it. The
+    buffers belong to the call, not the module: tails workers run sweeps
+    on several threads at once.
     """
     g = f.grid
     axes = tuple(range(2, 2 + g.d))
     sp = tuple(range(1, 1 + g.d))
     vol = g.cell_volume
-    ksq_h = g.half.ksq
     hermitian = [conjugate_asymmetry(f.data * sym, g.d) <= HERMITIAN_RTOL for sym in symbols]
-    cached = _half_decay(g, times) if any(hermitian) else None
     chunk = max(1, _BLOCK_ELEMS // (f.ncomp * g.ksq.size))
+    rows = min(chunk, times.size)
     out = np.empty(times.size)
+    msq = np.empty((rows,) + g.shape)
+    syms_h = [None] * len(symbols)
+    any_half = any(hermitian)
+    if any_half:
+        half = g.half
+        syms_h = [half.cut(sym) if herm else None for sym, herm in zip(symbols, hermitian)]
+        cached = _half_decay(g, times)
+        base = half.cut(f.data)
+        fs = np.empty_like(base)
+        block = np.empty((rows, f.ncomp) + half.shape, dtype=np.complex128)
+        real = np.empty((rows, f.ncomp) + g.shape)
 
     for lo in range(0, times.size, chunk):
         tt = times[lo : lo + chunk]
-        msq = 0.0
-        for sym, herm in zip(symbols, hermitian):
-            if herm:
-                if cached is not None:
-                    decay = cached[lo : lo + tt.size]
-                else:
-                    decay = np.exp(-tt.reshape((-1,) + (1,) * g.d) * ksq_h[None])
-                base_h = g.half.cut(f.data)
-                base_h *= g.half.cut(sym)
-                block = np.fft.irfftn(
-                    base_h[None] * decay[:, None], s=g.shape, axes=axes, norm="ortho"
-                )
-                msq = msq + np.sum(block * block, axis=1)
+        n = tt.size
+        acc = msq[:n]
+        acc.fill(0.0)
+        if any_half:
+            if cached is not None:
+                decay = cached[lo : lo + n]
             else:
-                decay = np.exp(-tt.reshape((-1, 1) + (1,) * g.d) * g.ksq[None, None])
-                block = np.fft.ifftn((f.data * sym)[None] * decay, axes=axes, norm="ortho")
-                msq = msq + np.sum(np.abs(block) ** 2, axis=1)
+                decay = np.exp(-tt.reshape((-1,) + (1,) * g.d) * half.ksq[None])
+            hb, rb = block[:n], real[:n]
+        for sym, sym_h in zip(symbols, syms_h):
+            if sym_h is not None:
+                np.multiply(base, sym_h, out=fs)
+                np.multiply(fs[None], decay[:, None], out=hb)
+                for ax in axes[:-1]:
+                    np.fft.ifft(hb, axis=ax, norm="ortho", out=hb)
+                np.fft.irfft(hb, n=g.N, axis=axes[-1], norm="ortho", out=rb)
+                np.multiply(rb, rb, out=rb)
+                # components in order, the grouping np.sum(axis=1) uses
+                for c in range(1, f.ncomp):
+                    rb[:, 0] += rb[:, c]
+                acc += rb[:, 0]
+            else:
+                decay_full = np.exp(-tt.reshape((-1, 1) + (1,) * g.d) * g.ksq[None, None])
+                full = np.fft.ifftn((f.data * sym)[None] * decay_full, axes=axes, norm="ortho")
+                acc += np.sum(np.abs(full) ** 2, axis=1)
         if np.isinf(p):
-            out[lo : lo + tt.size] = np.sqrt(np.max(msq, axis=sp))
+            out[lo : lo + n] = np.sqrt(np.max(acc, axis=sp))
         else:
-            out[lo : lo + tt.size] = (vol * np.sum(msq ** (p / 2.0), axis=sp)) ** (1.0 / p)
+            out[lo : lo + n] = (vol * np.sum(acc ** (p / 2.0), axis=sp)) ** (1.0 / p)
     return out
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "space_time_norm",
     "sample_space_time_norms",
     "fit_gaussian_tail",
-    "monte_carlo_tails",
     "moment_bound_check",
 ]
 
@@ -214,20 +213,6 @@ def fit_gaussian_tail(
         fit_x=x,
         fit_y=y,
     )
-
-
-def monte_carlo_tails(
-    f: SpectralField,
-    model: RandomModel,
-    spec: NormSpec,
-    M: int,
-    lambda_grid: np.ndarray | None = None,
-    time_grid: np.ndarray | None = None,
-    workers: int = 1,
-) -> TailFitResult:
-    """Draw M randomizations, tabulate P(norm >= lambda), fit the exponent."""
-    values = sample_space_time_norms(f, model, spec, M, time_grid, workers)
-    return fit_gaussian_tail(values, hminus_s_norm(f, spec.s), lambda_grid)
 
 
 def moment_bound_check(

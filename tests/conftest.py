@@ -3,7 +3,11 @@ import struct
 import numpy as np
 import pytest
 
+from nsrw.heat import _BLOCK_ELEMS, _half_decay
+from nsrw.randomization import hminus_s_norm
 from nsrw.spectral import (
+    HERMITIAN_RTOL,
+    conjugate_asymmetry,
     fourier_field,
     leray_project,
     make_grid,
@@ -13,6 +17,7 @@ from nsrw.spectral import (
     zero_mean,
     zero_nyquist,
 )
+from nsrw.tails import fit_gaussian_tail, sample_space_time_norms
 
 TWO_PI = 2.0 * np.pi
 
@@ -45,6 +50,53 @@ def full_transport(u):
     kernel on u's half spectrum, expanded."""
     half = u.grid.half
     return half.expand(projected_transport_half(half.cut(u.data), u.grid))
+
+
+def heat_norms_oracle(f, symbols, times, p):
+    """|e^{tD} F|_{L^p} for every t: the straightforward sweep, with fresh
+    arrays, a decay block per symbol and irfftn, that heat._heat_norms must
+    reproduce bit for bit."""
+    g = f.grid
+    axes = tuple(range(2, 2 + g.d))
+    sp = tuple(range(1, 1 + g.d))
+    vol = g.cell_volume
+    ksq_h = g.half.ksq
+    hermitian = [conjugate_asymmetry(f.data * sym, g.d) <= HERMITIAN_RTOL for sym in symbols]
+    cached = _half_decay(g, times) if any(hermitian) else None
+    chunk = max(1, _BLOCK_ELEMS // (f.ncomp * g.ksq.size))
+    out = np.empty(times.size)
+
+    for lo in range(0, times.size, chunk):
+        tt = times[lo : lo + chunk]
+        msq = 0.0
+        for sym, herm in zip(symbols, hermitian):
+            if herm:
+                if cached is not None:
+                    decay = cached[lo : lo + tt.size]
+                else:
+                    decay = np.exp(-tt.reshape((-1,) + (1,) * g.d) * ksq_h[None])
+                base_h = g.half.cut(f.data)
+                base_h *= g.half.cut(sym)
+                block = np.fft.irfftn(
+                    base_h[None] * decay[:, None], s=g.shape, axes=axes, norm="ortho"
+                )
+                msq = msq + np.sum(block * block, axis=1)
+            else:
+                decay = np.exp(-tt.reshape((-1, 1) + (1,) * g.d) * g.ksq[None, None])
+                block = np.fft.ifftn((f.data * sym)[None] * decay, axes=axes, norm="ortho")
+                msq = msq + np.sum(np.abs(block) ** 2, axis=1)
+        if np.isinf(p):
+            out[lo : lo + tt.size] = np.sqrt(np.max(msq, axis=sp))
+        else:
+            out[lo : lo + tt.size] = (vol * np.sum(msq ** (p / 2.0), axis=sp)) ** (1.0 / p)
+    return out
+
+
+def monte_carlo_tails(f, model, spec, M, workers=1):
+    """Draw M randomizations and fit the Gaussian tail exponent of their
+    space-time norms, as the tails verb does."""
+    values = sample_space_time_norms(f, model, spec, M, workers=workers)
+    return fit_gaussian_tail(values, hminus_s_norm(f, spec.s))
 
 
 def pack_v1(field, t, cutoff):

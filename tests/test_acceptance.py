@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, random_real_field
+from conftest import TWO_PI, monte_carlo_tails, random_real_field
 from nsrw.config import ExperimentConfig, validate_config
 from nsrw.data import borderline_field, smooth_random_field, taylor_green
 from nsrw.experiments import run_experiment
@@ -34,7 +34,7 @@ from nsrw.spectral import (
     ring_partition,
     ring_project,
 )
-from nsrw.tails import NormSpec, monte_carlo_tails
+from nsrw.tails import NormSpec
 
 
 def _report(num: int, ok: bool, detail: str):

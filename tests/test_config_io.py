@@ -297,6 +297,23 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "missing.nsrw" in err
 
+    def test_missing_checkpoint_leaves_no_output_dir(self, tmp_path):
+        cfgfile = write_config(tmp_path, d=2, N=16, T=0.25, dt=0.015625)
+        out = tmp_path / "out"
+        status = main(["solve", "--config", str(cfgfile), "--out", str(out),
+                       "--resume", str(tmp_path / "missing.nsrw")])
+        assert status == 2
+        assert not out.exists()
+
+    def test_missing_checkpoint_keeps_existing_output_dir(self, tmp_path):
+        cfgfile = write_config(tmp_path, d=2, N=16, T=0.25, dt=0.015625)
+        out = tmp_path / "out"
+        out.mkdir()
+        status = main(["solve", "--config", str(cfgfile), "--out", str(out),
+                       "--resume", str(tmp_path / "missing.nsrw")])
+        assert status == 2
+        assert out.is_dir() and not any(out.iterdir())
+
     def test_step_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         import nsrw.experiments as experiments
         from nsrw.solver import StepFailureError

@@ -17,6 +17,7 @@ from nsrw.config import ExperimentConfig, validate_config
 from nsrw.experiments import _jsonable, _randomized_data, build_data_field, run_experiment
 from nsrw.heat import condg_check, default_decay_time_grid
 from nsrw.solver import _Stepper
+from nsrw.tails import default_time_grid
 
 
 def run(tmp_path, name, **fields):
@@ -143,6 +144,34 @@ class TestArtifacts:
             }
             assert len(files) == (summary["snapshots"] if write else 0)
             assert not set(meta["phase_seconds"]) & set(summary)
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("verb, fields, phases", [
+        ("heatflow", dict(d=2, N=32, k_orders=[0, 2], master_seed=4), {"sweeps"}),
+        ("tails", dict(d=2, N=16, monte_carlo_M=210, master_seed=3, workers=2),
+         {"samples", "fit"}),
+    ])
+    def test_sweep_telemetry_goes_to_meta_only(self, tmp_path, verb, fields, phases):
+        # phase seconds and work counters land in meta.json; summary.json and
+        # series.csv of two runs stay byte-identical and carry none of them
+        blobs = []
+        for name in ("a", "b"):
+            res, cfg = run(tmp_path, name, experiment=verb, **fields)
+            out = res.output_dir
+            blobs.append((out / "summary.json").read_bytes() + (out / "series.csv").read_bytes())
+            summary = json.loads((out / "summary.json").read_text())
+            meta = json.loads((out / "meta.json").read_text())
+            assert set(meta["phase_seconds"]) == phases
+            assert all(v >= 0.0 for v in meta["phase_seconds"].values())
+            if verb == "heatflow":
+                # k = 0, 1, 2 swept: 1 + 2 + 4 derivatives of a 2-component field
+                times = summary["times"]
+                want = {"decay_times": times, "field_transforms": times * 7 * 2}
+            else:
+                want = {"samples": 210, "time_points": default_time_grid(cfg.T).size}
+            assert meta["counters"] == want
+            telemetry = {"phase_seconds", "counters"} | phases | set(want)
+            assert not telemetry & set(summary)
         assert blobs[0] == blobs[1]
 
     def test_heatflow_outputs(self, tmp_path):

@@ -2,9 +2,18 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import TWO_PI, random_divfree_field, random_real_field, single_mode_field
+import nsrw.heat as heat
+from conftest import (
+    TWO_PI,
+    heat_norms_oracle,
+    random_divfree_field,
+    random_real_field,
+    single_mode_field,
+)
 from nsrw.data import borderline_field, default_tilt
 from nsrw.heat import (
+    _derivative_symbols,
+    _heat_norms,
     check_linear_estimates,
     condg_check,
     default_decay_time_grid,
@@ -162,6 +171,29 @@ class TestLinearEstimates:
         ]
         a, b = (r.l2.bound_constant for r in reps)
         assert np.isfinite(a) and abs(a - b) / b < 0.05
+
+
+class TestHeatNormsOracle:
+    @pytest.mark.parametrize("decay", ["cached", "streamed"])
+    @pytest.mark.parametrize("nyquist", [False, True])
+    @pytest.mark.parametrize("orders", [(0,), (1,), (0, 1)])
+    @pytest.mark.parametrize("p", [4.0, np.inf])
+    @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
+    def test_bitwise_equal_to_straightforward_sweep(self, monkeypatch, d, N, p, orders,
+                                                     nyquist, decay):
+        # real data with Nyquist content makes its k = 1 symbols take the
+        # full-lattice path, so (0, 1) mixes both paths in one call
+        grid = make_grid(d, N, TWO_PI)
+        f = random_real_field(grid, d, seed=21)
+        if not nyquist:
+            f = zero_nyquist(f)
+        if decay == "streamed":
+            monkeypatch.setattr(heat, "_DECAY_CACHE_MAX_ELEMS", 0)
+        chunk = heat._BLOCK_ELEMS // (d * grid.ksq.size)
+        times = np.geomspace(1e-3, 1.0, chunk + chunk // 3 + 1)  # a short last block
+        symbols = [sym for k in orders for sym in _derivative_symbols(grid, k)]
+        got = _heat_norms(f, symbols, times, p)
+        assert np.array_equal(got, heat_norms_oracle(f, symbols, times, p))
 
 
 class TestCondg:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, single_mode_field
+from conftest import TWO_PI, monte_carlo_tails, single_mode_field
 from nsrw.data import borderline_field
 from nsrw.randomization import RandomModel
 from nsrw.spectral import l2_norm, make_grid, zeros_field
@@ -11,7 +11,6 @@ from nsrw.tails import (
     default_time_grid,
     fit_gaussian_tail,
     moment_bound_check,
-    monte_carlo_tails,
     sample_space_time_norms,
     space_time_norm,
 )
