@@ -19,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import SolverConfig, Trajectory, nonlinear_rhs
-from .spectral import Grid, SpectralField, fourier_field, projected_transport_half
+from .spectral import (
+    Grid,
+    SpectralField,
+    TransportPlan,
+    fourier_field,
+    projected_transport_half,
+)
 from .tails import NormSpec, check_admissible, space_time_norm
 
 __all__ = [
@@ -130,6 +136,9 @@ def nse_residual(
     side evaluated on the midpoint average, so exact solutions show O(h^2).
     u_half is any iterable of the half spectra (on grid.half) of the real
     fields u(times[j]); they are consumed pairwise, so at most two are held.
+    Each pair is evaluated in work arrays of the call, with the operations
+    and operand order of the plain expressions in the comments, so the bits
+    are theirs.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.size < 2:
@@ -141,17 +150,27 @@ def nse_residual(
     half = grid.half
     vol = grid.cell_volume
     weight = half.weight / (1.0 + half.ksq)
+    plan = TransportPlan(grid) if include_nonlinear else None
+    um = np.empty_like(prev, dtype=np.complex128)
+    resid = np.empty_like(um)
+    mag = np.empty(prev.shape)
     mids, vals = [], []
     for j in range(times.size - 1):
         cur = next(states, None)
         if cur is None:
             raise ValueError(f"nse_residual got {j + 1} states for {times.size} times")
         h = times[j + 1] - times[j]
-        um = 0.5 * (prev + cur)
-        resid = (cur - prev) / h + half.ksq * um
-        if include_nonlinear:
-            resid += projected_transport_half(um, grid)
+        # um = 0.5 * (prev + cur)
+        np.multiply(0.5, np.add(prev, cur, out=um), out=um)
+        transport = projected_transport_half(um, grid, plan) if include_nonlinear else None
+        # resid = (cur - prev) / h + ksq * um + P div(um x um), um spent
+        np.divide(np.subtract(cur, prev, out=resid), h, out=resid)
+        resid += np.multiply(half.ksq, um, out=um)
+        if transport is not None:
+            resid += transport
+        # weight * |resid|^2
+        np.multiply(weight, np.square(np.abs(resid, out=mag), out=mag), out=mag)
         mids.append(times[j] + 0.5 * h)
-        vals.append(np.sqrt(vol * np.sum(weight * np.abs(resid) ** 2)))
+        vals.append(np.sqrt(vol * np.sum(mag)))
         prev = cur
     return np.array(mids), np.array(vals)

@@ -371,6 +371,7 @@ def _run_solve(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
         "counters": {
             "steps": summary["steps"],
             "snapshots": summary["snapshots"],
+            "rhs_evaluations": traj.rhs_evaluations,
             "checkpoint_files": len(ckpt_files),
             "checkpoint_bytes": sum((outdir / c["file"]).stat().st_size for c in ckpt_files),
         },

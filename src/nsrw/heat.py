@@ -136,11 +136,12 @@ def _heat_norms(f: SpectralField, symbols: list, times: np.ndarray, p: float) ->
     """|e^{tD} F|_{L^p} for every t, p in [2, inf], batched over times.
 
     F stacks symbol * component for every symbol (arrays broadcastable to
-    the grid). One symbol's components are transformed at a time and the
-    pointwise |.|^2 accumulated, so the whole stack is never held. Rows
-    that are conjugate-symmetric take a half-spectrum path; the test is
-    made per symbol, since a derivative symbol breaks the symmetry on the
-    Nyquist rows of symmetric data.
+    the grid) of a field of at least two components. One symbol's
+    components are transformed at a time and the pointwise |.|^2
+    accumulated, so the whole stack is never held. Rows that are
+    conjugate-symmetric take a half-spectrum path; the test is made per
+    symbol, since a derivative symbol breaks the symmetry on the Nyquist
+    rows of symmetric data.
 
     The half-spectrum path runs in work arrays allocated once per call and
     reused for every time block and symbol: the data and each symbol are
@@ -175,14 +176,16 @@ def _heat_norms(f: SpectralField, symbols: list, times: np.ndarray, p: float) ->
         tt = times[lo : lo + chunk]
         n = tt.size
         acc = msq[:n]
-        acc.fill(0.0)
         if any_half:
             if cached is not None:
                 decay = cached[lo : lo + n]
             else:
                 decay = np.exp(-tt.reshape((-1,) + (1,) * g.d) * half.ksq[None])
             hb, rb = block[:n], real[:n]
-        for sym, sym_h in zip(symbols, syms_h):
+        for n_sym, (sym, sym_h) in enumerate(zip(symbols, syms_h)):
+            # the first symbol writes its |.|^2 into acc, the others add
+            # theirs: the sums are non-negative, so 0.0 + x would be x
+            first = n_sym == 0
             if sym_h is not None:
                 np.multiply(base, sym_h, out=fs)
                 np.multiply(fs[None], decay[:, None], out=hb)
@@ -191,13 +194,16 @@ def _heat_norms(f: SpectralField, symbols: list, times: np.ndarray, p: float) ->
                 np.fft.irfft(hb, n=g.N, axis=axes[-1], norm="ortho", out=rb)
                 np.multiply(rb, rb, out=rb)
                 # components in order, the grouping np.sum(axis=1) uses
-                for c in range(1, f.ncomp):
-                    rb[:, 0] += rb[:, c]
-                acc += rb[:, 0]
+                total = acc if first else rb[:, 0]
+                np.add(rb[:, 0], rb[:, 1], out=total)
+                for c in range(2, f.ncomp):
+                    total += rb[:, c]
             else:
                 decay_full = np.exp(-tt.reshape((-1, 1) + (1,) * g.d) * g.ksq[None, None])
                 full = np.fft.ifftn((f.data * sym)[None] * decay_full, axes=axes, norm="ortho")
-                acc += np.sum(np.abs(full) ** 2, axis=1)
+                total = np.sum(np.abs(full) ** 2, axis=1, out=acc if first else None)
+            if not first:
+                acc += total
         if np.isinf(p):
             out[lo : lo + n] = np.sqrt(np.max(acc, axis=sp))
         else:

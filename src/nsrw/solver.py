@@ -25,7 +25,10 @@ kappa = cutoff L / 2 pi and k_max = ceil(kappa) - 1 (M = 24 at N = 32 and
 the default cutoff N/4), and M = N when that bound reaches N. States are embedded into
 that lattice once on entry (data, resume state, step() input) and
 extracted to the N grid only for snapshots and step() output;
-coefficients keep the N grid's unitary normalisation throughout.
+coefficients keep the N grid's unitary normalisation throughout. The
+stepper owns one transport plan for its run: the kernel reads the stage
+field and computes the right-hand side on the cube |k_i| <= k_max that
+holds the ball, so its transforms skip the lines outside it.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .spectral import (
     HERMITIAN_RTOL,
     Grid,
     SpectralField,
+    TransportPlan,
     conjugate_asymmetry,
     fourier_field,
     friedrichs_cutoff,
@@ -152,8 +156,9 @@ class Trajectory:
     full spectra are formed only on access (w_states). The forcing is not
     stored: g_states derives the truncated free evolution T e^{tD} f_omega
     at each snapshot time. dwdt_hminus1 holds |dw/dt|_{H^{-1}} at each
-    snapshot as the solver recorded it; hand-built trajectories leave it
-    None.
+    snapshot as the solver recorded it, rhs_evaluations the stage
+    right-hand sides the run evaluated; hand-built trajectories leave them
+    None and 0.
     """
 
     times: np.ndarray
@@ -162,6 +167,7 @@ class Trajectory:
     config: SolverConfig
     energy_log: EnergyLog | None = None
     dwdt_hminus1: np.ndarray | None = None
+    rhs_evaluations: int = 0
 
     @property
     def w_states(self) -> list:
@@ -296,6 +302,7 @@ class _SteppingLattice:
 
     grid: Grid
     step_grid: Grid
+    k_max: int
     src: tuple
     dst: tuple
     ball: np.ndarray
@@ -317,7 +324,7 @@ class _SteppingLattice:
         src, dst = cube(grid.N), cube(M)
         step_ball = np.zeros(step_grid.half.shape, dtype=bool)
         step_ball[dst] = ball[src]
-        return cls(grid, step_grid, src, dst, step_ball)
+        return cls(grid, step_grid, k_max, src, dst, step_ball)
 
     def embed(self, h: np.ndarray) -> np.ndarray:
         """The grid half-lattice array h (trailing d axes) on the stepping
@@ -362,6 +369,11 @@ class _Stepper:
         # undoes that
         scale = (self.lattice.step_grid.N / grid.N) ** (grid.d / 2.0)
         self.out_mask = self.ball * scale
+        # the stage input lies in the cube |k_i| <= k_max, which holds the
+        # ball, and only the ball of the output is kept
+        k_max = self.lattice.k_max
+        self.plan = TransportPlan(self.lattice.step_grid, k_in=k_max, k_out=k_max)
+        self.rhs_evaluations = 0
         self.fcut = self.embed(fhat)
         self.weight_ksq = self.half.weight * self.ksq
         self.weight_hminus1 = self.half.weight / (1.0 + self.ksq)
@@ -387,9 +399,12 @@ class _Stepper:
     def rhs(self, what: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Stage right-hand side for w against the truncated forcing g at
         the stage time; both are supported in the ball."""
+        self.rhs_evaluations += 1
         if self.config.disable_nonlinear:
             return np.zeros_like(what)
-        return -(projected_transport_half(what + g, self.lattice.step_grid) * self.out_mask)
+        out = projected_transport_half(what + g, self.lattice.step_grid, self.plan)
+        # -(out * out_mask), in the kernel's fresh output
+        return np.negative(np.multiply(out, self.out_mask, out=out), out=out)
 
     def gradsq(self, what: np.ndarray) -> float:
         return self.grid.cell_volume * float(np.sum(self.weight_ksq * np.abs(what) ** 2))
@@ -598,6 +613,7 @@ def solve(
         config=config,
         energy_log=log,
         dwdt_hminus1=np.array(dwdt),
+        rhs_evaluations=stepper.rhs_evaluations,
     )
 
 

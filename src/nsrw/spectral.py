@@ -8,11 +8,14 @@ volume (L/N)^d as quadrature weight. Frequencies along each axis are
 
 Real fields have conjugate-symmetric spectra, a(-xi) = conj a(xi), so the
 rfft half of the lattice (last-axis indices 0..N/2, `Grid.half`) holds all
-of their content; the transport kernel works there.
+of their content; the transport kernel works there. It transforms only
+the lines that carry its input band or feed its output band, in the index
+maps and work buffers of a `TransportPlan` that its caller owns.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -45,6 +48,7 @@ __all__ = [
     "leray_project",
     "multiplier",
     "dealias",
+    "TransportPlan",
     "projected_transport_half",
     "HERMITIAN_RTOL",
     "conjugate_mirror",
@@ -163,10 +167,6 @@ class HalfLattice:
     @cached_property
     def kabs(self) -> np.ndarray:
         return self.cut(self.grid.kabs)
-
-    @cached_property
-    def dealias_keep(self) -> np.ndarray:
-        return self.cut(self.grid.dealias_keep)
 
     @cached_property
     def nyquist_mask(self) -> np.ndarray:
@@ -503,39 +503,138 @@ def dealias(f: SpectralField) -> SpectralField:
     return fourier_field(f.grid, f.data * f.grid.dealias_keep)
 
 
-def projected_transport_half(uh: np.ndarray, grid: Grid) -> np.ndarray:
+def _band_slabs(n: int, k: int) -> tuple:
+    """The rows |k_i| <= k of an n-point axis in standard FFT order, as
+    basic slices: the whole axis, or the two slabs 0..k and n-k..n-1."""
+    if 2 * k + 1 >= n:
+        return (slice(None),)
+    return (slice(0, k + 1),) + ((slice(n - k, n),) if k else ())
+
+
+def _line_views(buf: np.ndarray, k: int, axes) -> list:
+    """(axis, views) per 1-D pass over a leading axis of buf, shape
+    (ncomp,) + half lattice: the views hold the lines whose later leading
+    indices lie in the rows |k_i| <= k and whose last index is <= k."""
+    d, N = buf.ndim - 1, buf.shape[1]
+    passes = []
+    for ax in axes:
+        later = itertools.product(*([_band_slabs(N, k)] * (d - 1 - ax)))
+        lines = [(slice(None),) * (ax + 1) + rows + (slice(0, k + 1),) for rows in later]
+        passes.append((ax, [buf[idx] for idx in lines]))
+    return passes
+
+
+class TransportPlan:
+    """Index maps and work buffers of the transport kernel on one grid.
+
+    The kernel reads its input on the band |k_i| <= k_in of every axis and
+    computes its output on the band |k_i| <= k_out; k_in defaults to the
+    2/3 band as grid.dealias_keep draws it, k_out to the whole half
+    lattice. Its transforms run in the plan's buffers, so a plan serves
+    one caller at a time: the stepper keeps one for its run, nse_residual
+    makes one per call.
+    """
+
+    def __init__(self, grid: Grid, k_in: int | None = None, k_out: int | None = None):
+        d, N = grid.d, grid.N
+        h = grid.half
+        if k_in is None:
+            # read off the mask, since N/3 can round either way (N = 42)
+            on_axis = grid.dealias_keep[(slice(None),) + (0,) * (d - 1)]
+            k = np.arange(N)
+            k_in = int(np.minimum(k, N - k)[on_axis].max())
+        k_out = N // 2 if k_out is None else k_out
+        self.grid = grid
+        self.pairs = [(i, j) for i in range(d) for j in range(i, d)]
+        npairs = len(self.pairs)
+        self.prod = np.empty((npairs,) + grid.shape)
+        self.prod_hat = np.empty((npairs,) + h.shape, dtype=np.complex128)
+        # the inverse transform runs in the first d slots of prod_hat and
+        # writes u into the last d slots of prod: in the pair order (i, j),
+        # i <= j, each product overwrites a slot whose component no later
+        # product reads
+        self.spec = self.prod_hat[:d]
+        self.real = self.prod[npairs - d :]
+        self.in_blocks = [
+            (slice(None),) + rows + (slice(0, k_in + 1),)
+            for rows in itertools.product(*([_band_slabs(N, k_in)] * (d - 1)))
+        ]
+        self.inverse_passes = _line_views(self.spec, k_in, range(1, d))
+        self.forward_passes = _line_views(self.prod_hat, k_out, range(d - 1, 0, -1))
+        if k_out == N // 2:
+            cube = (slice(None),) * d
+        else:
+            rows = np.concatenate([np.arange(N)[s] for s in _band_slabs(N, k_out)])
+            cube = np.ix_(*([rows] * (d - 1) + [np.arange(k_out + 1)]))
+        self.out_cube = (slice(None),) + cube
+        self.freqs = tuple(np.broadcast_to(f, h.shape)[cube] for f in h.freqs)
+        self.inv_ksq = h.inv_ksq[cube]
+        self.nyquist = h.nyquist_mask[cube]
+
+
+def projected_transport_half(
+    uh: np.ndarray, grid: Grid, plan: TransportPlan | None = None
+) -> np.ndarray:
     """P div(u x u) on the rfft half lattice, for the real field u whose half
     spectrum is uh, shape (d,) + grid.half.shape.
 
-    Products are formed in physical space on the dealiased input. The
-    tensor is symmetric, so only its upper triangle is transformed: d
-    inverse and d(d+1)/2 forward real transforms per call. The output's
-    Nyquist rows are zero: they hold aliasing only, and there the symbol
-    i xi is not odd, so keeping them would break conjugate symmetry.
+    Products are formed in physical space on the input read on the plan's
+    band k_in (the 2/3 band by default). The tensor is symmetric, so only
+    its upper triangle is transformed. The transforms are irfftn's and
+    rfftn's 1-D passes, pruned to the lines that carry band input or feed
+    the output band k_out: a leading-axis pass skips the lines that are
+    all zero or whose values no output reads, so every kept value is the
+    same to the bit as the unpruned transform's. The result is a fresh
+    array, zero outside the output band. Its Nyquist rows are zero: they
+    hold aliasing only, and there the symbol i xi is not odd, so keeping
+    them would break conjugate symmetry. Without a plan the call makes a
+    fresh one for the default bands.
     """
-    h = grid.half
-    U = np.fft.irfftn(
-        uh * h.dealias_keep, s=grid.shape, axes=tuple(range(1, grid.d + 1)), norm="ortho"
-    )
+    p = TransportPlan(grid) if plan is None else plan
+    if p.grid != grid:
+        raise ValueError("transport plan was made for another grid")
+    d, N = grid.d, grid.N
+    X = p.spec
+    # the buffer holds the last call's products and the inverse passes
+    # write outside the band, so it is zeroed first
+    X.fill(0.0)
+    for block in p.in_blocks:
+        X[block] = uh[block]
+    for ax, views in p.inverse_passes:
+        for v in views:
+            np.fft.ifft(v, axis=ax, norm="ortho", out=v)
+    U = np.fft.irfft(X, n=N, axis=d, norm="ortho", out=p.real)
+    for n, (i, j) in enumerate(p.pairs):
+        np.multiply(U[i], U[j], out=p.prod[n])
+    np.fft.rfft(p.prod, axis=d, norm="ortho", out=p.prod_hat)
+    for ax, views in p.forward_passes:
+        for v in views:
+            np.fft.fft(v, axis=ax, norm="ortho", out=v)
+    T = p.prod_hat[p.out_cube]
     that = {}
-    for i in range(grid.d):
-        for j in range(i, grid.d):
-            that[(i, j)] = that[(j, i)] = np.fft.rfftn(U[i] * U[j], norm="ortho")
-    # P div T = i (S - xi (xi . S) / |xi|^2) with S_i = sum_j xi_j T_ij
-    out = np.empty((grid.d,) + h.shape, dtype=np.complex128)
-    for i in range(grid.d):
-        np.multiply(h.freqs[0], that[(i, 0)], out=out[i])
-        for j in range(1, grid.d):
-            out[i] += h.freqs[j] * that[(i, j)]
-    dot = h.freqs[0] * out[0]
-    for i in range(1, grid.d):
-        dot += h.freqs[i] * out[i]
-    dot *= h.inv_ksq
-    for i in range(grid.d):
-        out[i] -= h.freqs[i] * dot
+    for n, (i, j) in enumerate(p.pairs):
+        that[(i, j)] = that[(j, i)] = T[n]
+    # P div T = i (S - xi (xi . S) / |xi|^2) with S_i = sum_j xi_j T_ij,
+    # on the output band
+    f = p.freqs
+    out = np.empty((d,) + p.inv_ksq.shape, dtype=np.complex128)
+    for i in range(d):
+        np.multiply(f[0], that[(i, 0)], out=out[i])
+        for j in range(1, d):
+            out[i] += f[j] * that[(i, j)]
+    dot = f[0] * out[0]
+    for i in range(1, d):
+        dot += f[i] * out[i]
+    dot *= p.inv_ksq
+    for i in range(d):
+        out[i] -= f[i] * dot
     out *= 1j
-    out[:, h.nyquist_mask] = 0.0
-    return out
+    out[:, p.nyquist] = 0.0
+    if out.shape[1:] == grid.half.shape:
+        return out
+    full = np.zeros((d,) + grid.half.shape, dtype=np.complex128)
+    full[p.out_cube] = out
+    return full
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,36 @@ def full_transport(u):
     return half.expand(projected_transport_half(half.cut(u.data), u.grid))
 
 
+def transport_oracle(uh, grid):
+    """P div(u x u) on the half lattice as the unpruned kernel computed it,
+    with fresh arrays: irfftn of the input times the 2/3 mask, one rfftn
+    per product, then the projection. The planned kernel must reproduce
+    it bit for bit on its output band."""
+    h = grid.half
+    U = np.fft.irfftn(
+        uh * h.cut(grid.dealias_keep), s=grid.shape, axes=tuple(range(1, grid.d + 1)),
+        norm="ortho",
+    )
+    that = {}
+    for i in range(grid.d):
+        for j in range(i, grid.d):
+            that[(i, j)] = that[(j, i)] = np.fft.rfftn(U[i] * U[j], norm="ortho")
+    out = np.empty((grid.d,) + h.shape, dtype=np.complex128)
+    for i in range(grid.d):
+        np.multiply(h.freqs[0], that[(i, 0)], out=out[i])
+        for j in range(1, grid.d):
+            out[i] += h.freqs[j] * that[(i, j)]
+    dot = h.freqs[0] * out[0]
+    for i in range(1, grid.d):
+        dot += h.freqs[i] * out[i]
+    dot *= h.inv_ksq
+    for i in range(grid.d):
+        out[i] -= h.freqs[i] * dot
+    out *= 1j
+    out[:, h.nyquist_mask] = 0.0
+    return out
+
+
 def heat_norms_oracle(f, symbols, times, p):
     """|e^{tD} F|_{L^p} for every t: the straightforward sweep, with fresh
     arrays, a decay block per symbol and irfftn, that heat._heat_norms must

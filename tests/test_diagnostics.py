@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, full_transport, random_divfree_field, random_real_field
+from conftest import (
+    TWO_PI,
+    full_transport,
+    random_divfree_field,
+    random_real_field,
+    transport_oracle,
+)
 from nsrw.data import borderline_field, smooth_random_field, taylor_green
 from nsrw.diagnostics import condtg_check, dwdt_norm, nse_residual
 from nsrw.heat import heat_semigroup
@@ -293,6 +299,28 @@ class TestNseResidual:
             want_mids, want = full_lattice_residual_oracle(times, states, include)
             np.testing.assert_array_equal(mids, want_mids)
             np.testing.assert_allclose(vals, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("d, N", [(2, 32), (3, 24)])
+    def test_bitwise_equal_to_plain_expressions(self, d, N):
+        # the plain half-lattice expressions with fresh arrays and the
+        # unpruned kernel; Nyquist content on every axis, uneven spacing
+        grid = make_grid(d, N, TWO_PI)
+        half = grid.half
+        times = np.array([0.0, 0.01, 0.025, 0.03])
+        halves = [half.cut(random_real_field(grid, seed=70 + j).data) for j in range(4)]
+        weight = half.weight / (1.0 + half.ksq)
+        for include in (True, False):
+            want = []
+            for j in range(times.size - 1):
+                prev, cur = halves[j], halves[j + 1]
+                h = times[j + 1] - times[j]
+                um = 0.5 * (prev + cur)
+                resid = (cur - prev) / h + half.ksq * um
+                if include:
+                    resid += transport_oracle(um, grid)
+                want.append(np.sqrt(grid.cell_volume * np.sum(weight * np.abs(resid) ** 2)))
+            _, vals = nse_residual(grid, times, halves, include_nonlinear=include)
+            assert np.array_equal(vals, want)
 
     def test_consumes_a_one_shot_generator(self):
         grid = make_grid(2, 32, TWO_PI)

@@ -117,14 +117,19 @@ class TestArtifacts:
 
     def test_solve_telemetry_goes_to_meta_only(self, tmp_path):
         # per-phase wall seconds and counters land in meta.json; summary.json
-        # and series.csv of two runs stay byte-identical, checkpoints or not
+        # and series.csv of two runs stay byte-identical, checkpoints or not.
+        # Every step evaluates its stages (the first reused from the
+        # snapshot before it) and the last snapshot one more
         fields = dict(
             experiment="solve", d=2, N=16, T=0.25, dt=1.0 / 64.0, data="smooth_random",
             randomize_data=False, substep_near_zero=False, snapshot_cadence=2,
         )
+        stages = {"ifrk4": 4, "ifeuler": 1}
         blobs = []
-        for name, write in (("a", True), ("b", True), ("c", False)):
-            res, _ = run(tmp_path, name, write_checkpoints=write, **fields)
+        for name, write, integrator in (("a", True, "ifrk4"), ("b", True, "ifrk4"),
+                                        ("c", False, "ifrk4"), ("d", False, "ifeuler")):
+            res, _ = run(tmp_path, name, write_checkpoints=write, integrator=integrator,
+                         **fields)
             out = res.output_dir
             summary = json.loads((out / "summary.json").read_text())
             if write:
@@ -139,11 +144,12 @@ class TestArtifacts:
             assert meta["counters"] == {
                 "steps": summary["steps"],
                 "snapshots": summary["snapshots"],
+                "rhs_evaluations": stages[integrator] * summary["steps"] + 1,
                 "checkpoint_files": len(files),
                 "checkpoint_bytes": sum(p.stat().st_size for p in files),
             }
             assert len(files) == (summary["snapshots"] if write else 0)
-            assert not set(meta["phase_seconds"]) & set(summary)
+            assert not (set(meta["phase_seconds"]) | {"rhs_evaluations"}) & set(summary)
         assert blobs[0] == blobs[1]
 
     @pytest.mark.parametrize("verb, fields, phases", [

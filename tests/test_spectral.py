@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, full_transport, random_real_field, single_mode_field
+from conftest import (
+    TWO_PI,
+    full_transport,
+    random_real_field,
+    single_mode_field,
+    transport_oracle,
+)
 from nsrw.spectral import (
+    TransportPlan,
     conjugate_asymmetry,
     conjugate_mirror,
     dealias,
@@ -15,6 +22,7 @@ from nsrw.spectral import (
     make_grid,
     multiplier,
     physical_field,
+    projected_transport_half,
     ring_index,
     ring_partition,
     ring_project,
@@ -408,6 +416,49 @@ class TestProjectedTransport:
         assert np.abs(got[:, off] - want[:, off]).max() <= 1e-12 * scale
         assert np.all(got[:, grid.nyquist_mask] == 0.0)
         assert np.array_equal(conjugate_mirror(got, d), got)
+
+
+    @pytest.mark.parametrize("band", ["default", "ball"])
+    @pytest.mark.parametrize("N", [16, 24, 32, 42, 48])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_planned_kernel_matches_unpruned_to_the_bit(self, d, N, band):
+        # one plan serves three inputs with content on every mode, Nyquist
+        # rows included, so a buffer left dirty by one call shows in the
+        # next. The ball band is the stepper's: input and output on the
+        # cube |k_i| <= k_max of the cutoff N/4; the stepper's input is
+        # signed zeros outside the cube, the mask products that cut it. The
+        # default band is the 2/3 mask's: at N = 42 the mode 14 = N/3 rounds
+        # out of it
+        grid = make_grid(d, N, TWO_PI)
+        shape = (d,) + grid.half.shape
+        if band == "default":
+            plan, cube = TransportPlan(grid), (slice(None),) * (d + 1)
+        else:
+            k = math.ceil(N / 4) - 1
+            plan = TransportPlan(grid, k_in=k, k_out=k)
+            rows = np.r_[0 : k + 1, N - k : N]
+            cube = (slice(None),) + np.ix_(*([rows] * (d - 1) + [np.arange(k + 1)]))
+
+        def bits(a):
+            return np.ascontiguousarray(a).view(np.uint64)
+
+        rng = np.random.default_rng(90 + 10 * d + N)
+        for _ in range(3):
+            uh = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            in_band = uh * 0.0
+            in_band[cube] = uh[cube]
+            want = transport_oracle(uh if band == "default" else in_band, grid)
+            got = projected_transport_half(uh, grid, plan)
+            assert np.array_equal(bits(got[cube]), bits(want[cube]))
+            got[cube] = 0.0
+            assert not got.any()
+
+
+    def test_plan_is_for_one_grid(self):
+        grid = make_grid(2, 16, TWO_PI)
+        uh = np.zeros((2,) + grid.half.shape, dtype=np.complex128)
+        with pytest.raises(ValueError, match="another grid"):
+            projected_transport_half(uh, grid, TransportPlan(make_grid(2, 16, 1.0)))
 
 
 class TestHausdorffYoung:
