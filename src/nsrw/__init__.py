@@ -23,7 +23,6 @@ from .spectral import (
     zeros_field,
 )
 from .randomization import (
-    CoefficientDraw,
     RandomModel,
     hminus_s_norm,
     randomize,

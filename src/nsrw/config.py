@@ -16,7 +16,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .randomization import FAMILIES, RandomModel
 from .solver import INTEGRATORS, SolverConfig
-from .tails import NormSpec, check_admissible
+from .tails import TAIL_FIT_MIN_SAMPLES, NormSpec, check_admissible
 
 EXPERIMENTS = ("randomize", "heatflow", "tails", "solve", "report")
 DATA_KINDS = ("borderline", "taylor_green", "smooth_random")
@@ -167,7 +167,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         _fail("t_points_per_decade", "must be >= 4")
     if cfg.workers < 1:
         _fail("workers", "must be >= 1")
-    if not cfg.k_orders or any(k not in (0, 1, 2) for k in cfg.k_orders):
+    if (not cfg.k_orders or any(k not in (0, 1, 2) for k in cfg.k_orders)
+            or len(set(cfg.k_orders)) < len(cfg.k_orders)):
         _fail("k_orders", f"must be a nonempty subset of [0, 1, 2], got {cfg.k_orders}")
     band = (cfg.N / 3.0) * (2.0 * math.pi / cfg.L)
     if cfg.cutoff is not None and not 0 < cfg.cutoff <= band * (1 + 1e-12):
@@ -175,6 +176,12 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.data_tilt is not None and not cfg.data_tilt > cfg.d / 2.0:
         _fail("data_tilt", f"must exceed d/2 = {cfg.d / 2.0} for summable data")
     if cfg.experiment == "tails":
+        if cfg.monte_carlo_M < TAIL_FIT_MIN_SAMPLES:
+            _fail(
+                "monte_carlo_M",
+                f"tails needs at least {TAIL_FIT_MIN_SAMPLES} samples for its tail fit, "
+                f"got {cfg.monte_carlo_M}",
+            )
         if not check_admissible(cfg.norm_spec()):
             _fail(
                 "gamma",

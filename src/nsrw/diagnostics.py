@@ -162,7 +162,9 @@ def nse_residual(
         h = times[j + 1] - times[j]
         # um = 0.5 * (prev + cur)
         np.multiply(0.5, np.add(prev, cur, out=um), out=um)
-        transport = projected_transport_half(um, grid, plan) if include_nonlinear else None
+        transport = None
+        if plan is not None:
+            transport = projected_transport_half(um[(slice(None), *plan.in_band)], plan)
         # resid = (cur - prev) / h + ksq * um + P div(um x um), um spent
         np.divide(np.subtract(cur, prev, out=resid), h, out=resid)
         resid += np.multiply(half.ksq, um, out=um)

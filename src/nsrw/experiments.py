@@ -29,7 +29,13 @@ from .heat import _condg_from_sweeps, check_linear_estimates, default_decay_time
 from .randomization import hminus_s_norm, randomized, verify_subgaussian
 from .solver import iter_u, solve, stepping_lattice_size
 from .spectral import l2_norm, make_grid, ring_partition
-from .tails import _ordered_map, default_time_grid, fit_gaussian_tail, sample_space_time_norms
+from .tails import (
+    TAIL_FIT_MIN_SAMPLES,
+    _ordered_map,
+    default_time_grid,
+    fit_gaussian_tail,
+    sample_space_time_norms,
+)
 
 ENERGY_TOL = 1e-8
 DIVERGENCE_TOL = 1e-10
@@ -394,7 +400,7 @@ def _run_report(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str |
         "lambda_mean": float(lams.mean()),
         "lambda_quantiles": quantiles,
     }
-    if M >= 200:
+    if M >= TAIL_FIT_MIN_SAMPLES:
         fit = fit_gaussian_tail(lams, hminus_s_norm(f, cfg.s))
         summary["tail_C1"] = fit.C1
         summary["tail_C2"] = fit.C2

@@ -136,12 +136,11 @@ def _heat_norms(f: SpectralField, symbols: list, times: np.ndarray, p: float) ->
     """|e^{tD} F|_{L^p} for every t, p in [2, inf], batched over times.
 
     F stacks symbol * component for every symbol (arrays broadcastable to
-    the grid) of a field of at least two components. One symbol's
-    components are transformed at a time and the pointwise |.|^2
-    accumulated, so the whole stack is never held. Rows that are
-    conjugate-symmetric take a half-spectrum path; the test is made per
-    symbol, since a derivative symbol breaks the symmetry on the Nyquist
-    rows of symmetric data.
+    the grid) and every component of a field. One symbol's components are
+    transformed at a time and the pointwise |.|^2 accumulated, so the
+    whole stack is never held. Rows that are conjugate-symmetric take a
+    half-spectrum path; the test is made per symbol, since a derivative
+    symbol breaks the symmetry on the Nyquist rows of symmetric data.
 
     The half-spectrum path runs in work arrays allocated once per call and
     reused for every time block and symbol: the data and each symbol are
@@ -195,9 +194,13 @@ def _heat_norms(f: SpectralField, symbols: list, times: np.ndarray, p: float) ->
                 np.multiply(rb, rb, out=rb)
                 # components in order, the grouping np.sum(axis=1) uses
                 total = acc if first else rb[:, 0]
-                np.add(rb[:, 0], rb[:, 1], out=total)
-                for c in range(2, f.ncomp):
-                    total += rb[:, c]
+                if f.ncomp == 1:
+                    if first:
+                        np.copyto(acc, rb[:, 0])
+                else:
+                    np.add(rb[:, 0], rb[:, 1], out=total)
+                    for c in range(2, f.ncomp):
+                        total += rb[:, c]
             else:
                 decay_full = np.exp(-tt.reshape((-1, 1) + (1,) * g.d) * g.ksq[None, None])
                 full = np.fft.ifftn((f.data * sym)[None] * decay_full, axes=axes, norm="ortho")

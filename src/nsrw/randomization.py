@@ -51,14 +51,6 @@ class RandomModel:
             object.__setattr__(self, "c", DEFAULT_SUBGAUSSIAN_C[self.family])
 
 
-@dataclass(frozen=True)
-class CoefficientDraw:
-    """One realized coefficient sequence l_1 .. l_max_ring."""
-
-    sample_index: int
-    values: np.ndarray
-
-
 def _family_draw(model: RandomModel, sample_index, n: np.ndarray) -> np.ndarray:
     """Coefficients of the model's family at ring numbers n; sample_index
     and n broadcast against each other."""
@@ -71,8 +63,9 @@ def _family_draw(model: RandomModel, sample_index, n: np.ndarray) -> np.ndarray:
     return _rng.uniform_symmetric(w0)
 
 
-def sample_coefficients(model: RandomModel, max_ring: int, sample_index: int) -> CoefficientDraw:
-    """Draw l_1..l_max_ring from counter streams keyed by (seed, sample, n).
+def sample_coefficients(model: RandomModel, max_ring: int, sample_index: int) -> np.ndarray:
+    """Draw l_1..l_max_ring from counter streams keyed by (seed, sample, n),
+    as an array whose entry n - 1 is l_n.
 
     The same (master_seed, sample_index) always reproduces the same values,
     and enlarging max_ring extends a draw without changing earlier entries.
@@ -80,11 +73,12 @@ def sample_coefficients(model: RandomModel, max_ring: int, sample_index: int) ->
     if max_ring < 1:
         raise ValueError(f"max_ring must be >= 1, got {max_ring}")
     n = np.arange(1, max_ring + 1, dtype=np.int64)
-    return CoefficientDraw(sample_index, _family_draw(model, sample_index, n))
+    return _family_draw(model, sample_index, n)
 
 
-def randomize(f: SpectralField, draw: CoefficientDraw, partition: RingPartition) -> SpectralField:
-    """Multiply each coefficient of f by the l_n of its ring.
+def randomize(f: SpectralField, coefficients: np.ndarray, partition: RingPartition) -> SpectralField:
+    """Multiply each coefficient of f by the l_n of its ring, entry n - 1 of
+    coefficients.
 
     Requires mean-zero fourier-space data on the partition's grid. Scalar
     per-ring factors preserve divergence-freeness and, ring by ring, the
@@ -96,11 +90,11 @@ def randomize(f: SpectralField, draw: CoefficientDraw, partition: RingPartition)
         raise ValueError("partition was built for a different grid")
     if mean_mode_magnitude(f) != 0.0:
         raise ValueError("randomize expects mean-zero data; zero the xi=0 mode first")
-    if len(draw.values) < partition.max_ring:
+    if len(coefficients) < partition.max_ring:
         raise ValueError(
-            f"draw has {len(draw.values)} coefficients, grid needs {partition.max_ring}"
+            f"draw has {len(coefficients)} coefficients, grid needs {partition.max_ring}"
         )
-    factors = draw.values[partition.index_of - 1]
+    factors = coefficients[partition.index_of - 1]
     return fourier_field(f.grid, f.data * factors)
 
 
@@ -161,7 +155,7 @@ def coefficient_matrix(model: RandomModel, max_ring: int, n_samples: int) -> np.
     """Draws for sample_index 0..n_samples-1 as an (M, max_ring) array.
 
     Broadcasts the counter streams, so row i is bit-identical to
-    sample_coefficients(model, max_ring, i).values.
+    sample_coefficients(model, max_ring, i).
     """
     idx = np.arange(n_samples, dtype=np.int64)[:, None]
     n = np.arange(1, max_ring + 1, dtype=np.int64)[None, :]

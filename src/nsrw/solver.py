@@ -18,24 +18,25 @@ Data, w and g are real fields, so the stepper keeps rfft half spectra
 (spectral.HalfLattice); solve refuses data and resume states that are not
 conjugate-symmetric.
 
-Every stage field lives in the ball, so the stepper runs on the smallest
-grid on which products of ball fields do not alias back into the ball
-(stepping_lattice_size): M points per axis, with M >= 2 k_max + kappa for
-kappa = cutoff L / 2 pi and k_max = ceil(kappa) - 1 (M = 24 at N = 32 and
-the default cutoff N/4), and M = N when that bound reaches N. States are embedded into
-that lattice once on entry (data, resume state, step() input) and
-extracted to the N grid only for snapshots and step() output;
-coefficients keep the N grid's unitary normalisation throughout. The
-stepper owns one transport plan for its run: the kernel reads the stage
-field and computes the right-hand side on the cube |k_i| <= k_max that
-holds the ball, so its transforms skip the lines outside it.
+Every stage field lives in the ball, so the stepper keeps w, the
+truncated data and every mask and weight as band arrays of the cube
+|k_i| <= k_max that holds the ball (spectral.HalfLattice.band), with
+k_max = ceil(kappa) - 1 for kappa = cutoff L / 2 pi. States enter the cube
+once (data, resume state, step() input) and return to the N grid's half
+lattice only for snapshots and step() output; coefficients keep the N
+grid's unitary normalisation throughout. The stage products are formed on
+the smallest grid on which products of ball fields do not alias back into
+the ball (stepping_lattice_size): M points per axis with M >= 2 k_max +
+kappa (M = 24 at N = 32 and the default cutoff N/4), and M = N when that
+bound reaches N. Only the stepper's transport plan holds that lattice: the
+kernel reads the stage field's band array and returns the right-hand
+side's, so its transforms skip the lines outside the cube.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -252,10 +253,10 @@ def nonlinear_rhs(w: SpectralField, g: SpectralField, cutoff: float) -> Spectral
     if w.ncomp != grid.d or g.ncomp != grid.d:
         raise ValueError("nonlinear_rhs needs one component per dimension")
     _require_in_ball("fluctuation", w, cutoff)
-    half = grid.half
-    u = half.cut((w + friedrichs_cutoff(g, cutoff)).data)
+    plan = TransportPlan(grid)
+    u = (w + friedrichs_cutoff(g, cutoff)).data[(slice(None), *plan.in_band)]
     return -friedrichs_cutoff(
-        fourier_field(grid, half.expand(projected_transport_half(u, grid))), cutoff
+        fourier_field(grid, grid.half.expand(projected_transport_half(u, plan))), cutoff
     )
 
 
@@ -276,6 +277,14 @@ def _smooth_even_at_least(n: int) -> int:
         m += 2
 
 
+def _ball_k_max(grid: Grid, cutoff: float) -> int:
+    """k_max of the ball |xi| < cutoff, read off the ball mask itself along
+    the first axis."""
+    k = np.arange(grid.N)
+    on_axis = grid.half.kabs[(slice(None),) + (0,) * (grid.d - 1)] < cutoff
+    return int(np.minimum(k, grid.N - k)[on_axis].max())
+
+
 def stepping_lattice_size(grid: Grid, cutoff: float) -> int:
     """Points per axis of the lattice the fluctuation is stepped on.
 
@@ -288,100 +297,56 @@ def stepping_lattice_size(grid: Grid, cutoff: float) -> int:
     the smallest grid, 8), or N when that reaches N. N itself always clears
     the bound, because the cutoff lies inside the 2/3 band.
     """
-    return _stepping_lattice(grid, cutoff).step_grid.N
-
-
-@dataclass(frozen=True, eq=False)
-class _SteppingLattice:
-    """The stepping grid of a (grid, cutoff) pair, the index maps of the
-    cube |k_i| <= k_max, which holds the ball, between the two half
-    lattices, and the ball on the stepping half lattice.
-
-    With M == N the embed is the identity on the cube.
-    """
-
-    grid: Grid
-    step_grid: Grid
-    k_max: int
-    src: tuple
-    dst: tuple
-    ball: np.ndarray
-
-    @classmethod
-    def of(cls, grid: Grid, cutoff: float) -> "_SteppingLattice":
-        ball = grid.half.kabs < cutoff
-        # k_max read off the ball mask itself, along the first axis
-        k = np.arange(grid.N)
-        on_axis = ball[(slice(None),) + (0,) * (grid.d - 1)]
-        k_max = int(np.minimum(k, grid.N - k)[on_axis].max())
-        M = min(_smooth_even_at_least(max(3 * k_max + 1, 8)), grid.N)
-        step_grid = grid if M == grid.N else make_grid(grid.d, M, grid.L)
-
-        def cube(n: int) -> tuple:
-            axis = np.r_[0 : k_max + 1, n - k_max : n]
-            return np.ix_(*([axis] * (grid.d - 1) + [np.arange(k_max + 1)]))
-
-        src, dst = cube(grid.N), cube(M)
-        step_ball = np.zeros(step_grid.half.shape, dtype=bool)
-        step_ball[dst] = ball[src]
-        return cls(grid, step_grid, k_max, src, dst, step_ball)
-
-    def embed(self, h: np.ndarray) -> np.ndarray:
-        """The grid half-lattice array h (trailing d axes) on the stepping
-        half lattice; modes outside the cube are dropped."""
-        d = self.grid.d
-        out = np.zeros(h.shape[:-d] + self.step_grid.half.shape, dtype=h.dtype)
-        out[(Ellipsis,) + self.dst] = h[(Ellipsis,) + self.src]
-        return out
-
-    def extract(self, h: np.ndarray) -> np.ndarray:
-        """The stepping half-lattice array h back on the grid's half lattice."""
-        d = self.grid.d
-        out = np.zeros(h.shape[:-d] + self.grid.half.shape, dtype=h.dtype)
-        out[(Ellipsis,) + self.src] = h[(Ellipsis,) + self.dst]
-        return out
-
-
-@lru_cache(maxsize=16)
-def _stepping_lattice(grid: Grid, cutoff: float) -> _SteppingLattice:
-    return _SteppingLattice.of(grid, cutoff)
+    return min(_smooth_even_at_least(max(3 * _ball_k_max(grid, cutoff) + 1, 8)), grid.N)
 
 
 class _Stepper:
-    """Array-level stepping context on the stepping half lattice: cached
-    masks, decay factors and truncated data.
+    """Array-level stepping context on the ball's cube: cached masks,
+    decay factors and truncated data.
 
-    States are half spectra on the stepping lattice, supported in the ball,
-    with the coefficients of the N grid's unitary normalisation; the
-    Parseval weights make kinetic, gradsq and pairing equal to the N grid's
-    full-lattice sums.
+    States are band arrays of the cube |k_i| <= k_max that holds the ball
+    (HalfLattice.band), supported in the ball, with the coefficients of the
+    N grid's unitary normalisation; the Parseval weights make kinetic,
+    gradsq and pairing equal to the N grid's full-lattice sums. Only the
+    transport plan knows the M-point lattice the stage products are formed
+    on.
     """
 
     def __init__(self, grid: Grid, fhat: np.ndarray, config: SolverConfig):
         self.grid = grid
         self.config = config
-        self.lattice = _stepping_lattice(grid, config.cutoff)
-        self.half = self.lattice.step_grid.half
-        self.ksq = self.half.ksq
-        self.ball = self.lattice.ball
+        k_max = _ball_k_max(grid, config.cutoff)
+        M = stepping_lattice_size(grid, config.cutoff)
+        step_grid = grid if M == grid.N else make_grid(grid.d, M, grid.L)
+        self.band = grid.half.band(k_max)
+        # ksq and the weights as the stepping lattice holds them, so the
+        # decay factors are those of the grid the kernel runs on
+        step_band = step_grid.half.band(k_max)
+        self.ksq = step_grid.half.ksq[step_band]
+        self.weight = step_grid.half.weight[step_band]
+        self.ball = grid.half.kabs[self.band] < config.cutoff
         # the kernel's unitary M-point transforms return (N/M)^{d/2} times
         # the N-normalised coefficients of the product; the output mask
         # undoes that
-        scale = (self.lattice.step_grid.N / grid.N) ** (grid.d / 2.0)
-        self.out_mask = self.ball * scale
-        # the stage input lies in the cube |k_i| <= k_max, which holds the
-        # ball, and only the ball of the output is kept
-        k_max = self.lattice.k_max
-        self.plan = TransportPlan(self.lattice.step_grid, k_in=k_max, k_out=k_max)
+        self.out_mask = self.ball * (M / grid.N) ** (grid.d / 2.0)
+        # the stage input lies in the cube, and only the ball of the output
+        # is kept
+        self.plan = TransportPlan(step_grid, k_in=k_max, k_out=k_max)
         self.rhs_evaluations = 0
         self.fcut = self.embed(fhat)
-        self.weight_ksq = self.half.weight * self.ksq
-        self.weight_hminus1 = self.half.weight / (1.0 + self.ksq)
+        self.weight_ksq = self.weight * self.ksq
+        self.weight_hminus1 = self.weight / (1.0 + self.ksq)
         self._exp_cache: dict = {}
 
     def embed(self, a: np.ndarray) -> np.ndarray:
-        """A full N-grid spectrum's ball part on the stepping half lattice."""
-        return self.lattice.embed(self.grid.half.cut(a)) * self.ball
+        """A full N-grid spectrum's ball part as a band array."""
+        return a[(Ellipsis, *self.band)] * self.ball
+
+    def extract(self, h: np.ndarray) -> np.ndarray:
+        """The band array h on the N grid's half lattice, zero off the cube."""
+        out = np.zeros(h.shape[: -self.grid.d] + self.grid.half.shape, dtype=h.dtype)
+        out[(Ellipsis, *self.band)] = h
+        return out
 
     def decay(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
         """(e^{-dt|xi|^2}, e^{-dt|xi|^2/2}), kept for the current dt only:
@@ -402,7 +367,7 @@ class _Stepper:
         self.rhs_evaluations += 1
         if self.config.disable_nonlinear:
             return np.zeros_like(what)
-        out = projected_transport_half(what + g, self.lattice.step_grid, self.plan)
+        out = projected_transport_half(what + g, self.plan)
         # -(out * out_mask), in the kernel's fresh output
         return np.negative(np.multiply(out, self.out_mask, out=out), out=out)
 
@@ -410,7 +375,7 @@ class _Stepper:
         return self.grid.cell_volume * float(np.sum(self.weight_ksq * np.abs(what) ** 2))
 
     def kinetic(self, what: np.ndarray) -> float:
-        return self.grid.cell_volume * float(np.sum(self.half.weight * np.abs(what) ** 2))
+        return self.grid.cell_volume * float(np.sum(self.weight * np.abs(what) ** 2))
 
     def dwdt_hminus1(self, what: np.ndarray, rhs: np.ndarray) -> float:
         """|dw/dt|_{H^{-1}} of the state whose stage right-hand side is rhs:
@@ -426,7 +391,7 @@ class _Stepper:
         and the self-transport pairing <w, P div(w x w)> vanishes to rounding
         because the stepping lattice lets no product of two ball modes alias
         back into the ball."""
-        return 2.0 * self.grid.cell_volume * float(np.vdot(what, self.half.weight * rhs).real)
+        return 2.0 * self.grid.cell_volume * float(np.vdot(what, self.weight * rhs).real)
 
     def advance(self, what: np.ndarray, t: float, dt: float, track: bool = False,
                 rhs0: np.ndarray | None = None):
@@ -447,7 +412,7 @@ class _Stepper:
             # |E v|^2 + sum (1 - e^{-2dt|xi|^2}) |v|^2 = |w|^2 + 2dt<w, a> + dt^2 |a|^2
             heat = -np.expm1(-2.0 * dt * self.ksq)
             d_incr = 0.5 * self.grid.cell_volume * float(
-                np.sum(self.half.weight * heat * np.abs(v) ** 2)
+                np.sum(self.weight * heat * np.abs(v) ** 2)
             )
             p_incr = dt * abs(self.pairing(what, a)) + dt * dt * self.kinetic(a)
             return w_new, (d_incr, p_incr)
@@ -486,7 +451,7 @@ def step(state: SpectralField, t: float, dt: float, config: SolverConfig,
     out, _ = stepper.advance(stepper.embed(state.data), t, dt)
     if not np.all(np.isfinite(out)):
         raise StepFailureError(t)
-    return fourier_field(grid, grid.half.expand(stepper.lattice.extract(out)))
+    return fourier_field(grid, grid.half.expand(stepper.extract(out)))
 
 
 def _require_real_field(name: str, f: SpectralField):
@@ -547,7 +512,7 @@ def solve(
     times = time_partition(config.T, config.dt, config.substep_near_zero)
     if resume_state is None:
         start = 0
-        what = np.zeros((grid.d,) + stepper.half.shape, dtype=np.complex128)
+        what = np.zeros((grid.d,) + stepper.ksq.shape, dtype=np.complex128)
     else:
         if resume_time is None:
             raise ValueError("resume_state requires resume_time")
@@ -568,7 +533,7 @@ def solve(
         gives dw/dt here and starts the next step."""
         rhs0 = stepper.rhs(state, stepper.g_hat_cut(t))
         snap_times.append(t)
-        w_half.append(grid.half.symmetrize(stepper.lattice.extract(state)))
+        w_half.append(grid.half.symmetrize(stepper.extract(state)))
         dwdt.append(stepper.dwdt_hminus1(state, rhs0))
         if on_snapshot is not None:
             on_snapshot(len(snap_times) - 1, float(t), w_half[-1])

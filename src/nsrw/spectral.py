@@ -8,9 +8,11 @@ volume (L/N)^d as quadrature weight. Frequencies along each axis are
 
 Real fields have conjugate-symmetric spectra, a(-xi) = conj a(xi), so the
 rfft half of the lattice (last-axis indices 0..N/2, `Grid.half`) holds all
-of their content; the transport kernel works there. It transforms only
-the lines that carry its input band or feed its output band, in the index
-maps and work buffers of a `TransportPlan` that its caller owns.
+of their content; the transport kernel works there. Its input and output
+are band arrays, the values on a cube |k_i| <= k of the half lattice
+(`HalfLattice.band`), and it transforms only the lines that carry its
+input band or feed its output band, in the index maps and work buffers of
+a `TransportPlan` that its caller owns.
 """
 
 from __future__ import annotations
@@ -213,6 +215,21 @@ class HalfLattice:
         if den == 0.0:
             return 0.0
         return float(np.sqrt(np.sum(self.weight * np.abs(div) ** 2) / den))
+
+    def band(self, k: int) -> tuple:
+        """The index of the cube |k_i| <= k on this half lattice.
+
+        A band array, a[(..., *band(k))], holds the values on that cube:
+        its leading axes list the rows 0..k, -k..-1 in FFT order (the whole
+        axis once 2k + 1 >= N), its last axis the planes 0..min(k, N/2).
+        The index is an np.ix_ tuple, or basic slices once the cube is the
+        whole half lattice (k >= N/2), so that the band array is a view.
+        """
+        N = self.grid.N
+        if k >= N // 2:
+            return (slice(None),) * self.grid.d
+        rows = np.concatenate([np.arange(N)[s] for s in _band_slabs(N, k)])
+        return np.ix_(*([rows] * (self.grid.d - 1) + [np.arange(k + 1)]))
 
     def expand(self, h: np.ndarray) -> np.ndarray:
         """The conjugate-symmetric full-lattice array whose half is
@@ -527,12 +544,13 @@ def _line_views(buf: np.ndarray, k: int, axes) -> list:
 class TransportPlan:
     """Index maps and work buffers of the transport kernel on one grid.
 
-    The kernel reads its input on the band |k_i| <= k_in of every axis and
-    computes its output on the band |k_i| <= k_out; k_in defaults to the
-    2/3 band as grid.dealias_keep draws it, k_out to the whole half
-    lattice. Its transforms run in the plan's buffers, so a plan serves
-    one caller at a time: the stepper keeps one for its run, nse_residual
-    makes one per call.
+    The kernel reads the band array of its input on the cube |k_i| <= k_in
+    (in_band) and returns the band array of its output on the cube
+    |k_i| <= k_out (out_band); see HalfLattice.band. k_in defaults to the
+    2/3 band as grid.dealias_keep draws it, k_out to N/2, whose band is the
+    whole half lattice. Its transforms run in the plan's buffers, so a plan
+    serves one caller at a time: the stepper keeps one for its run,
+    nse_residual makes one per call.
     """
 
     def __init__(self, grid: Grid, k_in: int | None = None, k_out: int | None = None):
@@ -545,6 +563,8 @@ class TransportPlan:
             k_in = int(np.minimum(k, N - k)[on_axis].max())
         k_out = N // 2 if k_out is None else k_out
         self.grid = grid
+        self.in_band = h.band(k_in)
+        self.out_band = h.band(k_out)
         self.pairs = [(i, j) for i in range(d) for j in range(i, d)]
         npairs = len(self.pairs)
         self.prod = np.empty((npairs,) + grid.shape)
@@ -555,69 +575,51 @@ class TransportPlan:
         # product reads
         self.spec = self.prod_hat[:d]
         self.real = self.prod[npairs - d :]
-        self.in_blocks = [
-            (slice(None),) + rows + (slice(0, k_in + 1),)
-            for rows in itertools.product(*([_band_slabs(N, k_in)] * (d - 1)))
-        ]
         self.inverse_passes = _line_views(self.spec, k_in, range(1, d))
         self.forward_passes = _line_views(self.prod_hat, k_out, range(d - 1, 0, -1))
-        if k_out == N // 2:
-            cube = (slice(None),) * d
-        else:
-            rows = np.concatenate([np.arange(N)[s] for s in _band_slabs(N, k_out)])
-            cube = np.ix_(*([rows] * (d - 1) + [np.arange(k_out + 1)]))
-        self.out_cube = (slice(None),) + cube
-        self.freqs = tuple(np.broadcast_to(f, h.shape)[cube] for f in h.freqs)
-        self.inv_ksq = h.inv_ksq[cube]
-        self.nyquist = h.nyquist_mask[cube]
+        self.freqs = tuple(np.broadcast_to(f, h.shape)[self.out_band] for f in h.freqs)
+        self.inv_ksq = h.inv_ksq[self.out_band]
+        self.nyquist = h.nyquist_mask[self.out_band]
 
 
-def projected_transport_half(
-    uh: np.ndarray, grid: Grid, plan: TransportPlan | None = None
-) -> np.ndarray:
-    """P div(u x u) on the rfft half lattice, for the real field u whose half
-    spectrum is uh, shape (d,) + grid.half.shape.
+def projected_transport_half(u_band: np.ndarray, plan: TransportPlan) -> np.ndarray:
+    """P div(u x u) on the rfft half lattice of the plan's grid, for the
+    real field u whose half spectrum, read on the plan's input band, is the
+    band array u_band, shape (d,) + band shape.
 
-    Products are formed in physical space on the input read on the plan's
-    band k_in (the 2/3 band by default). The tensor is symmetric, so only
-    its upper triangle is transformed. The transforms are irfftn's and
-    rfftn's 1-D passes, pruned to the lines that carry band input or feed
-    the output band k_out: a leading-axis pass skips the lines that are
-    all zero or whose values no output reads, so every kept value is the
-    same to the bit as the unpruned transform's. The result is a fresh
-    array, zero outside the output band. Its Nyquist rows are zero: they
-    hold aliasing only, and there the symbol i xi is not odd, so keeping
-    them would break conjugate symmetry. Without a plan the call makes a
-    fresh one for the default bands.
+    Products are formed in physical space on that band input. The tensor
+    is symmetric, so only its upper triangle is transformed. The
+    transforms are irfftn's and rfftn's 1-D passes, pruned to the lines
+    that carry band input or feed the output band: a leading-axis pass
+    skips the lines that are all zero or whose values no output reads, so
+    every kept value is the same to the bit as the unpruned transform's.
+    The result is a fresh band array on the plan's output band. Its Nyquist
+    rows are zero: they hold aliasing only, and there the symbol i xi is
+    not odd, so keeping them would break conjugate symmetry.
     """
-    p = TransportPlan(grid) if plan is None else plan
-    if p.grid != grid:
-        raise ValueError("transport plan was made for another grid")
-    d, N = grid.d, grid.N
-    X = p.spec
+    d, N = plan.grid.d, plan.grid.N
+    X = plan.spec
     # the buffer holds the last call's products and the inverse passes
     # write outside the band, so it is zeroed first
     X.fill(0.0)
-    for block in p.in_blocks:
-        X[block] = uh[block]
-    for ax, views in p.inverse_passes:
+    X[(slice(None), *plan.in_band)] = u_band
+    for ax, views in plan.inverse_passes:
         for v in views:
             np.fft.ifft(v, axis=ax, norm="ortho", out=v)
-    U = np.fft.irfft(X, n=N, axis=d, norm="ortho", out=p.real)
-    for n, (i, j) in enumerate(p.pairs):
-        np.multiply(U[i], U[j], out=p.prod[n])
-    np.fft.rfft(p.prod, axis=d, norm="ortho", out=p.prod_hat)
-    for ax, views in p.forward_passes:
+    U = np.fft.irfft(X, n=N, axis=d, norm="ortho", out=plan.real)
+    for n, (i, j) in enumerate(plan.pairs):
+        np.multiply(U[i], U[j], out=plan.prod[n])
+    np.fft.rfft(plan.prod, axis=d, norm="ortho", out=plan.prod_hat)
+    for ax, views in plan.forward_passes:
         for v in views:
             np.fft.fft(v, axis=ax, norm="ortho", out=v)
-    T = p.prod_hat[p.out_cube]
+    T = plan.prod_hat[(slice(None), *plan.out_band)]
     that = {}
-    for n, (i, j) in enumerate(p.pairs):
+    for n, (i, j) in enumerate(plan.pairs):
         that[(i, j)] = that[(j, i)] = T[n]
-    # P div T = i (S - xi (xi . S) / |xi|^2) with S_i = sum_j xi_j T_ij,
-    # on the output band
-    f = p.freqs
-    out = np.empty((d,) + p.inv_ksq.shape, dtype=np.complex128)
+    # P div T = i (S - xi (xi . S) / |xi|^2) with S_i = sum_j xi_j T_ij
+    f = plan.freqs
+    out = np.empty((d,) + plan.inv_ksq.shape, dtype=np.complex128)
     for i in range(d):
         np.multiply(f[0], that[(i, 0)], out=out[i])
         for j in range(1, d):
@@ -625,16 +627,12 @@ def projected_transport_half(
     dot = f[0] * out[0]
     for i in range(1, d):
         dot += f[i] * out[i]
-    dot *= p.inv_ksq
+    dot *= plan.inv_ksq
     for i in range(d):
         out[i] -= f[i] * dot
     out *= 1j
-    out[:, p.nyquist] = 0.0
-    if out.shape[1:] == grid.half.shape:
-        return out
-    full = np.zeros((d,) + grid.half.shape, dtype=np.complex128)
-    full[p.out_cube] = out
-    return full
+    out[:, plan.nyquist] = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------

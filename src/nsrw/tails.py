@@ -147,6 +147,10 @@ def sample_space_time_norms(
     ))
 
 
+# fewest samples a tail fit accepts
+TAIL_FIT_MIN_SAMPLES = 200
+
+
 @dataclass(frozen=True)
 class TailFitResult:
     """Empirical tail of the ensemble with its Gaussian-exponent fit.
@@ -179,8 +183,10 @@ def fit_gaussian_tail(
     """Fit the quadratic-exponent tail law to an ensemble of norms."""
     values = np.asarray(samples, dtype=np.float64)
     M = values.size
-    if M < 200:
-        raise ValueError(f"need at least 200 samples for a tail fit, got {M}")
+    if M < TAIL_FIT_MIN_SAMPLES:
+        raise ValueError(
+            f"need at least {TAIL_FIT_MIN_SAMPLES} samples for a tail fit, got {M}"
+        )
     if np.ptp(values) == 0.0:
         raise ValueError("all samples identical; tail is degenerate")
     if lambda_grid is None:
@@ -225,8 +231,8 @@ def moment_bound_check(
     workers: int = 1,
 ) -> float:
     """(E norm^r)^{1/r} / |f|_{H^{-s}} by Monte Carlo."""
-    if M < 200:
-        raise ValueError(f"need at least 200 samples, got {M}")
+    if M < TAIL_FIT_MIN_SAMPLES:
+        raise ValueError(f"need at least {TAIL_FIT_MIN_SAMPLES} samples, got {M}")
     r = spec.r if r is None else float(r)
     values = sample_space_time_norms(f, model, spec, M, time_grid, workers)
     hnorm = hminus_s_norm(f, spec.s)

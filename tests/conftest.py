@@ -7,6 +7,7 @@ from nsrw.heat import _BLOCK_ELEMS, _half_decay
 from nsrw.randomization import hminus_s_norm
 from nsrw.spectral import (
     HERMITIAN_RTOL,
+    TransportPlan,
     conjugate_asymmetry,
     fourier_field,
     leray_project,
@@ -47,9 +48,12 @@ def single_mode_field(grid, mode, amplitudes):
 
 def full_transport(u):
     """P div(u x u) of the real field u on the full lattice: the half-lattice
-    kernel on u's half spectrum, expanded."""
+    kernel on u's half spectrum, read on its default band, expanded."""
     half = u.grid.half
-    return half.expand(projected_transport_half(half.cut(u.data), u.grid))
+    plan = TransportPlan(u.grid)
+    return half.expand(
+        projected_transport_half(half.cut(u.data)[(slice(None), *plan.in_band)], plan)
+    )
 
 
 def transport_oracle(uh, grid):

@@ -17,7 +17,6 @@ from nsrw.heat import check_linear_estimates, default_decay_time_grid, small_tim
 from nsrw.randomization import (
     RandomModel,
     coefficient_matrix,
-    CoefficientDraw,
     hminus_s_norm,
     randomize,
     sample_coefficients,
@@ -114,7 +113,7 @@ def test_criterion_2_randomization_invariants():
     mat = coefficient_matrix(gauss, part.max_ring, 2000)
     sq = np.empty(2000)
     for i in range(2000):
-        f_om = randomize(f, CoefficientDraw(i, mat[i]), part)
+        f_om = randomize(f, mat[i], part)
         sq[i] = hminus_s_norm(f_om, 0.25) ** 2
     moment_err = abs(sq.mean() / base**2 - 1.0)
 

@@ -280,6 +280,19 @@ class TestCli:
         assert err.startswith(f"error: config field {name!r}: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb, name, value", [
+        ("heatflow", "k_orders", [1, 1]),
+        ("tails", "monte_carlo_M", 50),
+    ])
+    def test_invalid_value_exit_code(self, tmp_path, capsys, verb, name, value):
+        # refused at validation, before any sampling or sweep
+        cfgfile = write_config(tmp_path, d=2, N=16, **{name: value})
+        out = tmp_path / "out"
+        assert main([verb, "--config", str(cfgfile), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field {name!r}: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_config_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         assert main(["solve", "--config", str(missing)]) == 2

@@ -178,18 +178,20 @@ class TestHeatNormsOracle:
     @pytest.mark.parametrize("nyquist", [False, True])
     @pytest.mark.parametrize("orders", [(0,), (1,), (0, 1)])
     @pytest.mark.parametrize("p", [4.0, np.inf])
+    @pytest.mark.parametrize("ncomp", ["scalar", "vector"])
     @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
-    def test_bitwise_equal_to_straightforward_sweep(self, monkeypatch, d, N, p, orders,
-                                                     nyquist, decay):
+    def test_bitwise_equal_to_straightforward_sweep(self, monkeypatch, d, N, ncomp, p,
+                                                     orders, nyquist, decay):
         # real data with Nyquist content makes its k = 1 symbols take the
         # full-lattice path, so (0, 1) mixes both paths in one call
         grid = make_grid(d, N, TWO_PI)
-        f = random_real_field(grid, d, seed=21)
+        nc = 1 if ncomp == "scalar" else d
+        f = random_real_field(grid, nc, seed=21)
         if not nyquist:
             f = zero_nyquist(f)
         if decay == "streamed":
             monkeypatch.setattr(heat, "_DECAY_CACHE_MAX_ELEMS", 0)
-        chunk = heat._BLOCK_ELEMS // (d * grid.ksq.size)
+        chunk = heat._BLOCK_ELEMS // (nc * grid.ksq.size)
         times = np.geomspace(1e-3, 1.0, chunk + chunk // 3 + 1)  # a short last block
         symbols = [sym for k in orders for sym in _derivative_symbols(grid, k)]
         got = _heat_norms(f, symbols, times, p)

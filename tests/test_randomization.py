@@ -4,7 +4,6 @@ import pytest
 from conftest import TWO_PI, random_divfree_field, single_mode_field
 from nsrw.data import borderline_field, smooth_random_field, taylor_green
 from nsrw.randomization import (
-    CoefficientDraw,
     RandomModel,
     coefficient_matrix,
     hminus_s_norm,
@@ -28,25 +27,25 @@ class TestSampling:
     def test_rademacher_support(self):
         model = RandomModel("rademacher", master_seed=7)
         draw = sample_coefficients(model, 500, 0)
-        assert set(np.unique(draw.values)) == {-1.0, 1.0}
+        assert set(np.unique(draw)) == {-1.0, 1.0}
 
     def test_uniform_support(self):
         model = RandomModel("uniform", master_seed=7)
         draw = sample_coefficients(model, 2000, 3)
-        assert draw.values.min() >= -1.0 and draw.values.max() <= 1.0
+        assert draw.min() >= -1.0 and draw.max() <= 1.0
 
     def test_deterministic_replay(self):
         model = RandomModel("gaussian", master_seed=123)
         a = sample_coefficients(model, 64, 5)
         b = sample_coefficients(model, 64, 5)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
         c = sample_coefficients(model, 64, 6)
-        assert not np.array_equal(a.values, c.values)
+        assert not np.array_equal(a, c)
 
     def test_extension_preserves_prefix(self):
         model = RandomModel("gaussian", master_seed=9)
-        short = sample_coefficients(model, 16, 2).values
-        long = sample_coefficients(model, 64, 2).values
+        short = sample_coefficients(model, 16, 2)
+        long = sample_coefficients(model, 64, 2)
         assert np.array_equal(long[:16], short)
 
     def test_matrix_matches_per_sample(self):
@@ -54,7 +53,7 @@ class TestSampling:
             model = RandomModel(family, master_seed=42)
             mat = coefficient_matrix(model, 8, 10)
             for i in range(10):
-                assert np.array_equal(mat[i], sample_coefficients(model, 8, i).values)
+                assert np.array_equal(mat[i], sample_coefficients(model, 8, i))
 
     def test_gaussian_moments_100k(self):
         model = RandomModel("gaussian", master_seed=2024)
@@ -133,15 +132,11 @@ class TestHminusNorm:
         assert abs(hminus_s_norm(f, s) - composite) < 1e-12 * composite
 
 
-def identity_draw(max_ring):
-    return CoefficientDraw(0, np.ones(max_ring))
-
-
 class TestRandomize:
     def test_identity_draw_bitwise(self, grid2):
         f = random_divfree_field(grid2, seed=3)
         part = ring_partition(grid2)
-        out = randomize(f, identity_draw(part.max_ring), part)
+        out = randomize(f, np.ones(part.max_ring), part)
         assert np.array_equal(out.data, f.data)
 
     def test_rademacher_preserves_hminus_exactly(self, grid2):
@@ -158,7 +153,7 @@ class TestRandomize:
         f = ring_project(random_divfree_field(grid2, seed=6), 3, part)
         values = np.ones(part.max_ring)
         values[2] = -1.0  # ring 3
-        out = randomize(f, CoefficientDraw(0, values), part)
+        out = randomize(f, values, part)
         assert np.array_equal(out.data, -f.data)
 
     def test_linearity(self, grid2):
@@ -184,13 +179,13 @@ class TestRandomize:
         f = zeros_field(grid2, 2)
         f.data[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
-            randomize(f, identity_draw(part.max_ring), part)
+            randomize(f, np.ones(part.max_ring), part)
 
     def test_partition_grid_mismatch(self, grid2, grid2_mid):
         part = ring_partition(grid2_mid)
         f = random_divfree_field(grid2, seed=10)
         with pytest.raises(ValueError):
-            randomize(f, identity_draw(part.max_ring), part)
+            randomize(f, np.ones(part.max_ring), part)
 
     def test_second_moment_identity_gaussian(self, grid2_mid):
         f = borderline_field(grid2_mid, 0.25, seed=11)
@@ -200,7 +195,7 @@ class TestRandomize:
         base_sq = hminus_s_norm(f, 0.25) ** 2
         sq = np.empty(2000)
         for i in range(2000):
-            f_om = randomize(f, CoefficientDraw(i, mat[i]), part)
+            f_om = randomize(f, mat[i], part)
             sq[i] = hminus_s_norm(f_om, 0.25) ** 2
         assert abs(sq.mean() / base_sq - 1.0) < 0.05
 

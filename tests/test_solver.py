@@ -20,6 +20,7 @@ from nsrw.solver import (
     time_partition,
 )
 from nsrw.spectral import (
+    TransportPlan,
     dealias,
     fourier_field,
     friedrichs_cutoff,
@@ -128,38 +129,31 @@ class TestEnergyLedger:
         assert abs(got - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
-    def test_weighted_half_sums_match_full_spectrum(self, d, N):
-        # the Parseval weights (1 on last-axis planes 0 and M/2, 2 elsewhere)
-        # turn stepping half-lattice sums into full-lattice ones; the data
-        # carry Nyquist content of the M-point stepping lattice so the
-        # weight-1 plane M/2 is exercised, and the sums carry the N grid's
-        # cell volume because coefficients keep its normalisation
+    def test_weighted_band_sums_match_full_spectrum(self, d, N):
+        # the Parseval weights (1 on the last-axis plane 0, 2 elsewhere on
+        # the cube) turn band-array sums into full-lattice ones, and the
+        # sums carry the N grid's cell volume; ksq comes from the smaller
+        # stepping lattice
         grid = make_grid(d, N, TWO_PI)
         cfg = SolverConfig(d=d, N=N, L=TWO_PI, cutoff=N / 4.0, T=1.0, dt=1e-3)
+        assert stepping_lattice_size(grid, cfg.cutoff) < N
         stepper = _Stepper(grid, random_real_field(grid, seed=50 + d).data, cfg)
-        step_grid = stepper.lattice.step_grid
-        assert step_grid.N < N
-        w = random_real_field(step_grid, seed=40 + d)
-        wh = step_grid.half.cut(w.data)
-        vol = grid.cell_volume
-        kinetic = vol * np.sum(np.abs(w.data) ** 2)
-        gradsq = vol * np.sum(step_grid.ksq * np.abs(w.data) ** 2)
-        assert abs(stepper.kinetic(wh) - kinetic) <= 1e-14 * kinetic
-        assert abs(stepper.gradsq(wh) - gradsq) <= 1e-14 * gradsq
-        # an N-grid ball field embedded keeps its N-grid sums
         v = random_real_field(grid, seed=60 + d).data * (grid.kabs < cfg.cutoff)
         vh = stepper.embed(v)
+        vol = grid.cell_volume
         kinetic = vol * np.sum(np.abs(v) ** 2)
         gradsq = vol * np.sum(grid.ksq * np.abs(v) ** 2)
         assert abs(stepper.kinetic(vh) - kinetic) <= 1e-14 * kinetic
         assert abs(stepper.gradsq(vh) - gradsq) <= 1e-14 * gradsq
+        # the band array returns to the half lattice unchanged
+        assert np.array_equal(stepper.extract(vh), grid.half.cut(v))
 
 
 class TestStepper:
     def test_decay_cache_keeps_one_pair(self, grid2_mid):
         f = smooth_random_field(grid2_mid, seed=16, band=2)
         stepper = _Stepper(grid2_mid, f.data, config32())
-        what = np.zeros((2,) + stepper.half.shape, dtype=np.complex128)
+        what = np.zeros((2,) + stepper.ksq.shape, dtype=np.complex128)
         t = 0.0
         for dt in (1e-3, 2e-3, 4e-3):
             what, _ = stepper.advance(what, t, dt, track=True)
@@ -187,14 +181,14 @@ class TestSteppingLattice:
         f = random_real_field(grid, seed=80 + d)
         cfg = SolverConfig(d=d, N=N, L=TWO_PI, cutoff=cutoff, T=1.0, dt=1e-3)
         stepper = _Stepper(grid, f.data, cfg)
-        assert (stepper.lattice.step_grid.N == N) == (frac == 3)
+        assert (stepping_lattice_size(grid, cutoff) == N) == (frac == 3)
         rhs = stepper.rhs(stepper.embed(w), stepper.g_hat_cut(0.0))
-        got = stepper.lattice.extract(rhs)
+        got = stepper.extract(rhs)
         half = grid.half
         hball = half.kabs < cutoff
-        want = -projected_transport_half(
-            half.cut(w) + half.cut(f.data) * hball, grid
-        ) * hball
+        plan = TransportPlan(grid)
+        u = half.cut(w) + half.cut(f.data) * hball
+        want = -projected_transport_half(u[(slice(None), *plan.in_band)], plan) * hball
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -364,6 +365,28 @@ def expand_oracle(h, grid):
 
 
 class TestHalfLattice:
+    @pytest.mark.parametrize("N", [16, 24, 42, 48])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_band_is_the_cube_in_fft_order(self, d, N):
+        grid = make_grid(d, N, TWO_PI)
+        half = grid.half
+        labels = np.indices(half.shape)
+        for k in (0, 1, N // 4 - 1, N // 3, N // 2):
+            rows = [i for i in range(N) if min(i, N - i) <= k]
+            last = [j for j in range(N // 2 + 1) if j <= k]
+            got = labels[(slice(None), *half.band(k))]
+            assert got.shape == (d,) + (len(rows),) * (d - 1) + (len(last),)
+            want = list(itertools.product(*([rows] * (d - 1) + [last])))
+            assert np.array_equal(got.reshape(d, -1).T, want)
+            # rows 0..k then -k..-1; the whole axis once 2k + 1 >= N; the
+            # last axis capped at N/2
+            freq = np.rint(half.freqs[0][(slice(None),) + (0,) * (d - 1)]).astype(int)
+            if 2 * k + 1 < N:
+                assert freq[rows].tolist() == list(range(k + 1)) + list(range(-k, 0))
+            else:
+                assert len(rows) == N
+            assert len(last) == min(k, N // 2) + 1
+
     @pytest.mark.parametrize("d, N", [(2, 16), (3, 16)])
     def test_symmetrize_is_the_half_of_expand(self, d, N):
         # an arbitrary complex half array: planes 0 and N/2 asymmetric
@@ -422,22 +445,23 @@ class TestProjectedTransport:
     @pytest.mark.parametrize("N", [16, 24, 32, 42, 48])
     @pytest.mark.parametrize("d", [2, 3])
     def test_planned_kernel_matches_unpruned_to_the_bit(self, d, N, band):
-        # one plan serves three inputs with content on every mode, Nyquist
-        # rows included, so a buffer left dirty by one call shows in the
-        # next. The ball band is the stepper's: input and output on the
-        # cube |k_i| <= k_max of the cutoff N/4; the stepper's input is
-        # signed zeros outside the cube, the mask products that cut it. The
-        # default band is the 2/3 mask's: at N = 42 the mode 14 = N/3 rounds
-        # out of it
+        # one plan serves three inputs with content on every mode of its
+        # input band, Nyquist rows included, so a buffer left dirty by one
+        # call shows in the next. The ball band is the stepper's: input and
+        # output on the cube |k_i| <= k_max of the cutoff N/4, which the
+        # oracle reads as an input that is signed zeros off the cube, the
+        # mask products that cut the stepper's fields. The default band is
+        # the 2/3 mask's: at N = 42 the mode 14 = N/3 rounds out of it
         grid = make_grid(d, N, TWO_PI)
-        shape = (d,) + grid.half.shape
+        half = grid.half
+        shape = (d,) + half.shape
         if band == "default":
-            plan, cube = TransportPlan(grid), (slice(None),) * (d + 1)
+            plan = TransportPlan(grid)
+            out_band = half.band(N // 2)
         else:
             k = math.ceil(N / 4) - 1
             plan = TransportPlan(grid, k_in=k, k_out=k)
-            rows = np.r_[0 : k + 1, N - k : N]
-            cube = (slice(None),) + np.ix_(*([rows] * (d - 1) + [np.arange(k + 1)]))
+            out_band = half.band(k)
 
         def bits(a):
             return np.ascontiguousarray(a).view(np.uint64)
@@ -445,20 +469,15 @@ class TestProjectedTransport:
         rng = np.random.default_rng(90 + 10 * d + N)
         for _ in range(3):
             uh = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            in_band = uh * 0.0
-            in_band[cube] = uh[cube]
-            want = transport_oracle(uh if band == "default" else in_band, grid)
-            got = projected_transport_half(uh, grid, plan)
-            assert np.array_equal(bits(got[cube]), bits(want[cube]))
-            got[cube] = 0.0
-            assert not got.any()
-
-
-    def test_plan_is_for_one_grid(self):
-        grid = make_grid(2, 16, TWO_PI)
-        uh = np.zeros((2,) + grid.half.shape, dtype=np.complex128)
-        with pytest.raises(ValueError, match="another grid"):
-            projected_transport_half(uh, grid, TransportPlan(make_grid(2, 16, 1.0)))
+            u_band = uh[(slice(None), *plan.in_band)]
+            if band == "default":
+                want = transport_oracle(uh, grid)
+            else:
+                on_cube = uh * 0.0
+                on_cube[(slice(None), *out_band)] = u_band
+                want = transport_oracle(on_cube, grid)
+            got = projected_transport_half(u_band, plan)
+            assert np.array_equal(bits(got), bits(want[(slice(None), *out_band)]))
 
 
 class TestHausdorffYoung:
