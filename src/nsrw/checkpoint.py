@@ -22,6 +22,7 @@ file is refused on load.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -98,10 +99,11 @@ def load_checkpoint(path: str | Path, expect_fingerprint: dict | None = None):
         raise CheckpointError(f"bad checkpoint magic {magic!r}")
     if version not in (1, VERSION):
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    grid = make_grid(d, N, L)
+    if d not in (2, 3) or N % 2 != 0 or N < 8 or not L > 0:
+        raise CheckpointError(f"checkpoint header names no valid grid: d={d}, N={N}, L={L}")
     pos = _HEADER.size
     if version == 1:
-        shape = (d,) + grid.shape
+        shape = (d,) + (N,) * d
     else:
         if len(blob) < pos + _LENGTH.size:
             raise CheckpointError("checkpoint truncated: fingerprint length missing")
@@ -114,13 +116,15 @@ def load_checkpoint(path: str | Path, expect_fingerprint: dict | None = None):
         if not isinstance(fingerprint, dict):
             raise CheckpointError("checkpoint fingerprint is not a JSON object")
         pos += n
-        shape = (d,) + grid.half.shape
-    expected = int(np.prod(shape)) * 16
+        shape = (d,) + (N,) * (d - 1) + (N // 2 + 1,)
+    # the payload is sized from the header before any grid array is built
+    expected = math.prod(shape) * 16
     payload = blob[pos:]
     if len(payload) != expected:
         raise CheckpointError(
             f"checkpoint truncated: expected {expected} payload bytes, got {len(payload)}"
         )
+    grid = make_grid(d, N, L)
     data = np.frombuffer(payload, dtype="<c16").reshape(shape).astype(np.complex128)
     if version == 1:
         return fourier_field(grid, data), float(t), float(cutoff)

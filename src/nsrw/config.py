@@ -55,7 +55,6 @@ class ExperimentConfig:
     sigma: float = 0.0
     p: float = 4.0
     q: float = 4.0
-    r: float = 4.0
     # sampling and reporting
     monte_carlo_M: int = 1000
     k_orders: list[int] = field(default_factory=lambda: [0, 1])
@@ -94,8 +93,9 @@ class ExperimentConfig:
         return {**{k: getattr(self, k) for k in keys}, "cutoff": self.effective_cutoff()}
 
     def norm_spec(self) -> NormSpec:
+        # the moment order r is p, the weakest the moment bound admits
         return NormSpec(
-            gamma=self.gamma, sigma=self.sigma, p=self.p, q=self.q, r=self.r,
+            gamma=self.gamma, sigma=self.sigma, p=self.p, q=self.q, r=self.p,
             s=self.s, T=self.T,
         )
 
@@ -158,9 +158,9 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.sigma < 0:
         _fail("sigma", "must be >= 0")
     if cfg.q < 2:
-        _fail("q", f"{cfg.q} rejected: the moment estimates need r >= p >= q >= 2")
-    if not cfg.r >= cfg.p >= cfg.q:
-        _fail("p", f"exponents must satisfy r >= p >= q, got r={cfg.r}, p={cfg.p}, q={cfg.q}")
+        _fail("q", f"{cfg.q} rejected: the moment estimates need p >= q >= 2")
+    if not cfg.p >= cfg.q:
+        _fail("p", f"exponents must satisfy p >= q, got p={cfg.p}, q={cfg.q}")
     if cfg.monte_carlo_M < 1:
         _fail("monte_carlo_M", "must be >= 1")
     if cfg.t_points_per_decade < 4:

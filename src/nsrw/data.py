@@ -111,8 +111,8 @@ def borderline_field(
     return f
 
 
-def smooth_random_field(grid: Grid, seed: int, band: int = 3, amplitude: float = 1.0) -> SpectralField:
-    """Band-limited random divergence-free data for manufactured runs."""
+def smooth_random_field(grid: Grid, seed: int, band: int = 3) -> SpectralField:
+    """Band-limited random divergence-free data of unit L2 norm for manufactured runs."""
     k_int = _integer_modes(grid)
     keep = np.ones(grid.shape, dtype=bool)
     for a in k_int:
@@ -122,10 +122,10 @@ def smooth_random_field(grid: Grid, seed: int, band: int = 3, amplitude: float =
     nrm = l2_norm(f)
     if nrm == 0.0:
         raise ValueError("degenerate smooth field")
-    return (amplitude / nrm) * f
+    return (1.0 / nrm) * f
 
 
-def taylor_green(grid: Grid, amplitude: float = 1.0) -> SpectralField:
+def taylor_green(grid: Grid) -> SpectralField:
     """Classical 2D cellular vortex (sin x cos y, -cos x sin y).
 
     Its self-advection is a pure gradient, so under the divergence-free
@@ -135,7 +135,7 @@ def taylor_green(grid: Grid, amplitude: float = 1.0) -> SpectralField:
         raise ValueError("taylor_green is a 2D field")
     x, y = grid.coordinates()
     scale = 2.0 * np.pi / grid.L
-    u = amplitude * np.sin(scale * x) * np.cos(scale * y)
-    v = -amplitude * np.cos(scale * x) * np.sin(scale * y)
+    u = np.sin(scale * x) * np.cos(scale * y)
+    v = -np.cos(scale * x) * np.sin(scale * y)
     phys = physical_field(grid, np.stack([u, v]).astype(np.complex128))
     return zero_mean(zero_nyquist(transform(phys, "forward")))

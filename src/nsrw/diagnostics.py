@@ -86,13 +86,7 @@ class CondtgReport:
     lam: float
 
 
-def condtg_check(
-    f_omega: SpectralField,
-    s: float,
-    gamma: float,
-    T: float,
-    time_grid: np.ndarray | None = None,
-) -> CondtgReport:
+def condtg_check(f_omega: SpectralField, s: float, gamma: float, T: float) -> CondtgReport:
     """Weighted forcing norms of g = e^{tD} f.
 
     In 2D this is the t^gamma-weighted L^4 space-time norm; in 3D the
@@ -112,7 +106,7 @@ def condtg_check(
                 f"gamma={gamma}, q={q}"
             )
         run_spec = NormSpec(gamma=gamma, sigma=0.0, p=p, q=q, r=p, s=s, T=T)
-        return space_time_norm(fld, run_spec, time_grid)
+        return space_time_norm(fld, run_spec)
 
     if d == 2:
         lam = _norm(f_omega, 4.0, 4.0, 0.0)
@@ -127,9 +121,7 @@ def condtg_check(
     return CondtgReport(d=3, components=comps, lam=float(sum(comps.values())))
 
 
-def nse_residual(
-    grid: Grid, times: np.ndarray, u_half, include_nonlinear: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
+def nse_residual(grid: Grid, times: np.ndarray, u_half) -> tuple[np.ndarray, np.ndarray]:
     """H^{-1} residual of the projected equation at snapshot midpoints.
 
     Uses the centered difference (u(t+h) - u(t))/h against the right-hand
@@ -150,7 +142,7 @@ def nse_residual(
     half = grid.half
     vol = grid.cell_volume
     weight = half.weight / (1.0 + half.ksq)
-    plan = TransportPlan(grid) if include_nonlinear else None
+    plan = TransportPlan(grid)
     um = np.empty_like(prev, dtype=np.complex128)
     resid = np.empty_like(um)
     mag = np.empty(prev.shape)
@@ -162,14 +154,13 @@ def nse_residual(
         h = times[j + 1] - times[j]
         # um = 0.5 * (prev + cur)
         np.multiply(0.5, np.add(prev, cur, out=um), out=um)
-        transport = None
-        if plan is not None:
-            transport = projected_transport_half(um[(slice(None), *plan.in_band)], plan)
+        transport = projected_transport_half(um[(slice(None), *plan.in_band)], plan)
         # resid = (cur - prev) / h + ksq * um + P div(um x um), um spent
         np.divide(np.subtract(cur, prev, out=resid), h, out=resid)
         resid += np.multiply(half.ksq, um, out=um)
-        if transport is not None:
-            resid += transport
+        resid += transport
+        # freed before the next pair's kernel output is formed
+        del transport
         # weight * |resid|^2
         np.multiply(weight, np.square(np.abs(resid, out=mag), out=mag), out=mag)
         mids.append(times[j] + 0.5 * h)

@@ -22,10 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .data import borderline_field, smooth_random_field, taylor_green
 from .diagnostics import condtg_check, dwdt_report, nse_residual
-from .heat import _condg_from_sweeps, check_linear_estimates, default_decay_time_grid
+from .heat import _condg_from_sweeps, _in_window, check_linear_estimates, default_decay_time_grid
 from .randomization import hminus_s_norm, randomized, verify_subgaussian
 from .solver import iter_u, solve, stepping_lattice_size
 from .spectral import l2_norm, make_grid, ring_partition
@@ -55,7 +55,11 @@ def resolve_workers(cfg: ExperimentConfig) -> int:
     cap = os.environ.get("NSRW_THREADS")
     workers = cfg.workers
     if cap is not None:
-        workers = min(workers, max(int(cap), 1))
+        try:
+            workers = min(workers, max(int(cap), 1))
+        except ValueError:
+            raise ValueError(f"environment variable NSRW_THREADS must be an integer, "
+                             f"got {cap!r}") from None
     return max(workers, 1)
 
 
@@ -169,6 +173,9 @@ def _run_heatflow(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str
     grid, f = build_data_field(cfg)
     f_om = _randomized_data(cfg, f)
     t_grid = default_decay_time_grid(grid, cfg.T, cfg.t_points_per_decade)
+    if _in_window(t_grid, grid).sum() < 2:
+        raise ConfigError(f"config field 'T': {cfg.T} leaves fewer than 2 decay times in the "
+                          f"slope-fit window [t_min, 10 t_min], t_min = 2.5 / kmax^2")
 
     summary = {"times": len(t_grid), "k_orders": list(cfg.k_orders)}
     failures = []

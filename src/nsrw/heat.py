@@ -96,9 +96,14 @@ def default_decay_time_grid(grid, T: float, points_per_decade: int = 16) -> np.n
     return np.geomspace(lo, T, npts)
 
 
-def _fit_loglog_slope(times: np.ndarray, values: np.ndarray, window: tuple[float, float]) -> float:
-    lo, hi = window
-    sel = (times >= lo * (1 - 1e-12)) & (times <= hi * (1 + 1e-12)) & (values > 0)
+def _in_window(times: np.ndarray, grid) -> np.ndarray:
+    """Which times lie in the slope-fit window of the grid."""
+    lo, hi = small_time_window(grid)
+    return (times >= lo * (1 - 1e-12)) & (times <= hi * (1 + 1e-12))
+
+
+def _fit_loglog_slope(times: np.ndarray, values: np.ndarray, grid) -> float:
+    sel = _in_window(times, grid) & (values > 0)
     if sel.sum() < 2:
         raise ValueError("time grid has fewer than 2 points in the slope-fit window")
     return float(np.polyfit(np.log(times[sel]), np.log(values[sel]), 1)[0])
@@ -265,7 +270,6 @@ def check_linear_estimates(
     linf_env = linf_env_core * hnorm
     linf_env_sqrt = np.sqrt(linf_env_core) * hnorm
 
-    window = small_time_window(g)
     l2_report = DecayReport(
         k=k,
         norm_kind="L2",
@@ -273,7 +277,7 @@ def check_linear_estimates(
         values=l2_vals,
         ratios=l2_vals / l2_env,
         bound_constant=float(np.max(l2_vals / l2_env)),
-        fitted_slope=_fit_loglog_slope(times, l2_vals, window),
+        fitted_slope=_fit_loglog_slope(times, l2_vals, g),
     )
     linf_report = DecayReport(
         k=k,
@@ -282,7 +286,7 @@ def check_linear_estimates(
         values=linf_vals,
         ratios=linf_vals / linf_env,
         bound_constant=float(np.max(linf_vals / linf_env)),
-        fitted_slope=_fit_loglog_slope(times, linf_vals, window),
+        fitted_slope=_fit_loglog_slope(times, linf_vals, g),
     )
     return LinearEstimateReport(
         l2=l2_report,

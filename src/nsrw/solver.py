@@ -110,9 +110,6 @@ class SolverConfig:
                 "ball sits inside the dealiased band"
             )
 
-    def make_grid(self) -> Grid:
-        return make_grid(self.d, self.N, self.L)
-
 
 @dataclass(frozen=True)
 class EnergyLog:
@@ -358,9 +355,6 @@ class _Stepper:
             self._exp_cache[dt] = cached
         return cached
 
-    def g_hat_cut(self, t: float) -> np.ndarray:
-        return self.fcut * np.exp(-t * self.ksq)
-
     def rhs(self, what: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Stage right-hand side for w against the truncated forcing g at
         the stage time; both are supported in the ball."""
@@ -393,17 +387,21 @@ class _Stepper:
         back into the ball."""
         return 2.0 * self.grid.cell_volume * float(np.vdot(what, self.weight * rhs).real)
 
-    def advance(self, what: np.ndarray, t: float, dt: float, track: bool = False,
-                rhs0: np.ndarray | None = None):
-        """One step; with track, also the step's contribution to the
-        dissipation and |forcing pairing| integrals. RK4 accumulates them
-        with its own stage quadrature, so its ledger converges at fourth
-        order; the Euler ledger is exact for the scheme (see EnergyLog).
-        rhs0 is the stage-0 right-hand side rhs(what, g(t)) when the caller
-        has already formed it."""
+    def stage0(self, what: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(g(t), rhs(what, g(t))): the truncated forcing at a step boundary
+        and the stage-0 right-hand side of the state there, which gives
+        dw/dt at a snapshot and starts the step from t."""
+        g = self.fcut * np.exp(-t * self.ksq)
+        return g, self.rhs(what, g)
+
+    def advance(self, what: np.ndarray, g0: np.ndarray, a: np.ndarray, dt: float,
+                track: bool = False):
+        """One step from the boundary where (g0, a) = stage0(what, t); with
+        track, also the step's contribution to the dissipation and |forcing
+        pairing| integrals. RK4 accumulates them with its own stage
+        quadrature, so its ledger converges at fourth order; the Euler
+        ledger is exact for the scheme (see EnergyLog)."""
         E, E2 = self.decay(dt)
-        g0 = self.g_hat_cut(t)
-        a = self.rhs(what, g0) if rhs0 is None else rhs0
         if self.config.integrator == "ifeuler":
             v = what + dt * a
             w_new = E * v
@@ -421,9 +419,10 @@ class _Stepper:
         b = self.rhs(w1, g_mid)
         w2 = E2 * what + (0.5 * dt) * b
         c = self.rhs(w2, g_mid)
-        w3 = E * what + dt * (E2 * c)
+        Ew = E * what
+        w3 = Ew + dt * (E2 * c)
         dd = self.rhs(w3, E * g0)
-        w_new = E * what + (dt / 6.0) * (E * a + 2.0 * E2 * (b + c) + dd)
+        w_new = Ew + (dt / 6.0) * (E * a + 2.0 * E2 * (b + c) + dd)
         if not track:
             return w_new, None
         d_incr = (dt / 6.0) * (
@@ -448,7 +447,8 @@ def step(state: SpectralField, t: float, dt: float, config: SolverConfig,
     grid = state.grid
     _require_in_ball("state", state, config.cutoff)
     stepper = _Stepper(grid, f_omega.data, config)
-    out, _ = stepper.advance(stepper.embed(state.data), t, dt)
+    what = stepper.embed(state.data)
+    out, _ = stepper.advance(what, *stepper.stage0(what, t), dt)
     if not np.all(np.isfinite(out)):
         raise StepFailureError(t)
     return fourier_field(grid, grid.half.expand(stepper.extract(out)))
@@ -528,18 +528,16 @@ def solve(
 
     snap_times, w_half, dwdt = [], [], []
 
-    def snapshot(t: float, state: np.ndarray) -> np.ndarray:
-        """Record the state and return its stage-0 right-hand side, which
-        gives dw/dt here and starts the next step."""
-        rhs0 = stepper.rhs(state, stepper.g_hat_cut(t))
+    def snapshot(t: float, state: np.ndarray, rhs0: np.ndarray):
+        """Record the state with dw/dt from its stage-0 right-hand side."""
         snap_times.append(t)
         w_half.append(grid.half.symmetrize(stepper.extract(state)))
         dwdt.append(stepper.dwdt_hminus1(state, rhs0))
         if on_snapshot is not None:
             on_snapshot(len(snap_times) - 1, float(t), w_half[-1])
-        return rhs0
 
-    rhs0 = snapshot(times[start], what)
+    g0, a = stepper.stage0(what, times[start])
+    snapshot(times[start], what, a)
 
     track = config.track_energy
     if track:
@@ -550,8 +548,7 @@ def solve(
 
     for idx in range(start, len(times) - 1):
         t0, t1 = times[idx], times[idx + 1]
-        what, incr = stepper.advance(what, t0, t1 - t0, track=track, rhs0=rhs0)
-        rhs0 = None
+        what, incr = stepper.advance(what, g0, a, t1 - t0, track=track)
         if not np.all(np.isfinite(what)):
             raise StepFailureError(t1)
         if track:
@@ -559,9 +556,11 @@ def solve(
             kinetic.append(stepper.kinetic(what))
             diss_cum.append(diss_cum[-1] + incr[0])
             pair_cum.append(pair_cum[-1] + incr[1])
+        # one stage-0 pair at t1 starts the next step and gives a snapshot's dw/dt
+        g0, a = stepper.stage0(what, t1)
         steps_done = idx + 1 - start
         if steps_done % config.snapshot_cadence == 0 or idx + 1 == len(times) - 1:
-            rhs0 = snapshot(t1, what)
+            snapshot(t1, what, a)
 
     log = None
     if track:

@@ -276,12 +276,6 @@ class SpectralField:
     def ncomp(self) -> int:
         return self.data.shape[0]
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.data.copy(), self.space)
-
-    def component(self, i: int) -> np.ndarray:
-        return self.data[i]
-
     def _check_compatible(self, other: "SpectralField"):
         if self.grid != other.grid or self.space != other.space:
             raise ValueError("fields live on different grids or spaces")

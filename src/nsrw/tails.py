@@ -60,10 +60,14 @@ def check_admissible(spec: NormSpec) -> bool:
     return bool(ordered and (spec.sigma + spec.s - 2.0 * spec.gamma) * spec.q < 2.0)
 
 
-def default_time_grid(T: float, points_per_decade: int = 64, decades: float = 6.0) -> np.ndarray:
-    """Geometric quadrature grid on (0, T], T*10^-decades up to T."""
-    npts = int(round(points_per_decade * decades)) + 1
-    return np.geomspace(T * 10.0**-decades, T, npts)
+# decades of (0, T] the quadrature grid spans
+TIME_GRID_DECADES = 6.0
+
+
+def default_time_grid(T: float, points_per_decade: int = 64) -> np.ndarray:
+    """Geometric quadrature grid on (0, T], T*10^-TIME_GRID_DECADES up to T."""
+    npts = int(round(points_per_decade * TIME_GRID_DECADES)) + 1
+    return np.geomspace(T * 10.0**-TIME_GRID_DECADES, T, npts)
 
 
 def _power_law_cells(times: np.ndarray, F: np.ndarray) -> float:
@@ -175,12 +179,9 @@ class TailFitResult:
             raise ValueError("tail probabilities must be nonincreasing")
 
 
-def fit_gaussian_tail(
-    samples: np.ndarray,
-    hnorm: float,
-    lambda_grid: np.ndarray | None = None,
-) -> TailFitResult:
-    """Fit the quadratic-exponent tail law to an ensemble of norms."""
+def fit_gaussian_tail(samples: np.ndarray, hnorm: float) -> TailFitResult:
+    """Fit the quadratic-exponent tail law to an ensemble of norms, on 33
+    lambda points from the sample median to the 99.5% quantile."""
     values = np.asarray(samples, dtype=np.float64)
     M = values.size
     if M < TAIL_FIT_MIN_SAMPLES:
@@ -189,12 +190,10 @@ def fit_gaussian_tail(
         )
     if np.ptp(values) == 0.0:
         raise ValueError("all samples identical; tail is degenerate")
-    if lambda_grid is None:
-        lo, hi = np.quantile(values, [0.5, 0.995])
-        lambda_grid = np.linspace(lo, hi, 33)
-    lam = np.sort(np.asarray(lambda_grid, dtype=np.float64))
-    if lam.size < 3 or np.ptp(lam) == 0.0:
+    lo, hi = np.quantile(values, [0.5, 0.995])
+    if lo == hi:
         raise ValueError("degenerate lambda grid")
+    lam = np.linspace(lo, hi, 33)
     sorted_vals = np.sort(values)
     prob = (M - np.searchsorted(sorted_vals, lam, side="left")) / M
 
@@ -221,21 +220,12 @@ def fit_gaussian_tail(
     )
 
 
-def moment_bound_check(
-    f: SpectralField,
-    model: RandomModel,
-    spec: NormSpec,
-    r: float | None = None,
-    M: int = 400,
-    time_grid: np.ndarray | None = None,
-    workers: int = 1,
-) -> float:
-    """(E norm^r)^{1/r} / |f|_{H^{-s}} by Monte Carlo."""
+def moment_bound_check(f: SpectralField, model: RandomModel, spec: NormSpec, M: int = 400) -> float:
+    """(E norm^r)^{1/r} / |f|_{H^{-s}} by Monte Carlo, r = spec.r."""
     if M < TAIL_FIT_MIN_SAMPLES:
         raise ValueError(f"need at least {TAIL_FIT_MIN_SAMPLES} samples, got {M}")
-    r = spec.r if r is None else float(r)
-    values = sample_space_time_norms(f, model, spec, M, time_grid, workers)
+    values = sample_space_time_norms(f, model, spec, M)
     hnorm = hminus_s_norm(f, spec.s)
     if hnorm == 0.0:
         return 0.0
-    return float(np.mean(values**r) ** (1.0 / r) / hnorm)
+    return float(np.mean(values**spec.r) ** (1.0 / spec.r) / hnorm)

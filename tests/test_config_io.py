@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,12 @@ class TestConfigParsing:
     def test_q_below_two_rejected(self):
         with pytest.raises(ConfigError, match="q"):
             config_from_dict({"experiment": "tails", "q": 1})
+
+    def test_p_below_q_rejected(self):
+        with pytest.raises(ConfigError, match="config field 'p': .* p >= q"):
+            config_from_dict({"experiment": "tails", "p": 3.0, "q": 4.0})
+        # the norm's moment order is p, the weakest the bound admits
+        assert config_from_dict({"experiment": "tails", "p": 6.0}).norm_spec().r == 6.0
 
     def test_tails_admissibility_eager(self):
         # (sigma + s - 2*gamma) * q must be < 2 at parse time
@@ -202,6 +209,31 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
+    def test_truncated_payload_refused_before_the_grid_is_built(self, tmp_path):
+        # a 46-byte file whose header claims d=3, N=128: building that grid
+        # would allocate tens of MiB before the payload length is checked
+        path = tmp_path / "short.nsrw"
+        path.write_bytes(struct.pack("<4sIIIddd", b"NSRW", 2, 3, 128, TWO_PI, 0.0, 4.0)
+                         + struct.pack("<I", 2) + b"{}")
+        assert path.stat().st_size == 46
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="truncated"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("d, N, L", [(4, 16, TWO_PI), (2, 15, TWO_PI), (3, 6, TWO_PI),
+                                         (2, 16, 0.0)])
+    def test_header_with_invalid_grid(self, tmp_path, d, N, L):
+        path = tmp_path / "bad.nsrw"
+        path.write_bytes(struct.pack("<4sIIIddd", b"NSRW", 2, d, N, L, 0.0, 4.0)
+                         + struct.pack("<I", 2) + b"{}")
+        with pytest.raises(CheckpointError, match="no valid grid"):
+            load_checkpoint(path)
+
     def test_header_layout(self, tmp_path, grid2):
         # magic, version u32, d u32, N u32, L f64, t f64, cutoff f64, then a
         # u32 length and the canonical JSON fingerprint, then the half
@@ -283,14 +315,26 @@ class TestCli:
     @pytest.mark.parametrize("verb, name, value", [
         ("heatflow", "k_orders", [1, 1]),
         ("tails", "monte_carlo_M", 50),
+        # no decay time in the slope-fit window [t_min, 10 t_min]
+        ("heatflow", "T", 0.001),
     ])
     def test_invalid_value_exit_code(self, tmp_path, capsys, verb, name, value):
-        # refused at validation, before any sampling or sweep
+        # refused before any sampling or sweep
         cfgfile = write_config(tmp_path, d=2, N=16, **{name: value})
         out = tmp_path / "out"
         assert main([verb, "--config", str(cfgfile), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: config field {name!r}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_invalid_thread_cap_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("NSRW_THREADS", "two")
+        cfgfile = write_config(tmp_path, d=2, N=16)
+        out = tmp_path / "out"
+        status = main(["randomize", "--config", str(cfgfile), "--M", "1", "--out", str(out)])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err == "error: environment variable NSRW_THREADS must be an integer, got 'two'\n"
         assert not out.exists()
 
     def test_missing_config_exit_code(self, tmp_path, capsys):

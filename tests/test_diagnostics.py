@@ -41,7 +41,7 @@ def randomized_borderline(d, N, seed):
     )
 
 
-def full_lattice_residual_oracle(times, u_states, include_nonlinear=True):
+def full_lattice_residual_oracle(times, u_states):
     """The residual assembled on the full lattice: midpoint, difference
     quotient and transport of every snapshot pair, summed over all modes."""
     grid = u_states[0].grid
@@ -52,9 +52,7 @@ def full_lattice_residual_oracle(times, u_states, include_nonlinear=True):
         h = times[j + 1] - times[j]
         u1, u2 = u_states[j], u_states[j + 1]
         um = 0.5 * (u1 + u2)
-        resid = (u2.data - u1.data) / h + grid.ksq * um.data
-        if include_nonlinear:
-            resid = resid + full_transport(um)
+        resid = (u2.data - u1.data) / h + grid.ksq * um.data + full_transport(um)
         mids.append(times[j] + 0.5 * h)
         vals.append(np.sqrt(vol * np.sum(weight * np.abs(resid) ** 2)))
     return np.array(mids), np.array(vals)
@@ -273,7 +271,8 @@ class TestNseResidual:
         h = 0.01
         times = np.arange(0.0, 0.1 + h / 2, h)
         states = [grid2.half.cut(heat_semigroup(w0, float(t)).data) for t in times]
-        mids, vals = nse_residual(grid2, times, states, include_nonlinear=False)
+        mids, vals = nse_residual(grid2, times, states)
+        # the shear flow (0, cos x) e^{-t} has no transport, so this is the
         # pure finite-difference error of e^{-t}: O(h^2)
         assert vals.max() < 1e-3
 
@@ -294,11 +293,10 @@ class TestNseResidual:
         states = [random_real_field(grid, seed=50 + j) for j in range(times.size)]
         assert np.abs(states[0].data * grid.nyquist_mask).max() > 0
         halves = [grid.half.cut(u.data) for u in states]
-        for include in (True, False):
-            mids, vals = nse_residual(grid, times, halves, include_nonlinear=include)
-            want_mids, want = full_lattice_residual_oracle(times, states, include)
-            np.testing.assert_array_equal(mids, want_mids)
-            np.testing.assert_allclose(vals, want, rtol=1e-12, atol=0)
+        mids, vals = nse_residual(grid, times, halves)
+        want_mids, want = full_lattice_residual_oracle(times, states)
+        np.testing.assert_array_equal(mids, want_mids)
+        np.testing.assert_allclose(vals, want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("d, N", [(2, 32), (3, 24)])
     def test_bitwise_equal_to_plain_expressions(self, d, N):
@@ -309,18 +307,16 @@ class TestNseResidual:
         times = np.array([0.0, 0.01, 0.025, 0.03])
         halves = [half.cut(random_real_field(grid, seed=70 + j).data) for j in range(4)]
         weight = half.weight / (1.0 + half.ksq)
-        for include in (True, False):
-            want = []
-            for j in range(times.size - 1):
-                prev, cur = halves[j], halves[j + 1]
-                h = times[j + 1] - times[j]
-                um = 0.5 * (prev + cur)
-                resid = (cur - prev) / h + half.ksq * um
-                if include:
-                    resid += transport_oracle(um, grid)
-                want.append(np.sqrt(grid.cell_volume * np.sum(weight * np.abs(resid) ** 2)))
-            _, vals = nse_residual(grid, times, halves, include_nonlinear=include)
-            assert np.array_equal(vals, want)
+        want = []
+        for j in range(times.size - 1):
+            prev, cur = halves[j], halves[j + 1]
+            h = times[j + 1] - times[j]
+            um = 0.5 * (prev + cur)
+            resid = (cur - prev) / h + half.ksq * um
+            resid += transport_oracle(um, grid)
+            want.append(np.sqrt(grid.cell_volume * np.sum(weight * np.abs(resid) ** 2)))
+        _, vals = nse_residual(grid, times, halves)
+        assert np.array_equal(vals, want)
 
     def test_consumes_a_one_shot_generator(self):
         grid = make_grid(2, 32, TWO_PI)

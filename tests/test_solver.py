@@ -124,7 +124,7 @@ class TestEnergyLedger:
         cfg = SolverConfig(d=d, N=N, L=TWO_PI, cutoff=cutoff, T=1.0, dt=1e-3)
         stepper = _Stepper(grid, g.data, cfg)
         wh = stepper.embed(w.data)
-        got = stepper.pairing(wh, stepper.rhs(wh, stepper.g_hat_cut(0.0)))
+        got = stepper.pairing(wh, stepper.stage0(wh, 0.0)[1])
         want = physical_pairing_oracle(w, g, cutoff)
         assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -156,9 +156,23 @@ class TestStepper:
         what = np.zeros((2,) + stepper.ksq.shape, dtype=np.complex128)
         t = 0.0
         for dt in (1e-3, 2e-3, 4e-3):
-            what, _ = stepper.advance(what, t, dt, track=True)
+            what, _ = stepper.advance(what, *stepper.stage0(what, t), dt, track=True)
             t += dt
             assert len(stepper._exp_cache) <= 1
+
+    @pytest.mark.parametrize("integrator, stages", [("ifrk4", 4), ("ifeuler", 1)])
+    def test_stage0_pair_formed_once_per_boundary(self, grid2_mid, monkeypatch, integrator,
+                                                  stages):
+        # the snapshot at a boundary and the step from it share one pair
+        calls = []
+        stage0 = _Stepper.stage0
+        monkeypatch.setattr(_Stepper, "stage0",
+                            lambda self, w, t: calls.append(t) or stage0(self, w, t))
+        f = smooth_random_field(grid2_mid, seed=16, band=2)
+        traj = solve(config32(T=0.125, snapshot_cadence=3, integrator=integrator), f)
+        steps = traj.energy_log.times.size - 1
+        assert calls == list(traj.energy_log.times)
+        assert traj.rhs_evaluations == stages * steps + 1
 
 
 def _is_smooth(m):
@@ -182,7 +196,7 @@ class TestSteppingLattice:
         cfg = SolverConfig(d=d, N=N, L=TWO_PI, cutoff=cutoff, T=1.0, dt=1e-3)
         stepper = _Stepper(grid, f.data, cfg)
         assert (stepping_lattice_size(grid, cutoff) == N) == (frac == 3)
-        rhs = stepper.rhs(stepper.embed(w), stepper.g_hat_cut(0.0))
+        rhs = stepper.stage0(stepper.embed(w), 0.0)[1]
         got = stepper.extract(rhs)
         half = grid.half
         hball = half.kabs < cutoff
@@ -425,7 +439,7 @@ class TestSolve:
         f = smooth_random_field(grid2_mid, seed=17, band=2)
         cfg = config32()
         full = solve(cfg, f)
-        state = full.w_states[2].copy()
+        state = full.w_states[2]
         amp = 1e-6 * np.abs(state.data).max()
         state.data[0, 0, 12] += amp * (1 + 1j)
         state.data[0, 0, -12] += amp * (1 - 1j)

@@ -1,4 +1,5 @@
-"""Every exported name is used by the program or its benchmark.
+"""Every exported name and every optional parameter is used by the
+program or its benchmark.
 
 A module exports every name in its __all__ and every public (not
 underscored) top-level function and class, whether or not it has an
@@ -6,6 +7,11 @@ __all__. Each needs a caller in src/nsrw/*.py or perfbench/*.py: a Name,
 an Attribute or an ImportFrom alias that refers to it. The package's
 __init__ re-exports names and does not count. A name kept only for the
 tests is listed in ORACLES with the reason it stays.
+
+Each defaulted parameter of a public top-level function needs a call in
+those files that passes it, by keyword or at its position; otherwise
+nothing but the tests ever sets it. Oracles are exempt, and a parameter
+kept for the tests alone is listed in PARAMETERS with the reason.
 """
 
 import ast
@@ -31,7 +37,15 @@ ORACLES = {
     "serialize_config": "the parse -> serialize -> parse identity of the config schema",
     "coefficient_matrix": "the vectorised draws behind the acceptance statistics, "
                           "row i bit-identical to sample i",
-    "moment_bound_check": "the paper's moment bound; no verb reads the config field r yet",
+    "moment_bound_check": "the paper's moment bound (E norm^r)^{1/r} <= C |f|_{H^{-s}}; "
+                          "tails checks the equivalent Gaussian tail",
+}
+
+PARAMETERS = {
+    "smooth_random_field.band": "the manufactured fields of the solver and residual tests "
+                                "use band 2",
+    "default_time_grid.points_per_decade": "the quadrature refinement test varies it; "
+                                           "ROADMAP item 6 makes it a setting",
 }
 
 
@@ -78,3 +92,60 @@ def test_oracle_entry_is_current(name):
     # an oracle that gains a caller, or leaves __all__, leaves this list
     assert name in _exports(), f"{name} is no longer exported"
     assert name not in _used_names(), f"{name} has a caller; drop it from ORACLES"
+
+
+def _defaulted_parameters() -> dict:
+    """'function.parameter' -> (function, position or None if keyword-only)
+    for every defaulted parameter of every public top-level function."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                out[f"{node.name}.{arg.arg}"] = (node.name, i)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    out[f"{node.name}.{arg.arg}"] = (node.name, None)
+    return out
+
+
+def _passed_parameters(defaulted: dict) -> set:
+    """The entries of defaulted that some call in the caller files passes."""
+    calls = []
+    for path in CALLER_FILES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.append((name, node))
+    passed = set()
+    for key, (fname, position) in defaulted.items():
+        param = key.split(".", 1)[1]
+        for name, call in calls:
+            if name != fname:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            keywords = {k.arg for k in call.keywords}
+            if (param in keywords or None in keywords or starred
+                    or (position is not None and len(call.args) > position)):
+                passed.add(key)
+                break
+    return passed
+
+
+def test_every_optional_parameter_is_passed():
+    defaulted = {k: v for k, v in _defaulted_parameters().items() if v[0] not in ORACLES}
+    unset = sorted(set(defaulted) - _passed_parameters(defaulted) - set(PARAMETERS))
+    assert not unset, f"defaulted parameters no program call passes: {unset}"
+
+
+@pytest.mark.parametrize("key", sorted(PARAMETERS))
+def test_parameter_entry_is_current(key):
+    # an entry whose parameter goes, or gains a caller, leaves this list
+    defaulted = _defaulted_parameters()
+    assert key in defaulted, f"{key} is no longer a defaulted parameter"
+    assert key not in _passed_parameters(defaulted), f"{key} is passed; drop it from PARAMETERS"

@@ -136,9 +136,9 @@ class TestTailFit:
             fit_gaussian_tail(np.ones(300), hnorm=1.0)  # identical samples
         with pytest.raises(ValueError):
             fit_gaussian_tail(np.arange(100.0), hnorm=1.0)  # too few samples
-        rng = np.random.default_rng(8)
-        with pytest.raises(ValueError):
-            fit_gaussian_tail(rng.uniform(size=300), 1.0, lambda_grid=np.array([0.5, 0.5]))
+        # the median equals the 99.5% quantile: the lambda grid is one point
+        with pytest.raises(ValueError, match="degenerate lambda grid"):
+            fit_gaussian_tail(np.r_[np.ones(299), 2.0], hnorm=1.0)
 
     def test_monte_carlo_fit_gaussian_family(self):
         grid = make_grid(2, 32, TWO_PI)
