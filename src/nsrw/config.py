@@ -69,9 +69,6 @@ class ExperimentConfig:
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(
-            d=self.d,
-            N=self.N,
-            L=self.L,
             cutoff=self.effective_cutoff(),
             T=self.T,
             dt=self.dt,

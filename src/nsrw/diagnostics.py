@@ -59,19 +59,17 @@ def dwdt_report(times: np.ndarray, values: np.ndarray, d: int) -> DwdtReport:
 def dwdt_norm(trajectory: Trajectory, config: SolverConfig) -> DwdtReport:
     """H^{-1} size of dw/dt per snapshot and its L^{4/d}-in-time norm.
 
-    dw/dt is reassembled from the right-hand side (heat term plus, unless
-    the config disables them, the truncated transport terms) at each
-    snapshot. solve records the same values as it steps
-    (Trajectory.dwdt_hminus1); this recomputation is their reference.
+    dw/dt is reassembled from the right-hand side (heat term plus the
+    truncated transport terms) at each snapshot. solve records the same
+    values as it steps (Trajectory.dwdt_hminus1); this recomputation is
+    their reference.
     """
     grid = trajectory.f_omega.grid
     vol = grid.cell_volume
     weight = 1.0 / (1.0 + grid.ksq)
     values = []
     for w, g in zip(trajectory.w_states, trajectory.g_states):
-        dwdt = -grid.ksq * w.data
-        if not config.disable_nonlinear:
-            dwdt = dwdt + nonlinear_rhs(w, g, config.cutoff).data
+        dwdt = -grid.ksq * w.data + nonlinear_rhs(w, g, config.cutoff).data
         values.append(np.sqrt(vol * np.sum(weight * np.abs(dwdt) ** 2)))
     return dwdt_report(trajectory.times, np.array(values), grid.d)
 

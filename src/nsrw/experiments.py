@@ -1,8 +1,8 @@
 """Experiment orchestration and artifact emission.
 
 Each experiment writes series.csv, summary.json, plotdata/*.tsv and a
-meta.json (timestamps, execution environment and, for solve, heatflow
-and tails, per-phase wall seconds and counters) under the configured
+meta.json (timestamps, execution environment and, for every verb but
+randomize, per-phase wall seconds and counters) under the configured
 output directory, and nothing anywhere else; a solve with write_checkpoints also writes each
 snapshot's checkpoint there as the snapshot is taken. summary.json and
 series.csv are byte-deterministic for a fixed config and seed,
@@ -396,10 +396,12 @@ def _run_report(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str |
     _, f = build_data_field(cfg)
     model = cfg.random_model()
     M = cfg.monte_carlo_M
+    started = time.perf_counter()
     lams = np.array(_ordered_map(
         lambda i: condtg_check(randomized(f, model, i), cfg.s, cfg.gamma, cfg.T).lam,
         M, workers,
     ))
+    phase_seconds = {"samples": time.perf_counter() - started}
     qlevels = [0.5, 0.75, 0.9, 0.95, 0.99, 0.995]
     quantiles = {f"q{int(q * 1000):03d}": float(np.quantile(lams, q)) for q in qlevels}
     summary = {
@@ -408,12 +410,24 @@ def _run_report(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str |
         "lambda_quantiles": quantiles,
     }
     if M >= TAIL_FIT_MIN_SAMPLES:
-        fit = fit_gaussian_tail(lams, hminus_s_norm(f, cfg.s))
+        hnorm = hminus_s_norm(f, cfg.s)
+        started = time.perf_counter()
+        fit = fit_gaussian_tail(lams, hnorm)
+        phase_seconds["fit"] = time.perf_counter() - started
         summary["tail_C1"] = fit.C1
         summary["tail_C2"] = fit.C2
         summary["tail_r_squared"] = fit.r_squared
     series = (["sample", "lambda"], [np.arange(M), lams])
-    return summary, [], series, {}, {}
+    # condtg_check sums one weighted space-time norm at d = 2 and three at d = 3
+    meta = {
+        "phase_seconds": phase_seconds,
+        "counters": {
+            "samples": M,
+            "time_points": default_time_grid(cfg.T).size,
+            "space_time_norms": M * (1 if cfg.d == 2 else 3),
+        },
+    }
+    return summary, [], series, {}, meta
 
 
 # one runner per verb of config.EXPERIMENTS

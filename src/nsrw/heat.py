@@ -19,13 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .randomization import hminus_s_norm
-from .spectral import (
-    FOURIER,
-    HERMITIAN_RTOL,
-    SpectralField,
-    conjugate_asymmetry,
-    fourier_field,
-)
+from .spectral import FOURIER, SpectralField, fourier_field, require_real_field
 
 __all__ = [
     "heat_semigroup",
@@ -143,73 +137,65 @@ def _heat_norms(f: SpectralField, symbols: list, times: np.ndarray, p: float) ->
     F stacks symbol * component for every symbol (arrays broadcastable to
     the grid) and every component of a field. One symbol's components are
     transformed at a time and the pointwise |.|^2 accumulated, so the
-    whole stack is never held. Rows that are conjugate-symmetric take a
-    half-spectrum path; the test is made per symbol, since a derivative
-    symbol breaks the symmetry on the Nyquist rows of symmetric data.
+    whole stack is never held. f must be real and zero on its Nyquist
+    rows, so every symbol * component is conjugate-symmetric and the sweep
+    runs on the rfft half spectrum.
 
-    The half-spectrum path runs in work arrays allocated once per call and
-    reused for every time block and symbol: the data and each symbol are
-    cut to the half lattice once, one decay block per time block serves
-    all symbols, and the block is inverse-transformed axis by axis in
-    place (ifft over the leading axes, then irfft into the real block),
-    the same 1-D transforms irfftn runs, so the bits match it. The
-    buffers belong to the call, not the module: tails workers run sweeps
-    on several threads at once.
+    The sweep runs in work arrays allocated once per call and reused for
+    every time block and symbol: the data and each symbol are cut to the
+    half lattice once, one decay block per time block serves all symbols,
+    and the block is inverse-transformed axis by axis in place (ifft over
+    the leading axes, then irfft into the real block), the same 1-D
+    transforms irfftn runs, so the bits match it. The buffers belong to
+    the call, not the module: tails workers run sweeps on several threads
+    at once.
     """
+    require_real_field("heat sweep data", f)
     g = f.grid
+    if np.any(f.data[:, g.nyquist_mask]):
+        # a derivative symbol would break the conjugate symmetry there
+        raise ValueError("heat sweep data has content on its Nyquist rows; "
+                         "the sweeps need it zero there")
+    half = g.half
     axes = tuple(range(2, 2 + g.d))
     sp = tuple(range(1, 1 + g.d))
     vol = g.cell_volume
-    hermitian = [conjugate_asymmetry(f.data * sym, g.d) <= HERMITIAN_RTOL for sym in symbols]
     chunk = max(1, _BLOCK_ELEMS // (f.ncomp * g.ksq.size))
     rows = min(chunk, times.size)
     out = np.empty(times.size)
     msq = np.empty((rows,) + g.shape)
-    syms_h = [None] * len(symbols)
-    any_half = any(hermitian)
-    if any_half:
-        half = g.half
-        syms_h = [half.cut(sym) if herm else None for sym, herm in zip(symbols, hermitian)]
-        cached = _half_decay(g, times)
-        base = half.cut(f.data)
-        fs = np.empty_like(base)
-        block = np.empty((rows, f.ncomp) + half.shape, dtype=np.complex128)
-        real = np.empty((rows, f.ncomp) + g.shape)
+    syms_h = [half.cut(sym) for sym in symbols]
+    cached = _half_decay(g, times)
+    base = half.cut(f.data)
+    fs = np.empty_like(base)
+    block = np.empty((rows, f.ncomp) + half.shape, dtype=np.complex128)
+    real = np.empty((rows, f.ncomp) + g.shape)
 
     for lo in range(0, times.size, chunk):
         tt = times[lo : lo + chunk]
         n = tt.size
         acc = msq[:n]
-        if any_half:
-            if cached is not None:
-                decay = cached[lo : lo + n]
-            else:
-                decay = np.exp(-tt.reshape((-1,) + (1,) * g.d) * half.ksq[None])
-            hb, rb = block[:n], real[:n]
-        for n_sym, (sym, sym_h) in enumerate(zip(symbols, syms_h)):
-            # the first symbol writes its |.|^2 into acc, the others add
-            # theirs: the sums are non-negative, so 0.0 + x would be x
+        if cached is not None:
+            decay = cached[lo : lo + n]
+        else:
+            decay = np.exp(-tt.reshape((-1,) + (1,) * g.d) * half.ksq[None])
+        hb, rb = block[:n], real[:n]
+        for n_sym, sym_h in enumerate(syms_h):
+            np.multiply(base, sym_h, out=fs)
+            np.multiply(fs[None], decay[:, None], out=hb)
+            for ax in axes[:-1]:
+                np.fft.ifft(hb, axis=ax, norm="ortho", out=hb)
+            np.fft.irfft(hb, n=g.N, axis=axes[-1], norm="ortho", out=rb)
+            np.multiply(rb, rb, out=rb)
+            # the first symbol writes its |.|^2 into acc, the others sum
+            # theirs in place and add it; components in order, the grouping
+            # np.sum(axis=1) uses
             first = n_sym == 0
-            if sym_h is not None:
-                np.multiply(base, sym_h, out=fs)
-                np.multiply(fs[None], decay[:, None], out=hb)
-                for ax in axes[:-1]:
-                    np.fft.ifft(hb, axis=ax, norm="ortho", out=hb)
-                np.fft.irfft(hb, n=g.N, axis=axes[-1], norm="ortho", out=rb)
-                np.multiply(rb, rb, out=rb)
-                # components in order, the grouping np.sum(axis=1) uses
-                total = acc if first else rb[:, 0]
-                if f.ncomp == 1:
-                    if first:
-                        np.copyto(acc, rb[:, 0])
-                else:
-                    np.add(rb[:, 0], rb[:, 1], out=total)
-                    for c in range(2, f.ncomp):
-                        total += rb[:, c]
-            else:
-                decay_full = np.exp(-tt.reshape((-1, 1) + (1,) * g.d) * g.ksq[None, None])
-                full = np.fft.ifftn((f.data * sym)[None] * decay_full, axes=axes, norm="ortho")
-                total = np.sum(np.abs(full) ** 2, axis=1, out=acc if first else None)
+            total = acc if first else rb[:, 0]
+            if first:
+                np.copyto(acc, rb[:, 0])
+            for c in range(1, f.ncomp):
+                total += rb[:, c]
             if not first:
                 acc += total
         if np.isinf(p):

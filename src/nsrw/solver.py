@@ -43,17 +43,17 @@ import numpy as np
 from .heat import heat_semigroup
 from .spectral import (
     FOURIER,
-    HERMITIAN_RTOL,
     Grid,
     SpectralField,
     TransportPlan,
-    conjugate_asymmetry,
+    axis_radius,
     fourier_field,
     friedrichs_cutoff,
     linf_norm,
     make_grid,
     mean_mode_magnitude,
     projected_transport_half,
+    require_real_field,
 )
 
 __all__ = [
@@ -82,18 +82,15 @@ class StepFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Grid, cutoff and stepping parameters for one fluctuation run."""
+    """Cutoff and stepping parameters for one fluctuation run; the grid is
+    the data's."""
 
-    d: int
-    N: int
-    L: float
     cutoff: float
     T: float
     dt: float
     integrator: str = "ifrk4"
     substep_near_zero: bool = True
     snapshot_cadence: int = 8
-    disable_nonlinear: bool = False
     track_energy: bool = True
 
     def __post_init__(self):
@@ -103,12 +100,6 @@ class SolverConfig:
             raise ValueError("T and dt must be positive")
         if self.snapshot_cadence < 1:
             raise ValueError("snapshot_cadence must be >= 1")
-        band = (self.N / 3.0) * (2.0 * np.pi / self.L)
-        if not 0 < self.cutoff <= band * (1 + 1e-12):
-            raise ValueError(
-                f"cutoff {self.cutoff} must lie in (0, {band}] so the truncation "
-                "ball sits inside the dealiased band"
-            )
 
 
 @dataclass(frozen=True)
@@ -274,14 +265,6 @@ def _smooth_even_at_least(n: int) -> int:
         m += 2
 
 
-def _ball_k_max(grid: Grid, cutoff: float) -> int:
-    """k_max of the ball |xi| < cutoff, read off the ball mask itself along
-    the first axis."""
-    k = np.arange(grid.N)
-    on_axis = grid.half.kabs[(slice(None),) + (0,) * (grid.d - 1)] < cutoff
-    return int(np.minimum(k, grid.N - k)[on_axis].max())
-
-
 def stepping_lattice_size(grid: Grid, cutoff: float) -> int:
     """Points per axis of the lattice the fluctuation is stepped on.
 
@@ -294,7 +277,8 @@ def stepping_lattice_size(grid: Grid, cutoff: float) -> int:
     the smallest grid, 8), or N when that reaches N. N itself always clears
     the bound, because the cutoff lies inside the 2/3 band.
     """
-    return min(_smooth_even_at_least(max(3 * _ball_k_max(grid, cutoff) + 1, 8)), grid.N)
+    k_max = axis_radius(grid.half.kabs < cutoff)
+    return min(_smooth_even_at_least(max(3 * k_max + 1, 8)), grid.N)
 
 
 class _Stepper:
@@ -310,9 +294,17 @@ class _Stepper:
     """
 
     def __init__(self, grid: Grid, fhat: np.ndarray, config: SolverConfig):
+        # the cutoff is checked against the data's grid here, where both
+        # solve and step build their stepper
+        kcut = (grid.N / 3.0) * (2.0 * np.pi / grid.L)
+        if not 0 < config.cutoff <= kcut * (1 + 1e-12):
+            raise ValueError(
+                f"cutoff {config.cutoff} must lie in (0, {kcut}] so the truncation "
+                "ball sits inside the dealiased band"
+            )
         self.grid = grid
         self.config = config
-        k_max = _ball_k_max(grid, config.cutoff)
+        k_max = axis_radius(grid.half.kabs < config.cutoff)
         M = stepping_lattice_size(grid, config.cutoff)
         step_grid = grid if M == grid.N else make_grid(grid.d, M, grid.L)
         self.band = grid.half.band(k_max)
@@ -359,8 +351,6 @@ class _Stepper:
         """Stage right-hand side for w against the truncated forcing g at
         the stage time; both are supported in the ball."""
         self.rhs_evaluations += 1
-        if self.config.disable_nonlinear:
-            return np.zeros_like(what)
         out = projected_transport_half(what + g, self.plan)
         # -(out * out_mask), in the kernel's fresh output
         return np.negative(np.multiply(out, self.out_mask, out=out), out=out)
@@ -454,16 +444,6 @@ def step(state: SpectralField, t: float, dt: float, config: SolverConfig,
     return fourier_field(grid, grid.half.expand(stepper.extract(out)))
 
 
-def _require_real_field(name: str, f: SpectralField):
-    asym = conjugate_asymmetry(f.data, f.grid.d)
-    if asym > HERMITIAN_RTOL:
-        raise ValueError(
-            f"{name} is not conjugate-symmetric (not a real field): the largest "
-            f"conjugate asymmetry |a(xi) - conj a(-xi)| is {asym:.3e} of its "
-            f"largest coefficient (tolerance {HERMITIAN_RTOL:g})"
-        )
-
-
 def _check_stability(config: SolverConfig, f_omega: SpectralField):
     gmax = linf_norm(friedrichs_cutoff(heat_semigroup(f_omega, config.dt), config.cutoff))
     if gmax <= 0:
@@ -495,19 +475,16 @@ def solve(
     on. The trajectory keeps f_omega, from which it derives the forcing.
     """
     grid = f_omega.grid
-    if (grid.d, grid.N) != (config.d, config.N) or not np.isclose(grid.L, config.L):
-        raise ValueError("data grid does not match solver config")
     if f_omega.space != FOURIER:
         raise ValueError("solve expects fourier-space data")
     if mean_mode_magnitude(f_omega) != 0.0:
         raise ValueError("data must be mean-zero")
-    _require_real_field("data", f_omega)
+    require_real_field("data", f_omega)
     if grid.half.divergence_ratio(grid.half.cut(f_omega.data)) > 1e-8:
         raise ValueError("data must be divergence-free")
 
     stepper = _Stepper(grid, f_omega.data, config)
-    if not config.disable_nonlinear:
-        _check_stability(config, f_omega)
+    _check_stability(config, f_omega)
 
     times = time_partition(config.T, config.dt, config.substep_near_zero)
     if resume_state is None:
@@ -521,7 +498,7 @@ def solve(
             raise ValueError(
                 f"resume time {resume_time} is not a step boundary of this config"
             )
-        _require_real_field("resume state", resume_state)
+        require_real_field("resume state", resume_state)
         _require_in_ball("resume state", resume_state, config.cutoff)
         start = int(hits[0])
         what = stepper.embed(resume_state.data)

@@ -55,6 +55,8 @@ __all__ = [
     "HERMITIAN_RTOL",
     "conjugate_mirror",
     "conjugate_asymmetry",
+    "require_real_field",
+    "axis_radius",
     "l2_norm",
     "linf_norm",
     "sobolev_norm",
@@ -382,6 +384,18 @@ def conjugate_asymmetry(a: np.ndarray, d: int) -> float:
     return float(np.abs(conjugate_mirror(a, d) - a).max() / scale)
 
 
+def require_real_field(name: str, f: SpectralField):
+    """Refuse a spectrum that is not conjugate-symmetric (not a real field),
+    naming its largest conjugate asymmetry."""
+    asym = conjugate_asymmetry(f.data, f.grid.d)
+    if asym > HERMITIAN_RTOL:
+        raise ValueError(
+            f"{name} is not conjugate-symmetric (not a real field): the largest "
+            f"conjugate asymmetry |a(xi) - conj a(-xi)| is {asym:.3e} of its "
+            f"largest coefficient (tolerance {HERMITIAN_RTOL:g})"
+        )
+
+
 # ---------------------------------------------------------------------------
 # ring partition
 
@@ -514,6 +528,14 @@ def dealias(f: SpectralField) -> SpectralField:
     return fourier_field(f.grid, f.data * f.grid.dealias_keep)
 
 
+def axis_radius(mask: np.ndarray) -> int:
+    """The largest |k| of the lattice modes a full- or half-lattice mask
+    keeps on its first axis (FFT order), read off the mask itself."""
+    row = mask[(slice(None),) + (0,) * (mask.ndim - 1)]
+    k = np.arange(row.size)
+    return int(np.minimum(k, row.size - k)[row].max())
+
+
 def _band_slabs(n: int, k: int) -> tuple:
     """The rows |k_i| <= k of an n-point axis in standard FFT order, as
     basic slices: the whole axis, or the two slabs 0..k and n-k..n-1."""
@@ -552,9 +574,7 @@ class TransportPlan:
         h = grid.half
         if k_in is None:
             # read off the mask, since N/3 can round either way (N = 42)
-            on_axis = grid.dealias_keep[(slice(None),) + (0,) * (d - 1)]
-            k = np.arange(N)
-            k_in = int(np.minimum(k, N - k)[on_axis].max())
+            k_in = axis_radius(grid.dealias_keep)
         k_out = N // 2 if k_out is None else k_out
         self.grid = grid
         self.in_band = h.band(k_in)

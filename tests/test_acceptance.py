@@ -214,10 +214,7 @@ def test_criterion_5_taylor_green_null():
     started = time.monotonic()
     grid = make_grid(2, 64, TWO_PI)
     f = taylor_green(grid)
-    cfg = SolverConfig(
-        d=2, N=64, L=TWO_PI, cutoff=16.0, T=1.0, dt=1.0 / 64.0,
-        substep_near_zero=False,
-    )
+    cfg = SolverConfig(cutoff=16.0, T=1.0, dt=1.0 / 64.0, substep_near_zero=False)
     traj = solve(cfg, f)
     ratio = float(np.sqrt(traj.energy_log.kinetic.max()) / l2_norm(f))
     elapsed = time.monotonic() - started
@@ -240,14 +237,14 @@ def test_criterion_6_energy_boundedness():
     worst_violation = 0.0
     for i in range(20):
         f_om = randomize(f, sample_coefficients(model, part.max_ring, i), part)
-        cfg = SolverConfig(d=2, N=64, L=TWO_PI, cutoff=16.0, T=1.0, dt=1.0 / 512.0)
+        cfg = SolverConfig(cutoff=16.0, T=1.0, dt=1.0 / 512.0)
         log = solve(cfg, f_om).energy_log
         worst_violation = max(worst_violation, log.max_violation())
 
     f_om0 = randomize(f, sample_coefficients(model, part.max_ring, 0), part)
     sups = []
     for cutoff in (64.0 / 6.0, 16.0, 64.0 / 3.0):
-        cfg = SolverConfig(d=2, N=64, L=TWO_PI, cutoff=cutoff, T=1.0, dt=1.0 / 512.0)
+        cfg = SolverConfig(cutoff=cutoff, T=1.0, dt=1.0 / 512.0)
         sups.append(solve(cfg, f_om0).energy_log.energy_sup())
     sups = np.array(sups)
     spread = float((sups.max() - sups.min()) / sups.max())
@@ -269,7 +266,7 @@ def test_criterion_7_convergence_order():
 
     def terminal(dt, integrator="ifrk4"):
         cfg = SolverConfig(
-            d=2, N=32, L=TWO_PI, cutoff=8.0, T=0.25, dt=dt,
+            cutoff=8.0, T=0.25, dt=dt,
             integrator=integrator, substep_near_zero=False, track_energy=False,
         )
         return solve(cfg, f).w_states[-1]

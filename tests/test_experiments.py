@@ -156,6 +156,11 @@ class TestArtifacts:
         ("heatflow", dict(d=2, N=32, k_orders=[0, 2], master_seed=4), {"sweeps"}),
         ("tails", dict(d=2, N=16, monte_carlo_M=210, master_seed=3, workers=2),
          {"samples", "fit"}),
+        ("report", dict(d=2, N=8, gamma=-0.05, monte_carlo_M=200, master_seed=3, workers=2),
+         {"samples", "fit"}),
+        # below the tail fit's sample floor: no fit phase
+        ("report", dict(d=3, N=8, s=0.1, gamma=-0.05, monte_carlo_M=4, master_seed=3),
+         {"samples"}),
     ])
     def test_sweep_telemetry_goes_to_meta_only(self, tmp_path, verb, fields, phases):
         # phase seconds and work counters land in meta.json; summary.json and
@@ -173,8 +178,13 @@ class TestArtifacts:
                 # k = 0, 1, 2 swept: 1 + 2 + 4 derivatives of a 2-component field
                 times = summary["times"]
                 want = {"decay_times": times, "field_transforms": times * 7 * 2}
-            else:
+            elif verb == "tails":
                 want = {"samples": 210, "time_points": default_time_grid(cfg.T).size}
+            else:
+                # one weighted space-time norm per sample at d = 2, three at d = 3
+                M = cfg.monte_carlo_M
+                want = {"samples": M, "time_points": default_time_grid(cfg.T).size,
+                        "space_time_norms": M * (1 if cfg.d == 2 else 3)}
             assert meta["counters"] == want
             telemetry = {"phase_seconds", "counters"} | phases | set(want)
             assert not telemetry & set(summary)

@@ -6,6 +6,7 @@ import nsrw.heat as heat
 from conftest import (
     TWO_PI,
     heat_norms_oracle,
+    mode_pair_field,
     random_divfree_field,
     random_real_field,
     single_mode_field,
@@ -21,6 +22,7 @@ from nsrw.heat import (
     small_time_window,
 )
 from nsrw.randomization import RandomModel, randomize, sample_coefficients
+from nsrw.tails import NormSpec, space_time_norm
 from nsrw.spectral import (
     fourier_field,
     l2_norm,
@@ -103,7 +105,7 @@ def oracle_slope(grid, s, k, n_pts=9):
 
 class TestLinearEstimates:
     def test_single_mode_closed_form(self, grid2):
-        f = single_mode_field(grid2, (2, 1), [1.0, -2.0])  # |xi|^2 = 5
+        f = mode_pair_field(grid2, (2, 1), [1.0, -2.0])  # |xi|^2 = 5
         ts = np.geomspace(0.01, 1.0, 12)
         rep = check_linear_estimates(f, 0.25, 0, ts)
         base = l2_norm(f)
@@ -135,14 +137,10 @@ class TestLinearEstimates:
         assert abs(rep.l2.values[0] - direct) < 1e-12 * direct
 
     @pytest.mark.parametrize("k", [1, 2])
-    @pytest.mark.parametrize("d, nyquist", [(2, True), (3, True), (2, False)])
-    def test_linf_matches_per_time_oracle(self, d, nyquist, k):
-        # real data with Nyquist content: its derivatives are not
-        # conjugate-symmetric on the Nyquist rows, so they need the full transform
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_linf_matches_per_time_oracle(self, d, k):
         grid = make_grid(d, 16, TWO_PI)
-        f = random_real_field(grid, d, seed=11)
-        if not nyquist:
-            f = zero_nyquist(f)
+        f = zero_nyquist(random_real_field(grid, d, seed=11))
         ts = np.geomspace(0.01, 1.0, 6)
         rep = check_linear_estimates(f, 0.25, k, ts)
         oracle = []
@@ -175,20 +173,15 @@ class TestLinearEstimates:
 
 class TestHeatNormsOracle:
     @pytest.mark.parametrize("decay", ["cached", "streamed"])
-    @pytest.mark.parametrize("nyquist", [False, True])
     @pytest.mark.parametrize("orders", [(0,), (1,), (0, 1)])
     @pytest.mark.parametrize("p", [4.0, np.inf])
     @pytest.mark.parametrize("ncomp", ["scalar", "vector"])
     @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
     def test_bitwise_equal_to_straightforward_sweep(self, monkeypatch, d, N, ncomp, p,
-                                                     orders, nyquist, decay):
-        # real data with Nyquist content makes its k = 1 symbols take the
-        # full-lattice path, so (0, 1) mixes both paths in one call
+                                                     orders, decay):
         grid = make_grid(d, N, TWO_PI)
         nc = 1 if ncomp == "scalar" else d
-        f = random_real_field(grid, nc, seed=21)
-        if not nyquist:
-            f = zero_nyquist(f)
+        f = zero_nyquist(random_real_field(grid, nc, seed=21))
         if decay == "streamed":
             monkeypatch.setattr(heat, "_DECAY_CACHE_MAX_ELEMS", 0)
         chunk = heat._BLOCK_ELEMS // (nc * grid.ksq.size)
@@ -196,6 +189,46 @@ class TestHeatNormsOracle:
         symbols = [sym for k in orders for sym in _derivative_symbols(grid, k)]
         got = _heat_norms(f, symbols, times, p)
         assert np.array_equal(got, heat_norms_oracle(f, symbols, times, p))
+
+    @pytest.mark.parametrize("decay", ["cached", "streamed"])
+    @pytest.mark.parametrize("orders", [(0,), (1,), (0, 1)])
+    @pytest.mark.parametrize("p", [4.0, np.inf])
+    @pytest.mark.parametrize("ncomp", ["scalar", "vector"])
+    @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
+    def test_refuses_nyquist_content_on_every_path(self, monkeypatch, d, N, ncomp, p,
+                                                   orders, decay):
+        # the contract is on the field, not on the symbols: Nyquist content is
+        # refused even for k = 0, whose products are still conjugate-symmetric,
+        # and before either decay policy or the one-component layout is chosen
+        grid = make_grid(d, N, TWO_PI)
+        nc = 1 if ncomp == "scalar" else d
+        f = random_real_field(grid, nc, seed=21)
+        if decay == "streamed":
+            monkeypatch.setattr(heat, "_DECAY_CACHE_MAX_ELEMS", 0)
+        times = np.geomspace(1e-3, 1.0, 5)
+        symbols = [sym for k in orders for sym in _derivative_symbols(grid, k)]
+        with pytest.raises(ValueError, match="content on its Nyquist rows"):
+            _heat_norms(f, symbols, times, p)
+
+    @pytest.mark.parametrize("flaw, message", [
+        ("complex", "not conjugate-symmetric"),
+        ("nyquist", "content on its Nyquist rows"),
+    ])
+    def test_refuses_fields_outside_its_contract(self, grid2, flaw, message):
+        # the sweep runs on the half spectrum only: non-real data, or real
+        # data with Nyquist content, is refused by every caller
+        if flaw == "complex":
+            f = random_divfree_field(grid2, seed=25)
+            f.data[:, 1, 2] *= 1j
+        else:
+            f = random_real_field(grid2, 2, seed=25)
+        spec = NormSpec(gamma=0.0, sigma=0.0, p=4.0, q=4.0, r=4.0, s=0.25, T=1.0)
+        ts = np.geomspace(0.01, 1.0, 8)
+        for check in (lambda: space_time_norm(f, spec),
+                      lambda: check_linear_estimates(f, 0.25, 0, ts),
+                      lambda: condg_check(f, 0.25, ts)):
+            with pytest.raises(ValueError, match=message):
+                check()
 
 
 class TestCondg:
@@ -206,7 +239,7 @@ class TestCondg:
         assert rep.sup_l2 == 0.0 and rep.sup_linf[0] == 0.0 and rep.sup_linf[1] == 0.0
 
     def test_single_mode_ratios_decay_past_diffusion_time(self, grid2):
-        f = single_mode_field(grid2, (2, 0), [0.0, 1.0])  # |xi|^2 = 4
+        f = mode_pair_field(grid2, (2, 0), [0.0, 1.0])  # |xi|^2 = 4
         ts = np.geomspace(0.3, 3.0, 12)  # all past 1/|xi|^2
         rep = condg_check(f, 0.25, ts)
         assert np.all(np.isfinite(rep.l2_ratios))

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, random_divfree_field, random_real_field
+from conftest import TWO_PI, random_divfree_field, random_real_field, shear_field
 from nsrw.data import borderline_field, smooth_random_field, taylor_green
 from nsrw.heat import heat_semigroup
 from nsrw.randomization import RandomModel, randomize, sample_coefficients
@@ -36,8 +36,7 @@ from nsrw.spectral import (
 
 
 def config32(**kw):
-    base = dict(d=2, N=32, L=TWO_PI, cutoff=8.0, T=0.5, dt=1.0 / 128.0,
-                substep_near_zero=False)
+    base = dict(cutoff=8.0, T=0.5, dt=1.0 / 128.0, substep_near_zero=False)
     base.update(kw)
     return SolverConfig(**base)
 
@@ -121,7 +120,7 @@ class TestEnergyLedger:
         cutoff = N / 4.0
         w = friedrichs_cutoff(random_divfree_field(grid, seed=20 + d, scale=0.1), cutoff)
         g = random_divfree_field(grid, seed=30 + d, scale=0.1)
-        cfg = SolverConfig(d=d, N=N, L=TWO_PI, cutoff=cutoff, T=1.0, dt=1e-3)
+        cfg = SolverConfig(cutoff=cutoff, T=1.0, dt=1e-3)
         stepper = _Stepper(grid, g.data, cfg)
         wh = stepper.embed(w.data)
         got = stepper.pairing(wh, stepper.stage0(wh, 0.0)[1])
@@ -135,7 +134,7 @@ class TestEnergyLedger:
         # sums carry the N grid's cell volume; ksq comes from the smaller
         # stepping lattice
         grid = make_grid(d, N, TWO_PI)
-        cfg = SolverConfig(d=d, N=N, L=TWO_PI, cutoff=N / 4.0, T=1.0, dt=1e-3)
+        cfg = SolverConfig(cutoff=N / 4.0, T=1.0, dt=1e-3)
         assert stepping_lattice_size(grid, cfg.cutoff) < N
         stepper = _Stepper(grid, random_real_field(grid, seed=50 + d).data, cfg)
         v = random_real_field(grid, seed=60 + d).data * (grid.kabs < cfg.cutoff)
@@ -193,7 +192,7 @@ class TestSteppingLattice:
         ball = grid.kabs < cutoff
         w = random_real_field(grid, seed=70 + d).data * ball
         f = random_real_field(grid, seed=80 + d)
-        cfg = SolverConfig(d=d, N=N, L=TWO_PI, cutoff=cutoff, T=1.0, dt=1e-3)
+        cfg = SolverConfig(cutoff=cutoff, T=1.0, dt=1e-3)
         stepper = _Stepper(grid, f.data, cfg)
         assert (stepping_lattice_size(grid, cutoff) == N) == (frac == 3)
         rhs = stepper.stage0(stepper.embed(w), 0.0)[1]
@@ -229,10 +228,11 @@ class TestSteppingLattice:
 
 class TestStep:
     def test_heat_only_exact_factor(self, grid2_mid):
-        cfg = config32(disable_nonlinear=True)
-        w0 = friedrichs_cutoff(random_divfree_field(grid2_mid, seed=6), 8.0)
+        # zero data and a shear state: no transport, so one step is the
+        # exact heat factor
+        w0 = shear_field(grid2_mid, 8.0, seed=6)
         f = zeros_field(grid2_mid, 2)
-        out = step(w0, 0.1, 0.05, cfg, f)
+        out = step(w0, 0.1, 0.05, config32(), f)
         want = heat_semigroup(w0, 0.05)
         assert np.abs(out.data - want.data).max() <= 1e-13 * np.abs(w0.data).max()
 
@@ -305,7 +305,7 @@ class TestSolve:
         # each snapshot is the half of the full spectrum it stands for, bit
         # for bit, with exactly conjugate-symmetric planes 0 and N/2
         f = smooth_random_field(grid3, seed=4, band=2)
-        cfg = SolverConfig(d=3, N=16, L=TWO_PI, cutoff=4.0, T=4.0 / 128.0, dt=1.0 / 128.0,
+        cfg = SolverConfig(cutoff=4.0, T=4.0 / 128.0, dt=1.0 / 128.0,
                            substep_near_zero=False, snapshot_cadence=1)
         seen = []
         traj = solve(cfg, f, on_snapshot=lambda i, t, w: seen.append((i, t, w)))
@@ -322,7 +322,7 @@ class TestSolve:
         # the trajectory keeps its data and derives g, and keeps each w
         # snapshot as a half spectrum: a run holds one list of half spectra
         f = smooth_random_field(grid3, seed=3, band=2)
-        cfg = SolverConfig(d=3, N=16, L=TWO_PI, cutoff=4.0, T=40.0 / 128.0, dt=1.0 / 128.0,
+        cfg = SolverConfig(cutoff=4.0, T=40.0 / 128.0, dt=1.0 / 128.0,
                            substep_near_zero=False, snapshot_cadence=1)
         tracemalloc.start()
         try:
@@ -342,7 +342,7 @@ class TestSolve:
         f_om = randomize(
             f, sample_coefficients(RandomModel("gaussian", 3), part.max_ring, 0), part
         )
-        cfg = SolverConfig(d=2, N=32, L=TWO_PI, cutoff=8.0, T=0.5, dt=1.0 / 256.0)
+        cfg = SolverConfig(cutoff=8.0, T=0.5, dt=1.0 / 256.0)
         log = solve(cfg, f_om).energy_log
         assert log.max_violation() <= 1e-8
         assert np.all(np.diff(log.dissipation_cum) >= 0)
@@ -457,13 +457,20 @@ class TestSolve:
 
 
 class TestSolverConfig:
-    def test_cutoff_must_fit_dealias_band(self):
-        with pytest.raises(ValueError):
-            SolverConfig(d=2, N=32, L=TWO_PI, cutoff=12.0, T=1.0, dt=0.01)
+    def test_cutoff_must_fit_dealias_band(self, grid2_mid):
+        # the band (N/3)(2 pi/L) is the data grid's: 10.67 at N = 32, 21.3 at 64
+        cfg = config32(cutoff=12.0, T=4.0 / 128.0)
+        z = zeros_field(grid2_mid, 2)
+        with pytest.raises(ValueError, match="inside the dealiased band"):
+            solve(cfg, z)
+        with pytest.raises(ValueError, match="inside the dealiased band"):
+            step(z, 0.0, cfg.dt, cfg, z)
+        traj = solve(cfg, zeros_field(make_grid(2, 64, TWO_PI), 2))
+        assert traj.times[-1] == cfg.T
 
     def test_unknown_integrator(self):
         with pytest.raises(ValueError):
-            SolverConfig(d=2, N=32, L=TWO_PI, cutoff=8.0, T=1.0, dt=0.01, integrator="rk2")
+            SolverConfig(cutoff=8.0, T=1.0, dt=0.01, integrator="rk2")
 
 
 class TestReconstruct:
@@ -477,7 +484,7 @@ class TestReconstruct:
     def test_taylor_green_exact_solution(self):
         g = make_grid(2, 64, TWO_PI)
         f = taylor_green(g)
-        cfg = SolverConfig(d=2, N=64, L=TWO_PI, cutoff=16.0, T=0.5, dt=1.0 / 64.0,
+        cfg = SolverConfig(cutoff=16.0, T=0.5, dt=1.0 / 64.0,
                            substep_near_zero=False, snapshot_cadence=8)
         traj = solve(cfg, f)
         u_half = list(iter_u(traj))

@@ -12,6 +12,10 @@ Each defaulted parameter of a public top-level function needs a call in
 those files that passes it, by keyword or at its position; otherwise
 nothing but the tests ever sets it. Oracles are exempt, and a parameter
 kept for the tests alone is listed in PARAMETERS with the reason.
+
+Each defaulted init field of a public dataclass likewise needs a call in
+those files that sets it: a call of the class by keyword, at its position
+or with ** (ExperimentConfig(**raw)), or a dataclasses.replace keyword.
 """
 
 import ast
@@ -113,8 +117,8 @@ def _defaulted_parameters() -> dict:
     return out
 
 
-def _passed_parameters(defaulted: dict) -> set:
-    """The entries of defaulted that some call in the caller files passes."""
+def _calls() -> list:
+    """(called name, call node) for every call in the caller files."""
     calls = []
     for path in CALLER_FILES:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -122,6 +126,13 @@ def _passed_parameters(defaulted: dict) -> set:
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 calls.append((name, node))
+    return calls
+
+
+def _passed_parameters(defaulted: dict) -> set:
+    """The entries of defaulted ('callee.name' -> (callee, position or
+    None)) that some call in the caller files passes."""
+    calls = _calls()
     passed = set()
     for key, (fname, position) in defaulted.items():
         param = key.split(".", 1)[1]
@@ -149,3 +160,43 @@ def test_parameter_entry_is_current(key):
     defaulted = _defaulted_parameters()
     assert key in defaulted, f"{key} is no longer a defaulted parameter"
     assert key not in _passed_parameters(defaulted), f"{key} is passed; drop it from PARAMETERS"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        func = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(func, "id", getattr(func, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _defaulted_fields() -> dict:
+    """'Class.field' -> (class, position among the init fields) for every
+    defaulted init field of every public dataclass."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not (isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+                    and _is_dataclass(node)):
+                continue
+            position = 0
+            for stmt in node.body:
+                if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+                    continue
+                value = stmt.value
+                if (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"
+                        and any(k.arg == "init" and getattr(k.value, "value", True) is False
+                                for k in value.keywords)):
+                    continue
+                if value is not None:
+                    out[f"{node.name}.{stmt.target.id}"] = (node.name, position)
+                position += 1
+    return out
+
+
+def test_every_defaulted_field_is_set():
+    fields = _defaulted_fields()
+    replaced = {k.arg for name, call in _calls() if name == "replace" for k in call.keywords}
+    unset = sorted(key for key in set(fields) - _passed_parameters(fields)
+                   if key.split(".", 1)[1] not in replaced)
+    assert not unset, f"defaulted dataclass fields no program call sets: {unset}"

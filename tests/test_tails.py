@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, monte_carlo_tails, single_mode_field
+from conftest import TWO_PI, mode_pair_field, monte_carlo_tails
 from nsrw.data import borderline_field
 from nsrw.randomization import RandomModel
 from nsrw.spectral import l2_norm, make_grid, zeros_field
@@ -40,18 +40,8 @@ class TestSpaceTimeNorm:
         spec = spec_with(p=2.0, q=2.0, r=2.0)
         assert space_time_norm(zeros_field(grid2, 2), spec) == 0.0
 
-    def test_single_mode_closed_form(self, grid2):
-        # sigma=0, gamma=0, p=q=2: time integral of e^{-2t|xi|^2} is exact
-        a = 1.7
-        f = single_mode_field(grid2, (2, 1), [a, 0.0])  # |xi|^2 = 5
-        spec = spec_with(p=2.0, q=2.0, r=2.0, T=1.0)
-        got = space_time_norm(f, spec)
-        amp = a * np.sqrt(grid2.cell_volume)
-        want = amp * np.sqrt((1.0 - np.exp(-2.0 * 5.0)) / (2.0 * 5.0))
-        assert abs(got - want) < 1e-3 * want
-
     def test_hermitian_pair_closed_form(self, grid2):
-        # conjugate mode pair takes the real-transform fast path
+        # sigma=0, gamma=0, p=q=2: time integral of e^{-2t|xi|^2} is exact
         f = zeros_field(grid2, 2)
         f.data[0, 2, 1] = 0.5 - 0.25j
         f.data[0, -2, -1] = 0.5 + 0.25j
@@ -91,7 +81,7 @@ class TestSpaceTimeNorm:
 
     def test_sigma_weight_applied(self, grid2):
         # single mode: (-Laplacian)^{sigma/2} multiplies by |xi|^sigma
-        f = single_mode_field(grid2, (2, 0), [1.0, 0.0])  # |xi| = 2
+        f = mode_pair_field(grid2, (2, 0), [1.0, 0.0])  # |xi| = 2
         s1 = spec_with(p=2.0, q=2.0, r=2.0, sigma=0.0, gamma=0.3)
         s2 = spec_with(p=2.0, q=2.0, r=2.0, sigma=1.0, gamma=0.8)
         v0 = space_time_norm(f, s1)
