@@ -1,17 +1,22 @@
 """Binary state checkpoints with a bit-exact round trip.
 
-Version 2 layout, all little-endian: magic "NSRW", version u32, d u32,
+Version 3 layout, all little-endian: magic "NSRW", version u32, d u32,
 N u32, then L, t, cutoff as f64; then the fingerprint, a u32 byte count
 followed by that many bytes of canonical JSON (sorted keys, no spaces)
-naming the settings that fix the trajectory; then the payload, the rfft
-half spectrum of the state: each of the d components' complex
-coefficients on the half lattice, shape (N, ..., N, N/2 + 1), as
-interleaved (re, im) f64 pairs in row-major order (standard FFT layout on
-every axis but the last, which runs 0..N/2). The last-axis planes 0 and
-N/2 are their own mirror images and must be conjugate-symmetric.
+naming the settings that fix the trajectory; then the band radius k as
+u32, k <= N/2; then the payload, the state on the cube |k_i| <= k of the
+rfft half lattice (spectral.HalfLattice.band), zero off it: each of the d
+components' complex coefficients, shape (min(2k+1, N), ...,
+min(2k+1, N), min(k, N/2) + 1), as interleaved (re, im) f64 pairs in
+row-major order (rows 0..k, -k..-1 in FFT order on every axis but the
+last, which runs 0..min(k, N/2)). solve's snapshots hold the cube around
+the cutoff ball: 86.7 KB at d=3 N=32 instead of the 836 KB of the whole
+half lattice. The last-axis plane 0, and plane N/2 when the band holds
+it, are their own mirror images and must be conjugate-symmetric.
 
-Version 1 files (the same header, no fingerprint, the full N^d spectrum
-as payload) are still read, never written.
+Version 2 files (no band radius; the payload is the whole half lattice,
+the band of radius N/2) and version 1 files (no fingerprint either; the
+full N^d spectrum as payload) are still read, never written.
 
 Files are replaced atomically: a reader sees either the previous file or
 the complete new one, also when the writing process is killed. There is
@@ -32,9 +37,9 @@ import numpy as np
 from .spectral import HERMITIAN_RTOL, Grid, fourier_field, make_grid
 
 MAGIC = b"NSRW"
-VERSION = 2
+VERSION = 3
 _HEADER = struct.Struct("<4sIIIddd")
-_LENGTH = struct.Struct("<I")
+_U32 = struct.Struct("<I")
 
 
 class CheckpointError(ValueError):
@@ -46,23 +51,33 @@ def _canonical(fingerprint: dict) -> bytes:
                       allow_nan=False).encode()
 
 
-def save_checkpoint(grid: Grid, w_half: np.ndarray, t: float, cutoff: float,
+def _band_shape(d: int, N: int, k: int) -> tuple:
+    """The shape of d components on the cube |k_i| <= k of the half
+    lattice, as HalfLattice.band indexes it."""
+    return (d,) + (min(2 * k + 1, N),) * (d - 1) + (min(k, N // 2) + 1,)
+
+
+def save_checkpoint(grid: Grid, w_band: np.ndarray, t: float, cutoff: float,
                     fingerprint: dict, path: str | Path) -> None:
-    """Write the half spectrum w_half, shape (d,) + grid.half.shape, as a
-    version-2 checkpoint. Its planes 0 and N/2 must be conjugate-symmetric,
-    as the snapshots of solve are; load_checkpoint refuses them otherwise."""
-    if w_half.shape != (grid.d,) + grid.half.shape:
+    """Write the band array w_band, one component per dimension on the cube
+    |k_i| <= k of grid.half (a whole half spectrum is the band of radius
+    N/2), as a version-3 checkpoint; k is read off its last axis. Its plane
+    0 (and N/2) must be conjugate-symmetric, as the snapshots of solve are;
+    load_checkpoint refuses them otherwise."""
+    k = w_band.shape[-1] - 1
+    if k > grid.N // 2 or w_band.shape != _band_shape(grid.d, grid.N, k):
         raise ValueError(
-            f"checkpoints store one half spectrum per dimension, shape "
-            f"{(grid.d,) + grid.half.shape}; got {w_half.shape}"
+            f"checkpoints store one band array per dimension of radius k <= N/2, shape "
+            f"(d,) + (min(2k+1, N),)^(d-1) + (min(k, N/2) + 1,); got {w_band.shape} "
+            f"on a d={grid.d} N={grid.N} grid"
         )
     header = _HEADER.pack(MAGIC, VERSION, grid.d, grid.N, grid.L, float(t), float(cutoff))
     fp = _canonical(fingerprint)
-    payload = np.ascontiguousarray(w_half).astype("<c16", copy=False).tobytes()
+    payload = np.ascontiguousarray(w_band).astype("<c16", copy=False).tobytes()
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        tmp.write_bytes(header + _LENGTH.pack(len(fp)) + fp + payload)
+        tmp.write_bytes(header + _U32.pack(len(fp)) + fp + _U32.pack(k) + payload)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -81,12 +96,12 @@ def _check_fingerprint(found: dict, expected: dict):
 
 
 def load_checkpoint(path: str | Path, expect_fingerprint: dict | None = None):
-    """Read a version-1 or version-2 checkpoint; returns (field, t, cutoff)
+    """Read a version-1, -2 or -3 checkpoint; returns (field, t, cutoff)
     with the full spectrum of the state.
 
-    With expect_fingerprint, a version-2 file whose fingerprint differs is
-    refused, naming the first differing setting and both values. Version-1
-    files carry no fingerprint and are not checked.
+    With expect_fingerprint, a version-2 or -3 file whose fingerprint
+    differs is refused, naming the first differing setting and both values.
+    Version-1 files carry no fingerprint and are not checked.
     """
     try:
         blob = Path(path).read_bytes()
@@ -97,7 +112,7 @@ def load_checkpoint(path: str | Path, expect_fingerprint: dict | None = None):
     magic, version, d, N, L, t, cutoff = _HEADER.unpack_from(blob)
     if magic != MAGIC:
         raise CheckpointError(f"bad checkpoint magic {magic!r}")
-    if version not in (1, VERSION):
+    if version not in (1, 2, VERSION):
         raise CheckpointError(f"unsupported checkpoint version {version}")
     if d not in (2, 3) or N % 2 != 0 or N < 8 or not L > 0:
         raise CheckpointError(f"checkpoint header names no valid grid: d={d}, N={N}, L={L}")
@@ -105,10 +120,10 @@ def load_checkpoint(path: str | Path, expect_fingerprint: dict | None = None):
     if version == 1:
         shape = (d,) + (N,) * d
     else:
-        if len(blob) < pos + _LENGTH.size:
+        if len(blob) < pos + _U32.size:
             raise CheckpointError("checkpoint truncated: fingerprint length missing")
-        (n,) = _LENGTH.unpack_from(blob, pos)
-        pos += _LENGTH.size
+        (n,) = _U32.unpack_from(blob, pos)
+        pos += _U32.size
         try:
             fingerprint = json.loads(blob[pos : pos + n].decode())
         except (UnicodeDecodeError, ValueError) as exc:
@@ -116,7 +131,18 @@ def load_checkpoint(path: str | Path, expect_fingerprint: dict | None = None):
         if not isinstance(fingerprint, dict):
             raise CheckpointError("checkpoint fingerprint is not a JSON object")
         pos += n
-        shape = (d,) + (N,) * (d - 1) + (N // 2 + 1,)
+        # a version-2 payload is the whole half lattice, the band of radius N/2
+        k = N // 2
+        if version == VERSION:
+            if len(blob) < pos + _U32.size:
+                raise CheckpointError("checkpoint truncated: band radius missing")
+            (k,) = _U32.unpack_from(blob, pos)
+            pos += _U32.size
+            if k > N // 2:
+                raise CheckpointError(
+                    f"checkpoint band radius k={k} exceeds the half lattice's N/2 = {N // 2}"
+                )
+        shape = _band_shape(d, N, k)
     # the payload is sized from the header before any grid array is built
     expected = math.prod(shape) * 16
     payload = blob[pos:]
@@ -137,4 +163,5 @@ def load_checkpoint(path: str | Path, expect_fingerprint: dict | None = None):
             f"planes 0 and N/2 are not conjugate-symmetric (largest asymmetry "
             f"{asym:.3e} of its largest coefficient, tolerance {HERMITIAN_RTOL:g})"
         )
-    return fourier_field(grid, grid.half.expand(data)), float(t), float(cutoff)
+    full = grid.half.expand(grid.half.scatter(data))
+    return fourier_field(grid, full), float(t), float(cutoff)

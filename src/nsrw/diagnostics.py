@@ -26,7 +26,7 @@ from .spectral import (
     fourier_field,
     projected_transport_half,
 )
-from .tails import NormSpec, check_admissible, space_time_norm
+from .tails import NormSpec, _space_time_norms, check_admissible
 
 __all__ = [
     "DwdtReport",
@@ -96,26 +96,28 @@ def condtg_check(f_omega: SpectralField, s: float, gamma: float, T: float) -> Co
     grid = f_omega.grid
     d = grid.d
 
-    def _norm(fld: SpectralField, p: float, q: float, sigma_check: float) -> float:
-        spec_check = NormSpec(gamma=gamma, sigma=sigma_check, p=p, q=q, r=p, s=s, T=T)
-        if not check_admissible(spec_check):
-            raise ValueError(
-                f"inadmissible combination for condtg: sigma={sigma_check}, s={s}, "
-                f"gamma={gamma}, q={q}"
-            )
-        run_spec = NormSpec(gamma=gamma, sigma=0.0, p=p, q=q, r=p, s=s, T=T)
-        return space_time_norm(fld, run_spec)
+    def _norms(fld: SpectralField, exponents: tuple) -> list:
+        """The norms of fld for each (p, q, sigma_check), from one heat sweep."""
+        run_specs = []
+        for p, q, sigma_check in exponents:
+            spec_check = NormSpec(gamma=gamma, sigma=sigma_check, p=p, q=q, r=p, s=s, T=T)
+            if not check_admissible(spec_check):
+                raise ValueError(
+                    f"inadmissible combination for condtg: sigma={sigma_check}, s={s}, "
+                    f"gamma={gamma}, q={q}"
+                )
+            run_specs.append(NormSpec(gamma=gamma, sigma=0.0, p=p, q=q, r=p, s=s, T=T))
+        return _space_time_norms(fld, tuple(run_specs))
 
     if d == 2:
-        lam = _norm(f_omega, 4.0, 4.0, 0.0)
+        (lam,) = _norms(f_omega, ((4.0, 4.0, 0.0),))
         return CondtgReport(d=2, components={"L4_L4": lam}, lam=lam)
 
+    # both bracket norms reduce one sweep of the bracket field
     bracket = fourier_field(grid, f_omega.data * (1.0 + grid.kabs**0.5))
-    comps = {
-        "L2_L6_bracket": _norm(bracket, 6.0, 2.0, 0.5),
-        "L83_L83_bracket": _norm(bracket, 8.0 / 3.0, 8.0 / 3.0, 0.5),
-        "L8_L8": _norm(f_omega, 8.0, 8.0, 0.0),
-    }
+    l2_l6, l83_l83 = _norms(bracket, ((6.0, 2.0, 0.5), (8.0 / 3.0, 8.0 / 3.0, 0.5)))
+    (l8_l8,) = _norms(f_omega, ((8.0, 8.0, 0.0),))
+    comps = {"L2_L6_bracket": l2_l6, "L83_L83_bracket": l83_l83, "L8_L8": l8_l8}
     return CondtgReport(d=3, components=comps, lam=float(sum(comps.values())))
 
 

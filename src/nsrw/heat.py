@@ -131,8 +131,11 @@ def _half_decay(grid, times: np.ndarray) -> np.ndarray | None:
     return hit
 
 
-def _heat_norms(f: SpectralField, symbols: list, times: np.ndarray, p: float) -> np.ndarray:
+def _heat_norms(f: SpectralField, symbols: list, times: np.ndarray,
+                p: float | tuple) -> np.ndarray:
     """|e^{tD} F|_{L^p} for every t, p in [2, inf], batched over times.
+    With a tuple of exponents p, the one sweep is reduced once per exponent
+    and the result has one row per exponent.
 
     F stacks symbol * component for every symbol (arrays broadcastable to
     the grid) and every component of a field. One symbol's components are
@@ -162,7 +165,8 @@ def _heat_norms(f: SpectralField, symbols: list, times: np.ndarray, p: float) ->
     vol = g.cell_volume
     chunk = max(1, _BLOCK_ELEMS // (f.ncomp * g.ksq.size))
     rows = min(chunk, times.size)
-    out = np.empty(times.size)
+    exponents = p if isinstance(p, tuple) else (p,)
+    out = np.empty((len(exponents), times.size))
     msq = np.empty((rows,) + g.shape)
     syms_h = [half.cut(sym) for sym in symbols]
     cached = _half_decay(g, times)
@@ -198,11 +202,12 @@ def _heat_norms(f: SpectralField, symbols: list, times: np.ndarray, p: float) ->
                 total += rb[:, c]
             if not first:
                 acc += total
-        if np.isinf(p):
-            out[lo : lo + n] = np.sqrt(np.max(acc, axis=sp))
-        else:
-            out[lo : lo + n] = (vol * np.sum(acc ** (p / 2.0), axis=sp)) ** (1.0 / p)
-    return out
+        for row, pk in zip(out, exponents):
+            if np.isinf(pk):
+                row[lo : lo + n] = np.sqrt(np.max(acc, axis=sp))
+            else:
+                row[lo : lo + n] = (vol * np.sum(acc ** (pk / 2.0), axis=sp)) ** (1.0 / pk)
+    return out if isinstance(p, tuple) else out[0]
 
 
 def _derivative_symbols(grid, k: int) -> list:

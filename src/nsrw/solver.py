@@ -22,9 +22,10 @@ Every stage field lives in the ball, so the stepper keeps w, the
 truncated data and every mask and weight as band arrays of the cube
 |k_i| <= k_max that holds the ball (spectral.HalfLattice.band), with
 k_max = ceil(kappa) - 1 for kappa = cutoff L / 2 pi. States enter the cube
-once (data, resume state, step() input) and return to the N grid's half
-lattice only for snapshots and step() output; coefficients keep the N
-grid's unitary normalisation throughout. The stage products are formed on
+once (data, resume state, step() input), snapshots stay on it, and only
+step() output and the readers of a snapshot scatter it back onto the N
+grid's half lattice (HalfLattice.scatter); coefficients keep the N grid's
+unitary normalisation throughout. The stage products are formed on
 the smallest grid on which products of ball fields do not alias back into
 the ball (stepping_lattice_size): M points per axis with M >= 2 k_max +
 kappa (M = 24 at N = 32 and the default cutoff N/4), and M = N when that
@@ -140,18 +141,22 @@ class EnergyLog:
 class Trajectory:
     """Snapshots of w along a run, with the data it was solved from.
 
-    w_half holds each snapshot as its half spectrum on the data grid's
-    half lattice (grid.half), planes 0 and N/2 conjugate-symmetric; the
-    full spectra are formed only on access (w_states). The forcing is not
-    stored: g_states derives the truncated free evolution T e^{tD} f_omega
-    at each snapshot time. dwdt_hminus1 holds |dw/dt|_{H^{-1}} at each
-    snapshot as the solver recorded it, rhs_evaluations the stage
-    right-hand sides the run evaluated; hand-built trajectories leave them
-    None and 0.
+    w_band holds each snapshot as a band array of the data grid's half
+    lattice (grid.half.band): solve keeps the stepper's cube |k_i| <= k_max
+    around the cutoff ball, a tenth of the half lattice at d=3 N=32, and a
+    whole half spectrum is the band array of radius N/2. Each snapshot's
+    last-axis plane 0 (and plane N/2, if it holds it) is conjugate-symmetric.
+    Readers scatter one snapshot at a time onto the half lattice
+    (HalfLattice.scatter); w_states forms every full spectrum on access.
+    The forcing is not stored: g_states derives the truncated free
+    evolution T e^{tD} f_omega at each snapshot time. dwdt_hminus1 holds
+    |dw/dt|_{H^{-1}} at each snapshot as the solver recorded it,
+    rhs_evaluations the stage right-hand sides the run evaluated;
+    hand-built trajectories leave them None and 0.
     """
 
     times: np.ndarray
-    w_half: list
+    w_band: list
     f_omega: SpectralField
     config: SolverConfig
     energy_log: EnergyLog | None = None
@@ -162,8 +167,8 @@ class Trajectory:
     def w_states(self) -> list:
         """w at each snapshot time as a full-spectrum field, formed on every
         access."""
-        grid = self.f_omega.grid
-        return [fourier_field(grid, grid.half.expand(h)) for h in self.w_half]
+        half = self.f_omega.grid.half
+        return [fourier_field(half.grid, half.expand(half.scatter(h))) for h in self.w_band]
 
     @property
     def g_states(self) -> list:
@@ -331,12 +336,6 @@ class _Stepper:
         """A full N-grid spectrum's ball part as a band array."""
         return a[(Ellipsis, *self.band)] * self.ball
 
-    def extract(self, h: np.ndarray) -> np.ndarray:
-        """The band array h on the N grid's half lattice, zero off the cube."""
-        out = np.zeros(h.shape[: -self.grid.d] + self.grid.half.shape, dtype=h.dtype)
-        out[(Ellipsis, *self.band)] = h
-        return out
-
     def decay(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
         """(e^{-dt|xi|^2}, e^{-dt|xi|^2/2}), kept for the current dt only:
         ramp steps never repeat and the uniform steps share one pair."""
@@ -441,7 +440,7 @@ def step(state: SpectralField, t: float, dt: float, config: SolverConfig,
     out, _ = stepper.advance(what, *stepper.stage0(what, t), dt)
     if not np.all(np.isfinite(out)):
         raise StepFailureError(t)
-    return fourier_field(grid, grid.half.expand(stepper.extract(out)))
+    return fourier_field(grid, grid.half.expand(grid.half.scatter(out)))
 
 
 def _check_stability(config: SolverConfig, f_omega: SpectralField):
@@ -469,10 +468,11 @@ def solve(
     both endpoints, each with |dw/dt|_{H^{-1}} from its stage-0 right-hand
     side, which the next step reuses (only the last snapshot costs an
     extra one); the per-step energy log rides along unless track_energy is
-    off. Each snapshot is the half spectrum of w on the data grid (see
-    Trajectory.w_half); on_snapshot, if given, is called as
-    on_snapshot(index, t, w_half) as each one is taken, while the run goes
-    on. The trajectory keeps f_omega, from which it derives the forcing.
+    off. Each snapshot is w on the stepper's cube, a band array of the data
+    grid's half lattice (see Trajectory.w_band); on_snapshot, if given, is
+    called as on_snapshot(index, t, w_band) as each one is taken, while the
+    run goes on. The trajectory keeps f_omega, from which it derives the
+    forcing.
     """
     grid = f_omega.grid
     if f_omega.space != FOURIER:
@@ -503,15 +503,15 @@ def solve(
         start = int(hits[0])
         what = stepper.embed(resume_state.data)
 
-    snap_times, w_half, dwdt = [], [], []
+    snap_times, w_band, dwdt = [], [], []
 
     def snapshot(t: float, state: np.ndarray, rhs0: np.ndarray):
         """Record the state with dw/dt from its stage-0 right-hand side."""
         snap_times.append(t)
-        w_half.append(grid.half.symmetrize(stepper.extract(state)))
+        w_band.append(grid.half.symmetrize(state))
         dwdt.append(stepper.dwdt_hminus1(state, rhs0))
         if on_snapshot is not None:
-            on_snapshot(len(snap_times) - 1, float(t), w_half[-1])
+            on_snapshot(len(snap_times) - 1, float(t), w_band[-1])
 
     g0, a = stepper.stage0(what, times[start])
     snapshot(times[start], what, a)
@@ -549,7 +549,7 @@ def solve(
         )
     return Trajectory(
         times=np.array(snap_times),
-        w_half=w_half,
+        w_band=w_band,
         f_omega=f_omega,
         config=config,
         energy_log=log,
@@ -563,5 +563,8 @@ def iter_u(trajectory: Trajectory):
     the data grid's half lattice, formed one at a time."""
     half = trajectory.f_omega.grid.half
     fhat = half.cut(trajectory.f_omega.data)
-    for t, w in zip(trajectory.times, trajectory.w_half):
-        yield fhat * np.exp(-float(t) * half.ksq) + w
+    for t, w in zip(trajectory.times, trajectory.w_band):
+        u = fhat * np.exp(-float(t) * half.ksq)
+        # w added on its cube: the sum with half.scatter(w)
+        u[(slice(None), *half.band(w.shape[-1] - 1))] += w
+        yield u

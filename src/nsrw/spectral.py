@@ -187,25 +187,34 @@ class HalfLattice:
         """The half of a full-lattice array, as a contiguous copy."""
         return np.ascontiguousarray(a[..., : self.shape[-1]])
 
+    def _mirrored_planes(self, h: np.ndarray) -> tuple:
+        """The self-mirrored last-axis planes the band array h holds: 0, and
+        N/2 when h holds the whole last axis."""
+        return (0, self.shape[-1] - 1) if h.shape[-1] == self.shape[-1] else (0,)
+
     def symmetrize(self, h: np.ndarray) -> np.ndarray:
-        """A copy of the half array h whose self-mirrored last-axis planes 0
-        and N/2 hold their conjugate-symmetric part, which is all that
-        irfftn reads there; the other planes are copied unchanged."""
+        """A copy of the band array h (a whole half array included) whose
+        self-mirrored last-axis planes 0 and N/2 hold their
+        conjugate-symmetric part, which is all that irfftn reads there; the
+        other planes are copied unchanged. The cube is symmetric, so the
+        mirror of a band row lies in the band and the values are those of
+        symmetrize(scatter(h)) on the cube, bit for bit."""
         out = np.array(h, dtype=np.complex128)
-        for plane in (0, self.shape[-1] - 1):
+        for plane in self._mirrored_planes(h):
             p = h[..., plane]
             out[..., plane] = 0.5 * (p + conjugate_mirror(p, len(self.shape) - 1))
         return out
 
     def plane_asymmetry(self, h: np.ndarray) -> float:
-        """max |a(xi) - conj a(-xi)| over the planes 0 and N/2 of the half
-        array h, relative to max |h|; 0 for a zero array."""
+        """max |a(xi) - conj a(-xi)| over the planes 0 and N/2 of the band
+        array h (a whole half array included), relative to max |h|; 0 for a
+        zero array."""
         scale = np.abs(h).max()
         if scale == 0.0:
             return 0.0
         worst = max(
-            np.abs(conjugate_mirror(p, len(self.shape) - 1) - p).max()
-            for p in (h[..., 0], h[..., self.shape[-1] - 1])
+            np.abs(conjugate_mirror(h[..., plane], len(self.shape) - 1) - h[..., plane]).max()
+            for plane in self._mirrored_planes(h)
         )
         return float(worst / scale)
 
@@ -226,12 +235,20 @@ class HalfLattice:
         axis once 2k + 1 >= N), its last axis the planes 0..min(k, N/2).
         The index is an np.ix_ tuple, or basic slices once the cube is the
         whole half lattice (k >= N/2), so that the band array is a view.
+        A band array's radius is read off its last axis, k + 1 planes; a
+        whole half array is the band array of radius N/2.
         """
         N = self.grid.N
         if k >= N // 2:
             return (slice(None),) * self.grid.d
         rows = np.concatenate([np.arange(N)[s] for s in _band_slabs(N, k)])
         return np.ix_(*([rows] * (self.grid.d - 1) + [np.arange(k + 1)]))
+
+    def scatter(self, h: np.ndarray) -> np.ndarray:
+        """The band array h on this half lattice, zero off its cube."""
+        out = np.zeros(h.shape[: -self.grid.d] + self.shape, dtype=h.dtype)
+        out[(Ellipsis, *self.band(h.shape[-1] - 1))] = h
+        return out
 
     def expand(self, h: np.ndarray) -> np.ndarray:
         """The conjugate-symmetric full-lattice array whose half is

@@ -106,22 +106,40 @@ def space_time_norm(
     Quadrature is power-law aware on a geometric grid, which resolves the
     t^{q*gamma} weight; gamma*q <= -1 is rejected as divergent.
     """
+    return _space_time_norms(f_omega, (spec,), time_grid)[0]
+
+
+def _space_time_norms(
+    f_omega: SpectralField,
+    specs: tuple,
+    time_grid: np.ndarray | None = None,
+) -> list:
+    """space_time_norm for each of specs that share sigma and T: they share
+    one heat sweep, reduced once per exponent p."""
     if f_omega.space != FOURIER:
         raise ValueError("space_time_norm expects fourier-space data")
-    if not check_admissible(spec):
-        raise ValueError(
-            f"inadmissible exponents: need (sigma+s-2*gamma)*q < 2 and r >= p >= q >= 2, "
-            f"got sigma={spec.sigma}, s={spec.s}, gamma={spec.gamma}, "
-            f"q={spec.q}, p={spec.p}, r={spec.r}"
-        )
-    if spec.q * spec.gamma <= -1.0:
-        raise ValueError("gamma*q <= -1 makes the time integral divergent")
-    times = default_time_grid(spec.T) if time_grid is None else np.asarray(time_grid, float)
+    for spec in specs:
+        if not check_admissible(spec):
+            raise ValueError(
+                f"inadmissible exponents: need (sigma+s-2*gamma)*q < 2 and r >= p >= q >= 2, "
+                f"got sigma={spec.sigma}, s={spec.s}, gamma={spec.gamma}, "
+                f"q={spec.q}, p={spec.p}, r={spec.r}"
+            )
+        if spec.q * spec.gamma <= -1.0:
+            raise ValueError("gamma*q <= -1 makes the time integral divergent")
+    if len({(spec.sigma, spec.T) for spec in specs}) != 1:
+        raise ValueError("norms of one heat sweep must share sigma and T")
+    sigma, T = specs[0].sigma, specs[0].T
+    times = default_time_grid(T) if time_grid is None else np.asarray(time_grid, float)
     if times.size < 2 or not np.all(np.diff(times) > 0) or not np.all(times > 0):
         raise ValueError("time grid must be increasing and positive")
-    vals = _heat_norms(f_omega, [f_omega.grid.kabs**spec.sigma], times, spec.p)
-    F = times ** (spec.q * spec.gamma) * vals**spec.q
-    return float(_power_law_cells(times, F) ** (1.0 / spec.q))
+    sweep = _heat_norms(f_omega, [f_omega.grid.kabs**sigma], times,
+                        tuple(spec.p for spec in specs))
+    norms = []
+    for spec, vals in zip(specs, sweep):
+        F = times ** (spec.q * spec.gamma) * vals**spec.q
+        norms.append(float(_power_law_cells(times, F) ** (1.0 / spec.q)))
+    return norms
 
 
 def _ordered_map(fn, count: int, workers: int) -> list:

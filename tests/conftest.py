@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -155,6 +156,17 @@ def pack_v1(field, t, cutoff):
     g = field.grid
     header = struct.pack("<4sIIIddd", b"NSRW", 1, g.d, g.N, g.L, t, cutoff)
     return header + np.ascontiguousarray(field.data).astype("<c16").tobytes()
+
+
+def pack_v2(field, t, cutoff, fingerprint):
+    """A version-2 checkpoint of field: the version-1 header with version 2,
+    the u32-length canonical JSON fingerprint, then the whole half spectrum,
+    no band radius."""
+    g = field.grid
+    header = struct.pack("<4sIIIddd", b"NSRW", 2, g.d, g.N, g.L, t, cutoff)
+    fp = json.dumps(fingerprint, sort_keys=True, separators=(",", ":")).encode()
+    payload = np.ascontiguousarray(g.half.cut(field.data)).astype("<c16").tobytes()
+    return header + struct.pack("<I", len(fp)) + fp + payload
 
 
 @pytest.fixture

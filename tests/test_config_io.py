@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import nsrw
-from conftest import TWO_PI, pack_v1, random_divfree_field
+from conftest import TWO_PI, pack_v1, pack_v2, random_divfree_field
 from nsrw.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from nsrw.cli import build_parser, main
 from nsrw.config import (
@@ -21,7 +21,7 @@ from nsrw.config import (
     parse_config,
     serialize_config,
 )
-from nsrw.spectral import fourier_field
+from nsrw.spectral import fourier_field, make_grid
 
 
 def write_config(tmp_path, **fields):
@@ -127,6 +127,13 @@ def real_state(grid, seed):
     return fourier_field(grid, grid.half.expand(grid.half.cut(f.data)))
 
 
+def cube_state(grid, seed, k):
+    """real_state restricted to the cube |k_i| <= k, and its band array."""
+    cube = np.all(np.abs(grid.k1d)[np.indices(grid.shape)] <= k, axis=0)
+    f = fourier_field(grid, real_state(grid, seed).data * cube)
+    return f, grid.half.cut(f.data)[(slice(None), *grid.half.band(k))]
+
+
 FINGERPRINT = {"d": 2, "N": 16, "master_seed": 7, "dt": 0.0078125}
 
 
@@ -148,6 +155,47 @@ class TestCheckpoint:
             save_checkpoint(grid, h, 0.375, 4.0, FINGERPRINT, path2)
             assert path.read_bytes() == path2.read_bytes()
         assert not list(tmp_path.glob(".*.tmp"))
+
+    @pytest.mark.parametrize("d, k", [(2, 0), (2, 3), (2, 7), (3, 2), (3, 5)])
+    def test_band_round_trip(self, tmp_path, d, k):
+        # a state on the cube |k_i| <= k < N/2 is stored as its band array
+        # and comes back bit for bit, zero off the cube; saving it again
+        # writes the same bytes
+        grid = make_grid(d, 16, TWO_PI)
+        f, h = cube_state(grid, 11 + k, k)
+        assert h.shape == (d,) + (2 * k + 1,) * (d - 1) + (k + 1,)
+        path = tmp_path / "band.nsrw"
+        save_checkpoint(grid, h, 0.5, 4.0, FINGERPRINT, path)
+        g, t, cutoff = load_checkpoint(path, FINGERPRINT)
+        assert (t, cutoff) == (0.5, 4.0)
+        assert np.array_equal(g.data, f.data)
+        assert np.array_equal(grid.half.cut(g.data)[(slice(None), *grid.half.band(k))], h)
+        fp = json.dumps(FINGERPRINT, sort_keys=True, separators=(",", ":")).encode()
+        assert path.stat().st_size == 44 + len(fp) + 4 + h.size * 16
+        path2 = tmp_path / "again.nsrw"
+        save_checkpoint(grid, h, 0.5, 4.0, FINGERPRINT, path2)
+        assert path.read_bytes() == path2.read_bytes()
+
+    def test_save_refuses_an_array_that_is_no_band(self, tmp_path, grid2):
+        _, h = cube_state(grid2, 3, 3)
+        for bad in (h[:, :6], h[:1], np.zeros((2, 16, 10), complex)):
+            with pytest.raises(ValueError, match="one band array per dimension"):
+                save_checkpoint(grid2, bad, 0.0, 4.0, FINGERPRINT, tmp_path / "bad.nsrw")
+        assert not list(tmp_path.iterdir())
+
+    def test_v2_half_spectrum_file_loads(self, tmp_path, grid3):
+        # a version-2 file is the band of radius N/2 without the radius field
+        f = real_state(grid3, seed=6)
+        path = tmp_path / "v2.nsrw"
+        path.write_bytes(pack_v2(f, 0.25, 4.0, FINGERPRINT))
+        g, t, cutoff = load_checkpoint(path, FINGERPRINT)
+        assert (t, cutoff) == (0.25, 4.0)
+        assert np.array_equal(g.data, f.data)
+        with pytest.raises(CheckpointError, match="'master_seed' is 7"):
+            load_checkpoint(path, {**FINGERPRINT, "master_seed": 8})
+        path.write_bytes(pack_v2(f, 0.25, 4.0, FINGERPRINT)[:-1])
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
 
     def test_v1_full_spectrum_file_loads(self, tmp_path, grid3):
         f = random_divfree_field(grid3, seed=6)
@@ -225,6 +273,34 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_band_radius_above_half_refused_before_the_grid_is_built(self, tmp_path):
+        # a version-3 header claiming d=3, N=128 and a band radius past N/2
+        path = tmp_path / "wide.nsrw"
+        path.write_bytes(struct.pack("<4sIIIddd", b"NSRW", 3, 3, 128, TWO_PI, 0.0, 4.0)
+                         + struct.pack("<I", 2) + b"{}" + struct.pack("<I", 65))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="band radius k=65 exceeds the half "
+                               "lattice's N/2 = 64"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_band_radius_missing_or_payload_short(self, tmp_path, grid2):
+        _, h = cube_state(grid2, 4, 3)
+        path = tmp_path / "state.nsrw"
+        save_checkpoint(grid2, h, 0.0, 4.0, FINGERPRINT, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-1])
+        with pytest.raises(CheckpointError, match="truncated: expected 896 payload bytes, "
+                           "got 895"):
+            load_checkpoint(path)
+        path.write_bytes(blob[: len(blob) - h.size * 16 - 2])
+        with pytest.raises(CheckpointError, match="truncated: band radius missing"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("d, N, L", [(4, 16, TWO_PI), (2, 15, TWO_PI), (3, 6, TWO_PI),
                                          (2, 16, 0.0)])
     def test_header_with_invalid_grid(self, tmp_path, d, N, L):
@@ -234,24 +310,29 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="no valid grid"):
             load_checkpoint(path)
 
-    def test_header_layout(self, tmp_path, grid2):
+    @pytest.mark.parametrize("k, rows, planes", [(3, 7, 4), (8, 16, 9)])
+    def test_header_layout(self, tmp_path, grid2, k, rows, planes):
         # magic, version u32, d u32, N u32, L f64, t f64, cutoff f64, then a
-        # u32 length and the canonical JSON fingerprint, then the half
-        # spectrum (d, N, N/2 + 1) as complex128, all little-endian
-        f = real_state(grid2, seed=5)
+        # u32 length and the canonical JSON fingerprint, then the band
+        # radius k as u32, then the band array (d, min(2k+1, N),
+        # min(k, N/2) + 1) as complex128, all little-endian; k = N/2 is the
+        # whole half spectrum
+        f, h = cube_state(grid2, 5, k)
         path = tmp_path / "state.nsrw"
-        save_checkpoint(grid2, grid2.half.cut(f.data), 1.5, 4.0, FINGERPRINT, path)
+        save_checkpoint(grid2, h, 1.5, 4.0, FINGERPRINT, path)
         blob = path.read_bytes()
         magic, version, d, N, L, t, n = struct.unpack_from("<4sIIIddd", blob)
-        assert magic == b"NSRW" and version == 2
+        assert magic == b"NSRW" and version == 3
         assert (d, N) == (2, 16) and L == pytest.approx(TWO_PI)
         assert (t, n) == (1.5, 4.0)
         (length,) = struct.unpack_from("<I", blob, 40)
         fp = blob[44 : 44 + length]
         assert fp == json.dumps(FINGERPRINT, sort_keys=True, separators=(",", ":")).encode()
-        assert len(blob) == 44 + length + d * N ** (d - 1) * (N // 2 + 1) * 16
-        payload = np.frombuffer(blob[44 + length :], dtype="<c16").reshape(2, 16, 9)
-        assert np.array_equal(payload, grid2.half.cut(f.data))
+        assert struct.unpack_from("<I", blob, 44 + length) == (k,)
+        assert len(blob) == 48 + length + d * rows * planes * 16
+        payload = np.frombuffer(blob[48 + length :], dtype="<c16").reshape(2, rows, planes)
+        assert np.array_equal(payload, h)
+        assert np.array_equal(grid2.half.scatter(payload), grid2.half.cut(f.data))
 
 
 class TestCli:

@@ -14,6 +14,7 @@ from nsrw.heat import heat_semigroup
 from nsrw.randomization import RandomModel, randomize, sample_coefficients
 from nsrw.solver import SolverConfig, Trajectory, solve, time_partition
 from nsrw.spectral import (
+    fourier_field,
     l2_norm,
     make_grid,
     ring_partition,
@@ -23,10 +24,11 @@ from nsrw.tails import NormSpec, space_time_norm
 
 
 def heat_trajectory(grid, w0, times, cutoff=4.0):
-    """Hand-built trajectory: pure heat flow of w0, no solver involved."""
+    """Hand-built trajectory: pure heat flow of w0, no solver involved; each
+    snapshot is a whole half spectrum, the band array of radius N/2."""
     cfg = SolverConfig(cutoff=cutoff, T=float(times[-1]), dt=1e-2)
-    w_half = [grid.half.cut(heat_semigroup(w0, float(t)).data) for t in times]
-    return Trajectory(times=np.asarray(times, float), w_half=w_half,
+    w_band = [grid.half.cut(heat_semigroup(w0, float(t)).data) for t in times]
+    return Trajectory(times=np.asarray(times, float), w_band=w_band,
                       f_omega=zeros_field(grid, grid.d), config=cfg)
 
 
@@ -109,7 +111,7 @@ class TestDwdt:
         w.data[0, 0, -2] = amp
         times = np.array([0.0, 0.1])
         traj = heat_trajectory(grid2, w, times, cutoff=4.0)
-        traj.w_half = [grid2.half.cut(w.data)] * 2  # freeze the state; rhs per snapshot
+        traj.w_band = [grid2.half.cut(w.data)] * 2  # freeze the state; rhs per snapshot
         rep = dwdt_norm(traj, traj.config)
         ksq = 4.0
         want = ksq / np.sqrt(1.0 + ksq) * l2_norm(w)
@@ -228,6 +230,26 @@ class TestCondtg:
         f3 = borderline_field(grid3, 0.2, seed=6)
         with pytest.raises(ValueError):
             condtg_check(f3, 0.2, gamma=-0.1, T=1.0)  # s - 2g >= 1/4
+
+    def test_3d_bracket_norms_share_one_sweep(self, grid3, monkeypatch):
+        # the two bracket norms reduce one heat sweep of the bracket field,
+        # with the bits of a separate space_time_norm per exponent
+        import nsrw.tails as tails
+
+        f = borderline_field(grid3, 0.2, seed=8)
+        s, gamma, T = 0.2, -0.02, 0.5
+        sweeps = []
+        heat_norms = tails._heat_norms
+        monkeypatch.setattr(tails, "_heat_norms",
+                            lambda *a: sweeps.append(a[3]) or heat_norms(*a))
+        rep = condtg_check(f, s, gamma, T)
+        assert sweeps == [(6.0, 8.0 / 3.0), (8.0,)]
+        bracket = fourier_field(grid3, f.data * (1.0 + grid3.kabs**0.5))
+        for name, fld, p, q in (("L2_L6_bracket", bracket, 6.0, 2.0),
+                                ("L83_L83_bracket", bracket, 8.0 / 3.0, 8.0 / 3.0),
+                                ("L8_L8", f, 8.0, 8.0)):
+            spec = NormSpec(gamma=gamma, sigma=0.0, p=p, q=q, r=p, s=s, T=T)
+            assert rep.components[name] == space_time_norm(fld, spec)
 
     def test_matches_space_time_norm_2d(self, grid2):
         f = borderline_field(grid2, 0.25, seed=7)

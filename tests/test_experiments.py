@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import nsrw
-from conftest import pack_v1
+from conftest import pack_v1, pack_v2
 from nsrw.checkpoint import load_checkpoint
 from nsrw.cli import main
 from nsrw.config import ExperimentConfig, validate_config
@@ -145,11 +145,15 @@ class TestArtifacts:
                 "steps": summary["steps"],
                 "snapshots": summary["snapshots"],
                 "rhs_evaluations": stages[integrator] * summary["steps"] + 1,
+                # the default cutoff N/4 = 4 holds the cube |k_i| <= 3: each
+                # snapshot is 2 components of 7 x 4 coefficients
+                "snapshot_bytes": summary["snapshots"] * 2 * 7 * 4 * 16,
                 "checkpoint_files": len(files),
                 "checkpoint_bytes": sum(p.stat().st_size for p in files),
             }
             assert len(files) == (summary["snapshots"] if write else 0)
-            assert not (set(meta["phase_seconds"]) | {"rhs_evaluations"}) & set(summary)
+            telemetry = set(meta["phase_seconds"]) | {"rhs_evaluations", "snapshot_bytes"}
+            assert not telemetry & set(summary)
         assert blobs[0] == blobs[1]
 
     @pytest.mark.parametrize("verb, fields, phases", [
@@ -386,6 +390,59 @@ class TestResume:
         res = run_experiment(cfg2, resume=str(v1))
         gap = abs(res.summary["terminal_w_l2"] - res_full.summary["terminal_w_l2"])
         assert gap <= 1e-12
+
+    def test_resume_from_v2_file_matches_uninterrupted(self, tmp_path):
+        # a version-2 file (the whole half spectrum, no band radius) still
+        # resumes, and its fingerprint is still checked
+        common = dict(
+            experiment="solve", d=2, N=32, T=0.5, dt=1.0 / 128.0, data="smooth_random",
+            randomize_data=False, substep_near_zero=False, snapshot_cadence=16,
+            master_seed=21,
+        )
+        res_full, cfg = run(tmp_path, "full", write_checkpoints=True, **common)
+        mid = next(c for c in res_full.summary["checkpoints"] if abs(c["time"] - 0.25) < 1e-12)
+        state, t, cutoff = load_checkpoint(res_full.output_dir / mid["file"])
+        v2 = tmp_path / "v2.nsrw"
+        v2.write_bytes(pack_v2(state, t, cutoff, cfg.trajectory_fingerprint()))
+        assert v2.stat().st_size > (res_full.output_dir / mid["file"]).stat().st_size
+        cfg2 = validate_config(ExperimentConfig(output_dir=str(tmp_path / "resumed"), **common))
+        res = run_experiment(cfg2, resume=str(v2))
+        gap = abs(res.summary["terminal_w_l2"] - res_full.summary["terminal_w_l2"])
+        assert gap <= 1e-12
+        other = validate_config(ExperimentConfig(
+            output_dir=str(tmp_path / "other"), **{**common, "master_seed": 22}
+        ))
+        with pytest.raises(ValueError, match="'master_seed' is 21 in the checkpoint"):
+            run_experiment(other, resume=str(v2))
+
+    def test_cli_checkpoints_load_to_the_snapshots(self, tmp_path, monkeypatch):
+        # each checkpoint a CLI solve writes holds its snapshot's band array
+        # and loads to that snapshot's full spectrum, bit for bit
+        import nsrw.experiments as experiments
+
+        kept = []
+        solve = experiments.solve
+        monkeypatch.setattr(experiments, "solve",
+                            lambda *a, **kw: kept.append(solve(*a, **kw)) or kept[-1])
+        cfgfile = tmp_path / "solve.json"
+        cfgfile.write_text(json.dumps(dict(
+            d=3, N=16, T=0.125, dt=1.0 / 64.0, s=0.2, substep_near_zero=False,
+            snapshot_cadence=2, write_checkpoints=True, master_seed=5,
+        )))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfgfile), "--out", str(out)]) == 0
+        (traj,) = kept
+        files = [out / c["file"] for c in json.loads((out / "summary.json").read_text())
+                 ["checkpoints"]]
+        assert len(files) == traj.times.size == 5
+        for i, (path, t, w, h) in enumerate(zip(files, traj.times, traj.w_states, traj.w_band)):
+            assert path.name == f"checkpoint_{i:04d}.nsrw"
+            # the default cutoff N/4 = 4 holds the cube |k_i| <= 3
+            assert h.shape == (3, 7, 7, 4)
+            state, ck_t, _ = load_checkpoint(path)
+            assert ck_t == t
+            assert np.array_equal(state.data, w.data)
+            assert path.read_bytes().endswith(h.astype("<c16").tobytes())
 
     def test_resume_refuses_checkpoint_of_another_run(self, tmp_path):
         common = dict(

@@ -145,7 +145,7 @@ class TestEnergyLedger:
         assert abs(stepper.kinetic(vh) - kinetic) <= 1e-14 * kinetic
         assert abs(stepper.gradsq(vh) - gradsq) <= 1e-14 * gradsq
         # the band array returns to the half lattice unchanged
-        assert np.array_equal(stepper.extract(vh), grid.half.cut(v))
+        assert np.array_equal(grid.half.scatter(vh), grid.half.cut(v))
 
 
 class TestStepper:
@@ -196,7 +196,7 @@ class TestSteppingLattice:
         stepper = _Stepper(grid, f.data, cfg)
         assert (stepping_lattice_size(grid, cutoff) == N) == (frac == 3)
         rhs = stepper.stage0(stepper.embed(w), 0.0)[1]
-        got = stepper.extract(rhs)
+        got = grid.half.scatter(rhs)
         half = grid.half
         hball = half.kabs < cutoff
         plan = TransportPlan(grid)
@@ -301,39 +301,47 @@ class TestSolve:
             if nrm > 0:
                 assert l2_norm(multiplier(w, "divergence")) / nrm <= 1e-10
 
-    def test_snapshots_are_half_spectra(self, grid3):
-        # each snapshot is the half of the full spectrum it stands for, bit
-        # for bit, with exactly conjugate-symmetric planes 0 and N/2
+    def test_snapshots_are_band_arrays(self, grid3):
+        # each snapshot is the stepper's cube |k_i| <= k_max of the full
+        # spectrum it stands for, bit for bit, with an exactly
+        # conjugate-symmetric plane 0, and the full spectrum is zero off it
         f = smooth_random_field(grid3, seed=4, band=2)
         cfg = SolverConfig(cutoff=4.0, T=4.0 / 128.0, dt=1.0 / 128.0,
                            substep_near_zero=False, snapshot_cadence=1)
         seen = []
         traj = solve(cfg, f, on_snapshot=lambda i, t, w: seen.append((i, t, w)))
         half = grid3.half
+        band = half.band(3)  # k_max = ceil(4) - 1
         assert [i for i, _, _ in seen] == list(range(5))
         assert [t for _, t, _ in seen] == list(traj.times)
-        for (_, _, w), h, full in zip(seen, traj.w_half, traj.w_states):
-            assert w is h and h.shape == (3,) + half.shape
-            assert np.array_equal(h, half.cut(full.data))
+        for (_, _, w), h, full in zip(seen, traj.w_band, traj.w_states):
+            assert w is h and h.shape == (3, 7, 7, 4)
+            cut = half.cut(full.data)
+            assert np.array_equal(h, cut[(slice(None), *band)])
+            assert np.array_equal(half.scatter(h), cut)
             assert half.plane_asymmetry(h) == 0.0
-        assert np.abs(traj.w_half[-1]).max() > 0
+        assert np.abs(traj.w_band[-1]).max() > 0
 
-    def test_peak_memory_is_the_w_snapshots(self, grid3):
+    def test_peak_memory_grows_by_the_w_snapshots(self, grid3):
         # the trajectory keeps its data and derives g, and keeps each w
-        # snapshot as a half spectrum: a run holds one list of half spectra
+        # snapshot as a band array of the stepper's cube: doubling T adds
+        # its snapshots' bytes to the peak, and nothing of the N grid's size
         f = smooth_random_field(grid3, seed=3, band=2)
-        cfg = SolverConfig(cutoff=4.0, T=40.0 / 128.0, dt=1.0 / 128.0,
-                           substep_near_zero=False, snapshot_cadence=1)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            traj = solve(cfg, f)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert len(traj.w_half) == 41
-        w_bytes = sum(w.nbytes for w in traj.w_half)
-        assert peak <= 1.25 * w_bytes + 2**20
+        peaks, trajs = [], []
+        for steps in (40, 80):
+            cfg = SolverConfig(cutoff=4.0, T=steps / 128.0, dt=1.0 / 128.0,
+                               substep_near_zero=False, snapshot_cadence=1)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                trajs.append(solve(cfg, f))
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert [len(t.w_band) for t in trajs] == [41, 81]
+        added = sum(w.nbytes for w in trajs[1].w_band) - sum(w.nbytes for w in trajs[0].w_band)
+        assert added == 40 * 3 * 7 * 7 * 4 * 16
+        assert peaks[1] - peaks[0] <= 1.25 * added
 
     def test_energy_inequality_randomized(self):
         g = make_grid(2, 32, TWO_PI)

@@ -403,6 +403,28 @@ class TestHalfLattice:
         assert half.plane_asymmetry(sym) == 0.0
         assert conjugate_asymmetry(full, d) == 0.0
 
+    @pytest.mark.parametrize("d, N", [(2, 16), (3, 16), (3, 24)])
+    def test_band_arrays_scatter_and_symmetrize_on_their_cube(self, d, N):
+        # a band array of radius k < N/2 holds plane 0 but not plane N/2;
+        # symmetrizing it gives the cube of the symmetrized scatter, bit for
+        # bit, because the mirror of a cube row lies in the cube
+        grid = make_grid(d, N, TWO_PI)
+        half = grid.half
+        rng = np.random.default_rng(10 + d)
+        for k in (0, 1, N // 4, N // 2 - 1):
+            shape = (d,) + (2 * k + 1,) * (d - 1) + (k + 1,)
+            h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            band = (slice(None), *half.band(k))
+            full = half.scatter(h)
+            assert np.array_equal(full[band], h)
+            full[band] = 0.0
+            assert not full.any()
+            assert half.plane_asymmetry(h) == half.plane_asymmetry(half.scatter(h))
+            sym = half.symmetrize(h)
+            assert np.array_equal(sym, half.symmetrize(half.scatter(h))[band])
+            assert np.array_equal(half.scatter(sym), half.symmetrize(half.scatter(sym)))
+            assert half.plane_asymmetry(sym) == 0.0
+
 
 class TestDivergenceRatio:
     @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
