@@ -19,9 +19,11 @@ from .randomization import hminus_s_norm
 from .spectral import (
     Grid,
     SpectralField,
+    _leray_project,
+    _zero_mean,
+    _zero_nyquist,
     fourier_field,
     l2_norm,
-    leray_project,
     physical_field,
     transform,
     zero_mean,
@@ -63,27 +65,54 @@ def _canonical_modes(grid: Grid):
 
 
 def _random_unit_directions(grid: Grid, seed: int, key: np.ndarray) -> np.ndarray:
-    comps = []
+    """One Gaussian direction per mode, normalised to unit length (zero
+    vectors stay zero), shape (d,) + grid.shape, filled in place one
+    component at a time."""
+    v = np.empty((grid.d,) + grid.shape)
     for c in range(grid.d):
-        w0 = _rng.fold(seed, _rng.STREAM_DATA_DIRECTION, c, 0, key)
-        w1 = _rng.fold(seed, _rng.STREAM_DATA_DIRECTION, c, 1, key)
-        comps.append(_rng.standard_gaussian(w0, w1))
-    v = np.stack(comps)
-    norm = np.sqrt(np.sum(v * v, axis=0))
-    return v / np.where(norm == 0.0, 1.0, norm)
+        v[c] = _rng.standard_gaussian(
+            _rng.fold(seed, _rng.STREAM_DATA_DIRECTION, c, 0, key),
+            _rng.fold(seed, _rng.STREAM_DATA_DIRECTION, c, 1, key),
+        )
+    # the components summed in order, as np.sum(v * v, axis=0) sums them
+    norm = v[0] * v[0]
+    for c in range(1, grid.d):
+        norm += v[c] * v[c]
+    np.sqrt(norm, out=norm)
+    norm[norm == 0.0] = 1.0
+    v /= norm
+    return v
 
 
 def _random_field_with_profile(grid: Grid, amplitude: np.ndarray, seed: int) -> SpectralField:
+    """Random real divergence-free data with the given radial amplitude.
+
+    The field is one array, filled a component at a time and then
+    projected, Nyquist- and mean-zeroed in place; each intermediate is
+    dropped as soon as it has been used, so the construction holds the
+    field plus about one field's worth of temporaries.
+    """
     sign, key = _canonical_modes(grid)
     theta = 2.0 * np.pi * _rng.uniform01(_rng.fold(seed, _rng.STREAM_DATA_PHASE, 0, 0, key))
-    phase = np.exp(1j * sign * theta)
+    coeff = 1j * sign
+    del sign
+    coeff *= theta
+    del theta
+    np.exp(coeff, out=coeff)
     dirs = _random_unit_directions(grid, seed, key)
+    del key
     # N^{d/2} pins the continuum Fourier-series amplitude, so the same seed
     # on a finer grid extends the same function instead of shrinking it
     scale = float(grid.N) ** (grid.d / 2.0)
-    f = fourier_field(grid, dirs * (scale * amplitude * phase)[None, ...])
-    f = leray_project(f)
-    return zero_mean(zero_nyquist(f))
+    np.multiply(scale * amplitude, coeff, out=coeff)
+    data = np.empty((grid.d,) + grid.shape, dtype=np.complex128)
+    for c in range(grid.d):
+        np.multiply(dirs[c], coeff, out=data[c])
+    del dirs, coeff
+    _leray_project(grid, data)
+    _zero_nyquist(grid, data)
+    _zero_mean(grid, data)
+    return fourier_field(grid, data)
 
 
 def borderline_field(
@@ -100,14 +129,15 @@ def borderline_field(
     rely on.
     """
     rho = default_tilt(grid.d) if tilt is None else float(tilt)
-    kabs_safe = np.where(grid.kabs == 0.0, 1.0, grid.kabs)
-    amplitude = np.where(grid.kabs == 0.0, 0.0, kabs_safe ** (s - rho))
+    amplitude = np.where(grid.kabs == 0.0, 1.0, grid.kabs)
+    amplitude **= s - rho
+    amplitude[grid.kabs == 0.0] = 0.0
     f = _random_field_with_profile(grid, amplitude, seed)
     if normalize:
         nrm = hminus_s_norm(f, s)
         if nrm == 0.0:
             raise ValueError("degenerate borderline field")
-        f = (1.0 / nrm) * f
+        f.data *= 1.0 / nrm
     return f
 
 
@@ -122,7 +152,8 @@ def smooth_random_field(grid: Grid, seed: int, band: int = 3) -> SpectralField:
     nrm = l2_norm(f)
     if nrm == 0.0:
         raise ValueError("degenerate smooth field")
-    return (1.0 / nrm) * f
+    f.data *= 1.0 / nrm
+    return f
 
 
 def taylor_green(grid: Grid) -> SpectralField:

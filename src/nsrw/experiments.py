@@ -1,9 +1,10 @@
 """Experiment orchestration and artifact emission.
 
 Each experiment writes series.csv, summary.json, plotdata/*.tsv and a
-meta.json (timestamps, execution environment and, for every verb but
-randomize, per-phase wall seconds and counters) under the configured
-output directory, and nothing anywhere else; a solve with write_checkpoints also writes each
+meta.json (timestamps, execution environment, the process's peak resident
+set and, for every verb but randomize, per-phase wall seconds and
+counters) under the configured output directory, and nothing anywhere
+else; a solve with write_checkpoints also writes each
 snapshot's checkpoint there as the snapshot is taken. summary.json and
 series.csv are byte-deterministic for a fixed config and seed,
 independent of the worker count: every Monte Carlo sample derives its own
@@ -15,6 +16,7 @@ from __future__ import annotations
 import datetime
 import json
 import os
+import resource
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -490,6 +492,8 @@ def run_experiment(cfg: ExperimentConfig, resume: str | None = None) -> Experime
         "elapsed_seconds": time.time() - started,
         "workers": workers,
         "output_dir": str(outdir),
+        # the process's peak resident set so far, threads included
+        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         **run_meta,
     }
     (outdir / "meta.json").write_text(json.dumps(meta, indent=2, allow_nan=False) + "\n")

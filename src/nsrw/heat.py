@@ -104,14 +104,15 @@ def _fit_loglog_slope(times: np.ndarray, values: np.ndarray, grid) -> float:
 
 
 # A table of up to 4M entries (32 MB) is kept: the Monte Carlo table, reused
-# by every sample (385 x 64*33 at d=2 N=64), stays; the heatflow table at
-# d=3 N=64 (43 x 64*64*33, 46 MiB), used by a few sweeps, is streamed one
-# time block at a time. Either way one decay block per time block is shared
-# by all the symbols of a sweep.
+# by every sample (385 x 64*33 at d=2 N=64, 0.8M), stays; the heatflow table
+# at d=3 N=64 (43 x 64*64*33, 5.8M entries, 44 MiB), used by a few sweeps, is
+# streamed one time block at a time. Either way one decay block per time
+# block is shared by all the symbols and components of a sweep.
 _DECAY_CACHE: dict = {}
 _DECAY_CACHE_MAX_ELEMS = 4_000_000
-# field elements per block of times: 48 times of a two-component d=2 N=64 field
-_BLOCK_ELEMS = 48 * 2 * 64**2
+# grid points per one-component block of times: 24 times at d=2 N=64, 3 at
+# d=3 N=32, one time at d=3 N=64
+_BLOCK_ELEMS = 24 * 64**2
 
 
 def _half_decay(grid, times: np.ndarray) -> np.ndarray | None:
@@ -138,20 +139,24 @@ def _heat_norms(f: SpectralField, symbols: list, times: np.ndarray,
     and the result has one row per exponent.
 
     F stacks symbol * component for every symbol (arrays broadcastable to
-    the grid) and every component of a field. One symbol's components are
-    transformed at a time and the pointwise |.|^2 accumulated, so the
-    whole stack is never held. f must be real and zero on its Nyquist
-    rows, so every symbol * component is conjugate-symmetric and the sweep
-    runs on the rfft half spectrum.
+    the grid) and every component of a field. For each block of times,
+    every symbol * component is transformed on its own and its pointwise
+    |.|^2 accumulated, so neither the stack nor one symbol's components
+    are ever held together: the components of a symbol are summed in
+    order into one array, and that sum is added to the block's total, the
+    grouping np.sum(axis=1) over the stack would use. f must be real and
+    zero on its Nyquist rows, so every symbol * component is
+    conjugate-symmetric and the sweep runs on the rfft half spectrum.
 
-    The sweep runs in work arrays allocated once per call and reused for
-    every time block and symbol: the data and each symbol are cut to the
-    half lattice once, one decay block per time block serves all symbols,
-    and the block is inverse-transformed axis by axis in place (ifft over
-    the leading axes, then irfft into the real block), the same 1-D
-    transforms irfftn runs, so the bits match it. The buffers belong to
-    the call, not the module: tails workers run sweeps on several threads
-    at once.
+    The sweep runs in one-component work arrays allocated once per call
+    and reused for every time block, symbol and component: each
+    component's half lattice is read in place from f.data, each symbol is
+    cut to the half lattice once, one decay block per time block serves
+    all symbols and components, and the block is inverse-transformed axis
+    by axis in place (ifft over the leading axes, then irfft into the real
+    block), the same 1-D transforms irfftn runs, so the bits match it.
+    The buffers belong to the call, not the module: tails workers run
+    sweeps on several threads at once.
     """
     require_real_field("heat sweep data", f)
     g = f.grid
@@ -160,20 +165,20 @@ def _heat_norms(f: SpectralField, symbols: list, times: np.ndarray,
         raise ValueError("heat sweep data has content on its Nyquist rows; "
                          "the sweeps need it zero there")
     half = g.half
-    axes = tuple(range(2, 2 + g.d))
+    n_half = half.shape[-1]
     sp = tuple(range(1, 1 + g.d))
     vol = g.cell_volume
-    chunk = max(1, _BLOCK_ELEMS // (f.ncomp * g.ksq.size))
+    chunk = max(1, _BLOCK_ELEMS // g.ksq.size)
     rows = min(chunk, times.size)
     exponents = p if isinstance(p, tuple) else (p,)
     out = np.empty((len(exponents), times.size))
     msq = np.empty((rows,) + g.shape)
+    sym_sq = np.empty((rows,) + g.shape)
     syms_h = [half.cut(sym) for sym in symbols]
     cached = _half_decay(g, times)
-    base = half.cut(f.data)
-    fs = np.empty_like(base)
-    block = np.empty((rows, f.ncomp) + half.shape, dtype=np.complex128)
-    real = np.empty((rows, f.ncomp) + g.shape)
+    fs = np.empty(half.shape, dtype=np.complex128)
+    block = np.empty((rows,) + half.shape, dtype=np.complex128)
+    real = np.empty((rows,) + g.shape)
 
     for lo in range(0, times.size, chunk):
         tt = times[lo : lo + chunk]
@@ -185,22 +190,21 @@ def _heat_norms(f: SpectralField, symbols: list, times: np.ndarray,
             decay = np.exp(-tt.reshape((-1,) + (1,) * g.d) * half.ksq[None])
         hb, rb = block[:n], real[:n]
         for n_sym, sym_h in enumerate(syms_h):
-            np.multiply(base, sym_h, out=fs)
-            np.multiply(fs[None], decay[:, None], out=hb)
-            for ax in axes[:-1]:
-                np.fft.ifft(hb, axis=ax, norm="ortho", out=hb)
-            np.fft.irfft(hb, n=g.N, axis=axes[-1], norm="ortho", out=rb)
-            np.multiply(rb, rb, out=rb)
-            # the first symbol writes its |.|^2 into acc, the others sum
-            # theirs in place and add it; components in order, the grouping
-            # np.sum(axis=1) uses
-            first = n_sym == 0
-            total = acc if first else rb[:, 0]
-            if first:
-                np.copyto(acc, rb[:, 0])
-            for c in range(1, f.ncomp):
-                total += rb[:, c]
-            if not first:
+            # the first symbol sums its components straight into acc, the
+            # others into sym_sq, which is then added to acc
+            total = acc if n_sym == 0 else sym_sq[:n]
+            for c in range(f.ncomp):
+                np.multiply(f.data[c][..., :n_half], sym_h, out=fs)
+                np.multiply(fs[None], decay, out=hb)
+                for ax in sp[:-1]:
+                    np.fft.ifft(hb, axis=ax, norm="ortho", out=hb)
+                np.fft.irfft(hb, n=g.N, axis=sp[-1], norm="ortho", out=rb)
+                if c == 0:
+                    np.multiply(rb, rb, out=total)
+                else:
+                    np.multiply(rb, rb, out=rb)
+                    total += rb
+            if n_sym:
                 acc += total
         for row, pk in zip(out, exponents):
             if np.isinf(pk):
@@ -224,7 +228,13 @@ def _l2_over_times(f: SpectralField, k: int, times: np.ndarray) -> np.ndarray:
     """|grad^k e^{tD} f|_{L^2} for every t, summed over shells of equal |xi|^2."""
     g = f.grid
     shells, index = np.unique(g.ksq, return_inverse=True)
-    coeff_sq = np.sum(np.abs(f.data) ** 2, axis=0)
+    # |a|^2 summed over the components in order, one component at a time
+    coeff_sq = np.abs(f.data[0])
+    coeff_sq **= 2
+    for c in range(1, f.ncomp):
+        term = np.abs(f.data[c])
+        term **= 2
+        coeff_sq += term
     mass = np.bincount(index.ravel(), weights=coeff_sq.ravel()) * shells**k
     return np.sqrt(g.cell_volume * (np.exp(-2.0 * np.outer(times, shells)) @ mass))
 

@@ -361,16 +361,26 @@ def zero_nyquist(f: SpectralField) -> SpectralField:
     """Zero the convention-dead Nyquist rows of a fourier-space field."""
     _require_fourier(f)
     out = f.data.copy()
-    out[:, f.grid.nyquist_mask] = 0.0
+    _zero_nyquist(f.grid, out)
     return fourier_field(f.grid, out)
+
+
+def _zero_nyquist(grid: Grid, data: np.ndarray):
+    """zero_nyquist in place on the coefficient stack data."""
+    data[:, grid.nyquist_mask] = 0.0
 
 
 def zero_mean(f: SpectralField) -> SpectralField:
     """Zero the xi = 0 coefficient of every component."""
     _require_fourier(f)
     out = f.data.copy()
-    out[(slice(None),) + (0,) * f.grid.d] = 0.0
+    _zero_mean(f.grid, out)
     return fourier_field(f.grid, out)
+
+
+def _zero_mean(grid: Grid, data: np.ndarray):
+    """zero_mean in place on the coefficient stack data."""
+    data[(slice(None),) + (0,) * grid.d] = 0.0
 
 
 def mean_mode_magnitude(f: SpectralField) -> float:
@@ -394,11 +404,17 @@ def conjugate_mirror(a: np.ndarray, d: int) -> np.ndarray:
 
 
 def conjugate_asymmetry(a: np.ndarray, d: int) -> float:
-    """max |a(xi) - conj a(-xi)| relative to max |a|; 0 for a zero array."""
-    scale = np.abs(a).max()
+    """max |a(xi) - conj a(-xi)| relative to max |a|; 0 for a zero array.
+
+    Both maxima are taken one component (leading index) at a time, so the
+    temporaries are one component's size; the max of the maxima is exact.
+    """
+    parts = [a[idx] for idx in np.ndindex(a.shape[: a.ndim - d])]
+    scale = max(np.abs(part).max() for part in parts)
     if scale == 0.0:
         return 0.0
-    return float(np.abs(conjugate_mirror(a, d) - a).max() / scale)
+    worst = max(np.abs(conjugate_mirror(part, d) - part).max() for part in parts)
+    return float(worst / scale)
 
 
 def require_real_field(name: str, f: SpectralField):
@@ -488,15 +504,23 @@ def leray_project(f: SpectralField) -> SpectralField:
     g = f.grid
     if f.ncomp != g.d:
         raise ValueError("Leray projection needs one component per dimension")
-    ksq_safe = np.where(g.ksq == 0.0, 1.0, g.ksq)
-    dot = np.zeros(g.shape, dtype=np.complex128)
-    for i in range(g.d):
-        dot += g.axis_frequency(i) * f.data[i]
-    dot /= ksq_safe
-    out = np.empty_like(f.data)
-    for i in range(g.d):
-        out[i] = f.data[i] - g.axis_frequency(i) * dot
+    out = f.data.copy()
+    _leray_project(g, out)
     return fourier_field(g, out)
+
+
+def _leray_project(grid: Grid, data: np.ndarray):
+    """leray_project in place on the coefficient stack data, one component
+    per dimension; its temporaries are one component's size."""
+    dot = np.zeros(grid.shape, dtype=np.complex128)
+    term = np.empty_like(dot)
+    for i in range(grid.d):
+        np.multiply(grid.axis_frequency(i), data[i], out=term)
+        dot += term
+    dot /= np.where(grid.ksq == 0.0, 1.0, grid.ksq)
+    for i in range(grid.d):
+        np.multiply(grid.axis_frequency(i), dot, out=term)
+        data[i] -= term
 
 
 def multiplier(f: SpectralField, kind: str, order: float | int | None = None) -> SpectralField:
@@ -689,4 +713,8 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
     """
     fh = as_fourier(f)
     w = (1.0 + fh.grid.ksq) ** s
-    return float(np.sqrt(fh.grid.cell_volume * np.sum(w * np.abs(fh.data) ** 2)))
+    # w |a|^2 is formed in one real work array and summed as one flat array
+    work = np.abs(fh.data)
+    work **= 2
+    np.multiply(w, work, out=work)
+    return float(np.sqrt(fh.grid.cell_volume * np.sum(work)))

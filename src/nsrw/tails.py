@@ -12,6 +12,7 @@ quantitative checks here.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
 
@@ -143,11 +144,27 @@ def _space_time_norms(
 
 
 def _ordered_map(fn, count: int, workers: int) -> list:
-    """[fn(0), ..., fn(count - 1)] on up to `workers` threads, in index order."""
+    """[fn(0), ..., fn(count - 1)] on up to `workers` threads, in index order,
+    with progress on stderr (_collect)."""
     if workers <= 1:
-        return [fn(i) for i in range(count)]
+        return _collect(map(fn, range(count)), count)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
+        return _collect(pool.map(fn, range(count)), count)
+
+
+def _collect(results, count: int) -> list:
+    """The count results as a list. As they arrive, in index order, the
+    calling thread writes a `k/count samples` line to stderr after every
+    ceil(count/10) of them and after the last, at most ten lines, the same
+    for any worker count."""
+    step = -(-count // 10)
+    out = []
+    for value in results:
+        out.append(value)
+        k = len(out)
+        if k % step == 0 or k == count:
+            print(f"{k}/{count} samples", file=sys.stderr, flush=True)
+    return out
 
 
 def sample_space_time_norms(

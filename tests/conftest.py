@@ -1,14 +1,19 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from nsrw import _rng
+from nsrw.data import _canonical_modes, _integer_modes, default_tilt
 from nsrw.heat import _BLOCK_ELEMS, _half_decay
 from nsrw.randomization import hminus_s_norm
 from nsrw.spectral import (
     TransportPlan,
+    conjugate_mirror,
     fourier_field,
+    l2_norm,
     leray_project,
     make_grid,
     physical_field,
@@ -109,6 +114,71 @@ def transport_oracle(uh, grid):
     return out
 
 
+def random_field_oracle(grid, amplitude, seed):
+    """data._random_field_with_profile as whole-array expressions with fresh
+    arrays: stacked directions, one product for every component, then the
+    whole-array Leray projection, Nyquist and mean zeroing. The in-place
+    construction must reproduce it bit for bit."""
+    sign, key = _canonical_modes(grid)
+    theta = 2.0 * np.pi * _rng.uniform01(_rng.fold(seed, _rng.STREAM_DATA_PHASE, 0, 0, key))
+    phase = np.exp(1j * sign * theta)
+    comps = []
+    for c in range(grid.d):
+        w0 = _rng.fold(seed, _rng.STREAM_DATA_DIRECTION, c, 0, key)
+        w1 = _rng.fold(seed, _rng.STREAM_DATA_DIRECTION, c, 1, key)
+        comps.append(_rng.standard_gaussian(w0, w1))
+    v = np.stack(comps)
+    norm = np.sqrt(np.sum(v * v, axis=0))
+    dirs = v / np.where(norm == 0.0, 1.0, norm)
+    scale = float(grid.N) ** (grid.d / 2.0)
+    data = dirs * (scale * amplitude * phase)[None, ...]
+    ksq_safe = np.where(grid.ksq == 0.0, 1.0, grid.ksq)
+    dot = np.zeros(grid.shape, dtype=np.complex128)
+    for i in range(grid.d):
+        dot += grid.axis_frequency(i) * data[i]
+    dot /= ksq_safe
+    out = np.empty_like(data)
+    for i in range(grid.d):
+        out[i] = data[i] - grid.axis_frequency(i) * dot
+    out[:, grid.nyquist_mask] = 0.0
+    out[(slice(None),) + (0,) * grid.d] = 0.0
+    return fourier_field(grid, out)
+
+
+def sobolev_norm_oracle(f, s):
+    """spectral.sobolev_norm as one whole-array expression."""
+    w = (1.0 + f.grid.ksq) ** s
+    return float(np.sqrt(f.grid.cell_volume * np.sum(w * np.abs(f.data) ** 2)))
+
+
+def conjugate_asymmetry_oracle(a, d):
+    """spectral.conjugate_asymmetry over the whole array at once."""
+    scale = np.abs(a).max()
+    if scale == 0.0:
+        return 0.0
+    return float(np.abs(conjugate_mirror(a, d) - a).max() / scale)
+
+
+def borderline_oracle(grid, s, seed, tilt=None, normalize=True):
+    """data.borderline_field on random_field_oracle, scaled by a copy."""
+    rho = default_tilt(grid.d) if tilt is None else float(tilt)
+    kabs_safe = np.where(grid.kabs == 0.0, 1.0, grid.kabs)
+    amplitude = np.where(grid.kabs == 0.0, 0.0, kabs_safe ** (s - rho))
+    f = random_field_oracle(grid, amplitude, seed)
+    if normalize:
+        f = (1.0 / sobolev_norm_oracle(f, -s)) * f
+    return f
+
+
+def smooth_random_oracle(grid, seed, band=3):
+    """data.smooth_random_field on random_field_oracle, scaled by a copy."""
+    keep = np.ones(grid.shape, dtype=bool)
+    for a in _integer_modes(grid):
+        keep &= np.abs(a) <= band
+    f = random_field_oracle(grid, np.exp(-0.5 * grid.ksq) * keep, seed)
+    return (1.0 / l2_norm(f)) * f
+
+
 def heat_norms_oracle(f, symbols, times, p):
     """|e^{tD} F|_{L^p} for every t: the straightforward half-spectrum sweep,
     with fresh arrays, a decay block per symbol and irfftn, that
@@ -119,7 +189,7 @@ def heat_norms_oracle(f, symbols, times, p):
     vol = g.cell_volume
     ksq_h = g.half.ksq
     cached = _half_decay(g, times)
-    chunk = max(1, _BLOCK_ELEMS // (f.ncomp * g.ksq.size))
+    chunk = max(1, _BLOCK_ELEMS // g.ksq.size)
     out = np.empty(times.size)
 
     for lo in range(0, times.size, chunk):
@@ -141,6 +211,19 @@ def heat_norms_oracle(f, symbols, times, p):
         else:
             out[lo : lo + tt.size] = (vol * np.sum(msq ** (p / 2.0), axis=sp)) ** (1.0 / p)
     return out
+
+
+def traced_peak(fn):
+    """fn() and the peak of the memory it held above what was held when it
+    started, in bytes, as tracemalloc (which numpy reports to) counts it."""
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - base
 
 
 def monte_carlo_tails(f, model, spec, M, workers=1):

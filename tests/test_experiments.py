@@ -63,7 +63,27 @@ class TestDeterminism:
             blobs.append(
                 (out / "series.csv").read_bytes() + (out / "summary.json").read_bytes()
             )
+            # randomize writes no phases or counters, but its peak RSS
+            assert json.loads((out / "meta.json").read_text())["peak_rss_mib"] > 0.0
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("verb, fields", [
+        ("tails", dict(d=2, N=16, monte_carlo_M=205, master_seed=3)),
+        ("report", dict(d=2, N=8, gamma=-0.05, monte_carlo_M=205, master_seed=3)),
+    ])
+    def test_monte_carlo_progress_on_stderr(self, tmp_path, capfd, verb, fields):
+        # ten `k/M samples` lines, every ceil(M/10) samples and after the
+        # last, in sample order for any worker count; the artifacts do not
+        # change
+        want = [f"{k}/205 samples" for k in range(21, 205, 21)] + ["205/205 samples"]
+        artifacts = []
+        for w in (1, 2):
+            res, _ = run(tmp_path, f"w{w}", experiment=verb, workers=w, **fields)
+            out = res.output_dir
+            artifacts.append((out / "summary.json").read_bytes()
+                             + (out / "series.csv").read_bytes())
+            assert capfd.readouterr().err.splitlines() == want
+        assert artifacts[0] == artifacts[1]
 
     def test_seed_changes_series(self, tmp_path):
         series = []
@@ -152,7 +172,9 @@ class TestArtifacts:
                 "checkpoint_bytes": sum(p.stat().st_size for p in files),
             }
             assert len(files) == (summary["snapshots"] if write else 0)
-            telemetry = set(meta["phase_seconds"]) | {"rhs_evaluations", "snapshot_bytes"}
+            assert meta["peak_rss_mib"] > 0.0
+            telemetry = set(meta["phase_seconds"]) | {"rhs_evaluations", "snapshot_bytes",
+                                                      "peak_rss_mib"}
             assert not telemetry & set(summary)
         assert blobs[0] == blobs[1]
 
@@ -190,7 +212,8 @@ class TestArtifacts:
                 want = {"samples": M, "time_points": default_time_grid(cfg.T).size,
                         "space_time_norms": M * (1 if cfg.d == 2 else 3)}
             assert meta["counters"] == want
-            telemetry = {"phase_seconds", "counters"} | phases | set(want)
+            assert meta["peak_rss_mib"] > 0.0
+            telemetry = {"phase_seconds", "counters", "peak_rss_mib"} | phases | set(want)
             assert not telemetry & set(summary)
         assert blobs[0] == blobs[1]
 

@@ -10,6 +10,7 @@ from conftest import (
     random_divfree_field,
     random_real_field,
     single_mode_field,
+    traced_peak,
 )
 from nsrw.data import borderline_field, default_tilt
 from nsrw.heat import (
@@ -184,11 +185,26 @@ class TestHeatNormsOracle:
         f = zero_nyquist(random_real_field(grid, nc, seed=21))
         if decay == "streamed":
             monkeypatch.setattr(heat, "_DECAY_CACHE_MAX_ELEMS", 0)
-        chunk = heat._BLOCK_ELEMS // (nc * grid.ksq.size)
+        chunk = heat._BLOCK_ELEMS // grid.ksq.size
         times = np.geomspace(1e-3, 1.0, chunk + chunk // 3 + 1)  # a short last block
         symbols = [sym for k in orders for sym in _derivative_symbols(grid, k)]
         got = _heat_norms(f, symbols, times, p)
         assert np.array_equal(got, heat_norms_oracle(f, symbols, times, p))
+
+    def test_work_arrays_hold_one_component(self):
+        # the sweep's transient memory at d=3 N=32 over heatflow's decay
+        # grid, k = 0 and 1: one-component blocks of 3 times and the
+        # conjugate-symmetry check one component at a time read 2.4 times
+        # the field's bytes; all-component blocks of 4 times and
+        # whole-array checks read 5.9
+        grid = make_grid(3, 32, TWO_PI)
+        f = borderline_field(grid, 0.2, seed=3)
+        times = default_decay_time_grid(grid, 1.0)
+        symbols = _derivative_symbols(grid, 0) + _derivative_symbols(grid, 1)
+        first = _heat_norms(f, symbols, times, np.inf)  # fills the decay cache
+        again, peak = traced_peak(lambda: _heat_norms(f, symbols, times, np.inf))
+        assert np.array_equal(again, first)
+        assert peak < 3.5 * f.data.nbytes
 
     @pytest.mark.parametrize("decay", ["cached", "streamed"])
     @pytest.mark.parametrize("orders", [(0,), (1,), (0, 1)])

@@ -6,9 +6,11 @@ import pytest
 
 from conftest import (
     TWO_PI,
+    conjugate_asymmetry_oracle,
     full_transport,
     random_real_field,
     single_mode_field,
+    sobolev_norm_oracle,
     transport_oracle,
 )
 from nsrw.spectral import (
@@ -27,7 +29,10 @@ from nsrw.spectral import (
     ring_index,
     ring_partition,
     ring_project,
+    sobolev_norm,
     transform,
+    zero_mean,
+    zero_nyquist,
     zeros_field,
 )
 
@@ -254,6 +259,37 @@ class TestLeray:
         f.data[0, 0, 0] = 3.0 + 1.0j
         out = leray_project(f)
         assert out.data[0, 0, 0] == 3.0 + 1.0j
+
+    def test_copying_operators_leave_their_input_unchanged(self, grid3):
+        # the public operators copy, then run the in-place cores the data
+        # construction uses
+        f = random_real_field(grid3, 3, seed=12)
+        before = f.data.copy()
+        for op in (leray_project, zero_nyquist, zero_mean):
+            out = op(f)
+            assert out.data is not f.data
+            assert np.array_equal(f.data, before)
+
+
+class TestReductions:
+    @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
+    @pytest.mark.parametrize("lead", [(), (1,), (3,), (2, 3)])
+    def test_componentwise_maxima_match_whole_array(self, d, N, lead):
+        # the max of the per-component maxima is the whole array's max, so
+        # the value is the same to the bit, real fields or not
+        grid = make_grid(d, N, TWO_PI)
+        rng = np.random.default_rng(len(lead))
+        shape = lead + grid.shape
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        real = np.fft.fftn(rng.standard_normal(shape), axes=tuple(range(len(lead), len(shape))))
+        for x in (a, real, np.zeros(shape, dtype=np.complex128)):
+            assert conjugate_asymmetry(x, d) == conjugate_asymmetry_oracle(x, d)
+
+    @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
+    @pytest.mark.parametrize("s", [-0.25, 0.0, 1.0])
+    def test_sobolev_norm_matches_whole_array(self, d, N, s):
+        f = random_real_field(make_grid(d, N, TWO_PI), d, seed=3)
+        assert sobolev_norm(f, s) == sobolev_norm_oracle(f, s)
 
 
 class TestMultiplier:

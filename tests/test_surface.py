@@ -36,6 +36,8 @@ ORACLES = {
     "ring_index": "criterion-1 operator: the ring label of each lattice mode",
     "ring_project": "criterion-1 operator: one ring's piece of a field",
     "dealias": "criterion-1 operator: the 2/3-rule truncation",
+    "leray_project": "criterion-1 operator: the divergence-free projection; the data "
+                     "constructors run its in-place core on their own fresh array",
     "multiplier": "criterion-1 operator: the gradient, divergence, fractional-Laplacian "
                   "and bracket symbols",
     "serialize_config": "the parse -> serialize -> parse identity of the config schema",
