@@ -14,9 +14,9 @@ the cutoff ball: 86.7 KB at d=3 N=32 instead of the 836 KB of the whole
 half lattice. The last-axis plane 0, and plane N/2 when the band holds
 it, are their own mirror images and must be conjugate-symmetric.
 
-Version 2 files (no band radius; the payload is the whole half lattice,
-the band of radius N/2) and version 1 files (no fingerprint either; the
-full N^d spectrum as payload) are still read, never written.
+Versions 1 and 2 are refused: no writer has produced them since version
+3, and the fingerprint every version-3 file carries pins d, N, L and the
+cutoff.
 
 Files are replaced atomically: a reader sees either the previous file or
 the complete new one, also when the writing process is killed. There is
@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import HERMITIAN_RTOL, Grid, fourier_field, make_grid
+from .spectral import Grid, band_shape, make_grid
 
 MAGIC = b"NSRW"
 VERSION = 3
@@ -51,26 +51,13 @@ def _canonical(fingerprint: dict) -> bytes:
                       allow_nan=False).encode()
 
 
-def _band_shape(d: int, N: int, k: int) -> tuple:
-    """The shape of d components on the cube |k_i| <= k of the half
-    lattice, as HalfLattice.band indexes it."""
-    return (d,) + (min(2 * k + 1, N),) * (d - 1) + (min(k, N // 2) + 1,)
-
-
 def save_checkpoint(grid: Grid, w_band: np.ndarray, t: float, cutoff: float,
                     fingerprint: dict, path: str | Path) -> None:
     """Write the band array w_band, one component per dimension on the cube
     |k_i| <= k of grid.half (a whole half spectrum is the band of radius
     N/2), as a version-3 checkpoint; k is read off its last axis. Its plane
-    0 (and N/2) must be conjugate-symmetric, as the snapshots of solve are;
-    load_checkpoint refuses them otherwise."""
-    k = w_band.shape[-1] - 1
-    if k > grid.N // 2 or w_band.shape != _band_shape(grid.d, grid.N, k):
-        raise ValueError(
-            f"checkpoints store one band array per dimension of radius k <= N/2, shape "
-            f"(d,) + (min(2k+1, N),)^(d-1) + (min(k, N/2) + 1,); got {w_band.shape} "
-            f"on a d={grid.d} N={grid.N} grid"
-        )
+    0 (and N/2) must be conjugate-symmetric, as the snapshots of solve are."""
+    k = grid.half.require_real_band("a checkpointed state", w_band)
     header = _HEADER.pack(MAGIC, VERSION, grid.d, grid.N, grid.L, float(t), float(cutoff))
     fp = _canonical(fingerprint)
     payload = np.ascontiguousarray(w_band).astype("<c16", copy=False).tobytes()
@@ -96,12 +83,11 @@ def _check_fingerprint(found: dict, expected: dict):
 
 
 def load_checkpoint(path: str | Path, expect_fingerprint: dict | None = None):
-    """Read a version-1, -2 or -3 checkpoint; returns (field, t, cutoff)
-    with the full spectrum of the state.
+    """Read a version-3 checkpoint; returns (w_band, t, cutoff) with the
+    band array as stored (see save_checkpoint).
 
-    With expect_fingerprint, a version-2 or -3 file whose fingerprint
-    differs is refused, naming the first differing setting and both values.
-    Version-1 files carry no fingerprint and are not checked.
+    With expect_fingerprint, a file whose fingerprint differs is refused,
+    naming the first differing setting and both values.
     """
     try:
         blob = Path(path).read_bytes()
@@ -112,56 +98,43 @@ def load_checkpoint(path: str | Path, expect_fingerprint: dict | None = None):
     magic, version, d, N, L, t, cutoff = _HEADER.unpack_from(blob)
     if magic != MAGIC:
         raise CheckpointError(f"bad checkpoint magic {magic!r}")
-    if version not in (1, 2, VERSION):
+    if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     if d not in (2, 3) or N % 2 != 0 or N < 8 or not L > 0:
         raise CheckpointError(f"checkpoint header names no valid grid: d={d}, N={N}, L={L}")
     pos = _HEADER.size
-    if version == 1:
-        shape = (d,) + (N,) * d
-    else:
-        if len(blob) < pos + _U32.size:
-            raise CheckpointError("checkpoint truncated: fingerprint length missing")
-        (n,) = _U32.unpack_from(blob, pos)
-        pos += _U32.size
-        try:
-            fingerprint = json.loads(blob[pos : pos + n].decode())
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise CheckpointError(f"checkpoint fingerprint unreadable: {exc}") from None
-        if not isinstance(fingerprint, dict):
-            raise CheckpointError("checkpoint fingerprint is not a JSON object")
-        pos += n
-        # a version-2 payload is the whole half lattice, the band of radius N/2
-        k = N // 2
-        if version == VERSION:
-            if len(blob) < pos + _U32.size:
-                raise CheckpointError("checkpoint truncated: band radius missing")
-            (k,) = _U32.unpack_from(blob, pos)
-            pos += _U32.size
-            if k > N // 2:
-                raise CheckpointError(
-                    f"checkpoint band radius k={k} exceeds the half lattice's N/2 = {N // 2}"
-                )
-        shape = _band_shape(d, N, k)
+    if len(blob) < pos + _U32.size:
+        raise CheckpointError("checkpoint truncated: fingerprint length missing")
+    (n,) = _U32.unpack_from(blob, pos)
+    pos += _U32.size
+    try:
+        fingerprint = json.loads(blob[pos : pos + n].decode())
+    except (UnicodeDecodeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint fingerprint unreadable: {exc}") from None
+    if not isinstance(fingerprint, dict):
+        raise CheckpointError("checkpoint fingerprint is not a JSON object")
+    pos += n
+    if len(blob) < pos + _U32.size:
+        raise CheckpointError("checkpoint truncated: band radius missing")
+    (k,) = _U32.unpack_from(blob, pos)
+    pos += _U32.size
+    if k > N // 2:
+        raise CheckpointError(
+            f"checkpoint band radius k={k} exceeds the half lattice's N/2 = {N // 2}"
+        )
     # the payload is sized from the header before any grid array is built
+    shape = band_shape(d, N, k)
     expected = math.prod(shape) * 16
     payload = blob[pos:]
     if len(payload) != expected:
         raise CheckpointError(
             f"checkpoint truncated: expected {expected} payload bytes, got {len(payload)}"
         )
-    grid = make_grid(d, N, L)
-    data = np.frombuffer(payload, dtype="<c16").reshape(shape).astype(np.complex128)
-    if version == 1:
-        return fourier_field(grid, data), float(t), float(cutoff)
     if expect_fingerprint is not None:
         _check_fingerprint(fingerprint, expect_fingerprint)
-    asym = grid.half.plane_asymmetry(data)
-    if asym > HERMITIAN_RTOL:
-        raise CheckpointError(
-            f"checkpoint payload is not a real field's half spectrum: its last-axis "
-            f"planes 0 and N/2 are not conjugate-symmetric (largest asymmetry "
-            f"{asym:.3e} of its largest coefficient, tolerance {HERMITIAN_RTOL:g})"
-        )
-    full = grid.half.expand(grid.half.scatter(data))
-    return fourier_field(grid, full), float(t), float(cutoff)
+    w_band = np.frombuffer(payload, dtype="<c16").reshape(shape).astype(np.complex128)
+    try:
+        make_grid(d, N, L).half.require_real_band("checkpoint payload", w_band)
+    except ValueError as exc:
+        raise CheckpointError(str(exc)) from None
+    return w_band, float(t), float(cutoff)

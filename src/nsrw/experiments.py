@@ -279,13 +279,10 @@ def _run_solve(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
     f_om = _randomized_data(cfg, f)
     sconf = cfg.solver_config()
     fingerprint = cfg.trajectory_fingerprint()
-    resume_state = resume_time = None
+    resume_band = resume_time = None
     if resume is not None:
-        resume_state, resume_time, ck_cutoff = load_checkpoint(resume, fingerprint)
-        if resume_state.grid != grid:
-            raise ValueError("checkpoint grid does not match config")
-        if not np.isclose(ck_cutoff, sconf.cutoff):
-            raise ValueError("checkpoint cutoff does not match config")
+        # the fingerprint pins d, N, L and the cutoff
+        resume_band, resume_time, _ = load_checkpoint(resume, fingerprint)
 
     ckpt_files = []
     ckpt_seconds = 0.0
@@ -299,7 +296,7 @@ def _run_solve(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
         ckpt_seconds += time.perf_counter() - started
 
     started = time.perf_counter()
-    traj = solve(sconf, f_om, resume_state=resume_state, resume_time=resume_time,
+    traj = solve(sconf, f_om, resume_band=resume_band, resume_time=resume_time,
                  on_snapshot=write_checkpoint if cfg.write_checkpoints else None)
     solve_s = time.perf_counter() - started - ckpt_seconds
 

@@ -133,10 +133,10 @@ def _half_decay(grid, times: np.ndarray) -> np.ndarray | None:
 
 
 def _heat_norms(f: SpectralField, symbols: list, times: np.ndarray,
-                p: float | tuple) -> np.ndarray:
-    """|e^{tD} F|_{L^p} for every t, p in [2, inf], batched over times.
-    With a tuple of exponents p, the one sweep is reduced once per exponent
-    and the result has one row per exponent.
+                exponents: tuple) -> np.ndarray:
+    """|e^{tD} F|_{L^p} for every t and every p in exponents, each in
+    [2, inf], batched over times: the one sweep is reduced once per
+    exponent, one row per exponent.
 
     F stacks symbol * component for every symbol (arrays broadcastable to
     the grid) and every component of a field. For each block of times,
@@ -170,7 +170,6 @@ def _heat_norms(f: SpectralField, symbols: list, times: np.ndarray,
     vol = g.cell_volume
     chunk = max(1, _BLOCK_ELEMS // g.ksq.size)
     rows = min(chunk, times.size)
-    exponents = p if isinstance(p, tuple) else (p,)
     out = np.empty((len(exponents), times.size))
     msq = np.empty((rows,) + g.shape)
     sym_sq = np.empty((rows,) + g.shape)
@@ -211,7 +210,7 @@ def _heat_norms(f: SpectralField, symbols: list, times: np.ndarray,
                 row[lo : lo + n] = np.sqrt(np.max(acc, axis=sp))
             else:
                 row[lo : lo + n] = (vol * np.sum(acc ** (pk / 2.0), axis=sp)) ** (1.0 / pk)
-    return out if isinstance(p, tuple) else out[0]
+    return out
 
 
 def _derivative_symbols(grid, k: int) -> list:
@@ -263,7 +262,7 @@ def check_linear_estimates(
     g = f_omega.grid
     hnorm = hminus_s_norm(f_omega, s)
     l2_vals = _l2_over_times(f_omega, k, times)
-    linf_vals = _heat_norms(f_omega, _derivative_symbols(g, k), times, np.inf)
+    linf_vals = _heat_norms(f_omega, _derivative_symbols(g, k), times, (np.inf,))[0]
 
     d = g.d
     l2_env = (1.0 + times ** (-(s + k) / 2.0)) * hnorm
@@ -335,5 +334,6 @@ def condg_check(f_omega: SpectralField, s: float, t_grid: np.ndarray) -> CondgRe
     if times.size == 0 or not np.all(times > 0):
         raise ValueError("condg_check needs a nonempty positive time grid")
     g = f_omega.grid
-    linf = {k: _heat_norms(f_omega, _derivative_symbols(g, k), times, np.inf) for k in (0, 1)}
+    linf = {k: _heat_norms(f_omega, _derivative_symbols(g, k), times, (np.inf,))[0]
+            for k in (0, 1)}
     return _condg_from_sweeps(times, s, g.d, _l2_over_times(f_omega, 0, times), linf)

@@ -15,14 +15,14 @@ product (w + Tg) x (w + Tg), formed in physical space on dealiased inputs by
 the transport kernel.
 
 Data, w and g are real fields, so the stepper keeps rfft half spectra
-(spectral.HalfLattice); solve refuses data and resume states that are not
-conjugate-symmetric.
+(spectral.HalfLattice); solve refuses data that is not conjugate-symmetric
+and resume states whose self-mirrored planes are not.
 
 Every stage field lives in the ball, so the stepper keeps w, the
 truncated data and every mask and weight as band arrays of the cube
 |k_i| <= k_max that holds the ball (spectral.HalfLattice.band), with
 k_max = ceil(kappa) - 1 for kappa = cutoff L / 2 pi. States enter the cube
-once (data, resume state, step() input), snapshots stay on it, and only
+once (data, resume band, step() input), snapshots stay on it, and only
 step() output and the readers of a snapshot scatter it back onto the N
 grid's half lattice (HalfLattice.scatter); coefficients keep the N grid's
 unitary normalisation throughout. The stage products are formed on
@@ -211,18 +211,22 @@ def time_partition(T: float, dt: float, substep_near_zero: bool) -> np.ndarray:
 BALL_RTOL = 1e-13
 
 
-def _require_in_ball(name: str, f: SpectralField, cutoff: float):
-    """Refuse a field with support outside the ball |xi| < cutoff, naming its
+def _require_in_ball(name: str, h: np.ndarray, grid: Grid, cutoff: float):
+    """Refuse the band array h of grid's half lattice (a whole half array
+    included) if it has support outside the ball |xi| < cutoff, naming its
     largest coefficient there."""
-    mag = np.abs(f.data)
-    outside = mag * (f.grid.kabs >= cutoff)
+    band = grid.half.band(h.shape[-1] - 1)
+    mag = np.abs(h)
+    outside = mag * (grid.half.kabs[band] >= cutoff)
     worst = float(outside.max())
     scale = max(float(mag.max()), 1e-300)
     if worst <= BALL_RTOL * scale:
         return
     comp, *idx = np.unravel_index(np.argmax(outside), outside.shape)
-    N = f.grid.N
-    mode = tuple(int(i) if i < N // 2 else int(i) - N for i in idx)
+    N = grid.N
+    # each band index is the lattice index that the band's row list holds there
+    rows = (np.arange(n)[b].ravel()[i] for n, b, i in zip(grid.half.shape, band, idx))
+    mode = tuple(int(i) if i < N // 2 else int(i) - N for i in rows)
     raise ValueError(
         f"{name} has support outside the cutoff ball |xi| < {cutoff:g}: its largest "
         f"coefficient there, component {int(comp)} at lattice mode {mode}, has "
@@ -245,7 +249,7 @@ def nonlinear_rhs(w: SpectralField, g: SpectralField, cutoff: float) -> Spectral
     grid = w.grid
     if w.ncomp != grid.d or g.ncomp != grid.d:
         raise ValueError("nonlinear_rhs needs one component per dimension")
-    _require_in_ball("fluctuation", w, cutoff)
+    _require_in_ball("fluctuation", grid.half.cut(w.data), grid, cutoff)
     plan = TransportPlan(grid)
     u = (w + friedrichs_cutoff(g, cutoff)).data[(slice(None), *plan.in_band)]
     return -friedrichs_cutoff(
@@ -333,7 +337,7 @@ class _Stepper:
         self._exp_cache: dict = {}
 
     def embed(self, a: np.ndarray) -> np.ndarray:
-        """A full N-grid spectrum's ball part as a band array."""
+        """The ball part of a full spectrum or half array as a band array."""
         return a[(Ellipsis, *self.band)] * self.ball
 
     def decay(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -434,9 +438,10 @@ def step(state: SpectralField, t: float, dt: float, config: SolverConfig,
     if t < 0:
         raise ValueError("step time must be nonnegative")
     grid = state.grid
-    _require_in_ball("state", state, config.cutoff)
+    h = grid.half.cut(state.data)
+    _require_in_ball("state", h, grid, config.cutoff)
     stepper = _Stepper(grid, f_omega.data, config)
-    what = stepper.embed(state.data)
+    what = stepper.embed(h)
     out, _ = stepper.advance(what, *stepper.stage0(what, t), dt)
     if not np.all(np.isfinite(out)):
         raise StepFailureError(t)
@@ -458,11 +463,12 @@ def _check_stability(config: SolverConfig, f_omega: SpectralField):
 def solve(
     config: SolverConfig,
     f_omega: SpectralField,
-    resume_state: SpectralField | None = None,
+    resume_band: np.ndarray | None = None,
     resume_time: float | None = None,
     on_snapshot: Callable[[int, float, np.ndarray], None] | None = None,
 ) -> Trajectory:
-    """Integrate from w = 0 at t = 0 (or a checkpointed state) up to T.
+    """Integrate from w = 0 at t = 0, or from the band array resume_band
+    (as load_checkpoint returns it) at resume_time, up to T.
 
     Snapshots of w are taken every snapshot_cadence accepted steps plus at
     both endpoints, each with |dw/dt|_{H^{-1}} from its stage-0 right-hand
@@ -472,7 +478,9 @@ def solve(
     grid's half lattice (see Trajectory.w_band); on_snapshot, if given, is
     called as on_snapshot(index, t, w_band) as each one is taken, while the
     run goes on. The trajectory keeps f_omega, from which it derives the
-    forcing.
+    forcing. A resume band of another shape, or not a real field's
+    (HalfLattice.require_real_band), or with support outside the ball is
+    refused.
     """
     grid = f_omega.grid
     if f_omega.space != FOURIER:
@@ -487,21 +495,21 @@ def solve(
     _check_stability(config, f_omega)
 
     times = time_partition(config.T, config.dt, config.substep_near_zero)
-    if resume_state is None:
+    if resume_band is None:
         start = 0
         what = np.zeros((grid.d,) + stepper.ksq.shape, dtype=np.complex128)
     else:
         if resume_time is None:
-            raise ValueError("resume_state requires resume_time")
+            raise ValueError("resume_band requires resume_time")
         hits = np.flatnonzero(np.isclose(times, resume_time, rtol=1e-12, atol=1e-15))
         if hits.size == 0:
             raise ValueError(
                 f"resume time {resume_time} is not a step boundary of this config"
             )
-        require_real_field("resume state", resume_state)
-        _require_in_ball("resume state", resume_state, config.cutoff)
+        grid.half.require_real_band("resume state", resume_band)
+        _require_in_ball("resume state", resume_band, grid, config.cutoff)
         start = int(hits[0])
-        what = stepper.embed(resume_state.data)
+        what = stepper.embed(grid.half.scatter(resume_band))
 
     snap_times, w_band, dwdt = [], [], []
 

@@ -38,8 +38,6 @@ __all__ = [
     "physical_field",
     "zeros_field",
     "transform",
-    "as_fourier",
-    "as_physical",
     "zero_nyquist",
     "zero_mean",
     "mean_mode_magnitude",
@@ -57,6 +55,7 @@ __all__ = [
     "conjugate_asymmetry",
     "require_real_field",
     "axis_radius",
+    "band_shape",
     "l2_norm",
     "linf_norm",
     "sobolev_norm",
@@ -244,6 +243,27 @@ class HalfLattice:
         rows = np.concatenate([np.arange(N)[s] for s in _band_slabs(N, k)])
         return np.ix_(*([rows] * (self.grid.d - 1) + [np.arange(k + 1)]))
 
+    def require_real_band(self, name: str, h: np.ndarray) -> int:
+        """The radius k of h, read off its last axis. Refuses h, naming it,
+        unless it is one band array per dimension of radius k <= N/2 whose
+        self-mirrored planes are conjugate-symmetric, as a real field's are."""
+        d, N = self.grid.d, self.grid.N
+        k = h.shape[-1] - 1
+        if k > N // 2 or h.shape != band_shape(d, N, k):
+            raise ValueError(
+                f"{name} must be one band array per dimension of radius k <= N/2, shape "
+                f"(d,) + (min(2k+1, N),)^(d-1) + (min(k, N/2) + 1,); got {h.shape} "
+                f"on a d={d} N={N} grid"
+            )
+        asym = self.plane_asymmetry(h)
+        if asym > HERMITIAN_RTOL:
+            raise ValueError(
+                f"{name} is not a real field's band array: its last-axis planes 0 and "
+                f"N/2 are not conjugate-symmetric (largest asymmetry {asym:.3e} of its "
+                f"largest coefficient, tolerance {HERMITIAN_RTOL:g})"
+            )
+        return k
+
     def scatter(self, h: np.ndarray) -> np.ndarray:
         """The band array h on this half lattice, zero off its cube."""
         out = np.zeros(h.shape[: -self.grid.d] + self.shape, dtype=h.dtype)
@@ -347,14 +367,6 @@ def transform(f: SpectralField, direction: str) -> SpectralField:
         out = np.fft.ifftn(f.data, axes=axes, norm="ortho")
         return SpectralField(f.grid, out, PHYSICAL)
     raise ValueError(f"unknown transform direction {direction!r}")
-
-
-def as_fourier(f: SpectralField) -> SpectralField:
-    return f if f.space == FOURIER else transform(f, "forward")
-
-
-def as_physical(f: SpectralField) -> SpectralField:
-    return f if f.space == PHYSICAL else transform(f, "inverse")
 
 
 def zero_nyquist(f: SpectralField) -> SpectralField:
@@ -577,6 +589,12 @@ def axis_radius(mask: np.ndarray) -> int:
     return int(np.minimum(k, row.size - k)[row].max())
 
 
+def band_shape(d: int, N: int, k: int) -> tuple:
+    """The shape of a band array of radius k with one component per
+    dimension (HalfLattice.band), known before any grid array is built."""
+    return (d,) + (min(2 * k + 1, N),) * (d - 1) + (min(k, N // 2) + 1,)
+
+
 def _band_slabs(n: int, k: int) -> tuple:
     """The rows |k_i| <= k of an n-point axis in standard FFT order, as
     basic slices: the whole axis, or the two slabs 0..k and n-k..n-1."""
@@ -701,7 +719,7 @@ def l2_norm(f: SpectralField) -> float:
 
 def linf_norm(f: SpectralField) -> float:
     """Physical-space maximum of the pointwise Euclidean magnitude."""
-    phys = as_physical(f)
+    phys = transform(f, "inverse")
     return float(np.sqrt(np.sum(np.abs(phys.data) ** 2, axis=0)).max())
 
 
@@ -711,10 +729,10 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
     For s = 0 this is the L^2 norm; negative s gives the rough-data norms
     used throughout.
     """
-    fh = as_fourier(f)
-    w = (1.0 + fh.grid.ksq) ** s
+    _require_fourier(f)
+    w = (1.0 + f.grid.ksq) ** s
     # w |a|^2 is formed in one real work array and summed as one flat array
-    work = np.abs(fh.data)
+    work = np.abs(f.data)
     work **= 2
     np.multiply(w, work, out=work)
-    return float(np.sqrt(fh.grid.cell_volume * np.sum(work)))
+    return float(np.sqrt(f.grid.cell_volume * np.sum(work)))

@@ -1,5 +1,3 @@
-import json
-import struct
 import tracemalloc
 
 import numpy as np
@@ -231,25 +229,6 @@ def monte_carlo_tails(f, model, spec, M, workers=1):
     space-time norms, as the tails verb does."""
     values = sample_space_time_norms(f, model, spec, M, workers=workers)
     return fit_gaussian_tail(values, hminus_s_norm(f, spec.s))
-
-
-def pack_v1(field, t, cutoff):
-    """A version-1 checkpoint of field: magic, version 1, d, N, L, t and
-    cutoff, then the full spectrum, no fingerprint."""
-    g = field.grid
-    header = struct.pack("<4sIIIddd", b"NSRW", 1, g.d, g.N, g.L, t, cutoff)
-    return header + np.ascontiguousarray(field.data).astype("<c16").tobytes()
-
-
-def pack_v2(field, t, cutoff, fingerprint):
-    """A version-2 checkpoint of field: the version-1 header with version 2,
-    the u32-length canonical JSON fingerprint, then the whole half spectrum,
-    no band radius."""
-    g = field.grid
-    header = struct.pack("<4sIIIddd", b"NSRW", 2, g.d, g.N, g.L, t, cutoff)
-    fp = json.dumps(fingerprint, sort_keys=True, separators=(",", ":")).encode()
-    payload = np.ascontiguousarray(g.half.cut(field.data)).astype("<c16").tobytes()
-    return header + struct.pack("<I", len(fp)) + fp + payload
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import nsrw
-from conftest import TWO_PI, pack_v1, pack_v2, random_divfree_field
+from conftest import TWO_PI, random_divfree_field, traced_peak
 from nsrw.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from nsrw.cli import build_parser, main
 from nsrw.config import (
@@ -144,12 +144,11 @@ class TestCheckpoint:
             path = tmp_path / f"state{grid.d}.nsrw"
             h = grid.half.cut(f.data)
             save_checkpoint(grid, h, 0.375, 4.0, FINGERPRINT, path)
-            g, t, cutoff = load_checkpoint(path, FINGERPRINT)
+            w, t, cutoff = load_checkpoint(path, FINGERPRINT)
             assert t == 0.375 and cutoff == 4.0
-            assert g.grid == f.grid
-            # the full spectrum comes back bit for bit, and so does its half
-            assert np.array_equal(g.data, f.data)
-            assert np.array_equal(grid.half.cut(g.data), h)
+            # the half comes back bit for bit, and so does the full spectrum
+            assert np.array_equal(w, h)
+            assert np.array_equal(grid.half.expand(w), f.data)
             # and the file itself is stable: saving again is byte-identical
             path2 = tmp_path / f"again{grid.d}.nsrw"
             save_checkpoint(grid, h, 0.375, 4.0, FINGERPRINT, path2)
@@ -166,10 +165,10 @@ class TestCheckpoint:
         assert h.shape == (d,) + (2 * k + 1,) * (d - 1) + (k + 1,)
         path = tmp_path / "band.nsrw"
         save_checkpoint(grid, h, 0.5, 4.0, FINGERPRINT, path)
-        g, t, cutoff = load_checkpoint(path, FINGERPRINT)
+        w, t, cutoff = load_checkpoint(path, FINGERPRINT)
         assert (t, cutoff) == (0.5, 4.0)
-        assert np.array_equal(g.data, f.data)
-        assert np.array_equal(grid.half.cut(g.data)[(slice(None), *grid.half.band(k))], h)
+        assert np.array_equal(w, h)
+        assert np.array_equal(grid.half.scatter(w), grid.half.cut(f.data))
         fp = json.dumps(FINGERPRINT, sort_keys=True, separators=(",", ":")).encode()
         assert path.stat().st_size == 44 + len(fp) + 4 + h.size * 16
         path2 = tmp_path / "again.nsrw"
@@ -181,30 +180,12 @@ class TestCheckpoint:
         for bad in (h[:, :6], h[:1], np.zeros((2, 16, 10), complex)):
             with pytest.raises(ValueError, match="one band array per dimension"):
                 save_checkpoint(grid2, bad, 0.0, 4.0, FINGERPRINT, tmp_path / "bad.nsrw")
+        # mode (1, 0) on plane 0 without its mirror partner (-1, 0)
+        asym = h.copy()
+        asym[0, 1, 0] += 1.0
+        with pytest.raises(ValueError, match="not a real field's band array"):
+            save_checkpoint(grid2, asym, 0.0, 4.0, FINGERPRINT, tmp_path / "bad.nsrw")
         assert not list(tmp_path.iterdir())
-
-    def test_v2_half_spectrum_file_loads(self, tmp_path, grid3):
-        # a version-2 file is the band of radius N/2 without the radius field
-        f = real_state(grid3, seed=6)
-        path = tmp_path / "v2.nsrw"
-        path.write_bytes(pack_v2(f, 0.25, 4.0, FINGERPRINT))
-        g, t, cutoff = load_checkpoint(path, FINGERPRINT)
-        assert (t, cutoff) == (0.25, 4.0)
-        assert np.array_equal(g.data, f.data)
-        with pytest.raises(CheckpointError, match="'master_seed' is 7"):
-            load_checkpoint(path, {**FINGERPRINT, "master_seed": 8})
-        path.write_bytes(pack_v2(f, 0.25, 4.0, FINGERPRINT)[:-1])
-        with pytest.raises(CheckpointError, match="truncated"):
-            load_checkpoint(path)
-
-    def test_v1_full_spectrum_file_loads(self, tmp_path, grid3):
-        f = random_divfree_field(grid3, seed=6)
-        path = tmp_path / "v1.nsrw"
-        path.write_bytes(pack_v1(f, 0.25, 4.0))
-        # no fingerprint to check: an expected one is ignored
-        g, t, cutoff = load_checkpoint(path, FINGERPRINT)
-        assert (t, cutoff) == (0.25, 4.0)
-        assert np.array_equal(g.data, f.data)
 
     def test_refuses_v2_payload_asymmetric_on_plane_zero(self, tmp_path, grid2):
         f = real_state(grid2, seed=8)
@@ -245,7 +226,19 @@ class TestCheckpoint:
         blob = bytearray(path.read_bytes())
         blob[4] = 99
         path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError, match="version"):
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 99$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_earlier_versions_refused(self, tmp_path, grid2, version):
+        # only version 3 is read: the earlier layouts are refused like any other
+        f = real_state(grid2, seed=3)
+        path = tmp_path / "state.nsrw"
+        save_checkpoint(grid2, grid2.half.cut(f.data), 0.0, 4.0, FINGERPRINT, path)
+        blob = bytearray(path.read_bytes())
+        blob[4] = version
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}$"):
             load_checkpoint(path)
 
     def test_truncated_payload(self, tmp_path, grid2):
@@ -258,12 +251,13 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_truncated_payload_refused_before_the_grid_is_built(self, tmp_path):
-        # a 46-byte file whose header claims d=3, N=128: building that grid
-        # would allocate tens of MiB before the payload length is checked
+        # a 50-byte file whose header claims d=3, N=128 and the whole half
+        # lattice: building that grid would allocate tens of MiB before the
+        # payload length is checked
         path = tmp_path / "short.nsrw"
-        path.write_bytes(struct.pack("<4sIIIddd", b"NSRW", 2, 3, 128, TWO_PI, 0.0, 4.0)
-                         + struct.pack("<I", 2) + b"{}")
-        assert path.stat().st_size == 46
+        path.write_bytes(struct.pack("<4sIIIddd", b"NSRW", 3, 3, 128, TWO_PI, 0.0, 4.0)
+                         + struct.pack("<I", 2) + b"{}" + struct.pack("<I", 64))
+        assert path.stat().st_size == 50
         tracemalloc.start()
         try:
             with pytest.raises(CheckpointError, match="truncated"):
@@ -301,12 +295,25 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated: band radius missing"):
             load_checkpoint(path)
 
+    def test_load_holds_the_band_only(self, tmp_path):
+        # a checkpoint of a d=3 N=32 solve at the default cutoff N/4 holds
+        # the cube |k_i| <= 7 (86.4 KB of payload); loading it returns that
+        # band array and forms no full spectrum, which alone is 1.5 MiB
+        grid = make_grid(3, 32, TWO_PI)
+        _, h = cube_state(grid, 12, 7)
+        path = tmp_path / "band.nsrw"
+        save_checkpoint(grid, h, 0.25, 8.0, FINGERPRINT, path)
+        assert path.stat().st_size - h.nbytes < 100 and h.nbytes == 86_400
+        (w, t, cutoff), peak = traced_peak(lambda: load_checkpoint(path, FINGERPRINT))
+        assert np.array_equal(w, h) and (t, cutoff) == (0.25, 8.0)
+        assert peak < 2**20
+
     @pytest.mark.parametrize("d, N, L", [(4, 16, TWO_PI), (2, 15, TWO_PI), (3, 6, TWO_PI),
                                          (2, 16, 0.0)])
     def test_header_with_invalid_grid(self, tmp_path, d, N, L):
         path = tmp_path / "bad.nsrw"
-        path.write_bytes(struct.pack("<4sIIIddd", b"NSRW", 2, d, N, L, 0.0, 4.0)
-                         + struct.pack("<I", 2) + b"{}")
+        path.write_bytes(struct.pack("<4sIIIddd", b"NSRW", 3, d, N, L, 0.0, 4.0)
+                         + struct.pack("<I", 2) + b"{}" + struct.pack("<I", 2))
         with pytest.raises(CheckpointError, match="no valid grid"):
             load_checkpoint(path)
 

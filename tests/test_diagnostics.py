@@ -76,7 +76,8 @@ class TestEnergy:
         w0 = shear_field(grid2, 4.0, seed=3)
         cfg = SolverConfig(cutoff=4.0, T=1.0, dt=1.0 / 128.0)
         # start the heat flow at w0 through the resume entry point
-        traj = solve(cfg, zeros_field(grid2, 2), resume_state=w0, resume_time=0.0)
+        traj = solve(cfg, zeros_field(grid2, 2), resume_band=grid2.half.cut(w0.data),
+                     resume_time=0.0)
         log = traj.energy_log
         base = l2_norm(w0) ** 2
         assert log.kinetic[0] == pytest.approx(base, rel=1e-14)
@@ -162,7 +163,7 @@ class TestRecordedDwdt:
         f = randomized_borderline(3, 16, seed=22)
         full = solve(cfg, f)
         j = 3
-        part = solve(cfg, f, resume_state=full.w_states[j], resume_time=float(full.times[j]))
+        part = solve(cfg, f, resume_band=full.w_band[j], resume_time=float(full.times[j]))
         ref = dwdt_norm(part, cfg)
         np.testing.assert_allclose(part.dwdt_hminus1, ref.values, rtol=1e-12, atol=0)
         np.testing.assert_allclose(
@@ -175,7 +176,8 @@ class TestRecordedDwdt:
         # by mode
         cfg = self.config(2, snapshot_cadence=5)
         w0 = shear_field(grid2_mid, cfg.cutoff, seed=23)
-        traj = solve(cfg, zeros_field(grid2_mid, 2), resume_state=w0, resume_time=0.0)
+        traj = solve(cfg, zeros_field(grid2_mid, 2), resume_band=grid2_mid.half.cut(w0.data),
+                     resume_time=0.0)
         ref = dwdt_norm(traj, cfg)
         ksq = grid2_mid.ksq
         heat = np.array([

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import nsrw
-from conftest import pack_v1, pack_v2
 from nsrw.checkpoint import load_checkpoint
 from nsrw.cli import main
 from nsrw.config import ExperimentConfig, validate_config
@@ -396,51 +395,9 @@ class TestResume:
         assert abs(s_res["terminal_w_l2"] - s_full["terminal_w_l2"]) <= 1e-12
         assert s_res["terminal_time"] == s_full["terminal_time"]
 
-    def test_resume_from_v1_file_matches_uninterrupted(self, tmp_path):
-        # a version-1 file (full spectrum, no fingerprint) still resumes,
-        # checked only for its grid and cutoff
-        common = dict(
-            experiment="solve", d=2, N=32, T=0.5, dt=1.0 / 128.0, data="smooth_random",
-            randomize_data=False, substep_near_zero=False, snapshot_cadence=16,
-            master_seed=21,
-        )
-        res_full, _ = run(tmp_path, "full", write_checkpoints=True, **common)
-        mid = next(c for c in res_full.summary["checkpoints"] if abs(c["time"] - 0.25) < 1e-12)
-        state, t, cutoff = load_checkpoint(res_full.output_dir / mid["file"])
-        v1 = tmp_path / "v1.nsrw"
-        v1.write_bytes(pack_v1(state, t, cutoff))
-        cfg2 = validate_config(ExperimentConfig(output_dir=str(tmp_path / "resumed"), **common))
-        res = run_experiment(cfg2, resume=str(v1))
-        gap = abs(res.summary["terminal_w_l2"] - res_full.summary["terminal_w_l2"])
-        assert gap <= 1e-12
-
-    def test_resume_from_v2_file_matches_uninterrupted(self, tmp_path):
-        # a version-2 file (the whole half spectrum, no band radius) still
-        # resumes, and its fingerprint is still checked
-        common = dict(
-            experiment="solve", d=2, N=32, T=0.5, dt=1.0 / 128.0, data="smooth_random",
-            randomize_data=False, substep_near_zero=False, snapshot_cadence=16,
-            master_seed=21,
-        )
-        res_full, cfg = run(tmp_path, "full", write_checkpoints=True, **common)
-        mid = next(c for c in res_full.summary["checkpoints"] if abs(c["time"] - 0.25) < 1e-12)
-        state, t, cutoff = load_checkpoint(res_full.output_dir / mid["file"])
-        v2 = tmp_path / "v2.nsrw"
-        v2.write_bytes(pack_v2(state, t, cutoff, cfg.trajectory_fingerprint()))
-        assert v2.stat().st_size > (res_full.output_dir / mid["file"]).stat().st_size
-        cfg2 = validate_config(ExperimentConfig(output_dir=str(tmp_path / "resumed"), **common))
-        res = run_experiment(cfg2, resume=str(v2))
-        gap = abs(res.summary["terminal_w_l2"] - res_full.summary["terminal_w_l2"])
-        assert gap <= 1e-12
-        other = validate_config(ExperimentConfig(
-            output_dir=str(tmp_path / "other"), **{**common, "master_seed": 22}
-        ))
-        with pytest.raises(ValueError, match="'master_seed' is 21 in the checkpoint"):
-            run_experiment(other, resume=str(v2))
-
     def test_cli_checkpoints_load_to_the_snapshots(self, tmp_path, monkeypatch):
         # each checkpoint a CLI solve writes holds its snapshot's band array
-        # and loads to that snapshot's full spectrum, bit for bit
+        # and loads to it, bit for bit
         import nsrw.experiments as experiments
 
         kept = []
@@ -458,13 +415,13 @@ class TestResume:
         files = [out / c["file"] for c in json.loads((out / "summary.json").read_text())
                  ["checkpoints"]]
         assert len(files) == traj.times.size == 5
-        for i, (path, t, w, h) in enumerate(zip(files, traj.times, traj.w_states, traj.w_band)):
+        for i, (path, t, h) in enumerate(zip(files, traj.times, traj.w_band)):
             assert path.name == f"checkpoint_{i:04d}.nsrw"
             # the default cutoff N/4 = 4 holds the cube |k_i| <= 3
             assert h.shape == (3, 7, 7, 4)
-            state, ck_t, _ = load_checkpoint(path)
+            w, ck_t, _ = load_checkpoint(path)
             assert ck_t == t
-            assert np.array_equal(state.data, w.data)
+            assert np.array_equal(w, h)
             assert path.read_bytes().endswith(h.astype("<c16").tobytes())
 
     def test_resume_refuses_checkpoint_of_another_run(self, tmp_path):
@@ -548,19 +505,23 @@ class TestResume:
         )
         res_full, _ = run(tmp_path, "full", **common)
         ckpt = sorted(res_full.output_dir.glob("checkpoint_*.nsrw"))[1]
-        state, t, cutoff = load_checkpoint(ckpt)
-        # perturb a coefficient of the mirrored half (last-axis index N-2)
-        # whose partner (1, 2) lies in the cutoff ball; only a version-1
-        # file, which holds the full spectrum, can carry that half
-        state.data[0, -1, -2] += 1e-3 * np.abs(state.data).max()
+        w, _, _ = load_checkpoint(ckpt)
+        # the default cutoff N/4 = 8 holds the cube |k_i| <= 7
+        assert w.shape == (2, 15, 8)
+        # perturb component 0 at mode (1, 0) on last-axis plane 0 but not its
+        # mirror partner (-1, 0), which the band also holds
+        bad_w = w.copy()
+        bad_w[0, 1, 0] += 1e-3 * np.abs(w).max()
+        blob = ckpt.read_bytes()
+        payload = w.astype("<c16").tobytes()
+        assert blob.endswith(payload)
         bad = tmp_path / "bad.nsrw"
-        bad.write_bytes(pack_v1(state, t, cutoff))
-        assert bad.stat().st_size == 40 + 2 * 32**2 * 16
+        bad.write_bytes(blob[: -len(payload)] + bad_w.astype("<c16").tobytes())
         cfg2 = validate_config(
             ExperimentConfig(**{**common, "output_dir": str(tmp_path / "resumed"),
                                 "write_checkpoints": False})
         )
-        with pytest.raises(ValueError, match="resume state is not conjugate-symmetric"):
+        with pytest.raises(ValueError, match="planes 0 and N/2 are not conjugate-symmetric"):
             run_experiment(cfg2, resume=str(bad))
 
     def test_cli_resume(self, tmp_path):

@@ -188,7 +188,7 @@ class TestHeatNormsOracle:
         chunk = heat._BLOCK_ELEMS // grid.ksq.size
         times = np.geomspace(1e-3, 1.0, chunk + chunk // 3 + 1)  # a short last block
         symbols = [sym for k in orders for sym in _derivative_symbols(grid, k)]
-        got = _heat_norms(f, symbols, times, p)
+        (got,) = _heat_norms(f, symbols, times, (p,))
         assert np.array_equal(got, heat_norms_oracle(f, symbols, times, p))
 
     def test_work_arrays_hold_one_component(self):
@@ -201,8 +201,8 @@ class TestHeatNormsOracle:
         f = borderline_field(grid, 0.2, seed=3)
         times = default_decay_time_grid(grid, 1.0)
         symbols = _derivative_symbols(grid, 0) + _derivative_symbols(grid, 1)
-        first = _heat_norms(f, symbols, times, np.inf)  # fills the decay cache
-        again, peak = traced_peak(lambda: _heat_norms(f, symbols, times, np.inf))
+        first = _heat_norms(f, symbols, times, (np.inf,))  # fills the decay cache
+        again, peak = traced_peak(lambda: _heat_norms(f, symbols, times, (np.inf,)))
         assert np.array_equal(again, first)
         assert peak < 3.5 * f.data.nbytes
 
@@ -224,7 +224,7 @@ class TestHeatNormsOracle:
         times = np.geomspace(1e-3, 1.0, 5)
         symbols = [sym for k in orders for sym in _derivative_symbols(grid, k)]
         with pytest.raises(ValueError, match="content on its Nyquist rows"):
-            _heat_norms(f, symbols, times, p)
+            _heat_norms(f, symbols, times, (p,))
 
     @pytest.mark.parametrize("flaw, message", [
         ("complex", "not conjugate-symmetric"),

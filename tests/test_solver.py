@@ -404,9 +404,7 @@ class TestSolve:
         cfg = config32(snapshot_cadence=16)
         full = solve(cfg, f)
         j = 2  # some interior snapshot (a step boundary)
-        partial = solve(
-            cfg, f, resume_state=full.w_states[j], resume_time=float(full.times[j])
-        )
+        partial = solve(cfg, f, resume_band=full.w_band[j], resume_time=float(full.times[j]))
         diff = l2_norm(partial.w_states[-1] - full.w_states[-1])
         assert diff <= 1e-12 * max(l2_norm(full.w_states[-1]), 1e-30)
 
@@ -439,7 +437,8 @@ class TestSolve:
         f = smooth_random_field(grid2_mid, seed=13, band=2)
         cfg = config32()
         with pytest.raises(ValueError):
-            solve(cfg, f, resume_state=zeros_field(grid2_mid, 2), resume_time=0.1234567)
+            solve(cfg, f, resume_band=grid2_mid.half.cut(zeros_field(grid2_mid, 2).data),
+                  resume_time=0.1234567)
 
     def test_rejects_resume_state_outside_ball(self, grid2_mid):
         # a real, divergence-free perturbation at mode (0, 12), outside the
@@ -453,9 +452,25 @@ class TestSolve:
         state.data[0, 0, -12] += amp * (1 - 1j)
         with pytest.raises(ValueError, match=r"resume state has support outside the cutoff "
                            r"ball .* at lattice mode \(0, -?12\)"):
-            solve(cfg, f, resume_state=state, resume_time=float(full.times[2]))
+            solve(cfg, f, resume_band=grid2_mid.half.cut(state.data),
+                  resume_time=float(full.times[2]))
         with pytest.raises(ValueError, match="state has support outside the cutoff ball"):
             step(state, float(full.times[2]), cfg.dt, cfg, f)
+
+    def test_rejects_resume_band_of_another_shape_or_asymmetric(self, grid2_mid):
+        # the band's radius is read off its last axis; mode (1, 0) lies on
+        # the last-axis plane 0, its own mirror image, so perturbing it
+        # without its partner (-1, 0) leaves no real field
+        f = smooth_random_field(grid2_mid, seed=18, band=2)
+        h = grid2_mid.half.cut(f.data)
+        asym = h.copy()
+        asym[0, 1, 0] += 1e-3 * np.abs(h).max()
+        shape = "must be one band array per dimension"
+        for bad, message in ((h[:, :-1], shape), (h[:1], shape), (f.data, shape),
+                             (asym, "is not a real field's band array: its last-axis "
+                                    "planes 0 and N/2 are not conjugate-symmetric")):
+            with pytest.raises(ValueError, match=f"resume state {message}"):
+                solve(config32(), f, resume_band=bad, resume_time=0.0)
 
     def test_stability_guard(self):
         g = make_grid(2, 32, TWO_PI)
