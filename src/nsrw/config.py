@@ -105,6 +105,8 @@ class ExperimentConfig:
 
 # field name -> its annotation, the one place field types are written down
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
+_FLOAT_FIELDS = [name for name, hint in _FIELD_TYPES.items()
+                 if hint is float or float in get_args(hint)]
 
 
 def _fits(value, hint) -> bool:
@@ -123,7 +125,20 @@ def _fail(name: str, message: str):
     raise ConfigError(f"config field {name!r}: {message}")
 
 
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
+    # JSON admits NaN, Infinity and overflowing literals; no range check below
+    # is meant to see them
+    for name in _FLOAT_FIELDS:
+        value = getattr(cfg, name)
+        if value is not None and not _finite(value):
+            _fail(name, f"must be a finite number, got {json.dumps(value)}")
     if cfg.experiment is not None and cfg.experiment not in EXPERIMENTS:
         _fail("experiment", f"must be one of {EXPERIMENTS}, got {cfg.experiment!r}")
     if cfg.d not in (2, 3):

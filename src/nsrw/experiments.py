@@ -233,12 +233,10 @@ def _run_heatflow(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str
 
 
 def _run_tails(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | None):
-    grid, f = build_data_field(cfg)
-    model = cfg.random_model()
-    spec = cfg.norm_spec()
-    times = default_time_grid(spec.T)
+    _, f = build_data_field(cfg)
     started = time.perf_counter()
-    samples = sample_space_time_norms(f, model, spec, cfg.monte_carlo_M, times, workers)
+    samples = sample_space_time_norms(f, cfg.random_model(), cfg.norm_spec(), cfg.monte_carlo_M,
+                                      workers=workers)
     samples_s = time.perf_counter() - started
     hnorm = hminus_s_norm(f, cfg.s)
     started = time.perf_counter()
@@ -269,7 +267,7 @@ def _run_tails(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
     }
     meta = {
         "phase_seconds": {"samples": samples_s, "fit": fit_s},
-        "counters": {"samples": cfg.monte_carlo_M, "time_points": times.size},
+        "counters": {"samples": cfg.monte_carlo_M, "time_points": default_time_grid(cfg.T).size},
     }
     return summary, failures, series, plotdata, meta
 

@@ -82,7 +82,7 @@ def small_time_window(grid) -> tuple[float, float]:
     return t_min, 10.0 * t_min
 
 
-def default_decay_time_grid(grid, T: float, points_per_decade: int = 16) -> np.ndarray:
+def default_decay_time_grid(grid, T: float, points_per_decade: int) -> np.ndarray:
     lo, _ = small_time_window(grid)
     lo = min(lo, T / 10.0)
     decades = np.log10(T / lo)

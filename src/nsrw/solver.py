@@ -478,9 +478,9 @@ def solve(
     grid's half lattice (see Trajectory.w_band); on_snapshot, if given, is
     called as on_snapshot(index, t, w_band) as each one is taken, while the
     run goes on. The trajectory keeps f_omega, from which it derives the
-    forcing. A resume band of another shape, or not a real field's
-    (HalfLattice.require_real_band), or with support outside the ball is
-    refused.
+    forcing. A resume at T, or from a band of another shape, or not a real
+    field's (HalfLattice.require_real_band), or with support outside the
+    ball is refused before the first snapshot.
     """
     grid = f_omega.grid
     if f_omega.space != FOURIER:
@@ -506,6 +506,9 @@ def solve(
             raise ValueError(
                 f"resume time {resume_time} is not a step boundary of this config"
             )
+        if hits[0] == times.size - 1:
+            raise ValueError(f"resume time {resume_time} is the end time T = {config.T}: "
+                             f"there is nothing left to integrate")
         grid.half.require_real_band("resume state", resume_band)
         _require_in_ball("resume state", resume_band, grid, config.cutoff)
         start = int(hits[0])

@@ -65,10 +65,10 @@ def check_admissible(spec: NormSpec) -> bool:
 TIME_GRID_DECADES = 6.0
 
 
-def default_time_grid(T: float, points_per_decade: int = 64) -> np.ndarray:
-    """Geometric quadrature grid on (0, T], T*10^-TIME_GRID_DECADES up to T."""
-    npts = int(round(points_per_decade * TIME_GRID_DECADES)) + 1
-    return np.geomspace(T * 10.0**-TIME_GRID_DECADES, T, npts)
+def default_time_grid(T: float) -> np.ndarray:
+    """The space-time norm's quadrature grid: 64 geometric points per decade
+    from T*10^-TIME_GRID_DECADES up to T, 385 points."""
+    return np.geomspace(T * 10.0**-TIME_GRID_DECADES, T, 64 * int(TIME_GRID_DECADES) + 1)
 
 
 def _power_law_cells(times: np.ndarray, F: np.ndarray) -> float:
@@ -97,26 +97,19 @@ def _power_law_cells(times: np.ndarray, F: np.ndarray) -> float:
     return total
 
 
-def space_time_norm(
-    f_omega: SpectralField,
-    spec: NormSpec,
-    time_grid: np.ndarray | None = None,
-) -> float:
+def space_time_norm(f_omega: SpectralField, spec: NormSpec) -> float:
     """Weighted L^q-in-time, L^p-in-space norm of the heat evolution.
 
-    Quadrature is power-law aware on a geometric grid, which resolves the
-    t^{q*gamma} weight; gamma*q <= -1 is rejected as divergent.
+    Quadrature is power-law aware on the geometric grid default_time_grid(T),
+    which resolves the t^{q*gamma} weight; gamma*q <= -1 is rejected as
+    divergent.
     """
-    return _space_time_norms(f_omega, (spec,), time_grid)[0]
+    return _space_time_norms(f_omega, (spec,))[0]
 
 
-def _space_time_norms(
-    f_omega: SpectralField,
-    specs: tuple,
-    time_grid: np.ndarray | None = None,
-) -> list:
+def _space_time_norms(f_omega: SpectralField, specs: tuple) -> list:
     """space_time_norm for each of specs that share sigma and T: they share
-    one heat sweep, reduced once per exponent p."""
+    one heat sweep over default_time_grid(T), reduced once per exponent p."""
     if f_omega.space != FOURIER:
         raise ValueError("space_time_norm expects fourier-space data")
     for spec in specs:
@@ -131,9 +124,7 @@ def _space_time_norms(
     if len({(spec.sigma, spec.T) for spec in specs}) != 1:
         raise ValueError("norms of one heat sweep must share sigma and T")
     sigma, T = specs[0].sigma, specs[0].T
-    times = default_time_grid(T) if time_grid is None else np.asarray(time_grid, float)
-    if times.size < 2 or not np.all(np.diff(times) > 0) or not np.all(times > 0):
-        raise ValueError("time grid must be increasing and positive")
+    times = default_time_grid(T)
     sweep = _heat_norms(f_omega, [f_omega.grid.kabs**sigma], times,
                         tuple(spec.p for spec in specs))
     norms = []
@@ -172,7 +163,6 @@ def sample_space_time_norms(
     model: RandomModel,
     spec: NormSpec,
     M: int,
-    time_grid: np.ndarray | None = None,
     workers: int = 1,
 ) -> np.ndarray:
     """Space-time norms of M randomizations, in sample-index order.
@@ -180,9 +170,8 @@ def sample_space_time_norms(
     Each sample derives its own counter stream, so the result is identical
     for any worker count.
     """
-    times = default_time_grid(spec.T) if time_grid is None else np.asarray(time_grid, float)
     return np.array(_ordered_map(
-        lambda i: space_time_norm(randomized(f, model, i), spec, times), M, workers
+        lambda i: space_time_norm(randomized(f, model, i), spec), M, workers
     ))
 
 

@@ -146,7 +146,7 @@ def test_criterion_3_heat_decay_slopes(d, N, s):
     f_om = randomize(
         f, sample_coefficients(RandomModel("rademacher", 55), part.max_ring, 0), part
     )
-    t_grid = default_decay_time_grid(grid, 1.0)
+    t_grid = default_decay_time_grid(grid, 1.0, 16)
     lo, hi = small_time_window(grid)
     rho = d / 2.0 + 0.05
 

@@ -20,8 +20,14 @@ from nsrw.config import (
     config_from_dict,
     parse_config,
     serialize_config,
+    validate_config,
 )
 from nsrw.spectral import fourier_field, make_grid
+
+
+# every float-typed field of ExperimentConfig
+FLOAT_FIELDS = ["L", "s", "data_tilt", "subgaussian_c", "T", "dt", "cutoff", "gamma", "sigma",
+                "p", "q"]
 
 
 def write_config(tmp_path, **fields):
@@ -112,6 +118,31 @@ class TestConfigParsing:
         ):
             with pytest.raises(ConfigError):
                 config_from_dict(bad)
+
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_number_refused(self, tmp_path, name, value):
+        # JSON writes these NaN, Infinity and -Infinity; a file and a config
+        # built in code are refused alike, before any range check
+        message = f"config field {name!r}: must be a finite number, got {json.dumps(value)}$"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({name: value}))
+        with pytest.raises(ConfigError, match=message):
+            parse_config(path)
+        with pytest.raises(ConfigError, match=message):
+            validate_config(ExperimentConfig(**{name: value}))
+
+    @pytest.mark.parametrize("literal, shown", [
+        ("1e400", "Infinity"),
+        ("1" + "0" * 400, "1" + "0" * 400),
+    ], ids=["float", "int"])
+    def test_overflowing_number_refused(self, tmp_path, literal, shown):
+        # a float literal overflows to Infinity, an integer literal to no float
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"T": {literal}}}')
+        with pytest.raises(ConfigError, match=f"config field 'T': must be a finite number, "
+                                              f"got {shown}$"):
+            parse_config(path)
 
     def test_effective_cutoff_default(self):
         cfg = ExperimentConfig(N=64, L=TWO_PI)
@@ -413,6 +444,19 @@ class TestCli:
         assert main([verb, "--config", str(cfgfile), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: config field {name!r}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb, name, value, shown", [
+        ("heatflow", "T", float("inf"), "Infinity"),
+        ("tails", "T", float("inf"), "Infinity"),
+        ("randomize", "subgaussian_c", float("nan"), "NaN"),
+    ])
+    def test_non_finite_value_exit_code(self, tmp_path, capsys, verb, name, value, shown):
+        cfgfile = write_config(tmp_path, d=2, N=16, **{name: value})
+        out = tmp_path / "out"
+        assert main([verb, "--config", str(cfgfile), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config field {name!r}: must be a finite number, got {shown}\n"
         assert not out.exists()
 
     def test_invalid_thread_cap_exit_code(self, tmp_path, capsys, monkeypatch):

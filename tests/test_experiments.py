@@ -46,23 +46,26 @@ class TestDeterminism:
             )
         assert artifacts[1] == artifacts[2] == artifacts[8]
 
-    def test_repeat_run_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("verb, fields", [
+        ("randomize", dict(d=2, N=16, monte_carlo_M=64)),
+        ("heatflow", dict(d=2, N=16)),
+        ("tails", dict(d=2, N=16, monte_carlo_M=200)),
+        ("solve", dict(d=2, N=16, T=0.125, dt=1.0 / 64.0, snapshot_cadence=2,
+                       write_checkpoints=True)),
+        ("report", dict(d=2, N=16, gamma=-0.05, monte_carlo_M=20)),
+    ])
+    def test_repeat_run_byte_identical(self, tmp_path, verb, fields):
+        # every file a run writes but meta.json: summary.json, series.csv,
+        # plotdata/ and any checkpoints
         blobs = []
         for tag in ("a", "b"):
-            res, _ = run(
-                tmp_path,
-                tag,
-                experiment="randomize",
-                d=2,
-                N=16,
-                monte_carlo_M=64,
-                master_seed=9,
-            )
+            res, _ = run(tmp_path, tag, experiment=verb, master_seed=9, **fields)
             out = res.output_dir
-            blobs.append(
-                (out / "series.csv").read_bytes() + (out / "summary.json").read_bytes()
-            )
-            # randomize writes no phases or counters, but its peak RSS
+            blobs.append({path.relative_to(out): path.read_bytes()
+                          for path in sorted(out.rglob("*"))
+                          if path.is_file() and path.name != "meta.json"})
+            assert {Path("summary.json"), Path("series.csv")} <= set(blobs[-1])
+            # every verb's meta.json carries the peak RSS
             assert json.loads((out / "meta.json").read_text())["peak_rss_mib"] > 0.0
         assert blobs[0] == blobs[1]
 
@@ -523,6 +526,41 @@ class TestResume:
         )
         with pytest.raises(ValueError, match="planes 0 and N/2 are not conjugate-symmetric"):
             run_experiment(cfg2, resume=str(bad))
+
+    @pytest.fixture
+    def finished_run(self, tmp_path):
+        """A checkpointed CLI solve: its config file, output directory and
+        the bytes of each checkpoint, the last one at t = T."""
+        cfgfile = tmp_path / "solve.json"
+        cfgfile.write_text(json.dumps(dict(
+            d=2, N=16, T=0.125, dt=1.0 / 64.0, data="smooth_random", randomize_data=False,
+            substep_near_zero=False, snapshot_cadence=4, write_checkpoints=True, master_seed=5,
+        )))
+        out = tmp_path / "run"
+        assert main(["solve", "--config", str(cfgfile), "--out", str(out)]) == 0
+        checkpoints = {p.name: p.read_bytes() for p in sorted(out.glob("checkpoint_*.nsrw"))}
+        last = json.loads((out / "summary.json").read_text())["checkpoints"][-1]
+        assert last["time"] == 0.125 and len(checkpoints) == 3
+        return cfgfile, out, checkpoints, out / last["file"]
+
+    def test_resume_at_end_time_leaves_no_output_dir(self, tmp_path, capsys, finished_run):
+        cfgfile, _, _, last = finished_run
+        fresh = tmp_path / "fresh"
+        status = main(["solve", "--config", str(cfgfile), "--out", str(fresh),
+                       "--resume", str(last)])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: resume time 0.125 is the end time T = 0.125")
+        assert not fresh.exists()
+
+    def test_resume_at_end_time_keeps_the_runs_checkpoints(self, capsys, finished_run):
+        cfgfile, out, checkpoints, last = finished_run
+        status = main(["solve", "--config", str(cfgfile), "--out", str(out),
+                       "--resume", str(last)])
+        assert status == 2
+        assert "is the end time T = 0.125" in capsys.readouterr().err
+        kept = {p.name: p.read_bytes() for p in sorted(out.glob("checkpoint_*.nsrw"))}
+        assert kept == checkpoints
 
     def test_cli_resume(self, tmp_path):
         cfgfile = tmp_path / "solve.json"

@@ -119,7 +119,7 @@ class TestLinearEstimates:
     def test_borderline_slope_matches_oracle(self, k):
         grid = make_grid(2, 64, TWO_PI)
         f_om = rademacher_borderline(grid, 0.25)
-        t_grid = default_decay_time_grid(grid, 1.0)
+        t_grid = default_decay_time_grid(grid, 1.0, 16)
         rep = check_linear_estimates(f_om, 0.25, k, t_grid)
         target = -(0.25 + k) / 2.0
         assert abs(rep.l2.fitted_slope - target) <= 0.1
@@ -199,7 +199,7 @@ class TestHeatNormsOracle:
         # whole-array checks read 5.9
         grid = make_grid(3, 32, TWO_PI)
         f = borderline_field(grid, 0.2, seed=3)
-        times = default_decay_time_grid(grid, 1.0)
+        times = default_decay_time_grid(grid, 1.0, 16)
         symbols = _derivative_symbols(grid, 0) + _derivative_symbols(grid, 1)
         first = _heat_norms(f, symbols, times, (np.inf,))  # fills the decay cache
         again, peak = traced_peak(lambda: _heat_norms(f, symbols, times, (np.inf,)))

@@ -50,8 +50,6 @@ ORACLES = {
 PARAMETERS = {
     "smooth_random_field.band": "the manufactured fields of the solver and residual tests "
                                 "use band 2",
-    "default_time_grid.points_per_decade": "the quadrature refinement test varies it; "
-                                           "ROADMAP item 6 makes it a setting",
 }
 
 

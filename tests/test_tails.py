@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import TWO_PI, mode_pair_field, monte_carlo_tails
+from nsrw import tails
 from nsrw.data import borderline_field
 from nsrw.randomization import RandomModel
 from nsrw.spectral import l2_norm, make_grid, zeros_field
 from nsrw.tails import (
     NormSpec,
     check_admissible,
-    default_time_grid,
     fit_gaussian_tail,
     moment_bound_check,
     sample_space_time_norms,
@@ -58,12 +58,18 @@ class TestSpaceTimeNorm:
         v2 = space_time_norm(2.0 * f, spec)
         assert abs(v2 - 2.0 * v1) < 1e-12 * v2
 
-    def test_grid_refinement_stable(self, grid2):
+    def test_grid_refinement_stable(self, grid2, monkeypatch):
+        # the program's own quadrature on its grid (64 per decade) and on one
+        # twice as dense
         f = borderline_field(grid2, 0.25, seed=2)
         spec = spec_with()
-        coarse = space_time_norm(f, spec, default_time_grid(1.0, 64))
-        fine = space_time_norm(f, spec, default_time_grid(1.0, 128))
-        assert abs(fine - coarse) / fine < 0.01
+        assert np.array_equal(tails.default_time_grid(1.0), np.geomspace(1e-6, 1.0, 385))
+        norms = {}
+        for per_decade in (64, 128):
+            monkeypatch.setattr(tails, "default_time_grid", lambda T, n=per_decade:
+                                np.geomspace(T * 1e-6, T, 6 * n + 1))
+            norms[per_decade] = space_time_norm(f, spec)
+        assert abs(norms[128] - norms[64]) / norms[128] < 0.01
 
     def test_rejects_inadmissible(self, grid2):
         f = borderline_field(grid2, 0.25, seed=3)
@@ -71,13 +77,6 @@ class TestSpaceTimeNorm:
             space_time_norm(f, spec_with(sigma=0.5))
         with pytest.raises(ValueError):
             space_time_norm(f, spec_with(gamma=-0.5, q=2.0, p=2.0, r=2.0, s=0.0))
-
-    def test_rejects_bad_time_grid(self, grid2):
-        f = borderline_field(grid2, 0.25, seed=3)
-        with pytest.raises(ValueError):
-            space_time_norm(f, spec_with(), np.array([0.5]))
-        with pytest.raises(ValueError):
-            space_time_norm(f, spec_with(), np.array([0.5, 0.2]))
 
     def test_sigma_weight_applied(self, grid2):
         # single mode: (-Laplacian)^{sigma/2} multiplies by |xi|^sigma
