@@ -27,7 +27,13 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, ExperimentConfig
 from .data import borderline_field, smooth_random_field, taylor_green
 from .diagnostics import condtg_check, dwdt_report, nse_residual
-from .heat import _condg_from_sweeps, _in_window, check_linear_estimates, default_decay_time_grid
+from .heat import (
+    _condg_from_sweeps,
+    _in_window,
+    _SweepField,
+    check_linear_estimates,
+    default_decay_time_grid,
+)
 from .randomization import hminus_s_norm, randomized, verify_subgaussian
 from .solver import iter_u, solve, stepping_lattice_size
 from .spectral import l2_norm, make_grid, ring_partition
@@ -186,7 +192,9 @@ def _run_heatflow(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str
     # condg is read off the k = 0 and k = 1 sweeps, so those always run
     swept = sorted(set(cfg.k_orders) | {0, 1})
     started = time.perf_counter()
-    reports = {k: check_linear_estimates(f_om, cfg.s, k, t_grid) for k in swept}
+    # the orders share the field's realness check, H^{-s} norm and shell sums
+    field = _SweepField(f_om)
+    reports = {k: check_linear_estimates(field, cfg.s, k, t_grid) for k in swept}
     sweeps_s = time.perf_counter() - started
     for k in cfg.k_orders:
         rep = reports[k]
@@ -221,12 +229,14 @@ def _run_heatflow(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str
         )
     }
     # each decay time transforms every component of every order-k
-    # derivative (d^k of them) once
+    # derivative (d^k of them) once; the pruned ones ran on a cube smaller
+    # than the half lattice
     meta = {
         "phase_seconds": {"sweeps": sweeps_s},
         "counters": {
             "decay_times": len(t_grid),
             "field_transforms": len(t_grid) * sum(grid.d**k for k in swept) * f_om.ncomp,
+            "pruned_field_transforms": field.pruned_transforms,
         },
     }
     return summary, failures, (names, columns), plotdata, meta

@@ -15,11 +15,18 @@ finiteness is asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .randomization import hminus_s_norm
-from .spectral import FOURIER, SpectralField, fourier_field, require_real_field
+from .spectral import (
+    FOURIER,
+    SpectralField,
+    _line_views,
+    fourier_field,
+    require_real_field,
+)
 
 __all__ = [
     "heat_semigroup",
@@ -113,6 +120,10 @@ _DECAY_CACHE_MAX_ELEMS = 4_000_000
 # grid points per one-component block of times: 24 times at d=2 N=64, 3 at
 # d=3 N=32, one time at d=3 N=64
 _BLOCK_ELEMS = 24 * 64**2
+# the full-lattice mass a block may drop, relative to N^-d times the mass
+# it keeps: then every dropped mode moves each point value by at most 2^-53
+# of the largest, below the rounding of that value (see _block_radii)
+_DROPPED_MASS_RATIO = 2.0**-106
 
 
 def _half_decay(grid, times: np.ndarray) -> np.ndarray | None:
@@ -132,40 +143,138 @@ def _half_decay(grid, times: np.ndarray) -> np.ndarray | None:
     return hit
 
 
-def _heat_norms(f: SpectralField, symbols: list, times: np.ndarray,
-                exponents: tuple) -> np.ndarray:
+class _SweepField:
+    """A fourier-space field the heat sweeps accept, checked once: real and
+    zero on its Nyquist rows. The sweeps and decay checks of one
+    field (heatflow's orders k, condg's two sweeps) share the check, the
+    H^{-s} norms and the |xi|^2 shell masses; pruned_transforms counts the
+    one-time, one-component transforms their sweeps ran on a cube smaller
+    than the half lattice."""
+
+    def __init__(self, f: SpectralField):
+        require_real_field("heat sweep data", f)
+        if np.any(f.data[:, f.grid.nyquist_mask]):
+            # a derivative symbol would break the conjugate symmetry there
+            raise ValueError("heat sweep data has content on its Nyquist rows; "
+                             "the sweeps need it zero there")
+        self.f = f
+        self.pruned_transforms = 0
+        self._hnorms = {}
+
+    def hnorm(self, s: float) -> float:
+        if s not in self._hnorms:
+            self._hnorms[s] = hminus_s_norm(self.f, s)
+        return self._hnorms[s]
+
+    @cached_property
+    def ksq_shells(self) -> tuple:
+        """The distinct |xi|^2 of the lattice and the |a|^2 on each, summed
+        over the components in order, one component at a time."""
+        g = self.f.grid
+        shells, index = np.unique(g.ksq, return_inverse=True)
+        coeff_sq = np.abs(self.f.data[0])
+        coeff_sq **= 2
+        for c in range(1, self.f.ncomp):
+            term = np.abs(self.f.data[c])
+            term **= 2
+            coeff_sq += term
+        return shells, np.bincount(index.ravel(), weights=coeff_sq.ravel())
+
+
+def _sweep_field(f) -> _SweepField:
+    """f itself if already checked, else f checked."""
+    return f if isinstance(f, _SweepField) else _SweepField(f)
+
+
+def _block_radii(mass: np.ndarray, grid, t_first: np.ndarray,
+                 t_last: np.ndarray) -> np.ndarray:
+    """For each block of a sweep, over times t_first..t_last, the smallest
+    box radius k whose cube |k_i| <= k the block may keep alone: the mass it
+    drops cannot reach rounding.
+
+    mass[r] is the half lattice's |symbol * a|^2 on the box shell
+    max_i |k_i| = r, summed over symbols and components. A mode on shell r
+    has r^2 <= |k|^2 <= d r^2 (lattice units 2 pi / L), so the mass beyond
+    k is at most sum_{r > k} mass[r] exp(-2 t_first |xi_r|^2), and the kept
+    mass is at least sum_{r <= k} mass[r] exp(-2 t_last d |xi_r|^2); on the
+    full lattice the first at most doubles and the second does not shrink.
+    The data decide the radius, not t |xi|^2 alone: a field whose content
+    lies only at high |xi| keeps it however far it decays.
+
+    The rule keeps dropped <= 2^-106 N^-d kept. A point value's change is
+    at most the root of the dropped mass (unitary transform) and the
+    largest point value is at least the root of N^-d times the kept mass,
+    so the change is at most 2^-53 of the largest value, and for p < inf
+    at most 2^-53 of the L^p norm; the oracle tests check the bits."""
+    r_sq = (2.0 * np.pi / grid.L) ** 2 * np.arange(mass.size, dtype=np.float64) ** 2
+    tail = np.cumsum((mass * np.exp(-2.0 * t_first[:, None] * r_sq))[:, ::-1], axis=1)
+    beyond = np.zeros_like(tail)
+    beyond[:, :-1] = tail[:, -2::-1]
+    kept = np.cumsum(mass * np.exp(-2.0 * t_last[:, None] * grid.d * r_sq), axis=1)
+    fits = 2.0 * beyond <= _DROPPED_MASS_RATIO / float(grid.N) ** grid.d * kept
+    return np.argmax(fits, axis=1)
+
+
+def _shell_mass(f: SpectralField, syms_h: list) -> np.ndarray:
+    """|symbol * a|^2 on each box shell max_i |k_i| = r of the half lattice,
+    summed over the half-lattice symbols syms_h (None for all-ones) and the
+    components of f: the masses _block_radii bounds, in no set order."""
+    half = f.grid.half
+    n_half = half.shape[-1]
+    coeff_sq = np.zeros(half.shape)
+    for c in range(f.ncomp):
+        term = np.abs(f.data[c][..., :n_half])
+        term **= 2
+        coeff_sq += term
+    coeff_sq *= sum(1.0 if sym_h is None else np.abs(sym_h) ** 2 for sym_h in syms_h)
+    return np.bincount(half.box_radius().ravel(), weights=coeff_sq.ravel(), minlength=n_half)
+
+
+def _heat_norms(f, symbols: list, times: np.ndarray, exponents: tuple) -> np.ndarray:
     """|e^{tD} F|_{L^p} for every t and every p in exponents, each in
     [2, inf], batched over times: the one sweep is reduced once per
     exponent, one row per exponent.
 
     F stacks symbol * component for every symbol (arrays broadcastable to
-    the grid) and every component of a field. For each block of times,
-    every symbol * component is transformed on its own and its pointwise
-    |.|^2 accumulated, so neither the stack nor one symbol's components
-    are ever held together: the components of a symbol are summed in
-    order into one array, and that sum is added to the block's total, the
-    grouping np.sum(axis=1) over the stack would use. f must be real and
-    zero on its Nyquist rows, so every symbol * component is
-    conjugate-symmetric and the sweep runs on the rfft half spectrum.
+    the grid) and every component of a field f (a SpectralField, or a
+    _SweepField already checked). For each block of times, every
+    symbol * component is transformed on its own and its pointwise |.|^2
+    accumulated, so neither the stack nor one symbol's components are ever
+    held together: the components of a symbol are summed in order into one
+    array, and that sum is added to the block's total, the grouping
+    np.sum(axis=1) over the stack would use. f must be real and zero on its
+    Nyquist rows, so every symbol * component is conjugate-symmetric and
+    the sweep runs on the rfft half spectrum.
 
     The sweep runs in one-component work arrays allocated once per call
     and reused for every time block, symbol and component: each
-    component's half lattice is read in place from f.data, each symbol is
-    cut to the half lattice once, one decay block per time block serves
-    all symbols and components, and the block is inverse-transformed axis
-    by axis in place (ifft over the leading axes, then irfft into the real
+    component's half lattice is read in place from the field, each symbol
+    is cut to the half lattice once (an all-ones symbol is not multiplied
+    by at all: a * 1 is a), one decay block per time block serves all
+    symbols and components, and the block is inverse-transformed axis by
+    axis in place (ifft over the leading axes, then irfft into the real
     block), the same 1-D transforms irfftn runs, so the bits match it.
-    The buffers belong to the call, not the module: tails workers run
-    sweeps on several threads at once.
+
+    Band pruning: before each block of times the sweep picks the smallest
+    cube |k_i| <= k whose dropped modes cannot reach rounding
+    (_block_radii, from the box-shell masses of the data and symbols,
+    summed once per call). The cube of radius N/2 - 1 already holds all of
+    the data, whose Nyquist rows are zero; when the chosen cube is smaller,
+    the block forms data * symbol * decay on the cube only
+    (HalfLattice.band_boxes, the boxes of band(k)) in the zeroed work
+    array, runs each leading-axis pass only on the lines that carry the
+    cube (spectral._line_views, the transport kernel's pruning), and the
+    last-axis irfft on the work array, which is zero beyond plane k. A
+    skipped line is all zero, and an FFT of zeros is zero, so the kept
+    values are those of the whole-array transform with the dropped modes
+    set to zero, and the rule leaves those modes below rounding. The
+    buffers belong to the call, not the module: tails workers run sweeps
+    on several threads at once.
     """
-    require_real_field("heat sweep data", f)
+    field = _sweep_field(f)
+    f = field.f
     g = f.grid
-    if np.any(f.data[:, g.nyquist_mask]):
-        # a derivative symbol would break the conjugate symmetry there
-        raise ValueError("heat sweep data has content on its Nyquist rows; "
-                         "the sweeps need it zero there")
     half = g.half
-    n_half = half.shape[-1]
     sp = tuple(range(1, 1 + g.d))
     vol = g.cell_volume
     chunk = max(1, _BLOCK_ELEMS // g.ksq.size)
@@ -173,13 +282,25 @@ def _heat_norms(f: SpectralField, symbols: list, times: np.ndarray,
     out = np.empty((len(exponents), times.size))
     msq = np.empty((rows,) + g.shape)
     sym_sq = np.empty((rows,) + g.shape)
-    syms_h = [half.cut(sym) for sym in symbols]
+    syms_h = [None if np.all(sym == 1.0) else half.cut(sym) for sym in symbols]
+    mass = _shell_mass(f, syms_h)
+    # broadcast to the whole half lattice, so that a box of it is a view
+    syms_h = [sym_h if sym_h is None else np.broadcast_to(sym_h, half.shape)
+              for sym_h in syms_h]
     cached = _half_decay(g, times)
     fs = np.empty(half.shape, dtype=np.complex128)
     block = np.empty((rows,) + half.shape, dtype=np.complex128)
     real = np.empty((rows,) + g.shape)
+    starts = np.arange(0, times.size, chunk)
+    radii = _block_radii(mass, g, times[starts], times[np.minimum(starts + chunk, times.size) - 1])
+    # the cube of radius N/2 - 1 drops only the Nyquist rows, zero in the
+    # data: such a block runs on the whole array
+    radii[radii >= g.N // 2 - 1] = g.N // 2
+    # the block array's last-axis planes from `dirty` on are zero (at
+    # first none is known to be)
+    dirty = half.shape[-1]
 
-    for lo in range(0, times.size, chunk):
+    for lo, k in zip(starts, radii.tolist()):
         tt = times[lo : lo + chunk]
         n = tt.size
         acc = msq[:n]
@@ -188,15 +309,33 @@ def _heat_norms(f: SpectralField, symbols: list, times: np.ndarray,
         else:
             decay = np.exp(-tt.reshape((-1,) + (1,) * g.d) * half.ksq[None])
         hb, rb = block[:n], real[:n]
+        pruned = k < g.N // 2
+        if pruned:
+            field.pruned_transforms += n * len(symbols) * f.ncomp
+        # the cube's boxes and the lines each leading-axis pass transforms;
+        # at k = N/2 one box and one view per pass, the whole array
+        boxes = half.band_boxes(k)
+        passes = _line_views(hb, k, sp[:-1])
         for n_sym, sym_h in enumerate(syms_h):
             # the first symbol sums its components straight into acc, the
             # others into sym_sq, which is then added to acc
             total = acc if n_sym == 0 else sym_sq[:n]
             for c in range(f.ncomp):
-                np.multiply(f.data[c][..., :n_half], sym_h, out=fs)
-                np.multiply(fs[None], decay, out=hb)
-                for ax in sp[:-1]:
-                    np.fft.ifft(hb, axis=ax, norm="ortho", out=hb)
+                if pruned:
+                    # the passes read whole lines through the cube: clear
+                    # what earlier transforms left off it
+                    hb[..., :dirty].fill(0.0)
+                dirty = k + 1
+                for box in boxes:
+                    src = f.data[c][box]
+                    if sym_h is not None:
+                        np.multiply(src, sym_h[box], out=fs[box])
+                        src = fs[box]
+                    np.multiply(src[None], decay[(slice(None),) + box],
+                                out=hb[(slice(None),) + box])
+                for ax, views in passes:
+                    for v in views:
+                        np.fft.ifft(v, axis=ax, norm="ortho", out=v)
                 np.fft.irfft(hb, n=g.N, axis=sp[-1], norm="ortho", out=rb)
                 if c == 0:
                     np.multiply(rb, rb, out=total)
@@ -223,19 +362,11 @@ def _derivative_symbols(grid, k: int) -> list:
     return symbols
 
 
-def _l2_over_times(f: SpectralField, k: int, times: np.ndarray) -> np.ndarray:
+def _l2_over_times(field: _SweepField, k: int, times: np.ndarray) -> np.ndarray:
     """|grad^k e^{tD} f|_{L^2} for every t, summed over shells of equal |xi|^2."""
-    g = f.grid
-    shells, index = np.unique(g.ksq, return_inverse=True)
-    # |a|^2 summed over the components in order, one component at a time
-    coeff_sq = np.abs(f.data[0])
-    coeff_sq **= 2
-    for c in range(1, f.ncomp):
-        term = np.abs(f.data[c])
-        term **= 2
-        coeff_sq += term
-    mass = np.bincount(index.ravel(), weights=coeff_sq.ravel()) * shells**k
-    return np.sqrt(g.cell_volume * (np.exp(-2.0 * np.outer(times, shells)) @ mass))
+    shells, coeff_mass = field.ksq_shells
+    mass = coeff_mass * shells**k
+    return np.sqrt(field.f.grid.cell_volume * (np.exp(-2.0 * np.outer(times, shells)) @ mass))
 
 
 def check_linear_estimates(
@@ -247,9 +378,12 @@ def check_linear_estimates(
     """Sample |grad^k e^{tD} f| in L2 and Linf and compare to the envelopes.
 
     Returns one report per norm, each carrying the max bounded-constant
-    ratio and the fitted small-time slope.
+    ratio and the fitted small-time slope. f_omega may also be a
+    _SweepField, which a caller checking several orders of one field
+    (heatflow) builds once, so that they share its realness check, H^{-s}
+    norm and |xi|^2 shell masses.
     """
-    if f_omega.space != FOURIER:
+    if not isinstance(f_omega, _SweepField) and f_omega.space != FOURIER:
         raise ValueError("check_linear_estimates expects fourier-space data")
     if k not in (0, 1, 2):
         raise ValueError(f"derivative order must be 0, 1 or 2, got {k}")
@@ -259,10 +393,11 @@ def check_linear_estimates(
     if not np.all(times > 0):
         raise ValueError("decay times must be positive")
 
-    g = f_omega.grid
-    hnorm = hminus_s_norm(f_omega, s)
-    l2_vals = _l2_over_times(f_omega, k, times)
-    linf_vals = _heat_norms(f_omega, _derivative_symbols(g, k), times, (np.inf,))[0]
+    field = _sweep_field(f_omega)
+    g = field.f.grid
+    hnorm = field.hnorm(s)
+    l2_vals = _l2_over_times(field, k, times)
+    linf_vals = _heat_norms(field, _derivative_symbols(g, k), times, (np.inf,))[0]
 
     d = g.d
     l2_env = (1.0 + times ** (-(s + k) / 2.0)) * hnorm
@@ -333,7 +468,8 @@ def condg_check(f_omega: SpectralField, s: float, t_grid: np.ndarray) -> CondgRe
     times = np.sort(np.asarray(t_grid, dtype=np.float64))
     if times.size == 0 or not np.all(times > 0):
         raise ValueError("condg_check needs a nonempty positive time grid")
+    field = _SweepField(f_omega)
     g = f_omega.grid
-    linf = {k: _heat_norms(f_omega, _derivative_symbols(g, k), times, (np.inf,))[0]
+    linf = {k: _heat_norms(field, _derivative_symbols(g, k), times, (np.inf,))[0]
             for k in (0, 1)}
-    return _condg_from_sweeps(times, s, g.d, _l2_over_times(f_omega, 0, times), linf)
+    return _condg_from_sweeps(times, s, g.d, _l2_over_times(field, 0, times), linf)

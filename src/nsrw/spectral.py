@@ -18,7 +18,7 @@ a `TransportPlan` that its caller owns.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -66,18 +66,14 @@ __all__ = [
 class Grid:
     """Uniform periodic grid on [0, L)^d with its Fourier lattice.
 
-    Derived arrays (wavenumbers, masks) are precomputed once; they are
-    excluded from equality and hashing, which use (d, N, L) only.
+    Derived arrays (wavenumbers, masks) are built on first use and kept,
+    so a grid that only names a shape (the checkpoint loader's) holds
+    none of them; equality and hashing use (d, N, L) only.
     """
 
     d: int
     N: int
     L: float
-    k1d: np.ndarray = field(init=False, repr=False, compare=False)
-    ksq: np.ndarray = field(init=False, repr=False, compare=False)
-    kabs: np.ndarray = field(init=False, repr=False, compare=False)
-    nyquist_mask: np.ndarray = field(init=False, repr=False, compare=False)
-    dealias_keep: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d not in (2, 3):
@@ -86,21 +82,34 @@ class Grid:
             raise ValueError(f"grid size N must be even and >= 8, got {self.N}")
         if not self.L > 0:
             raise ValueError(f"box period L must be positive, got {self.L}")
-        k1 = 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.L / self.N)
-        ksq = sum(a * a for a in self._broadcast_axes(k1))
-        nyq_val = k1[self.N // 2]
+
+    @cached_property
+    def k1d(self) -> np.ndarray:
+        return 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.L / self.N)
+
+    @cached_property
+    def ksq(self) -> np.ndarray:
+        return sum(a * a for a in self._broadcast_axes(self.k1d))
+
+    @cached_property
+    def kabs(self) -> np.ndarray:
+        return np.sqrt(self.ksq)
+
+    @cached_property
+    def nyquist_mask(self) -> np.ndarray:
+        nyq_val = self.k1d[self.N // 2]
         nyq = np.zeros(self.shape, dtype=bool)
-        for a in self._broadcast_axes(k1):
+        for a in self._broadcast_axes(self.k1d):
             nyq |= np.broadcast_to(a == nyq_val, self.shape)
+        return nyq
+
+    @cached_property
+    def dealias_keep(self) -> np.ndarray:
         kcut = (self.N / 3.0) * (2.0 * np.pi / self.L)
         keep = np.ones(self.shape, dtype=bool)
-        for a in self._broadcast_axes(k1):
+        for a in self._broadcast_axes(self.k1d):
             keep &= np.broadcast_to(np.abs(a) <= kcut, self.shape)
-        object.__setattr__(self, "k1d", k1)
-        object.__setattr__(self, "ksq", ksq)
-        object.__setattr__(self, "kabs", np.sqrt(ksq))
-        object.__setattr__(self, "nyquist_mask", nyq)
-        object.__setattr__(self, "dealias_keep", keep)
+        return keep
 
     def _broadcast_axes(self, k1: np.ndarray):
         for ax in range(self.d):
@@ -175,6 +184,17 @@ class HalfLattice:
     def nyquist_mask(self) -> np.ndarray:
         return self.cut(self.grid.nyquist_mask)
 
+    def box_radius(self) -> np.ndarray:
+        """max_i |k_i| of every mode: the radius of the smallest band
+        (cube |k_i| <= k, see band) that holds it; built on each call."""
+        N, d = self.grid.N, self.grid.d
+        rows = np.arange(N)
+        rows = np.minimum(rows, N - rows)
+        radius = np.arange(self.shape[-1]).reshape((1,) * (d - 1) + (-1,))
+        for ax in range(d - 1):
+            radius = np.maximum(radius, rows.reshape((-1,) + (1,) * (d - 1 - ax)))
+        return radius
+
     @cached_property
     def weight(self) -> np.ndarray:
         weight = np.full(self.shape, 2.0)
@@ -242,6 +262,15 @@ class HalfLattice:
             return (slice(None),) * self.grid.d
         rows = np.concatenate([np.arange(N)[s] for s in _band_slabs(N, k)])
         return np.ix_(*([rows] * (self.grid.d - 1) + [np.arange(k + 1)]))
+
+    def band_boxes(self, k: int) -> list:
+        """The cube of band(k) as basic-slice indexes, one box per choice of
+        slab (_band_slabs) on each leading axis: together they hold the
+        values band(k) holds, each box as a view, so a write through them
+        touches the cube alone and copies nothing."""
+        N, d = self.grid.N, self.grid.d
+        return [slabs + (slice(0, k + 1),)
+                for slabs in itertools.product(*([_band_slabs(N, k)] * (d - 1)))]
 
     def require_real_band(self, name: str, h: np.ndarray) -> int:
         """The radius k of h, read off its last axis. Refuses h, naming it,

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import nsrw
+import nsrw.heat as heat
 from nsrw.checkpoint import load_checkpoint
 from nsrw.cli import main
 from nsrw.config import ExperimentConfig, validate_config
@@ -203,9 +204,12 @@ class TestArtifacts:
             assert set(meta["phase_seconds"]) == phases
             assert all(v >= 0.0 for v in meta["phase_seconds"].values())
             if verb == "heatflow":
-                # k = 0, 1, 2 swept: 1 + 2 + 4 derivatives of a 2-component field
+                # k = 0, 1, 2 swept: 1 + 2 + 4 derivatives of a 2-component
+                # field; at d = 2 N = 32 every decay time is in one block,
+                # which the early times keep on the whole half lattice
                 times = summary["times"]
-                want = {"decay_times": times, "field_transforms": times * 7 * 2}
+                want = {"decay_times": times, "field_transforms": times * 7 * 2,
+                        "pruned_field_transforms": 0}
             elif verb == "tails":
                 want = {"samples": 210, "time_points": default_time_grid(cfg.T).size}
             else:
@@ -218,6 +222,52 @@ class TestArtifacts:
             telemetry = {"phase_seconds", "counters", "peak_rss_mib"} | phases | set(want)
             assert not telemetry & set(summary)
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("verb, fields", [
+        ("heatflow", dict(d=3, N=32, s=0.2)),
+        ("tails", dict(d=2, N=16, monte_carlo_M=200)),
+        ("report", dict(d=3, N=16, s=0.1, gamma=-0.05, monte_carlo_M=4)),
+    ])
+    def test_band_pruning_leaves_the_artifacts_unchanged(self, tmp_path, monkeypatch, verb,
+                                                         fields):
+        # every file but meta.json is the same, byte for byte, when the
+        # heat sweeps run every block on the whole half lattice
+        radii = heat._block_radii
+        pruned = []
+
+        def recording(mass, grid, t_first, t_last):
+            k = radii(mass, grid, t_first, t_last)
+            pruned.append(np.any(k < grid.N // 2 - 1))
+            return k
+
+        def whole(mass, grid, t_first, t_last):
+            return np.full(t_first.shape, grid.N // 2)
+
+        blobs = []
+        for tag, rule in (("pruned", recording), ("whole", whole)):
+            monkeypatch.setattr(heat, "_block_radii", rule)
+            res, _ = run(tmp_path, tag, experiment=verb, master_seed=9, **fields)
+            out = res.output_dir
+            blobs.append({path.relative_to(out): path.read_bytes()
+                          for path in sorted(out.rglob("*"))
+                          if path.is_file() and path.name != "meta.json"})
+            if verb == "heatflow":
+                counters = json.loads((out / "meta.json").read_text())["counters"]
+                assert (counters["pruned_field_transforms"] > 0) == (tag == "pruned")
+        assert any(pruned)
+        assert blobs[0] == blobs[1]
+
+    def test_heatflow_runs_the_whole_field_work_once(self, tmp_path, monkeypatch):
+        # the swept orders k = 0, 1, 2 share one realness check and one
+        # H^{-s} norm
+        calls = []
+        for name in ("require_real_field", "hminus_s_norm"):
+            def spy(*args, _fn=getattr(heat, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(heat, name, spy)
+        run(tmp_path, "heatflow", experiment="heatflow", d=2, N=16, k_orders=[0, 2])
+        assert sorted(calls) == ["hminus_s_norm", "require_real_field"]
 
     def test_heatflow_outputs(self, tmp_path):
         res, _ = run(

@@ -14,6 +14,7 @@ from conftest import (
 )
 from nsrw.data import borderline_field, default_tilt
 from nsrw.heat import (
+    _SweepField,
     _derivative_symbols,
     _heat_norms,
     check_linear_estimates,
@@ -137,6 +138,29 @@ class TestLinearEstimates:
         )
         assert abs(rep.l2.values[0] - direct) < 1e-12 * direct
 
+    def test_shared_field_checks_once_with_the_same_bits(self, monkeypatch):
+        # heatflow checks every order on one _SweepField: the realness check
+        # and the H^{-s} norm run once, and each report is the plain call's
+        grid = make_grid(3, 16, TWO_PI)
+        f = borderline_field(grid, 0.2, seed=3)
+        ts = default_decay_time_grid(grid, 1.0, 16)
+        plain = {k: check_linear_estimates(f, 0.2, k, ts) for k in (0, 1, 2)}
+        calls = []
+        for name in ("require_real_field", "hminus_s_norm"):
+            def spy(*args, _fn=getattr(heat, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(heat, name, spy)
+        field = _SweepField(f)
+        shared = {k: check_linear_estimates(field, 0.2, k, ts) for k in (0, 1, 2)}
+        assert sorted(calls) == ["hminus_s_norm", "require_real_field"]
+        for k in (0, 1, 2):
+            for norm in ("l2", "linf"):
+                a, b = getattr(plain[k], norm), getattr(shared[k], norm)
+                assert np.array_equal(a.values, b.values) and np.array_equal(a.ratios, b.ratios)
+                assert (a.bound_constant, a.fitted_slope) == (b.bound_constant, b.fitted_slope)
+            assert plain[k].linf_sqrt_bound_constant == shared[k].linf_sqrt_bound_constant
+
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("d", [2, 3])
     def test_linf_matches_per_time_oracle(self, d, k):
@@ -173,23 +197,47 @@ class TestLinearEstimates:
 
 
 class TestHeatNormsOracle:
+    # times up to 1 keep every block on the whole half lattice; from 0.1 to
+    # 3 the last block runs on a smaller cube
+    @pytest.mark.parametrize("t_first, t_last, prunes", [(1e-3, 1.0, False), (0.1, 3.0, True)])
     @pytest.mark.parametrize("decay", ["cached", "streamed"])
     @pytest.mark.parametrize("orders", [(0,), (1,), (0, 1)])
     @pytest.mark.parametrize("p", [4.0, np.inf])
     @pytest.mark.parametrize("ncomp", ["scalar", "vector"])
     @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
     def test_bitwise_equal_to_straightforward_sweep(self, monkeypatch, d, N, ncomp, p,
-                                                     orders, decay):
+                                                     orders, decay, t_first, t_last, prunes):
         grid = make_grid(d, N, TWO_PI)
         nc = 1 if ncomp == "scalar" else d
         f = zero_nyquist(random_real_field(grid, nc, seed=21))
         if decay == "streamed":
             monkeypatch.setattr(heat, "_DECAY_CACHE_MAX_ELEMS", 0)
         chunk = heat._BLOCK_ELEMS // grid.ksq.size
-        times = np.geomspace(1e-3, 1.0, chunk + chunk // 3 + 1)  # a short last block
+        times = np.geomspace(t_first, t_last, chunk + chunk // 3 + 1)  # a short last block
         symbols = [sym for k in orders for sym in _derivative_symbols(grid, k)]
-        (got,) = _heat_norms(f, symbols, times, (p,))
+        field = _SweepField(f)
+        (got,) = _heat_norms(field, symbols, times, (p,))
         assert np.array_equal(got, heat_norms_oracle(f, symbols, times, p))
+        assert (field.pruned_transforms > 0) == prunes
+
+    @pytest.mark.parametrize("orders", [(0,), (1,)])
+    @pytest.mark.parametrize("p", [4.0, np.inf])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_high_modes_only_field_keeps_its_shell(self, d, p, orders):
+        # one mode pair at max |k_i| = N/2 - 2: by t = 3 it has decayed by
+        # e^-111, and a cut on t |xi|^2 alone would drop it and return 0;
+        # the data-driven radius keeps its shell, prunes the rest of the
+        # lattice and matches the unpruned oracle bit for bit
+        grid = make_grid(d, 16, TWO_PI)
+        mode = (grid.N // 2 - 2, 1) + (0,) * (d - 2)
+        f = mode_pair_field(grid, mode, [1.0] + [0.5j] * (d - 1))
+        times = np.geomspace(0.1, 3.0, 12)
+        symbols = [sym for k in orders for sym in _derivative_symbols(grid, k)]
+        field = _SweepField(f)
+        (got,) = _heat_norms(field, symbols, times, (p,))
+        assert np.all(got > 0.0)
+        assert np.array_equal(got, heat_norms_oracle(f, symbols, times, p))
+        assert field.pruned_transforms == times.size * len(symbols) * d
 
     def test_work_arrays_hold_one_component(self):
         # the sweep's transient memory at d=3 N=32 over heatflow's decay

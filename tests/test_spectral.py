@@ -11,6 +11,7 @@ from conftest import (
     random_real_field,
     single_mode_field,
     sobolev_norm_oracle,
+    traced_peak,
     transport_oracle,
 )
 from nsrw.spectral import (
@@ -53,6 +54,17 @@ class TestGrid:
     def test_rejects_bad_parameters(self, d, N, L):
         with pytest.raises(ValueError):
             make_grid(d, N, L)
+
+    def test_derived_arrays_built_on_first_use(self):
+        # a grid that only names a shape holds no lattice array (4.5 MiB at
+        # d=3 N=64 when each grid built all five); equality and hashing read
+        # (d, N, L) alone, whichever arrays a grid has built
+        grid, peak = traced_peak(lambda: make_grid(3, 64, TWO_PI))
+        assert peak < 2**12
+        other = make_grid(3, 64, TWO_PI)
+        assert other.dealias_keep.any() and other.nyquist_mask.any()
+        assert grid == other and hash(grid) == hash(other)
+        assert np.array_equal(grid.kabs, np.sqrt(other.ksq))
 
     def test_nyquist_mask_marks_minus_half_rows(self):
         g = make_grid(2, 8, TWO_PI)
