@@ -1,21 +1,29 @@
 """Binary state checkpoints with a bit-exact round trip.
 
-Version 3 layout, all little-endian: magic "NSRW", version u32, d u32,
+Version 4 layout, all little-endian: magic "NSRW", version u32, d u32,
 N u32, then L, t, cutoff as f64; then the fingerprint, a u32 byte count
 followed by that many bytes of canonical JSON (sorted keys, no spaces)
 naming the settings that fix the trajectory; then the band radius k as
-u32, k <= N/2; then the payload, the state on the cube |k_i| <= k of the
-rfft half lattice (spectral.HalfLattice.band), zero off it: each of the d
-components' complex coefficients, shape (min(2k+1, N), ...,
-min(2k+1, N), min(k, N/2) + 1), as interleaved (re, im) f64 pairs in
-row-major order (rows 0..k, -k..-1 in FFT order on every axis but the
-last, which runs 0..min(k, N/2)). solve's snapshots hold the cube around
-the cutoff ball: 86.7 KB at d=3 N=32 instead of the 836 KB of the whole
-half lattice. The last-axis plane 0, and plane N/2 when the band holds
-it, are their own mirror images and must be conjugate-symmetric.
+u32, the radius of the cutoff ball's cube: k = ceil(cutoff L / 2 pi) - 1,
+at most N/2 (spectral.HalfLattice.ball_radius); then the payload, the
+state's coefficients in the ball |xi| < cutoff and nothing else. The state
+is a band array on the cube |k_i| <= k of the rfft half lattice
+(spectral.HalfLattice.band): each of the d components, shape
+(min(2k+1, N), ..., min(2k+1, N), min(k, N/2) + 1), rows 0..k, -k..-1 in
+FFT order on every axis but the last, which runs 0..min(k, N/2). For each
+component in turn, the payload holds the entries of that array where
+HalfLattice.band_kabs(k) < cutoff (the stepper's own ball mask), in
+row-major order, as interleaved (re, im) f64 pairs. Loading puts them back
+on the cube, zero off the ball. solve's snapshots are zero off the ball by
+construction: at d=3 N=32 and the default cutoff 8 the ball holds 1,148 of
+the cube's 1,800 modes per component, so a file is 55,416 bytes, where the
+cube took 86,712 and the whole half lattice 836 KB. The last-axis plane 0,
+and plane N/2 when the band holds it, are their own mirror images and
+must be conjugate-symmetric; the ball is symmetric, so both partners of
+every such mode are stored.
 
-Versions 1 and 2 are refused: no writer has produced them since version
-3, and the fingerprint every version-3 file carries pins d, N, L and the
+Versions 1 to 3 are refused: no writer has produced them since version 4,
+and the fingerprint every version-4 file carries pins d, N, L and the
 cutoff.
 
 Files are replaced atomically: a reader sees either the previous file or
@@ -34,10 +42,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import Grid, band_shape, make_grid
+from .spectral import Grid, HalfLattice, band_shape, make_grid
 
 MAGIC = b"NSRW"
-VERSION = 3
+VERSION = 4
 _HEADER = struct.Struct("<4sIIIddd")
 _U32 = struct.Struct("<I")
 
@@ -51,16 +59,45 @@ def _canonical(fingerprint: dict) -> bytes:
                       allow_nan=False).encode()
 
 
+def _least_ball_modes(half: HalfLattice, cutoff: float) -> int:
+    """A lower bound on the modes of the ball |xi| < cutoff on the half
+    lattice, built from no array: the ball holds the cube |k_i| <= m whole
+    (HalfLattice.ball_radius over all d axes, m <= N/2 - 1), and that cube
+    has (2m + 1)^(d-1) (m + 1) modes on the half lattice."""
+    d, N = half.grid.d, half.grid.N
+    m = min(half.ball_radius(cutoff, axes=d), N // 2 - 1)
+    return (2 * m + 1) ** (d - 1) * (m + 1)
+
+
+def _require_cutoff(cutoff: float):
+    if not (math.isfinite(cutoff) and cutoff > 0):
+        raise CheckpointError(f"checkpoint cutoff must be a positive number, got {cutoff}")
+
+
 def save_checkpoint(grid: Grid, w_band: np.ndarray, t: float, cutoff: float,
                     fingerprint: dict, path: str | Path) -> None:
     """Write the band array w_band, one component per dimension on the cube
-    |k_i| <= k of grid.half (a whole half spectrum is the band of radius
-    N/2), as a version-3 checkpoint; k is read off its last axis. Its plane
-    0 (and N/2) must be conjugate-symmetric, as the snapshots of solve are."""
-    k = grid.half.require_real_band("a checkpointed state", w_band)
-    header = _HEADER.pack(MAGIC, VERSION, grid.d, grid.N, grid.L, float(t), float(cutoff))
+    |k_i| <= k of grid.half that holds the ball |xi| < cutoff, as a
+    version-4 checkpoint of its coefficients in the ball. It refuses a band
+    whose radius k (read off its last axis) is not the ball's, a nonzero
+    coefficient off the ball, and a plane 0 (or N/2) that is not
+    conjugate-symmetric; the snapshots of solve pass all three."""
+    cutoff = float(cutoff)
+    _require_cutoff(cutoff)
+    half = grid.half
+    k = half.require_real_band("a checkpointed state", w_band)
+    k_ball = half.ball_radius(cutoff)
+    if k != k_ball:
+        raise ValueError(
+            f"a checkpointed state must be the band of its cutoff ball: its radius is "
+            f"k={k}, the ball |xi| < {cutoff:g} on a d={grid.d} N={grid.N} L={grid.L:g} "
+            f"grid has k={k_ball}"
+        )
+    # the stepper's own ball mask, so the two agree bit for bit
+    ball = half.require_in_ball("a checkpointed state", w_band, cutoff, 0.0)
+    header = _HEADER.pack(MAGIC, VERSION, grid.d, grid.N, grid.L, float(t), cutoff)
     fp = _canonical(fingerprint)
-    payload = np.ascontiguousarray(w_band).astype("<c16", copy=False).tobytes()
+    payload = w_band[:, ball].astype("<c16", copy=False).tobytes()
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
@@ -83,8 +120,9 @@ def _check_fingerprint(found: dict, expected: dict):
 
 
 def load_checkpoint(path: str | Path, expect_fingerprint: dict | None = None):
-    """Read a version-3 checkpoint; returns (w_band, t, cutoff) with the
-    band array as stored (see save_checkpoint).
+    """Read a version-4 checkpoint; returns (w_band, t, cutoff) with the
+    band array of the cutoff ball's cube, zero off the ball (see
+    save_checkpoint).
 
     With expect_fingerprint, a file whose fingerprint differs is refused,
     naming the first differing setting and both values.
@@ -122,19 +160,37 @@ def load_checkpoint(path: str | Path, expect_fingerprint: dict | None = None):
         raise CheckpointError(
             f"checkpoint band radius k={k} exceeds the half lattice's N/2 = {N // 2}"
         )
-    # the payload is sized from the header before any grid array is built
-    shape = band_shape(d, N, k)
-    expected = math.prod(shape) * 16
+    _require_cutoff(cutoff)
+    # up to the ball mask every check is arithmetic on single frequencies,
+    # so a header naming a huge N builds nothing before its payload is known
+    half = make_grid(d, N, L).half
+    k_ball = half.ball_radius(cutoff)
+    if k != k_ball:
+        raise CheckpointError(
+            f"checkpoint band radius k={k} is not that of its cutoff ball |xi| < "
+            f"{cutoff:g}, k={k_ball}"
+        )
     payload = blob[pos:]
+    least = d * _least_ball_modes(half, cutoff) * 16
+    if len(payload) < least:
+        raise CheckpointError(
+            f"checkpoint truncated: its cutoff ball needs at least {least} payload "
+            f"bytes, got {len(payload)}"
+        )
+    if expect_fingerprint is not None:
+        _check_fingerprint(fingerprint, expect_fingerprint)
+    # the cube is a small multiple of the inscribed cube, whose payload is
+    # now known to be present
+    ball = half.band_kabs(k) < cutoff
+    expected = d * int(np.count_nonzero(ball)) * 16
     if len(payload) != expected:
         raise CheckpointError(
             f"checkpoint truncated: expected {expected} payload bytes, got {len(payload)}"
         )
-    if expect_fingerprint is not None:
-        _check_fingerprint(fingerprint, expect_fingerprint)
-    w_band = np.frombuffer(payload, dtype="<c16").reshape(shape).astype(np.complex128)
+    w_band = np.zeros(band_shape(d, N, k), dtype=np.complex128)
+    w_band[:, ball] = np.frombuffer(payload, dtype="<c16").reshape(d, -1)
     try:
-        make_grid(d, N, L).half.require_real_band("checkpoint payload", w_band)
+        half.require_real_band("checkpoint payload", w_band)
     except ValueError as exc:
         raise CheckpointError(str(exc)) from None
     return w_band, float(t), float(cutoff)

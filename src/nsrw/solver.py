@@ -47,7 +47,6 @@ from .spectral import (
     Grid,
     SpectralField,
     TransportPlan,
-    axis_radius,
     fourier_field,
     friedrichs_cutoff,
     linf_norm,
@@ -211,30 +210,6 @@ def time_partition(T: float, dt: float, substep_near_zero: bool) -> np.ndarray:
 BALL_RTOL = 1e-13
 
 
-def _require_in_ball(name: str, h: np.ndarray, grid: Grid, cutoff: float):
-    """Refuse the band array h of grid's half lattice (a whole half array
-    included) if it has support outside the ball |xi| < cutoff, naming its
-    largest coefficient there."""
-    band = grid.half.band(h.shape[-1] - 1)
-    mag = np.abs(h)
-    outside = mag * (grid.half.kabs[band] >= cutoff)
-    worst = float(outside.max())
-    scale = max(float(mag.max()), 1e-300)
-    if worst <= BALL_RTOL * scale:
-        return
-    comp, *idx = np.unravel_index(np.argmax(outside), outside.shape)
-    N = grid.N
-    # each band index is the lattice index that the band's row list holds there
-    rows = (np.arange(n)[b].ravel()[i] for n, b, i in zip(grid.half.shape, band, idx))
-    mode = tuple(int(i) if i < N // 2 else int(i) - N for i in rows)
-    raise ValueError(
-        f"{name} has support outside the cutoff ball |xi| < {cutoff:g}: its largest "
-        f"coefficient there, component {int(comp)} at lattice mode {mode}, has "
-        f"magnitude {worst:.3e}, {worst / scale:.3e} of its largest coefficient "
-        f"(tolerance {BALL_RTOL:g})"
-    )
-
-
 def nonlinear_rhs(w: SpectralField, g: SpectralField, cutoff: float) -> SpectralField:
     """The four truncated-projected transport terms driving w.
 
@@ -249,7 +224,7 @@ def nonlinear_rhs(w: SpectralField, g: SpectralField, cutoff: float) -> Spectral
     grid = w.grid
     if w.ncomp != grid.d or g.ncomp != grid.d:
         raise ValueError("nonlinear_rhs needs one component per dimension")
-    _require_in_ball("fluctuation", grid.half.cut(w.data), grid, cutoff)
+    grid.half.require_in_ball("fluctuation", grid.half.cut(w.data), cutoff, BALL_RTOL)
     plan = TransportPlan(grid)
     u = (w + friedrichs_cutoff(g, cutoff)).data[(slice(None), *plan.in_band)]
     return -friedrichs_cutoff(
@@ -286,7 +261,7 @@ def stepping_lattice_size(grid: Grid, cutoff: float) -> int:
     the smallest grid, 8), or N when that reaches N. N itself always clears
     the bound, because the cutoff lies inside the 2/3 band.
     """
-    k_max = axis_radius(grid.half.kabs < cutoff)
+    k_max = grid.half.ball_radius(cutoff)
     return min(_smooth_even_at_least(max(3 * k_max + 1, 8)), grid.N)
 
 
@@ -313,7 +288,7 @@ class _Stepper:
             )
         self.grid = grid
         self.config = config
-        k_max = axis_radius(grid.half.kabs < config.cutoff)
+        k_max = grid.half.ball_radius(config.cutoff)
         M = stepping_lattice_size(grid, config.cutoff)
         step_grid = grid if M == grid.N else make_grid(grid.d, M, grid.L)
         self.band = grid.half.band(k_max)
@@ -322,7 +297,7 @@ class _Stepper:
         step_band = step_grid.half.band(k_max)
         self.ksq = step_grid.half.ksq[step_band]
         self.weight = step_grid.half.weight[step_band]
-        self.ball = grid.half.kabs[self.band] < config.cutoff
+        self.ball = grid.half.band_kabs(k_max) < config.cutoff
         # the kernel's unitary M-point transforms return (N/M)^{d/2} times
         # the N-normalised coefficients of the product; the output mask
         # undoes that
@@ -439,7 +414,7 @@ def step(state: SpectralField, t: float, dt: float, config: SolverConfig,
         raise ValueError("step time must be nonnegative")
     grid = state.grid
     h = grid.half.cut(state.data)
-    _require_in_ball("state", h, grid, config.cutoff)
+    grid.half.require_in_ball("state", h, config.cutoff, BALL_RTOL)
     stepper = _Stepper(grid, f_omega.data, config)
     what = stepper.embed(h)
     out, _ = stepper.advance(what, *stepper.stage0(what, t), dt)
@@ -510,7 +485,7 @@ def solve(
             raise ValueError(f"resume time {resume_time} is the end time T = {config.T}: "
                              f"there is nothing left to integrate")
         grid.half.require_real_band("resume state", resume_band)
-        _require_in_ball("resume state", resume_band, grid, config.cutoff)
+        grid.half.require_in_ball("resume state", resume_band, config.cutoff, BALL_RTOL)
         start = int(hits[0])
         what = stepper.embed(grid.half.scatter(resume_band))
 

@@ -18,6 +18,7 @@ a `TransportPlan` that its caller owns.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -67,8 +68,9 @@ class Grid:
     """Uniform periodic grid on [0, L)^d with its Fourier lattice.
 
     Derived arrays (wavenumbers, masks) are built on first use and kept,
-    so a grid that only names a shape (the checkpoint loader's) holds
-    none of them; equality and hashing use (d, N, L) only.
+    so a grid that needs little holds little (the checkpoint loader's
+    builds none: it takes single frequencies from `frequencies`);
+    equality and hashing use (d, N, L) only.
     """
 
     d: int
@@ -85,11 +87,17 @@ class Grid:
 
     @cached_property
     def k1d(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.L / self.N)
+        return self.frequencies(_signed_rows(np.arange(self.N), self.N))
+
+    def frequencies(self, n) -> np.ndarray:
+        """The 1-D lattice frequencies 2 pi n / L of the signed indices n
+        (-N/2 <= n < N/2), formed as 2 pi np.fft.fftfreq(N, L/N) forms
+        them: k1d holds them in FFT order, and a few are had without it."""
+        return 2.0 * np.pi * (np.asarray(n) * (1.0 / (self.N * (self.L / self.N))))
 
     @cached_property
     def ksq(self) -> np.ndarray:
-        return sum(a * a for a in self._broadcast_axes(self.k1d))
+        return _sum_squares(self._broadcast_axes(self.k1d))
 
     @cached_property
     def kabs(self) -> np.ndarray:
@@ -177,10 +185,6 @@ class HalfLattice:
         return 1.0 / np.where(self.ksq == 0.0, 1.0, self.ksq)
 
     @cached_property
-    def kabs(self) -> np.ndarray:
-        return self.cut(self.grid.kabs)
-
-    @cached_property
     def nyquist_mask(self) -> np.ndarray:
         return self.cut(self.grid.nyquist_mask)
 
@@ -260,8 +264,66 @@ class HalfLattice:
         N = self.grid.N
         if k >= N // 2:
             return (slice(None),) * self.grid.d
-        rows = np.concatenate([np.arange(N)[s] for s in _band_slabs(N, k)])
-        return np.ix_(*([rows] * (self.grid.d - 1) + [np.arange(k + 1)]))
+        return np.ix_(*([_band_rows(N, k)] * (self.grid.d - 1) + [np.arange(k + 1)]))
+
+    def band_kabs(self, k: int) -> np.ndarray:
+        """|xi| on the cube of band(k): cut(grid.kabs)[band(k)] bit for bit,
+        from the frequencies of the band's rows alone, so neither an array
+        larger than the cube nor the N-point k1d is built."""
+        grid = self.grid
+        N = grid.N
+        rows = [_band_rows(N, k)] * (grid.d - 1) + [np.arange(min(k, N // 2) + 1)]
+        freqs = (grid.frequencies(_signed_rows(r, N)) for r in rows)
+        return np.sqrt(_sum_squares(np.ix_(*freqs)))
+
+    def ball_radius(self, cutoff: float, axes: int = 1) -> int:
+        """The largest n <= N/2 whose mode (n, ..., n) on the first `axes`
+        axes (0 on the others) lies in the ball |xi| < cutoff, for a
+        positive cutoff. With one axis it is the largest |k_i| of the
+        ball's modes, axis_radius(cut(grid.kabs) < cutoff); with d axes,
+        the radius of the largest cube |k_i| <= n the ball holds whole,
+        since |xi| grows with each |k_i|, in floating point too. A
+        bisection on single frequencies, summed as Grid.ksq sums them: it
+        builds no array."""
+        grid = self.grid
+
+        def inside(n: int) -> bool:
+            f = float(grid.frequencies(n))
+            return math.sqrt(_sum_squares([f] * axes)) < cutoff
+
+        lo, hi = 0, grid.N // 2
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if inside(mid) else (lo, mid - 1)
+        return lo
+
+    def require_in_ball(self, name: str, h: np.ndarray, cutoff: float,
+                        rtol: float) -> np.ndarray:
+        """The mask band_kabs(k) < cutoff of the ball on the cube of the
+        band array h (a whole half array included). Refuses h if its
+        largest coefficient outside the ball exceeds rtol times its largest
+        coefficient, naming that coefficient's component, lattice mode and
+        magnitude."""
+        ball = self.band_kabs(h.shape[-1] - 1) < cutoff
+        mag = np.abs(h)
+        outside = mag * ~ball
+        worst = float(outside.max())
+        scale = max(float(mag.max()), 1e-300)
+        if worst <= rtol * scale:
+            return ball
+        comp, *idx = np.unravel_index(np.argmax(outside), outside.shape)
+        band = self.band(h.shape[-1] - 1)
+        N = self.grid.N
+        # each band index is the lattice index that the band's row list
+        # holds there, or itself on a whole axis
+        rows = (i if isinstance(b, slice) else b.ravel()[i] for b, i in zip(band, idx))
+        mode = tuple(int(i) if i < N // 2 else int(i) - N for i in rows)
+        raise ValueError(
+            f"{name} has support outside the cutoff ball |xi| < {cutoff:g}: its largest "
+            f"coefficient there, component {int(comp)} at lattice mode {mode}, has "
+            f"magnitude {worst:.3e}, {worst / scale:.3e} of its largest coefficient "
+            f"(tolerance {rtol:g})"
+        )
 
     def band_boxes(self, k: int) -> list:
         """The cube of band(k) as basic-slice indexes, one box per choice of
@@ -622,6 +684,25 @@ def band_shape(d: int, N: int, k: int) -> tuple:
     """The shape of a band array of radius k with one component per
     dimension (HalfLattice.band), known before any grid array is built."""
     return (d,) + (min(2 * k + 1, N),) * (d - 1) + (min(k, N // 2) + 1,)
+
+
+def _sum_squares(axes):
+    """|xi|^2 from one frequency array (or number) per axis, broadcastable
+    against each other, summed in axis order: Grid.ksq,
+    HalfLattice.band_kabs and HalfLattice.ball_radius all sum here, so the
+    masks they give agree bit for bit."""
+    return sum(a * a for a in axes)
+
+
+def _signed_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """The signed lattice indices of the rows of an n-point axis in FFT
+    order: 0..n/2-1, then -n/2..-1."""
+    return np.where(rows < n // 2, rows, rows - n)
+
+
+def _band_rows(n: int, k: int) -> np.ndarray:
+    """The row indices of _band_slabs(n, k), in order."""
+    return np.concatenate([np.arange(*s.indices(n)) for s in _band_slabs(n, k)])
 
 
 def _band_slabs(n: int, k: int) -> tuple:

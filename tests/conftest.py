@@ -1,4 +1,7 @@
+import contextlib
+import resource
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,6 +225,22 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, peak - base
+
+
+@contextlib.contextmanager
+def address_space_cap(extra=2**30):
+    """Cap this process's address space at its size plus `extra` bytes while
+    the block runs, so that a test guarding against a huge allocation fails
+    with MemoryError instead of taking the memory (Linux: the size is read
+    from /proc/self/statm)."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    size = int(Path("/proc/self/statm").read_text().split()[0]) * resource.getpagesize()
+    cap = size + extra if hard == resource.RLIM_INFINITY else min(size + extra, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 def monte_carlo_tails(f, model, spec, M, workers=1):

@@ -1,5 +1,7 @@
+import itertools
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import nsrw
-from conftest import TWO_PI, random_divfree_field, traced_peak
+from conftest import TWO_PI, address_space_cap, random_divfree_field, traced_peak
 from nsrw.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from nsrw.cli import build_parser, main
 from nsrw.config import (
@@ -158,74 +160,136 @@ def real_state(grid, seed):
     return fourier_field(grid, grid.half.expand(grid.half.cut(f.data)))
 
 
-def cube_state(grid, seed, k):
-    """real_state restricted to the cube |k_i| <= k, and its band array."""
-    cube = np.all(np.abs(grid.k1d)[np.indices(grid.shape)] <= k, axis=0)
-    f = fourier_field(grid, real_state(grid, seed).data * cube)
+def ball_state(grid, seed, cutoff):
+    """real_state restricted to the ball |xi| < cutoff, and its band array on
+    the ball's cube, as solve's snapshots hold it."""
+    f = fourier_field(grid, real_state(grid, seed).data * (grid.kabs < cutoff))
+    k = grid.half.ball_radius(cutoff)
     return f, grid.half.cut(f.data)[(slice(None), *grid.half.band(k))]
 
 
+def ball_mask(grid, cutoff):
+    """The ball |xi| < cutoff on its cube, from the whole lattice's |xi|."""
+    k = grid.half.ball_radius(cutoff)
+    return grid.half.cut(grid.kabs)[grid.half.band(k)] < cutoff
+
+
 FINGERPRINT = {"d": 2, "N": 16, "master_seed": 7, "dt": 0.0078125}
+# the ball |xi| < 4 of a d=2 N=16 L=2 pi grid: radius 3, 26 modes per component
+CUTOFF = 4.0
+# a ball that holds the whole half lattice, |xi| <= sqrt(d) N/2 at L = 2 pi
+WHOLE = 100.0
+
+
+def header(d, N, cutoff, k, L=TWO_PI):
+    """A version-4 checkpoint's bytes up to its payload, with an empty
+    fingerprint."""
+    return (struct.pack("<4sIIIddd", b"NSRW", 4, d, N, L, 0.0, cutoff)
+            + struct.pack("<I", 2) + b"{}" + struct.pack("<I", k))
 
 
 class TestCheckpoint:
     def test_bitwise_round_trip(self, tmp_path, grid2, grid3):
-        for grid in (grid2, grid3):
-            f = real_state(grid, seed=1)
+        for grid, cutoff in itertools.product((grid2, grid3), (CUTOFF, WHOLE)):
+            f, h = ball_state(grid, 1, cutoff)
             path = tmp_path / f"state{grid.d}.nsrw"
-            h = grid.half.cut(f.data)
-            save_checkpoint(grid, h, 0.375, 4.0, FINGERPRINT, path)
-            w, t, cutoff = load_checkpoint(path, FINGERPRINT)
-            assert t == 0.375 and cutoff == 4.0
-            # the half comes back bit for bit, and so does the full spectrum
+            save_checkpoint(grid, h, 0.375, cutoff, FINGERPRINT, path)
+            w, t, ck_cutoff = load_checkpoint(path, FINGERPRINT)
+            assert t == 0.375 and ck_cutoff == cutoff
+            # the band comes back bit for bit, and so does the full spectrum
             assert np.array_equal(w, h)
-            assert np.array_equal(grid.half.expand(w), f.data)
+            assert np.array_equal(grid.half.expand(grid.half.scatter(w)), f.data)
             # and the file itself is stable: saving again is byte-identical
             path2 = tmp_path / f"again{grid.d}.nsrw"
-            save_checkpoint(grid, h, 0.375, 4.0, FINGERPRINT, path2)
+            save_checkpoint(grid, h, 0.375, cutoff, FINGERPRINT, path2)
             assert path.read_bytes() == path2.read_bytes()
         assert not list(tmp_path.glob(".*.tmp"))
 
-    @pytest.mark.parametrize("d, k", [(2, 0), (2, 3), (2, 7), (3, 2), (3, 5)])
-    def test_band_round_trip(self, tmp_path, d, k):
-        # a state on the cube |k_i| <= k < N/2 is stored as its band array
-        # and comes back bit for bit, zero off the cube; saving it again
-        # writes the same bytes
-        grid = make_grid(d, 16, TWO_PI)
-        f, h = cube_state(grid, 11 + k, k)
-        assert h.shape == (d,) + (2 * k + 1,) * (d - 1) + (k + 1,)
+    @pytest.mark.parametrize("d, L, cutoff, k", [
+        # the cutoff k + 1/2 at L = 2 pi, id d-k; then other cutoffs and periods
+        *(pytest.param(d, TWO_PI, k + 0.5, k, id=f"{d}-{k}")
+          for d, k in [(2, 0), (2, 3), (2, 7), (3, 2), (3, 5)]),
+        *(pytest.param(d, L, cutoff, k, id=f"{d}-{k}-L{L:.4g}-cutoff{cutoff:g}")
+          for d, L, cutoff, k in [(2, TWO_PI, 4.0, 3), (2, TWO_PI, 11.0, 8), (2, 3.7, 9.0, 5),
+                                  (3, TWO_PI, 8.0, 7), (3, 1.0, 30.0, 4), (3, TWO_PI, 14.0, 8)]),
+    ])
+    def test_band_round_trip(self, tmp_path, d, L, cutoff, k):
+        # a state in the ball |xi| < cutoff is stored as its coefficients in
+        # the ball and comes back as the band array of the ball's cube
+        # |k_i| <= k, bit for bit, zero off the ball; saving it again writes
+        # the same bytes
+        grid = make_grid(d, 16, L)
+        f, h = ball_state(grid, 11 + k, cutoff)
+        assert h.shape == (d,) + (min(2 * k + 1, 16),) * (d - 1) + (k + 1,)
+        ball = ball_mask(grid, cutoff)
+        assert not np.any(h[:, ~ball])
         path = tmp_path / "band.nsrw"
-        save_checkpoint(grid, h, 0.5, 4.0, FINGERPRINT, path)
-        w, t, cutoff = load_checkpoint(path, FINGERPRINT)
-        assert (t, cutoff) == (0.5, 4.0)
+        save_checkpoint(grid, h, 0.5, cutoff, FINGERPRINT, path)
+        w, t, ck_cutoff = load_checkpoint(path, FINGERPRINT)
+        assert (t, ck_cutoff) == (0.5, cutoff)
         assert np.array_equal(w, h)
         assert np.array_equal(grid.half.scatter(w), grid.half.cut(f.data))
         fp = json.dumps(FINGERPRINT, sort_keys=True, separators=(",", ":")).encode()
-        assert path.stat().st_size == 44 + len(fp) + 4 + h.size * 16
+        assert path.stat().st_size == 48 + len(fp) + d * int(ball.sum()) * 16
         path2 = tmp_path / "again.nsrw"
-        save_checkpoint(grid, h, 0.5, 4.0, FINGERPRINT, path2)
+        save_checkpoint(grid, h, 0.5, cutoff, FINGERPRINT, path2)
         assert path.read_bytes() == path2.read_bytes()
 
     def test_save_refuses_an_array_that_is_no_band(self, tmp_path, grid2):
-        _, h = cube_state(grid2, 3, 3)
+        _, h = ball_state(grid2, 3, CUTOFF)
         for bad in (h[:, :6], h[:1], np.zeros((2, 16, 10), complex)):
             with pytest.raises(ValueError, match="one band array per dimension"):
-                save_checkpoint(grid2, bad, 0.0, 4.0, FINGERPRINT, tmp_path / "bad.nsrw")
+                save_checkpoint(grid2, bad, 0.0, CUTOFF, FINGERPRINT, tmp_path / "bad.nsrw")
         # mode (1, 0) on plane 0 without its mirror partner (-1, 0)
         asym = h.copy()
         asym[0, 1, 0] += 1.0
         with pytest.raises(ValueError, match="not a real field's band array"):
-            save_checkpoint(grid2, asym, 0.0, 4.0, FINGERPRINT, tmp_path / "bad.nsrw")
+            save_checkpoint(grid2, asym, 0.0, CUTOFF, FINGERPRINT, tmp_path / "bad.nsrw")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("comp, row, mode", [(1, 3, (3, 3)), (0, -3, (-3, 3))])
+    def test_save_refuses_content_off_the_ball(self, tmp_path, grid2, comp, row, mode):
+        # the cube |k_i| <= 3 holds two modes with |xi| >= 4, its corners
+        # (+-3, 3); a coefficient there, however small, is named and refused
+        _, h = ball_state(grid2, 3, CUTOFF)
+        for value in (1.0, 1e-300):
+            bad = h.copy()
+            bad[comp, row, 3] = value
+            with pytest.raises(ValueError, match=re.escape(
+                    f"a checkpointed state has support outside the cutoff ball |xi| < 4: "
+                    f"its largest coefficient there, component {comp} at lattice mode "
+                    f"{mode}, has magnitude {value:.3e}")):
+                save_checkpoint(grid2, bad, 0.0, CUTOFF, FINGERPRINT, tmp_path / "bad.nsrw")
+        assert not list(tmp_path.iterdir())
+
+    def test_save_refuses_a_band_radius_other_than_the_balls(self, tmp_path, grid2):
+        # the cube of radius 3 is the ball's at cutoff 4, not at 3 (radius 2)
+        # nor at 5 (radius 4); a whole half array is the ball's band only for
+        # a ball that holds the whole half lattice
+        f, h = ball_state(grid2, 3, 3.0)
+        _, h3 = ball_state(grid2, 3, CUTOFF)
+        for band, cutoff, k, k_ball in ((h3, 3.0, 3, 2), (h3, 5.0, 3, 4), (h, CUTOFF, 2, 3),
+                                        (grid2.half.cut(f.data), CUTOFF, 8, 3)):
+            with pytest.raises(ValueError, match=f"its radius is k={k}, the ball "
+                               rf"\|xi\| < {cutoff:g} on a d=2 N=16 L=6.28319 grid has "
+                               f"k={k_ball}$"):
+                save_checkpoint(grid2, band, 0.0, cutoff, FINGERPRINT, tmp_path / "bad.nsrw")
+        for cutoff in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="cutoff must be a positive number"):
+                save_checkpoint(grid2, h3, 0.0, cutoff, FINGERPRINT, tmp_path / "bad.nsrw")
         assert not list(tmp_path.iterdir())
 
     def test_refuses_v2_payload_asymmetric_on_plane_zero(self, tmp_path, grid2):
-        f = real_state(grid2, seed=8)
+        _, h = ball_state(grid2, 8, CUTOFF)
         path = tmp_path / "state.nsrw"
-        save_checkpoint(grid2, grid2.half.cut(f.data), 0.0, 4.0, FINGERPRINT, path)
+        save_checkpoint(grid2, h, 0.0, CUTOFF, FINGERPRINT, path)
         blob = bytearray(path.read_bytes())
-        payload = len(blob) - 2 * 16 * 9 * 16
-        # component 0, mode (1, 0): last-axis plane 0, mirror partner (-1, 0)
-        offset = payload + (1 * 9 + 0) * 16
+        ball = ball_mask(grid2, CUTOFF)
+        payload = len(blob) - 2 * int(ball.sum()) * 16
+        # component 0, mode (1, 0): last-axis plane 0, mirror partner (-1, 0),
+        # which the ball holds too; its place among the ball's modes
+        place = int(np.flatnonzero(ball.ravel()).tolist().index(1 * 4 + 0))
+        offset = payload + place * 16
         blob[offset : offset + 8] = struct.pack("<d", 0.5)
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="planes 0 and N/2 are not conjugate"):
@@ -233,17 +297,15 @@ class TestCheckpoint:
 
     def test_fingerprint_mismatch_names_field(self, tmp_path, grid2):
         path = tmp_path / "state.nsrw"
-        f = real_state(grid2, seed=9)
-        save_checkpoint(grid2, grid2.half.cut(f.data), 0.0, 4.0, FINGERPRINT, path)
+        save_checkpoint(grid2, ball_state(grid2, 9, CUTOFF)[1], 0.0, CUTOFF, FINGERPRINT, path)
         load_checkpoint(path, FINGERPRINT)
         with pytest.raises(CheckpointError, match="'master_seed' is 7 in the checkpoint "
                            "and 8 in the config"):
             load_checkpoint(path, {**FINGERPRINT, "master_seed": 8})
 
     def test_corrupt_magic(self, tmp_path, grid2):
-        f = real_state(grid2, seed=2)
         path = tmp_path / "state.nsrw"
-        save_checkpoint(grid2, grid2.half.cut(f.data), 0.0, 4.0, FINGERPRINT, path)
+        save_checkpoint(grid2, ball_state(grid2, 2, CUTOFF)[1], 0.0, CUTOFF, FINGERPRINT, path)
         blob = bytearray(path.read_bytes())
         blob[:4] = b"XXXX"
         path.write_bytes(bytes(blob))
@@ -251,21 +313,20 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path, grid2):
-        f = real_state(grid2, seed=3)
         path = tmp_path / "state.nsrw"
-        save_checkpoint(grid2, grid2.half.cut(f.data), 0.0, 4.0, FINGERPRINT, path)
+        save_checkpoint(grid2, ball_state(grid2, 3, CUTOFF)[1], 0.0, CUTOFF, FINGERPRINT, path)
         blob = bytearray(path.read_bytes())
+        assert blob[4] == 4
         blob[4] = 99
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="unsupported checkpoint version 99$"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_earlier_versions_refused(self, tmp_path, grid2, version):
-        # only version 3 is read: the earlier layouts are refused like any other
-        f = real_state(grid2, seed=3)
+        # only version 4 is read: the earlier layouts are refused like any other
         path = tmp_path / "state.nsrw"
-        save_checkpoint(grid2, grid2.half.cut(f.data), 0.0, 4.0, FINGERPRINT, path)
+        save_checkpoint(grid2, ball_state(grid2, 3, CUTOFF)[1], 0.0, CUTOFF, FINGERPRINT, path)
         blob = bytearray(path.read_bytes())
         blob[4] = version
         path.write_bytes(bytes(blob))
@@ -273,21 +334,20 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_truncated_payload(self, tmp_path, grid2):
-        f = real_state(grid2, seed=4)
         path = tmp_path / "state.nsrw"
-        save_checkpoint(grid2, grid2.half.cut(f.data), 0.0, 4.0, FINGERPRINT, path)
+        save_checkpoint(grid2, ball_state(grid2, 4, CUTOFF)[1], 0.0, CUTOFF, FINGERPRINT, path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 16])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
     def test_truncated_payload_refused_before_the_grid_is_built(self, tmp_path):
-        # a 50-byte file whose header claims d=3, N=128 and the whole half
-        # lattice: building that grid would allocate tens of MiB before the
+        # a 50-byte file whose header claims d=3, N=128 and a ball that holds
+        # the whole half lattice (radius 64 at cutoff 111 > 64 sqrt 3):
+        # building the ball's mask would allocate tens of MiB before the
         # payload length is checked
         path = tmp_path / "short.nsrw"
-        path.write_bytes(struct.pack("<4sIIIddd", b"NSRW", 3, 3, 128, TWO_PI, 0.0, 4.0)
-                         + struct.pack("<I", 2) + b"{}" + struct.pack("<I", 64))
+        path.write_bytes(header(3, 128, 111.0, 64))
         assert path.stat().st_size == 50
         tracemalloc.start()
         try:
@@ -299,10 +359,9 @@ class TestCheckpoint:
         assert peak < 2**20
 
     def test_band_radius_above_half_refused_before_the_grid_is_built(self, tmp_path):
-        # a version-3 header claiming d=3, N=128 and a band radius past N/2
+        # a version-4 header claiming d=3, N=128 and a band radius past N/2
         path = tmp_path / "wide.nsrw"
-        path.write_bytes(struct.pack("<4sIIIddd", b"NSRW", 3, 3, 128, TWO_PI, 0.0, 4.0)
-                         + struct.pack("<I", 2) + b"{}" + struct.pack("<I", 65))
+        path.write_bytes(header(3, 128, CUTOFF, 65))
         tracemalloc.start()
         try:
             with pytest.raises(CheckpointError, match="band radius k=65 exceeds the half "
@@ -313,64 +372,161 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_band_radius_missing_or_payload_short(self, tmp_path, grid2):
-        _, h = cube_state(grid2, 4, 3)
-        path = tmp_path / "state.nsrw"
-        save_checkpoint(grid2, h, 0.0, 4.0, FINGERPRINT, path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-1])
-        with pytest.raises(CheckpointError, match="truncated: expected 896 payload bytes, "
-                           "got 895"):
+    @pytest.mark.parametrize("k, cutoff, k_ball", [(4, 4.0, 3), (2, 4.0, 3), (64, 4.0, 3),
+                                                   (3, 111.0, 64)])
+    def test_band_radius_other_than_the_balls_refused(self, tmp_path, k, cutoff, k_ball):
+        # the header's band radius must be its cutoff ball's; refused from
+        # the header alone, before the mask is built
+        path = tmp_path / "odd.nsrw"
+        path.write_bytes(header(3, 128, cutoff, k) + bytes(16 * 3 * 130))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match=rf"band radius k={k} is not that of its "
+                               rf"cutoff ball \|xi\| < {cutoff:g}, k={k_ball}$"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("cutoff, k, message", [
+        # the ball |xi| < 8 holds the cube |k_i| <= 4 whole: 405 modes
+        pytest.param(8.0, 7, "truncated: its cutoff ball needs at least 19440 payload "
+                     "bytes, got 0$", id="short"),
+        pytest.param(8.0, 3, r"band radius k=3 is not that of its cutoff ball \|xi\| < 8, "
+                     "k=7$", id="radius"),
+        pytest.param(1e10, 2**29, "truncated: its cutoff ball needs at least", id="whole"),
+        pytest.param(8.0, 2**29 + 1, "band radius k=536870913 exceeds the half lattice's "
+                     "N/2 = 536870912", id="above-half"),
+    ])
+    def test_huge_grid_refused_before_any_array_is_built(self, tmp_path, cutoff, k, message):
+        # a 50-byte file whose header names N = 2^30: every check up to the
+        # payload's length takes single frequencies, where the N-point k1d
+        # alone would be 8 GiB (the cap turns such an allocation into an error)
+        path = tmp_path / "huge.nsrw"
+        path.write_bytes(header(3, 2**30, cutoff, k))
+        tracemalloc.start()
+        try:
+            with address_space_cap(), pytest.raises(CheckpointError, match=message):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_huge_grid_round_trip_builds_no_grid_array(self, tmp_path, grid2):
+        # a band array is the same on every grid of its period whose N/2
+        # exceeds its radius: a state saved on 2^30 points per axis loads
+        # back bit for bit, and neither side builds an N-point array, nor
+        # does a save that names the mode it refuses off the ball
+        _, h = ball_state(grid2, 5, CUTOFF)
+        huge = make_grid(2, 2**30, TWO_PI)
+        path = tmp_path / "huge.nsrw"
+        with address_space_cap():
+            _, save_peak = traced_peak(
+                lambda: save_checkpoint(huge, h, 0.5, CUTOFF, FINGERPRINT, path))
+            (w, t, cutoff), load_peak = traced_peak(lambda: load_checkpoint(path, FINGERPRINT))
+            bad = h.copy()
+            bad[1, -3, 3] = 1.0
+            with pytest.raises(ValueError, match=r"component 1 at lattice mode \(-3, 3\)"):
+                save_checkpoint(huge, bad, 0.5, CUTOFF, FINGERPRINT, path)
+        assert np.array_equal(w, h) and (t, cutoff) == (0.5, CUTOFF)
+        assert save_peak < 2**20 and load_peak < 2**20
+
+    @pytest.mark.parametrize("cutoff", [0.0, -4.0, float("nan"), float("inf")])
+    def test_header_with_invalid_cutoff(self, tmp_path, cutoff):
+        path = tmp_path / "bad.nsrw"
+        path.write_bytes(header(2, 16, cutoff, 3) + bytes(16 * 2 * 26))
+        with pytest.raises(CheckpointError, match="cutoff must be a positive number"):
             load_checkpoint(path)
-        path.write_bytes(blob[: len(blob) - h.size * 16 - 2])
+
+    def test_band_radius_missing_or_payload_short(self, tmp_path, grid2):
+        _, h = ball_state(grid2, 4, CUTOFF)
+        path = tmp_path / "state.nsrw"
+        save_checkpoint(grid2, h, 0.0, CUTOFF, FINGERPRINT, path)
+        blob = path.read_bytes()
+        # 26 modes per component: the cube |k_i| <= 3 less its corners
+        path.write_bytes(blob[:-1])
+        with pytest.raises(CheckpointError, match="truncated: expected 832 payload bytes, "
+                           "got 831"):
+            load_checkpoint(path)
+        path.write_bytes(blob + bytes(16))
+        with pytest.raises(CheckpointError, match="truncated: expected 832 payload bytes, "
+                           "got 848"):
+            load_checkpoint(path)
+        # below the 15 modes per component of the inscribed cube |k_i| <= 2:
+        # refused before the mask is built
+        path.write_bytes(blob[: len(blob) - 832 + 479])
+        with pytest.raises(CheckpointError, match="truncated: its cutoff ball needs at least "
+                           "480 payload bytes, got 479"):
+            load_checkpoint(path)
+        path.write_bytes(blob[: len(blob) - 832 - 2])
         with pytest.raises(CheckpointError, match="truncated: band radius missing"):
             load_checkpoint(path)
 
     def test_load_holds_the_band_only(self, tmp_path):
         # a checkpoint of a d=3 N=32 solve at the default cutoff N/4 holds
-        # the cube |k_i| <= 7 (86.4 KB of payload); loading it returns that
-        # band array and forms no full spectrum, which alone is 1.5 MiB
+        # the ball |xi| < 8 (55.1 KB of payload, where its cube |k_i| <= 7
+        # took 86.4 KB); loading it returns the cube's band array and forms
+        # no full spectrum, which alone is 1.5 MiB
         grid = make_grid(3, 32, TWO_PI)
-        _, h = cube_state(grid, 12, 7)
+        _, h = ball_state(grid, 12, 8.0)
         path = tmp_path / "band.nsrw"
         save_checkpoint(grid, h, 0.25, 8.0, FINGERPRINT, path)
-        assert path.stat().st_size - h.nbytes < 100 and h.nbytes == 86_400
+        assert h.nbytes == 86_400 and path.stat().st_size - 55_104 < 100
         (w, t, cutoff), peak = traced_peak(lambda: load_checkpoint(path, FINGERPRINT))
         assert np.array_equal(w, h) and (t, cutoff) == (0.25, 8.0)
         assert peak < 2**20
+
+    def test_solve_checkpoint_size(self, tmp_path):
+        # a checkpoint of the d=3 N=32 solve at its default cutoff 8, with
+        # that solve's own fingerprint: 1,148 of the cube's 1,800 modes per
+        # component, 55,416 bytes in all
+        cfg = config_from_dict({"experiment": "solve", "d": 3, "N": 32, "s": 0.2,
+                                "T": 0.125, "dt": 1.0 / 256.0})
+        grid = make_grid(3, 32, cfg.L)
+        assert cfg.effective_cutoff() == 8.0 and int(ball_mask(grid, 8.0).sum()) == 1148
+        path = tmp_path / "state.nsrw"
+        save_checkpoint(grid, ball_state(grid, 13, 8.0)[1], 0.0, 8.0,
+                        cfg.trajectory_fingerprint(), path)
+        assert path.stat().st_size == 55_416
 
     @pytest.mark.parametrize("d, N, L", [(4, 16, TWO_PI), (2, 15, TWO_PI), (3, 6, TWO_PI),
                                          (2, 16, 0.0)])
     def test_header_with_invalid_grid(self, tmp_path, d, N, L):
         path = tmp_path / "bad.nsrw"
-        path.write_bytes(struct.pack("<4sIIIddd", b"NSRW", 3, d, N, L, 0.0, 4.0)
-                         + struct.pack("<I", 2) + b"{}" + struct.pack("<I", 2))
+        path.write_bytes(header(d, N, CUTOFF, 2, L=L))
         with pytest.raises(CheckpointError, match="no valid grid"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("k, rows, planes", [(3, 7, 4), (8, 16, 9)])
-    def test_header_layout(self, tmp_path, grid2, k, rows, planes):
+    @pytest.mark.parametrize("k, cutoff, modes", [pytest.param(3, CUTOFF, 26, id="3-7-4"),
+                                                  pytest.param(8, WHOLE, 16 * 9, id="8-16-9")])
+    def test_header_layout(self, tmp_path, grid2, k, cutoff, modes):
         # magic, version u32, d u32, N u32, L f64, t f64, cutoff f64, then a
         # u32 length and the canonical JSON fingerprint, then the band
-        # radius k as u32, then the band array (d, min(2k+1, N),
-        # min(k, N/2) + 1) as complex128, all little-endian; k = N/2 is the
-        # whole half spectrum
-        f, h = cube_state(grid2, 5, k)
+        # radius k as u32, then, per component, the band array's entries in
+        # the ball |xi| < cutoff in row-major order as complex128, all
+        # little-endian; k = N/2 is the whole half spectrum
+        f, h = ball_state(grid2, 5, cutoff)
         path = tmp_path / "state.nsrw"
-        save_checkpoint(grid2, h, 1.5, 4.0, FINGERPRINT, path)
+        save_checkpoint(grid2, h, 1.5, cutoff, FINGERPRINT, path)
         blob = path.read_bytes()
         magic, version, d, N, L, t, n = struct.unpack_from("<4sIIIddd", blob)
-        assert magic == b"NSRW" and version == 3
+        assert magic == b"NSRW" and version == 4
         assert (d, N) == (2, 16) and L == pytest.approx(TWO_PI)
-        assert (t, n) == (1.5, 4.0)
+        assert (t, n) == (1.5, cutoff)
         (length,) = struct.unpack_from("<I", blob, 40)
         fp = blob[44 : 44 + length]
         assert fp == json.dumps(FINGERPRINT, sort_keys=True, separators=(",", ":")).encode()
         assert struct.unpack_from("<I", blob, 44 + length) == (k,)
-        assert len(blob) == 48 + length + d * rows * planes * 16
-        payload = np.frombuffer(blob[48 + length :], dtype="<c16").reshape(2, rows, planes)
-        assert np.array_equal(payload, h)
-        assert np.array_equal(grid2.half.scatter(payload), grid2.half.cut(f.data))
+        assert len(blob) == 48 + length + d * modes * 16
+        ball = ball_mask(grid2, cutoff)
+        assert int(ball.sum()) == modes
+        payload = np.frombuffer(blob[48 + length :], dtype="<c16").reshape(2, modes)
+        assert np.array_equal(payload, h[:, ball])
+        cube = np.zeros_like(h)
+        cube[:, ball] = payload
+        assert np.array_equal(grid2.half.scatter(cube), grid2.half.cut(f.data))
 
 
 class TestCli:

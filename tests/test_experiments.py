@@ -17,6 +17,7 @@ from nsrw.config import ExperimentConfig, validate_config
 from nsrw.experiments import _jsonable, _randomized_data, build_data_field, run_experiment
 from nsrw.heat import condg_check, default_decay_time_grid
 from nsrw.solver import _Stepper
+from nsrw.spectral import make_grid
 from nsrw.tails import default_time_grid
 
 
@@ -468,14 +469,19 @@ class TestResume:
         files = [out / c["file"] for c in json.loads((out / "summary.json").read_text())
                  ["checkpoints"]]
         assert len(files) == traj.times.size == 5
+        grid = make_grid(3, 16, 2.0 * np.pi)
+        ball = grid.half.cut(grid.kabs)[grid.half.band(3)] < 4.0
+        assert int(ball.sum()) == 148
         for i, (path, t, h) in enumerate(zip(files, traj.times, traj.w_band)):
             assert path.name == f"checkpoint_{i:04d}.nsrw"
-            # the default cutoff N/4 = 4 holds the cube |k_i| <= 3
+            # the default cutoff N/4 = 4 holds the cube |k_i| <= 3; the
+            # snapshot is zero off the ball, and the file holds the ball
             assert h.shape == (3, 7, 7, 4)
+            assert not np.any(h[:, ~ball])
             w, ck_t, _ = load_checkpoint(path)
             assert ck_t == t
             assert np.array_equal(w, h)
-            assert path.read_bytes().endswith(h.astype("<c16").tobytes())
+            assert path.read_bytes().endswith(h[:, ball].astype("<c16").tobytes())
 
     def test_resume_refuses_checkpoint_of_another_run(self, tmp_path):
         common = dict(
@@ -565,11 +571,14 @@ class TestResume:
         # mirror partner (-1, 0), which the band also holds
         bad_w = w.copy()
         bad_w[0, 1, 0] += 1e-3 * np.abs(w).max()
+        grid = make_grid(2, 32, 2.0 * np.pi)
+        ball = grid.half.cut(grid.kabs)[grid.half.band(7)] < 8.0
+        assert ball[1, 0]
         blob = ckpt.read_bytes()
-        payload = w.astype("<c16").tobytes()
+        payload = w[:, ball].astype("<c16").tobytes()
         assert blob.endswith(payload)
         bad = tmp_path / "bad.nsrw"
-        bad.write_bytes(blob[: -len(payload)] + bad_w.astype("<c16").tobytes())
+        bad.write_bytes(blob[: -len(payload)] + bad_w[:, ball].astype("<c16").tobytes())
         cfg2 = validate_config(
             ExperimentConfig(**{**common, "output_dir": str(tmp_path / "resumed"),
                                 "write_checkpoints": False})

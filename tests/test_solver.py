@@ -198,7 +198,7 @@ class TestSteppingLattice:
         rhs = stepper.stage0(stepper.embed(w), 0.0)[1]
         got = grid.half.scatter(rhs)
         half = grid.half
-        hball = half.kabs < cutoff
+        hball = half.cut(grid.kabs) < cutoff
         plan = TransportPlan(grid)
         u = half.cut(w) + half.cut(f.data) * hball
         want = -projected_transport_half(u[(slice(None), *plan.in_band)], plan) * hball

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     TWO_PI,
+    address_space_cap,
     conjugate_asymmetry_oracle,
     full_transport,
     random_real_field,
@@ -16,6 +17,7 @@ from conftest import (
 )
 from nsrw.spectral import (
     TransportPlan,
+    axis_radius,
     conjugate_asymmetry,
     conjugate_mirror,
     dealias,
@@ -65,6 +67,16 @@ class TestGrid:
         assert other.dealias_keep.any() and other.nyquist_mask.any()
         assert grid == other and hash(grid) == hash(other)
         assert np.array_equal(grid.kabs, np.sqrt(other.ksq))
+
+    @pytest.mark.parametrize("N", [8, 10, 30, 64, 2**20])
+    def test_frequencies_are_fftfreqs(self, N):
+        # k1d is 2 pi fftfreq bit for bit, and a single frequency taken by its
+        # signed index is the one k1d holds for it
+        for L in (TWO_PI, 1.0, 3.7, 100.0, 0.3):
+            grid = make_grid(2, N, L)
+            assert np.array_equal(grid.k1d, 2.0 * np.pi * np.fft.fftfreq(N, d=L / N))
+            for i in (0, 1, 3, N // 2 - 1, N // 2, N // 2 + 1, N - 1):
+                assert grid.frequencies(i if i < N // 2 else i - N) == grid.k1d[i]
 
     def test_nyquist_mask_marks_minus_half_rows(self):
         g = make_grid(2, 8, TWO_PI)
@@ -472,6 +484,45 @@ class TestHalfLattice:
             assert np.array_equal(sym, half.symmetrize(half.scatter(h))[band])
             assert np.array_equal(half.scatter(sym), half.symmetrize(half.scatter(sym)))
             assert half.plane_asymmetry(sym) == 0.0
+
+    @pytest.mark.parametrize("L", [TWO_PI, 1.0, 3.7, 100.0])
+    @pytest.mark.parametrize("d, N", [(2, 16), (2, 44), (3, 16), (3, 32)])
+    def test_band_kabs_and_ball_radius_match_the_whole_lattice(self, d, N, L):
+        # |xi| on a cube, formed from its rows, is the whole lattice's |xi|
+        # there bit for bit, and the ball's radius read off the 1-D
+        # frequencies is axis_radius of the whole lattice's ball: the
+        # stepper's and the checkpoint's masks come from these
+        grid = make_grid(d, N, L)
+        kabs = grid.half.cut(grid.kabs)
+        for k in range(N // 2 + 2):
+            assert np.array_equal(grid.half.band_kabs(k), kabs[grid.half.band(k)])
+        for cutoff in np.linspace(1e-3, 1.8 * grid.kmax, 41):
+            assert grid.half.ball_radius(cutoff) == axis_radius(kabs < cutoff)
+            # over all d axes: the largest cube the ball holds whole
+            m = grid.half.ball_radius(cutoff, axes=d)
+            assert (kabs[grid.half.band(m)] < cutoff).all()
+            assert m == N // 2 or not (kabs[grid.half.band(m + 1)] < cutoff).all()
+        # a cutoff on a lattice frequency leaves that frequency outside
+        step = 2.0 * np.pi / L
+        assert grid.half.ball_radius(3 * step) == axis_radius(kabs < 3 * step)
+
+    def test_band_kabs_builds_no_half_lattice_array(self):
+        grid = make_grid(3, 128, TWO_PI)
+        kabs, peak = traced_peak(lambda: grid.half.band_kabs(7))
+        assert kabs.shape == (15, 15, 8) and peak < 20 * kabs.nbytes
+
+    def test_huge_grid_builds_no_lattice_array(self):
+        # the cube's |xi| and the ball's radii come from the frequencies they
+        # need, so a grid of 2^30 points per axis (8 GiB for k1d alone) gives
+        # them within the cube's own size, equal to a small grid's of the
+        # same period
+        huge, small = make_grid(3, 2**30, 4 * TWO_PI), make_grid(3, 64, 4 * TWO_PI)
+        with address_space_cap():
+            (kabs, k, m), peak = traced_peak(lambda: (
+                huge.half.band_kabs(7), huge.half.ball_radius(2.0), huge.half.ball_radius(2.0, 3)))
+        assert kabs.shape == (15, 15, 8) and peak < 20 * kabs.nbytes
+        assert np.array_equal(kabs, small.half.band_kabs(7))
+        assert (k, m) == (small.half.ball_radius(2.0), small.half.ball_radius(2.0, 3)) == (7, 4)
 
 
 class TestDivergenceRatio:
