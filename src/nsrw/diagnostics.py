@@ -66,7 +66,7 @@ def dwdt_norm(trajectory: Trajectory, config: SolverConfig) -> DwdtReport:
     """
     grid = trajectory.f_omega.grid
     vol = grid.cell_volume
-    weight = 1.0 / (1.0 + grid.ksq)
+    weight = grid.half.weight / (1.0 + grid.ksq)
     values = []
     for w, g in zip(trajectory.w_states, trajectory.g_states):
         dwdt = -grid.ksq * w.data + nonlinear_rhs(w, g, config.cutoff).data
@@ -126,8 +126,8 @@ def nse_residual(grid: Grid, times: np.ndarray, u_half) -> tuple[np.ndarray, np.
 
     Uses the centered difference (u(t+h) - u(t))/h against the right-hand
     side evaluated on the midpoint average, so exact solutions show O(h^2).
-    u_half is any iterable of the half spectra (on grid.half) of the real
-    fields u(times[j]); they are consumed pairwise, so at most two are held.
+    u_half is any iterable of the half spectra (fourier-space field data)
+    of the real fields u(times[j]); they are consumed pairwise, so at most two are held.
     Each pair is evaluated in work arrays of the call, with the operations
     and operand order of the plain expressions in the comments, so the bits
     are theirs.
@@ -139,9 +139,8 @@ def nse_residual(grid: Grid, times: np.ndarray, u_half) -> tuple[np.ndarray, np.
     prev = next(states, None)
     if prev is None:
         raise ValueError(f"nse_residual got 0 states for {times.size} times")
-    half = grid.half
     vol = grid.cell_volume
-    weight = half.weight / (1.0 + half.ksq)
+    weight = grid.half.weight / (1.0 + grid.ksq)
     plan = TransportPlan(grid)
     um = np.empty_like(prev, dtype=np.complex128)
     resid = np.empty_like(um)
@@ -157,7 +156,7 @@ def nse_residual(grid: Grid, times: np.ndarray, u_half) -> tuple[np.ndarray, np.
         transport = projected_transport_half(um[(slice(None), *plan.in_band)], plan)
         # resid = (cur - prev) / h + ksq * um + P div(um x um), um spent
         np.divide(np.subtract(cur, prev, out=resid), h, out=resid)
-        resid += np.multiply(half.ksq, um, out=um)
+        resid += np.multiply(grid.ksq, um, out=um)
         resid += transport
         # freed before the next pair's kernel output is formed
         del transport

@@ -450,6 +450,15 @@ _RUNNERS = {
 }
 
 
+def _require_usable_output_dir(outdir: Path):
+    """Refuse an output directory that is an existing file or lies below
+    one, before any work: it could never be made."""
+    path = next(p for p in (outdir, *outdir.parents) if p.exists())
+    if not path.is_dir():
+        raise ConfigError(f"config field 'output_dir': {str(outdir)!r} cannot be a "
+                          f"directory: {str(path)!r} is a file")
+
+
 def run_experiment(cfg: ExperimentConfig, resume: str | None = None) -> ExperimentResult:
     """Execute the configured experiment; exit status 0 iff all enabled
     assertions pass. Artifacts land in cfg.output_dir only."""
@@ -458,6 +467,7 @@ def run_experiment(cfg: ExperimentConfig, resume: str | None = None) -> Experime
         raise ValueError(f"no experiment selected (got {cfg.experiment!r})")
     workers = resolve_workers(cfg)
     outdir = Path(cfg.output_dir)
+    _require_usable_output_dir(outdir)
     # made before the runner, which may write checkpoints into it as it goes
     created = not outdir.exists()
     outdir.mkdir(parents=True, exist_ok=True)

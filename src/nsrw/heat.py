@@ -14,6 +14,7 @@ finiteness is asserted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -130,7 +131,7 @@ _DROPPED_MASS_RATIO = 2.0**-106
 def _half_decay(grid, times: np.ndarray) -> np.ndarray | None:
     """exp(-t |xi|^2) on the rfft half-spectrum for every t, cached while
     small enough to keep; None tells the caller to stream per chunk."""
-    ksq_half = grid.half.ksq
+    ksq_half = grid.ksq
     if times.size * ksq_half.size > _DECAY_CACHE_MAX_ELEMS:
         return None
     key = (grid.d, grid.N, grid.L, times.tobytes())
@@ -145,12 +146,12 @@ def _half_decay(grid, times: np.ndarray) -> np.ndarray | None:
 
 
 class _SweepField:
-    """A fourier-space field the heat sweeps accept, checked once: real and
-    zero on its Nyquist rows. The sweeps and decay checks of one
-    field (heatflow's orders k, condg's two sweeps) share the check, the
-    H^{-s} norms and the |xi|^2 shell masses; pruned_transforms counts the
-    one-time, one-component transforms their sweeps ran on a cube smaller
-    than the half lattice."""
+    """A fourier-space field the heat sweeps accept, checked once: real (its
+    planes 0 and N/2 conjugate-symmetric) and zero on its Nyquist rows. The
+    sweeps and decay checks of one field (heatflow's orders k, condg's two
+    sweeps) share the check, the H^{-s} norms and the |xi|^2 shell masses;
+    pruned_transforms counts the one-time, one-component transforms their
+    sweeps ran on a cube smaller than the half lattice."""
 
     def __init__(self, f: SpectralField):
         require_real_field("heat sweep data", f)
@@ -169,8 +170,9 @@ class _SweepField:
 
     @cached_property
     def ksq_shells(self) -> tuple:
-        """The distinct |xi|^2 of the lattice and the |a|^2 on each, summed
-        over the components in order, one component at a time."""
+        """The distinct |xi|^2 of the lattice and the |a|^2 on each over the
+        whole lattice: summed over the components in order, one component
+        at a time, and counted with the half lattice's Parseval weights."""
         g = self.f.grid
         shells, index = np.unique(g.ksq, return_inverse=True)
         coeff_sq = np.abs(self.f.data[0])
@@ -179,6 +181,7 @@ class _SweepField:
             term = np.abs(self.f.data[c])
             term **= 2
             coeff_sq += term
+        coeff_sq *= g.half.weight
         return shells, np.bincount(index.ravel(), weights=coeff_sq.ravel())
 
 
@@ -229,7 +232,7 @@ def _shell_mass(f: SpectralField, syms_h: list) -> np.ndarray:
     n_half = half.shape[-1]
     coeff_sq = np.zeros(half.shape)
     for c in range(f.ncomp):
-        term = np.abs(f.data[c][..., :n_half])
+        term = np.abs(f.data[c])
         term **= 2
         coeff_sq += term
     coeff_sq *= sum(1.0 if sym_h is None else np.abs(sym_h) ** 2 for sym_h in syms_h)
@@ -242,8 +245,8 @@ def _heat_norms(f, symbols: list, times: np.ndarray, exponents: tuple) -> np.nda
     exponent, one row per exponent.
 
     F stacks symbol * component for every symbol (arrays broadcastable to
-    the grid) and every component of a field f (a SpectralField, or a
-    _SweepField already checked). For each block of times, every
+    the half lattice) and every component of a field f (a SpectralField, or
+    a _SweepField already checked). For each block of times, every
     symbol * component is transformed on its own and its pointwise |.|^2
     accumulated, so neither the stack nor one symbol's components are ever
     held together: the components of a symbol are summed in order into one
@@ -254,10 +257,9 @@ def _heat_norms(f, symbols: list, times: np.ndarray, exponents: tuple) -> np.nda
 
     The sweep runs in one-component work arrays allocated once per call
     and reused for every time block, symbol and component: each
-    component's half lattice is read in place from the field, each symbol
-    is cut to the half lattice once (an all-ones symbol is not multiplied
-    by at all: a * 1 is a), one decay block per time block serves all
-    symbols and components, and the block is inverse-transformed axis by
+    component is read in place from the field, an all-ones symbol is not
+    multiplied by at all (a * 1 is a), one decay block per time block
+    serves all symbols and components, and the block is inverse-transformed axis by
     axis in place (ifft over the leading axes, then irfft into the real
     block), the same 1-D transforms irfftn runs, so the bits match it.
 
@@ -283,12 +285,12 @@ def _heat_norms(f, symbols: list, times: np.ndarray, exponents: tuple) -> np.nda
     half = g.half
     sp = tuple(range(1, 1 + g.d))
     vol = g.cell_volume
-    chunk = max(1, _BLOCK_ELEMS // g.ksq.size)
+    chunk = max(1, _BLOCK_ELEMS // math.prod(g.shape))
     rows = min(chunk, times.size)
     out = np.empty((len(exponents), times.size))
     msq = np.empty((rows,) + g.shape)
     sym_sq = np.empty((rows,) + g.shape)
-    syms_h = [None if np.all(sym == 1.0) else half.cut(sym) for sym in symbols]
+    syms_h = [None if np.all(sym == 1.0) else sym for sym in symbols]
     mass = _shell_mass(f, syms_h)
     # broadcast to the whole half lattice, so that a box of it is a view
     syms_h = [sym_h if sym_h is None else np.broadcast_to(sym_h, half.shape)
@@ -313,7 +315,7 @@ def _heat_norms(f, symbols: list, times: np.ndarray, exponents: tuple) -> np.nda
         if cached is not None:
             decay = cached[lo : lo + n]
         else:
-            decay = np.exp(-tt.reshape((-1,) + (1,) * g.d) * half.ksq[None])
+            decay = np.exp(-tt.reshape((-1,) + (1,) * g.d) * g.ksq[None])
         hb, rb = block[:n], real[:n]
         pruned = k < g.N // 2
         if pruned:

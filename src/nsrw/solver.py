@@ -14,17 +14,17 @@ stage times by the cached heat factors. The four transport terms are the one
 product (w + Tg) x (w + Tg), formed in physical space on dealiased inputs by
 the transport kernel.
 
-Data, w and g are real fields, so the stepper keeps rfft half spectra
-(spectral.HalfLattice); solve refuses data that is not conjugate-symmetric
-and resume states whose self-mirrored planes are not.
+Data, w and g are real fields, held as rfft half spectra like every
+fourier-space field (spectral.HalfLattice); solve refuses data and resume
+states whose self-mirrored planes 0 and N/2 are not conjugate-symmetric.
 
 Every stage field lives in the ball, so the stepper keeps w, the
 truncated data and every mask and weight as band arrays of the cube
 |k_i| <= k_max that holds the ball (spectral.HalfLattice.band), with
 k_max = ceil(kappa) - 1 for kappa = cutoff L / 2 pi. States enter the cube
 once (data, resume band, step() input), snapshots stay on it, and only
-step() output and the readers of a snapshot scatter it back onto the N
-grid's half lattice (HalfLattice.scatter); coefficients keep the N grid's
+step() output and the readers of a snapshot scatter it back onto the
+half lattice (HalfLattice.scatter); coefficients keep the N grid's
 unitary normalisation throughout. The stage products are formed on
 the smallest grid on which products of ball fields do not alias back into
 the ball (stepping_lattice_size): M points per axis with M >= 2 k_max +
@@ -146,7 +146,7 @@ class Trajectory:
     whole half spectrum is the band array of radius N/2. Each snapshot's
     last-axis plane 0 (and plane N/2, if it holds it) is conjugate-symmetric.
     Readers scatter one snapshot at a time onto the half lattice
-    (HalfLattice.scatter); w_states forms every full spectrum on access.
+    (HalfLattice.scatter); w_states forms every field on access.
     The forcing is not stored: g_states derives the truncated free
     evolution T e^{tD} f_omega at each snapshot time. dwdt_hminus1 holds
     |dw/dt|_{H^{-1}} at each snapshot as the solver recorded it,
@@ -164,10 +164,9 @@ class Trajectory:
 
     @property
     def w_states(self) -> list:
-        """w at each snapshot time as a full-spectrum field, formed on every
-        access."""
+        """w at each snapshot time as a field, formed on every access."""
         half = self.f_omega.grid.half
-        return [fourier_field(half.grid, half.expand(half.scatter(h))) for h in self.w_band]
+        return [fourier_field(half.grid, half.scatter(h)) for h in self.w_band]
 
     @property
     def g_states(self) -> list:
@@ -216,6 +215,8 @@ def nonlinear_rhs(w: SpectralField, g: SpectralField, cutoff: float) -> Spectral
     w x w + w x Tg + Tg x w + Tg x Tg is the single product (w + Tg) x (w + Tg),
     so one transport evaluation of the summed field covers all four.
     w must be supported inside the cutoff ball; g is truncated internally.
+    The result's self-mirrored planes are made conjugate-symmetric
+    (HalfLattice.symmetrize), as a real field's are.
     """
     if w.space != FOURIER or g.space != FOURIER:
         raise ValueError("nonlinear_rhs expects fourier-space fields")
@@ -224,11 +225,11 @@ def nonlinear_rhs(w: SpectralField, g: SpectralField, cutoff: float) -> Spectral
     grid = w.grid
     if w.ncomp != grid.d or g.ncomp != grid.d:
         raise ValueError("nonlinear_rhs needs one component per dimension")
-    grid.half.require_in_ball("fluctuation", grid.half.cut(w.data), cutoff, BALL_RTOL)
+    grid.half.require_in_ball("fluctuation", w.data, cutoff, BALL_RTOL)
     plan = TransportPlan(grid)
     u = (w + friedrichs_cutoff(g, cutoff)).data[(slice(None), *plan.in_band)]
     return -friedrichs_cutoff(
-        fourier_field(grid, grid.half.expand(projected_transport_half(u, plan))), cutoff
+        fourier_field(grid, grid.half.symmetrize(projected_transport_half(u, plan))), cutoff
     )
 
 
@@ -295,7 +296,7 @@ class _Stepper:
         # ksq and the weights as the stepping lattice holds them, so the
         # decay factors are those of the grid the kernel runs on
         step_band = step_grid.half.band(k_max)
-        self.ksq = step_grid.half.ksq[step_band]
+        self.ksq = step_grid.ksq[step_band]
         self.weight = step_grid.half.weight[step_band]
         self.ball = grid.half.band_kabs(k_max) < config.cutoff
         # the kernel's unitary M-point transforms return (N/M)^{d/2} times
@@ -312,7 +313,7 @@ class _Stepper:
         self._exp_cache: dict = {}
 
     def embed(self, a: np.ndarray) -> np.ndarray:
-        """The ball part of a full spectrum or half array as a band array."""
+        """The ball part of a half spectrum as a band array."""
         return a[(Ellipsis, *self.band)] * self.ball
 
     def decay(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -413,14 +414,13 @@ def step(state: SpectralField, t: float, dt: float, config: SolverConfig,
     if t < 0:
         raise ValueError("step time must be nonnegative")
     grid = state.grid
-    h = grid.half.cut(state.data)
-    grid.half.require_in_ball("state", h, config.cutoff, BALL_RTOL)
+    grid.half.require_in_ball("state", state.data, config.cutoff, BALL_RTOL)
     stepper = _Stepper(grid, f_omega.data, config)
-    what = stepper.embed(h)
+    what = stepper.embed(state.data)
     out, _ = stepper.advance(what, *stepper.stage0(what, t), dt)
     if not np.all(np.isfinite(out)):
         raise StepFailureError(t)
-    return fourier_field(grid, grid.half.expand(grid.half.scatter(out)))
+    return fourier_field(grid, grid.half.scatter(grid.half.symmetrize(out)))
 
 
 def _check_stability(config: SolverConfig, f_omega: SpectralField):
@@ -463,7 +463,7 @@ def solve(
     if mean_mode_magnitude(f_omega) != 0.0:
         raise ValueError("data must be mean-zero")
     require_real_field("data", f_omega)
-    if grid.half.divergence_ratio(grid.half.cut(f_omega.data)) > 1e-8:
+    if grid.half.divergence_ratio(f_omega.data) > 1e-8:
         raise ValueError("data must be divergence-free")
 
     stepper = _Stepper(grid, f_omega.data, config)
@@ -547,10 +547,11 @@ def solve(
 def iter_u(trajectory: Trajectory):
     """The half spectrum of u(t) = e^{tD} f_omega + w(t) per snapshot, on
     the data grid's half lattice, formed one at a time."""
-    half = trajectory.f_omega.grid.half
-    fhat = half.cut(trajectory.f_omega.data)
+    grid = trajectory.f_omega.grid
+    half = grid.half
+    fhat = trajectory.f_omega.data
     for t, w in zip(trajectory.times, trajectory.w_band):
-        u = fhat * np.exp(-float(t) * half.ksq)
+        u = fhat * np.exp(-float(t) * grid.ksq)
         # w added on its cube: the sum with half.scatter(w)
         u[(slice(None), *half.band(w.shape[-1] - 1))] += w
         yield u

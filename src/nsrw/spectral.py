@@ -6,13 +6,18 @@ volume (L/N)^d as quadrature weight. Frequencies along each axis are
 (2*pi/L) * {-N/2, ..., N/2 - 1} in standard FFT ordering; the Nyquist row
 (-N/2) is a convention-zero row that constructed data never populates.
 
-Real fields have conjugate-symmetric spectra, a(-xi) = conj a(xi), so the
-rfft half of the lattice (last-axis indices 0..N/2, `Grid.half`) holds all
-of their content; the transport kernel works there. Its input and output
-are band arrays, the values on a cube |k_i| <= k of the half lattice
-(`HalfLattice.band`), and it transforms only the lines that carry its
-input band or feed its output band, in the index maps and work buffers of
-a `TransportPlan` that its caller owns.
+Every field is real, so the rfft half of the lattice (last-axis indices
+0..N/2, `Grid.half`) holds all of its conjugate-symmetric spectrum,
+a(-xi) = conj a(xi): a fourier-space field lives there, a physical-space
+one is real on the N^d grid, and `transform` runs rfftn and irfftn. The
+grid's spectral arrays live on the half lattice too, so operators act
+elementwise, sums over modes carry the Parseval weights
+(`HalfLattice.weight`), and the conjugate constraint sits on the
+self-mirrored last-axis planes 0 and N/2 alone. The transport kernel's
+input and output are band arrays, the values on a cube |k_i| <= k of the
+half lattice (`HalfLattice.band`), and it transforms only the lines that
+carry its input band or feed its output band, in the index maps and work
+buffers of a `TransportPlan` that its caller owns.
 """
 
 from __future__ import annotations
@@ -52,8 +57,6 @@ __all__ = [
     "TransportPlan",
     "projected_transport_half",
     "HERMITIAN_RTOL",
-    "conjugate_mirror",
-    "conjugate_asymmetry",
     "require_real_field",
     "axis_radius",
     "band_shape",
@@ -67,7 +70,10 @@ __all__ = [
 class Grid:
     """Uniform periodic grid on [0, L)^d with its Fourier lattice.
 
-    Derived arrays (wavenumbers, masks) are built on first use and kept,
+    shape is the physical grid's, (N,)^d; the spectral arrays (ksq, kabs,
+    nyquist_mask, dealias_keep, axis_frequency) live on the rfft half
+    lattice, shape half.shape = (N,)^(d-1) + (N/2 + 1,). Derived arrays
+    are built on first use and kept,
     so a grid that needs little holds little (the checkpoint loader's
     builds none: it takes single frequencies from `frequencies`);
     equality and hashing use (d, N, L) only.
@@ -97,7 +103,7 @@ class Grid:
 
     @cached_property
     def ksq(self) -> np.ndarray:
-        return _sum_squares(self._broadcast_axes(self.k1d))
+        return _sum_squares(self.axis_frequency(ax) for ax in range(self.d))
 
     @cached_property
     def kabs(self) -> np.ndarray:
@@ -106,24 +112,18 @@ class Grid:
     @cached_property
     def nyquist_mask(self) -> np.ndarray:
         nyq_val = self.k1d[self.N // 2]
-        nyq = np.zeros(self.shape, dtype=bool)
-        for a in self._broadcast_axes(self.k1d):
-            nyq |= np.broadcast_to(a == nyq_val, self.shape)
+        nyq = np.zeros(self.half.shape, dtype=bool)
+        for ax in range(self.d):
+            nyq |= self.axis_frequency(ax) == nyq_val
         return nyq
 
     @cached_property
     def dealias_keep(self) -> np.ndarray:
         kcut = (self.N / 3.0) * (2.0 * np.pi / self.L)
-        keep = np.ones(self.shape, dtype=bool)
-        for a in self._broadcast_axes(self.k1d):
-            keep &= np.broadcast_to(np.abs(a) <= kcut, self.shape)
-        return keep
-
-    def _broadcast_axes(self, k1: np.ndarray):
+        keep = np.ones(self.half.shape, dtype=bool)
         for ax in range(self.d):
-            sh = [1] * self.d
-            sh[ax] = self.N
-            yield k1.reshape(sh)
+            keep &= np.abs(self.axis_frequency(ax)) <= kcut
+        return keep
 
     @property
     def shape(self) -> tuple:
@@ -139,10 +139,12 @@ class Grid:
         return (2.0 * np.pi / self.L) * (self.N / 2.0)
 
     def axis_frequency(self, ax: int) -> np.ndarray:
-        """Frequency along one axis, broadcastable against the full lattice."""
+        """Frequency along one axis, broadcastable against the half lattice:
+        k1d on a leading axis, its first N/2 + 1 entries on the last."""
+        k = self.k1d if ax < self.d - 1 else self.k1d[: self.N // 2 + 1]
         sh = [1] * self.d
-        sh[ax] = self.N
-        return self.k1d.reshape(sh)
+        sh[ax] = k.size
+        return k.reshape(sh)
 
     def coordinates(self):
         """Physical mesh, one (N, ..., N) array per axis."""
@@ -158,35 +160,17 @@ class Grid:
 class HalfLattice:
     """The rfft half of a grid's Fourier lattice: last-axis indices 0..N/2.
 
-    Arrays have shape (N, ..., N, N/2 + 1) and hold the full lattice's
-    values on that half. The last-axis planes 0 and N/2 are their own
+    Arrays have shape (N, ..., N, N/2 + 1), the layout of every
+    fourier-space field. The last-axis planes 0 and N/2 are their own
     mirror images; every other mode stands for itself and its conjugate
     mirror, so the Parseval weight is 1 on those two planes and 2
-    elsewhere: sum(weight * |a_half|^2) is the full-lattice sum of |a|^2
-    for a conjugate-symmetric a. inv_ksq is 1/|xi|^2, set to 1 at xi = 0.
-    Each array is derived on first use and kept, so a caller that needs
-    only ksq (the heat sweeps) does not hold the others.
+    elsewhere: sum(weight * |a|^2) is the whole lattice's sum of |a|^2 for
+    the conjugate-symmetric spectrum whose half is a.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.shape = grid.shape[:-1] + (grid.N // 2 + 1,)
-
-    @cached_property
-    def freqs(self) -> tuple:
-        return tuple(self.cut(self.grid.axis_frequency(ax)) for ax in range(self.grid.d))
-
-    @cached_property
-    def ksq(self) -> np.ndarray:
-        return self.cut(self.grid.ksq)
-
-    @cached_property
-    def inv_ksq(self) -> np.ndarray:
-        return 1.0 / np.where(self.ksq == 0.0, 1.0, self.ksq)
-
-    @cached_property
-    def nyquist_mask(self) -> np.ndarray:
-        return self.cut(self.grid.nyquist_mask)
 
     def box_radius(self) -> np.ndarray:
         """max_i |k_i| of every mode: the radius of the smallest band
@@ -206,10 +190,6 @@ class HalfLattice:
         weight[..., -1] = 1.0
         return weight
 
-    def cut(self, a: np.ndarray) -> np.ndarray:
-        """The half of a full-lattice array, as a contiguous copy."""
-        return np.ascontiguousarray(a[..., : self.shape[-1]])
-
     def _mirrored_planes(self, h: np.ndarray) -> tuple:
         """The self-mirrored last-axis planes the band array h holds: 0, and
         N/2 when h holds the whole last axis."""
@@ -225,18 +205,21 @@ class HalfLattice:
         out = np.array(h, dtype=np.complex128)
         for plane in self._mirrored_planes(h):
             p = h[..., plane]
-            out[..., plane] = 0.5 * (p + conjugate_mirror(p, len(self.shape) - 1))
+            out[..., plane] = 0.5 * (p + _conjugate_mirror(p, len(self.shape) - 1))
         return out
 
     def plane_asymmetry(self, h: np.ndarray) -> float:
         """max |a(xi) - conj a(-xi)| over the planes 0 and N/2 of the band
         array h (a whole half array included), relative to max |h|; 0 for a
-        zero array."""
-        scale = np.abs(h).max()
+        zero array. The planes hold the conjugate constraint of a real
+        field's spectrum: every other mode's mirror lies off the half. The
+        largest |h| is taken one component (leading index) at a time, so
+        the temporaries are one component's size."""
+        scale = max(np.abs(part).max() for part in h)
         if scale == 0.0:
             return 0.0
         worst = max(
-            np.abs(conjugate_mirror(h[..., plane], len(self.shape) - 1) - h[..., plane]).max()
+            np.abs(_conjugate_mirror(h[..., plane], len(self.shape) - 1) - h[..., plane]).max()
             for plane in self._mirrored_planes(h)
         )
         return float(worst / scale)
@@ -244,7 +227,7 @@ class HalfLattice:
     def divergence_ratio(self, h: np.ndarray) -> float:
         """|div u|_L2 / |u|_L2 of the real field u whose half spectrum is h,
         summed over the half lattice with its Parseval weights; 0/0 is 0."""
-        div = sum(k * c for k, c in zip(self.freqs, h))
+        div = sum(self.grid.axis_frequency(ax) * c for ax, c in enumerate(h))
         den = float(np.sum(self.weight * np.abs(h) ** 2))
         if den == 0.0:
             return 0.0
@@ -267,7 +250,7 @@ class HalfLattice:
         return np.ix_(*([_band_rows(N, k)] * (self.grid.d - 1) + [np.arange(k + 1)]))
 
     def band_kabs(self, k: int) -> np.ndarray:
-        """|xi| on the cube of band(k): cut(grid.kabs)[band(k)] bit for bit,
+        """|xi| on the cube of band(k): grid.kabs[band(k)] bit for bit,
         from the frequencies of the band's rows alone, so neither an array
         larger than the cube nor the N-point k1d is built."""
         grid = self.grid
@@ -280,7 +263,7 @@ class HalfLattice:
         """The largest n <= N/2 whose mode (n, ..., n) on the first `axes`
         axes (0 on the others) lies in the ball |xi| < cutoff, for a
         positive cutoff. With one axis it is the largest |k_i| of the
-        ball's modes, axis_radius(cut(grid.kabs) < cutoff); with d axes,
+        ball's modes, axis_radius(grid.kabs < cutoff); with d axes,
         the radius of the largest cube |k_i| <= n the ball holds whole,
         since |xi| grows with each |k_i|, in floating point too. A
         bisection on single frequencies, summed as Grid.ksq sums them: it
@@ -361,16 +344,6 @@ class HalfLattice:
         out[(Ellipsis, *self.band(h.shape[-1] - 1))] = h
         return out
 
-    def expand(self, h: np.ndarray) -> np.ndarray:
-        """The conjugate-symmetric full-lattice array whose half is
-        symmetrize(h): the result is exactly conjugate-symmetric."""
-        n = self.shape[-1]
-        full = np.zeros(h.shape[:-1] + (self.shape[0],), dtype=np.complex128)
-        full[..., :n] = self.symmetrize(h)
-        # the mirrored planes n.. read the planes 1..N/2-1, left unchanged
-        full[..., n:] = conjugate_mirror(full, len(self.shape))[..., n:]
-        return full
-
 
 def make_grid(d: int, N: int, L: float) -> Grid:
     """Build a periodic grid; rejects odd N, d outside {2, 3}, L <= 0."""
@@ -379,11 +352,12 @@ def make_grid(d: int, N: int, L: float) -> Grid:
 
 @dataclass
 class SpectralField:
-    """d-dimensional vector (or scalar) field as stacked coefficient arrays.
+    """d-dimensional vector (or scalar) real field as stacked arrays.
 
-    data has shape (ncomp, N, ..., N), complex128 in either space; the
-    `space` tag says whether the trailing axes index frequencies or grid
-    points. Operators below are pure: inputs are never mutated.
+    In fourier space data holds the complex128 coefficients on the rfft
+    half lattice, shape (ncomp,) + grid.half.shape; in physical space the
+    float64 point values, shape (ncomp,) + grid.shape. The `space` tag says
+    which. Operators below are pure: inputs are never mutated.
     """
 
     grid: Grid
@@ -394,12 +368,19 @@ class SpectralField:
         if self.space not in (FOURIER, PHYSICAL):
             raise ValueError(f"unknown space tag {self.space!r}")
         arr = np.asarray(self.data)
-        if arr.shape[1:] != self.grid.shape:
+        if self.space == FOURIER:
+            shape, dtype = self.grid.half.shape, np.complex128
+        else:
+            shape, dtype = self.grid.shape, np.float64
+            if np.iscomplexobj(arr):
+                raise ValueError("physical-space data must be real")
+        if arr.shape[1:] != shape:
             raise ValueError(
-                f"field shape {arr.shape} does not match grid shape {self.grid.shape}"
+                f"{self.space}-space field shape {arr.shape} does not match the grid's "
+                f"{shape}"
             )
-        if arr.dtype != np.complex128:
-            arr = arr.astype(np.complex128)
+        if arr.dtype != dtype:
+            arr = arr.astype(dtype)
         self.data = arr
 
     @property
@@ -437,11 +418,13 @@ def physical_field(grid: Grid, data: np.ndarray) -> SpectralField:
 
 def zeros_field(grid: Grid, ncomp: int | None = None, space: str = FOURIER) -> SpectralField:
     ncomp = grid.d if ncomp is None else ncomp
-    return SpectralField(grid, np.zeros((ncomp,) + grid.shape, dtype=np.complex128), space)
+    shape = grid.half.shape if space == FOURIER else grid.shape
+    return SpectralField(grid, np.zeros((ncomp,) + shape), space)
 
 
 def transform(f: SpectralField, direction: str) -> SpectralField:
-    """Unitary DFT between physical and Fourier space.
+    """Unitary DFT between physical and Fourier space: rfftn onto the half
+    lattice, irfftn back onto the N^d grid.
 
     direction is "forward" (physical -> fourier) or "inverse"; the field's
     space tag must match the direction's source, otherwise ValueError.
@@ -450,12 +433,12 @@ def transform(f: SpectralField, direction: str) -> SpectralField:
     if direction == "forward":
         if f.space != PHYSICAL:
             raise ValueError("forward transform expects a physical-space field")
-        out = np.fft.fftn(f.data, axes=axes, norm="ortho")
+        out = np.fft.rfftn(f.data, axes=axes, norm="ortho")
         return SpectralField(f.grid, out, FOURIER)
     if direction == "inverse":
         if f.space != FOURIER:
             raise ValueError("inverse transform expects a fourier-space field")
-        out = np.fft.ifftn(f.data, axes=axes, norm="ortho")
+        out = np.fft.irfftn(f.data, s=f.grid.shape, axes=axes, norm="ortho")
         return SpectralField(f.grid, out, PHYSICAL)
     raise ValueError(f"unknown transform direction {direction!r}")
 
@@ -500,35 +483,24 @@ def _require_fourier(f: SpectralField):
 HERMITIAN_RTOL = 1e-12
 
 
-def conjugate_mirror(a: np.ndarray, d: int) -> np.ndarray:
-    """conj a(-xi) over the trailing d frequency axes (standard FFT layout)."""
+def _conjugate_mirror(a: np.ndarray, d: int) -> np.ndarray:
+    """conj a(-xi) over the trailing d frequency axes (standard FFT layout):
+    on a last-axis plane 0 or N/2 of the half lattice, the plane's own
+    mirror image."""
     axes = tuple(range(a.ndim - d, a.ndim))
     return np.conj(np.roll(np.flip(a, axis=axes), 1, axis=axes))
 
 
-def conjugate_asymmetry(a: np.ndarray, d: int) -> float:
-    """max |a(xi) - conj a(-xi)| relative to max |a|; 0 for a zero array.
-
-    Both maxima are taken one component (leading index) at a time, so the
-    temporaries are one component's size; the max of the maxima is exact.
-    """
-    parts = [a[idx] for idx in np.ndindex(a.shape[: a.ndim - d])]
-    scale = max(np.abs(part).max() for part in parts)
-    if scale == 0.0:
-        return 0.0
-    worst = max(np.abs(conjugate_mirror(part, d) - part).max() for part in parts)
-    return float(worst / scale)
-
-
 def require_real_field(name: str, f: SpectralField):
-    """Refuse a spectrum that is not conjugate-symmetric (not a real field),
-    naming its largest conjugate asymmetry."""
-    asym = conjugate_asymmetry(f.data, f.grid.d)
+    """Refuse a half spectrum whose self-mirrored last-axis planes 0 and N/2
+    are not conjugate-symmetric (not a real field's), naming their largest
+    conjugate asymmetry (HalfLattice.plane_asymmetry)."""
+    asym = f.grid.half.plane_asymmetry(f.data)
     if asym > HERMITIAN_RTOL:
         raise ValueError(
             f"{name} is not conjugate-symmetric (not a real field): the largest "
-            f"conjugate asymmetry |a(xi) - conj a(-xi)| is {asym:.3e} of its "
-            f"largest coefficient (tolerance {HERMITIAN_RTOL:g})"
+            f"conjugate asymmetry |a(xi) - conj a(-xi)| on its last-axis planes 0 and "
+            f"N/2 is {asym:.3e} of its largest coefficient (tolerance {HERMITIAN_RTOL:g})"
         )
 
 
@@ -555,10 +527,11 @@ def ring_index(xi, d: int) -> int:
 
 @dataclass(frozen=True)
 class RingPartition:
-    """Ring number of every lattice frequency on a grid.
+    """Ring number of every frequency of a grid's half lattice.
 
     Rings are pairwise disjoint and cover the lattice, so summing the ring
-    projections of any field reconstructs it exactly.
+    projections of any field reconstructs it exactly; a mode and its
+    mirror share a ring.
     """
 
     grid: Grid
@@ -566,8 +539,12 @@ class RingPartition:
     max_ring: int
 
     def occupancy(self) -> np.ndarray:
-        """Mode count per ring, entry n-1 for ring n (diagnostic only)."""
-        return np.bincount(self.index_of.ravel() - 1, minlength=self.max_ring)
+        """Mode count per ring over the whole lattice, entry n-1 for ring n
+        (diagnostic only): each half-lattice mode counts with its Parseval
+        weight, itself and its mirror."""
+        counts = np.bincount(self.index_of.ravel() - 1,
+                             weights=self.grid.half.weight.ravel(), minlength=self.max_ring)
+        return counts.astype(np.int64)
 
 
 @lru_cache(maxsize=32)
@@ -615,7 +592,7 @@ def leray_project(f: SpectralField) -> SpectralField:
 def _leray_project(grid: Grid, data: np.ndarray):
     """leray_project in place on the coefficient stack data, one component
     per dimension; its temporaries are one component's size."""
-    dot = np.zeros(grid.shape, dtype=np.complex128)
+    dot = np.zeros(grid.half.shape, dtype=np.complex128)
     term = np.empty_like(dot)
     for i in range(grid.d):
         np.multiply(grid.axis_frequency(i), data[i], out=term)
@@ -644,7 +621,7 @@ def multiplier(f: SpectralField, kind: str, order: float | int | None = None) ->
     if kind == "divergence":
         if f.ncomp != g.d:
             raise ValueError("divergence needs one component per dimension")
-        out = np.zeros(g.shape, dtype=np.complex128)
+        out = np.zeros(g.half.shape, dtype=np.complex128)
         for i in range(g.d):
             out += 1j * g.axis_frequency(i) * f.data[i]
         return fourier_field(g, out[None, ...])
@@ -673,8 +650,8 @@ def dealias(f: SpectralField) -> SpectralField:
 
 
 def axis_radius(mask: np.ndarray) -> int:
-    """The largest |k| of the lattice modes a full- or half-lattice mask
-    keeps on its first axis (FFT order), read off the mask itself."""
+    """The largest |k| of the lattice modes a half-lattice mask keeps on its
+    first axis (FFT order), read off the mask itself."""
     row = mask[(slice(None),) + (0,) * (mask.ndim - 1)]
     k = np.arange(row.size)
     return int(np.minimum(k, row.size - k)[row].max())
@@ -760,9 +737,11 @@ class TransportPlan:
         self.real = self.prod[npairs - d :]
         self.inverse_passes = _line_views(self.spec, k_in, range(1, d))
         self.forward_passes = _line_views(self.prod_hat, k_out, range(d - 1, 0, -1))
-        self.freqs = tuple(np.broadcast_to(f, h.shape)[self.out_band] for f in h.freqs)
-        self.inv_ksq = h.inv_ksq[self.out_band]
-        self.nyquist = h.nyquist_mask[self.out_band]
+        self.freqs = tuple(np.broadcast_to(grid.axis_frequency(ax), h.shape)[self.out_band]
+                           for ax in range(d))
+        ksq = grid.ksq[self.out_band]
+        self.inv_ksq = 1.0 / np.where(ksq == 0.0, 1.0, ksq)
+        self.nyquist = grid.nyquist_mask[self.out_band]
 
 
 def projected_transport_half(u_band: np.ndarray, plan: TransportPlan) -> np.ndarray:
@@ -823,14 +802,17 @@ def projected_transport_half(u_band: np.ndarray, plan: TransportPlan) -> np.ndar
 
 
 def l2_norm(f: SpectralField) -> float:
-    """L^2 norm with the cell-volume weight; identical in either space."""
-    return float(np.sqrt(f.grid.cell_volume * np.sum(np.abs(f.data) ** 2)))
+    """L^2 norm with the cell-volume weight; identical in either space up to
+    rounding (Parseval, with the half lattice's weights in fourier space)."""
+    if f.space == PHYSICAL:
+        return float(np.sqrt(f.grid.cell_volume * np.sum(f.data**2)))
+    return sobolev_norm(f, 0.0)
 
 
 def linf_norm(f: SpectralField) -> float:
     """Physical-space maximum of the pointwise Euclidean magnitude."""
     phys = transform(f, "inverse")
-    return float(np.sqrt(np.sum(np.abs(phys.data) ** 2, axis=0)).max())
+    return float(np.sqrt(np.sum(phys.data**2, axis=0)).max())
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:
@@ -841,7 +823,9 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
     """
     _require_fourier(f)
     w = (1.0 + f.grid.ksq) ** s
-    # w |a|^2 is formed in one real work array and summed as one flat array
+    w *= f.grid.half.weight
+    # weight w |a|^2 is formed in one real work array and summed as one flat
+    # array
     work = np.abs(f.data)
     work **= 2
     np.multiply(w, work, out=work)

@@ -1,4 +1,5 @@
 import contextlib
+import math
 import resource
 import tracemalloc
 from pathlib import Path
@@ -7,12 +8,11 @@ import numpy as np
 import pytest
 
 from nsrw import _rng
-from nsrw.data import _canonical_modes, _integer_modes, default_tilt
+from nsrw.data import default_tilt
 from nsrw.heat import _BLOCK_ELEMS, _half_decay
 from nsrw.randomization import hminus_s_norm
 from nsrw.spectral import (
     TransportPlan,
-    conjugate_mirror,
     fourier_field,
     l2_norm,
     leray_project,
@@ -34,7 +34,7 @@ def random_real_field(grid, ncomp=None, seed=0, scale=1.0):
     ncomp = grid.d if ncomp is None else ncomp
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal((ncomp,) + grid.shape) * scale
-    return transform(physical_field(grid, vals.astype(np.complex128)), "forward")
+    return transform(physical_field(grid, vals), "forward")
 
 
 def random_divfree_field(grid, seed=0, scale=1.0):
@@ -44,8 +44,10 @@ def random_divfree_field(grid, seed=0, scale=1.0):
 
 
 def single_mode_field(grid, mode, amplitudes):
-    """Field with one nonzero coefficient at integer mode (no conjugate)."""
-    f = np.zeros((len(amplitudes),) + grid.shape, dtype=np.complex128)
+    """Field with one nonzero half-lattice coefficient, at the integer mode
+    whose last component lies in 0..N/2 (on an interior plane it stands for
+    the mode and its mirror; on plane 0 the mirror is not set)."""
+    f = np.zeros((len(amplitudes),) + grid.half.shape, dtype=np.complex128)
     idx = tuple(m % grid.N for m in mode)
     for c, a in enumerate(amplitudes):
         f[(c,) + idx] = a
@@ -70,19 +72,68 @@ def shear_field(grid, radius, seed=0):
 
 def mode_pair_field(grid, mode, amplitudes):
     """Real field: one mode with the given amplitudes plus its conjugate
-    mirror."""
-    mirror = single_mode_field(grid, [-m for m in mode], np.conj(amplitudes))
-    return single_mode_field(grid, mode, amplitudes) + mirror
+    mirror, each set where the half lattice holds it (both on plane 0 or
+    N/2, the one with last component in 1..N/2-1 elsewhere)."""
+    f = zeros_field(grid, len(amplitudes))
+    for m, amps in ((mode, amplitudes), ([-x for x in mode], np.conj(amplitudes))):
+        idx = tuple(x % grid.N for x in m)
+        if idx[-1] <= grid.N // 2:
+            for c, a in enumerate(amps):
+                f.data[(c,) + idx] = a
+    return f
 
 
-def full_transport(u):
-    """P div(u x u) of the real field u on the full lattice: the half-lattice
-    kernel on u's half spectrum, read on its default band, expanded."""
-    half = u.grid.half
+def transport(u):
+    """P div(u x u) of the real field u: the half-lattice kernel on u's
+    spectrum, read on its default band."""
     plan = TransportPlan(u.grid)
-    return half.expand(
-        projected_transport_half(half.cut(u.data)[(slice(None), *plan.in_band)], plan)
-    )
+    return projected_transport_half(u.data[(slice(None), *plan.in_band)], plan)
+
+
+class FullLattice:
+    """A grid's whole N^d Fourier lattice, for the oracles that work there:
+    the per-axis frequencies in FFT order (broadcastable), |xi|^2, |xi| and
+    the Nyquist rows, summed and compared as Grid forms them on the half
+    lattice, so the half of each is Grid's array bit for bit."""
+
+    def __init__(self, grid):
+        self.grid = grid
+        self.axes = []
+        for ax in range(grid.d):
+            sh = [1] * grid.d
+            sh[ax] = grid.N
+            self.axes.append(grid.k1d.reshape(sh))
+        self.ksq = sum(a * a for a in self.axes)
+        self.kabs = np.sqrt(self.ksq)
+        nyq = np.zeros(grid.shape, dtype=bool)
+        for a in self.axes:
+            nyq |= a == grid.k1d[grid.N // 2]
+        self.nyquist_mask = nyq
+
+
+def cut(a, grid):
+    """The half lattice's part of a whole-lattice array."""
+    return np.ascontiguousarray(a[..., : grid.N // 2 + 1])
+
+
+def conjugate_mirror(a, d):
+    """conj a(-xi) over the trailing d axes of a whole-lattice array."""
+    axes = tuple(range(a.ndim - d, a.ndim))
+    return np.conj(np.roll(np.flip(a, axis=axes), 1, axis=axes))
+
+
+def full_spectrum(h, grid):
+    """The whole-lattice spectrum of the half array h: the half, with planes
+    0 and N/2 averaged with their mirror images, and its conjugate mirror on
+    the rest, so the result is exactly conjugate-symmetric."""
+    n = grid.N // 2 + 1
+    full = np.zeros(h.shape[:-1] + (grid.N,), dtype=np.complex128)
+    full[..., :n] = h
+    mirror = conjugate_mirror(full, grid.d)
+    full[..., n:] = mirror[..., n:]
+    for plane in (0, n - 1):
+        full[..., plane] = 0.5 * (full[..., plane] + mirror[..., plane])
+    return full
 
 
 def transport_oracle(uh, grid):
@@ -90,37 +141,58 @@ def transport_oracle(uh, grid):
     with fresh arrays: irfftn of the input times the 2/3 mask, one rfftn
     per product, then the projection. The planned kernel must reproduce
     it bit for bit on its output band."""
-    h = grid.half
+    freqs = [grid.axis_frequency(ax) for ax in range(grid.d)]
     U = np.fft.irfftn(
-        uh * h.cut(grid.dealias_keep), s=grid.shape, axes=tuple(range(1, grid.d + 1)),
-        norm="ortho",
+        uh * grid.dealias_keep, s=grid.shape, axes=tuple(range(1, grid.d + 1)), norm="ortho",
     )
     that = {}
     for i in range(grid.d):
         for j in range(i, grid.d):
             that[(i, j)] = that[(j, i)] = np.fft.rfftn(U[i] * U[j], norm="ortho")
-    out = np.empty((grid.d,) + h.shape, dtype=np.complex128)
+    out = np.empty((grid.d,) + grid.half.shape, dtype=np.complex128)
     for i in range(grid.d):
-        np.multiply(h.freqs[0], that[(i, 0)], out=out[i])
+        np.multiply(freqs[0], that[(i, 0)], out=out[i])
         for j in range(1, grid.d):
-            out[i] += h.freqs[j] * that[(i, j)]
-    dot = h.freqs[0] * out[0]
+            out[i] += freqs[j] * that[(i, j)]
+    dot = freqs[0] * out[0]
     for i in range(1, grid.d):
-        dot += h.freqs[i] * out[i]
-    dot *= h.inv_ksq
+        dot += freqs[i] * out[i]
+    dot *= 1.0 / np.where(grid.ksq == 0.0, 1.0, grid.ksq)
     for i in range(grid.d):
-        out[i] -= h.freqs[i] * dot
+        out[i] -= freqs[i] * dot
     out *= 1j
-    out[:, h.nyquist_mask] = 0.0
+    out[:, grid.nyquist_mask] = 0.0
     return out
 
 
+def canonical_modes_oracle(grid):
+    """data._canonical_modes on the whole lattice: the sign and the key of
+    the canonical representative of each +-xi pair."""
+    k_int = np.fft.fftfreq(grid.N, d=1.0 / grid.N).astype(np.int64)
+    axes = []
+    for ax in range(grid.d):
+        sh = [1] * grid.d
+        sh[ax] = grid.N
+        axes.append(np.broadcast_to(k_int.reshape(sh), grid.shape))
+    sign = np.zeros(grid.shape, dtype=np.int64)
+    for a in axes:
+        sign = np.where(sign == 0, np.sign(a), sign)
+    sign = np.where(sign == 0, 1, sign)
+    key = np.zeros(grid.shape, dtype=np.int64)
+    for a in axes:
+        key = (key << np.int64(21)) + (sign * a + np.int64(1 << 20))
+    return axes, sign, key
+
+
 def random_field_oracle(grid, amplitude, seed):
-    """data._random_field_with_profile as whole-array expressions with fresh
-    arrays: stacked directions, one product for every component, then the
-    whole-array Leray projection, Nyquist and mean zeroing. The in-place
-    construction must reproduce it bit for bit."""
-    sign, key = _canonical_modes(grid)
+    """data._random_field_with_profile on the whole lattice, as whole-array
+    expressions with fresh arrays: stacked directions, one product for
+    every component, then the whole-array Leray projection, Nyquist and
+    mean zeroing, for the whole-lattice amplitude. Its half (cut) is the
+    reference the in-place half-lattice construction must reproduce bit
+    for bit."""
+    full = FullLattice(grid)
+    _, sign, key = canonical_modes_oracle(grid)
     theta = 2.0 * np.pi * _rng.uniform01(_rng.fold(seed, _rng.STREAM_DATA_PHASE, 0, 0, key))
     phase = np.exp(1j * sign * theta)
     comps = []
@@ -133,50 +205,49 @@ def random_field_oracle(grid, amplitude, seed):
     dirs = v / np.where(norm == 0.0, 1.0, norm)
     scale = float(grid.N) ** (grid.d / 2.0)
     data = dirs * (scale * amplitude * phase)[None, ...]
-    ksq_safe = np.where(grid.ksq == 0.0, 1.0, grid.ksq)
+    ksq_safe = np.where(full.ksq == 0.0, 1.0, full.ksq)
     dot = np.zeros(grid.shape, dtype=np.complex128)
     for i in range(grid.d):
-        dot += grid.axis_frequency(i) * data[i]
+        dot += full.axes[i] * data[i]
     dot /= ksq_safe
     out = np.empty_like(data)
     for i in range(grid.d):
-        out[i] = data[i] - grid.axis_frequency(i) * dot
-    out[:, grid.nyquist_mask] = 0.0
+        out[i] = data[i] - full.axes[i] * dot
+    out[:, full.nyquist_mask] = 0.0
     out[(slice(None),) + (0,) * grid.d] = 0.0
-    return fourier_field(grid, out)
+    return out
 
 
 def sobolev_norm_oracle(f, s):
-    """spectral.sobolev_norm as one whole-array expression."""
-    w = (1.0 + f.grid.ksq) ** s
+    """spectral.sobolev_norm as one whole-array expression on the half
+    lattice, with its Parseval weights."""
+    w = (1.0 + f.grid.ksq) ** s * f.grid.half.weight
     return float(np.sqrt(f.grid.cell_volume * np.sum(w * np.abs(f.data) ** 2)))
 
 
-def conjugate_asymmetry_oracle(a, d):
-    """spectral.conjugate_asymmetry over the whole array at once."""
-    scale = np.abs(a).max()
-    if scale == 0.0:
-        return 0.0
-    return float(np.abs(conjugate_mirror(a, d) - a).max() / scale)
-
-
 def borderline_oracle(grid, s, seed, tilt=None, normalize=True):
-    """data.borderline_field on random_field_oracle, scaled by a copy."""
+    """data.borderline_field on random_field_oracle, normalised on the whole
+    lattice and cut to the half."""
     rho = default_tilt(grid.d) if tilt is None else float(tilt)
-    kabs_safe = np.where(grid.kabs == 0.0, 1.0, grid.kabs)
-    amplitude = np.where(grid.kabs == 0.0, 0.0, kabs_safe ** (s - rho))
-    f = random_field_oracle(grid, amplitude, seed)
+    kabs = FullLattice(grid).kabs
+    kabs_safe = np.where(kabs == 0.0, 1.0, kabs)
+    amplitude = np.where(kabs == 0.0, 0.0, kabs_safe ** (s - rho))
+    data = random_field_oracle(grid, amplitude, seed)
     if normalize:
-        f = (1.0 / sobolev_norm_oracle(f, -s)) * f
-    return f
+        w = (1.0 + FullLattice(grid).ksq) ** -s
+        data = (1.0 / np.sqrt(grid.cell_volume * np.sum(w * np.abs(data) ** 2))) * data
+    return fourier_field(grid, cut(data, grid))
 
 
 def smooth_random_oracle(grid, seed, band=3):
-    """data.smooth_random_field on random_field_oracle, scaled by a copy."""
+    """data.smooth_random_field on random_field_oracle, cut to the half and
+    scaled by a copy."""
+    full = FullLattice(grid)
     keep = np.ones(grid.shape, dtype=bool)
-    for a in _integer_modes(grid):
+    for a in canonical_modes_oracle(grid)[0]:
         keep &= np.abs(a) <= band
-    f = random_field_oracle(grid, np.exp(-0.5 * grid.ksq) * keep, seed)
+    f = fourier_field(grid, cut(random_field_oracle(grid, np.exp(-0.5 * full.ksq) * keep, seed),
+                                grid))
     return (1.0 / l2_norm(f)) * f
 
 
@@ -188,9 +259,9 @@ def heat_norms_oracle(f, symbols, times, p):
     axes = tuple(range(2, 2 + g.d))
     sp = tuple(range(1, 1 + g.d))
     vol = g.cell_volume
-    ksq_h = g.half.ksq
+    ksq_h = g.ksq
     cached = _half_decay(g, times)
-    chunk = max(1, _BLOCK_ELEMS // g.ksq.size)
+    chunk = max(1, _BLOCK_ELEMS // math.prod(g.shape))
     out = np.empty(times.size)
 
     for lo in range(0, times.size, chunk):
@@ -201,8 +272,8 @@ def heat_norms_oracle(f, symbols, times, p):
                 decay = cached[lo : lo + tt.size]
             else:
                 decay = np.exp(-tt.reshape((-1,) + (1,) * g.d) * ksq_h[None])
-            base_h = g.half.cut(f.data)
-            base_h *= g.half.cut(sym)
+            base_h = f.data.copy()
+            base_h *= sym
             block = np.fft.irfftn(
                 base_h[None] * decay[:, None], s=g.shape, axes=axes, norm="ortho"
             )

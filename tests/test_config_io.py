@@ -155,9 +155,9 @@ class TestConfigParsing:
 
 def real_state(grid, seed):
     """A divergence-free state whose spectrum is exactly conjugate-symmetric:
-    the full spectrum of its own half."""
+    its self-mirrored planes symmetrized."""
     f = random_divfree_field(grid, seed=seed)
-    return fourier_field(grid, grid.half.expand(grid.half.cut(f.data)))
+    return fourier_field(grid, grid.half.symmetrize(f.data))
 
 
 def ball_state(grid, seed, cutoff):
@@ -165,13 +165,13 @@ def ball_state(grid, seed, cutoff):
     the ball's cube, as solve's snapshots hold it."""
     f = fourier_field(grid, real_state(grid, seed).data * (grid.kabs < cutoff))
     k = grid.half.ball_radius(cutoff)
-    return f, grid.half.cut(f.data)[(slice(None), *grid.half.band(k))]
+    return f, f.data[(slice(None), *grid.half.band(k))]
 
 
 def ball_mask(grid, cutoff):
     """The ball |xi| < cutoff on its cube, from the whole lattice's |xi|."""
     k = grid.half.ball_radius(cutoff)
-    return grid.half.cut(grid.kabs)[grid.half.band(k)] < cutoff
+    return grid.kabs[grid.half.band(k)] < cutoff
 
 
 FINGERPRINT = {"d": 2, "N": 16, "master_seed": 7, "dt": 0.0078125}
@@ -196,9 +196,9 @@ class TestCheckpoint:
             save_checkpoint(grid, h, 0.375, cutoff, FINGERPRINT, path)
             w, t, ck_cutoff = load_checkpoint(path, FINGERPRINT)
             assert t == 0.375 and ck_cutoff == cutoff
-            # the band comes back bit for bit, and so does the full spectrum
+            # the band comes back bit for bit, and so does the field
             assert np.array_equal(w, h)
-            assert np.array_equal(grid.half.expand(grid.half.scatter(w)), f.data)
+            assert np.array_equal(grid.half.scatter(w), f.data)
             # and the file itself is stable: saving again is byte-identical
             path2 = tmp_path / f"again{grid.d}.nsrw"
             save_checkpoint(grid, h, 0.375, cutoff, FINGERPRINT, path2)
@@ -228,7 +228,7 @@ class TestCheckpoint:
         w, t, ck_cutoff = load_checkpoint(path, FINGERPRINT)
         assert (t, ck_cutoff) == (0.5, cutoff)
         assert np.array_equal(w, h)
-        assert np.array_equal(grid.half.scatter(w), grid.half.cut(f.data))
+        assert np.array_equal(grid.half.scatter(w), f.data)
         fp = json.dumps(FINGERPRINT, sort_keys=True, separators=(",", ":")).encode()
         assert path.stat().st_size == 48 + len(fp) + d * int(ball.sum()) * 16
         path2 = tmp_path / "again.nsrw"
@@ -269,7 +269,7 @@ class TestCheckpoint:
         f, h = ball_state(grid2, 3, 3.0)
         _, h3 = ball_state(grid2, 3, CUTOFF)
         for band, cutoff, k, k_ball in ((h3, 3.0, 3, 2), (h3, 5.0, 3, 4), (h, CUTOFF, 2, 3),
-                                        (grid2.half.cut(f.data), CUTOFF, 8, 3)):
+                                        (f.data, CUTOFF, 8, 3)):
             with pytest.raises(ValueError, match=f"its radius is k={k}, the ball "
                                rf"\|xi\| < {cutoff:g} on a d=2 N=16 L=6.28319 grid has "
                                f"k={k_ball}$"):
@@ -526,7 +526,7 @@ class TestCheckpoint:
         assert np.array_equal(payload, h[:, ball])
         cube = np.zeros_like(h)
         cube[:, ball] = payload
-        assert np.array_equal(grid2.half.scatter(cube), grid2.half.cut(f.data))
+        assert np.array_equal(grid2.half.scatter(cube), f.data)
 
 
 class TestCli:
@@ -624,6 +624,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "error: environment variable NSRW_THREADS must be an integer, got 'two'\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_unusable_output_dir_exit_code(self, tmp_path, capsys, below):
+        # an --out that is a file, or lies below one, can never be made: it
+        # is refused as invalid input before any work, and nothing is made
+        cfgfile = write_config(tmp_path, d=2, N=16)
+        blocker = tmp_path / "notadir"
+        blocker.write_text("x")
+        out = blocker / "x" if below else blocker
+        before = sorted(tmp_path.rglob("*"))
+        status = main(["randomize", "--config", str(cfgfile), "--M", "1", "--out", str(out)])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: config field 'output_dir': {str(out)!r} cannot be a directory: "
+                       f"{str(blocker)!r} is a file\n")
+        assert sorted(tmp_path.rglob("*")) == before and blocker.read_text() == "x"
 
     def test_missing_config_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"

@@ -3,9 +3,12 @@ import pytest
 
 from conftest import (
     TWO_PI,
-    full_transport,
+    FullLattice,
+    cut,
+    full_spectrum,
     random_real_field,
     shear_field,
+    transport,
     transport_oracle,
 )
 from nsrw.data import borderline_field, smooth_random_field, taylor_green
@@ -27,7 +30,7 @@ def heat_trajectory(grid, w0, times, cutoff=4.0):
     """Hand-built trajectory: pure heat flow of w0, no solver involved; each
     snapshot is a whole half spectrum, the band array of radius N/2."""
     cfg = SolverConfig(cutoff=cutoff, T=float(times[-1]), dt=1e-2)
-    w_band = [grid.half.cut(heat_semigroup(w0, float(t)).data) for t in times]
+    w_band = [heat_semigroup(w0, float(t)).data for t in times]
     return Trajectory(times=np.asarray(times, float), w_band=w_band,
                       f_omega=zeros_field(grid, grid.d), config=cfg)
 
@@ -43,16 +46,19 @@ def randomized_borderline(d, N, seed):
 
 def full_lattice_residual_oracle(times, u_states):
     """The residual assembled on the full lattice: midpoint, difference
-    quotient and transport of every snapshot pair, summed over all modes."""
+    quotient and transport of every snapshot pair, summed over all modes
+    of the whole spectra."""
     grid = u_states[0].grid
     vol = grid.cell_volume
-    weight = 1.0 / (1.0 + grid.ksq)
+    ksq = FullLattice(grid).ksq
+    weight = 1.0 / (1.0 + ksq)
     mids, vals = [], []
     for j in range(len(times) - 1):
         h = times[j + 1] - times[j]
-        u1, u2 = u_states[j], u_states[j + 1]
+        u1, u2 = (full_spectrum(u.data, grid) for u in u_states[j : j + 2])
         um = 0.5 * (u1 + u2)
-        resid = (u2.data - u1.data) / h + grid.ksq * um.data + full_transport(um)
+        um_field = fourier_field(grid, cut(um, grid))
+        resid = (u2 - u1) / h + ksq * um + full_spectrum(transport(um_field), grid)
         mids.append(times[j] + 0.5 * h)
         vals.append(np.sqrt(vol * np.sum(weight * np.abs(resid) ** 2)))
     return np.array(mids), np.array(vals)
@@ -76,7 +82,7 @@ class TestEnergy:
         w0 = shear_field(grid2, 4.0, seed=3)
         cfg = SolverConfig(cutoff=4.0, T=1.0, dt=1.0 / 128.0)
         # start the heat flow at w0 through the resume entry point
-        traj = solve(cfg, zeros_field(grid2, 2), resume_band=grid2.half.cut(w0.data),
+        traj = solve(cfg, zeros_field(grid2, 2), resume_band=w0.data,
                      resume_time=0.0)
         log = traj.energy_log
         base = l2_norm(w0) ** 2
@@ -108,11 +114,10 @@ class TestDwdt:
         # H^{-1} size is |xi|^2 / (1+|xi|^2)^{1/2} * |w|_L2
         w = zeros_field(grid2, 2)
         amp = 0.3
-        w.data[0, 0, 2] = amp  # xi = (0, 2), vector e_1 is transverse
-        w.data[0, 0, -2] = amp
+        w.data[0, 0, 2] = amp  # xi = (0, 2) and its mirror, vector e_1 is transverse
         times = np.array([0.0, 0.1])
         traj = heat_trajectory(grid2, w, times, cutoff=4.0)
-        traj.w_band = [grid2.half.cut(w.data)] * 2  # freeze the state; rhs per snapshot
+        traj.w_band = [w.data] * 2  # freeze the state; rhs per snapshot
         rep = dwdt_norm(traj, traj.config)
         ksq = 4.0
         want = ksq / np.sqrt(1.0 + ksq) * l2_norm(w)
@@ -176,12 +181,14 @@ class TestRecordedDwdt:
         # by mode
         cfg = self.config(2, snapshot_cadence=5)
         w0 = shear_field(grid2_mid, cfg.cutoff, seed=23)
-        traj = solve(cfg, zeros_field(grid2_mid, 2), resume_band=grid2_mid.half.cut(w0.data),
+        traj = solve(cfg, zeros_field(grid2_mid, 2), resume_band=w0.data,
                      resume_time=0.0)
         ref = dwdt_norm(traj, cfg)
         ksq = grid2_mid.ksq
+        weight = grid2_mid.half.weight
         heat = np.array([
-            np.sqrt(grid2_mid.cell_volume * np.sum(ksq**2 / (1.0 + ksq) * np.abs(w.data) ** 2))
+            np.sqrt(grid2_mid.cell_volume
+                    * np.sum(weight * ksq**2 / (1.0 + ksq) * np.abs(w.data) ** 2))
             for w in traj.w_states
         ])
         np.testing.assert_allclose(traj.dwdt_hminus1, ref.values, rtol=1e-12, atol=0)
@@ -197,14 +204,11 @@ class TestCondtg:
         # d=2: lambda = |t^gamma g|_{L4 L4}; for one conjugate pair the
         # space factor is constant in t, so the time integral is exact
         w = zeros_field(grid2, 2)
-        w.data[0, 0, 3] = 0.5
-        w.data[0, 0, -3] = 0.5
+        w.data[0, 0, 3] = 0.5  # the mode (0, 3) and its mirror
         gamma, T, ksq = -0.05, 1.0, 9.0
         rep = condtg_check(w, s=0.25, gamma=gamma, T=T)
-        space = (
-            grid2.cell_volume
-            * np.sum(np.abs(np.fft.ifftn(w.data[0], norm="ortho") * grid2.N) ** 4)
-        ) ** 0.25 / grid2.N
+        phys = np.fft.irfftn(w.data[0], s=grid2.shape, axes=(0, 1), norm="ortho")
+        space = (grid2.cell_volume * np.sum(np.abs(phys * grid2.N) ** 4)) ** 0.25 / grid2.N
         from scipy.integrate import quad
 
         tint, _ = quad(lambda t: t ** (4 * gamma) * np.exp(-4 * t * ksq), 0.0, T)
@@ -263,7 +267,7 @@ class TestCondtg:
 class TestNseResidual:
     def taylor_green_states(self, grid, times):
         f = taylor_green(grid)
-        return [grid.half.cut(heat_semigroup(f, float(t)).data) for t in times]
+        return [heat_semigroup(f, float(t)).data for t in times]
 
     def test_taylor_green_second_order(self):
         g = make_grid(2, 32, TWO_PI)
@@ -286,7 +290,7 @@ class TestNseResidual:
         w0.data[1, -1, 0] = 1.0
         h = 0.01
         times = np.arange(0.0, 0.1 + h / 2, h)
-        states = [grid2.half.cut(heat_semigroup(w0, float(t)).data) for t in times]
+        states = [heat_semigroup(w0, float(t)).data for t in times]
         mids, vals = nse_residual(grid2, times, states)
         # the shear flow (0, cos x) e^{-t} has no transport, so this is the
         # pure finite-difference error of e^{-t}: O(h^2)
@@ -294,12 +298,12 @@ class TestNseResidual:
 
     def test_requires_two_snapshots(self, grid2):
         with pytest.raises(ValueError):
-            nse_residual(grid2, np.array([0.0]), [grid2.half.cut(zeros_field(grid2, 2).data)])
+            nse_residual(grid2, np.array([0.0]), [zeros_field(grid2, 2).data])
 
     def test_requires_a_state_per_time(self, grid2):
         with pytest.raises(ValueError, match="2 states for 3 times"):
             nse_residual(grid2, np.array([0.0, 0.1, 0.2]),
-                         [grid2.half.cut(zeros_field(grid2, 2).data)] * 2)
+                         [zeros_field(grid2, 2).data] * 2)
 
     @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
     def test_half_spectrum_matches_full_lattice_oracle(self, d, N):
@@ -308,7 +312,7 @@ class TestNseResidual:
         times = np.array([0.0, 0.01, 0.025, 0.03, 0.05])
         states = [random_real_field(grid, seed=50 + j) for j in range(times.size)]
         assert np.abs(states[0].data * grid.nyquist_mask).max() > 0
-        halves = [grid.half.cut(u.data) for u in states]
+        halves = [u.data for u in states]
         mids, vals = nse_residual(grid, times, halves)
         want_mids, want = full_lattice_residual_oracle(times, states)
         np.testing.assert_array_equal(mids, want_mids)
@@ -321,14 +325,14 @@ class TestNseResidual:
         grid = make_grid(d, N, TWO_PI)
         half = grid.half
         times = np.array([0.0, 0.01, 0.025, 0.03])
-        halves = [half.cut(random_real_field(grid, seed=70 + j).data) for j in range(4)]
-        weight = half.weight / (1.0 + half.ksq)
+        halves = [random_real_field(grid, seed=70 + j).data for j in range(4)]
+        weight = half.weight / (1.0 + grid.ksq)
         want = []
         for j in range(times.size - 1):
             prev, cur = halves[j], halves[j + 1]
             h = times[j + 1] - times[j]
             um = 0.5 * (prev + cur)
-            resid = (cur - prev) / h + half.ksq * um
+            resid = (cur - prev) / h + grid.ksq * um
             resid += transport_oracle(um, grid)
             want.append(np.sqrt(grid.cell_volume * np.sum(weight * np.abs(resid) ** 2)))
         _, vals = nse_residual(grid, times, halves)
@@ -337,7 +341,7 @@ class TestNseResidual:
     def test_consumes_a_one_shot_generator(self):
         grid = make_grid(2, 32, TWO_PI)
         times = np.linspace(0.0, 0.1, 6)
-        states = [grid.half.cut(random_real_field(grid, seed=60 + j).data)
+        states = [random_real_field(grid, seed=60 + j).data
                   for j in range(times.size)]
         mids, vals = nse_residual(grid, times, states)
         gmids, gvals = nse_residual(grid, times, (u for u in states))

@@ -470,7 +470,7 @@ class TestResume:
                  ["checkpoints"]]
         assert len(files) == traj.times.size == 5
         grid = make_grid(3, 16, 2.0 * np.pi)
-        ball = grid.half.cut(grid.kabs)[grid.half.band(3)] < 4.0
+        ball = grid.kabs[grid.half.band(3)] < 4.0
         assert int(ball.sum()) == 148
         for i, (path, t, h) in enumerate(zip(files, traj.times, traj.w_band)):
             assert path.name == f"checkpoint_{i:04d}.nsrw"
@@ -572,7 +572,7 @@ class TestResume:
         bad_w = w.copy()
         bad_w[0, 1, 0] += 1e-3 * np.abs(w).max()
         grid = make_grid(2, 32, 2.0 * np.pi)
-        ball = grid.half.cut(grid.kabs)[grid.half.band(7)] < 8.0
+        ball = grid.kabs[grid.half.band(7)] < 8.0
         assert ball[1, 0]
         blob = ckpt.read_bytes()
         payload = w[:, ball].astype("<c16").tobytes()

@@ -214,12 +214,13 @@ class TestDataFields:
         assert l2_norm(multiplier(f, "divergence")) / l2_norm(f) < 1e-12
         assert np.abs(f.data[:, 0, 0]).max() == 0.0
         assert np.abs(f.data[:, grid2_mid.nyquist_mask]).max() == 0.0
-        phys = transform(f, "inverse")
-        assert np.abs(phys.data.imag).max() < 1e-13 * np.abs(phys.data.real).max()
+        # keyed by canonical mode, the self-mirrored planes are exactly
+        # conjugate-symmetric
+        assert grid2_mid.half.plane_asymmetry(f.data) == 0.0
 
     def test_borderline_construction_holds_few_field_copies(self):
         # filled, projected, zeroed and normalised in place, the field's
-        # construction at d=3 N=32 peaks at 2.3 times its bytes; the copying
+        # construction at d=3 N=32 peaks at 2.2 times its bytes; the copying
         # construction peaked at 4.8
         grid = make_grid(3, 32, TWO_PI)
         borderline_field(grid, 0.2, seed=1)  # builds the grid's lazy arrays
@@ -234,9 +235,9 @@ class TestDataFields:
         fc = borderline_field(coarse, 0.25, seed=3, normalize=False)
         ff = borderline_field(fine, 0.25, seed=3, normalize=False)
         for k1 in range(-7, 8):
-            for k2 in range(-7, 8):
-                a = fc.data[:, k1 % 16, k2 % 16] / 16.0
-                b = ff.data[:, k1 % 32, k2 % 32] / 32.0
+            for k2 in range(8):
+                a = fc.data[:, k1 % 16, k2] / 16.0
+                b = ff.data[:, k1 % 32, k2] / 32.0
                 assert np.abs(a - b).max() < 1e-12
 
     def test_taylor_green_exact_values(self):

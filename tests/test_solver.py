@@ -4,7 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, random_divfree_field, random_real_field, shear_field
+from conftest import (
+    TWO_PI,
+    FullLattice,
+    cut,
+    full_spectrum,
+    random_divfree_field,
+    random_real_field,
+    shear_field,
+)
 from nsrw.data import borderline_field, smooth_random_field, taylor_green
 from nsrw.heat import heat_semigroup
 from nsrw.randomization import RandomModel, randomize, sample_coefficients
@@ -42,18 +50,18 @@ def config32(**kw):
 
 
 def combined_rhs_oracle(w, g, cutoff):
-    """-T P div((w + Tg) x (w + Tg)) assembled directly, as one product."""
+    """-T P div((w + Tg) x (w + Tg)) assembled directly, as one product of
+    complex whole-lattice transforms, cut to the half lattice."""
     grid = w.grid
-    u = dealias(w) + friedrichs_cutoff(dealias(g), cutoff)
-    phys = transform(u, "inverse")
-    div = np.zeros_like(u.data)
+    full = FullLattice(grid)
+    u = full_spectrum((dealias(w) + friedrichs_cutoff(dealias(g), cutoff)).data, grid)
+    phys = np.fft.ifftn(u, axes=tuple(range(1, grid.d + 1)), norm="ortho")
+    div = np.zeros_like(u)
     for i in range(grid.d):
-        acc = np.zeros(grid.shape, dtype=np.complex128)
         for j in range(grid.d):
-            that = np.fft.fftn(phys.data[i] * phys.data[j], norm="ortho")
-            acc += 1j * grid.axis_frequency(j) * that
-        div[i] = acc
-    out = leray_project(fourier_field(grid, div))
+            that = np.fft.fftn(phys[i] * phys[j], norm="ortho")
+            div[i] += 1j * full.axes[j] * that
+    out = leray_project(fourier_field(grid, cut(div, grid)))
     ball = grid.kabs < cutoff
     return fourier_field(grid, -(out.data * ball))
 
@@ -140,12 +148,13 @@ class TestEnergyLedger:
         v = random_real_field(grid, seed=60 + d).data * (grid.kabs < cfg.cutoff)
         vh = stepper.embed(v)
         vol = grid.cell_volume
-        kinetic = vol * np.sum(np.abs(v) ** 2)
-        gradsq = vol * np.sum(grid.ksq * np.abs(v) ** 2)
+        full = full_spectrum(v, grid)
+        kinetic = vol * np.sum(np.abs(full) ** 2)
+        gradsq = vol * np.sum(FullLattice(grid).ksq * np.abs(full) ** 2)
         assert abs(stepper.kinetic(vh) - kinetic) <= 1e-14 * kinetic
         assert abs(stepper.gradsq(vh) - gradsq) <= 1e-14 * gradsq
         # the band array returns to the half lattice unchanged
-        assert np.array_equal(grid.half.scatter(vh), grid.half.cut(v))
+        assert np.array_equal(grid.half.scatter(vh), v)
 
 
 class TestStepper:
@@ -198,9 +207,9 @@ class TestSteppingLattice:
         rhs = stepper.stage0(stepper.embed(w), 0.0)[1]
         got = grid.half.scatter(rhs)
         half = grid.half
-        hball = half.cut(grid.kabs) < cutoff
+        hball = grid.kabs < cutoff
         plan = TransportPlan(grid)
-        u = half.cut(w) + half.cut(f.data) * hball
+        u = w + f.data * hball
         want = -projected_transport_half(u[(slice(None), *plan.in_band)], plan) * hball
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -302,9 +311,9 @@ class TestSolve:
                 assert l2_norm(multiplier(w, "divergence")) / nrm <= 1e-10
 
     def test_snapshots_are_band_arrays(self, grid3):
-        # each snapshot is the stepper's cube |k_i| <= k_max of the full
-        # spectrum it stands for, bit for bit, with an exactly
-        # conjugate-symmetric plane 0, and the full spectrum is zero off it
+        # each snapshot is the stepper's cube |k_i| <= k_max of the field
+        # it stands for, bit for bit, with an exactly conjugate-symmetric
+        # plane 0, and the field is zero off it
         f = smooth_random_field(grid3, seed=4, band=2)
         cfg = SolverConfig(cutoff=4.0, T=4.0 / 128.0, dt=1.0 / 128.0,
                            substep_near_zero=False, snapshot_cadence=1)
@@ -314,11 +323,10 @@ class TestSolve:
         band = half.band(3)  # k_max = ceil(4) - 1
         assert [i for i, _, _ in seen] == list(range(5))
         assert [t for _, t, _ in seen] == list(traj.times)
-        for (_, _, w), h, full in zip(seen, traj.w_band, traj.w_states):
+        for (_, _, w), h, field in zip(seen, traj.w_band, traj.w_states):
             assert w is h and h.shape == (3, 7, 7, 4)
-            cut = half.cut(full.data)
-            assert np.array_equal(h, cut[(slice(None), *band)])
-            assert np.array_equal(half.scatter(h), cut)
+            assert np.array_equal(h, field.data[(slice(None), *band)])
+            assert np.array_equal(half.scatter(h), field.data)
             assert half.plane_asymmetry(h) == 0.0
         assert np.abs(traj.w_band[-1]).max() > 0
 
@@ -425,11 +433,11 @@ class TestSolve:
             solve(cfg, notdivfree)
 
     def test_rejects_data_not_conjugate_symmetric(self, grid2_mid):
-        # a phase on one mode keeps the data mean-zero and divergence-free
-        # but leaves its mirror mode unmatched: the half-lattice stepper
-        # would silently drop that half
+        # a phase on one mode of the self-mirrored plane 0 keeps the data
+        # mean-zero and divergence-free but leaves its mirror mode (-1, 0)
+        # unmatched: no real field has that half spectrum
         f = smooth_random_field(grid2_mid, seed=15, band=2)
-        f.data[:, 1, 2] *= 1j
+        f.data[:, 1, 0] *= 1j
         with pytest.raises(ValueError, match="largest conjugate asymmetry"):
             solve(config32(), f)
 
@@ -437,7 +445,7 @@ class TestSolve:
         f = smooth_random_field(grid2_mid, seed=13, band=2)
         cfg = config32()
         with pytest.raises(ValueError):
-            solve(cfg, f, resume_band=grid2_mid.half.cut(zeros_field(grid2_mid, 2).data),
+            solve(cfg, f, resume_band=zeros_field(grid2_mid, 2).data,
                   resume_time=0.1234567)
 
     def test_rejects_resume_state_outside_ball(self, grid2_mid):
@@ -448,11 +456,10 @@ class TestSolve:
         full = solve(cfg, f)
         state = full.w_states[2]
         amp = 1e-6 * np.abs(state.data).max()
-        state.data[0, 0, 12] += amp * (1 + 1j)
-        state.data[0, 0, -12] += amp * (1 - 1j)
+        state.data[0, 0, 12] += amp * (1 + 1j)  # the mode and its mirror
         with pytest.raises(ValueError, match=r"resume state has support outside the cutoff "
                            r"ball .* at lattice mode \(0, -?12\)"):
-            solve(cfg, f, resume_band=grid2_mid.half.cut(state.data),
+            solve(cfg, f, resume_band=state.data,
                   resume_time=float(full.times[2]))
         with pytest.raises(ValueError, match="state has support outside the cutoff ball"):
             step(state, float(full.times[2]), cfg.dt, cfg, f)
@@ -462,11 +469,12 @@ class TestSolve:
         # the last-axis plane 0, its own mirror image, so perturbing it
         # without its partner (-1, 0) leaves no real field
         f = smooth_random_field(grid2_mid, seed=18, band=2)
-        h = grid2_mid.half.cut(f.data)
+        h = f.data
         asym = h.copy()
         asym[0, 1, 0] += 1e-3 * np.abs(h).max()
         shape = "must be one band array per dimension"
-        for bad, message in ((h[:, :-1], shape), (h[:1], shape), (f.data, shape),
+        for bad, message in ((h[:, :-1], shape), (h[:1], shape),
+                             (full_spectrum(h, grid2_mid), shape),
                              (asym, "is not a real field's band array: its last-axis "
                                     "planes 0 and N/2 are not conjugate-symmetric")):
             with pytest.raises(ValueError, match=f"resume state {message}"):
@@ -501,7 +509,7 @@ class TestReconstruct:
         f = smooth_random_field(grid2_mid, seed=14, band=2)
         traj = solve(config32(), f)
         u_half = list(iter_u(traj))
-        want = grid2_mid.half.cut(f.data)
+        want = f.data
         assert np.abs(u_half[0] - want).max() < 1e-14 * np.abs(f.data).max()
 
     def test_taylor_green_exact_solution(self):
@@ -512,5 +520,5 @@ class TestReconstruct:
         traj = solve(cfg, f)
         u_half = list(iter_u(traj))
         t_end = float(traj.times[-1])
-        exact = np.exp(-2.0 * t_end) * g.half.cut(f.data)
+        exact = np.exp(-2.0 * t_end) * f.data
         assert np.abs(u_half[-1] - exact).max() <= 1e-5 * np.abs(f.data).max()

@@ -6,20 +6,21 @@ import pytest
 
 from conftest import (
     TWO_PI,
+    FullLattice,
     address_space_cap,
-    conjugate_asymmetry_oracle,
-    full_transport,
+    conjugate_mirror,
+    cut,
+    full_spectrum,
     random_real_field,
     single_mode_field,
     sobolev_norm_oracle,
     traced_peak,
+    transport,
     transport_oracle,
 )
 from nsrw.spectral import (
     TransportPlan,
     axis_radius,
-    conjugate_asymmetry,
-    conjugate_mirror,
     dealias,
     fourier_field,
     friedrichs_cutoff,
@@ -46,9 +47,25 @@ class TestGrid:
         assert sorted(g.k1d.round(12)) == [-4, -3, -2, -1, 0, 1, 2, 3]
 
     def test_3d_lattice_size(self):
+        # the spectral arrays hold the half lattice, 16 x 16 x 9
         g = make_grid(3, 16, TWO_PI)
-        assert g.ksq.size == 16**3
+        assert g.ksq.shape == g.half.shape == (16, 16, 9)
         assert np.count_nonzero(g.ksq == 0.0) == 1  # zero frequency once
+
+    @pytest.mark.parametrize("L", [TWO_PI, 3.7])
+    @pytest.mark.parametrize("d, N", [(2, 16), (2, 42), (3, 16)])
+    def test_spectral_arrays_are_the_half_of_the_whole_lattice(self, d, N, L):
+        # each array is the whole lattice's on the half, bit for bit
+        grid = make_grid(d, N, L)
+        full = FullLattice(grid)
+        for mine, whole in ((grid.ksq, full.ksq), (grid.kabs, full.kabs),
+                            (grid.nyquist_mask, full.nyquist_mask)):
+            assert mine.shape == grid.half.shape
+            assert np.array_equal(mine, cut(whole, grid))
+        for ax in range(d):
+            whole = np.broadcast_to(full.axes[ax], grid.shape)
+            assert np.array_equal(np.broadcast_to(grid.axis_frequency(ax), grid.half.shape),
+                                  cut(whole, grid))
 
     @pytest.mark.parametrize(
         "d,N,L", [(2, 7, 1.0), (2, 6, 1.0), (4, 8, 1.0), (1, 8, 1.0), (2, 8, 0.0), (2, 8, -1.0)]
@@ -82,14 +99,16 @@ class TestGrid:
         g = make_grid(2, 8, TWO_PI)
         assert g.nyquist_mask[4, 0] and g.nyquist_mask[0, 4] and g.nyquist_mask[4, 4]
         assert not g.nyquist_mask[0, 0] and not g.nyquist_mask[3, 3]
-        # all surviving frequencies have their negatives on the lattice
+        # all surviving frequencies have their negatives on the lattice: 7
+        # rows by 4 planes of the half, 7 x 7 of the whole lattice
         keep = ~g.nyquist_mask
-        assert keep.sum() == 7 * 7
+        assert keep.sum() == 7 * 4
+        assert np.sum(g.half.weight * keep) == 7 * 7
 
 
 class TestTransform:
     def test_constant_field_concentrates_at_zero(self, grid2):
-        phys = physical_field(grid2, np.ones((1,) + grid2.shape, dtype=np.complex128))
+        phys = physical_field(grid2, np.ones((1,) + grid2.shape))
         fh = transform(phys, "forward")
         coeffs = fh.data[0].copy()
         assert abs(coeffs[0, 0] - grid2.N) < 1e-12  # ortho: N^{d/2} * 1
@@ -97,13 +116,18 @@ class TestTransform:
         assert np.abs(coeffs).max() < 1e-12
 
     def test_single_plane_wave(self, grid2):
+        # cos x puts N/2 on the modes (+-1, 0), both on the plane 0; sin y
+        # puts -i N/2 on (0, 1), which the half holds for (0, -1) as well
         x, y = grid2.coordinates()
-        phys = physical_field(grid2, np.exp(1j * x)[None, ...])
+        phys = physical_field(grid2, np.stack([np.cos(x), np.sin(y)]))
         fh = transform(phys, "forward")
-        mask = np.zeros(grid2.shape, dtype=bool)
-        mask[1, 0] = True
-        assert np.abs(fh.data[0][~mask]).max() < 1e-12
-        assert abs(fh.data[0][1, 0] - grid2.N) < 1e-10
+        for c, modes, value in ((0, [(1, 0), (-1, 0)], grid2.N / 2),
+                                (1, [(0, 1)], -0.5j * grid2.N)):
+            mask = np.zeros(grid2.half.shape, dtype=bool)
+            for m in modes:
+                mask[m] = True
+                assert abs(fh.data[c][m] - value) < 1e-10
+            assert np.abs(fh.data[c][~mask]).max() < 1e-12
 
     def test_round_trip(self, grid2):
         f = random_real_field(grid2, 2, seed=1)
@@ -146,7 +170,7 @@ class TestRingIndex:
         part = ring_partition(grid2)
         k = np.fft.fftfreq(grid2.N, 1.0 / grid2.N).astype(int)
         for i, ki in enumerate(k):
-            for j, kj in enumerate(k):
+            for j, kj in enumerate(k[: grid2.N // 2 + 1]):
                 ksq = ki * ki + kj * kj
                 assert part.index_of[i, j] == ksq + 1  # n-1 <= |xi|^2 < n
 
@@ -155,7 +179,7 @@ class TestRingIndex:
         k = np.fft.fftfreq(grid3.N, 1.0 / grid3.N).astype(int)
         for i, ki in enumerate(k):
             for j, kj in enumerate(k):
-                for l, kl in enumerate(k):
+                for l, kl in enumerate(k[: grid3.N // 2 + 1]):
                     m = (ki * ki + kj * kj + kl * kl) ** 3
                     assert part.index_of[i, j, l] == math.isqrt(m) + 1
 
@@ -168,9 +192,12 @@ class TestRingIndex:
         assert np.all(r < n ** (1.0 / d) * (1 + 1e-12))
 
     def test_partition_covers_once(self, grid2_mid):
+        # the weighted half-lattice count is the whole lattice's, ring by ring
         part = ring_partition(grid2_mid)
         assert part.occupancy().sum() == grid2_mid.N**2
         assert part.index_of.min() == 1
+        full = np.floor(FullLattice(grid2_mid).ksq + 0.5).astype(int) + 1
+        assert np.array_equal(part.occupancy(), np.bincount(full.ravel() - 1))
 
 
 class TestRingProject:
@@ -295,6 +322,16 @@ class TestLeray:
             assert np.array_equal(f.data, before)
 
 
+def plane_asymmetry_oracle(h, d):
+    """HalfLattice.plane_asymmetry of a whole half array, its largest |h|
+    over the whole array at once."""
+    scale = np.abs(h).max()
+    if scale == 0.0:
+        return 0.0
+    worst = max(np.abs(conjugate_mirror(h[..., p], d - 1) - h[..., p]).max() for p in (0, -1))
+    return float(worst / scale)
+
+
 class TestReductions:
     @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
     @pytest.mark.parametrize("lead", [(), (1,), (3,), (2, 3)])
@@ -302,18 +339,26 @@ class TestReductions:
         # the max of the per-component maxima is the whole array's max, so
         # the value is the same to the bit, real fields or not
         grid = make_grid(d, N, TWO_PI)
+        half = grid.half
         rng = np.random.default_rng(len(lead))
-        shape = lead + grid.shape
+        shape = lead + half.shape
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        real = np.fft.fftn(rng.standard_normal(shape), axes=tuple(range(len(lead), len(shape))))
+        real = np.fft.rfftn(rng.standard_normal(lead + grid.shape),
+                            axes=tuple(range(len(lead), len(lead) + d)))
         for x in (a, real, np.zeros(shape, dtype=np.complex128)):
-            assert conjugate_asymmetry(x, d) == conjugate_asymmetry_oracle(x, d)
+            assert half.plane_asymmetry(x) == plane_asymmetry_oracle(x, d)
 
     @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
     @pytest.mark.parametrize("s", [-0.25, 0.0, 1.0])
     def test_sobolev_norm_matches_whole_array(self, d, N, s):
-        f = random_real_field(make_grid(d, N, TWO_PI), d, seed=3)
+        # the weighted half-lattice sum, and the whole lattice's to rounding
+        grid = make_grid(d, N, TWO_PI)
+        f = random_real_field(grid, d, seed=3)
         assert sobolev_norm(f, s) == sobolev_norm_oracle(f, s)
+        full = full_spectrum(f.data, grid)
+        w = (1.0 + FullLattice(grid).ksq) ** s
+        want = np.sqrt(grid.cell_volume * np.sum(w * np.abs(full) ** 2))
+        assert sobolev_norm(f, s) == pytest.approx(want, rel=1e-14)
 
 
 class TestMultiplier:
@@ -356,15 +401,19 @@ class TestDealias:
 
     @pytest.mark.parametrize("N", [16, 64])
     def test_survivor_count(self, N):
+        # counted over the whole lattice: each half-lattice mode with its
+        # Parseval weight
         g = make_grid(2, N, TWO_PI)
-        f = fourier_field(g, np.ones((1,) + g.shape, dtype=np.complex128))
-        survivors = np.count_nonzero(dealias(f).data[0])
+        f = fourier_field(g, np.ones((1,) + g.half.shape, dtype=np.complex128))
+        survivors = np.sum(g.half.weight * (dealias(f).data[0] != 0))
         per_axis = math.ceil(N / 3.0 * 2.0)
         assert survivors == per_axis**2
 
     def test_dealiased_product_matches_direct_convolution(self):
         # N = 16, both factors band-limited to |k| <= 5: on that band the
         # pseudo-spectral product equals the exact convolution sum
+        # the factors are real fields, their whole-lattice spectra
+        # conjugate-symmetric; the half holds the product's k2 >= 0 modes
         g = make_grid(2, 16, TWO_PI)
         K = 5
         rng = np.random.default_rng(42)
@@ -374,11 +423,11 @@ class TestDealias:
             for k1 in range(-K, K + 1):
                 for k2 in range(-K, K + 1):
                     arr[k1 % 16, k2 % 16] = rng.standard_normal() + 1j * rng.standard_normal()
-            return arr
+            return 0.5 * (arr + conjugate_mirror(arr, 2))
 
         fh, gh = band_limited(0), band_limited(1)
-        fp = transform(fourier_field(g, fh[None]), "inverse")
-        gp = transform(fourier_field(g, gh[None]), "inverse")
+        fp = transform(fourier_field(g, cut(fh, g)[None]), "inverse")
+        gp = transform(fourier_field(g, cut(gh, g)[None]), "inverse")
         prod = physical_field(g, fp.data * gp.data)
         ps = dealias(transform(prod, "forward")).data[0]
 
@@ -392,36 +441,30 @@ class TestDealias:
                         conv[key] = conv.get(key, 0.0) + fh[k1 % 16, k2 % 16] * gh[l1 % 16, l2 % 16]
         scale = 16.0 ** (2 / 2)  # ortho product rule: hat(fg) = conv / N^{d/2}
         for k1 in range(-K, K + 1):
-            for k2 in range(-K, K + 1):
-                got = ps[k1 % 16, k2 % 16] * scale
+            for k2 in range(K + 1):
+                got = ps[k1 % 16, k2] * scale
                 want = conv.get((k1, k2), 0.0)
                 assert abs(got - want) < 1e-11
 
 
 def complex_transport_oracle(u):
-    """P div(u x u) with every transform a complex full-lattice FFT."""
+    """P div(u x u) with every transform a complex whole-lattice FFT, on the
+    whole spectrum of u, cut to the half lattice."""
     grid = u.grid
-    phys = transform(dealias(u), "inverse")
-    div = np.zeros_like(u.data)
+    full = FullLattice(grid)
+    kcut = (grid.N / 3.0) * (2.0 * np.pi / grid.L)
+    keep = np.ones(grid.shape, dtype=bool)
+    for a in full.axes:
+        keep &= np.abs(a) <= kcut
+    axes = tuple(range(1, grid.d + 1))
+    phys = np.fft.ifftn(full_spectrum(u.data, grid) * keep, axes=axes, norm="ortho")
+    div = np.zeros_like(phys)
     for i in range(grid.d):
         for j in range(grid.d):
-            that = np.fft.fftn(phys.data[i] * phys.data[j], norm="ortho")
-            div[i] += 1j * grid.axis_frequency(j) * that
-    return leray_project(fourier_field(grid, div)).data
-
-
-def expand_oracle(h, grid):
-    """The full spectrum of the half array h as assembled before symmetrize
-    existed: mirror the half, then average planes 0 and N/2 with their
-    mirror images."""
-    n = grid.N // 2 + 1
-    full = np.zeros(h.shape[:-1] + (grid.N,), dtype=np.complex128)
-    full[..., :n] = h
-    mirror = conjugate_mirror(full, grid.d)
-    full[..., n:] = mirror[..., n:]
-    for plane in (0, n - 1):
-        full[..., plane] = 0.5 * (full[..., plane] + mirror[..., plane])
-    return full
+            that = np.fft.fftn(phys[i] * phys[j], norm="ortho")
+            div[i] += 1j * full.axes[j] * that
+    dot = sum(a * c for a, c in zip(full.axes, div)) / np.where(full.ksq == 0.0, 1.0, full.ksq)
+    return cut(np.stack([div[i] - full.axes[i] * dot for i in range(grid.d)]), grid)
 
 
 class TestHalfLattice:
@@ -440,7 +483,7 @@ class TestHalfLattice:
             assert np.array_equal(got.reshape(d, -1).T, want)
             # rows 0..k then -k..-1; the whole axis once 2k + 1 >= N; the
             # last axis capped at N/2
-            freq = np.rint(half.freqs[0][(slice(None),) + (0,) * (d - 1)]).astype(int)
+            freq = np.rint(grid.axis_frequency(0)[(slice(None),) + (0,) * (d - 1)]).astype(int)
             if 2 * k + 1 < N:
                 assert freq[rows].tolist() == list(range(k + 1)) + list(range(-k, 0))
             else:
@@ -448,20 +491,20 @@ class TestHalfLattice:
             assert len(last) == min(k, N // 2) + 1
 
     @pytest.mark.parametrize("d, N", [(2, 16), (3, 16)])
-    def test_symmetrize_is_the_half_of_expand(self, d, N):
-        # an arbitrary complex half array: planes 0 and N/2 asymmetric
+    def test_symmetrize_is_the_half_of_the_full_spectrum(self, d, N):
+        # an arbitrary complex half array: planes 0 and N/2 asymmetric; its
+        # whole-lattice spectrum averages them with their mirror images
         grid = make_grid(d, N, TWO_PI)
         half = grid.half
         rng = np.random.default_rng(d)
         h = rng.standard_normal((d,) + half.shape) + 1j * rng.standard_normal((d,) + half.shape)
         assert half.plane_asymmetry(h) > 0.1
         sym = half.symmetrize(h)
-        full = half.expand(h)
-        assert np.array_equal(full, expand_oracle(h, grid))
-        assert np.array_equal(sym, half.cut(full))
+        full = full_spectrum(h, grid)
+        assert np.array_equal(sym, cut(full, grid))
         assert np.array_equal(sym[..., 1:-1], h[..., 1:-1])
         assert half.plane_asymmetry(sym) == 0.0
-        assert conjugate_asymmetry(full, d) == 0.0
+        assert np.array_equal(conjugate_mirror(full, d), full)
 
     @pytest.mark.parametrize("d, N", [(2, 16), (3, 16), (3, 24)])
     def test_band_arrays_scatter_and_symmetrize_on_their_cube(self, d, N):
@@ -493,7 +536,7 @@ class TestHalfLattice:
         # frequencies is axis_radius of the whole lattice's ball: the
         # stepper's and the checkpoint's masks come from these
         grid = make_grid(d, N, L)
-        kabs = grid.half.cut(grid.kabs)
+        kabs = grid.kabs
         for k in range(N // 2 + 2):
             assert np.array_equal(grid.half.band_kabs(k), kabs[grid.half.band(k)])
         for cutoff in np.linspace(1e-3, 1.8 * grid.kmax, 41):
@@ -535,13 +578,16 @@ class TestDivergenceRatio:
         # differ (by about 1e-3 relative for these fields).
         grid = make_grid(d, N, TWO_PI)
         half = grid.half
+        full = FullLattice(grid)
         for seed in range(4):
             f = random_real_field(grid, seed=60 + seed)
             for ax in range(d - 1):
                 f.data[(slice(None),) * (ax + 1) + (N // 2,)] = 0.0
             assert np.abs(f.data[..., N // 2]).max() > 1.0
-            want = l2_norm(multiplier(f, "divergence")) / l2_norm(f)
-            assert half.divergence_ratio(half.cut(f.data)) == pytest.approx(want, rel=1e-12)
+            a = full_spectrum(f.data, grid)
+            div = sum(1j * k * c for k, c in zip(full.axes, a))
+            want = np.sqrt(np.sum(np.abs(div) ** 2) / np.sum(np.abs(a) ** 2))
+            assert half.divergence_ratio(f.data) == pytest.approx(want, rel=1e-12)
         # 0/0 is 0
         assert half.divergence_ratio(np.zeros((d,) + half.shape, dtype=np.complex128)) == 0.0
 
@@ -553,13 +599,13 @@ class TestProjectedTransport:
         # hold aliasing only and are zero in the half-lattice kernel
         grid = make_grid(d, N, TWO_PI)
         u = random_real_field(grid, seed=50 + d)
-        got = full_transport(u)
+        got = transport(u)
         want = complex_transport_oracle(u)
         off = ~grid.nyquist_mask
         scale = np.abs(want[:, off]).max()
         assert np.abs(got[:, off] - want[:, off]).max() <= 1e-12 * scale
         assert np.all(got[:, grid.nyquist_mask] == 0.0)
-        assert np.array_equal(conjugate_mirror(got, d), got)
+        assert grid.half.plane_asymmetry(got) <= 1e-15
 
 
     @pytest.mark.parametrize("band", ["default", "ball"])
@@ -614,8 +660,10 @@ class TestHausdorffYoung:
         for seed in range(50):
             f = random_real_field(grid2, 1, seed=200 + seed)
             phys = transform(f, "inverse")
+            # the whole lattice's sum, each half-lattice mode with its weight
             lhs_vals = np.abs(f.data)
-            lhs = lhs_vals.max() if np.isinf(pprime) else (lhs_vals**pprime).sum() ** (1 / pprime)
+            lhs = (lhs_vals.max() if np.isinf(pprime)
+                   else (grid2.half.weight * lhs_vals**pprime).sum() ** (1 / pprime))
             rhs = const * (grid2.cell_volume * (np.abs(phys.data) ** p).sum()) ** (1 / p)
             assert lhs <= rhs * (1 + 1e-10)
 
@@ -624,6 +672,11 @@ class TestFieldBasics:
     def test_shape_validation(self, grid2):
         with pytest.raises(ValueError):
             fourier_field(grid2, np.zeros((2, 8, 8)))
+        # a fourier-space field is the half lattice, not the whole one
+        with pytest.raises(ValueError, match=r"does not match the grid's \(16, 9\)"):
+            fourier_field(grid2, np.zeros((2, 16, 16), dtype=np.complex128))
+        with pytest.raises(ValueError, match="physical-space data must be real"):
+            physical_field(grid2, np.zeros((2, 16, 16), dtype=np.complex128))
 
     def test_arithmetic_checks_space(self, grid2):
         a = zeros_field(grid2, 2, "fourier")

