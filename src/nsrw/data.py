@@ -133,9 +133,10 @@ def borderline_field(
     rely on.
     """
     rho = default_tilt(grid.d) if tilt is None else float(tilt)
-    amplitude = np.where(grid.kabs == 0.0, 1.0, grid.kabs)
+    kabs = grid.kabs
+    amplitude = np.where(kabs == 0.0, 1.0, kabs)
     amplitude **= s - rho
-    amplitude[grid.kabs == 0.0] = 0.0
+    amplitude[kabs == 0.0] = 0.0
     f = _random_field_with_profile(grid, amplitude, seed)
     if normalize:
         nrm = hminus_s_norm(f, s)

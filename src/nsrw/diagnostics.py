@@ -121,7 +121,8 @@ def condtg_check(f_omega: SpectralField, s: float, gamma: float, T: float) -> Co
     return CondtgReport(d=3, components=comps, lam=float(sum(comps.values())))
 
 
-def nse_residual(grid: Grid, times: np.ndarray, u_half) -> tuple[np.ndarray, np.ndarray]:
+def nse_residual(grid: Grid, times: np.ndarray, u_half,
+                 plan: TransportPlan | None = None) -> tuple[np.ndarray, np.ndarray]:
     """H^{-1} residual of the projected equation at snapshot midpoints.
 
     Uses the centered difference (u(t+h) - u(t))/h against the right-hand
@@ -130,7 +131,9 @@ def nse_residual(grid: Grid, times: np.ndarray, u_half) -> tuple[np.ndarray, np.
     of the real fields u(times[j]); they are consumed pairwise, so at most two are held.
     Each pair is evaluated in work arrays of the call, with the operations
     and operand order of the plain expressions in the comments, so the bits
-    are theirs.
+    are theirs. The transport kernel runs in plan, a TransportPlan(grid)
+    with its default bands whose counters the caller reads afterwards, or
+    in one made for the call.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.size < 2:
@@ -141,7 +144,7 @@ def nse_residual(grid: Grid, times: np.ndarray, u_half) -> tuple[np.ndarray, np.
         raise ValueError(f"nse_residual got 0 states for {times.size} times")
     vol = grid.cell_volume
     weight = grid.half.weight / (1.0 + grid.ksq)
-    plan = TransportPlan(grid)
+    plan = TransportPlan(grid) if plan is None else plan
     um = np.empty_like(prev, dtype=np.complex128)
     resid = np.empty_like(um)
     mag = np.empty(prev.shape)

@@ -2,7 +2,8 @@
 
 Each experiment writes series.csv, summary.json, plotdata/*.tsv and a
 meta.json (timestamps, execution environment, the process's peak resident
-set and, for every verb but randomize, per-phase wall seconds and
+set and, for every verb but randomize, per-phase wall seconds, the peak
+resident set after the data build and at the end of each phase, and
 counters) under the configured output directory, and nothing anywhere
 else; a solve with write_checkpoints also writes each
 snapshot's checkpoint there as the snapshot is taken. summary.json and
@@ -36,7 +37,7 @@ from .heat import (
 )
 from .randomization import hminus_s_norm, randomized, verify_subgaussian
 from .solver import iter_u, solve, stepping_lattice_size
-from .spectral import l2_norm, make_grid, ring_partition
+from .spectral import TransportPlan, l2_norm, make_grid, ring_partition
 from .tails import (
     TAIL_FIT_MIN_SAMPLES,
     _ordered_map,
@@ -125,6 +126,11 @@ def _randomized_data(cfg: ExperimentConfig, f):
     return randomized(f, cfg.random_model(), 0) if cfg.randomize_data else f
 
 
+def _peak_rss_mib() -> float:
+    """The process's peak resident set so far, threads included, in MiB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 # ---------------------------------------------------------------------------
 # individual experiments
 
@@ -180,6 +186,7 @@ def _run_randomize(cfg: ExperimentConfig, workers: int, outdir: Path, resume: st
 def _run_heatflow(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | None):
     grid, f = build_data_field(cfg)
     f_om = _randomized_data(cfg, f)
+    peak_rss = {"data": _peak_rss_mib()}
     t_grid = default_decay_time_grid(grid, cfg.T, cfg.t_points_per_decade)
     if _in_window(t_grid, grid).sum() < 2:
         raise ConfigError(f"config field 'T': {cfg.T} leaves fewer than 2 decay times in the "
@@ -196,6 +203,7 @@ def _run_heatflow(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str
     field = _SweepField(f_om)
     reports = {k: check_linear_estimates(field, cfg.s, k, t_grid) for k in swept}
     sweeps_s = time.perf_counter() - started
+    peak_rss["sweeps"] = _peak_rss_mib()
     for k in cfg.k_orders:
         rep = reports[k]
         target = -(cfg.s + k) / 2.0
@@ -233,6 +241,7 @@ def _run_heatflow(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str
     # than the half lattice
     meta = {
         "phase_seconds": {"sweeps": sweeps_s},
+        "phase_peak_rss_mib": peak_rss,
         "counters": {
             "decay_times": len(t_grid),
             "field_transforms": len(t_grid) * sum(grid.d**k for k in swept) * f_om.ncomp,
@@ -244,14 +253,17 @@ def _run_heatflow(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str
 
 def _run_tails(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | None):
     _, f = build_data_field(cfg)
+    peak_rss = {"data": _peak_rss_mib()}
     started = time.perf_counter()
     samples = sample_space_time_norms(f, cfg.random_model(), cfg.norm_spec(), cfg.monte_carlo_M,
                                       workers=workers)
     samples_s = time.perf_counter() - started
+    peak_rss["samples"] = _peak_rss_mib()
     hnorm = hminus_s_norm(f, cfg.s)
     started = time.perf_counter()
     fit = fit_gaussian_tail(samples, hnorm)
     fit_s = time.perf_counter() - started
+    peak_rss["fit"] = _peak_rss_mib()
     summary = {
         "C1": fit.C1,
         "C2": fit.C2,
@@ -277,6 +289,7 @@ def _run_tails(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
     }
     meta = {
         "phase_seconds": {"samples": samples_s, "fit": fit_s},
+        "phase_peak_rss_mib": peak_rss,
         "counters": {"samples": cfg.monte_carlo_M, "time_points": default_time_grid(cfg.T).size},
     }
     return summary, failures, series, plotdata, meta
@@ -285,6 +298,8 @@ def _run_tails(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
 def _run_solve(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | None):
     grid, f = build_data_field(cfg)
     f_om = _randomized_data(cfg, f)
+    # at the end of the last checkpoint write; null when none is written
+    peak_rss = {"data": _peak_rss_mib(), "checkpoint_writes": None}
     sconf = cfg.solver_config()
     fingerprint = cfg.trajectory_fingerprint()
     resume_band = resume_time = None
@@ -302,11 +317,13 @@ def _run_solve(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
         save_checkpoint(grid, w_band, t, sconf.cutoff, fingerprint, outdir / name)
         ckpt_files.append({"file": name, "time": t})
         ckpt_seconds += time.perf_counter() - started
+        peak_rss["checkpoint_writes"] = _peak_rss_mib()
 
     started = time.perf_counter()
     traj = solve(sconf, f_om, resume_band=resume_band, resume_time=resume_time,
                  on_snapshot=write_checkpoint if cfg.write_checkpoints else None)
     solve_s = time.perf_counter() - started - ckpt_seconds
+    peak_rss["solve"] = _peak_rss_mib()
 
     log = traj.energy_log
     snap_idx = np.searchsorted(log.times, traj.times)
@@ -318,8 +335,10 @@ def _run_solve(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
 
     f_l2 = l2_norm(f_om)
     started = time.perf_counter()
-    residual_times, residuals = nse_residual(grid, traj.times, iter_u(traj))
+    residual_plan = TransportPlan(grid)
+    residual_times, residuals = nse_residual(grid, traj.times, iter_u(traj), residual_plan)
     residual_s = time.perf_counter() - started
+    peak_rss["residual"] = _peak_rss_mib()
 
     summary = {
         "steps": int(log.times.size - 1),
@@ -390,10 +409,14 @@ def _run_solve(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
             "residual": residual_s,
             "checkpoint_writes": ckpt_seconds,
         },
+        "phase_peak_rss_mib": peak_rss,
         "counters": {
             "steps": summary["steps"],
             "snapshots": summary["snapshots"],
             "rhs_evaluations": traj.rhs_evaluations,
+            # the 1-D transforms the transport kernel ran, pruned lines left out
+            "stepper_fft_lines": traj.fft_lines,
+            "residual_fft_lines": residual_plan.calls * residual_plan.lines_per_call,
             "snapshot_bytes": sum(w.nbytes for w in traj.w_band),
             "checkpoint_files": len(ckpt_files),
             "checkpoint_bytes": sum((outdir / c["file"]).stat().st_size for c in ckpt_files),
@@ -404,6 +427,7 @@ def _run_solve(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
 
 def _run_report(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | None):
     _, f = build_data_field(cfg)
+    peak_rss = {"data": _peak_rss_mib()}
     model = cfg.random_model()
     M = cfg.monte_carlo_M
     started = time.perf_counter()
@@ -412,6 +436,7 @@ def _run_report(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str |
         M, workers,
     ))
     phase_seconds = {"samples": time.perf_counter() - started}
+    peak_rss["samples"] = _peak_rss_mib()
     qlevels = [0.5, 0.75, 0.9, 0.95, 0.99, 0.995]
     quantiles = {f"q{int(q * 1000):03d}": float(np.quantile(lams, q)) for q in qlevels}
     summary = {
@@ -424,6 +449,7 @@ def _run_report(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str |
         started = time.perf_counter()
         fit = fit_gaussian_tail(lams, hnorm)
         phase_seconds["fit"] = time.perf_counter() - started
+        peak_rss["fit"] = _peak_rss_mib()
         summary["tail_C1"] = fit.C1
         summary["tail_C2"] = fit.C2
         summary["tail_r_squared"] = fit.r_squared
@@ -431,6 +457,7 @@ def _run_report(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str |
     # condtg_check sums one weighted space-time norm at d = 2 and three at d = 3
     meta = {
         "phase_seconds": phase_seconds,
+        "phase_peak_rss_mib": peak_rss,
         "counters": {
             "samples": M,
             "time_points": default_time_grid(cfg.T).size,
@@ -507,8 +534,7 @@ def run_experiment(cfg: ExperimentConfig, resume: str | None = None) -> Experime
         "elapsed_seconds": time.time() - started,
         "workers": workers,
         "output_dir": str(outdir),
-        # the process's peak resident set so far, threads included
-        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "peak_rss_mib": _peak_rss_mib(),
         **run_meta,
     }
     (outdir / "meta.json").write_text(json.dumps(meta, indent=2, allow_nan=False) + "\n")

@@ -258,10 +258,13 @@ def _heat_norms(f, symbols: list, times: np.ndarray, exponents: tuple) -> np.nda
     The sweep runs in one-component work arrays allocated once per call
     and reused for every time block, symbol and component: each
     component is read in place from the field, an all-ones symbol is not
-    multiplied by at all (a * 1 is a), one decay block per time block
-    serves all symbols and components, and the block is inverse-transformed axis by
-    axis in place (ifft over the leading axes, then irfft into the real
-    block), the same 1-D transforms irfftn runs, so the bits match it.
+    multiplied by at all (a * 1 is a), component * symbol is formed in the
+    block itself and multiplied by the decay there, one decay block per
+    time block (a slice of the cached table, or formed in one buffer of
+    the call when streamed) serves all symbols and components, and the
+    block is inverse-transformed axis by axis in place (ifft over the
+    leading axes, then irfft into the real block), the same 1-D transforms
+    irfftn runs, so the bits match it.
 
     Band pruning: before each block of times the sweep picks the smallest
     cube |k_i| <= k whose dropped modes move no value by more than one
@@ -296,7 +299,8 @@ def _heat_norms(f, symbols: list, times: np.ndarray, exponents: tuple) -> np.nda
     syms_h = [sym_h if sym_h is None else np.broadcast_to(sym_h, half.shape)
               for sym_h in syms_h]
     cached = _half_decay(g, times)
-    fs = np.empty(half.shape, dtype=np.complex128)
+    # the streamed decay of one time block, formed in place
+    streamed = np.empty((rows,) + half.shape) if cached is None else None
     block = np.empty((rows,) + half.shape, dtype=np.complex128)
     real = np.empty((rows,) + g.shape)
     starts = np.arange(0, times.size, chunk)
@@ -315,7 +319,9 @@ def _heat_norms(f, symbols: list, times: np.ndarray, exponents: tuple) -> np.nda
         if cached is not None:
             decay = cached[lo : lo + n]
         else:
-            decay = np.exp(-tt.reshape((-1,) + (1,) * g.d) * g.ksq[None])
+            decay = streamed[:n]
+            np.multiply(-tt.reshape((-1,) + (1,) * g.d), g.ksq[None], out=decay)
+            np.exp(decay, out=decay)
         hb, rb = block[:n], real[:n]
         pruned = k < g.N // 2
         if pruned:
@@ -335,12 +341,13 @@ def _heat_norms(f, symbols: list, times: np.ndarray, exponents: tuple) -> np.nda
                     hb[..., :dirty].fill(0.0)
                 dirty = k + 1
                 for box in boxes:
-                    src = f.data[c][box]
-                    if sym_h is not None:
-                        np.multiply(src, sym_h[box], out=fs[box])
-                        src = fs[box]
-                    np.multiply(src[None], decay[(slice(None),) + box],
-                                out=hb[(slice(None),) + box])
+                    cube = hb[(slice(None),) + box]
+                    if sym_h is None:
+                        np.multiply(f.data[c][box], decay[(slice(None),) + box], out=cube)
+                    else:
+                        # (a * sym) * decay, the product formed in the cube
+                        np.multiply(f.data[c][box], sym_h[box], out=cube)
+                        cube *= decay[(slice(None),) + box]
                 for ax, views in passes:
                     for v in views:
                         np.fft.ifft(v, axis=ax, norm="ortho", out=v)

@@ -150,8 +150,9 @@ class Trajectory:
     The forcing is not stored: g_states derives the truncated free
     evolution T e^{tD} f_omega at each snapshot time. dwdt_hminus1 holds
     |dw/dt|_{H^{-1}} at each snapshot as the solver recorded it,
-    rhs_evaluations the stage right-hand sides the run evaluated;
-    hand-built trajectories leave them None and 0.
+    rhs_evaluations the stage right-hand sides the run evaluated and
+    fft_lines the 1-D transforms their transport kernel ran;
+    hand-built trajectories leave them None, 0 and 0.
     """
 
     times: np.ndarray
@@ -161,6 +162,7 @@ class Trajectory:
     energy_log: EnergyLog | None = None
     dwdt_hminus1: np.ndarray | None = None
     rhs_evaluations: int = 0
+    fft_lines: int = 0
 
     @property
     def w_states(self) -> list:
@@ -306,7 +308,6 @@ class _Stepper:
         # the stage input lies in the cube, and only the ball of the output
         # is kept
         self.plan = TransportPlan(step_grid, k_in=k_max, k_out=k_max)
-        self.rhs_evaluations = 0
         self.fcut = self.embed(fhat)
         self.weight_ksq = self.weight * self.ksq
         self.weight_hminus1 = self.weight / (1.0 + self.ksq)
@@ -329,7 +330,6 @@ class _Stepper:
     def rhs(self, what: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Stage right-hand side for w against the truncated forcing g at
         the stage time; both are supported in the ball."""
-        self.rhs_evaluations += 1
         out = projected_transport_half(what + g, self.plan)
         # -(out * out_mask), in the kernel's fresh output
         return np.negative(np.multiply(out, self.out_mask, out=out), out=out)
@@ -540,7 +540,8 @@ def solve(
         config=config,
         energy_log=log,
         dwdt_hminus1=np.array(dwdt),
-        rhs_evaluations=stepper.rhs_evaluations,
+        rhs_evaluations=stepper.plan.calls,
+        fft_lines=stepper.plan.calls * stepper.plan.lines_per_call,
     )
 
 

@@ -76,7 +76,11 @@ class Grid:
     are built on first use and kept,
     so a grid that needs little holds little (the checkpoint loader's
     builds none: it takes single frequencies from `frequencies`);
-    equality and hashing use (d, N, L) only.
+    equality and hashing use (d, N, L) only. kabs is the exception: it is
+    sqrt(ksq), formed on each access and not kept, since only the data
+    constructors, the cutoffs, the ring partition and the per-sample
+    sigma symbol read it, none in a hot loop, and a kept copy would hold
+    one more lattice-sized array for the whole run.
     """
 
     d: int
@@ -105,7 +109,7 @@ class Grid:
     def ksq(self) -> np.ndarray:
         return _sum_squares(self.axis_frequency(ax) for ax in range(self.d))
 
-    @cached_property
+    @property
     def kabs(self) -> np.ndarray:
         return np.sqrt(self.ksq)
 
@@ -165,7 +169,9 @@ class HalfLattice:
     mirror images; every other mode stands for itself and its conjugate
     mirror, so the Parseval weight is 1 on those two planes and 2
     elsewhere: sum(weight * |a|^2) is the whole lattice's sum of |a|^2 for
-    the conjugate-symmetric spectrum whose half is a.
+    the conjugate-symmetric spectrum whose half is a. The weight depends on
+    the last axis alone, so it is one (N/2 + 1,) vector, read as a
+    read-only broadcast over the half lattice.
     """
 
     def __init__(self, grid: Grid):
@@ -185,10 +191,9 @@ class HalfLattice:
 
     @cached_property
     def weight(self) -> np.ndarray:
-        weight = np.full(self.shape, 2.0)
-        weight[..., 0] = 1.0
-        weight[..., -1] = 1.0
-        return weight
+        weight = np.full(self.shape[-1], 2.0)
+        weight[0] = weight[-1] = 1.0
+        return np.broadcast_to(weight, self.shape)
 
     def _mirrored_planes(self, h: np.ndarray) -> tuple:
         """The self-mirrored last-axis planes the band array h holds: 0, and
@@ -633,8 +638,9 @@ def multiplier(f: SpectralField, kind: str, order: float | int | None = None) ->
             raise ValueError(
                 "negative-power fractional laplacian requires a mean-zero field"
             )
-        kabs_safe = np.where(g.kabs == 0.0, 1.0, g.kabs)
-        sym = np.where(g.kabs == 0.0, 0.0 if s != 0 else 1.0, kabs_safe**s)
+        kabs = g.kabs
+        kabs_safe = np.where(kabs == 0.0, 1.0, kabs)
+        sym = np.where(kabs == 0.0, 0.0 if s != 0 else 1.0, kabs_safe**s)
         return fourier_field(g, f.data * sym)
     if kind == "bracket":
         if order is None:
@@ -712,7 +718,10 @@ class TransportPlan:
     2/3 band as grid.dealias_keep draws it, k_out to N/2, whose band is the
     whole half lattice. Its transforms run in the plan's buffers, so a plan
     serves one caller at a time: the stepper keeps one for its run,
-    nse_residual makes one per call.
+    nse_residual makes one per call unless handed one. calls counts the
+    kernel calls the plan served, and lines_per_call the 1-D transforms
+    each runs: the lines of its pruned leading-axis passes and of its
+    whole last-axis irfft and rfft.
     """
 
     def __init__(self, grid: Grid, k_in: int | None = None, k_out: int | None = None):
@@ -737,6 +746,12 @@ class TransportPlan:
         self.real = self.prod[npairs - d :]
         self.inverse_passes = _line_views(self.spec, k_in, range(1, d))
         self.forward_passes = _line_views(self.prod_hat, k_out, range(d - 1, 0, -1))
+        self.calls = 0
+        self.lines_per_call = (
+            sum(v.size // v.shape[ax] for ax, views in self.inverse_passes + self.forward_passes
+                for v in views)
+            + self.spec.size // self.spec.shape[-1] + self.prod.size // self.prod.shape[-1]
+        )
         self.freqs = tuple(np.broadcast_to(grid.axis_frequency(ax), h.shape)[self.out_band]
                            for ax in range(d))
         ksq = grid.ksq[self.out_band]
@@ -760,6 +775,7 @@ def projected_transport_half(u_band: np.ndarray, plan: TransportPlan) -> np.ndar
     not odd, so keeping them would break conjugate symmetry.
     """
     d, N = plan.grid.d, plan.grid.N
+    plan.calls += 1
     X = plan.spec
     # the buffer holds the last call's products and the inverse passes
     # write outside the band, so it is zeroed first

@@ -164,11 +164,30 @@ class TestArtifacts:
             meta = json.loads((out / "meta.json").read_text())
             assert set(meta["phase_seconds"]) == {"solve", "residual", "checkpoint_writes"}
             assert all(v >= 0.0 for v in meta["phase_seconds"].values())
+            # ru_maxrss never falls: data, the last checkpoint write (null
+            # without checkpoints), the solve around it, the residual
+            rss = meta["phase_peak_rss_mib"]
+            assert set(rss) == {"data"} | set(meta["phase_seconds"])
+            ckpt = rss["checkpoint_writes"]
+            assert (ckpt is None) != write
+            assert (0.0 < rss["data"] <= (ckpt or rss["data"]) <= rss["solve"]
+                    <= rss["residual"] <= meta["peak_rss_mib"])
             files = sorted(out.glob("checkpoint_*.nsrw"))
+            rhs = stages[integrator] * summary["steps"] + 1
+            assert meta["stepping_lattice"] == {"N": 16, "M": 10}
             assert meta["counters"] == {
                 "steps": summary["steps"],
                 "snapshots": summary["snapshots"],
-                "rhs_evaluations": stages[integrator] * summary["steps"] + 1,
+                "rhs_evaluations": rhs,
+                # each kernel call on the M = 10 lattice, cube |k_i| <= 3 in
+                # and out: ifft over the 2 x 4 lines of the input cube, irfft
+                # over 2 x 10, rfft over the 3 products' 3 x 10 and fft over
+                # the 3 x 4 lines of the output cube
+                "stepper_fft_lines": rhs * (8 + 20 + 30 + 12),
+                # the residual's, once per snapshot pair on the N = 16
+                # lattice, the 2/3 band |k_i| <= 5 in and the whole half
+                # out: 2 x 6, 2 x 16, 3 x 16 and 3 x 9 lines
+                "residual_fft_lines": (summary["snapshots"] - 1) * (12 + 32 + 48 + 27),
                 # the default cutoff N/4 = 4 holds the cube |k_i| <= 3: each
                 # snapshot is 2 components of 7 x 4 coefficients
                 "snapshot_bytes": summary["snapshots"] * 2 * 7 * 4 * 16,
@@ -177,8 +196,9 @@ class TestArtifacts:
             }
             assert len(files) == (summary["snapshots"] if write else 0)
             assert meta["peak_rss_mib"] > 0.0
-            telemetry = set(meta["phase_seconds"]) | {"rhs_evaluations", "snapshot_bytes",
-                                                      "peak_rss_mib"}
+            telemetry = set(meta["phase_seconds"]) | {
+                "rhs_evaluations", "snapshot_bytes", "stepper_fft_lines", "residual_fft_lines",
+                "peak_rss_mib", "phase_peak_rss_mib"}
             assert not telemetry & set(summary)
         assert blobs[0] == blobs[1]
 
@@ -204,6 +224,13 @@ class TestArtifacts:
             meta = json.loads((out / "meta.json").read_text())
             assert set(meta["phase_seconds"]) == phases
             assert all(v >= 0.0 for v in meta["phase_seconds"].values())
+            # after the data build, then at the end of each phase in order:
+            # ru_maxrss never falls
+            rss = meta["phase_peak_rss_mib"]
+            assert list(rss) == ["data"] + [p for p in ("sweeps", "samples", "fit")
+                                            if p in phases]
+            assert 0.0 < rss["data"] and sorted(rss.values()) == list(rss.values())
+            assert list(rss.values())[-1] <= meta["peak_rss_mib"]
             if verb == "heatflow":
                 # k = 0, 1, 2 swept: 1 + 2 + 4 derivatives of a 2-component
                 # field; at d = 2 N = 32 every decay time is in one block,
@@ -220,7 +247,8 @@ class TestArtifacts:
                         "space_time_norms": M * (1 if cfg.d == 2 else 3)}
             assert meta["counters"] == want
             assert meta["peak_rss_mib"] > 0.0
-            telemetry = {"phase_seconds", "counters", "peak_rss_mib"} | phases | set(want)
+            telemetry = {"phase_seconds", "phase_peak_rss_mib", "counters",
+                         "peak_rss_mib"} | phases | set(want)
             assert not telemetry & set(summary)
         assert blobs[0] == blobs[1]
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,7 +84,32 @@ class TestGrid:
         other = make_grid(3, 64, TWO_PI)
         assert other.dealias_keep.any() and other.nyquist_mask.any()
         assert grid == other and hash(grid) == hash(other)
-        assert np.array_equal(grid.kabs, np.sqrt(other.ksq))
+        ksq = other.ksq
+        # reading |xi| and the Parseval weight leaves the grid holding
+        # neither as a lattice array (1.1 MiB each here): |xi| is formed
+        # on each access, the weight is one (N/2 + 1,) vector
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            assert np.array_equal(other.kabs, np.sqrt(ksq))
+            assert other.half.weight.shape == other.half.shape
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held - base < 2**12
+
+    @pytest.mark.parametrize("d, N", [(2, 8), (2, 42), (3, 16)])
+    def test_parseval_weight_is_a_read_only_vector(self, d, N):
+        # 1 on the self-mirrored planes 0 and N/2, 2 elsewhere, bit for bit
+        # the lattice array it replaces, and not writable through the grid
+        half = make_grid(d, N, TWO_PI).half
+        weight = np.full(half.shape, 2.0)
+        weight[..., 0] = 1.0
+        weight[..., -1] = 1.0
+        assert np.array_equal(half.weight, weight)
+        assert not half.weight.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            half.weight[(0,) * d] = 2.0
 
     @pytest.mark.parametrize("N", [8, 10, 30, 64, 2**20])
     def test_frequencies_are_fftfreqs(self, N):
@@ -645,6 +671,30 @@ class TestProjectedTransport:
                 want = transport_oracle(on_cube, grid)
             got = projected_transport_half(u_band, plan)
             assert np.array_equal(bits(got), bits(want[(slice(None), *out_band)]))
+
+    @pytest.mark.parametrize("band", ["default", "ball"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_plan_counts_the_lines_it_transforms(self, monkeypatch, d, band):
+        # every 1-D transform numpy runs for the kernel is counted: the
+        # plan's calls times its lines per call. At d=2 N=16 the default
+        # bands run ifft on 2 x 6 lines, irfft on 2 x 16, rfft on 3 x 16 and
+        # fft on 3 x 9; the ball's cube |k_i| <= 3 cuts the first to 2 x 4
+        # and the last to 3 x 4
+        grid = make_grid(d, 16, TWO_PI)
+        plan = TransportPlan(grid) if band == "default" else TransportPlan(grid, k_in=3, k_out=3)
+        if d == 2:
+            assert plan.lines_per_call == (119 if band == "default" else 100)
+        ran = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            def counted(a, *args, axis=-1, _run=getattr(np.fft, name), **kwargs):
+                ran.append(a.size // a.shape[axis])
+                return _run(a, *args, axis=axis, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        u_band = random_real_field(grid, seed=5).data[(slice(None), *plan.in_band)]
+        for _ in range(3):
+            projected_transport_half(u_band, plan)
+        assert plan.calls == 3
+        assert sum(ran) == 3 * plan.lines_per_call
 
 
 class TestHausdorffYoung:
