@@ -5,19 +5,19 @@ N u32, then L, t, cutoff as f64; then the fingerprint, a u32 byte count
 followed by that many bytes of canonical JSON (sorted keys, no spaces)
 naming the settings that fix the trajectory; then the band radius k as
 u32, the radius of the cutoff ball's cube: k = ceil(cutoff L / 2 pi) - 1,
-at most N/2 (spectral.HalfLattice.ball_radius); then the payload, the
+at most N/2 (spectral.Grid.ball_radius); then the payload, the
 state's coefficients in the ball |xi| < cutoff and nothing else. The state
 is a band array on the cube |k_i| <= k of the rfft half lattice
-(spectral.HalfLattice.band): each of the d components, shape
+(spectral.Grid.band): each of the d components, shape
 (min(2k+1, N), ..., min(2k+1, N), min(k, N/2) + 1), rows 0..k, -k..-1 in
 FFT order on every axis but the last, which runs 0..min(k, N/2). For each
 component in turn, the payload holds the entries of that array where
-HalfLattice.band_kabs(k) < cutoff (the stepper's own ball mask), in
+Grid.band_kabs(k) < cutoff (the stepper's own ball mask), in
 row-major order, as interleaved (re, im) f64 pairs. Loading puts them back
 on the cube, zero off the ball. solve's snapshots are zero off the ball by
 construction: at d=3 N=32 and the default cutoff 8 the ball holds 1,148 of
-the cube's 1,800 modes per component, so a file is 55,416 bytes, where the
-cube took 86,712 and the whole half lattice 836 KB. The last-axis plane 0,
+the cube's 1,800 modes per component, so a file is 55,416 bytes; the cube
+would take 86,712 and the whole half lattice 836 KB. The last-axis plane 0,
 and plane N/2 when the band holds it, are their own mirror images and
 must be conjugate-symmetric; the ball is symmetric, so both partners of
 every such mode are stored.
@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import Grid, HalfLattice, band_shape, make_grid
+from .spectral import Grid, band_shape, make_grid
 
 MAGIC = b"NSRW"
 VERSION = 4
@@ -59,13 +59,13 @@ def _canonical(fingerprint: dict) -> bytes:
                       allow_nan=False).encode()
 
 
-def _least_ball_modes(half: HalfLattice, cutoff: float) -> int:
+def _least_ball_modes(grid: Grid, cutoff: float) -> int:
     """A lower bound on the modes of the ball |xi| < cutoff on the half
     lattice, built from no array: the ball holds the cube |k_i| <= m whole
-    (HalfLattice.ball_radius over all d axes, m <= N/2 - 1), and that cube
-    has (2m + 1)^(d-1) (m + 1) modes on the half lattice."""
-    d, N = half.grid.d, half.grid.N
-    m = min(half.ball_radius(cutoff, axes=d), N // 2 - 1)
+    (Grid.ball_radius over all d axes, m <= N/2 - 1), and that cube has
+    (2m + 1)^(d-1) (m + 1) modes on the half lattice."""
+    d, N = grid.d, grid.N
+    m = min(grid.ball_radius(cutoff, axes=d), N // 2 - 1)
     return (2 * m + 1) ** (d - 1) * (m + 1)
 
 
@@ -77,16 +77,15 @@ def _require_cutoff(cutoff: float):
 def save_checkpoint(grid: Grid, w_band: np.ndarray, t: float, cutoff: float,
                     fingerprint: dict, path: str | Path) -> None:
     """Write the band array w_band, one component per dimension on the cube
-    |k_i| <= k of grid.half that holds the ball |xi| < cutoff, as a
+    |k_i| <= k of the half lattice that holds the ball |xi| < cutoff, as a
     version-4 checkpoint of its coefficients in the ball. It refuses a band
     whose radius k (read off its last axis) is not the ball's, a nonzero
     coefficient off the ball, and a plane 0 (or N/2) that is not
     conjugate-symmetric; the snapshots of solve pass all three."""
     cutoff = float(cutoff)
     _require_cutoff(cutoff)
-    half = grid.half
-    k = half.require_real_band("a checkpointed state", w_band)
-    k_ball = half.ball_radius(cutoff)
+    k = grid.require_real_band("a checkpointed state", w_band)
+    k_ball = grid.ball_radius(cutoff)
     if k != k_ball:
         raise ValueError(
             f"a checkpointed state must be the band of its cutoff ball: its radius is "
@@ -94,7 +93,7 @@ def save_checkpoint(grid: Grid, w_band: np.ndarray, t: float, cutoff: float,
             f"grid has k={k_ball}"
         )
     # the stepper's own ball mask, so the two agree bit for bit
-    ball = half.require_in_ball("a checkpointed state", w_band, cutoff, 0.0)
+    ball = grid.require_in_ball("a checkpointed state", w_band, cutoff, 0.0)
     header = _HEADER.pack(MAGIC, VERSION, grid.d, grid.N, grid.L, float(t), cutoff)
     fp = _canonical(fingerprint)
     payload = w_band[:, ball].astype("<c16", copy=False).tobytes()
@@ -163,15 +162,15 @@ def load_checkpoint(path: str | Path, expect_fingerprint: dict | None = None):
     _require_cutoff(cutoff)
     # up to the ball mask every check is arithmetic on single frequencies,
     # so a header naming a huge N builds nothing before its payload is known
-    half = make_grid(d, N, L).half
-    k_ball = half.ball_radius(cutoff)
+    grid = make_grid(d, N, L)
+    k_ball = grid.ball_radius(cutoff)
     if k != k_ball:
         raise CheckpointError(
             f"checkpoint band radius k={k} is not that of its cutoff ball |xi| < "
             f"{cutoff:g}, k={k_ball}"
         )
     payload = blob[pos:]
-    least = d * _least_ball_modes(half, cutoff) * 16
+    least = d * _least_ball_modes(grid, cutoff) * 16
     if len(payload) < least:
         raise CheckpointError(
             f"checkpoint truncated: its cutoff ball needs at least {least} payload "
@@ -181,7 +180,7 @@ def load_checkpoint(path: str | Path, expect_fingerprint: dict | None = None):
         _check_fingerprint(fingerprint, expect_fingerprint)
     # the cube is a small multiple of the inscribed cube, whose payload is
     # now known to be present
-    ball = half.band_kabs(k) < cutoff
+    ball = grid.band_kabs(k) < cutoff
     expected = d * int(np.count_nonzero(ball)) * 16
     if len(payload) != expected:
         raise CheckpointError(
@@ -190,7 +189,7 @@ def load_checkpoint(path: str | Path, expect_fingerprint: dict | None = None):
     w_band = np.zeros(band_shape(d, N, k), dtype=np.complex128)
     w_band[:, ball] = np.frombuffer(payload, dtype="<c16").reshape(d, -1)
     try:
-        half.require_real_band("checkpoint payload", w_band)
+        grid.require_real_band("checkpoint payload", w_band)
     except ValueError as exc:
         raise CheckpointError(str(exc)) from None
     return w_band, float(t), float(cutoff)

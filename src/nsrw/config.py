@@ -16,6 +16,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .randomization import FAMILIES, RandomModel
 from .solver import INTEGRATORS, SolverConfig
+from .spectral import dealias_cutoff
 from .tails import TAIL_FIT_MIN_SAMPLES, NormSpec, check_admissible
 
 EXPERIMENTS = ("randomize", "heatflow", "tails", "solve", "report")
@@ -182,7 +183,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     if (not cfg.k_orders or any(k not in (0, 1, 2) for k in cfg.k_orders)
             or len(set(cfg.k_orders)) < len(cfg.k_orders)):
         _fail("k_orders", f"must be a nonempty subset of [0, 1, 2], got {cfg.k_orders}")
-    band = (cfg.N / 3.0) * (2.0 * math.pi / cfg.L)
+    band = dealias_cutoff(cfg.N, cfg.L)
     if cfg.cutoff is not None and not 0 < cfg.cutoff <= band * (1 + 1e-12):
         _fail("cutoff", f"must lie in (0, {band}] (the dealiased band), got {cfg.cutoff}")
     if cfg.data_tilt is not None and not cfg.data_tilt > cfg.d / 2.0:

@@ -50,12 +50,12 @@ def _canonical_modes(grid: Grid):
     k_int = np.fft.fftfreq(grid.N, d=1.0 / grid.N).astype(np.int64)
     # one broadcastable array per axis, shaped as the axis frequencies
     axes = [k_int[: f.size].reshape(f.shape) for f in map(grid.axis_frequency, range(grid.d))]
-    sign = np.zeros(grid.half.shape, dtype=np.int64)
+    sign = np.zeros(grid.half_shape, dtype=np.int64)
     for a in axes:
         sign = np.where(sign == 0, np.sign(a), sign)
     sign = np.where(sign == 0, 1, sign)  # xi = 0
     offset = np.int64(1 << 20)
-    key = np.zeros(grid.half.shape, dtype=np.int64)
+    key = np.zeros(grid.half_shape, dtype=np.int64)
     for a in axes:
         key = (key << np.int64(21)) + (sign * a + offset)
     return sign, key
@@ -102,7 +102,7 @@ def _random_field_with_profile(grid: Grid, amplitude: np.ndarray, seed: int) -> 
     coeff *= theta
     del theta
     np.exp(coeff, out=coeff)
-    data = np.empty((grid.d,) + grid.half.shape, dtype=np.complex128)
+    data = np.empty((grid.d,) + grid.half_shape, dtype=np.complex128)
     _random_unit_directions(grid, seed, key, data.real)
     del key
     # N^{d/2} pins the continuum Fourier-series amplitude, so the same seed
@@ -148,7 +148,7 @@ def borderline_field(
 
 def smooth_random_field(grid: Grid, seed: int, band: int = 3) -> SpectralField:
     """Band-limited random divergence-free data of unit L2 norm for manufactured runs."""
-    profile = np.exp(-0.5 * grid.ksq) * (grid.half.box_radius() <= band)
+    profile = np.exp(-0.5 * grid.ksq) * (grid.box_radius() <= band)
     f = _random_field_with_profile(grid, profile, seed)
     nrm = l2_norm(f)
     if nrm == 0.0:

@@ -43,7 +43,6 @@ class DwdtReport:
     times: np.ndarray
     values: np.ndarray
     time_norm: float
-    time_exponent: float
 
 
 def dwdt_report(times: np.ndarray, values: np.ndarray, d: int) -> DwdtReport:
@@ -53,7 +52,7 @@ def dwdt_report(times: np.ndarray, values: np.ndarray, d: int) -> DwdtReport:
     values = np.asarray(values, dtype=np.float64)
     a = 4.0 / d
     time_norm = float(np.trapezoid(values**a, times) ** (1.0 / a))
-    return DwdtReport(times=times, values=values, time_norm=time_norm, time_exponent=a)
+    return DwdtReport(times=times, values=values, time_norm=time_norm)
 
 
 def dwdt_norm(trajectory: Trajectory, config: SolverConfig) -> DwdtReport:
@@ -66,7 +65,7 @@ def dwdt_norm(trajectory: Trajectory, config: SolverConfig) -> DwdtReport:
     """
     grid = trajectory.f_omega.grid
     vol = grid.cell_volume
-    weight = grid.half.weight / (1.0 + grid.ksq)
+    weight = grid.weight / (1.0 + grid.ksq)
     values = []
     for w, g in zip(trajectory.w_states, trajectory.g_states):
         dwdt = -grid.ksq * w.data + nonlinear_rhs(w, g, config.cutoff).data
@@ -143,7 +142,7 @@ def nse_residual(grid: Grid, times: np.ndarray, u_half,
     if prev is None:
         raise ValueError(f"nse_residual got 0 states for {times.size} times")
     vol = grid.cell_volume
-    weight = grid.half.weight / (1.0 + grid.ksq)
+    weight = grid.weight / (1.0 + grid.ksq)
     plan = TransportPlan(grid) if plan is None else plan
     um = np.empty_like(prev, dtype=np.complex128)
     resid = np.empty_like(um)

@@ -236,15 +236,12 @@ def _run_heatflow(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str
             [cg.times, cg.l2_ratios, cg.linf_ratios[0], cg.linf_ratios[1]],
         )
     }
-    # each decay time transforms every component of every order-k
-    # derivative (d^k of them) once; the pruned ones ran on a cube smaller
-    # than the half lattice
     meta = {
         "phase_seconds": {"sweeps": sweeps_s},
         "phase_peak_rss_mib": peak_rss,
         "counters": {
             "decay_times": len(t_grid),
-            "field_transforms": len(t_grid) * sum(grid.d**k for k in swept) * f_om.ncomp,
+            "field_transforms": field.transforms,
             "pruned_field_transforms": field.pruned_transforms,
         },
     }
@@ -330,7 +327,7 @@ def _run_solve(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
     w_l2 = np.sqrt(log.kinetic[snap_idx])
     # one snapshot at a time on the whole half lattice, so the sums keep
     # their grouping
-    div_rel = np.array([grid.half.divergence_ratio(grid.half.scatter(w)) for w in traj.w_band])
+    div_rel = np.array([grid.divergence_ratio(grid.scatter(w)) for w in traj.w_band])
     dwdt = dwdt_report(traj.times, traj.dwdt_hminus1, grid.d)
 
     f_l2 = l2_norm(f_om)

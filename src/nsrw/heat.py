@@ -59,8 +59,6 @@ class DecayReport:
     window where the resolved band dominates.
     """
 
-    k: int
-    norm_kind: str
     times: np.ndarray
     values: np.ndarray
     ratios: np.ndarray
@@ -111,12 +109,14 @@ def _fit_loglog_slope(times: np.ndarray, values: np.ndarray, grid) -> float:
     return float(np.polyfit(np.log(times[sel]), np.log(values[sel]), 1)[0])
 
 
-# A table of up to 4M entries (32 MB) is kept: the Monte Carlo table, reused
-# by every sample (385 x 64*33 at d=2 N=64, 0.8M), stays; the heatflow table
-# at d=3 N=64 (43 x 64*64*33, 5.8M entries, 44 MiB), used by a few sweeps, is
-# streamed one time block at a time. Either way one decay block per time
-# block is shared by all the symbols and components of a sweep.
-_DECAY_CACHE: dict = {}
+# One table of up to 4M entries (32 MB) is kept, the last one formed: every
+# verb sweeps one (grid, times) pair per process. The Monte Carlo table,
+# reused by every sample (385 x 64*33 at d=2 N=64, 0.8M), stays; the
+# heatflow table at d=3 N=64 (43 x 64*64*33, 5.8M entries, 44 MiB), used by
+# a few sweeps, is streamed one time block at a time. Either way one decay
+# block per time block is shared by all the symbols and components of a
+# sweep.
+_decay_table: tuple = (None, None)
 _DECAY_CACHE_MAX_ELEMS = 4_000_000
 # grid points per one-component block of times: 24 times at d=2 N=64, 3 at
 # d=3 N=32, one time at d=3 N=64
@@ -129,20 +129,19 @@ _DROPPED_MASS_RATIO = 2.0**-106
 
 
 def _half_decay(grid, times: np.ndarray) -> np.ndarray | None:
-    """exp(-t |xi|^2) on the rfft half-spectrum for every t, cached while
-    small enough to keep; None tells the caller to stream per chunk."""
-    ksq_half = grid.ksq
-    if times.size * ksq_half.size > _DECAY_CACHE_MAX_ELEMS:
+    """exp(-t |xi|^2) on the rfft half-spectrum for every t, kept while
+    small enough and read-only, since every tails worker thread multiplies
+    by it; None tells the caller to stream per chunk."""
+    global _decay_table
+    if times.size * math.prod(grid.half_shape) > _DECAY_CACHE_MAX_ELEMS:
         return None
     key = (grid.d, grid.N, grid.L, times.tobytes())
-    hit = _DECAY_CACHE.get(key)
-    if hit is None:
-        shape = (-1,) + (1,) * grid.d
-        hit = np.exp(-times.reshape(shape) * ksq_half[None])
-        if len(_DECAY_CACHE) >= 4:
-            _DECAY_CACHE.pop(next(iter(_DECAY_CACHE)))
-        _DECAY_CACHE[key] = hit
-    return hit
+    kept, table = _decay_table
+    if kept != key:
+        table = np.exp(-times.reshape((-1,) + (1,) * grid.d) * grid.ksq[None])
+        table.flags.writeable = False
+        _decay_table = (key, table)
+    return table
 
 
 class _SweepField:
@@ -150,8 +149,9 @@ class _SweepField:
     planes 0 and N/2 conjugate-symmetric) and zero on its Nyquist rows. The
     sweeps and decay checks of one field (heatflow's orders k, condg's two
     sweeps) share the check, the H^{-s} norms and the |xi|^2 shell masses;
-    pruned_transforms counts the one-time, one-component transforms their
-    sweeps ran on a cube smaller than the half lattice."""
+    transforms counts the one-time, one-component transforms their sweeps
+    ran, and pruned_transforms those of them that ran on a cube smaller
+    than the half lattice."""
 
     def __init__(self, f: SpectralField):
         require_real_field("heat sweep data", f)
@@ -160,6 +160,7 @@ class _SweepField:
             raise ValueError("heat sweep data has content on its Nyquist rows; "
                              "the sweeps need it zero there")
         self.f = f
+        self.transforms = 0
         self.pruned_transforms = 0
         self._hnorms = {}
 
@@ -181,7 +182,7 @@ class _SweepField:
             term = np.abs(self.f.data[c])
             term **= 2
             coeff_sq += term
-        coeff_sq *= g.half.weight
+        coeff_sq *= g.weight
         return shells, np.bincount(index.ravel(), weights=coeff_sq.ravel())
 
 
@@ -228,15 +229,15 @@ def _shell_mass(f: SpectralField, syms_h: list) -> np.ndarray:
     """|symbol * a|^2 on each box shell max_i |k_i| = r of the half lattice,
     summed over the half-lattice symbols syms_h (None for all-ones) and the
     components of f: the masses _block_radii bounds, in no set order."""
-    half = f.grid.half
-    n_half = half.shape[-1]
-    coeff_sq = np.zeros(half.shape)
+    grid = f.grid
+    coeff_sq = np.zeros(grid.half_shape)
     for c in range(f.ncomp):
         term = np.abs(f.data[c])
         term **= 2
         coeff_sq += term
     coeff_sq *= sum(1.0 if sym_h is None else np.abs(sym_h) ** 2 for sym_h in syms_h)
-    return np.bincount(half.box_radius().ravel(), weights=coeff_sq.ravel(), minlength=n_half)
+    return np.bincount(grid.box_radius().ravel(), weights=coeff_sq.ravel(),
+                       minlength=grid.N // 2 + 1)
 
 
 def _heat_norms(f, symbols: list, times: np.ndarray, exponents: tuple) -> np.ndarray:
@@ -272,7 +273,7 @@ def _heat_norms(f, symbols: list, times: np.ndarray, exponents: tuple) -> np.nda
     symbols, summed once per call). The cube of radius N/2 - 1 already
     holds all of the data, whose Nyquist rows are zero; when the chosen
     cube is smaller, the block forms data * symbol * decay on the cube only
-    (HalfLattice.band_boxes, the boxes of band(k)) in the zeroed work
+    (Grid.band_boxes, the boxes of band(k)) in the zeroed work
     array, runs each leading-axis pass only on the lines that carry the
     cube (spectral._line_views, the transport kernel's pruning), and the
     last-axis irfft on the work array, which is zero beyond plane k. A
@@ -285,7 +286,6 @@ def _heat_norms(f, symbols: list, times: np.ndarray, exponents: tuple) -> np.nda
     field = _sweep_field(f)
     f = field.f
     g = f.grid
-    half = g.half
     sp = tuple(range(1, 1 + g.d))
     vol = g.cell_volume
     chunk = max(1, _BLOCK_ELEMS // math.prod(g.shape))
@@ -296,12 +296,12 @@ def _heat_norms(f, symbols: list, times: np.ndarray, exponents: tuple) -> np.nda
     syms_h = [None if np.all(sym == 1.0) else sym for sym in symbols]
     mass = _shell_mass(f, syms_h)
     # broadcast to the whole half lattice, so that a box of it is a view
-    syms_h = [sym_h if sym_h is None else np.broadcast_to(sym_h, half.shape)
+    syms_h = [sym_h if sym_h is None else np.broadcast_to(sym_h, g.half_shape)
               for sym_h in syms_h]
     cached = _half_decay(g, times)
     # the streamed decay of one time block, formed in place
-    streamed = np.empty((rows,) + half.shape) if cached is None else None
-    block = np.empty((rows,) + half.shape, dtype=np.complex128)
+    streamed = np.empty((rows,) + g.half_shape) if cached is None else None
+    block = np.empty((rows,) + g.half_shape, dtype=np.complex128)
     real = np.empty((rows,) + g.shape)
     starts = np.arange(0, times.size, chunk)
     radii = _block_radii(mass, g, times[starts], times[np.minimum(starts + chunk, times.size) - 1])
@@ -310,7 +310,7 @@ def _heat_norms(f, symbols: list, times: np.ndarray, exponents: tuple) -> np.nda
     radii[radii >= g.N // 2 - 1] = g.N // 2
     # the block array's last-axis planes from `dirty` on are zero (at
     # first none is known to be)
-    dirty = half.shape[-1]
+    dirty = g.N // 2 + 1
 
     for lo, k in zip(starts, radii.tolist()):
         tt = times[lo : lo + chunk]
@@ -324,11 +324,12 @@ def _heat_norms(f, symbols: list, times: np.ndarray, exponents: tuple) -> np.nda
             np.exp(decay, out=decay)
         hb, rb = block[:n], real[:n]
         pruned = k < g.N // 2
+        field.transforms += n * len(symbols) * f.ncomp
         if pruned:
             field.pruned_transforms += n * len(symbols) * f.ncomp
         # the cube's boxes and the lines each leading-axis pass transforms;
         # at k = N/2 one box and one view per pass, the whole array
-        boxes = half.band_boxes(k)
+        boxes = g.band_boxes(k)
         passes = _line_views(hb, k, sp[:-1])
         for n_sym, sym_h in enumerate(syms_h):
             # the first symbol sums its components straight into acc, the
@@ -421,8 +422,6 @@ def check_linear_estimates(
     linf_env_sqrt = np.sqrt(linf_env_core) * hnorm
 
     l2_report = DecayReport(
-        k=k,
-        norm_kind="L2",
         times=times,
         values=l2_vals,
         ratios=l2_vals / l2_env,
@@ -430,8 +429,6 @@ def check_linear_estimates(
         fitted_slope=_fit_loglog_slope(times, l2_vals, g),
     )
     linf_report = DecayReport(
-        k=k,
-        norm_kind="Linf",
         times=times,
         values=linf_vals,
         ratios=linf_vals / linf_env,

@@ -15,16 +15,16 @@ product (w + Tg) x (w + Tg), formed in physical space on dealiased inputs by
 the transport kernel.
 
 Data, w and g are real fields, held as rfft half spectra like every
-fourier-space field (spectral.HalfLattice); solve refuses data and resume
+fourier-space field (spectral.Grid); solve refuses data and resume
 states whose self-mirrored planes 0 and N/2 are not conjugate-symmetric.
 
 Every stage field lives in the ball, so the stepper keeps w, the
 truncated data and every mask and weight as band arrays of the cube
-|k_i| <= k_max that holds the ball (spectral.HalfLattice.band), with
+|k_i| <= k_max that holds the ball (spectral.Grid.band), with
 k_max = ceil(kappa) - 1 for kappa = cutoff L / 2 pi. States enter the cube
 once (data, resume band, step() input), snapshots stay on it, and only
 step() output and the readers of a snapshot scatter it back onto the
-half lattice (HalfLattice.scatter); coefficients keep the N grid's
+half lattice (Grid.scatter); coefficients keep the N grid's
 unitary normalisation throughout. The stage products are formed on
 the smallest grid on which products of ball fields do not alias back into
 the ball (stepping_lattice_size): M points per axis with M >= 2 k_max +
@@ -47,6 +47,7 @@ from .spectral import (
     Grid,
     SpectralField,
     TransportPlan,
+    dealias_cutoff,
     fourier_field,
     friedrichs_cutoff,
     linf_norm,
@@ -141,12 +142,12 @@ class Trajectory:
     """Snapshots of w along a run, with the data it was solved from.
 
     w_band holds each snapshot as a band array of the data grid's half
-    lattice (grid.half.band): solve keeps the stepper's cube |k_i| <= k_max
+    lattice (Grid.band): solve keeps the stepper's cube |k_i| <= k_max
     around the cutoff ball, a tenth of the half lattice at d=3 N=32, and a
     whole half spectrum is the band array of radius N/2. Each snapshot's
     last-axis plane 0 (and plane N/2, if it holds it) is conjugate-symmetric.
     Readers scatter one snapshot at a time onto the half lattice
-    (HalfLattice.scatter); w_states forms every field on access.
+    (Grid.scatter); w_states forms every field on access.
     The forcing is not stored: g_states derives the truncated free
     evolution T e^{tD} f_omega at each snapshot time. dwdt_hminus1 holds
     |dw/dt|_{H^{-1}} at each snapshot as the solver recorded it,
@@ -167,8 +168,8 @@ class Trajectory:
     @property
     def w_states(self) -> list:
         """w at each snapshot time as a field, formed on every access."""
-        half = self.f_omega.grid.half
-        return [fourier_field(half.grid, half.scatter(h)) for h in self.w_band]
+        grid = self.f_omega.grid
+        return [fourier_field(grid, grid.scatter(h)) for h in self.w_band]
 
     @property
     def g_states(self) -> list:
@@ -218,7 +219,7 @@ def nonlinear_rhs(w: SpectralField, g: SpectralField, cutoff: float) -> Spectral
     so one transport evaluation of the summed field covers all four.
     w must be supported inside the cutoff ball; g is truncated internally.
     The result's self-mirrored planes are made conjugate-symmetric
-    (HalfLattice.symmetrize), as a real field's are.
+    (Grid.symmetrize), as a real field's are.
     """
     if w.space != FOURIER or g.space != FOURIER:
         raise ValueError("nonlinear_rhs expects fourier-space fields")
@@ -227,11 +228,11 @@ def nonlinear_rhs(w: SpectralField, g: SpectralField, cutoff: float) -> Spectral
     grid = w.grid
     if w.ncomp != grid.d or g.ncomp != grid.d:
         raise ValueError("nonlinear_rhs needs one component per dimension")
-    grid.half.require_in_ball("fluctuation", w.data, cutoff, BALL_RTOL)
+    grid.require_in_ball("fluctuation", w.data, cutoff, BALL_RTOL)
     plan = TransportPlan(grid)
     u = (w + friedrichs_cutoff(g, cutoff)).data[(slice(None), *plan.in_band)]
     return -friedrichs_cutoff(
-        fourier_field(grid, grid.half.symmetrize(projected_transport_half(u, plan))), cutoff
+        fourier_field(grid, grid.symmetrize(projected_transport_half(u, plan))), cutoff
     )
 
 
@@ -264,7 +265,7 @@ def stepping_lattice_size(grid: Grid, cutoff: float) -> int:
     the smallest grid, 8), or N when that reaches N. N itself always clears
     the bound, because the cutoff lies inside the 2/3 band.
     """
-    k_max = grid.half.ball_radius(cutoff)
+    k_max = grid.ball_radius(cutoff)
     return min(_smooth_even_at_least(max(3 * k_max + 1, 8)), grid.N)
 
 
@@ -273,7 +274,7 @@ class _Stepper:
     decay factors and truncated data.
 
     States are band arrays of the cube |k_i| <= k_max that holds the ball
-    (HalfLattice.band), supported in the ball, with the coefficients of the
+    (Grid.band), supported in the ball, with the coefficients of the
     N grid's unitary normalisation; the Parseval weights make kinetic,
     gradsq and pairing equal to the N grid's full-lattice sums. Only the
     transport plan knows the M-point lattice the stage products are formed
@@ -283,7 +284,7 @@ class _Stepper:
     def __init__(self, grid: Grid, fhat: np.ndarray, config: SolverConfig):
         # the cutoff is checked against the data's grid here, where both
         # solve and step build their stepper
-        kcut = (grid.N / 3.0) * (2.0 * np.pi / grid.L)
+        kcut = dealias_cutoff(grid.N, grid.L)
         if not 0 < config.cutoff <= kcut * (1 + 1e-12):
             raise ValueError(
                 f"cutoff {config.cutoff} must lie in (0, {kcut}] so the truncation "
@@ -291,16 +292,16 @@ class _Stepper:
             )
         self.grid = grid
         self.config = config
-        k_max = grid.half.ball_radius(config.cutoff)
+        k_max = grid.ball_radius(config.cutoff)
         M = stepping_lattice_size(grid, config.cutoff)
         step_grid = grid if M == grid.N else make_grid(grid.d, M, grid.L)
-        self.band = grid.half.band(k_max)
+        self.band = grid.band(k_max)
         # ksq and the weights as the stepping lattice holds them, so the
         # decay factors are those of the grid the kernel runs on
-        step_band = step_grid.half.band(k_max)
+        step_band = step_grid.band(k_max)
         self.ksq = step_grid.ksq[step_band]
-        self.weight = step_grid.half.weight[step_band]
-        self.ball = grid.half.band_kabs(k_max) < config.cutoff
+        self.weight = step_grid.weight[step_band]
+        self.ball = grid.band_kabs(k_max) < config.cutoff
         # the kernel's unitary M-point transforms return (N/M)^{d/2} times
         # the N-normalised coefficients of the product; the output mask
         # undoes that
@@ -414,13 +415,13 @@ def step(state: SpectralField, t: float, dt: float, config: SolverConfig,
     if t < 0:
         raise ValueError("step time must be nonnegative")
     grid = state.grid
-    grid.half.require_in_ball("state", state.data, config.cutoff, BALL_RTOL)
+    grid.require_in_ball("state", state.data, config.cutoff, BALL_RTOL)
     stepper = _Stepper(grid, f_omega.data, config)
     what = stepper.embed(state.data)
     out, _ = stepper.advance(what, *stepper.stage0(what, t), dt)
     if not np.all(np.isfinite(out)):
         raise StepFailureError(t)
-    return fourier_field(grid, grid.half.scatter(grid.half.symmetrize(out)))
+    return fourier_field(grid, grid.scatter(grid.symmetrize(out)))
 
 
 def _check_stability(config: SolverConfig, f_omega: SpectralField):
@@ -454,7 +455,7 @@ def solve(
     called as on_snapshot(index, t, w_band) as each one is taken, while the
     run goes on. The trajectory keeps f_omega, from which it derives the
     forcing. A resume at T, or from a band of another shape, or not a real
-    field's (HalfLattice.require_real_band), or with support outside the
+    field's (Grid.require_real_band), or with support outside the
     ball is refused before the first snapshot.
     """
     grid = f_omega.grid
@@ -463,7 +464,7 @@ def solve(
     if mean_mode_magnitude(f_omega) != 0.0:
         raise ValueError("data must be mean-zero")
     require_real_field("data", f_omega)
-    if grid.half.divergence_ratio(f_omega.data) > 1e-8:
+    if grid.divergence_ratio(f_omega.data) > 1e-8:
         raise ValueError("data must be divergence-free")
 
     stepper = _Stepper(grid, f_omega.data, config)
@@ -484,17 +485,17 @@ def solve(
         if hits[0] == times.size - 1:
             raise ValueError(f"resume time {resume_time} is the end time T = {config.T}: "
                              f"there is nothing left to integrate")
-        grid.half.require_real_band("resume state", resume_band)
-        grid.half.require_in_ball("resume state", resume_band, config.cutoff, BALL_RTOL)
+        grid.require_real_band("resume state", resume_band)
+        grid.require_in_ball("resume state", resume_band, config.cutoff, BALL_RTOL)
         start = int(hits[0])
-        what = stepper.embed(grid.half.scatter(resume_band))
+        what = stepper.embed(grid.scatter(resume_band))
 
     snap_times, w_band, dwdt = [], [], []
 
     def snapshot(t: float, state: np.ndarray, rhs0: np.ndarray):
         """Record the state with dw/dt from its stage-0 right-hand side."""
         snap_times.append(t)
-        w_band.append(grid.half.symmetrize(state))
+        w_band.append(grid.symmetrize(state))
         dwdt.append(stepper.dwdt_hminus1(state, rhs0))
         if on_snapshot is not None:
             on_snapshot(len(snap_times) - 1, float(t), w_band[-1])
@@ -549,10 +550,9 @@ def iter_u(trajectory: Trajectory):
     """The half spectrum of u(t) = e^{tD} f_omega + w(t) per snapshot, on
     the data grid's half lattice, formed one at a time."""
     grid = trajectory.f_omega.grid
-    half = grid.half
     fhat = trajectory.f_omega.data
     for t, w in zip(trajectory.times, trajectory.w_band):
         u = fhat * np.exp(-float(t) * grid.ksq)
-        # w added on its cube: the sum with half.scatter(w)
-        u[(slice(None), *half.band(w.shape[-1] - 1))] += w
+        # w added on its cube: the sum with grid.scatter(w)
+        u[(slice(None), *grid.band(w.shape[-1] - 1))] += w
         yield u

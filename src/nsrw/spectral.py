@@ -7,17 +7,18 @@ volume (L/N)^d as quadrature weight. Frequencies along each axis are
 (-N/2) is a convention-zero row that constructed data never populates.
 
 Every field is real, so the rfft half of the lattice (last-axis indices
-0..N/2, `Grid.half`) holds all of its conjugate-symmetric spectrum,
-a(-xi) = conj a(xi): a fourier-space field lives there, a physical-space
-one is real on the N^d grid, and `transform` runs rfftn and irfftn. The
-grid's spectral arrays live on the half lattice too, so operators act
-elementwise, sums over modes carry the Parseval weights
-(`HalfLattice.weight`), and the conjugate constraint sits on the
-self-mirrored last-axis planes 0 and N/2 alone. The transport kernel's
-input and output are band arrays, the values on a cube |k_i| <= k of the
-half lattice (`HalfLattice.band`), and it transforms only the lines that
-carry its input band or feed its output band, in the index maps and work
-buffers of a `TransportPlan` that its caller owns.
+0..N/2, shape `Grid.half_shape`) holds all of its conjugate-symmetric
+spectrum, a(-xi) = conj a(xi): a fourier-space field lives there, a
+physical-space one is real on the N^d grid, and `transform` runs rfftn
+and irfftn. The grid's spectral arrays live on the half lattice too, so
+operators act elementwise, sums over modes carry the Parseval weights
+(`Grid.weight`), and the conjugate constraint sits on the self-mirrored
+last-axis planes 0 and N/2 alone. The 2/3 band is decided in one place,
+`dealias_cutoff`, whose cube radius is `Grid.dealias_radius`. The
+transport kernel's input and output are band arrays, the values on a cube
+|k_i| <= k of the half lattice (`Grid.band`), and it transforms only the
+lines that carry its input band or feed its output band, in the index
+maps and work buffers of a `TransportPlan` that its caller owns.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ __all__ = [
     "FOURIER",
     "PHYSICAL",
     "Grid",
-    "HalfLattice",
     "SpectralField",
     "RingPartition",
     "make_grid",
+    "dealias_cutoff",
     "fourier_field",
     "physical_field",
     "zeros_field",
@@ -58,7 +59,6 @@ __all__ = [
     "projected_transport_half",
     "HERMITIAN_RTOL",
     "require_real_field",
-    "axis_radius",
     "band_shape",
     "l2_norm",
     "linf_norm",
@@ -71,16 +71,21 @@ class Grid:
     """Uniform periodic grid on [0, L)^d with its Fourier lattice.
 
     shape is the physical grid's, (N,)^d; the spectral arrays (ksq, kabs,
-    nyquist_mask, dealias_keep, axis_frequency) live on the rfft half
-    lattice, shape half.shape = (N,)^(d-1) + (N/2 + 1,). Derived arrays
-    are built on first use and kept,
-    so a grid that needs little holds little (the checkpoint loader's
-    builds none: it takes single frequencies from `frequencies`);
-    equality and hashing use (d, N, L) only. kabs is the exception: it is
-    sqrt(ksq), formed on each access and not kept, since only the data
-    constructors, the cutoffs, the ring partition and the per-sample
-    sigma symbol read it, none in a hot loop, and a kept copy would hold
-    one more lattice-sized array for the whole run.
+    nyquist_mask, axis_frequency, weight) and every fourier-space field
+    live on the rfft half lattice, last-axis indices 0..N/2, of shape
+    half_shape = (N,)^(d-1) + (N/2 + 1,). Its last-axis planes 0 and N/2
+    are their own mirror images; every other mode stands for itself and
+    its conjugate mirror. A band array holds a field's values on a cube
+    |k_i| <= k of the half lattice (band); box_radius gives each mode's
+    smallest such k, and the Nyquist rows and the 2/3 band are read off
+    it. Derived arrays are built on first use and kept, so a grid that
+    needs little holds little (the checkpoint loader's builds none: it
+    takes single frequencies from `frequencies`); equality and hashing use
+    (d, N, L) only. kabs is the exception: it is sqrt(ksq), formed on each
+    access and not kept, since only the data constructors, the cutoffs,
+    the ring partition and the per-sample sigma symbol read it, none in a
+    hot loop, and a kept copy would hold one more lattice-sized array for
+    the whole run.
     """
 
     d: int
@@ -115,23 +120,25 @@ class Grid:
 
     @cached_property
     def nyquist_mask(self) -> np.ndarray:
-        nyq_val = self.k1d[self.N // 2]
-        nyq = np.zeros(self.half.shape, dtype=bool)
-        for ax in range(self.d):
-            nyq |= self.axis_frequency(ax) == nyq_val
-        return nyq
+        """The modes with a component -N/2: the rows that hold it on the
+        leading axes and the plane N/2."""
+        return self.box_radius() == self.N // 2
 
     @cached_property
-    def dealias_keep(self) -> np.ndarray:
-        kcut = (self.N / 3.0) * (2.0 * np.pi / self.L)
-        keep = np.ones(self.half.shape, dtype=bool)
-        for ax in range(self.d):
-            keep &= np.abs(self.axis_frequency(ax)) <= kcut
-        return keep
+    def dealias_radius(self) -> int:
+        """The radius of the 2/3 band, the cube |xi_i| <= dealias_cutoff:
+        the largest n <= N/2 whose frequency lies within the cutoff, read
+        off single frequencies, since N/3 can round either way (N = 42)."""
+        cutoff = dealias_cutoff(self.N, self.L)
+        return self._largest_index(lambda n: float(self.frequencies(n)) <= cutoff)
 
     @property
     def shape(self) -> tuple:
         return (self.N,) * self.d
+
+    @property
+    def half_shape(self) -> tuple:
+        return (self.N,) * (self.d - 1) + (self.N // 2 + 1,)
 
     @property
     def cell_volume(self) -> float:
@@ -155,50 +162,33 @@ class Grid:
         x1 = self.L * np.arange(self.N) / self.N
         return np.meshgrid(*([x1] * self.d), indexing="ij")
 
-    @cached_property
-    def half(self) -> "HalfLattice":
-        """The rfft half lattice, derived on first use and kept."""
-        return HalfLattice(self)
-
-
-class HalfLattice:
-    """The rfft half of a grid's Fourier lattice: last-axis indices 0..N/2.
-
-    Arrays have shape (N, ..., N, N/2 + 1), the layout of every
-    fourier-space field. The last-axis planes 0 and N/2 are their own
-    mirror images; every other mode stands for itself and its conjugate
-    mirror, so the Parseval weight is 1 on those two planes and 2
-    elsewhere: sum(weight * |a|^2) is the whole lattice's sum of |a|^2 for
-    the conjugate-symmetric spectrum whose half is a. The weight depends on
-    the last axis alone, so it is one (N/2 + 1,) vector, read as a
-    read-only broadcast over the half lattice.
-    """
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        self.shape = grid.shape[:-1] + (grid.N // 2 + 1,)
-
     def box_radius(self) -> np.ndarray:
         """max_i |k_i| of every mode: the radius of the smallest band
         (cube |k_i| <= k, see band) that holds it; built on each call."""
-        N, d = self.grid.N, self.grid.d
+        N, d = self.N, self.d
         rows = np.arange(N)
         rows = np.minimum(rows, N - rows)
-        radius = np.arange(self.shape[-1]).reshape((1,) * (d - 1) + (-1,))
+        radius = np.arange(N // 2 + 1).reshape((1,) * (d - 1) + (-1,))
         for ax in range(d - 1):
             radius = np.maximum(radius, rows.reshape((-1,) + (1,) * (d - 1 - ax)))
         return radius
 
     @cached_property
     def weight(self) -> np.ndarray:
-        weight = np.full(self.shape[-1], 2.0)
+        """The Parseval weight: 1 on the self-mirrored last-axis planes 0
+        and N/2, 2 elsewhere, so sum(weight * |a|^2) is the whole
+        lattice's sum of |a|^2 for the conjugate-symmetric spectrum whose
+        half is a. It depends on the last axis alone, so it is one
+        (N/2 + 1,) vector, read as a read-only broadcast over the half
+        lattice."""
+        weight = np.full(self.N // 2 + 1, 2.0)
         weight[0] = weight[-1] = 1.0
-        return np.broadcast_to(weight, self.shape)
+        return np.broadcast_to(weight, self.half_shape)
 
     def _mirrored_planes(self, h: np.ndarray) -> tuple:
         """The self-mirrored last-axis planes the band array h holds: 0, and
         N/2 when h holds the whole last axis."""
-        return (0, self.shape[-1] - 1) if h.shape[-1] == self.shape[-1] else (0,)
+        return (0, self.N // 2) if h.shape[-1] == self.N // 2 + 1 else (0,)
 
     def symmetrize(self, h: np.ndarray) -> np.ndarray:
         """A copy of the band array h (a whole half array included) whose
@@ -210,7 +200,7 @@ class HalfLattice:
         out = np.array(h, dtype=np.complex128)
         for plane in self._mirrored_planes(h):
             p = h[..., plane]
-            out[..., plane] = 0.5 * (p + _conjugate_mirror(p, len(self.shape) - 1))
+            out[..., plane] = 0.5 * (p + _conjugate_mirror(p, self.d - 1))
         return out
 
     def plane_asymmetry(self, h: np.ndarray) -> float:
@@ -224,7 +214,7 @@ class HalfLattice:
         if scale == 0.0:
             return 0.0
         worst = max(
-            np.abs(_conjugate_mirror(h[..., plane], len(self.shape) - 1) - h[..., plane]).max()
+            np.abs(_conjugate_mirror(h[..., plane], self.d - 1) - h[..., plane]).max()
             for plane in self._mirrored_planes(h)
         )
         return float(worst / scale)
@@ -232,14 +222,14 @@ class HalfLattice:
     def divergence_ratio(self, h: np.ndarray) -> float:
         """|div u|_L2 / |u|_L2 of the real field u whose half spectrum is h,
         summed over the half lattice with its Parseval weights; 0/0 is 0."""
-        div = sum(self.grid.axis_frequency(ax) * c for ax, c in enumerate(h))
+        div = sum(self.axis_frequency(ax) * c for ax, c in enumerate(h))
         den = float(np.sum(self.weight * np.abs(h) ** 2))
         if den == 0.0:
             return 0.0
         return float(np.sqrt(np.sum(self.weight * np.abs(div) ** 2) / den))
 
     def band(self, k: int) -> tuple:
-        """The index of the cube |k_i| <= k on this half lattice.
+        """The index of the cube |k_i| <= k on the half lattice.
 
         A band array, a[(..., *band(k))], holds the values on that cube:
         its leading axes list the rows 0..k, -k..-1 in FFT order (the whole
@@ -249,40 +239,42 @@ class HalfLattice:
         A band array's radius is read off its last axis, k + 1 planes; a
         whole half array is the band array of radius N/2.
         """
-        N = self.grid.N
+        N = self.N
         if k >= N // 2:
-            return (slice(None),) * self.grid.d
-        return np.ix_(*([_band_rows(N, k)] * (self.grid.d - 1) + [np.arange(k + 1)]))
+            return (slice(None),) * self.d
+        return np.ix_(*([_band_rows(N, k)] * (self.d - 1) + [np.arange(k + 1)]))
 
     def band_kabs(self, k: int) -> np.ndarray:
-        """|xi| on the cube of band(k): grid.kabs[band(k)] bit for bit,
-        from the frequencies of the band's rows alone, so neither an array
-        larger than the cube nor the N-point k1d is built."""
-        grid = self.grid
-        N = grid.N
-        rows = [_band_rows(N, k)] * (grid.d - 1) + [np.arange(min(k, N // 2) + 1)]
-        freqs = (grid.frequencies(_signed_rows(r, N)) for r in rows)
+        """|xi| on the cube of band(k): kabs[band(k)] bit for bit, from the
+        frequencies of the band's rows alone, so neither an array larger
+        than the cube nor the N-point k1d is built."""
+        N = self.N
+        rows = [_band_rows(N, k)] * (self.d - 1) + [np.arange(min(k, N // 2) + 1)]
+        freqs = (self.frequencies(_signed_rows(r, N)) for r in rows)
         return np.sqrt(_sum_squares(np.ix_(*freqs)))
 
     def ball_radius(self, cutoff: float, axes: int = 1) -> int:
         """The largest n <= N/2 whose mode (n, ..., n) on the first `axes`
         axes (0 on the others) lies in the ball |xi| < cutoff, for a
         positive cutoff. With one axis it is the largest |k_i| of the
-        ball's modes, axis_radius(grid.kabs < cutoff); with d axes,
-        the radius of the largest cube |k_i| <= n the ball holds whole,
-        since |xi| grows with each |k_i|, in floating point too. A
-        bisection on single frequencies, summed as Grid.ksq sums them: it
-        builds no array."""
-        grid = self.grid
+        ball's modes; with d axes, the radius of the largest cube
+        |k_i| <= n the ball holds whole, since |xi| grows with each |k_i|,
+        in floating point too. Single frequencies are summed as ksq sums
+        them: no array is built."""
 
         def inside(n: int) -> bool:
-            f = float(grid.frequencies(n))
+            f = float(self.frequencies(n))
             return math.sqrt(_sum_squares([f] * axes)) < cutoff
 
-        lo, hi = 0, grid.N // 2
+        return self._largest_index(inside)
+
+    def _largest_index(self, holds) -> int:
+        """The largest n in 0..N/2 for which holds(n), by bisection: holds
+        is true at 0 and turns false at most once as n grows."""
+        lo, hi = 0, self.N // 2
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            lo, hi = (mid, hi) if inside(mid) else (lo, mid - 1)
+            lo, hi = (mid, hi) if holds(mid) else (lo, mid - 1)
         return lo
 
     def require_in_ball(self, name: str, h: np.ndarray, cutoff: float,
@@ -301,7 +293,7 @@ class HalfLattice:
             return ball
         comp, *idx = np.unravel_index(np.argmax(outside), outside.shape)
         band = self.band(h.shape[-1] - 1)
-        N = self.grid.N
+        N = self.N
         # each band index is the lattice index that the band's row list
         # holds there, or itself on a whole axis
         rows = (i if isinstance(b, slice) else b.ravel()[i] for b, i in zip(band, idx))
@@ -318,15 +310,14 @@ class HalfLattice:
         slab (_band_slabs) on each leading axis: together they hold the
         values band(k) holds, each box as a view, so a write through them
         touches the cube alone and copies nothing."""
-        N, d = self.grid.N, self.grid.d
         return [slabs + (slice(0, k + 1),)
-                for slabs in itertools.product(*([_band_slabs(N, k)] * (d - 1)))]
+                for slabs in itertools.product(*([_band_slabs(self.N, k)] * (self.d - 1)))]
 
     def require_real_band(self, name: str, h: np.ndarray) -> int:
         """The radius k of h, read off its last axis. Refuses h, naming it,
         unless it is one band array per dimension of radius k <= N/2 whose
         self-mirrored planes are conjugate-symmetric, as a real field's are."""
-        d, N = self.grid.d, self.grid.N
+        d, N = self.d, self.N
         k = h.shape[-1] - 1
         if k > N // 2 or h.shape != band_shape(d, N, k):
             raise ValueError(
@@ -344,8 +335,8 @@ class HalfLattice:
         return k
 
     def scatter(self, h: np.ndarray) -> np.ndarray:
-        """The band array h on this half lattice, zero off its cube."""
-        out = np.zeros(h.shape[: -self.grid.d] + self.shape, dtype=h.dtype)
+        """The band array h on the half lattice, zero off its cube."""
+        out = np.zeros(h.shape[: -self.d] + self.half_shape, dtype=h.dtype)
         out[(Ellipsis, *self.band(h.shape[-1] - 1))] = h
         return out
 
@@ -360,7 +351,7 @@ class SpectralField:
     """d-dimensional vector (or scalar) real field as stacked arrays.
 
     In fourier space data holds the complex128 coefficients on the rfft
-    half lattice, shape (ncomp,) + grid.half.shape; in physical space the
+    half lattice, shape (ncomp,) + grid.half_shape; in physical space the
     float64 point values, shape (ncomp,) + grid.shape. The `space` tag says
     which. Operators below are pure: inputs are never mutated.
     """
@@ -374,7 +365,7 @@ class SpectralField:
             raise ValueError(f"unknown space tag {self.space!r}")
         arr = np.asarray(self.data)
         if self.space == FOURIER:
-            shape, dtype = self.grid.half.shape, np.complex128
+            shape, dtype = self.grid.half_shape, np.complex128
         else:
             shape, dtype = self.grid.shape, np.float64
             if np.iscomplexobj(arr):
@@ -423,7 +414,7 @@ def physical_field(grid: Grid, data: np.ndarray) -> SpectralField:
 
 def zeros_field(grid: Grid, ncomp: int | None = None, space: str = FOURIER) -> SpectralField:
     ncomp = grid.d if ncomp is None else ncomp
-    shape = grid.half.shape if space == FOURIER else grid.shape
+    shape = grid.half_shape if space == FOURIER else grid.shape
     return SpectralField(grid, np.zeros((ncomp,) + shape), space)
 
 
@@ -499,8 +490,8 @@ def _conjugate_mirror(a: np.ndarray, d: int) -> np.ndarray:
 def require_real_field(name: str, f: SpectralField):
     """Refuse a half spectrum whose self-mirrored last-axis planes 0 and N/2
     are not conjugate-symmetric (not a real field's), naming their largest
-    conjugate asymmetry (HalfLattice.plane_asymmetry)."""
-    asym = f.grid.half.plane_asymmetry(f.data)
+    conjugate asymmetry (Grid.plane_asymmetry)."""
+    asym = f.grid.plane_asymmetry(f.data)
     if asym > HERMITIAN_RTOL:
         raise ValueError(
             f"{name} is not conjugate-symmetric (not a real field): the largest "
@@ -548,7 +539,7 @@ class RingPartition:
         (diagnostic only): each half-lattice mode counts with its Parseval
         weight, itself and its mirror."""
         counts = np.bincount(self.index_of.ravel() - 1,
-                             weights=self.grid.half.weight.ravel(), minlength=self.max_ring)
+                             weights=self.grid.weight.ravel(), minlength=self.max_ring)
         return counts.astype(np.int64)
 
 
@@ -597,7 +588,7 @@ def leray_project(f: SpectralField) -> SpectralField:
 def _leray_project(grid: Grid, data: np.ndarray):
     """leray_project in place on the coefficient stack data, one component
     per dimension; its temporaries are one component's size."""
-    dot = np.zeros(grid.half.shape, dtype=np.complex128)
+    dot = np.zeros(grid.half_shape, dtype=np.complex128)
     term = np.empty_like(dot)
     for i in range(grid.d):
         np.multiply(grid.axis_frequency(i), data[i], out=term)
@@ -626,7 +617,7 @@ def multiplier(f: SpectralField, kind: str, order: float | int | None = None) ->
     if kind == "divergence":
         if f.ncomp != g.d:
             raise ValueError("divergence needs one component per dimension")
-        out = np.zeros(g.half.shape, dtype=np.complex128)
+        out = np.zeros(g.half_shape, dtype=np.complex128)
         for i in range(g.d):
             out += 1j * g.axis_frequency(i) * f.data[i]
         return fourier_field(g, out[None, ...])
@@ -650,30 +641,30 @@ def multiplier(f: SpectralField, kind: str, order: float | int | None = None) ->
 
 
 def dealias(f: SpectralField) -> SpectralField:
-    """Two-thirds rule: zero every mode with any |xi_i| > (N/3)*(2*pi/L)."""
+    """Two-thirds rule: zero every mode with any |xi_i| > dealias_cutoff."""
     _require_fourier(f)
-    return fourier_field(f.grid, f.data * f.grid.dealias_keep)
+    g = f.grid
+    return fourier_field(g, f.data * (g.box_radius() <= g.dealias_radius))
 
 
-def axis_radius(mask: np.ndarray) -> int:
-    """The largest |k| of the lattice modes a half-lattice mask keeps on its
-    first axis (FFT order), read off the mask itself."""
-    row = mask[(slice(None),) + (0,) * (mask.ndim - 1)]
-    k = np.arange(row.size)
-    return int(np.minimum(k, row.size - k)[row].max())
+def dealias_cutoff(N: int, L: float) -> float:
+    """The 2/3 rule's bound (N/3)(2 pi/L) on each |xi_i|: the band the
+    transport kernel's input is read on, and the largest cutoff radius the
+    truncation ball may have."""
+    return (N / 3.0) * (2.0 * math.pi / L)
 
 
 def band_shape(d: int, N: int, k: int) -> tuple:
     """The shape of a band array of radius k with one component per
-    dimension (HalfLattice.band), known before any grid array is built."""
+    dimension (Grid.band), known before any grid array is built."""
     return (d,) + (min(2 * k + 1, N),) * (d - 1) + (min(k, N // 2) + 1,)
 
 
 def _sum_squares(axes):
     """|xi|^2 from one frequency array (or number) per axis, broadcastable
-    against each other, summed in axis order: Grid.ksq,
-    HalfLattice.band_kabs and HalfLattice.ball_radius all sum here, so the
-    masks they give agree bit for bit."""
+    against each other, summed in axis order: Grid.ksq, Grid.band_kabs and
+    Grid.ball_radius all sum here, so the masks they give agree bit for
+    bit."""
     return sum(a * a for a in axes)
 
 
@@ -714,8 +705,8 @@ class TransportPlan:
 
     The kernel reads the band array of its input on the cube |k_i| <= k_in
     (in_band) and returns the band array of its output on the cube
-    |k_i| <= k_out (out_band); see HalfLattice.band. k_in defaults to the
-    2/3 band as grid.dealias_keep draws it, k_out to N/2, whose band is the
+    |k_i| <= k_out (out_band); see Grid.band. k_in defaults to the 2/3
+    band's radius, grid.dealias_radius, k_out to N/2, whose band is the
     whole half lattice. Its transforms run in the plan's buffers, so a plan
     serves one caller at a time: the stepper keeps one for its run,
     nse_residual makes one per call unless handed one. calls counts the
@@ -726,18 +717,15 @@ class TransportPlan:
 
     def __init__(self, grid: Grid, k_in: int | None = None, k_out: int | None = None):
         d, N = grid.d, grid.N
-        h = grid.half
-        if k_in is None:
-            # read off the mask, since N/3 can round either way (N = 42)
-            k_in = axis_radius(grid.dealias_keep)
+        k_in = grid.dealias_radius if k_in is None else k_in
         k_out = N // 2 if k_out is None else k_out
         self.grid = grid
-        self.in_band = h.band(k_in)
-        self.out_band = h.band(k_out)
+        self.in_band = grid.band(k_in)
+        self.out_band = grid.band(k_out)
         self.pairs = [(i, j) for i in range(d) for j in range(i, d)]
         npairs = len(self.pairs)
         self.prod = np.empty((npairs,) + grid.shape)
-        self.prod_hat = np.empty((npairs,) + h.shape, dtype=np.complex128)
+        self.prod_hat = np.empty((npairs,) + grid.half_shape, dtype=np.complex128)
         # the inverse transform runs in the first d slots of prod_hat and
         # writes u into the last d slots of prod: in the pair order (i, j),
         # i <= j, each product overwrites a slot whose component no later
@@ -752,7 +740,7 @@ class TransportPlan:
                 for v in views)
             + self.spec.size // self.spec.shape[-1] + self.prod.size // self.prod.shape[-1]
         )
-        self.freqs = tuple(np.broadcast_to(grid.axis_frequency(ax), h.shape)[self.out_band]
+        self.freqs = tuple(np.broadcast_to(grid.axis_frequency(ax), grid.half_shape)[self.out_band]
                            for ax in range(d))
         ksq = grid.ksq[self.out_band]
         self.inv_ksq = 1.0 / np.where(ksq == 0.0, 1.0, ksq)
@@ -839,7 +827,7 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
     """
     _require_fourier(f)
     w = (1.0 + f.grid.ksq) ** s
-    w *= f.grid.half.weight
+    w *= f.grid.weight
     # weight w |a|^2 is formed in one real work array and summed as one flat
     # array
     work = np.abs(f.data)

@@ -9,7 +9,7 @@ import pytest
 
 from nsrw import _rng
 from nsrw.data import default_tilt
-from nsrw.heat import _BLOCK_ELEMS, _half_decay
+from nsrw.heat import _BLOCK_ELEMS
 from nsrw.randomization import hminus_s_norm
 from nsrw.spectral import (
     TransportPlan,
@@ -47,7 +47,7 @@ def single_mode_field(grid, mode, amplitudes):
     """Field with one nonzero half-lattice coefficient, at the integer mode
     whose last component lies in 0..N/2 (on an interior plane it stands for
     the mode and its mirror; on plane 0 the mirror is not set)."""
-    f = np.zeros((len(amplitudes),) + grid.half.shape, dtype=np.complex128)
+    f = np.zeros((len(amplitudes),) + grid.half_shape, dtype=np.complex128)
     idx = tuple(m % grid.N for m in mode)
     for c, a in enumerate(amplitudes):
         f[(c,) + idx] = a
@@ -136,6 +136,16 @@ def full_spectrum(h, grid):
     return full
 
 
+def two_thirds_mask(grid):
+    """The 2/3 band on the half lattice, built axis by axis: every
+    |xi_i| <= (N/3)(2 pi/L)."""
+    kcut = (grid.N / 3.0) * (2.0 * np.pi / grid.L)
+    keep = np.ones(grid.half_shape, dtype=bool)
+    for ax in range(grid.d):
+        keep &= np.abs(grid.axis_frequency(ax)) <= kcut
+    return keep
+
+
 def transport_oracle(uh, grid):
     """P div(u x u) on the half lattice as the unpruned kernel computed it,
     with fresh arrays: irfftn of the input times the 2/3 mask, one rfftn
@@ -143,13 +153,13 @@ def transport_oracle(uh, grid):
     it bit for bit on its output band."""
     freqs = [grid.axis_frequency(ax) for ax in range(grid.d)]
     U = np.fft.irfftn(
-        uh * grid.dealias_keep, s=grid.shape, axes=tuple(range(1, grid.d + 1)), norm="ortho",
+        uh * two_thirds_mask(grid), s=grid.shape, axes=tuple(range(1, grid.d + 1)), norm="ortho",
     )
     that = {}
     for i in range(grid.d):
         for j in range(i, grid.d):
             that[(i, j)] = that[(j, i)] = np.fft.rfftn(U[i] * U[j], norm="ortho")
-    out = np.empty((grid.d,) + grid.half.shape, dtype=np.complex128)
+    out = np.empty((grid.d,) + grid.half_shape, dtype=np.complex128)
     for i in range(grid.d):
         np.multiply(freqs[0], that[(i, 0)], out=out[i])
         for j in range(1, grid.d):
@@ -221,7 +231,7 @@ def random_field_oracle(grid, amplitude, seed):
 def sobolev_norm_oracle(f, s):
     """spectral.sobolev_norm as one whole-array expression on the half
     lattice, with its Parseval weights."""
-    w = (1.0 + f.grid.ksq) ** s * f.grid.half.weight
+    w = (1.0 + f.grid.ksq) ** s * f.grid.weight
     return float(np.sqrt(f.grid.cell_volume * np.sum(w * np.abs(f.data) ** 2)))
 
 
@@ -253,14 +263,14 @@ def smooth_random_oracle(grid, seed, band=3):
 
 def heat_norms_oracle(f, symbols, times, p):
     """|e^{tD} F|_{L^p} for every t: the straightforward half-spectrum sweep,
-    with fresh arrays, a decay block per symbol and irfftn, that
-    heat._heat_norms must reproduce bit for bit on real, Nyquist-free data."""
+    with fresh arrays, a decay block exp(-t |xi|^2) formed per symbol and
+    irfftn, that heat._heat_norms must reproduce bit for bit on real,
+    Nyquist-free data."""
     g = f.grid
     axes = tuple(range(2, 2 + g.d))
     sp = tuple(range(1, 1 + g.d))
     vol = g.cell_volume
     ksq_h = g.ksq
-    cached = _half_decay(g, times)
     chunk = max(1, _BLOCK_ELEMS // math.prod(g.shape))
     out = np.empty(times.size)
 
@@ -268,10 +278,7 @@ def heat_norms_oracle(f, symbols, times, p):
         tt = times[lo : lo + chunk]
         msq = 0.0
         for sym in symbols:
-            if cached is not None:
-                decay = cached[lo : lo + tt.size]
-            else:
-                decay = np.exp(-tt.reshape((-1,) + (1,) * g.d) * ksq_h[None])
+            decay = np.exp(-tt.reshape((-1,) + (1,) * g.d) * ksq_h[None])
             base_h = f.data.copy()
             base_h *= sym
             block = np.fft.irfftn(

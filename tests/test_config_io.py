@@ -157,21 +157,21 @@ def real_state(grid, seed):
     """A divergence-free state whose spectrum is exactly conjugate-symmetric:
     its self-mirrored planes symmetrized."""
     f = random_divfree_field(grid, seed=seed)
-    return fourier_field(grid, grid.half.symmetrize(f.data))
+    return fourier_field(grid, grid.symmetrize(f.data))
 
 
 def ball_state(grid, seed, cutoff):
     """real_state restricted to the ball |xi| < cutoff, and its band array on
     the ball's cube, as solve's snapshots hold it."""
     f = fourier_field(grid, real_state(grid, seed).data * (grid.kabs < cutoff))
-    k = grid.half.ball_radius(cutoff)
-    return f, f.data[(slice(None), *grid.half.band(k))]
+    k = grid.ball_radius(cutoff)
+    return f, f.data[(slice(None), *grid.band(k))]
 
 
 def ball_mask(grid, cutoff):
     """The ball |xi| < cutoff on its cube, from the whole lattice's |xi|."""
-    k = grid.half.ball_radius(cutoff)
-    return grid.kabs[grid.half.band(k)] < cutoff
+    k = grid.ball_radius(cutoff)
+    return grid.kabs[grid.band(k)] < cutoff
 
 
 FINGERPRINT = {"d": 2, "N": 16, "master_seed": 7, "dt": 0.0078125}
@@ -198,7 +198,7 @@ class TestCheckpoint:
             assert t == 0.375 and ck_cutoff == cutoff
             # the band comes back bit for bit, and so does the field
             assert np.array_equal(w, h)
-            assert np.array_equal(grid.half.scatter(w), f.data)
+            assert np.array_equal(grid.scatter(w), f.data)
             # and the file itself is stable: saving again is byte-identical
             path2 = tmp_path / f"again{grid.d}.nsrw"
             save_checkpoint(grid, h, 0.375, cutoff, FINGERPRINT, path2)
@@ -228,7 +228,7 @@ class TestCheckpoint:
         w, t, ck_cutoff = load_checkpoint(path, FINGERPRINT)
         assert (t, ck_cutoff) == (0.5, cutoff)
         assert np.array_equal(w, h)
-        assert np.array_equal(grid.half.scatter(w), f.data)
+        assert np.array_equal(grid.scatter(w), f.data)
         fp = json.dumps(FINGERPRINT, sort_keys=True, separators=(",", ":")).encode()
         assert path.stat().st_size == 48 + len(fp) + d * int(ball.sum()) * 16
         path2 = tmp_path / "again.nsrw"
@@ -526,7 +526,7 @@ class TestCheckpoint:
         assert np.array_equal(payload, h[:, ball])
         cube = np.zeros_like(h)
         cube[:, ball] = payload
-        assert np.array_equal(grid2.half.scatter(cube), f.data)
+        assert np.array_equal(grid2.scatter(cube), f.data)
 
 
 class TestCli:

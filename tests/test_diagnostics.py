@@ -185,7 +185,7 @@ class TestRecordedDwdt:
                      resume_time=0.0)
         ref = dwdt_norm(traj, cfg)
         ksq = grid2_mid.ksq
-        weight = grid2_mid.half.weight
+        weight = grid2_mid.weight
         heat = np.array([
             np.sqrt(grid2_mid.cell_volume
                     * np.sum(weight * ksq**2 / (1.0 + ksq) * np.abs(w.data) ** 2))
@@ -323,10 +323,9 @@ class TestNseResidual:
         # the plain half-lattice expressions with fresh arrays and the
         # unpruned kernel; Nyquist content on every axis, uneven spacing
         grid = make_grid(d, N, TWO_PI)
-        half = grid.half
         times = np.array([0.0, 0.01, 0.025, 0.03])
         halves = [random_real_field(grid, seed=70 + j).data for j in range(4)]
-        weight = half.weight / (1.0 + grid.ksq)
+        weight = grid.weight / (1.0 + grid.ksq)
         want = []
         for j in range(times.size - 1):
             prev, cur = halves[j], halves[j + 1]

@@ -298,6 +298,21 @@ class TestArtifacts:
         run(tmp_path, "heatflow", experiment="heatflow", d=2, N=16, k_orders=[0, 2])
         assert sorted(calls) == ["hminus_s_norm", "require_real_field"]
 
+    @pytest.mark.parametrize("k_orders", [[0, 1], [2]])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_heatflow_counts_the_transforms_its_sweeps_run(self, tmp_path, d, k_orders):
+        # each decay time transforms every component of every order-k
+        # derivative (d^k of them) once, for k_orders and the k = 0, 1 that
+        # condg reads
+        res, _ = run(tmp_path, "heatflow", experiment="heatflow", d=d, N=16, s=0.2,
+                     k_orders=k_orders)
+        counters = json.loads((res.output_dir / "meta.json").read_text())["counters"]
+        times = json.loads((res.output_dir / "summary.json").read_text())["times"]
+        swept = sorted(set(k_orders) | {0, 1})
+        assert counters["decay_times"] == times
+        assert counters["field_transforms"] == times * sum(d**k for k in swept) * d
+        assert 0 <= counters["pruned_field_transforms"] <= counters["field_transforms"]
+
     def test_heatflow_outputs(self, tmp_path):
         res, _ = run(
             tmp_path,
@@ -498,7 +513,7 @@ class TestResume:
                  ["checkpoints"]]
         assert len(files) == traj.times.size == 5
         grid = make_grid(3, 16, 2.0 * np.pi)
-        ball = grid.kabs[grid.half.band(3)] < 4.0
+        ball = grid.kabs[grid.band(3)] < 4.0
         assert int(ball.sum()) == 148
         for i, (path, t, h) in enumerate(zip(files, traj.times, traj.w_band)):
             assert path.name == f"checkpoint_{i:04d}.nsrw"
@@ -600,7 +615,7 @@ class TestResume:
         bad_w = w.copy()
         bad_w[0, 1, 0] += 1e-3 * np.abs(w).max()
         grid = make_grid(2, 32, 2.0 * np.pi)
-        ball = grid.kabs[grid.half.band(7)] < 8.0
+        ball = grid.kabs[grid.band(7)] < 8.0
         assert ball[1, 0]
         blob = ckpt.read_bytes()
         payload = w[:, ball].astype("<c16").tobytes()

@@ -134,7 +134,7 @@ class TestLinearEstimates:
         t = rep.l2.times[0]
         heated = heat_semigroup(f, t)
         direct = np.sqrt(
-            grid2.cell_volume * np.sum(grid2.half.weight * grid2.ksq * np.abs(heated.data) ** 2)
+            grid2.cell_volume * np.sum(grid2.weight * grid2.ksq * np.abs(heated.data) ** 2)
         )
         assert abs(rep.l2.values[0] - direct) < 1e-12 * direct
 
@@ -261,6 +261,19 @@ class TestHeatNormsOracle:
         again, peak = traced_peak(lambda: _heat_norms(f, symbols, times, (np.inf,)))
         assert np.array_equal(again, first)
         assert peak < 2.75 * (3 * 32**3 * 16)
+
+    def test_decay_table_is_one_read_only_table(self):
+        # every tails worker thread multiplies by the kept table, so a write
+        # into it raises; the table of another (grid, times) pair replaces it
+        grid = make_grid(2, 16, TWO_PI)
+        times = np.geomspace(1e-3, 1.0, 5)
+        table = heat._half_decay(grid, times)
+        assert heat._half_decay(grid, times) is table
+        assert np.array_equal(table, np.exp(-times[:, None, None] * grid.ksq))
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0, 0] = 0.0
+        other = heat._half_decay(grid, times[:3])
+        assert other is not table and heat._decay_table[1] is other
 
     @pytest.mark.parametrize("decay", ["cached", "streamed"])
     @pytest.mark.parametrize("orders", [(0,), (1,), (0, 1)])

@@ -1,5 +1,5 @@
 """One spectral layout: every fourier-space field the package returns holds
-complex128 coefficients on the rfft half lattice, (ncomp,) + grid.half.shape,
+complex128 coefficients on the rfft half lattice, (ncomp,) + grid.half_shape,
 and every physical-space field real float64 point values,
 (ncomp,) + grid.shape."""
 
@@ -91,7 +91,7 @@ def test_fields_hold_the_one_layout(name, d):
     ncomp = d if ncomp is None else ncomp
     assert f.space == space
     if space == FOURIER:
-        assert f.data.shape == (ncomp,) + grid.half.shape
+        assert f.data.shape == (ncomp,) + grid.half_shape
         assert f.data.dtype == np.complex128
     else:
         assert f.data.shape == (ncomp,) + grid.shape

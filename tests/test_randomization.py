@@ -216,7 +216,7 @@ class TestDataFields:
         assert np.abs(f.data[:, grid2_mid.nyquist_mask]).max() == 0.0
         # keyed by canonical mode, the self-mirrored planes are exactly
         # conjugate-symmetric
-        assert grid2_mid.half.plane_asymmetry(f.data) == 0.0
+        assert grid2_mid.plane_asymmetry(f.data) == 0.0
 
     def test_borderline_construction_holds_few_field_copies(self):
         # filled, projected, zeroed and normalised in place, the field's

@@ -154,7 +154,7 @@ class TestEnergyLedger:
         assert abs(stepper.kinetic(vh) - kinetic) <= 1e-14 * kinetic
         assert abs(stepper.gradsq(vh) - gradsq) <= 1e-14 * gradsq
         # the band array returns to the half lattice unchanged
-        assert np.array_equal(grid.half.scatter(vh), v)
+        assert np.array_equal(grid.scatter(vh), v)
 
 
 class TestStepper:
@@ -205,8 +205,7 @@ class TestSteppingLattice:
         stepper = _Stepper(grid, f.data, cfg)
         assert (stepping_lattice_size(grid, cutoff) == N) == (frac == 3)
         rhs = stepper.stage0(stepper.embed(w), 0.0)[1]
-        got = grid.half.scatter(rhs)
-        half = grid.half
+        got = grid.scatter(rhs)
         hball = grid.kabs < cutoff
         plan = TransportPlan(grid)
         u = w + f.data * hball
@@ -319,15 +318,14 @@ class TestSolve:
                            substep_near_zero=False, snapshot_cadence=1)
         seen = []
         traj = solve(cfg, f, on_snapshot=lambda i, t, w: seen.append((i, t, w)))
-        half = grid3.half
-        band = half.band(3)  # k_max = ceil(4) - 1
+        band = grid3.band(3)  # k_max = ceil(4) - 1
         assert [i for i, _, _ in seen] == list(range(5))
         assert [t for _, t, _ in seen] == list(traj.times)
         for (_, _, w), h, field in zip(seen, traj.w_band, traj.w_states):
             assert w is h and h.shape == (3, 7, 7, 4)
             assert np.array_equal(h, field.data[(slice(None), *band)])
-            assert np.array_equal(half.scatter(h), field.data)
-            assert half.plane_asymmetry(h) == 0.0
+            assert np.array_equal(grid3.scatter(h), field.data)
+            assert grid3.plane_asymmetry(h) == 0.0
         assert np.abs(traj.w_band[-1]).max() > 0
 
     def test_peak_memory_grows_by_the_w_snapshots(self, grid3):

@@ -18,10 +18,10 @@ from conftest import (
     traced_peak,
     transport,
     transport_oracle,
+    two_thirds_mask,
 )
 from nsrw.spectral import (
     TransportPlan,
-    axis_radius,
     dealias,
     fourier_field,
     friedrichs_cutoff,
@@ -50,7 +50,7 @@ class TestGrid:
     def test_3d_lattice_size(self):
         # the spectral arrays hold the half lattice, 16 x 16 x 9
         g = make_grid(3, 16, TWO_PI)
-        assert g.ksq.shape == g.half.shape == (16, 16, 9)
+        assert g.ksq.shape == g.half_shape == (16, 16, 9)
         assert np.count_nonzero(g.ksq == 0.0) == 1  # zero frequency once
 
     @pytest.mark.parametrize("L", [TWO_PI, 3.7])
@@ -61,11 +61,11 @@ class TestGrid:
         full = FullLattice(grid)
         for mine, whole in ((grid.ksq, full.ksq), (grid.kabs, full.kabs),
                             (grid.nyquist_mask, full.nyquist_mask)):
-            assert mine.shape == grid.half.shape
+            assert mine.shape == grid.half_shape
             assert np.array_equal(mine, cut(whole, grid))
         for ax in range(d):
             whole = np.broadcast_to(full.axes[ax], grid.shape)
-            assert np.array_equal(np.broadcast_to(grid.axis_frequency(ax), grid.half.shape),
+            assert np.array_equal(np.broadcast_to(grid.axis_frequency(ax), grid.half_shape),
                                   cut(whole, grid))
 
     @pytest.mark.parametrize(
@@ -82,7 +82,7 @@ class TestGrid:
         grid, peak = traced_peak(lambda: make_grid(3, 64, TWO_PI))
         assert peak < 2**12
         other = make_grid(3, 64, TWO_PI)
-        assert other.dealias_keep.any() and other.nyquist_mask.any()
+        assert other.dealias_radius == 21 and other.nyquist_mask.any()
         assert grid == other and hash(grid) == hash(other)
         ksq = other.ksq
         # reading |xi| and the Parseval weight leaves the grid holding
@@ -92,7 +92,7 @@ class TestGrid:
         try:
             base, _ = tracemalloc.get_traced_memory()
             assert np.array_equal(other.kabs, np.sqrt(ksq))
-            assert other.half.weight.shape == other.half.shape
+            assert other.weight.shape == other.half_shape
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -102,14 +102,14 @@ class TestGrid:
     def test_parseval_weight_is_a_read_only_vector(self, d, N):
         # 1 on the self-mirrored planes 0 and N/2, 2 elsewhere, bit for bit
         # the lattice array it replaces, and not writable through the grid
-        half = make_grid(d, N, TWO_PI).half
-        weight = np.full(half.shape, 2.0)
+        grid = make_grid(d, N, TWO_PI)
+        weight = np.full(grid.half_shape, 2.0)
         weight[..., 0] = 1.0
         weight[..., -1] = 1.0
-        assert np.array_equal(half.weight, weight)
-        assert not half.weight.flags.writeable
+        assert np.array_equal(grid.weight, weight)
+        assert not grid.weight.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            half.weight[(0,) * d] = 2.0
+            grid.weight[(0,) * d] = 2.0
 
     @pytest.mark.parametrize("N", [8, 10, 30, 64, 2**20])
     def test_frequencies_are_fftfreqs(self, N):
@@ -129,7 +129,7 @@ class TestGrid:
         # rows by 4 planes of the half, 7 x 7 of the whole lattice
         keep = ~g.nyquist_mask
         assert keep.sum() == 7 * 4
-        assert np.sum(g.half.weight * keep) == 7 * 7
+        assert np.sum(g.weight * keep) == 7 * 7
 
 
 class TestTransform:
@@ -149,7 +149,7 @@ class TestTransform:
         fh = transform(phys, "forward")
         for c, modes, value in ((0, [(1, 0), (-1, 0)], grid2.N / 2),
                                 (1, [(0, 1)], -0.5j * grid2.N)):
-            mask = np.zeros(grid2.half.shape, dtype=bool)
+            mask = np.zeros(grid2.half_shape, dtype=bool)
             for m in modes:
                 mask[m] = True
                 assert abs(fh.data[c][m] - value) < 1e-10
@@ -349,7 +349,7 @@ class TestLeray:
 
 
 def plane_asymmetry_oracle(h, d):
-    """HalfLattice.plane_asymmetry of a whole half array, its largest |h|
+    """Grid.plane_asymmetry of a whole half array, its largest |h|
     over the whole array at once."""
     scale = np.abs(h).max()
     if scale == 0.0:
@@ -365,14 +365,13 @@ class TestReductions:
         # the max of the per-component maxima is the whole array's max, so
         # the value is the same to the bit, real fields or not
         grid = make_grid(d, N, TWO_PI)
-        half = grid.half
         rng = np.random.default_rng(len(lead))
-        shape = lead + half.shape
+        shape = lead + grid.half_shape
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         real = np.fft.rfftn(rng.standard_normal(lead + grid.shape),
                             axes=tuple(range(len(lead), len(lead) + d)))
         for x in (a, real, np.zeros(shape, dtype=np.complex128)):
-            assert half.plane_asymmetry(x) == plane_asymmetry_oracle(x, d)
+            assert grid.plane_asymmetry(x) == plane_asymmetry_oracle(x, d)
 
     @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
     @pytest.mark.parametrize("s", [-0.25, 0.0, 1.0])
@@ -430,8 +429,8 @@ class TestDealias:
         # counted over the whole lattice: each half-lattice mode with its
         # Parseval weight
         g = make_grid(2, N, TWO_PI)
-        f = fourier_field(g, np.ones((1,) + g.half.shape, dtype=np.complex128))
-        survivors = np.sum(g.half.weight * (dealias(f).data[0] != 0))
+        f = fourier_field(g, np.ones((1,) + g.half_shape, dtype=np.complex128))
+        survivors = np.sum(g.weight * (dealias(f).data[0] != 0))
         per_axis = math.ceil(N / 3.0 * 2.0)
         assert survivors == per_axis**2
 
@@ -493,17 +492,42 @@ def complex_transport_oracle(u):
     return cut(np.stack([div[i] - full.axes[i] * dot for i in range(grid.d)]), grid)
 
 
-class TestHalfLattice:
+def axis_radius(mask):
+    """The largest |k| of the lattice modes a half-lattice mask keeps on its
+    first axis (FFT order), read off the mask itself."""
+    row = mask[(slice(None),) + (0,) * (mask.ndim - 1)]
+    k = np.arange(row.size)
+    return int(np.minimum(k, row.size - k)[row].max())
+
+
+class TestBoxRadiusMasks:
+    @pytest.mark.parametrize("L", [TWO_PI, 1.0, 7.3])
+    @pytest.mark.parametrize("d, N_max", [(2, 258), (3, 64)])
+    def test_two_thirds_band_and_nyquist_rows_match_per_axis_masks(self, d, N_max, L):
+        # read off the box radius, the 2/3 band and the Nyquist rows are the
+        # per-axis masks bit for bit, and the band's radius is the one its
+        # mask keeps, also where N/3 rounds out of it (N = 42 at L = 2 pi)
+        for N in range(8, N_max + 1, 2):
+            grid = make_grid(d, N, L)
+            keep = two_thirds_mask(grid)
+            assert grid.dealias_radius == axis_radius(keep)
+            assert np.array_equal(grid.box_radius() <= grid.dealias_radius, keep)
+            nyquist = np.zeros(grid.half_shape, dtype=bool)
+            for ax in range(d):
+                nyquist |= grid.axis_frequency(ax) == grid.k1d[N // 2]
+            assert np.array_equal(grid.nyquist_mask, nyquist)
+
+
+class TestBands:
     @pytest.mark.parametrize("N", [16, 24, 42, 48])
     @pytest.mark.parametrize("d", [2, 3])
     def test_band_is_the_cube_in_fft_order(self, d, N):
         grid = make_grid(d, N, TWO_PI)
-        half = grid.half
-        labels = np.indices(half.shape)
+        labels = np.indices(grid.half_shape)
         for k in (0, 1, N // 4 - 1, N // 3, N // 2):
             rows = [i for i in range(N) if min(i, N - i) <= k]
             last = [j for j in range(N // 2 + 1) if j <= k]
-            got = labels[(slice(None), *half.band(k))]
+            got = labels[(slice(None), *grid.band(k))]
             assert got.shape == (d,) + (len(rows),) * (d - 1) + (len(last),)
             want = list(itertools.product(*([rows] * (d - 1) + [last])))
             assert np.array_equal(got.reshape(d, -1).T, want)
@@ -521,15 +545,15 @@ class TestHalfLattice:
         # an arbitrary complex half array: planes 0 and N/2 asymmetric; its
         # whole-lattice spectrum averages them with their mirror images
         grid = make_grid(d, N, TWO_PI)
-        half = grid.half
         rng = np.random.default_rng(d)
-        h = rng.standard_normal((d,) + half.shape) + 1j * rng.standard_normal((d,) + half.shape)
-        assert half.plane_asymmetry(h) > 0.1
-        sym = half.symmetrize(h)
+        shape = (d,) + grid.half_shape
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert grid.plane_asymmetry(h) > 0.1
+        sym = grid.symmetrize(h)
         full = full_spectrum(h, grid)
         assert np.array_equal(sym, cut(full, grid))
         assert np.array_equal(sym[..., 1:-1], h[..., 1:-1])
-        assert half.plane_asymmetry(sym) == 0.0
+        assert grid.plane_asymmetry(sym) == 0.0
         assert np.array_equal(conjugate_mirror(full, d), full)
 
     @pytest.mark.parametrize("d, N", [(2, 16), (3, 16), (3, 24)])
@@ -538,21 +562,20 @@ class TestHalfLattice:
         # symmetrizing it gives the cube of the symmetrized scatter, bit for
         # bit, because the mirror of a cube row lies in the cube
         grid = make_grid(d, N, TWO_PI)
-        half = grid.half
         rng = np.random.default_rng(10 + d)
         for k in (0, 1, N // 4, N // 2 - 1):
             shape = (d,) + (2 * k + 1,) * (d - 1) + (k + 1,)
             h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            band = (slice(None), *half.band(k))
-            full = half.scatter(h)
+            band = (slice(None), *grid.band(k))
+            full = grid.scatter(h)
             assert np.array_equal(full[band], h)
             full[band] = 0.0
             assert not full.any()
-            assert half.plane_asymmetry(h) == half.plane_asymmetry(half.scatter(h))
-            sym = half.symmetrize(h)
-            assert np.array_equal(sym, half.symmetrize(half.scatter(h))[band])
-            assert np.array_equal(half.scatter(sym), half.symmetrize(half.scatter(sym)))
-            assert half.plane_asymmetry(sym) == 0.0
+            assert grid.plane_asymmetry(h) == grid.plane_asymmetry(grid.scatter(h))
+            sym = grid.symmetrize(h)
+            assert np.array_equal(sym, grid.symmetrize(grid.scatter(h))[band])
+            assert np.array_equal(grid.scatter(sym), grid.symmetrize(grid.scatter(sym)))
+            assert grid.plane_asymmetry(sym) == 0.0
 
     @pytest.mark.parametrize("L", [TWO_PI, 1.0, 3.7, 100.0])
     @pytest.mark.parametrize("d, N", [(2, 16), (2, 44), (3, 16), (3, 32)])
@@ -564,20 +587,20 @@ class TestHalfLattice:
         grid = make_grid(d, N, L)
         kabs = grid.kabs
         for k in range(N // 2 + 2):
-            assert np.array_equal(grid.half.band_kabs(k), kabs[grid.half.band(k)])
+            assert np.array_equal(grid.band_kabs(k), kabs[grid.band(k)])
         for cutoff in np.linspace(1e-3, 1.8 * grid.kmax, 41):
-            assert grid.half.ball_radius(cutoff) == axis_radius(kabs < cutoff)
+            assert grid.ball_radius(cutoff) == axis_radius(kabs < cutoff)
             # over all d axes: the largest cube the ball holds whole
-            m = grid.half.ball_radius(cutoff, axes=d)
-            assert (kabs[grid.half.band(m)] < cutoff).all()
-            assert m == N // 2 or not (kabs[grid.half.band(m + 1)] < cutoff).all()
+            m = grid.ball_radius(cutoff, axes=d)
+            assert (kabs[grid.band(m)] < cutoff).all()
+            assert m == N // 2 or not (kabs[grid.band(m + 1)] < cutoff).all()
         # a cutoff on a lattice frequency leaves that frequency outside
         step = 2.0 * np.pi / L
-        assert grid.half.ball_radius(3 * step) == axis_radius(kabs < 3 * step)
+        assert grid.ball_radius(3 * step) == axis_radius(kabs < 3 * step)
 
     def test_band_kabs_builds_no_half_lattice_array(self):
         grid = make_grid(3, 128, TWO_PI)
-        kabs, peak = traced_peak(lambda: grid.half.band_kabs(7))
+        kabs, peak = traced_peak(lambda: grid.band_kabs(7))
         assert kabs.shape == (15, 15, 8) and peak < 20 * kabs.nbytes
 
     def test_huge_grid_builds_no_lattice_array(self):
@@ -588,10 +611,10 @@ class TestHalfLattice:
         huge, small = make_grid(3, 2**30, 4 * TWO_PI), make_grid(3, 64, 4 * TWO_PI)
         with address_space_cap():
             (kabs, k, m), peak = traced_peak(lambda: (
-                huge.half.band_kabs(7), huge.half.ball_radius(2.0), huge.half.ball_radius(2.0, 3)))
+                huge.band_kabs(7), huge.ball_radius(2.0), huge.ball_radius(2.0, 3)))
         assert kabs.shape == (15, 15, 8) and peak < 20 * kabs.nbytes
-        assert np.array_equal(kabs, small.half.band_kabs(7))
-        assert (k, m) == (small.half.ball_radius(2.0), small.half.ball_radius(2.0, 3)) == (7, 4)
+        assert np.array_equal(kabs, small.band_kabs(7))
+        assert (k, m) == (small.ball_radius(2.0), small.ball_radius(2.0, 3)) == (7, 4)
 
 
 class TestDivergenceRatio:
@@ -603,7 +626,6 @@ class TestDivergenceRatio:
         # xi = -N/2 on both mirror sides, so it is not odd and the two sums
         # differ (by about 1e-3 relative for these fields).
         grid = make_grid(d, N, TWO_PI)
-        half = grid.half
         full = FullLattice(grid)
         for seed in range(4):
             f = random_real_field(grid, seed=60 + seed)
@@ -613,9 +635,9 @@ class TestDivergenceRatio:
             a = full_spectrum(f.data, grid)
             div = sum(1j * k * c for k, c in zip(full.axes, a))
             want = np.sqrt(np.sum(np.abs(div) ** 2) / np.sum(np.abs(a) ** 2))
-            assert half.divergence_ratio(f.data) == pytest.approx(want, rel=1e-12)
+            assert grid.divergence_ratio(f.data) == pytest.approx(want, rel=1e-12)
         # 0/0 is 0
-        assert half.divergence_ratio(np.zeros((d,) + half.shape, dtype=np.complex128)) == 0.0
+        assert grid.divergence_ratio(np.zeros((d,) + grid.half_shape, dtype=np.complex128)) == 0.0
 
 
 class TestProjectedTransport:
@@ -631,7 +653,7 @@ class TestProjectedTransport:
         scale = np.abs(want[:, off]).max()
         assert np.abs(got[:, off] - want[:, off]).max() <= 1e-12 * scale
         assert np.all(got[:, grid.nyquist_mask] == 0.0)
-        assert grid.half.plane_asymmetry(got) <= 1e-15
+        assert grid.plane_asymmetry(got) <= 1e-15
 
 
     @pytest.mark.parametrize("band", ["default", "ball"])
@@ -646,15 +668,14 @@ class TestProjectedTransport:
         # mask products that cut the stepper's fields. The default band is
         # the 2/3 mask's: at N = 42 the mode 14 = N/3 rounds out of it
         grid = make_grid(d, N, TWO_PI)
-        half = grid.half
-        shape = (d,) + half.shape
+        shape = (d,) + grid.half_shape
         if band == "default":
             plan = TransportPlan(grid)
-            out_band = half.band(N // 2)
+            out_band = grid.band(N // 2)
         else:
             k = math.ceil(N / 4) - 1
             plan = TransportPlan(grid, k_in=k, k_out=k)
-            out_band = half.band(k)
+            out_band = grid.band(k)
 
         def bits(a):
             return np.ascontiguousarray(a).view(np.uint64)
@@ -713,7 +734,7 @@ class TestHausdorffYoung:
             # the whole lattice's sum, each half-lattice mode with its weight
             lhs_vals = np.abs(f.data)
             lhs = (lhs_vals.max() if np.isinf(pprime)
-                   else (grid2.half.weight * lhs_vals**pprime).sum() ** (1 / pprime))
+                   else (grid2.weight * lhs_vals**pprime).sum() ** (1 / pprime))
             rhs = const * (grid2.cell_volume * (np.abs(phys.data) ** p).sum()) ** (1 / p)
             assert lhs <= rhs * (1 + 1e-10)
 

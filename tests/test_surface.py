@@ -18,6 +18,10 @@ kept for the tests alone is listed in PARAMETERS with the reason.
 Each defaulted init field of a public dataclass likewise needs a call in
 those files that sets it: a call of the class by keyword, at its position
 or with ** (ExperimentConfig(**raw)), or a dataclasses.replace keyword.
+
+Each field of a public dataclass needs a read in those files: an
+Attribute of its name that loads it. A field read by the tests alone is
+listed in FIELDS with the reason it stays.
 """
 
 import ast
@@ -52,6 +56,11 @@ ORACLES = {
 PARAMETERS = {
     "smooth_random_field.band": "the manufactured fields of the solver and residual tests "
                                 "use band 2",
+}
+
+FIELDS = {
+    "CondtgReport.components": "test_diagnostics checks that lambda is the sum of the three "
+                               "named norms it holds",
 }
 
 
@@ -182,27 +191,33 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
+def _dataclass_fields() -> dict:
+    """class name -> its field statements, for every public dataclass."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+                    and _is_dataclass(node)):
+                out[node.name] = [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign)
+                                  and isinstance(stmt.target, ast.Name)]
+    return out
+
+
 def _defaulted_fields() -> dict:
     """'Class.field' -> (class, position among the init fields) for every
     defaulted init field of every public dataclass."""
     out = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if not (isinstance(node, ast.ClassDef) and not node.name.startswith("_")
-                    and _is_dataclass(node)):
+    for name, stmts in _dataclass_fields().items():
+        position = 0
+        for stmt in stmts:
+            value = stmt.value
+            if (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"
+                    and any(k.arg == "init" and getattr(k.value, "value", True) is False
+                            for k in value.keywords)):
                 continue
-            position = 0
-            for stmt in node.body:
-                if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
-                    continue
-                value = stmt.value
-                if (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"
-                        and any(k.arg == "init" and getattr(k.value, "value", True) is False
-                                for k in value.keywords)):
-                    continue
-                if value is not None:
-                    out[f"{node.name}.{stmt.target.id}"] = (node.name, position)
-                position += 1
+            if value is not None:
+                out[f"{name}.{stmt.target.id}"] = (name, position)
+            position += 1
     return out
 
 
@@ -212,3 +227,28 @@ def test_every_defaulted_field_is_set():
     unset = sorted(key for key in set(fields) - _passed_parameters(fields)
                    if key.split(".", 1)[1] not in replaced)
     assert not unset, f"defaulted dataclass fields no program call sets: {unset}"
+
+
+def _attribute_reads() -> set:
+    """The names that an Attribute loads in the caller files."""
+    return {node.attr for path in CALLER_FILES for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _field_names() -> list:
+    return [f"{name}.{stmt.target.id}" for name, stmts in _dataclass_fields().items()
+            for stmt in stmts]
+
+
+def test_every_dataclass_field_is_read():
+    reads = _attribute_reads()
+    unread = sorted(key for key in _field_names()
+                    if key.split(".", 1)[1] not in reads and key not in FIELDS)
+    assert not unread, f"dataclass fields no program code reads: {unread}"
+
+
+@pytest.mark.parametrize("key", sorted(FIELDS))
+def test_field_entry_is_current(key):
+    # an entry whose field goes, or gains a reader, leaves this list
+    assert key in _field_names(), f"{key} is no longer a dataclass field"
+    assert key.split(".", 1)[1] not in _attribute_reads(), f"{key} is read; drop it from FIELDS"
