@@ -137,8 +137,10 @@ def load_checkpoint(path: str | Path, expect_fingerprint: dict | None = None):
         raise CheckpointError(f"bad checkpoint magic {magic!r}")
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    if d not in (2, 3) or N % 2 != 0 or N < 8 or not L > 0:
+    if d not in (2, 3) or N % 2 != 0 or N < 8 or not (math.isfinite(L) and L > 0):
         raise CheckpointError(f"checkpoint header names no valid grid: d={d}, N={N}, L={L}")
+    if not (math.isfinite(t) and t >= 0):
+        raise CheckpointError(f"checkpoint header time t={t} is not a finite number >= 0")
     pos = _HEADER.size
     if len(blob) < pos + _U32.size:
         raise CheckpointError("checkpoint truncated: fingerprint length missing")

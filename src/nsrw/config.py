@@ -14,6 +14,7 @@ from pathlib import Path
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
 
+from .diagnostics import condtg_inadmissible
 from .randomization import FAMILIES, RandomModel
 from .solver import INTEGRATORS, SolverConfig
 from .spectral import dealias_cutoff
@@ -205,13 +206,9 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.experiment == "report":
         if not cfg.gamma < 0:
             _fail("gamma", "the report experiment weights the forcing norms and needs gamma < 0")
-        bound = 0.5 if cfg.d == 2 else 0.25
-        if not cfg.s - 2.0 * cfg.gamma < bound:
-            _fail(
-                "gamma",
-                f"inadmissible forcing-norm exponents: need s - 2*gamma < {bound} "
-                f"for d = {cfg.d}, got {cfg.s - 2.0 * cfg.gamma}",
-            )
+        problem = condtg_inadmissible(cfg.d, cfg.s, cfg.gamma, cfg.T)
+        if problem is not None:
+            _fail("gamma", problem)
     return cfg
 
 

@@ -33,6 +33,8 @@ __all__ = [
     "dwdt_report",
     "dwdt_norm",
     "CondtgReport",
+    "CONDTG_NORMS",
+    "condtg_inadmissible",
     "condtg_check",
     "nse_residual",
 ]
@@ -83,8 +85,35 @@ class CondtgReport:
     lam: float
 
 
+# condtg's weighted space-time norms per dimension, (name, p, q, sigma), in
+# the order they are summed: a norm with sigma > 0 is that of
+# [I + (-Laplacian)^{sigma/2}] g, one with sigma = 0 that of g
+CONDTG_NORMS = {
+    2: (("L4_L4", 4.0, 4.0, 0.0),),
+    3: (
+        ("L2_L6_bracket", 6.0, 2.0, 0.5),
+        ("L83_L83_bracket", 8.0 / 3.0, 8.0 / 3.0, 0.5),
+        ("L8_L8", 8.0, 8.0, 0.0),
+    ),
+}
+
+
+def condtg_inadmissible(d: int, s: float, gamma: float, T: float) -> str | None:
+    """Why condtg's norms are inadmissible at these exponents, naming the
+    first of CONDTG_NORMS[d] that check_admissible refuses, or None: the
+    one rule condtg_check and the config validation apply."""
+    for name, p, q, sigma in CONDTG_NORMS[d]:
+        if not check_admissible(NormSpec(gamma=gamma, sigma=sigma, p=p, q=q, r=p, s=s, T=T)):
+            return (
+                f"inadmissible combination for condtg's {name} norm: need "
+                f"(sigma + s - 2*gamma)*q < 2, got ({sigma} + {s} - 2*{gamma})*{q} = "
+                f"{(sigma + s - 2.0 * gamma) * q}"
+            )
+    return None
+
+
 def condtg_check(f_omega: SpectralField, s: float, gamma: float, T: float) -> CondtgReport:
-    """Weighted forcing norms of g = e^{tD} f.
+    """Weighted forcing norms of g = e^{tD} f, those of CONDTG_NORMS.
 
     In 2D this is the t^gamma-weighted L^4 space-time norm; in 3D the
     three norms (two of them of [I + (-Laplacian)^{1/4}] g) are summed.
@@ -93,31 +122,20 @@ def condtg_check(f_omega: SpectralField, s: float, gamma: float, T: float) -> Co
     if gamma >= 0:
         raise ValueError("condtg_check needs gamma < 0")
     grid = f_omega.grid
-    d = grid.d
-
-    def _norms(fld: SpectralField, exponents: tuple) -> list:
-        """The norms of fld for each (p, q, sigma_check), from one heat sweep."""
-        run_specs = []
-        for p, q, sigma_check in exponents:
-            spec_check = NormSpec(gamma=gamma, sigma=sigma_check, p=p, q=q, r=p, s=s, T=T)
-            if not check_admissible(spec_check):
-                raise ValueError(
-                    f"inadmissible combination for condtg: sigma={sigma_check}, s={s}, "
-                    f"gamma={gamma}, q={q}"
-                )
-            run_specs.append(NormSpec(gamma=gamma, sigma=0.0, p=p, q=q, r=p, s=s, T=T))
-        return _space_time_norms(fld, tuple(run_specs))
-
-    if d == 2:
-        (lam,) = _norms(f_omega, ((4.0, 4.0, 0.0),))
-        return CondtgReport(d=2, components={"L4_L4": lam}, lam=lam)
-
-    # both bracket norms reduce one sweep of the bracket field
-    bracket = fourier_field(grid, f_omega.data * (1.0 + grid.kabs**0.5))
-    l2_l6, l83_l83 = _norms(bracket, ((6.0, 2.0, 0.5), (8.0 / 3.0, 8.0 / 3.0, 0.5)))
-    (l8_l8,) = _norms(f_omega, ((8.0, 8.0, 0.0),))
-    comps = {"L2_L6_bracket": l2_l6, "L83_L83_bracket": l83_l83, "L8_L8": l8_l8}
-    return CondtgReport(d=3, components=comps, lam=float(sum(comps.values())))
+    problem = condtg_inadmissible(grid.d, s, gamma, T)
+    if problem is not None:
+        raise ValueError(problem)
+    norms = CONDTG_NORMS[grid.d]
+    comps = {}
+    # the norms of one field reduce one heat sweep of it
+    for sigma in dict.fromkeys(row[3] for row in norms):
+        rows = [row for row in norms if row[3] == sigma]
+        fld = f_omega if sigma == 0 else fourier_field(
+            grid, f_omega.data * (1.0 + grid.kabs**sigma))
+        specs = tuple(NormSpec(gamma=gamma, sigma=0.0, p=p, q=q, r=p, s=s, T=T)
+                      for _, p, q, _ in rows)
+        comps.update(zip((row[0] for row in rows), _space_time_norms(fld, specs)))
+    return CondtgReport(d=grid.d, components=comps, lam=float(sum(comps.values())))
 
 
 def nse_residual(grid: Grid, times: np.ndarray, u_half,

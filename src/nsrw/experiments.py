@@ -413,7 +413,7 @@ def _run_solve(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
             "rhs_evaluations": traj.rhs_evaluations,
             # the 1-D transforms the transport kernel ran, pruned lines left out
             "stepper_fft_lines": traj.fft_lines,
-            "residual_fft_lines": residual_plan.calls * residual_plan.lines_per_call,
+            "residual_fft_lines": residual_plan.fft_lines,
             "snapshot_bytes": sum(w.nbytes for w in traj.w_band),
             "checkpoint_files": len(ckpt_files),
             "checkpoint_bytes": sum((outdir / c["file"]).stat().st_size for c in ckpt_files),
@@ -428,10 +428,10 @@ def _run_report(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str |
     model = cfg.random_model()
     M = cfg.monte_carlo_M
     started = time.perf_counter()
-    lams = np.array(_ordered_map(
-        lambda i: condtg_check(randomized(f, model, i), cfg.s, cfg.gamma, cfg.T).lam,
-        M, workers,
-    ))
+    reports = _ordered_map(
+        lambda i: condtg_check(randomized(f, model, i), cfg.s, cfg.gamma, cfg.T), M, workers
+    )
+    lams = np.array([r.lam for r in reports])
     phase_seconds = {"samples": time.perf_counter() - started}
     peak_rss["samples"] = _peak_rss_mib()
     qlevels = [0.5, 0.75, 0.9, 0.95, 0.99, 0.995]
@@ -451,14 +451,13 @@ def _run_report(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str |
         summary["tail_C2"] = fit.C2
         summary["tail_r_squared"] = fit.r_squared
     series = (["sample", "lambda"], [np.arange(M), lams])
-    # condtg_check sums one weighted space-time norm at d = 2 and three at d = 3
     meta = {
         "phase_seconds": phase_seconds,
         "phase_peak_rss_mib": peak_rss,
         "counters": {
             "samples": M,
             "time_points": default_time_grid(cfg.T).size,
-            "space_time_norms": M * (1 if cfg.d == 2 else 3),
+            "space_time_norms": sum(len(r.components) for r in reports),
         },
     }
     return summary, [], series, {}, meta

@@ -24,7 +24,7 @@ from .randomization import hminus_s_norm
 from .spectral import (
     FOURIER,
     SpectralField,
-    _line_views,
+    _band_passes,
     fourier_field,
     require_real_field,
 )
@@ -275,7 +275,7 @@ def _heat_norms(f, symbols: list, times: np.ndarray, exponents: tuple) -> np.nda
     cube is smaller, the block forms data * symbol * decay on the cube only
     (Grid.band_boxes, the boxes of band(k)) in the zeroed work
     array, runs each leading-axis pass only on the lines that carry the
-    cube (spectral._line_views, the transport kernel's pruning), and the
+    cube (spectral._band_passes, the transport kernel's passes), and the
     last-axis irfft on the work array, which is zero beyond plane k. A
     skipped line is all zero, and an FFT of zeros is zero, so the kept
     values are those of the whole-array transform with the dropped modes
@@ -327,10 +327,8 @@ def _heat_norms(f, symbols: list, times: np.ndarray, exponents: tuple) -> np.nda
         field.transforms += n * len(symbols) * f.ncomp
         if pruned:
             field.pruned_transforms += n * len(symbols) * f.ncomp
-        # the cube's boxes and the lines each leading-axis pass transforms;
-        # at k = N/2 one box and one view per pass, the whole array
+        # the cube's boxes; at k = N/2 one box, the whole array
         boxes = g.band_boxes(k)
-        passes = _line_views(hb, k, sp[:-1])
         for n_sym, sym_h in enumerate(syms_h):
             # the first symbol sums its components straight into acc, the
             # others into sym_sq, which is then added to acc
@@ -349,9 +347,7 @@ def _heat_norms(f, symbols: list, times: np.ndarray, exponents: tuple) -> np.nda
                         # (a * sym) * decay, the product formed in the cube
                         np.multiply(f.data[c][box], sym_h[box], out=cube)
                         cube *= decay[(slice(None),) + box]
-                for ax, views in passes:
-                    for v in views:
-                        np.fft.ifft(v, axis=ax, norm="ortho", out=v)
+                _band_passes(hb, k, sp[:-1], np.fft.ifft)
                 np.fft.irfft(hb, n=g.N, axis=sp[-1], norm="ortho", out=rb)
                 if c == 0:
                     np.multiply(rb, rb, out=total)

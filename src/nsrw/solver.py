@@ -97,8 +97,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"unknown integrator {self.integrator!r}")
-        if not self.T > 0 or not self.dt > 0:
-            raise ValueError("T and dt must be positive")
+        if not (0 < self.T < np.inf and 0 < self.dt < np.inf):
+            raise ValueError(f"T and dt must be finite and positive, got T={self.T}, dt={self.dt}")
         if self.snapshot_cadence < 1:
             raise ValueError("snapshot_cadence must be >= 1")
 
@@ -542,7 +542,7 @@ def solve(
         energy_log=log,
         dwdt_hminus1=np.array(dwdt),
         rhs_evaluations=stepper.plan.calls,
-        fft_lines=stepper.plan.calls * stepper.plan.lines_per_call,
+        fft_lines=stepper.plan.fft_lines,
     )
 
 

@@ -17,8 +17,9 @@ last-axis planes 0 and N/2 alone. The 2/3 band is decided in one place,
 `dealias_cutoff`, whose cube radius is `Grid.dealias_radius`. The
 transport kernel's input and output are band arrays, the values on a cube
 |k_i| <= k of the half lattice (`Grid.band`), and it transforms only the
-lines that carry its input band or feed its output band, in the index
-maps and work buffers of a `TransportPlan` that its caller owns.
+lines that carry its input band or feed its output band (`_band_passes`,
+which the heat sweeps share), in the index maps and work buffers of a
+`TransportPlan` that its caller owns and that counts the lines it ran.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ class Grid:
             raise ValueError(f"spatial dimension must be 2 or 3, got {self.d}")
         if self.N % 2 != 0 or self.N < 8:
             raise ValueError(f"grid size N must be even and >= 8, got {self.N}")
-        if not self.L > 0:
-            raise ValueError(f"box period L must be positive, got {self.L}")
+        if not (math.isfinite(self.L) and self.L > 0):
+            raise ValueError(f"box period L must be a finite positive number, got {self.L}")
 
     @cached_property
     def k1d(self) -> np.ndarray:
@@ -687,17 +688,19 @@ def _band_slabs(n: int, k: int) -> tuple:
     return (slice(0, k + 1),) + ((slice(n - k, n),) if k else ())
 
 
-def _line_views(buf: np.ndarray, k: int, axes) -> list:
-    """(axis, views) per 1-D pass over a leading axis of buf, shape
-    (ncomp,) + half lattice: the views hold the lines whose later leading
-    indices lie in the rows |k_i| <= k and whose last index is <= k."""
+def _band_passes(buf: np.ndarray, k: int, axes, fft) -> int:
+    """Run fft in place (norm="ortho") along each leading axis of buf in
+    axes, in order, buf of shape (ncomp,) + half lattice: only on the lines
+    whose later leading indices lie in the rows |k_i| <= k and whose last
+    index is <= k. Returns the number of 1-D transforms run."""
     d, N = buf.ndim - 1, buf.shape[1]
-    passes = []
+    lines = 0
     for ax in axes:
-        later = itertools.product(*([_band_slabs(N, k)] * (d - 1 - ax)))
-        lines = [(slice(None),) * (ax + 1) + rows + (slice(0, k + 1),) for rows in later]
-        passes.append((ax, [buf[idx] for idx in lines]))
-    return passes
+        for rows in itertools.product(*([_band_slabs(N, k)] * (d - 1 - ax))):
+            v = buf[(slice(None),) * (ax + 1) + rows + (slice(0, k + 1),)]
+            fft(v, axis=ax, norm="ortho", out=v)
+            lines += v.size // v.shape[ax]
+    return lines
 
 
 class TransportPlan:
@@ -710,9 +713,9 @@ class TransportPlan:
     whole half lattice. Its transforms run in the plan's buffers, so a plan
     serves one caller at a time: the stepper keeps one for its run,
     nse_residual makes one per call unless handed one. calls counts the
-    kernel calls the plan served, and lines_per_call the 1-D transforms
-    each runs: the lines of its pruned leading-axis passes and of its
-    whole last-axis irfft and rfft.
+    kernel calls the plan served, and fft_lines the 1-D transforms they
+    ran: the lines of their pruned leading-axis passes (_band_passes) and
+    of their whole last-axis irfft and rfft.
     """
 
     def __init__(self, grid: Grid, k_in: int | None = None, k_out: int | None = None):
@@ -720,6 +723,7 @@ class TransportPlan:
         k_in = grid.dealias_radius if k_in is None else k_in
         k_out = N // 2 if k_out is None else k_out
         self.grid = grid
+        self.k_in, self.k_out = k_in, k_out
         self.in_band = grid.band(k_in)
         self.out_band = grid.band(k_out)
         self.pairs = [(i, j) for i in range(d) for j in range(i, d)]
@@ -732,14 +736,8 @@ class TransportPlan:
         # product reads
         self.spec = self.prod_hat[:d]
         self.real = self.prod[npairs - d :]
-        self.inverse_passes = _line_views(self.spec, k_in, range(1, d))
-        self.forward_passes = _line_views(self.prod_hat, k_out, range(d - 1, 0, -1))
         self.calls = 0
-        self.lines_per_call = (
-            sum(v.size // v.shape[ax] for ax, views in self.inverse_passes + self.forward_passes
-                for v in views)
-            + self.spec.size // self.spec.shape[-1] + self.prod.size // self.prod.shape[-1]
-        )
+        self.fft_lines = 0
         self.freqs = tuple(np.broadcast_to(grid.axis_frequency(ax), grid.half_shape)[self.out_band]
                            for ax in range(d))
         ksq = grid.ksq[self.out_band]
@@ -769,16 +767,13 @@ def projected_transport_half(u_band: np.ndarray, plan: TransportPlan) -> np.ndar
     # write outside the band, so it is zeroed first
     X.fill(0.0)
     X[(slice(None), *plan.in_band)] = u_band
-    for ax, views in plan.inverse_passes:
-        for v in views:
-            np.fft.ifft(v, axis=ax, norm="ortho", out=v)
+    lines = _band_passes(X, plan.k_in, range(1, d), np.fft.ifft)
     U = np.fft.irfft(X, n=N, axis=d, norm="ortho", out=plan.real)
     for n, (i, j) in enumerate(plan.pairs):
         np.multiply(U[i], U[j], out=plan.prod[n])
     np.fft.rfft(plan.prod, axis=d, norm="ortho", out=plan.prod_hat)
-    for ax, views in plan.forward_passes:
-        for v in views:
-            np.fft.fft(v, axis=ax, norm="ortho", out=v)
+    lines += _band_passes(plan.prod_hat, plan.k_out, range(d - 1, 0, -1), np.fft.fft)
+    plan.fft_lines += lines + X.size // X.shape[-1] + plan.prod.size // plan.prod.shape[-1]
     T = plan.prod_hat[(slice(None), *plan.out_band)]
     that = {}
     for n, (i, j) in enumerate(plan.pairs):

@@ -51,8 +51,8 @@ class NormSpec:
             raise ValueError("sigma must be >= 0")
         if self.s < 0:
             raise ValueError("s must be >= 0")
-        if not self.T > 0:
-            raise ValueError("T must be positive")
+        if not 0 < self.T < np.inf:
+            raise ValueError(f"T must be finite and positive, got {self.T}")
 
 
 def check_admissible(spec: NormSpec) -> bool:

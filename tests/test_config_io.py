@@ -492,11 +492,23 @@ class TestCheckpoint:
         assert path.stat().st_size == 55_416
 
     @pytest.mark.parametrize("d, N, L", [(4, 16, TWO_PI), (2, 15, TWO_PI), (3, 6, TWO_PI),
-                                         (2, 16, 0.0)])
+                                         (2, 16, 0.0), (2, 16, float("inf"))])
     def test_header_with_invalid_grid(self, tmp_path, d, N, L):
         path = tmp_path / "bad.nsrw"
         path.write_bytes(header(d, N, CUTOFF, 2, L=L))
         with pytest.raises(CheckpointError, match="no valid grid"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("t", [float("nan"), -1.0, float("inf")])
+    def test_header_with_invalid_time(self, tmp_path, grid2, t):
+        # a valid checkpoint but for its time, the f64 at byte 24: refused on
+        # load, naming t, and not later as a resume time off the step grid
+        path = tmp_path / "state.nsrw"
+        save_checkpoint(grid2, ball_state(grid2, 10, CUTOFF)[1], 0.0, CUTOFF, FINGERPRINT, path)
+        blob = bytearray(path.read_bytes())
+        blob[24:32] = struct.pack("<d", t)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=r"header time t=\S+ is not a finite number >= 0"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("k, cutoff, modes", [pytest.param(3, CUTOFF, 26, id="3-7-4"),

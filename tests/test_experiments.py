@@ -13,7 +13,7 @@ import nsrw
 import nsrw.heat as heat
 from nsrw.checkpoint import load_checkpoint
 from nsrw.cli import main
-from nsrw.config import ExperimentConfig, validate_config
+from nsrw.config import ConfigError, ExperimentConfig, validate_config
 from nsrw.experiments import _jsonable, _randomized_data, build_data_field, run_experiment
 from nsrw.heat import condg_check, default_decay_time_grid
 from nsrw.solver import _Stepper
@@ -355,6 +355,21 @@ class TestArtifacts:
         table = np.loadtxt(res.output_dir / "plotdata" / "condg_ratios.tsv", skiprows=1)
         expected = np.column_stack([cg.times, cg.l2_ratios, cg.linf_ratios[0], cg.linf_ratios[1]])
         np.testing.assert_allclose(table, expected, rtol=1e-12)
+
+    def test_report_admissibility_is_condtg_rule(self, tmp_path):
+        # s - 2 gamma is below d = 3's 1/4 in floating point here, but the
+        # L^{8/3} bracket norm's (1/2 + s - 2 gamma) 8/3 rounds to 2: the
+        # config is refused where it is read, not at the first sample
+        fields = dict(experiment="report", d=3, N=16, s=0.01, monte_carlo_M=4)
+        gamma = -0.11999999999999998
+        assert 0.01 - 2.0 * gamma < 0.25
+        with pytest.raises(ConfigError, match="'gamma': inadmissible combination for "
+                           "condtg's L83_L83_bracket norm"):
+            validate_config(ExperimentConfig(gamma=gamma, **fields))
+        # two ulps closer to 0 the config is admissible, and the run goes
+        # through condtg's own check on every sample
+        res, _ = run(tmp_path, "inside", gamma=-0.11999999999999995, **fields)
+        assert res.status == 0
 
     def test_report_outputs(self, tmp_path):
         res, _ = run(

@@ -282,6 +282,13 @@ class TestTimePartition:
         h = np.diff(times)
         assert (h[1:] / h[:-1]).max() < 2.0
 
+    @pytest.mark.parametrize("T, dt", [(math.inf, 1.0 / 256.0), (math.nan, 1.0 / 256.0),
+                                       (1.0, math.inf), (1.0, math.nan), (0.0, 1.0 / 256.0)])
+    def test_config_refuses_a_horizon_or_step_that_is_not_finite_and_positive(self, T, dt):
+        # refused on construction: a partition of T = inf would never end
+        with pytest.raises(ValueError, match="T and dt must be finite and positive"):
+            SolverConfig(cutoff=8.0, T=T, dt=dt)
+
 
 class TestSolve:
     def test_zero_data_zero_trajectory(self, grid2_mid):

@@ -22,6 +22,7 @@ from conftest import (
 )
 from nsrw.spectral import (
     TransportPlan,
+    _band_passes,
     dealias,
     fourier_field,
     friedrichs_cutoff,
@@ -69,9 +70,11 @@ class TestGrid:
                                   cut(whole, grid))
 
     @pytest.mark.parametrize(
-        "d,N,L", [(2, 7, 1.0), (2, 6, 1.0), (4, 8, 1.0), (1, 8, 1.0), (2, 8, 0.0), (2, 8, -1.0)]
+        "d,N,L", [(2, 7, 1.0), (2, 6, 1.0), (4, 8, 1.0), (1, 8, 1.0), (2, 8, 0.0), (2, 8, -1.0),
+                  (2, 16, math.inf), (2, 16, math.nan)]
     )
     def test_rejects_bad_parameters(self, d, N, L):
+        # at L = inf every frequency would be 0 and the cell volume inf
         with pytest.raises(ValueError):
             make_grid(d, N, L)
 
@@ -696,15 +699,12 @@ class TestProjectedTransport:
     @pytest.mark.parametrize("band", ["default", "ball"])
     @pytest.mark.parametrize("d", [2, 3])
     def test_plan_counts_the_lines_it_transforms(self, monkeypatch, d, band):
-        # every 1-D transform numpy runs for the kernel is counted: the
-        # plan's calls times its lines per call. At d=2 N=16 the default
-        # bands run ifft on 2 x 6 lines, irfft on 2 x 16, rfft on 3 x 16 and
-        # fft on 3 x 9; the ball's cube |k_i| <= 3 cuts the first to 2 x 4
-        # and the last to 3 x 4
+        # every 1-D transform numpy runs for the kernel is counted, where it
+        # runs. At d=2 N=16 the default bands run ifft on 2 x 6 lines, irfft
+        # on 2 x 16, rfft on 3 x 16 and fft on 3 x 9 per call; the ball's
+        # cube |k_i| <= 3 cuts the first to 2 x 4 and the last to 3 x 4
         grid = make_grid(d, 16, TWO_PI)
         plan = TransportPlan(grid) if band == "default" else TransportPlan(grid, k_in=3, k_out=3)
-        if d == 2:
-            assert plan.lines_per_call == (119 if band == "default" else 100)
         ran = []
         for name in ("fft", "ifft", "rfft", "irfft"):
             def counted(a, *args, axis=-1, _run=getattr(np.fft, name), **kwargs):
@@ -715,7 +715,60 @@ class TestProjectedTransport:
         for _ in range(3):
             projected_transport_half(u_band, plan)
         assert plan.calls == 3
-        assert sum(ran) == 3 * plan.lines_per_call
+        assert sum(ran) == plan.fft_lines
+        if d == 2:
+            assert plan.fft_lines == 3 * (119 if band == "default" else 100)
+
+
+class TestBandPasses:
+    """_band_passes, the pruned leading-axis passes the transport kernel and
+    the heat sweeps share, against numpy's whole-array transforms."""
+
+    @staticmethod
+    def counted(fft, ran):
+        def run(a, *args, axis=-1, **kwargs):
+            ran.append(a.size // a.shape[axis])
+            return fft(a, *args, axis=axis, **kwargs)
+        return run
+
+    @staticmethod
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    @pytest.mark.parametrize("k", [0, 3, 7, 8])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_ifft_passes_then_irfft_are_irfftn(self, d, k):
+        # a random half spectrum that is zero off the cube |k_i| <= k
+        N = 16
+        grid = make_grid(d, N, TWO_PI)
+        rng = np.random.default_rng(40 + 10 * d + k)
+        cube = (slice(None), *grid.band(k))
+        h = np.zeros((2,) + grid.half_shape, dtype=np.complex128)
+        h[cube] = rng.standard_normal(h[cube].shape) + 1j * rng.standard_normal(h[cube].shape)
+        buf = h.copy()
+        ran = []
+        lines = _band_passes(buf, k, range(1, d), self.counted(np.fft.ifft, ran))
+        got = np.fft.irfft(buf, n=N, axis=d, norm="ortho")
+        want = np.fft.irfftn(h, s=grid.shape, axes=range(1, d + 1), norm="ortho")
+        assert np.array_equal(self.bits(got), self.bits(want))
+        assert lines == sum(ran) > 0
+
+    @pytest.mark.parametrize("k", [0, 3, 7, 8])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rfft_then_fft_passes_are_rfftn_on_the_cube(self, d, k):
+        N = 16
+        grid = make_grid(d, N, TWO_PI)
+        x = np.random.default_rng(60 + 10 * d + k).standard_normal((3,) + grid.shape)
+        buf = np.fft.rfft(x, axis=d, norm="ortho")
+        ran = []
+        lines = _band_passes(buf, k, range(d - 1, 0, -1), self.counted(np.fft.fft, ran))
+        want = np.fft.rfftn(x, axes=range(1, d + 1), norm="ortho")
+        cube = (slice(None), *grid.band(k))
+        assert np.array_equal(self.bits(buf[cube]), self.bits(want[cube]))
+        assert lines == sum(ran) > 0
+        if k == N // 2:
+            # the cube is the whole half lattice: every line is transformed
+            assert lines == (d - 1) * (buf.size // N)
 
 
 class TestHausdorffYoung:

@@ -22,9 +22,14 @@ or with ** (ExperimentConfig(**raw)), or a dataclasses.replace keyword.
 Each field of a public dataclass needs a read in those files: an
 Attribute of its name that loads it. A field read by the tests alone is
 listed in FIELDS with the reason it stays.
+
+Every `from nsrw.M import name` and `import nsrw.M` in perfbench/*.py
+resolves, so a name the benchmark imports cannot leave the package
+unnoticed.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -58,10 +63,7 @@ PARAMETERS = {
                                 "use band 2",
 }
 
-FIELDS = {
-    "CondtgReport.components": "test_diagnostics checks that lambda is the sum of the three "
-                               "named norms it holds",
-}
+FIELDS = {}
 
 
 def _exports() -> dict:
@@ -252,3 +254,36 @@ def test_field_entry_is_current(key):
     # an entry whose field goes, or gains a reader, leaves this list
     assert key in _field_names(), f"{key} is no longer a dataclass field"
     assert key.split(".", 1)[1] not in _attribute_reads(), f"{key} is read; drop it from FIELDS"
+
+
+def _benchmark_imports() -> list:
+    """(where, module, name) for every `from nsrw.M import name` (name) and
+    `import nsrw.M` (None) in perfbench/*.py."""
+    out = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "nsrw":
+                out += [(f"{path.name}:{node.lineno}", node.module, a.name) for a in node.names]
+            elif isinstance(node, ast.Import):
+                out += [(f"{path.name}:{node.lineno}", a.name, None) for a in node.names
+                        if a.name.split(".")[0] == "nsrw"]
+    return out
+
+
+def _resolves(module: str, name: str | None) -> bool:
+    try:
+        mod = importlib.import_module(module)
+        if name is not None and not hasattr(mod, name):
+            importlib.import_module(f"{module}.{name}")  # a submodule
+    except ImportError:
+        return False
+    return True
+
+
+def test_every_benchmark_import_resolves():
+    imports = _benchmark_imports()
+    # the scan sees the imports inside layers.py's functions too
+    assert ("nsrw.solver", "step") in {(m, n) for _, m, n in imports}
+    unresolved = [f"{where} {module}.{name}" if name else f"{where} {module}"
+                  for where, module, name in imports if not _resolves(module, name)]
+    assert not unresolved, f"perfbench imports names the package lacks: {unresolved}"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,11 @@ class TestAdmissible:
         assert check_admissible(spec_with(sigma=0.5, s=0.25, gamma=0.0, q=4)) is False
         assert check_admissible(spec_with(sigma=0.5, s=0.25, gamma=-0.1, q=4)) is False
         assert check_admissible(spec_with(sigma=0.5, s=0.25, gamma=0.2, q=4)) is True
+
+    @pytest.mark.parametrize("T", [math.inf, math.nan, 0.0])
+    def test_spec_refuses_a_horizon_that_is_not_finite_and_positive(self, T):
+        with pytest.raises(ValueError, match="T must be finite and positive"):
+            spec_with(T=T)
 
     def test_exponent_ordering(self):
         assert check_admissible(spec_with(p=2.0, q=4.0)) is False  # p < q
