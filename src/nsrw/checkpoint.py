@@ -74,16 +74,25 @@ def _require_cutoff(cutoff: float):
         raise CheckpointError(f"checkpoint cutoff must be a positive number, got {cutoff}")
 
 
+def _require_time(t: float, what: str):
+    """Refuse a time the loader would refuse: save and load share the rule."""
+    if not (math.isfinite(t) and t >= 0):
+        raise CheckpointError(f"{what} t={t} is not a finite number >= 0")
+
+
 def save_checkpoint(grid: Grid, w_band: np.ndarray, t: float, cutoff: float,
                     fingerprint: dict, path: str | Path) -> None:
     """Write the band array w_band, one component per dimension on the cube
     |k_i| <= k of the half lattice that holds the ball |xi| < cutoff, as a
     version-4 checkpoint of its coefficients in the ball. It refuses a band
     whose radius k (read off its last axis) is not the ball's, a nonzero
-    coefficient off the ball, and a plane 0 (or N/2) that is not
-    conjugate-symmetric; the snapshots of solve pass all three."""
+    coefficient off the ball, a plane 0 (or N/2) that is not
+    conjugate-symmetric, and a time t that is not finite and >= 0, before
+    it writes anything; the snapshots of solve pass all four."""
     cutoff = float(cutoff)
     _require_cutoff(cutoff)
+    t = float(t)
+    _require_time(t, "checkpoint time")
     k = grid.require_real_band("a checkpointed state", w_band)
     k_ball = grid.ball_radius(cutoff)
     if k != k_ball:
@@ -94,7 +103,7 @@ def save_checkpoint(grid: Grid, w_band: np.ndarray, t: float, cutoff: float,
         )
     # the stepper's own ball mask, so the two agree bit for bit
     ball = grid.require_in_ball("a checkpointed state", w_band, cutoff, 0.0)
-    header = _HEADER.pack(MAGIC, VERSION, grid.d, grid.N, grid.L, float(t), cutoff)
+    header = _HEADER.pack(MAGIC, VERSION, grid.d, grid.N, grid.L, t, cutoff)
     fp = _canonical(fingerprint)
     payload = w_band[:, ball].astype("<c16", copy=False).tobytes()
     path = Path(path)
@@ -139,8 +148,7 @@ def load_checkpoint(path: str | Path, expect_fingerprint: dict | None = None):
         raise CheckpointError(f"unsupported checkpoint version {version}")
     if d not in (2, 3) or N % 2 != 0 or N < 8 or not (math.isfinite(L) and L > 0):
         raise CheckpointError(f"checkpoint header names no valid grid: d={d}, N={N}, L={L}")
-    if not (math.isfinite(t) and t >= 0):
-        raise CheckpointError(f"checkpoint header time t={t} is not a finite number >= 0")
+    _require_time(t, "checkpoint header time")
     pos = _HEADER.size
     if len(blob) < pos + _U32.size:
         raise CheckpointError("checkpoint truncated: fingerprint length missing")

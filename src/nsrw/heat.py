@@ -15,6 +15,7 @@ finiteness is asserted.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,11 +43,12 @@ __all__ = [
 
 
 def heat_semigroup(f: SpectralField, t: float) -> SpectralField:
-    """Coefficientwise multiplication by exp(-t |xi|^2); t >= 0."""
+    """Coefficientwise multiplication by exp(-t |xi|^2); t finite and >= 0."""
     if f.space != FOURIER:
         raise ValueError("heat semigroup acts on fourier-space fields")
-    if t < 0:
-        raise ValueError(f"heat semigroup needs t >= 0, got {t}")
+    # NaN would fill the field with NaN, and inf the zero mode (-inf * 0)
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"heat semigroup needs a finite t >= 0, got {t}")
     return fourier_field(f.grid, f.data * np.exp(-t * f.grid.ksq))
 
 
@@ -109,14 +111,18 @@ def _fit_loglog_slope(times: np.ndarray, values: np.ndarray, grid) -> float:
     return float(np.polyfit(np.log(times[sel]), np.log(values[sel]), 1)[0])
 
 
-# One table of up to 4M entries (32 MB) is kept, the last one formed: every
-# verb sweeps one (grid, times) pair per process. The Monte Carlo table,
-# reused by every sample (385 x 64*33 at d=2 N=64, 0.8M), stays; the
-# heatflow table at d=3 N=64 (43 x 64*64*33, 5.8M entries, 44 MiB), used by
-# a few sweeps, is streamed one time block at a time. Either way one decay
-# block per time block is shared by all the symbols and components of a
-# sweep.
+# One decay table of up to 4M entries (32 MB) is kept at a time, the last one
+# formed: every verb sweeps one (grid, times) pair per process. It is built
+# once, under _decay_lock, in place in its own array, after the entry it
+# replaces is dropped, so that a process never holds two; every tails worker
+# thread then reads the same read-only table. The Monte Carlo table, reused
+# by every sample (385 x 64*33 at d=2 N=64, 0.8M), stays; the heatflow table
+# at d=3 N=64 (43 x 64*64*33, 5.8M entries, 44 MiB), used by a few sweeps, is
+# streamed one time block at a time and never takes the lock. Either way one
+# decay block per time block is shared by all the symbols and components of
+# a sweep.
 _decay_table: tuple = (None, None)
+_decay_lock = threading.Lock()
 _DECAY_CACHE_MAX_ELEMS = 4_000_000
 # grid points per one-component block of times: 24 times at d=2 N=64, 3 at
 # d=3 N=32, one time at d=3 N=64
@@ -131,17 +137,23 @@ _DROPPED_MASS_RATIO = 2.0**-106
 def _half_decay(grid, times: np.ndarray) -> np.ndarray | None:
     """exp(-t |xi|^2) on the rfft half-spectrum for every t, kept while
     small enough and read-only, since every tails worker thread multiplies
-    by it; None tells the caller to stream per chunk."""
+    by it; None tells the caller to stream per chunk. Threads that ask for
+    a table not yet kept wait for the one that builds it."""
     global _decay_table
     if times.size * math.prod(grid.half_shape) > _DECAY_CACHE_MAX_ELEMS:
         return None
     key = (grid.d, grid.N, grid.L, times.tobytes())
-    kept, table = _decay_table
-    if kept != key:
-        table = np.exp(-times.reshape((-1,) + (1,) * grid.d) * grid.ksq[None])
-        table.flags.writeable = False
-        _decay_table = (key, table)
-    return table
+    with _decay_lock:
+        if _decay_table[0] != key:
+            # drop the old table before the new one is allocated
+            _decay_table = (None, None)
+            # exp(-t * ksq) by the same two ufuncs, in the table itself
+            table = np.empty((times.size,) + grid.half_shape)
+            np.multiply(-times.reshape((-1,) + (1,) * grid.d), grid.ksq[None], out=table)
+            np.exp(table, out=table)
+            table.flags.writeable = False
+            _decay_table = (key, table)
+        return _decay_table[1]
 
 
 class _SweepField:
@@ -292,7 +304,9 @@ def _heat_norms(f, symbols: list, times: np.ndarray, exponents: tuple) -> np.nda
     rows = min(chunk, times.size)
     out = np.empty((len(exponents), times.size))
     msq = np.empty((rows,) + g.shape)
-    sym_sq = np.empty((rows,) + g.shape)
+    # a second symbol's sum, and acc^(p/2) for every exponent but the last
+    sym_sq = (np.empty((rows,) + g.shape) if len(symbols) > 1 or len(exponents) > 1
+              else None)
     syms_h = [None if np.all(sym == 1.0) else sym for sym in symbols]
     mass = _shell_mass(f, syms_h)
     # broadcast to the whole half lattice, so that a box of it is a view
@@ -356,11 +370,18 @@ def _heat_norms(f, symbols: list, times: np.ndarray, exponents: tuple) -> np.nda
                     total += rb
             if n_sym:
                 acc += total
-        for row, pk in zip(out, exponents):
+        for i, (row, pk) in enumerate(zip(out, exponents)):
             if np.isinf(pk):
                 row[lo : lo + n] = np.sqrt(np.max(acc, axis=sp))
-            else:
-                row[lo : lo + n] = (vol * np.sum(acc ** (pk / 2.0), axis=sp)) ** (1.0 / pk)
+                continue
+            # the last exponent raises acc itself, which the next block
+            # overwrites; an earlier one raises a copy in sym_sq
+            powered = acc
+            if i + 1 < len(exponents):
+                powered = sym_sq[:n]
+                np.copyto(powered, acc)
+            powered **= pk / 2.0
+            row[lo : lo + n] = (vol * np.sum(powered, axis=sp)) ** (1.0 / pk)
     return out
 
 

@@ -511,6 +511,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=r"header time t=\S+ is not a finite number >= 0"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("t", [float("nan"), -1.0, float("inf")])
+    def test_save_refuses_a_time_its_loader_would(self, tmp_path, grid2, t):
+        # refused before anything is written: neither the file nor its .tmp
+        path = tmp_path / "state.nsrw"
+        with pytest.raises(CheckpointError,
+                           match=r"checkpoint time t=\S+ is not a finite number >= 0"):
+            save_checkpoint(grid2, ball_state(grid2, 10, CUTOFF)[1], t, CUTOFF, FINGERPRINT, path)
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("k, cutoff, modes", [pytest.param(3, CUTOFF, 26, id="3-7-4"),
                                                   pytest.param(8, WHOLE, 16 * 9, id="8-16-9")])
     def test_header_layout(self, tmp_path, grid2, k, cutoff, modes):

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -60,9 +63,11 @@ class TestSemigroup:
         b = heat_semigroup(f, 0.75)
         assert np.abs(a.data - b.data).max() < 1e-13 * np.abs(f.data).max()
 
-    def test_rejects_negative_time(self, grid2):
-        with pytest.raises(ValueError):
-            heat_semigroup(random_real_field(grid2), -0.1)
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -1.0])
+    def test_rejects_a_time_not_finite_and_nonnegative(self, grid2, t):
+        # NaN would return an all-NaN field, and inf NaN at the zero mode
+        with pytest.raises(ValueError, match="needs a finite t >= 0"):
+            heat_semigroup(random_real_field(grid2), t)
 
     def test_positivity_on_nonnegative_scalar(self, grid2):
         rng = np.random.default_rng(3)
@@ -202,7 +207,7 @@ class TestHeatNormsOracle:
     @pytest.mark.parametrize("t_first, t_last, prunes", [(1e-3, 1.0, False), (0.1, 3.0, True)])
     @pytest.mark.parametrize("decay", ["cached", "streamed"])
     @pytest.mark.parametrize("orders", [(0,), (1,), (0, 1)])
-    @pytest.mark.parametrize("p", [4.0, np.inf])
+    @pytest.mark.parametrize("p", [4.0, 6.0, 8.0 / 3.0, np.inf])
     @pytest.mark.parametrize("ncomp", ["scalar", "vector"])
     @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
     def test_bitwise_equal_to_straightforward_sweep(self, monkeypatch, d, N, ncomp, p,
@@ -219,6 +224,21 @@ class TestHeatNormsOracle:
         (got,) = _heat_norms(field, symbols, times, (p,))
         assert np.array_equal(got, heat_norms_oracle(f, symbols, times, p))
         assert (field.pruned_transforms > 0) == prunes
+
+    # condtg's shared d=3 sweep reduces (6, 8/3): every exponent but the
+    # last is raised in a copy, the last in the sweep's own sum
+    @pytest.mark.parametrize("exponents", [(6.0, 8.0 / 3.0), (8.0 / 3.0, 6.0, np.inf)])
+    @pytest.mark.parametrize("orders", [(0,), (0, 1)])
+    @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
+    def test_each_exponent_of_one_sweep_matches_its_own(self, d, N, orders, exponents):
+        grid = make_grid(d, N, TWO_PI)
+        f = zero_nyquist(random_real_field(grid, d, seed=22))
+        chunk = heat._BLOCK_ELEMS // N**d
+        times = np.geomspace(1e-3, 3.0, 2 * chunk + 1)
+        symbols = [sym for k in orders for sym in _derivative_symbols(grid, k)]
+        rows = _heat_norms(f, symbols, times, exponents)
+        for row, p in zip(rows, exponents):
+            assert np.array_equal(row, heat_norms_oracle(f, symbols, times, p))
 
     @pytest.mark.parametrize("orders", [(0,), (1,)])
     @pytest.mark.parametrize("p", [4.0, np.inf])
@@ -274,6 +294,50 @@ class TestHeatNormsOracle:
             table[0, 0, 0] = 0.0
         other = heat._half_decay(grid, times[:3])
         assert other is not table and heat._decay_table[1] is other
+
+    def test_decay_table_is_built_in_place(self):
+        # the table is the one array the build allocates: exp(-t |xi|^2)
+        # formed in it, with no temporary of its size, and the table it
+        # replaces dropped first (tails' 385 x 64*33 table at d=2 N=64)
+        grid = make_grid(2, 64, TWO_PI)
+        heat._half_decay(grid, np.geomspace(1e-3, 1.0, 385))
+        times = np.geomspace(1e-3, 1.0 - 2**-20, 385)
+        table, peak = traced_peak(lambda: heat._half_decay(grid, times))
+        assert np.array_equal(table, np.exp(-times[:, None, None] * grid.ksq))
+        assert peak < 1.1 * table.nbytes
+
+    def test_racing_workers_build_one_table(self):
+        # four workers released together on a table not yet kept: one builds
+        # it, the others wait for it, and all read the same array; with a
+        # build per worker the race would hold up to four tables at once
+        grid = make_grid(2, 64, TWO_PI)
+        times = np.geomspace(1e-3, 1.0 - 2**-19, 385)
+        barrier = threading.Barrier(4)
+        got = [None] * 4
+
+        def worker(i):
+            barrier.wait(timeout=30)
+            got[i] = heat._half_decay(grid, times)
+
+        def race():
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            return threads
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads, peak = traced_peak(race)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        table = got[0]
+        assert table is not None and sum(t is table for t in got) == 4
+        assert heat._decay_table[1] is table
+        assert peak < 1.5 * table.nbytes
 
     @pytest.mark.parametrize("decay", ["cached", "streamed"])
     @pytest.mark.parametrize("orders", [(0,), (1,), (0, 1)])
