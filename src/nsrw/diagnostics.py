@@ -67,10 +67,11 @@ def dwdt_norm(trajectory: Trajectory, config: SolverConfig) -> DwdtReport:
     """
     grid = trajectory.f_omega.grid
     vol = grid.cell_volume
-    weight = grid.weight / (1.0 + grid.ksq)
+    ksq = grid.ksq
+    weight = grid.weight / (1.0 + ksq)
     values = []
     for w, g in zip(trajectory.w_states, trajectory.g_states):
-        dwdt = -grid.ksq * w.data + nonlinear_rhs(w, g, config.cutoff).data
+        dwdt = -ksq * w.data + nonlinear_rhs(w, g, config.cutoff).data
         values.append(np.sqrt(vol * np.sum(weight * np.abs(dwdt) ** 2)))
     return dwdt_report(trajectory.times, np.array(values), grid.d)
 
@@ -160,7 +161,8 @@ def nse_residual(grid: Grid, times: np.ndarray, u_half,
     if prev is None:
         raise ValueError(f"nse_residual got 0 states for {times.size} times")
     vol = grid.cell_volume
-    weight = grid.weight / (1.0 + grid.ksq)
+    ksq = grid.ksq
+    weight = grid.weight / (1.0 + ksq)
     plan = TransportPlan(grid) if plan is None else plan
     um = np.empty_like(prev, dtype=np.complex128)
     resid = np.empty_like(um)
@@ -176,7 +178,7 @@ def nse_residual(grid: Grid, times: np.ndarray, u_half,
         transport = projected_transport_half(um[(slice(None), *plan.in_band)], plan)
         # resid = (cur - prev) / h + ksq * um + P div(um x um), um spent
         np.divide(np.subtract(cur, prev, out=resid), h, out=resid)
-        resid += np.multiply(grid.ksq, um, out=um)
+        resid += np.multiply(ksq, um, out=um)
         resid += transport
         # freed before the next pair's kernel output is formed
         del transport

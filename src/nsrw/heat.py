@@ -15,7 +15,6 @@ finiteness is asserted.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -111,49 +110,19 @@ def _fit_loglog_slope(times: np.ndarray, values: np.ndarray, grid) -> float:
     return float(np.polyfit(np.log(times[sel]), np.log(values[sel]), 1)[0])
 
 
-# One decay table of up to 4M entries (32 MB) is kept at a time, the last one
-# formed: every verb sweeps one (grid, times) pair per process. It is built
-# once, under _decay_lock, in place in its own array, after the entry it
-# replaces is dropped, so that a process never holds two; every tails worker
-# thread then reads the same read-only table. The Monte Carlo table, reused
-# by every sample (385 x 64*33 at d=2 N=64, 0.8M), stays; the heatflow table
-# at d=3 N=64 (43 x 64*64*33, 5.8M entries, 44 MiB), used by a few sweeps, is
-# streamed one time block at a time and never takes the lock. Either way one
-# decay block per time block is shared by all the symbols and components of
-# a sweep.
-_decay_table: tuple = (None, None)
-_decay_lock = threading.Lock()
-_DECAY_CACHE_MAX_ELEMS = 4_000_000
-# grid points per one-component block of times: 24 times at d=2 N=64, 3 at
-# d=3 N=32, one time at d=3 N=64
+# A sweep runs a block of times at a time. Each block's decay exp(-t |xi|^2)
+# is formed on the lattice's |xi|^2 shells (Grid.ksq_shells: 506 at d=2 N=64,
+# 3,295 at d=3 N=64) and gathered onto the half lattice, in buffers of the
+# call, so no decay table outlives a sweep and the tails worker threads share
+# none; one decay block serves all the symbols and components of its block.
+# _BLOCK_ELEMS is the grid points per one-component block of times: 24 times
+# at d=2 N=64, 3 at d=3 N=32, one time at d=3 N=64
 _BLOCK_ELEMS = 24 * 64**2
 # the full-lattice mass a block may drop, relative to N^-d times the mass
 # it keeps: then the dropped modes together move each point value by at
 # most 2^-53 of the largest, at most one rounding of that value, which can
 # still flip a last bit (see _block_radii)
 _DROPPED_MASS_RATIO = 2.0**-106
-
-
-def _half_decay(grid, times: np.ndarray) -> np.ndarray | None:
-    """exp(-t |xi|^2) on the rfft half-spectrum for every t, kept while
-    small enough and read-only, since every tails worker thread multiplies
-    by it; None tells the caller to stream per chunk. Threads that ask for
-    a table not yet kept wait for the one that builds it."""
-    global _decay_table
-    if times.size * math.prod(grid.half_shape) > _DECAY_CACHE_MAX_ELEMS:
-        return None
-    key = (grid.d, grid.N, grid.L, times.tobytes())
-    with _decay_lock:
-        if _decay_table[0] != key:
-            # drop the old table before the new one is allocated
-            _decay_table = (None, None)
-            # exp(-t * ksq) by the same two ufuncs, in the table itself
-            table = np.empty((times.size,) + grid.half_shape)
-            np.multiply(-times.reshape((-1,) + (1,) * grid.d), grid.ksq[None], out=table)
-            np.exp(table, out=table)
-            table.flags.writeable = False
-            _decay_table = (key, table)
-        return _decay_table[1]
 
 
 class _SweepField:
@@ -183,11 +152,12 @@ class _SweepField:
 
     @cached_property
     def ksq_shells(self) -> tuple:
-        """The distinct |xi|^2 of the lattice and the |a|^2 on each over the
-        whole lattice: summed over the components in order, one component
-        at a time, and counted with the half lattice's Parseval weights."""
+        """The distinct |xi|^2 of the lattice (the grid's shells,
+        Grid.ksq_shells) and the |a|^2 on each over the whole lattice:
+        summed over the components in order, one component at a time, and
+        counted with the half lattice's Parseval weights."""
         g = self.f.grid
-        shells, index = np.unique(g.ksq, return_inverse=True)
+        shells, index = g.ksq_shells
         coeff_sq = np.abs(self.f.data[0])
         coeff_sq **= 2
         for c in range(1, self.f.ncomp):
@@ -273,11 +243,15 @@ def _heat_norms(f, symbols: list, times: np.ndarray, exponents: tuple) -> np.nda
     component is read in place from the field, an all-ones symbol is not
     multiplied by at all (a * 1 is a), component * symbol is formed in the
     block itself and multiplied by the decay there, one decay block per
-    time block (a slice of the cached table, or formed in one buffer of
-    the call when streamed) serves all symbols and components, and the
-    block is inverse-transformed axis by axis in place (ifft over the
-    leading axes, then irfft into the real block), the same 1-D transforms
-    irfftn runs, so the bits match it.
+    time block serves all symbols and components, and the block is
+    inverse-transformed axis by axis in place (ifft over the leading axes,
+    then irfft into the real block), the same 1-D transforms irfftn runs,
+    so the bits match it. The decay block is exp(-t |xi|^2) formed on the
+    lattice's |xi|^2 shells for each time of the block and gathered onto
+    the half lattice by the shell index (Grid.ksq_shells), both in buffers
+    of the call: each mode gets the same two ufuncs on the same doubles as
+    exp(-t * ksq), so the same bits, and no array of every time by the
+    lattice is ever held.
 
     Band pruning: before each block of times the sweep picks the smallest
     cube |k_i| <= k whose dropped modes move no value by more than one
@@ -312,9 +286,10 @@ def _heat_norms(f, symbols: list, times: np.ndarray, exponents: tuple) -> np.nda
     # broadcast to the whole half lattice, so that a box of it is a view
     syms_h = [sym_h if sym_h is None else np.broadcast_to(sym_h, g.half_shape)
               for sym_h in syms_h]
-    cached = _half_decay(g, times)
-    # the streamed decay of one time block, formed in place
-    streamed = np.empty((rows,) + g.half_shape) if cached is None else None
+    shells, shell_index = g.ksq_shells
+    # one time block's decay on the shells, and gathered onto the half lattice
+    shell_decay = np.empty((rows, shells.size))
+    decay_block = np.empty((rows,) + g.half_shape)
     block = np.empty((rows,) + g.half_shape, dtype=np.complex128)
     real = np.empty((rows,) + g.shape)
     starts = np.arange(0, times.size, chunk)
@@ -330,12 +305,12 @@ def _heat_norms(f, symbols: list, times: np.ndarray, exponents: tuple) -> np.nda
         tt = times[lo : lo + chunk]
         n = tt.size
         acc = msq[:n]
-        if cached is not None:
-            decay = cached[lo : lo + n]
-        else:
-            decay = streamed[:n]
-            np.multiply(-tt.reshape((-1,) + (1,) * g.d), g.ksq[None], out=decay)
-            np.exp(decay, out=decay)
+        on_shells = shell_decay[:n]
+        np.multiply(-tt[:, None], shells, out=on_shells)
+        np.exp(on_shells, out=on_shells)
+        decay = decay_block[:n]
+        # mode="clip" writes straight into decay; every index is in range
+        np.take(on_shells, shell_index, axis=1, mode="clip", out=decay)
         hb, rb = block[:n], real[:n]
         pruned = k < g.N // 2
         field.transforms += n * len(symbols) * f.ncomp
@@ -395,6 +370,21 @@ def _derivative_symbols(grid, k: int) -> list:
     return symbols
 
 
+def _decay_times(t_grid) -> np.ndarray:
+    """The decay times of t_grid in increasing order, refused unless there
+    is at least one, all are positive and none repeats: checked before any
+    sweep runs, since a DecayReport takes strictly increasing times."""
+    times = np.sort(np.asarray(t_grid, dtype=np.float64))
+    if times.size == 0:
+        raise ValueError("empty time grid")
+    if not np.all(times > 0):
+        raise ValueError("decay times must be positive")
+    repeated = times[1:][np.diff(times) == 0]
+    if repeated.size:
+        raise ValueError(f"decay times must not repeat; {repeated[0]:g} does")
+    return times
+
+
 def _l2_over_times(field: _SweepField, k: int, times: np.ndarray) -> np.ndarray:
     """|grad^k e^{tD} f|_{L^2} for every t, summed over shells of equal |xi|^2."""
     shells, coeff_mass = field.ksq_shells
@@ -420,11 +410,7 @@ def check_linear_estimates(
         raise ValueError("check_linear_estimates expects fourier-space data")
     if k not in (0, 1, 2):
         raise ValueError(f"derivative order must be 0, 1 or 2, got {k}")
-    times = np.sort(np.asarray(t_grid, dtype=np.float64))
-    if times.size == 0:
-        raise ValueError("empty time grid")
-    if not np.all(times > 0):
-        raise ValueError("decay times must be positive")
+    times = _decay_times(t_grid)
 
     field = _sweep_field(f_omega)
     g = field.f.grid
@@ -494,9 +480,7 @@ def condg_check(f_omega: SpectralField, s: float, t_grid: np.ndarray) -> CondgRe
     L2 and the square-rooted max bracket in Linf for k = 0, 1."""
     if f_omega.space != FOURIER:
         raise ValueError("condg_check expects fourier-space data")
-    times = np.sort(np.asarray(t_grid, dtype=np.float64))
-    if times.size == 0 or not np.all(times > 0):
-        raise ValueError("condg_check needs a nonempty positive time grid")
+    times = _decay_times(t_grid)
     field = _SweepField(f_omega)
     g = f_omega.grid
     linf = {k: _heat_norms(field, _derivative_symbols(g, k), times, (np.inf,))[0]

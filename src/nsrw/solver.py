@@ -550,9 +550,8 @@ def iter_u(trajectory: Trajectory):
     """The half spectrum of u(t) = e^{tD} f_omega + w(t) per snapshot, on
     the data grid's half lattice, formed one at a time."""
     grid = trajectory.f_omega.grid
-    fhat = trajectory.f_omega.data
     for t, w in zip(trajectory.times, trajectory.w_band):
-        u = fhat * np.exp(-float(t) * grid.ksq)
+        u = heat_semigroup(trajectory.f_omega, float(t)).data
         # w added on its cube: the sum with grid.scatter(w)
         u[(slice(None), *grid.band(w.shape[-1] - 1))] += w
         yield u

@@ -1,5 +1,4 @@
-import sys
-import threading
+import math
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from nsrw.heat import (
     small_time_window,
 )
 from nsrw.randomization import RandomModel, randomize, sample_coefficients
-from nsrw.tails import NormSpec, space_time_norm
+from nsrw.tails import NormSpec, default_time_grid, space_time_norm
 from nsrw.spectral import (
     fourier_field,
     l2_norm,
@@ -40,6 +39,10 @@ from nsrw.spectral import (
     zero_mean,
     zero_nyquist,
 )
+
+
+def _no_sweep(*args):
+    raise AssertionError("a sweep ran before its time grid was checked")
 
 
 class TestSemigroup:
@@ -190,6 +193,14 @@ class TestLinearEstimates:
         with pytest.raises(ValueError):
             check_linear_estimates(f, 0.25, 0, np.array([-0.1, 0.5]))
 
+    def test_refuses_repeated_times_before_any_sweep(self, grid2, monkeypatch):
+        # a repeated time once failed only in DecayReport, after both sweeps
+        for name in ("_heat_norms", "_l2_over_times"):
+            monkeypatch.setattr(heat, name, _no_sweep)
+        f = random_divfree_field(grid2, seed=6)
+        with pytest.raises(ValueError, match="must not repeat; 0.1 does"):
+            check_linear_estimates(f, 0.25, 0, np.array([0.1, 0.5, 0.1, 1.0]))
+
     def test_bound_constant_stable_under_grid_refinement(self):
         grid = make_grid(2, 64, TWO_PI)
         f_om = rademacher_borderline(grid, 0.25)
@@ -204,21 +215,23 @@ class TestLinearEstimates:
 class TestHeatNormsOracle:
     # times up to 1 keep every block on the whole half lattice; from 0.1 to
     # 3 the last block runs on a smaller cube
+    # (at L = 5 rounding splits modes of equal integer |k|^2 into separate
+    # |xi|^2 shells, which the decay is formed on; its times are scaled by
+    # (L / 2 pi)^2, so that t |xi|^2 and the pruning are those at 2 pi)
     @pytest.mark.parametrize("t_first, t_last, prunes", [(1e-3, 1.0, False), (0.1, 3.0, True)])
-    @pytest.mark.parametrize("decay", ["cached", "streamed"])
+    @pytest.mark.parametrize("L", [TWO_PI, 5.0])
     @pytest.mark.parametrize("orders", [(0,), (1,), (0, 1)])
     @pytest.mark.parametrize("p", [4.0, 6.0, 8.0 / 3.0, np.inf])
     @pytest.mark.parametrize("ncomp", ["scalar", "vector"])
     @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
-    def test_bitwise_equal_to_straightforward_sweep(self, monkeypatch, d, N, ncomp, p,
-                                                     orders, decay, t_first, t_last, prunes):
-        grid = make_grid(d, N, TWO_PI)
+    def test_bitwise_equal_to_straightforward_sweep(self, d, N, ncomp, p, orders, L,
+                                                     t_first, t_last, prunes):
+        grid = make_grid(d, N, L)
         nc = 1 if ncomp == "scalar" else d
         f = zero_nyquist(random_real_field(grid, nc, seed=21))
-        if decay == "streamed":
-            monkeypatch.setattr(heat, "_DECAY_CACHE_MAX_ELEMS", 0)
         chunk = heat._BLOCK_ELEMS // N**d
-        times = np.geomspace(t_first, t_last, chunk + chunk // 3 + 1)  # a short last block
+        # a short last block
+        times = np.geomspace(t_first, t_last, chunk + chunk // 3 + 1) * (L / TWO_PI) ** 2
         symbols = [sym for k in orders for sym in _derivative_symbols(grid, k)]
         field = _SweepField(f)
         (got,) = _heat_norms(field, symbols, times, (p,))
@@ -259,101 +272,53 @@ class TestHeatNormsOracle:
         assert np.array_equal(got, heat_norms_oracle(f, symbols, times, p))
         assert field.pruned_transforms == times.size * len(symbols) * d
 
-    @pytest.mark.parametrize("decay", ["cached", "streamed"])
-    def test_work_arrays_hold_one_component(self, monkeypatch, decay):
+    def test_work_arrays_hold_one_component(self):
         # the sweep's transient memory at d=3 N=32 over heatflow's decay
         # grid, k = 0 and 1: one-component blocks of 3 times, the symbol
-        # product formed in the block and the streamed decay formed in one
-        # buffer of the call read 2.24 (cached) and 2.51 (streamed, the
-        # path heatflow takes at d=3 N=64) times the whole-lattice field's
-        # bytes; with a separate symbol product and a fresh decay block per
-        # time block they read 2.42 and 3.01, and all-component blocks of 4
+        # product formed in the block and the decay formed on the |xi|^2
+        # shells and gathered into one buffer of the call read 2.52
+        # times the whole-lattice field's bytes (2.24 with a kept decay
+        # table, 2.51 with the decay formed on the whole half lattice);
+        # with a separate symbol product and a fresh decay block per time
+        # block they read 2.42 and 3.01, and all-component blocks of 4
         # times with whole-array checks 5.9. The blocks are physical-space
         # arrays, so the bound stays in the whole lattice's bytes, twice
         # those of the half-lattice field
-        if decay == "streamed":
-            monkeypatch.setattr(heat, "_DECAY_CACHE_MAX_ELEMS", 0)
         grid = make_grid(3, 32, TWO_PI)
         f = borderline_field(grid, 0.2, seed=3)
         times = default_decay_time_grid(grid, 1.0, 16)
         symbols = _derivative_symbols(grid, 0) + _derivative_symbols(grid, 1)
-        first = _heat_norms(f, symbols, times, (np.inf,))  # fills the decay cache
+        first = _heat_norms(f, symbols, times, (np.inf,))  # builds the shell index
         again, peak = traced_peak(lambda: _heat_norms(f, symbols, times, (np.inf,)))
         assert np.array_equal(again, first)
         assert peak < 2.75 * (3 * 32**3 * 16)
 
-    def test_decay_table_is_one_read_only_table(self):
-        # every tails worker thread multiplies by the kept table, so a write
-        # into it raises; the table of another (grid, times) pair replaces it
-        grid = make_grid(2, 16, TWO_PI)
-        times = np.geomspace(1e-3, 1.0, 5)
-        table = heat._half_decay(grid, times)
-        assert heat._half_decay(grid, times) is table
-        assert np.array_equal(table, np.exp(-times[:, None, None] * grid.ksq))
-        with pytest.raises(ValueError, match="read-only"):
-            table[0, 0, 0] = 0.0
-        other = heat._half_decay(grid, times[:3])
-        assert other is not table and heat._decay_table[1] is other
-
-    def test_decay_table_is_built_in_place(self):
-        # the table is the one array the build allocates: exp(-t |xi|^2)
-        # formed in it, with no temporary of its size, and the table it
-        # replaces dropped first (tails' 385 x 64*33 table at d=2 N=64)
+    def test_tails_sweep_holds_no_table_of_every_time(self):
+        # tails' sweep, d=2 N=64 over its 385 times, on a fresh grid: each
+        # block's decay (24 times) is formed on the |xi|^2 shells and
+        # gathered into one buffer of the call, so no 385 x 64*33 array
+        # (6.2 MiB, the decay table once kept for the whole run) is built.
+        # The first sweep, the shell index included, peaked at 3.15 MiB:
+        # the block, the real block, msq and the decay block are 2.8 MiB
         grid = make_grid(2, 64, TWO_PI)
-        heat._half_decay(grid, np.geomspace(1e-3, 1.0, 385))
-        times = np.geomspace(1e-3, 1.0 - 2**-20, 385)
-        table, peak = traced_peak(lambda: heat._half_decay(grid, times))
-        assert np.array_equal(table, np.exp(-times[:, None, None] * grid.ksq))
-        assert peak < 1.1 * table.nbytes
+        f = borderline_field(grid, 0.2, seed=4)
+        times = default_time_grid(1.0)
+        symbols = [grid.kabs**0.0]
+        _, peak = traced_peak(lambda: _heat_norms(f, symbols, times, (4.0,)))
+        table = times.size * math.prod(grid.half_shape) * 8
+        assert peak < 0.6 * table, peak
 
-    def test_racing_workers_build_one_table(self):
-        # four workers released together on a table not yet kept: one builds
-        # it, the others wait for it, and all read the same array; with a
-        # build per worker the race would hold up to four tables at once
-        grid = make_grid(2, 64, TWO_PI)
-        times = np.geomspace(1e-3, 1.0 - 2**-19, 385)
-        barrier = threading.Barrier(4)
-        got = [None] * 4
-
-        def worker(i):
-            barrier.wait(timeout=30)
-            got[i] = heat._half_decay(grid, times)
-
-        def race():
-            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-            return threads
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads, peak = traced_peak(race)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(th.is_alive() for th in threads)
-        table = got[0]
-        assert table is not None and sum(t is table for t in got) == 4
-        assert heat._decay_table[1] is table
-        assert peak < 1.5 * table.nbytes
-
-    @pytest.mark.parametrize("decay", ["cached", "streamed"])
     @pytest.mark.parametrize("orders", [(0,), (1,), (0, 1)])
     @pytest.mark.parametrize("p", [4.0, np.inf])
     @pytest.mark.parametrize("ncomp", ["scalar", "vector"])
     @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
-    def test_refuses_nyquist_content_on_every_path(self, monkeypatch, d, N, ncomp, p,
-                                                   orders, decay):
+    def test_refuses_nyquist_content_on_every_path(self, d, N, ncomp, p, orders):
         # the contract is on the field, not on the symbols: Nyquist content is
         # refused even for k = 0, whose products are still conjugate-symmetric,
-        # and before either decay policy or the one-component layout is chosen
+        # and before any work array is allocated
         grid = make_grid(d, N, TWO_PI)
         nc = 1 if ncomp == "scalar" else d
         f = random_real_field(grid, nc, seed=21)
-        if decay == "streamed":
-            monkeypatch.setattr(heat, "_DECAY_CACHE_MAX_ELEMS", 0)
         times = np.geomspace(1e-3, 1.0, 5)
         symbols = [sym for k in orders for sym in _derivative_symbols(grid, k)]
         with pytest.raises(ValueError, match="content on its Nyquist rows"):
@@ -395,6 +360,14 @@ class TestCondg:
         assert np.all(np.diff(rep.l2_ratios) < 0)
         for k in (0, 1):
             assert np.all(np.diff(rep.linf_ratios[k]) < 0)
+
+    def test_refuses_repeated_times_before_any_sweep(self, grid2, monkeypatch):
+        # a repeated time once gave a duplicated ratio
+        for name in ("_heat_norms", "_l2_over_times"):
+            monkeypatch.setattr(heat, name, _no_sweep)
+        f = random_divfree_field(grid2, seed=6)
+        with pytest.raises(ValueError, match="must not repeat; 0.5 does"):
+            condg_check(f, 0.25, np.array([0.1, 0.5, 0.5, 1.0]))
 
     def test_refinement_stability(self):
         # same continuum data truncated at N and 2N: suprema within 10%

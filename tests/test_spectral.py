@@ -23,6 +23,7 @@ from conftest import (
 from nsrw.spectral import (
     TransportPlan,
     _band_passes,
+    _sum_squares,
     dealias,
     fourier_field,
     friedrichs_cutoff,
@@ -69,6 +70,25 @@ class TestGrid:
             assert np.array_equal(np.broadcast_to(grid.axis_frequency(ax), grid.half_shape),
                                   cut(whole, grid))
 
+    @pytest.mark.parametrize("L", [TWO_PI, 5.0])
+    @pytest.mark.parametrize("N", [8, 42, 64])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_ksq_shells_give_ksq_bit_for_bit(self, d, N, L):
+        # ksq and each mode's shell are the axes' sum of squares, bit for
+        # bit, on strictly increasing read-only shells; the index is kept
+        # writeable, since np.take copies a read-only one. Rounding splits
+        # modes of equal integer |k|^2 into separate shells (at N = 64, 506
+        # shells for 457 integer values at d=2 and L = 2 pi, 526 at L = 5)
+        grid = make_grid(d, N, L)
+        want = _sum_squares(grid.axis_frequency(ax) for ax in range(d))
+        shells, index = grid.ksq_shells
+        assert index.dtype == np.intp and index.shape == grid.half_shape
+        assert np.all(np.diff(shells) > 0)
+        assert np.array_equal(grid.ksq, want)
+        assert np.array_equal(shells[index], want)
+        assert not shells.flags.writeable and index.flags.writeable
+        assert grid.ksq_shells[1] is index
+
     @pytest.mark.parametrize(
         "d,N,L", [(2, 7, 1.0), (2, 6, 1.0), (4, 8, 1.0), (1, 8, 1.0), (2, 8, 0.0), (2, 8, -1.0),
                   (2, 16, math.inf), (2, 16, math.nan)]
@@ -88,12 +108,14 @@ class TestGrid:
         assert other.dealias_radius == 21 and other.nyquist_mask.any()
         assert grid == other and hash(grid) == hash(other)
         ksq = other.ksq
-        # reading |xi| and the Parseval weight leaves the grid holding
-        # neither as a lattice array (1.1 MiB each here): |xi| is formed
-        # on each access, the weight is one (N/2 + 1,) vector
+        # reading |xi|^2, |xi| and the Parseval weight leaves the grid
+        # holding none of them as a lattice array (1.1 MiB each here):
+        # |xi|^2 and |xi| are formed on each access, the weight is one
+        # (N/2 + 1,) vector
         tracemalloc.start()
         try:
             base, _ = tracemalloc.get_traced_memory()
+            assert np.array_equal(other.ksq, ksq)
             assert np.array_equal(other.kabs, np.sqrt(ksq))
             assert other.weight.shape == other.half_shape
             held, _ = tracemalloc.get_traced_memory()
