@@ -308,21 +308,24 @@ class TestHeatNormsOracle:
         table = times.size * math.prod(grid.half_shape) * 8
         assert peak < 0.6 * table, peak
 
+    @pytest.mark.parametrize("entry", ["sweep", "field"])
     @pytest.mark.parametrize("orders", [(0,), (1,), (0, 1)])
     @pytest.mark.parametrize("p", [4.0, np.inf])
     @pytest.mark.parametrize("ncomp", ["scalar", "vector"])
     @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
-    def test_refuses_nyquist_content_on_every_path(self, d, N, ncomp, p, orders):
+    def test_refuses_nyquist_content_on_every_path(self, d, N, ncomp, p, orders, entry):
         # the contract is on the field, not on the symbols: Nyquist content is
         # refused even for k = 0, whose products are still conjugate-symmetric,
-        # and before any work array is allocated
+        # and before any work array is allocated, whether the sweep is handed
+        # the field itself (tails) or checks it first as a _SweepField
+        # shared by several sweeps (heatflow, condg)
         grid = make_grid(d, N, TWO_PI)
         nc = 1 if ncomp == "scalar" else d
         f = random_real_field(grid, nc, seed=21)
         times = np.geomspace(1e-3, 1.0, 5)
         symbols = [sym for k in orders for sym in _derivative_symbols(grid, k)]
         with pytest.raises(ValueError, match="content on its Nyquist rows"):
-            _heat_norms(f, symbols, times, (p,))
+            _heat_norms(f if entry == "sweep" else _SweepField(f), symbols, times, (p,))
 
     @pytest.mark.parametrize("flaw, message", [
         ("complex", "not conjugate-symmetric"),
