@@ -19,6 +19,7 @@ import json
 import os
 import resource
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -131,6 +132,33 @@ def _peak_rss_mib() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+class _Phases:
+    """A verb's phase telemetry for meta.json, made after the data build,
+    whose peak resident set it records first. `with phases(name):` adds the
+    block's wall seconds, less those of the phases nested in it, to
+    seconds[name] and records the peak at its end in peak_rss[name]. The
+    phases named here come first, at 0 seconds and a null peak."""
+
+    def __init__(self, *declared: str):
+        self.seconds = dict.fromkeys(declared, 0.0)
+        self.peak_rss = {"data": _peak_rss_mib(), **dict.fromkeys(declared)}
+        self._nested = []  # the seconds of the phases nested in each open one
+
+    @contextmanager
+    def __call__(self, name: str):
+        self._nested.append(0.0)
+        started = time.perf_counter()
+        yield
+        elapsed = time.perf_counter() - started
+        self.seconds[name] = self.seconds.get(name, 0.0) + elapsed - self._nested.pop()
+        if self._nested:
+            self._nested[-1] += elapsed
+        self.peak_rss[name] = _peak_rss_mib()
+
+    def meta(self) -> dict:
+        return {"phase_seconds": self.seconds, "phase_peak_rss_mib": self.peak_rss}
+
+
 # ---------------------------------------------------------------------------
 # individual experiments
 
@@ -186,7 +214,7 @@ def _run_randomize(cfg: ExperimentConfig, workers: int, outdir: Path, resume: st
 def _run_heatflow(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | None):
     grid, f = build_data_field(cfg)
     f_om = _randomized_data(cfg, f)
-    peak_rss = {"data": _peak_rss_mib()}
+    phases = _Phases()
     t_grid = default_decay_time_grid(grid, cfg.T, cfg.t_points_per_decade)
     if _in_window(t_grid, grid).sum() < 2:
         raise ConfigError(f"config field 'T': {cfg.T} leaves fewer than 2 decay times in the "
@@ -198,12 +226,10 @@ def _run_heatflow(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str
     columns = [t_grid]
     # condg is read off the k = 0 and k = 1 sweeps, so those always run
     swept = sorted(set(cfg.k_orders) | {0, 1})
-    started = time.perf_counter()
-    # the orders share the field's realness check, H^{-s} norm and shell sums
-    field = _SweepField(f_om)
-    reports = {k: check_linear_estimates(field, cfg.s, k, t_grid) for k in swept}
-    sweeps_s = time.perf_counter() - started
-    peak_rss["sweeps"] = _peak_rss_mib()
+    with phases("sweeps"):
+        # the orders share the field's checks, H^{-s} norm and shell sums
+        field = _SweepField(f_om)
+        reports = {k: check_linear_estimates(field, cfg.s, k, t_grid) for k in swept}
     for k in cfg.k_orders:
         rep = reports[k]
         target = -(cfg.s + k) / 2.0
@@ -237,8 +263,7 @@ def _run_heatflow(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str
         )
     }
     meta = {
-        "phase_seconds": {"sweeps": sweeps_s},
-        "phase_peak_rss_mib": peak_rss,
+        **phases.meta(),
         "counters": {
             "decay_times": len(t_grid),
             "field_transforms": field.transforms,
@@ -250,17 +275,13 @@ def _run_heatflow(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str
 
 def _run_tails(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | None):
     _, f = build_data_field(cfg)
-    peak_rss = {"data": _peak_rss_mib()}
-    started = time.perf_counter()
-    samples = sample_space_time_norms(f, cfg.random_model(), cfg.norm_spec(), cfg.monte_carlo_M,
-                                      workers=workers)
-    samples_s = time.perf_counter() - started
-    peak_rss["samples"] = _peak_rss_mib()
+    phases = _Phases()
+    with phases("samples"):
+        samples = sample_space_time_norms(f, cfg.random_model(), cfg.norm_spec(),
+                                          cfg.monte_carlo_M, workers=workers)
     hnorm = hminus_s_norm(f, cfg.s)
-    started = time.perf_counter()
-    fit = fit_gaussian_tail(samples, hnorm)
-    fit_s = time.perf_counter() - started
-    peak_rss["fit"] = _peak_rss_mib()
+    with phases("fit"):
+        fit = fit_gaussian_tail(samples, hnorm)
     summary = {
         "C1": fit.C1,
         "C2": fit.C2,
@@ -285,8 +306,7 @@ def _run_tails(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
         )
     }
     meta = {
-        "phase_seconds": {"samples": samples_s, "fit": fit_s},
-        "phase_peak_rss_mib": peak_rss,
+        **phases.meta(),
         "counters": {"samples": cfg.monte_carlo_M, "time_points": default_time_grid(cfg.T).size},
     }
     return summary, failures, series, plotdata, meta
@@ -295,8 +315,8 @@ def _run_tails(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
 def _run_solve(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | None):
     grid, f = build_data_field(cfg)
     f_om = _randomized_data(cfg, f)
-    # at the end of the last checkpoint write; null when none is written
-    peak_rss = {"data": _peak_rss_mib(), "checkpoint_writes": None}
+    # checkpoint writes nest in the solve; their peak is null if none is written
+    phases = _Phases("checkpoint_writes")
     sconf = cfg.solver_config()
     fingerprint = cfg.trajectory_fingerprint()
     resume_band = resume_time = None
@@ -305,22 +325,18 @@ def _run_solve(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
         resume_band, resume_time, _ = load_checkpoint(resume, fingerprint)
 
     ckpt_files = []
-    ckpt_seconds = 0.0
 
-    def write_checkpoint(i: int, t: float, w_band: np.ndarray):
-        nonlocal ckpt_seconds
-        started = time.perf_counter()
-        name = f"checkpoint_{i:04d}.nsrw"
-        save_checkpoint(grid, w_band, t, sconf.cutoff, fingerprint, outdir / name)
-        ckpt_files.append({"file": name, "time": t})
-        ckpt_seconds += time.perf_counter() - started
-        peak_rss["checkpoint_writes"] = _peak_rss_mib()
+    def write_checkpoint(step: int, t: float, w_band: np.ndarray):
+        # named by its step boundary, so a resume into this directory
+        # rewrites only the files of the steps it takes again
+        with phases("checkpoint_writes"):
+            name = f"checkpoint_{step:04d}.nsrw"
+            save_checkpoint(grid, w_band, t, sconf.cutoff, fingerprint, outdir / name)
+            ckpt_files.append({"file": name, "time": t})
 
-    started = time.perf_counter()
-    traj = solve(sconf, f_om, resume_band=resume_band, resume_time=resume_time,
-                 on_snapshot=write_checkpoint if cfg.write_checkpoints else None)
-    solve_s = time.perf_counter() - started - ckpt_seconds
-    peak_rss["solve"] = _peak_rss_mib()
+    with phases("solve"):
+        traj = solve(sconf, f_om, resume_band=resume_band, resume_time=resume_time,
+                     on_snapshot=write_checkpoint if cfg.write_checkpoints else None)
 
     log = traj.energy_log
     snap_idx = np.searchsorted(log.times, traj.times)
@@ -331,11 +347,9 @@ def _run_solve(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
     dwdt = dwdt_report(traj.times, traj.dwdt_hminus1, grid.d)
 
     f_l2 = l2_norm(f_om)
-    started = time.perf_counter()
-    residual_plan = TransportPlan(grid)
-    residual_times, residuals = nse_residual(grid, traj.times, iter_u(traj), residual_plan)
-    residual_s = time.perf_counter() - started
-    peak_rss["residual"] = _peak_rss_mib()
+    with phases("residual"):
+        residual_plan = TransportPlan(grid)
+        residual_times, residuals = nse_residual(grid, traj.times, iter_u(traj), residual_plan)
 
     summary = {
         "steps": int(log.times.size - 1),
@@ -401,12 +415,7 @@ def _run_solve(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
     # summary.json and series.csv stay byte-reproducible
     meta = {
         "stepping_lattice": {"N": cfg.N, "M": stepping_lattice_size(grid, sconf.cutoff)},
-        "phase_seconds": {
-            "solve": solve_s,
-            "residual": residual_s,
-            "checkpoint_writes": ckpt_seconds,
-        },
-        "phase_peak_rss_mib": peak_rss,
+        **phases.meta(),
         "counters": {
             "steps": summary["steps"],
             "snapshots": summary["snapshots"],
@@ -424,16 +433,14 @@ def _run_solve(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
 
 def _run_report(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | None):
     _, f = build_data_field(cfg)
-    peak_rss = {"data": _peak_rss_mib()}
+    phases = _Phases()
     model = cfg.random_model()
     M = cfg.monte_carlo_M
-    started = time.perf_counter()
-    reports = _ordered_map(
-        lambda i: condtg_check(randomized(f, model, i), cfg.s, cfg.gamma, cfg.T), M, workers
-    )
-    lams = np.array([r.lam for r in reports])
-    phase_seconds = {"samples": time.perf_counter() - started}
-    peak_rss["samples"] = _peak_rss_mib()
+    with phases("samples"):
+        reports = _ordered_map(
+            lambda i: condtg_check(randomized(f, model, i), cfg.s, cfg.gamma, cfg.T), M, workers
+        )
+        lams = np.array([r.lam for r in reports])
     qlevels = [0.5, 0.75, 0.9, 0.95, 0.99, 0.995]
     quantiles = {f"q{int(q * 1000):03d}": float(np.quantile(lams, q)) for q in qlevels}
     summary = {
@@ -443,17 +450,14 @@ def _run_report(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str |
     }
     if M >= TAIL_FIT_MIN_SAMPLES:
         hnorm = hminus_s_norm(f, cfg.s)
-        started = time.perf_counter()
-        fit = fit_gaussian_tail(lams, hnorm)
-        phase_seconds["fit"] = time.perf_counter() - started
-        peak_rss["fit"] = _peak_rss_mib()
+        with phases("fit"):
+            fit = fit_gaussian_tail(lams, hnorm)
         summary["tail_C1"] = fit.C1
         summary["tail_C2"] = fit.C2
         summary["tail_r_squared"] = fit.r_squared
     series = (["sample", "lambda"], [np.arange(M), lams])
     meta = {
-        "phase_seconds": phase_seconds,
-        "phase_peak_rss_mib": peak_rss,
+        **phases.meta(),
         "counters": {
             "samples": M,
             "time_points": default_time_grid(cfg.T).size,

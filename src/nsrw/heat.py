@@ -126,15 +126,17 @@ _DROPPED_MASS_RATIO = 2.0**-106
 
 
 class _SweepField:
-    """A fourier-space field the heat sweeps accept, checked once: real (its
-    planes 0 and N/2 conjugate-symmetric) and zero on its Nyquist rows. The
-    sweeps and decay checks of one field (heatflow's orders k, condg's two
-    sweeps) share the check, the H^{-s} norms and the |xi|^2 shell masses;
-    transforms counts the one-time, one-component transforms their sweeps
-    ran, and pruned_transforms those of them that ran on a cube smaller
-    than the half lattice."""
+    """A field the heat sweeps accept, checked once: in fourier space, real
+    (its planes 0 and N/2 conjugate-symmetric) and zero on its Nyquist
+    rows. The sweeps and decay checks of one field (heatflow's orders k,
+    condg's two sweeps) share the check, the H^{-s} norms and the |xi|^2
+    shell masses; transforms counts the one-time, one-component transforms
+    their sweeps ran, and pruned_transforms those of them that ran on a
+    cube smaller than the half lattice."""
 
     def __init__(self, f: SpectralField):
+        if f.space != FOURIER:
+            raise ValueError("heat sweep data must be a fourier-space field")
         require_real_field("heat sweep data", f)
         if np.any(f.data[:, f.grid.nyquist_mask]):
             # a derivative symbol would break the conjugate symmetry there
@@ -150,27 +152,26 @@ class _SweepField:
             self._hnorms[s] = hminus_s_norm(self.f, s)
         return self._hnorms[s]
 
-    @cached_property
-    def ksq_shells(self) -> tuple:
-        """The distinct |xi|^2 of the lattice (the grid's shells,
-        Grid.ksq_shells) and the |a|^2 on each over the whole lattice:
-        summed over the components in order, one component at a time, and
-        counted with the half lattice's Parseval weights."""
-        g = self.f.grid
-        shells, index = g.ksq_shells
+    def _shell_sums(self, scale, index: np.ndarray, count: int) -> np.ndarray:
+        """scale * sum_c |a_c|^2, the components summed in order one at a
+        time, summed on each of the count shells that the half-lattice
+        array index labels."""
         coeff_sq = np.abs(self.f.data[0])
         coeff_sq **= 2
         for c in range(1, self.f.ncomp):
             term = np.abs(self.f.data[c])
             term **= 2
             coeff_sq += term
-        coeff_sq *= g.weight
-        return shells, np.bincount(index.ravel(), weights=coeff_sq.ravel())
+        coeff_sq *= scale
+        return np.bincount(index.ravel(), weights=coeff_sq.ravel(), minlength=count)
 
-
-def _sweep_field(f) -> _SweepField:
-    """f itself if already checked, else f checked."""
-    return f if isinstance(f, _SweepField) else _SweepField(f)
+    @cached_property
+    def ksq_shells(self) -> tuple:
+        """The distinct |xi|^2 of the lattice (the grid's shells,
+        Grid.ksq_shells) and the |a|^2 on each over the whole lattice,
+        counted with the half lattice's Parseval weights."""
+        shells, index = self.f.grid.ksq_shells
+        return shells, self._shell_sums(self.f.grid.weight, index, shells.size)
 
 
 def _block_radii(mass: np.ndarray, grid, t_first: np.ndarray,
@@ -207,34 +208,20 @@ def _block_radii(mass: np.ndarray, grid, t_first: np.ndarray,
     return np.argmax(fits, axis=1)
 
 
-def _shell_mass(f: SpectralField, syms_h: list) -> np.ndarray:
-    """|symbol * a|^2 on each box shell max_i |k_i| = r of the half lattice,
-    summed over the half-lattice symbols syms_h (None for all-ones) and the
-    components of f: the masses _block_radii bounds, in no set order."""
-    grid = f.grid
-    coeff_sq = np.zeros(grid.half_shape)
-    for c in range(f.ncomp):
-        term = np.abs(f.data[c])
-        term **= 2
-        coeff_sq += term
-    coeff_sq *= sum(1.0 if sym_h is None else np.abs(sym_h) ** 2 for sym_h in syms_h)
-    return np.bincount(grid.box_radius().ravel(), weights=coeff_sq.ravel(),
-                       minlength=grid.N // 2 + 1)
-
-
-def _heat_norms(f, symbols: list, times: np.ndarray, exponents: tuple) -> np.ndarray:
+def _heat_norms(field: _SweepField, symbols: list, times: np.ndarray,
+                exponents: tuple) -> np.ndarray:
     """|e^{tD} F|_{L^p} for every t and every p in exponents, each in
     [2, inf], batched over times: the one sweep is reduced once per
     exponent, one row per exponent.
 
     F stacks symbol * component for every symbol (arrays broadcastable to
-    the half lattice) and every component of a field f (a SpectralField, or
-    a _SweepField already checked). For each block of times, every
+    the half lattice) and every component of f = field.f, the field the
+    _SweepField checked. For each block of times, every
     symbol * component is transformed on its own and its pointwise |.|^2
     accumulated, so neither the stack nor one symbol's components are ever
     held together: the components of a symbol are summed in order into one
     array, and that sum is added to the block's total, the grouping
-    np.sum(axis=1) over the stack would use. f must be real and zero on its
+    np.sum(axis=1) over the stack would use. f is real and zero on its
     Nyquist rows, so every symbol * component is conjugate-symmetric and
     the sweep runs on the rfft half spectrum.
 
@@ -269,7 +256,6 @@ def _heat_norms(f, symbols: list, times: np.ndarray, exponents: tuple) -> np.nda
     buffers belong to the call, not the module: tails workers run sweeps
     on several threads at once.
     """
-    field = _sweep_field(f)
     f = field.f
     g = f.grid
     sp = tuple(range(1, 1 + g.d))
@@ -282,7 +268,10 @@ def _heat_norms(f, symbols: list, times: np.ndarray, exponents: tuple) -> np.nda
     sym_sq = (np.empty((rows,) + g.shape) if len(symbols) > 1 or len(exponents) > 1
               else None)
     syms_h = [None if np.all(sym == 1.0) else sym for sym in symbols]
-    mass = _shell_mass(f, syms_h)
+    # the masses _block_radii bounds: |symbol * a|^2 on each box shell
+    # max_i |k_i| = r, summed over the symbols and components
+    mass = field._shell_sums(sum(1.0 if sym_h is None else np.abs(sym_h) ** 2
+                                 for sym_h in syms_h), g.box_radius(), g.N // 2 + 1)
     # broadcast to the whole half lattice, so that a box of it is a view
     syms_h = [sym_h if sym_h is None else np.broadcast_to(sym_h, g.half_shape)
               for sym_h in syms_h]
@@ -350,12 +339,12 @@ def _heat_norms(f, symbols: list, times: np.ndarray, exponents: tuple) -> np.nda
                 row[lo : lo + n] = np.sqrt(np.max(acc, axis=sp))
                 continue
             # the last exponent raises acc itself, which the next block
-            # overwrites; an earlier one raises a copy in sym_sq
-            powered = acc
+            # overwrites; an earlier one raises it into sym_sq
             if i + 1 < len(exponents):
-                powered = sym_sq[:n]
-                np.copyto(powered, acc)
-            powered **= pk / 2.0
+                powered = np.power(acc, pk / 2.0, out=sym_sq[:n])
+            else:
+                powered = acc
+                powered **= pk / 2.0
             row[lo : lo + n] = (vol * np.sum(powered, axis=sp)) ** (1.0 / pk)
     return out
 
@@ -403,16 +392,14 @@ def check_linear_estimates(
     Returns one report per norm, each carrying the max bounded-constant
     ratio and the fitted small-time slope. f_omega may also be a
     _SweepField, which a caller checking several orders of one field
-    (heatflow) builds once, so that they share its realness check, H^{-s}
+    (heatflow) builds once, so that they share its checks, H^{-s}
     norm and |xi|^2 shell masses.
     """
-    if not isinstance(f_omega, _SweepField) and f_omega.space != FOURIER:
-        raise ValueError("check_linear_estimates expects fourier-space data")
     if k not in (0, 1, 2):
         raise ValueError(f"derivative order must be 0, 1 or 2, got {k}")
     times = _decay_times(t_grid)
 
-    field = _sweep_field(f_omega)
+    field = f_omega if isinstance(f_omega, _SweepField) else _SweepField(f_omega)
     g = field.f.grid
     hnorm = field.hnorm(s)
     l2_vals = _l2_over_times(field, k, times)
@@ -478,8 +465,6 @@ def _condg_from_sweeps(
 def condg_check(f_omega: SpectralField, s: float, t_grid: np.ndarray) -> CondgReport:
     """Ratios of g's norms against the forcing envelopes (1 + t^{-s/2}) in
     L2 and the square-rooted max bracket in Linf for k = 0, 1."""
-    if f_omega.space != FOURIER:
-        raise ValueError("condg_check expects fourier-space data")
     times = _decay_times(t_grid)
     field = _SweepField(f_omega)
     g = f_omega.grid

@@ -452,9 +452,10 @@ def solve(
     extra one); the per-step energy log rides along unless track_energy is
     off. Each snapshot is w on the stepper's cube, a band array of the data
     grid's half lattice (see Trajectory.w_band); on_snapshot, if given, is
-    called as on_snapshot(index, t, w_band) as each one is taken, while the
-    run goes on. The trajectory keeps f_omega, from which it derives the
-    forcing. A resume at T, or from a band of another shape, or not a real
+    called as on_snapshot(step, t, w_band) as each one is taken, while the
+    run goes on; step is t's index in time_partition, the same in a run
+    and its resumes. The trajectory keeps f_omega, from which it derives
+    the forcing. A resume at T, or from a band of another shape, or not a real
     field's (Grid.require_real_band), or with support outside the
     ball is refused before the first snapshot.
     """
@@ -492,16 +493,17 @@ def solve(
 
     snap_times, w_band, dwdt = [], [], []
 
-    def snapshot(t: float, state: np.ndarray, rhs0: np.ndarray):
-        """Record the state with dw/dt from its stage-0 right-hand side."""
-        snap_times.append(t)
+    def snapshot(step: int, state: np.ndarray, rhs0: np.ndarray):
+        """Record the state at times[step] with dw/dt from its stage-0
+        right-hand side."""
+        snap_times.append(times[step])
         w_band.append(grid.symmetrize(state))
         dwdt.append(stepper.dwdt_hminus1(state, rhs0))
         if on_snapshot is not None:
-            on_snapshot(len(snap_times) - 1, float(t), w_band[-1])
+            on_snapshot(step, float(times[step]), w_band[-1])
 
     g0, a = stepper.stage0(what, times[start])
-    snapshot(times[start], what, a)
+    snapshot(start, what, a)
 
     track = config.track_energy
     if track:
@@ -524,7 +526,7 @@ def solve(
         g0, a = stepper.stage0(what, t1)
         steps_done = idx + 1 - start
         if steps_done % config.snapshot_cadence == 0 or idx + 1 == len(times) - 1:
-            snapshot(t1, what, a)
+            snapshot(idx + 1, what, a)
 
     log = None
     if track:

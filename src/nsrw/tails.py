@@ -18,9 +18,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .heat import _heat_norms
+from .heat import _heat_norms, _SweepField
 from .randomization import RandomModel, hminus_s_norm, randomized
-from .spectral import FOURIER, SpectralField
+from .spectral import SpectralField
 
 __all__ = [
     "NormSpec",
@@ -109,9 +109,8 @@ def space_time_norm(f_omega: SpectralField, spec: NormSpec) -> float:
 
 def _space_time_norms(f_omega: SpectralField, specs: tuple) -> list:
     """space_time_norm for each of specs that share sigma and T: they share
-    one heat sweep over default_time_grid(T), reduced once per exponent p."""
-    if f_omega.space != FOURIER:
-        raise ValueError("space_time_norm expects fourier-space data")
+    one heat sweep over default_time_grid(T), reduced once per exponent p.
+    The specs are checked before the field, and both before any sweep."""
     for spec in specs:
         if not check_admissible(spec):
             raise ValueError(
@@ -123,9 +122,10 @@ def _space_time_norms(f_omega: SpectralField, specs: tuple) -> list:
             raise ValueError("gamma*q <= -1 makes the time integral divergent")
     if len({(spec.sigma, spec.T) for spec in specs}) != 1:
         raise ValueError("norms of one heat sweep must share sigma and T")
+    field = _SweepField(f_omega)
     sigma, T = specs[0].sigma, specs[0].T
     times = default_time_grid(T)
-    sweep = _heat_norms(f_omega, [f_omega.grid.kabs**sigma], times,
+    sweep = _heat_norms(field, [f_omega.grid.kabs**sigma], times,
                         tuple(spec.p for spec in specs))
     norms = []
     for spec, vals in zip(specs, sweep):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -432,6 +433,27 @@ class TestArtifacts:
         meta = json.loads((res.output_dir / "meta.json").read_text())
         assert meta["workers"] == 1
 
+    def test_phases_sum_their_entries_less_the_nested_phases(self, monkeypatch):
+        # one recorder for every verb's phases: a phase's seconds add up
+        # over its entries and leave out the phases nested in it, and a
+        # declared phase that never runs keeps 0 seconds and a null peak
+        import nsrw.experiments as experiments
+
+        clock = iter([0.0, 1.0, 1.5, 2.0, 2.25, 5.0, 10.0, 10.5])
+        monkeypatch.setattr(experiments, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+        phases = experiments._Phases("inner", "never")
+        with phases("outer"):
+            for _ in range(2):
+                with phases("inner"):
+                    pass
+        with phases("outer"):
+            pass
+        meta = phases.meta()
+        assert meta["phase_seconds"] == {"inner": 0.75, "never": 0.0, "outer": 4.75}
+        rss = meta["phase_peak_rss_mib"]
+        assert list(rss) == ["data", "inner", "never", "outer"] and rss["never"] is None
+        assert 0.0 < rss["data"] <= rss["inner"] <= rss["outer"]
+
 
 class TestStrictJson:
     def test_non_finite_floats_encoded_as_strings(self):
@@ -531,7 +553,8 @@ class TestResume:
         ball = grid.kabs[grid.band(3)] < 4.0
         assert int(ball.sum()) == 148
         for i, (path, t, h) in enumerate(zip(files, traj.times, traj.w_band)):
-            assert path.name == f"checkpoint_{i:04d}.nsrw"
+            # named by the step boundary: a snapshot every 2 steps
+            assert path.name == f"checkpoint_{2 * i:04d}.nsrw"
             # the default cutoff N/4 = 4 holds the cube |k_i| <= 3; the
             # snapshot is zero off the ball, and the file holds the ball
             assert h.shape == (3, 7, 7, 4)
@@ -540,6 +563,35 @@ class TestResume:
             assert ck_t == t
             assert np.array_equal(w, h)
             assert path.read_bytes().endswith(h[:, ball].astype("<c16").tobytes())
+
+    def test_resume_into_its_own_directory_keeps_every_checkpoint(self, tmp_path):
+        # checkpoints are named by their step boundary: a resume into the
+        # run's own directory writes the steps it takes again under their
+        # own names, so every file holds the time its summary lists, and
+        # the file resumed from is written again with the same bytes
+        cfgfile = tmp_path / "solve.json"
+        cfgfile.write_text(json.dumps(dict(
+            d=2, N=16, T=0.25, dt=1.0 / 64.0, snapshot_cadence=4, write_checkpoints=True,
+            substep_near_zero=False,
+        )))
+        out = tmp_path / "o"
+        argv = ["solve", "--config", str(cfgfile), "--out", str(out)]
+
+        def listed():
+            return json.loads((out / "summary.json").read_text())["checkpoints"]
+
+        assert main(argv) == 0
+        first = listed()
+        assert [c["file"] for c in first] == [f"checkpoint_{4 * i:04d}.nsrw" for i in range(5)]
+        start = out / first[2]["file"]
+        kept = start.read_bytes()
+        assert main(argv + ["--resume", str(start)]) == 0
+        resumed = listed()
+        assert resumed[0] == first[2] and len(resumed) == 3
+        assert sorted(p.name for p in out.glob("checkpoint_*")) == [c["file"] for c in first]
+        for entry in first + resumed:
+            assert load_checkpoint(out / entry["file"])[1] == entry["time"]
+        assert start.read_bytes() == kept
 
     def test_resume_refuses_checkpoint_of_another_run(self, tmp_path):
         common = dict(

@@ -249,7 +249,7 @@ class TestHeatNormsOracle:
         chunk = heat._BLOCK_ELEMS // N**d
         times = np.geomspace(1e-3, 3.0, 2 * chunk + 1)
         symbols = [sym for k in orders for sym in _derivative_symbols(grid, k)]
-        rows = _heat_norms(f, symbols, times, exponents)
+        rows = _heat_norms(_SweepField(f), symbols, times, exponents)
         for row, p in zip(rows, exponents):
             assert np.array_equal(row, heat_norms_oracle(f, symbols, times, p))
 
@@ -288,8 +288,8 @@ class TestHeatNormsOracle:
         f = borderline_field(grid, 0.2, seed=3)
         times = default_decay_time_grid(grid, 1.0, 16)
         symbols = _derivative_symbols(grid, 0) + _derivative_symbols(grid, 1)
-        first = _heat_norms(f, symbols, times, (np.inf,))  # builds the shell index
-        again, peak = traced_peak(lambda: _heat_norms(f, symbols, times, (np.inf,)))
+        first = _heat_norms(_SweepField(f), symbols, times, (np.inf,))  # builds the shell index
+        again, peak = traced_peak(lambda: _heat_norms(_SweepField(f), symbols, times, (np.inf,)))
         assert np.array_equal(again, first)
         assert peak < 2.75 * (3 * 32**3 * 16)
 
@@ -304,11 +304,11 @@ class TestHeatNormsOracle:
         f = borderline_field(grid, 0.2, seed=4)
         times = default_time_grid(1.0)
         symbols = [grid.kabs**0.0]
-        _, peak = traced_peak(lambda: _heat_norms(f, symbols, times, (4.0,)))
+        _, peak = traced_peak(lambda: _heat_norms(_SweepField(f), symbols, times, (4.0,)))
         table = times.size * math.prod(grid.half_shape) * 8
         assert peak < 0.6 * table, peak
 
-    @pytest.mark.parametrize("entry", ["sweep", "field"])
+    @pytest.mark.parametrize("entry", ["field"])
     @pytest.mark.parametrize("orders", [(0,), (1,), (0, 1)])
     @pytest.mark.parametrize("p", [4.0, np.inf])
     @pytest.mark.parametrize("ncomp", ["scalar", "vector"])
@@ -316,9 +316,8 @@ class TestHeatNormsOracle:
     def test_refuses_nyquist_content_on_every_path(self, d, N, ncomp, p, orders, entry):
         # the contract is on the field, not on the symbols: Nyquist content is
         # refused even for k = 0, whose products are still conjugate-symmetric,
-        # and before any work array is allocated, whether the sweep is handed
-        # the field itself (tails) or checks it first as a _SweepField
-        # shared by several sweeps (heatflow, condg)
+        # and before any work array is allocated: the sweep takes only a
+        # _SweepField, which checks its field as it is made
         grid = make_grid(d, N, TWO_PI)
         nc = 1 if ncomp == "scalar" else d
         f = random_real_field(grid, nc, seed=21)
@@ -328,13 +327,22 @@ class TestHeatNormsOracle:
             _heat_norms(f if entry == "sweep" else _SweepField(f), symbols, times, (p,))
 
     @pytest.mark.parametrize("flaw, message", [
+        ("physical", "heat sweep data must be a fourier-space field"),
         ("complex", "not conjugate-symmetric"),
         ("nyquist", "content on its Nyquist rows"),
     ])
-    def test_refuses_fields_outside_its_contract(self, grid2, flaw, message):
-        # the sweep runs on the half spectrum only: non-real data, or real
-        # data with Nyquist content, is refused by every caller
-        if flaw == "complex":
+    def test_refuses_fields_outside_its_contract(self, grid2, monkeypatch, flaw, message):
+        # the sweep runs on the half spectrum only: physical-space data,
+        # non-real data, or real data with Nyquist content, is refused by
+        # every caller with the message of _SweepField, before any sweep
+        import nsrw.tails as tails
+        from nsrw.diagnostics import condtg_check
+
+        for module in (heat, tails):
+            monkeypatch.setattr(module, "_heat_norms", _no_sweep)
+        if flaw == "physical":
+            f = transform(random_divfree_field(grid2, seed=25), "inverse")
+        elif flaw == "complex":
             f = random_divfree_field(grid2, seed=25)
             f.data[:, 1, 0] *= 1j  # the mode (1, 0) without its mirror (-1, 0)
         else:
@@ -343,9 +351,42 @@ class TestHeatNormsOracle:
         ts = np.geomspace(0.01, 1.0, 8)
         for check in (lambda: space_time_norm(f, spec),
                       lambda: check_linear_estimates(f, 0.25, 0, ts),
-                      lambda: condg_check(f, 0.25, ts)):
+                      lambda: condg_check(f, 0.25, ts),
+                      lambda: condtg_check(f, 0.25, -0.1, 1.0)):
             with pytest.raises(ValueError, match=message):
                 check()
+
+    # one all-ones symbol, the d symbols of k = 1, and both; a one-component
+    # field sums no second component; at L = 5 rounding splits modes of
+    # equal integer |k|^2 into separate |xi|^2 shells
+    @pytest.mark.parametrize("L", [TWO_PI, 5.0])
+    @pytest.mark.parametrize("ncomp", ["scalar", "vector"])
+    @pytest.mark.parametrize("orders", [(0,), (1,), (0, 1)])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_shell_masses_match_a_straightforward_bincount(self, d, orders, ncomp, L,
+                                                           monkeypatch):
+        # both shell masses scale one sum of |a_c|^2 over the components:
+        # the |xi|^2 shells' by the Parseval weights, the box shells' (which
+        # _block_radii reads) by the sum of |symbol|^2, bit for bit those
+        # of the summed stack
+        grid = make_grid(d, 16, L)
+        f = zero_nyquist(random_real_field(grid, 1 if ncomp == "scalar" else d, seed=23))
+        symbols = [sym for k in orders for sym in _derivative_symbols(grid, k)]
+        coeff_sq = np.sum(np.abs(f.data) ** 2, axis=0)
+        sym_sq = sum(np.abs(np.broadcast_to(sym, grid.half_shape)) ** 2 for sym in symbols)
+        shells, index = grid.ksq_shells
+        seen = []
+        block_radii = heat._block_radii
+        monkeypatch.setattr(heat, "_block_radii",
+                            lambda mass, *a: seen.append(mass) or block_radii(mass, *a))
+        field = _SweepField(f)
+        _heat_norms(field, symbols, np.geomspace(1e-3, 1.0, 4), (np.inf,))
+        assert np.array_equal(field.ksq_shells[0], shells)
+        assert np.array_equal(field.ksq_shells[1],
+                              np.bincount(index.ravel(), weights=(coeff_sq * grid.weight).ravel()))
+        assert np.array_equal(seen[0], np.bincount(grid.box_radius().ravel(),
+                                                   weights=(coeff_sq * sym_sq).ravel(),
+                                                   minlength=grid.N // 2 + 1))
 
 
 class TestCondg:
