@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .heat import _require_sweep_space
 from .solver import SolverConfig, Trajectory, nonlinear_rhs
 from .spectral import (
     Grid,
@@ -126,6 +127,9 @@ def condtg_check(f_omega: SpectralField, s: float, gamma: float, T: float) -> Co
     problem = condtg_inadmissible(grid.d, s, gamma, T)
     if problem is not None:
         raise ValueError(problem)
+    # the bracket field below is formed on the half lattice, so the space
+    # is checked before it, as the sweep field checks it
+    _require_sweep_space(f_omega)
     norms = CONDTG_NORMS[grid.d]
     comps = {}
     # the norms of one field reduce one heat sweep of it
@@ -139,19 +143,61 @@ def condtg_check(f_omega: SpectralField, s: float, gamma: float, T: float) -> Co
     return CondtgReport(d=grid.d, components=comps, lam=float(sum(comps.values())))
 
 
+class _ResidualPair:
+    """The H^{-1} residual of the projected equation on one snapshot pair,
+    in work arrays and a transport plan kept across pairs, so that
+    nse_residual and a consumer of streamed snapshots run the same
+    computation on each pair.
+
+    Called as pair(t0, prev, t1, cur) on the half spectra of u at two
+    snapshot times, it returns the midpoint t0 + h/2 and the residual of
+    the centered difference (cur - prev)/h against the right-hand side at
+    the midpoint average, h = t1 - t0, so exact solutions show O(h^2).
+    Each pair is evaluated with the operations and operand order of the
+    plain expressions in the comments, so the bits are theirs. The
+    transport kernel runs in plan, a TransportPlan(grid) with its default
+    bands, whose counters the caller reads afterwards.
+    """
+
+    def __init__(self, grid: Grid, plan: TransportPlan):
+        self.plan = plan
+        self.vol = grid.cell_volume
+        self.ksq = grid.ksq
+        self.weight = grid.weight / (1.0 + self.ksq)
+        shape = (grid.d,) + grid.half_shape
+        self.um = np.empty(shape, dtype=np.complex128)
+        self.resid = np.empty_like(self.um)
+        self.mag = np.empty(shape)
+
+    def __call__(self, t0: float, prev: np.ndarray, t1: float,
+                 cur: np.ndarray) -> tuple[float, float]:
+        um, resid, mag, plan = self.um, self.resid, self.mag, self.plan
+        h = t1 - t0
+        # um = 0.5 * (prev + cur)
+        np.multiply(0.5, np.add(prev, cur, out=um), out=um)
+        transport = projected_transport_half(um[(slice(None), *plan.in_band)], plan)
+        # resid = (cur - prev) / h + ksq * um + P div(um x um), um spent
+        np.divide(np.subtract(cur, prev, out=resid), h, out=resid)
+        resid += np.multiply(self.ksq, um, out=um)
+        resid += transport
+        # freed before the next pair's kernel output is formed
+        del transport
+        # weight * |resid|^2
+        np.multiply(self.weight, np.square(np.abs(resid, out=mag), out=mag), out=mag)
+        return t0 + 0.5 * h, np.sqrt(self.vol * np.sum(mag))
+
+
 def nse_residual(grid: Grid, times: np.ndarray, u_half,
                  plan: TransportPlan | None = None) -> tuple[np.ndarray, np.ndarray]:
     """H^{-1} residual of the projected equation at snapshot midpoints.
 
-    Uses the centered difference (u(t+h) - u(t))/h against the right-hand
-    side evaluated on the midpoint average, so exact solutions show O(h^2).
     u_half is any iterable of the half spectra (fourier-space field data)
-    of the real fields u(times[j]); they are consumed pairwise, so at most two are held.
-    Each pair is evaluated in work arrays of the call, with the operations
-    and operand order of the plain expressions in the comments, so the bits
-    are theirs. The transport kernel runs in plan, a TransportPlan(grid)
-    with its default bands whose counters the caller reads afterwards, or
-    in one made for the call.
+    of the real fields u(times[j]); they are consumed pairwise, so at most
+    two are held, and each pair is evaluated by _ResidualPair, which the
+    solve runner also runs on the snapshots as solve hands them out. The
+    transport kernel runs in plan, a TransportPlan(grid) with its default
+    bands whose counters the caller reads afterwards, or in one made for
+    the call.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.size < 2:
@@ -160,31 +206,14 @@ def nse_residual(grid: Grid, times: np.ndarray, u_half,
     prev = next(states, None)
     if prev is None:
         raise ValueError(f"nse_residual got 0 states for {times.size} times")
-    vol = grid.cell_volume
-    ksq = grid.ksq
-    weight = grid.weight / (1.0 + ksq)
-    plan = TransportPlan(grid) if plan is None else plan
-    um = np.empty_like(prev, dtype=np.complex128)
-    resid = np.empty_like(um)
-    mag = np.empty(prev.shape)
+    pair = _ResidualPair(grid, TransportPlan(grid) if plan is None else plan)
     mids, vals = [], []
     for j in range(times.size - 1):
         cur = next(states, None)
         if cur is None:
             raise ValueError(f"nse_residual got {j + 1} states for {times.size} times")
-        h = times[j + 1] - times[j]
-        # um = 0.5 * (prev + cur)
-        np.multiply(0.5, np.add(prev, cur, out=um), out=um)
-        transport = projected_transport_half(um[(slice(None), *plan.in_band)], plan)
-        # resid = (cur - prev) / h + ksq * um + P div(um x um), um spent
-        np.divide(np.subtract(cur, prev, out=resid), h, out=resid)
-        resid += np.multiply(ksq, um, out=um)
-        resid += transport
-        # freed before the next pair's kernel output is formed
-        del transport
-        # weight * |resid|^2
-        np.multiply(weight, np.square(np.abs(resid, out=mag), out=mag), out=mag)
-        mids.append(times[j] + 0.5 * h)
-        vals.append(np.sqrt(vol * np.sum(mag)))
+        mid, val = pair(times[j], prev, times[j + 1], cur)
+        mids.append(mid)
+        vals.append(val)
         prev = cur
     return np.array(mids), np.array(vals)

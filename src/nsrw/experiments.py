@@ -28,7 +28,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, ExperimentConfig
 from .data import borderline_field, smooth_random_field, taylor_green
-from .diagnostics import condtg_check, dwdt_report, nse_residual
+from .diagnostics import _ResidualPair, condtg_check, dwdt_report
 from .heat import (
     _condg_from_sweeps,
     _in_window,
@@ -37,7 +37,7 @@ from .heat import (
     default_decay_time_grid,
 )
 from .randomization import hminus_s_norm, randomized, verify_subgaussian
-from .solver import iter_u, solve, stepping_lattice_size
+from .solver import solve, stepping_lattice_size, u_half
 from .spectral import TransportPlan, l2_norm, make_grid, ring_partition
 from .tails import (
     TAIL_FIT_MIN_SAMPLES,
@@ -324,32 +324,45 @@ def _run_solve(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
         # the fingerprint pins d, N, L and the cutoff
         resume_band, resume_time, _ = load_checkpoint(resume, fingerprint)
 
-    ckpt_files = []
+    ckpt_files, div_rel, residual_times, residuals = [], [], [], []
+    residual_pair = _ResidualPair(grid, TransportPlan(grid))
+    prev_u = None  # (t, u) of the last snapshot, the first of the next pair
+    snapshot_bytes = 0
 
-    def write_checkpoint(step: int, t: float, w_band: np.ndarray):
-        # named by its step boundary, so a resume into this directory
-        # rewrites only the files of the steps it takes again
-        with phases("checkpoint_writes"):
-            name = f"checkpoint_{step:04d}.nsrw"
-            save_checkpoint(grid, w_band, t, sconf.cutoff, fingerprint, outdir / name)
-            ckpt_files.append({"file": name, "time": t})
+    def consume(step: int, t: float, w_band: np.ndarray):
+        """Each snapshot's jobs as solve hands it out, so no snapshot list
+        is held: its checkpoint, its div_rel, the residual of the pair it
+        ends and its bytes."""
+        nonlocal prev_u, snapshot_bytes
+        if cfg.write_checkpoints:
+            # named by its step boundary, so a resume into this directory
+            # rewrites only the files of the steps it takes again
+            with phases("checkpoint_writes"):
+                name = f"checkpoint_{step:04d}.nsrw"
+                save_checkpoint(grid, w_band, t, sconf.cutoff, fingerprint, outdir / name)
+                ckpt_files.append({"file": name, "time": t})
+        # on the whole half lattice, so the sums keep their grouping
+        div_rel.append(grid.divergence_ratio(grid.scatter(w_band)))
+        with phases("residual"):
+            u = u_half(f_om, t, w_band)
+            if prev_u is not None:
+                mid, value = residual_pair(*prev_u, t, u)
+                residual_times.append(mid)
+                residuals.append(value)
+            prev_u = (t, u)
+        snapshot_bytes += w_band.nbytes
 
+    # the checkpoint writes and the residual nest in the solve
     with phases("solve"):
         traj = solve(sconf, f_om, resume_band=resume_band, resume_time=resume_time,
-                     on_snapshot=write_checkpoint if cfg.write_checkpoints else None)
+                     on_snapshot=consume)
+    div_rel, residuals = np.array(div_rel), np.array(residuals)
 
     log = traj.energy_log
     snap_idx = np.searchsorted(log.times, traj.times)
     w_l2 = np.sqrt(log.kinetic[snap_idx])
-    # one snapshot at a time on the whole half lattice, so the sums keep
-    # their grouping
-    div_rel = np.array([grid.divergence_ratio(grid.scatter(w)) for w in traj.w_band])
     dwdt = dwdt_report(traj.times, traj.dwdt_hminus1, grid.d)
-
     f_l2 = l2_norm(f_om)
-    with phases("residual"):
-        residual_plan = TransportPlan(grid)
-        residual_times, residuals = nse_residual(grid, traj.times, iter_u(traj), residual_plan)
 
     summary = {
         "steps": int(log.times.size - 1),
@@ -422,8 +435,9 @@ def _run_solve(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | 
             "rhs_evaluations": traj.rhs_evaluations,
             # the 1-D transforms the transport kernel ran, pruned lines left out
             "stepper_fft_lines": traj.fft_lines,
-            "residual_fft_lines": residual_plan.fft_lines,
-            "snapshot_bytes": sum(w.nbytes for w in traj.w_band),
+            "residual_fft_lines": residual_pair.plan.fft_lines,
+            # the band bytes of the snapshots solve handed out
+            "snapshot_bytes": snapshot_bytes,
             "checkpoint_files": len(ckpt_files),
             "checkpoint_bytes": sum((outdir / c["file"]).stat().st_size for c in ckpt_files),
         },

@@ -125,6 +125,14 @@ _BLOCK_ELEMS = 24 * 64**2
 _DROPPED_MASS_RATIO = 2.0**-106
 
 
+def _require_sweep_space(f: SpectralField):
+    """Refuse a field the heat sweeps cannot take because it is not in
+    fourier space: the first of _SweepField's checks, which condtg_check
+    runs before it forms its bracket field on the half lattice."""
+    if f.space != FOURIER:
+        raise ValueError("heat sweep data must be a fourier-space field")
+
+
 class _SweepField:
     """A field the heat sweeps accept, checked once: in fourier space, real
     (its planes 0 and N/2 conjugate-symmetric) and zero on its Nyquist
@@ -135,8 +143,7 @@ class _SweepField:
     cube smaller than the half lattice."""
 
     def __init__(self, f: SpectralField):
-        if f.space != FOURIER:
-            raise ValueError("heat sweep data must be a fourier-space field")
+        _require_sweep_space(f)
         require_real_field("heat sweep data", f)
         if np.any(f.data[:, f.grid.nyquist_mask]):
             # a derivative symbol would break the conjugate symmetry there

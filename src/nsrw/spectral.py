@@ -725,11 +725,15 @@ class TransportPlan:
     |k_i| <= k_out (out_band); see Grid.band. k_in defaults to the 2/3
     band's radius, grid.dealias_radius, k_out to N/2, whose band is the
     whole half lattice. Its transforms run in the plan's buffers, so a plan
-    serves one caller at a time: the stepper keeps one for its run,
-    nse_residual makes one per call unless handed one. calls counts the
-    kernel calls the plan served, and fft_lines the 1-D transforms they
-    ran: the lines of their pruned leading-axis passes (_band_passes) and
-    of their whole last-axis irfft and rfft.
+    serves one caller at a time: the stepper keeps one for its run, and
+    the NSE residual one for the snapshot pairs it is handed. The buffers
+    are d + 1 real lattice arrays, u and one product, and d half-lattice
+    ones, spec, where the inverse passes run and each product of the
+    symmetric tensor is then transformed in turn: 1.8 MiB on the default
+    bands at d=3 N=32. calls counts the kernel calls the plan served, and
+    fft_lines the 1-D transforms they ran: the lines of their pruned
+    leading-axis passes (_band_passes) and of their whole last-axis irfft
+    and rfft.
     """
 
     def __init__(self, grid: Grid, k_in: int | None = None, k_out: int | None = None):
@@ -740,16 +744,12 @@ class TransportPlan:
         self.k_in, self.k_out = k_in, k_out
         self.in_band = grid.band(k_in)
         self.out_band = grid.band(k_out)
+        # the upper triangle of the symmetric tensor, in the order its
+        # products are formed and transformed
         self.pairs = [(i, j) for i in range(d) for j in range(i, d)]
-        npairs = len(self.pairs)
-        self.prod = np.empty((npairs,) + grid.shape)
-        self.prod_hat = np.empty((npairs,) + grid.half_shape, dtype=np.complex128)
-        # the inverse transform runs in the first d slots of prod_hat and
-        # writes u into the last d slots of prod: in the pair order (i, j),
-        # i <= j, each product overwrites a slot whose component no later
-        # product reads
-        self.spec = self.prod_hat[:d]
-        self.real = self.prod[npairs - d :]
+        self.spec = np.empty((d,) + grid.half_shape, dtype=np.complex128)
+        self.real = np.empty((d,) + grid.shape)
+        self.prod = np.empty((1,) + grid.shape)
         self.calls = 0
         self.fft_lines = 0
         self.freqs = tuple(np.broadcast_to(grid.axis_frequency(ax), grid.half_shape)[self.out_band]
@@ -765,14 +765,16 @@ def projected_transport_half(u_band: np.ndarray, plan: TransportPlan) -> np.ndar
     band array u_band, shape (d,) + band shape.
 
     Products are formed in physical space on that band input. The tensor
-    is symmetric, so only its upper triangle is transformed. The
-    transforms are irfftn's and rfftn's 1-D passes, pruned to the lines
-    that carry band input or feed the output band: a leading-axis pass
-    skips the lines that are all zero or whose values no output reads, so
-    every kept value is the same to the bit as the unpruned transform's.
-    The result is a fresh band array on the plan's output band. Its Nyquist
-    rows are zero: they hold aliasing only, and there the symbol i xi is
-    not odd, so keeping them would break conjugate symmetry.
+    is symmetric, so only its upper triangle is transformed, one product
+    at a time in the plan's pair order, and each is summed into the output
+    as it is transformed. The transforms are irfftn's and rfftn's 1-D
+    passes, pruned to the lines that carry band input or feed the output
+    band: a leading-axis pass skips the lines that are all zero or whose
+    values no output reads, so every kept value is the same to the bit as
+    the unpruned transform's. The result is a fresh band array on the
+    plan's output band. Its Nyquist rows are zero: they hold aliasing only,
+    and there the symbol i xi is not odd, so keeping them would break
+    conjugate symmetry.
     """
     d, N = plan.grid.d, plan.grid.N
     plan.calls += 1
@@ -783,22 +785,27 @@ def projected_transport_half(u_band: np.ndarray, plan: TransportPlan) -> np.ndar
     X[(slice(None), *plan.in_band)] = u_band
     lines = _band_passes(X, plan.k_in, range(1, d), np.fft.ifft)
     U = np.fft.irfft(X, n=N, axis=d, norm="ortho", out=plan.real)
-    for n, (i, j) in enumerate(plan.pairs):
-        np.multiply(U[i], U[j], out=plan.prod[n])
-    np.fft.rfft(plan.prod, axis=d, norm="ortho", out=plan.prod_hat)
-    lines += _band_passes(plan.prod_hat, plan.k_out, range(d - 1, 0, -1), np.fft.fft)
-    plan.fft_lines += lines + X.size // X.shape[-1] + plan.prod.size // plan.prod.shape[-1]
-    T = plan.prod_hat[(slice(None), *plan.out_band)]
-    that = {}
-    for n, (i, j) in enumerate(plan.pairs):
-        that[(i, j)] = that[(j, i)] = T[n]
-    # P div T = i (S - xi (xi . S) / |xi|^2) with S_i = sum_j xi_j T_ij
+    lines += X.size // X.shape[-1]
+    # P div T = i (S - xi (xi . S) / |xi|^2) with S_i = sum_j xi_j T_ij.
+    # T_ij is the j-th term of S_i and the i-th of S_j, so the pair order
+    # (0, 0), (0, 1), ... adds each S_i's terms in j order
     f = plan.freqs
     out = np.empty((d,) + plan.inv_ksq.shape, dtype=np.complex128)
-    for i in range(d):
-        np.multiply(f[0], that[(i, 0)], out=out[i])
-        for j in range(1, d):
-            out[i] += f[j] * that[(i, j)]
+    # each product is transformed in the first slot of X, whose spectrum
+    # of u the inverse pass has spent
+    prod, slot = plan.prod, X[:1]
+    for i, j in plan.pairs:
+        np.multiply(U[i], U[j], out=prod[0])
+        np.fft.rfft(prod, axis=d, norm="ortho", out=slot)
+        lines += prod.size // prod.shape[-1]
+        lines += _band_passes(slot, plan.k_out, range(d - 1, 0, -1), np.fft.fft)
+        T = slot[(0, *plan.out_band)]
+        for a, b in ((i, j),) if i == j else ((i, j), (j, i)):
+            if b == 0:
+                np.multiply(f[0], T, out=out[a])
+            else:
+                out[a] += f[b] * T
+    plan.fft_lines += lines
     dot = f[0] * out[0]
     for i in range(1, d):
         dot += f[i] * out[i]

@@ -21,6 +21,7 @@ from nsrw.spectral import (
     l2_norm,
     make_grid,
     ring_partition,
+    transform,
     zeros_field,
 )
 from nsrw.tails import NormSpec, space_time_norm
@@ -236,6 +237,15 @@ class TestCondtg:
         f3 = borderline_field(grid3, 0.2, seed=6)
         with pytest.raises(ValueError):
             condtg_check(f3, 0.2, gamma=-0.1, T=1.0)  # s - 2g >= 1/4
+
+    def test_refuses_a_physical_field_alike_at_d2_and_d3(self, grid2, grid3):
+        # the space is checked before d=3 forms its bracket field on the
+        # half lattice, so both dimensions give the sweep's refusal
+        for grid, s, gamma in ((grid2, 0.25, -0.1), (grid3, 0.2, -0.01)):
+            phys = transform(borderline_field(grid, s, seed=9), "inverse")
+            with pytest.raises(ValueError, match="^heat sweep data must be a fourier-space "
+                                                 "field$"):
+                condtg_check(phys, s, gamma, 0.5)
 
     def test_3d_bracket_norms_share_one_sweep(self, grid3, monkeypatch):
         # the two bracket norms reduce one heat sweep of the bracket field,

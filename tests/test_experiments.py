@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,10 +16,11 @@ import nsrw.heat as heat
 from nsrw.checkpoint import load_checkpoint
 from nsrw.cli import main
 from nsrw.config import ConfigError, ExperimentConfig, validate_config
+from nsrw.diagnostics import nse_residual
 from nsrw.experiments import _jsonable, _randomized_data, build_data_field, run_experiment
 from nsrw.heat import condg_check, default_decay_time_grid
-from nsrw.solver import _Stepper
-from nsrw.spectral import make_grid
+from nsrw.solver import _Stepper, iter_u
+from nsrw.spectral import TransportPlan, make_grid
 from nsrw.tails import default_time_grid
 
 
@@ -166,13 +168,14 @@ class TestArtifacts:
             assert set(meta["phase_seconds"]) == {"solve", "residual", "checkpoint_writes"}
             assert all(v >= 0.0 for v in meta["phase_seconds"].values())
             # ru_maxrss never falls: data, the last checkpoint write (null
-            # without checkpoints), the solve around it, the residual
+            # without checkpoints), the last snapshot's residual after it,
+            # and the solve they both nest in
             rss = meta["phase_peak_rss_mib"]
             assert set(rss) == {"data"} | set(meta["phase_seconds"])
             ckpt = rss["checkpoint_writes"]
             assert (ckpt is None) != write
-            assert (0.0 < rss["data"] <= (ckpt or rss["data"]) <= rss["solve"]
-                    <= rss["residual"] <= meta["peak_rss_mib"])
+            assert (0.0 < rss["data"] <= (ckpt or rss["data"]) <= rss["residual"]
+                    <= rss["solve"] <= meta["peak_rss_mib"])
             files = sorted(out.glob("checkpoint_*.nsrw"))
             rhs = stages[integrator] * summary["steps"] + 1
             assert meta["stepping_lattice"] == {"N": 16, "M": 10}
@@ -455,6 +458,99 @@ class TestArtifacts:
         assert 0.0 < rss["data"] <= rss["inner"] <= rss["outer"]
 
 
+class TestStreamedSolve:
+    """The solve runner consumes each snapshot as solve hands it out: its
+    checkpoint, div_rel, the residual of the pair it ends and its bytes."""
+
+    @staticmethod
+    def keep_trajectory(monkeypatch):
+        """Wrap experiments.solve as perfbench/layers.py does, keeping the
+        trajectory the runner's solve returns, and each call's arguments."""
+        import nsrw.experiments as experiments
+
+        kept = []
+        solve = experiments.solve
+
+        def keep_solve(*args, **kwargs):
+            kept.append((solve(*args, **kwargs), args, kwargs))
+            return kept[-1][0]
+
+        monkeypatch.setattr(experiments, "solve", keep_solve)
+        return kept
+
+    def test_peak_memory_is_flat_in_T(self, tmp_path):
+        # no snapshot list is held: running to 4T adds 12 snapshots of
+        # 34,848 bytes each (the cutoff 5.3 holds the cube |k_i| <= 5) but
+        # raises the traced peak by less than one of them. What does grow
+        # is the per-step and per-snapshot scalars of the energy log and
+        # the series, a few hundred bytes each. The first run warms the
+        # caches
+        fields = dict(experiment="solve", d=3, N=16, s=0.2, cutoff=5.3,
+                      write_checkpoints=True, master_seed=5)
+        run(tmp_path, "warm", T=0.125, **fields)
+        peaks, snaps = [], []
+        for T in (0.125, 0.5):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                res, _ = run(tmp_path, f"T{T}", T=T, **fields)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+            assert res.status == 0
+            counters = json.loads((res.output_dir / "meta.json").read_text())["counters"]
+            snaps.append((counters["snapshots"], counters["snapshot_bytes"]))
+        band_bytes = 3 * 11 * 11 * 6 * 16
+        assert snaps == [(11, 11 * band_bytes), (23, 23 * band_bytes)]
+        assert abs(peaks[1] - peaks[0]) < band_bytes
+
+    def test_streamed_jobs_match_the_kept_trajectory(self, tmp_path, monkeypatch):
+        # the runner's residuals, div_rel and snapshot_bytes are those of
+        # the library path on a trajectory that keeps every snapshot, bit
+        # for bit, and the runner's trajectory keeps that one's last w
+        kept = self.keep_trajectory(monkeypatch)
+        res, cfg = run(tmp_path, "o", experiment="solve", d=3, N=16, s=0.2, T=0.125,
+                       snapshot_cadence=3, write_checkpoints=True, master_seed=7)
+        ((streamed, args, kwargs),) = kept
+        assert callable(kwargs["on_snapshot"])
+        whole = nsrw.solver.solve(*args, resume_band=kwargs["resume_band"],
+                                  resume_time=kwargs["resume_time"])
+        grid = make_grid(3, 16, cfg.L)
+        assert len(whole.w_band) == whole.times.size == streamed.times.size > 2
+        assert np.array_equal(streamed.times, whole.times)
+        assert len(streamed.w_band) == 1
+        assert np.array_equal(streamed.w_band[0], whole.w_band[-1])
+
+        plan = TransportPlan(grid)
+        mids, vals = nse_residual(grid, whole.times, iter_u(whole), plan)
+        out = res.output_dir
+        rows = np.loadtxt(out / "plotdata" / "nse_residual.tsv", skiprows=1, ndmin=2)
+        assert np.array_equal(rows[:, 0], mids) and np.array_equal(rows[:, 1], vals)
+        div_rel = [grid.divergence_ratio(grid.scatter(w)) for w in whole.w_band]
+        series = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1, ndmin=2)
+        header = (out / "series.csv").read_text().splitlines()[0].split(",")
+        assert np.array_equal(series[:, header.index("div_rel")], div_rel)
+        counters = json.loads((out / "meta.json").read_text())["counters"]
+        assert counters["snapshot_bytes"] == sum(w.nbytes for w in whole.w_band)
+        assert counters["residual_fft_lines"] == plan.fft_lines
+
+    def test_kept_trajectory_serves_the_traced_benchmark_reads(self, tmp_path, monkeypatch):
+        # perfbench/layers.py wraps experiments.solve, runs the solve verb
+        # and reads the last w and g snapshots and the time before the last
+        # off the trajectory it keeps
+        kept = self.keep_trajectory(monkeypatch)
+        cfgfile = tmp_path / "solve.json"
+        cfgfile.write_text(json.dumps(dict(d=3, N=16, s=0.2, T=0.125, dt=1.0 / 64.0,
+                                           snapshot_cadence=1, write_checkpoints=True)))
+        assert main(["solve", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
+        ((traj, _, _),) = kept
+        w, g = traj.w_states[-1], traj.g_states[-1]
+        t_prev = float(traj.times[-2])
+        assert t_prev < traj.times[-1] == 0.125
+        assert np.array_equal(w.data, make_grid(3, 16, 2.0 * np.pi).scatter(traj.w_band[-1]))
+        assert np.abs(w.data).max() > 0 and np.abs(g.data).max() > 0
+
+
 class TestStrictJson:
     def test_non_finite_floats_encoded_as_strings(self):
         raw = {
@@ -530,14 +626,21 @@ class TestResume:
         assert s_res["terminal_time"] == s_full["terminal_time"]
 
     def test_cli_checkpoints_load_to_the_snapshots(self, tmp_path, monkeypatch):
-        # each checkpoint a CLI solve writes holds its snapshot's band array
-        # and loads to it, bit for bit
+        # each checkpoint a CLI solve writes holds the band array of the
+        # snapshot solve handed out, and loads to it, bit for bit
         import nsrw.experiments as experiments
 
-        kept = []
+        kept, seen = [], []
         solve = experiments.solve
-        monkeypatch.setattr(experiments, "solve",
-                            lambda *a, **kw: kept.append(solve(*a, **kw)) or kept[-1])
+
+        def keep_solve(*args, on_snapshot, **kwargs):
+            def record(step, t, w):
+                seen.append(w)
+                on_snapshot(step, t, w)
+            kept.append(solve(*args, on_snapshot=record, **kwargs))
+            return kept[-1]
+
+        monkeypatch.setattr(experiments, "solve", keep_solve)
         cfgfile = tmp_path / "solve.json"
         cfgfile.write_text(json.dumps(dict(
             d=3, N=16, T=0.125, dt=1.0 / 64.0, s=0.2, substep_near_zero=False,
@@ -548,11 +651,13 @@ class TestResume:
         (traj,) = kept
         files = [out / c["file"] for c in json.loads((out / "summary.json").read_text())
                  ["checkpoints"]]
-        assert len(files) == traj.times.size == 5
+        assert len(files) == traj.times.size == len(seen) == 5
+        # the runner consumed every snapshot; the trajectory keeps the last
+        assert len(traj.w_band) == 1 and traj.w_band[0] is seen[-1]
         grid = make_grid(3, 16, 2.0 * np.pi)
         ball = grid.kabs[grid.band(3)] < 4.0
         assert int(ball.sum()) == 148
-        for i, (path, t, h) in enumerate(zip(files, traj.times, traj.w_band)):
+        for i, (path, t, h) in enumerate(zip(files, traj.times, seen)):
             # named by the step boundary: a snapshot every 2 steps
             assert path.name == f"checkpoint_{2 * i:04d}.nsrw"
             # the default cutoff N/4 = 4 holds the cube |k_i| <= 3; the

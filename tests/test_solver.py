@@ -319,17 +319,22 @@ class TestSolve:
     def test_snapshots_are_band_arrays(self, grid3):
         # each snapshot is the stepper's cube |k_i| <= k_max of the field
         # it stands for, bit for bit, with an exactly conjugate-symmetric
-        # plane 0, and the field is zero off it
+        # plane 0, and the field is zero off it. A run that hands its
+        # snapshots out keeps only the last; one without keeps them all,
+        # the same bits
         f = smooth_random_field(grid3, seed=4, band=2)
         cfg = SolverConfig(cutoff=4.0, T=4.0 / 128.0, dt=1.0 / 128.0,
                            substep_near_zero=False, snapshot_cadence=1)
         seen = []
         traj = solve(cfg, f, on_snapshot=lambda i, t, w: seen.append((i, t, w)))
+        kept = solve(cfg, f)
         band = grid3.band(3)  # k_max = ceil(4) - 1
         assert [i for i, _, _ in seen] == list(range(5))
-        assert [t for _, t, _ in seen] == list(traj.times)
-        for (_, _, w), h, field in zip(seen, traj.w_band, traj.w_states):
-            assert w is h and h.shape == (3, 7, 7, 4)
+        assert [t for _, t, _ in seen] == list(traj.times) == list(kept.times)
+        assert len(traj.w_band) == 1 and traj.w_band[0] is seen[-1][2]
+        assert len(kept.w_band) == 5
+        for (_, _, w), h, field in zip(seen, kept.w_band, kept.w_states):
+            assert np.array_equal(w, h) and h.shape == (3, 7, 7, 4)
             assert np.array_equal(h, field.data[(slice(None), *band)])
             assert np.array_equal(grid3.scatter(h), field.data)
             assert grid3.plane_asymmetry(h) == 0.0

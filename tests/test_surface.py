@@ -54,6 +54,11 @@ ORACLES = {
     "serialize_config": "the parse -> serialize -> parse identity of the config schema",
     "coefficient_matrix": "the vectorised draws behind the acceptance statistics, "
                           "row i bit-identical to sample i",
+    "nse_residual": "the residual over a whole sequence of states, for the manufactured "
+                    "solutions and as the reference the solve runner's streamed residual "
+                    "matches bit for bit; both run diagnostics._ResidualPair on each pair",
+    "iter_u": "u at each snapshot a trajectory keeps, the library input of nse_residual; "
+              "the solve runner forms each u with u_half as the snapshot is handed out",
     "moment_bound_check": "the paper's moment bound (E norm^r)^{1/r} <= C |f|_{H^{-s}}; "
                           "tails checks the equivalent Gaussian tail",
 }
