@@ -156,7 +156,10 @@ class _ResidualPair:
     Each pair is evaluated with the operations and operand order of the
     plain expressions in the comments, so the bits are theirs. The
     transport kernel runs in plan, a TransportPlan(grid) with its default
-    bands, whose counters the caller reads afterwards.
+    bands, whose counters the caller reads afterwards. A call allocates no
+    array of a whole field's size: the kernel reads a copy of um's input
+    band and writes its output over um once ksq * um, formed there, has
+    been added into resid.
     """
 
     def __init__(self, grid: Grid, plan: TransportPlan):
@@ -175,13 +178,13 @@ class _ResidualPair:
         h = t1 - t0
         # um = 0.5 * (prev + cur)
         np.multiply(0.5, np.add(prev, cur, out=um), out=um)
-        transport = projected_transport_half(um[(slice(None), *plan.in_band)], plan)
+        u_in = um[(slice(None), *plan.in_band)]
+        if np.may_share_memory(u_in, um):  # a whole-lattice input band is a view
+            u_in = u_in.copy()
         # resid = (cur - prev) / h + ksq * um + P div(um x um), um spent
         np.divide(np.subtract(cur, prev, out=resid), h, out=resid)
         resid += np.multiply(self.ksq, um, out=um)
-        resid += transport
-        # freed before the next pair's kernel output is formed
-        del transport
+        resid += projected_transport_half(u_in, plan, out=um)
         # weight * |resid|^2
         np.multiply(self.weight, np.square(np.abs(resid, out=mag), out=mag), out=mag)
         return t0 + 0.5 * h, np.sqrt(self.vol * np.sum(mag))

@@ -759,7 +759,8 @@ class TransportPlan:
         self.nyquist = grid.nyquist_mask[self.out_band]
 
 
-def projected_transport_half(u_band: np.ndarray, plan: TransportPlan) -> np.ndarray:
+def projected_transport_half(u_band: np.ndarray, plan: TransportPlan,
+                             out: np.ndarray | None = None) -> np.ndarray:
     """P div(u x u) on the rfft half lattice of the plan's grid, for the
     real field u whose half spectrum, read on the plan's input band, is the
     band array u_band, shape (d,) + band shape.
@@ -771,10 +772,12 @@ def projected_transport_half(u_band: np.ndarray, plan: TransportPlan) -> np.ndar
     passes, pruned to the lines that carry band input or feed the output
     band: a leading-axis pass skips the lines that are all zero or whose
     values no output reads, so every kept value is the same to the bit as
-    the unpruned transform's. The result is a fresh band array on the
-    plan's output band. Its Nyquist rows are zero: they hold aliasing only,
-    and there the symbol i xi is not odd, so keeping them would break
-    conjugate symmetry.
+    the unpruned transform's. The result is the band array on the plan's
+    output band, written over out, a complex array of that shape, or into a
+    fresh array. u_band is copied into the plan's buffer before out is
+    written, so out may share its memory.
+    Its Nyquist rows are zero: they hold aliasing only, and there the
+    symbol i xi is not odd, so keeping them would break conjugate symmetry.
     """
     d, N = plan.grid.d, plan.grid.N
     plan.calls += 1
@@ -790,7 +793,8 @@ def projected_transport_half(u_band: np.ndarray, plan: TransportPlan) -> np.ndar
     # T_ij is the j-th term of S_i and the i-th of S_j, so the pair order
     # (0, 0), (0, 1), ... adds each S_i's terms in j order
     f = plan.freqs
-    out = np.empty((d,) + plan.inv_ksq.shape, dtype=np.complex128)
+    if out is None:
+        out = np.empty((d,) + plan.inv_ksq.shape, dtype=np.complex128)
     # each product is transformed in the first slot of X, whose spectrum
     # of u the inverse pass has spent
     prod, slot = plan.prod, X[:1]

@@ -8,18 +8,21 @@ from conftest import (
     full_spectrum,
     random_real_field,
     shear_field,
+    traced_peak,
     transport,
     transport_oracle,
 )
 from nsrw.data import borderline_field, smooth_random_field, taylor_green
-from nsrw.diagnostics import condtg_check, dwdt_norm, nse_residual
+from nsrw.diagnostics import _ResidualPair, condtg_check, dwdt_norm, nse_residual
 from nsrw.heat import heat_semigroup
 from nsrw.randomization import RandomModel, randomize, sample_coefficients
 from nsrw.solver import SolverConfig, Trajectory, solve, time_partition
 from nsrw.spectral import (
+    TransportPlan,
     fourier_field,
     l2_norm,
     make_grid,
+    projected_transport_half,
     ring_partition,
     transform,
     zeros_field,
@@ -346,6 +349,39 @@ class TestNseResidual:
             want.append(np.sqrt(grid.cell_volume * np.sum(weight * np.abs(resid) ** 2)))
         _, vals = nse_residual(grid, times, halves)
         assert np.array_equal(vals, want)
+
+    def test_whole_lattice_input_band_is_read_before_um_is_spent(self):
+        # a plan whose input band is the whole half lattice reads a view of
+        # the work array um, which the pair spends on ksq * um before the
+        # kernel runs: the pair must hand the kernel a copy
+        grid = make_grid(2, 16, TWO_PI)
+        times = np.array([0.0, 0.01, 0.03])
+        halves = [random_real_field(grid, seed=80 + j).data for j in range(3)]
+        weight = grid.weight / (1.0 + grid.ksq)
+        want = []
+        for j in range(2):
+            prev, cur = halves[j], halves[j + 1]
+            h = times[j + 1] - times[j]
+            um = 0.5 * (prev + cur)
+            resid = (cur - prev) / h + grid.ksq * um
+            resid += projected_transport_half(um, TransportPlan(grid, k_in=8))
+            want.append(np.sqrt(grid.cell_volume * np.sum(weight * np.abs(resid) ** 2)))
+        _, vals = nse_residual(grid, times, halves, TransportPlan(grid, k_in=8))
+        assert np.array_equal(vals, want)
+
+    def test_a_pair_holds_less_than_a_lattice_field(self):
+        # at d=3 N=16 a complex field on the 16^3 lattice is 196,608 bytes.
+        # The pair writes the kernel's output over its spent work array, so
+        # a call holds only the input band's copy (34,848 bytes) and the
+        # kernel's transients, 147 kB in all. A fresh kernel output (one
+        # half-lattice field, 110,592 bytes) on top of those took 258 kB
+        grid = make_grid(3, 16, TWO_PI)
+        pair = _ResidualPair(grid, TransportPlan(grid))
+        prev, cur = (random_real_field(grid, seed=90 + j).data for j in range(2))
+        warm = pair(0.0, prev, 0.01, cur)
+        again, peak = traced_peak(lambda: pair(0.0, prev, 0.01, cur))
+        assert again == warm
+        assert peak < 3 * 16**3 * 16
 
     def test_consumes_a_one_shot_generator(self):
         grid = make_grid(2, 32, TWO_PI)

@@ -17,11 +17,19 @@ from nsrw.checkpoint import load_checkpoint
 from nsrw.cli import main
 from nsrw.config import ConfigError, ExperimentConfig, validate_config
 from nsrw.diagnostics import nse_residual
-from nsrw.experiments import _jsonable, _randomized_data, build_data_field, run_experiment
+from nsrw.experiments import (
+    _jsonable,
+    _median,
+    _randomized_data,
+    build_data_field,
+    run_experiment,
+)
 from nsrw.heat import condg_check, default_decay_time_grid
 from nsrw.solver import _Stepper, iter_u
 from nsrw.spectral import TransportPlan, make_grid
 from nsrw.tails import default_time_grid
+
+from conftest import traced_peak
 
 
 def run(tmp_path, name, **fields):
@@ -317,6 +325,21 @@ class TestArtifacts:
         assert counters["field_transforms"] == times * sum(d**k for k in swept) * d
         assert 0 <= counters["pruned_field_transforms"] <= counters["field_transforms"]
 
+    def test_randomized_heatflow_holds_no_more_than_unrandomized(self, tmp_path):
+        # the draw replaces the data: the runner drops the unrandomized field
+        # once f_omega is drawn, so the sweeps run beside one field, as they
+        # do unrandomized. Held beside f_omega, it added one field (110,592
+        # bytes at d=3 N=16) to the traced peak. The first run warms the
+        # caches, the ring partition among them
+        fields = dict(experiment="heatflow", d=3, N=16, s=0.2, master_seed=4)
+        run(tmp_path, "warm", **fields)
+        peaks = {}
+        for randomize in (False, True):
+            (res, _), peaks[randomize] = traced_peak(
+                lambda: run(tmp_path, f"r{randomize}", randomize_data=randomize, **fields))
+            assert (res.output_dir / "summary.json").exists()
+        assert peaks[True] - peaks[False] < 3 * 16 * 16 * 9 * 16 // 2
+
     def test_heatflow_outputs(self, tmp_path):
         res, _ = run(
             tmp_path,
@@ -549,6 +572,44 @@ class TestStreamedSolve:
         assert t_prev < traj.times[-1] == 0.125
         assert np.array_equal(w.data, make_grid(3, 16, 2.0 * np.pi).scatter(traj.w_band[-1]))
         assert np.abs(w.data).max() > 0 and np.abs(g.data).max() > 0
+
+
+class TestResidualMedian:
+    """summary.json's nse_residual_median is np.median's value, formed
+    without the numpy.ma import that np.median's NaN check makes."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 10, 75])
+    def test_matches_np_median_to_the_bit(self, n):
+        rng = np.random.default_rng(n)
+        for values in (rng.standard_normal(n), rng.lognormal(size=n) * 1e3,
+                       np.round(rng.standard_normal(n), 1)):
+            assert np.float64(_median(values)).view(np.uint64) == \
+                np.median(values).view(np.uint64)
+            values[rng.integers(n)] = np.nan
+            with np.errstate(invalid="ignore"):
+                assert np.isnan(np.median(values))
+            assert np.isnan(_median(values))
+
+    def test_a_solve_run_leaves_numpy_ma_unimported(self, tmp_path):
+        # numpy.ma's import adds 1.7 MiB to a process's resident set, more
+        # than the solve-d3-ckpt run's peak has to spare after the solve
+        code = (
+            "import sys\n"
+            "from nsrw.config import ExperimentConfig, validate_config\n"
+            "from nsrw.experiments import run_experiment\n"
+            "cfg = validate_config(ExperimentConfig(experiment='solve', d=3, N=16, s=0.2, "
+            "T=0.0625, dt=1.0 / 64.0, snapshot_cadence=1, write_checkpoints=True, "
+            f"output_dir={str(tmp_path / 'o')!r}))\n"
+            "assert run_experiment(cfg).status == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(nsrw.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["False"]
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["snapshots"] > 2 and summary["nse_residual_median"] > 0.0
 
 
 class TestStrictJson:

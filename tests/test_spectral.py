@@ -717,6 +717,10 @@ class TestProjectedTransport:
                 want = transport_oracle(on_cube, grid)
             got = projected_transport_half(u_band, plan)
             assert np.array_equal(bits(got), bits(want[(slice(None), *out_band)]))
+            # written over a dirty out, the result is out with the same bits
+            out = np.full_like(got, np.nan)
+            assert projected_transport_half(u_band, plan, out=out) is out
+            assert np.array_equal(bits(out), bits(got))
 
     @pytest.mark.parametrize("band", ["default", "ball"])
     @pytest.mark.parametrize("d", [2, 3])
