@@ -1,11 +1,15 @@
-"""Scalar time series derived from trajectories and reconstructed fields.
+"""Scalar time series derived from a run's snapshots and reconstructed
+fields.
 
 Everything here is pure post-processing: the time norm of the dual norm
 of dw/dt, the weighted forcing norms whose size plays the role of the
 threshold lambda, and finite-difference residuals of the reconstructed
 velocity against the projected equation. The energy ledger and the
 per-snapshot |dw/dt|_{H^{-1}} are recorded by the solver itself;
-dwdt_norm recomputes the latter from the snapshots as a reference.
+dwdt_norm recomputes the latter from the snapshots as a reference. The
+readers of snapshots take any iterable of them and hold one or two at a
+time: solve hands each snapshot to its on_snapshot consumer as it is
+taken, and a caller that wants them all collects them there.
 
 H^{-1} is realized with the inhomogeneous symbol (1 + |xi|^2)^{-1/2}; the
 grid has a zero mode where the homogeneous version is singular, and all
@@ -18,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heat import _require_sweep_space
-from .solver import SolverConfig, Trajectory, nonlinear_rhs
+from .heat import _require_sweep_space, heat_semigroup
+from .solver import SolverConfig, nonlinear_rhs
 from .spectral import (
     Grid,
     SpectralField,
@@ -58,23 +62,30 @@ def dwdt_report(times: np.ndarray, values: np.ndarray, d: int) -> DwdtReport:
     return DwdtReport(times=times, values=values, time_norm=time_norm)
 
 
-def dwdt_norm(trajectory: Trajectory, config: SolverConfig) -> DwdtReport:
+def dwdt_norm(f_omega: SpectralField, config: SolverConfig, snapshots) -> DwdtReport:
     """H^{-1} size of dw/dt per snapshot and its L^{4/d}-in-time norm.
 
-    dw/dt is reassembled from the right-hand side (heat term plus the
-    truncated transport terms) at each snapshot. solve records the same
-    values as it steps (Trajectory.dwdt_hminus1); this recomputation is
-    their reference.
+    snapshots is any iterable of (t, w_band) pairs in time order, the
+    snapshots of the run from f_omega as solve hands them to on_snapshot:
+    band arrays of the data grid's half lattice, a whole half spectrum
+    being the band of radius N/2. dw/dt is reassembled on the N grid from
+    the right-hand side (heat term plus the truncated transport terms
+    against e^{tD} f_omega) at each snapshot. solve records the same values
+    as it steps (Trajectory.dwdt_hminus1); this recomputation is their
+    reference.
     """
-    grid = trajectory.f_omega.grid
+    grid = f_omega.grid
     vol = grid.cell_volume
     ksq = grid.ksq
     weight = grid.weight / (1.0 + ksq)
-    values = []
-    for w, g in zip(trajectory.w_states, trajectory.g_states):
+    times, values = [], []
+    for t, w_band in snapshots:
+        w = fourier_field(grid, grid.scatter(w_band))
+        g = heat_semigroup(f_omega, float(t))  # truncated by nonlinear_rhs
         dwdt = -ksq * w.data + nonlinear_rhs(w, g, config.cutoff).data
+        times.append(t)
         values.append(np.sqrt(vol * np.sum(weight * np.abs(dwdt) ** 2)))
-    return dwdt_report(trajectory.times, np.array(values), grid.d)
+    return dwdt_report(np.array(times), np.array(values), grid.d)
 
 
 @dataclass(frozen=True)

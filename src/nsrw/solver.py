@@ -66,7 +66,6 @@ __all__ = [
     "step",
     "solve",
     "u_half",
-    "iter_u",
     "time_partition",
     "stepping_lattice_size",
 ]
@@ -140,53 +139,42 @@ class EnergyLog:
 
 @dataclass
 class Trajectory:
-    """Snapshots of w along a run, with the data it was solved from.
+    """The end of a run: w(T), every snapshot time and the data.
 
-    times lists every snapshot time of the run. w_band keeps the snapshots
-    of the last len(w_band) of them, each as a band array of the data
-    grid's half lattice (Grid.band): all of them, or, when solve handed
-    each snapshot to an on_snapshot consumer, only the last, w(T). solve
-    keeps the stepper's cube |k_i| <= k_max around the cutoff ball, a
-    tenth of the half lattice at d=3 N=32, and a whole half spectrum is
-    the band array of radius N/2. Each snapshot's last-axis plane 0 (and
-    plane N/2, if it holds it) is conjugate-symmetric. Readers scatter one
-    snapshot at a time onto the half lattice (Grid.scatter); w_states forms
-    every kept field on access.
-    The forcing is not stored: g_states derives the truncated free
-    evolution T e^{tD} f_omega at each kept snapshot's time. dwdt_hminus1
-    holds |dw/dt|_{H^{-1}} at each snapshot time as the solver recorded it,
-    rhs_evaluations the stage right-hand sides the run evaluated and
-    fft_lines the 1-D transforms their transport kernel ran;
-    hand-built trajectories leave them None, 0 and 0.
+    solve hands each snapshot to its on_snapshot consumer and keeps only
+    the last: w_band is w(T) as a band array of the data grid's half
+    lattice (Grid.band), the stepper's cube |k_i| <= k_max around the
+    cutoff ball, a tenth of the half lattice at d=3 N=32, with a
+    conjugate-symmetric last-axis plane 0. The forcing is not stored:
+    w_states and g_states form w(T) and the truncated free evolution
+    T e^{TD} f_omega on the half lattice on access, each as a one-element
+    list. dwdt_hminus1 holds |dw/dt|_{H^{-1}} at each snapshot time as the
+    solver recorded it, rhs_evaluations the stage right-hand sides the run
+    evaluated and fft_lines the 1-D transforms their transport kernel ran;
+    energy_log is None when the run tracked no energy.
     """
 
     times: np.ndarray
-    w_band: list
+    w_band: np.ndarray
     f_omega: SpectralField
     config: SolverConfig
-    energy_log: EnergyLog | None = None
-    dwdt_hminus1: np.ndarray | None = None
-    rhs_evaluations: int = 0
-    fft_lines: int = 0
+    energy_log: EnergyLog | None
+    dwdt_hminus1: np.ndarray
+    rhs_evaluations: int
+    fft_lines: int
 
     @property
     def w_states(self) -> list:
-        """w at each kept snapshot as a field, formed on every access."""
+        """[w(T)] as a field, formed on every access."""
         grid = self.f_omega.grid
-        return [fourier_field(grid, grid.scatter(h)) for h in self.w_band]
+        return [fourier_field(grid, grid.scatter(self.w_band))]
 
     @property
     def g_states(self) -> list:
-        """T e^{tD} f_omega at each kept snapshot's time, formed on every
+        """[T e^{TD} f_omega] at the last snapshot time, formed on every
         access."""
-        return [
-            friedrichs_cutoff(heat_semigroup(self.f_omega, float(t)), self.config.cutoff)
-            for t, _ in self._kept()
-        ]
-
-    def _kept(self):
-        """(time, band array) of each kept snapshot, in time order."""
-        return zip(self.times[self.times.size - len(self.w_band):], self.w_band)
+        t = float(self.times[-1])
+        return [friedrichs_cutoff(heat_semigroup(self.f_omega, t), self.config.cutoff)]
 
 
 def time_partition(T: float, dt: float, substep_near_zero: bool) -> np.ndarray:
@@ -460,16 +448,15 @@ def solve(
     side, which the next step reuses (only the last snapshot costs an
     extra one); the per-step energy log rides along unless track_energy is
     off. Each snapshot is w on the stepper's cube, a band array of the data
-    grid's half lattice (see Trajectory.w_band). Without on_snapshot the
-    trajectory keeps every snapshot. With it, each snapshot is handed out
-    as on_snapshot(step, t, w_band) as it is taken, while the run goes on,
-    and the trajectory keeps only the last one, so the run holds no
-    snapshot list; step is t's index in time_partition, the same in a run
-    and its resumes. The trajectory keeps every snapshot time, the dw/dt
-    values and f_omega, from which it derives the forcing. A resume at T,
-    or from a band of another shape, or not a real field's
-    (Grid.require_real_band), or with support outside the ball is refused
-    before the first snapshot.
+    grid's half lattice (see Trajectory.w_band), handed to on_snapshot, if
+    given, as on_snapshot(step, t, w_band) as it is taken, while the run
+    goes on; step is t's index in time_partition, the same in a run and its
+    resumes. The run holds no snapshot list: a caller that wants every
+    snapshot collects them in its consumer. The trajectory keeps the last
+    snapshot, w(T), every snapshot time, the dw/dt values and f_omega, from
+    which it derives the forcing. A resume at T, or from a band of another
+    shape, or not a real field's (Grid.require_real_band), or with support
+    outside the ball is refused before the first snapshot.
     """
     grid = f_omega.grid
     if f_omega.space != FOURIER:
@@ -503,19 +490,18 @@ def solve(
         start = int(hits[0])
         what = stepper.embed(grid.scatter(resume_band))
 
-    snap_times, w_band, dwdt = [], [], []
+    snap_times, dwdt = [], []
+    w_band = None  # the last snapshot
 
     def snapshot(step: int, state: np.ndarray, rhs0: np.ndarray):
         """Record the state at times[step] with dw/dt from its stage-0
-        right-hand side."""
+        right-hand side and hand it out."""
+        nonlocal w_band
         snap_times.append(times[step])
-        band = grid.symmetrize(state)
+        w_band = grid.symmetrize(state)
         dwdt.append(stepper.dwdt_hminus1(state, rhs0))
-        if on_snapshot is None:
-            w_band.append(band)
-        else:
-            on_snapshot(step, float(times[step]), band)
-            w_band[:] = [band]
+        if on_snapshot is not None:
+            on_snapshot(step, float(times[step]), w_band)
 
     g0, a = stepper.stage0(what, times[start])
     snapshot(start, what, a)
@@ -565,16 +551,11 @@ def solve(
 
 def u_half(f_omega: SpectralField, t: float, w_band: np.ndarray) -> np.ndarray:
     """The half spectrum of u(t) = e^{tD} f_omega + w(t) on the data grid's
-    half lattice, for the snapshot w(t) held as the band array w_band."""
+    half lattice, for the snapshot w(t) held as the band array w_band, as
+    solve hands it to its on_snapshot consumer."""
     grid = f_omega.grid
     u = heat_semigroup(f_omega, t).data
     # w added on its cube: the sum with grid.scatter(w_band)
     u[(slice(None), *grid.band(w_band.shape[-1] - 1))] += w_band
     return u
 
-
-def iter_u(trajectory: Trajectory):
-    """u_half at each kept snapshot of the trajectory, formed one at a
-    time."""
-    for t, w in trajectory._kept():
-        yield u_half(trajectory.f_omega, float(t), w)

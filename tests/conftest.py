@@ -11,6 +11,7 @@ from nsrw import _rng
 from nsrw.data import default_tilt
 from nsrw.heat import _BLOCK_ELEMS
 from nsrw.randomization import hminus_s_norm
+from nsrw.solver import solve
 from nsrw.spectral import (
     TransportPlan,
     fourier_field,
@@ -326,6 +327,21 @@ def monte_carlo_tails(f, model, spec, M, workers=1):
     space-time norms, as the tails verb does."""
     values = sample_space_time_norms(f, model, spec, M, workers=workers)
     return fit_gaussian_tail(values, hminus_s_norm(f, spec.s))
+
+
+def solve_collecting(config, f_omega, **kwargs):
+    """solve with an on_snapshot consumer that collects every snapshot:
+    the trajectory, which keeps only w(T), and the (t, w_band) pair of
+    each snapshot in time order."""
+    snapshots = []
+    traj = solve(config, f_omega, on_snapshot=lambda i, t, w: snapshots.append((t, w)),
+                 **kwargs)
+    return traj, snapshots
+
+
+def band_field(grid, w_band):
+    """The fourier-space field of a snapshot's band array."""
+    return fourier_field(grid, grid.scatter(w_band))
 
 
 @pytest.fixture

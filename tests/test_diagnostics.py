@@ -6,8 +6,10 @@ from conftest import (
     FullLattice,
     cut,
     full_spectrum,
+    band_field,
     random_real_field,
     shear_field,
+    solve_collecting,
     traced_peak,
     transport,
     transport_oracle,
@@ -16,7 +18,7 @@ from nsrw.data import borderline_field, smooth_random_field, taylor_green
 from nsrw.diagnostics import _ResidualPair, condtg_check, dwdt_norm, nse_residual
 from nsrw.heat import heat_semigroup
 from nsrw.randomization import RandomModel, randomize, sample_coefficients
-from nsrw.solver import SolverConfig, Trajectory, solve, time_partition
+from nsrw.solver import SolverConfig, solve, time_partition
 from nsrw.spectral import (
     TransportPlan,
     fourier_field,
@@ -28,15 +30,6 @@ from nsrw.spectral import (
     zeros_field,
 )
 from nsrw.tails import NormSpec, space_time_norm
-
-
-def heat_trajectory(grid, w0, times, cutoff=4.0):
-    """Hand-built trajectory: pure heat flow of w0, no solver involved; each
-    snapshot is a whole half spectrum, the band array of radius N/2."""
-    cfg = SolverConfig(cutoff=cutoff, T=float(times[-1]), dt=1e-2)
-    w_band = [heat_semigroup(w0, float(t)).data for t in times]
-    return Trajectory(times=np.asarray(times, float), w_band=w_band,
-                      f_omega=zeros_field(grid, grid.d), config=cfg)
 
 
 def randomized_borderline(d, N, seed):
@@ -107,10 +100,12 @@ class TestEnergy:
 
 class TestDwdt:
     def test_zero_everything(self, grid2):
-        times = np.linspace(0.0, 0.5, 32)
-        traj = heat_trajectory(grid2, zeros_field(grid2, 2), times)
-        rep = dwdt_norm(traj, traj.config)
-        assert rep.time_norm == 0.0
+        # zero data and zero snapshots, each a whole half spectrum (the
+        # band array of radius N/2), no solver involved
+        cfg = SolverConfig(cutoff=4.0, T=0.5, dt=1e-2)
+        zero = zeros_field(grid2, 2)
+        rep = dwdt_norm(zero, cfg, ((t, zero.data) for t in np.linspace(0.0, 0.5, 32)))
+        assert rep.times.size == 32 and rep.time_norm == 0.0
 
     def test_single_mode_hand_value(self, grid2):
         # w a conjugate mode pair, g = 0: the transport term of a single
@@ -119,10 +114,8 @@ class TestDwdt:
         w = zeros_field(grid2, 2)
         amp = 0.3
         w.data[0, 0, 2] = amp  # xi = (0, 2) and its mirror, vector e_1 is transverse
-        times = np.array([0.0, 0.1])
-        traj = heat_trajectory(grid2, w, times, cutoff=4.0)
-        traj.w_band = [w.data] * 2  # freeze the state; rhs per snapshot
-        rep = dwdt_norm(traj, traj.config)
+        cfg = SolverConfig(cutoff=4.0, T=0.1, dt=1e-2)
+        rep = dwdt_norm(zeros_field(grid2, 2), cfg, [(0.0, w.data), (0.1, w.data)])
         ksq = 4.0
         want = ksq / np.sqrt(1.0 + ksq) * l2_norm(w)
         assert abs(rep.values[0] - want) <= 1e-8 * want
@@ -137,8 +130,8 @@ class TestDwdt:
 
         def run(cadence):
             cfg = SolverConfig(cutoff=8.0, T=0.5, dt=1.0 / 256.0, snapshot_cadence=cadence)
-            traj = solve(cfg, f_om)
-            return dwdt_norm(traj, cfg).time_norm
+            _, snapshots = solve_collecting(cfg, f_om)
+            return dwdt_norm(f_om, cfg, snapshots).time_norm
 
         a, b = run(8), run(4)
         assert np.isfinite(a) and a > 0
@@ -162,18 +155,20 @@ class TestRecordedDwdt:
         cfg = self.config(d, snapshot_cadence=cadence, integrator=integrator)
         steps = time_partition(cfg.T, cfg.dt, cfg.substep_near_zero).size - 1
         assert steps % 3 != 0  # at cadence 3 the last snapshot is off cadence
-        traj = solve(cfg, randomized_borderline(d, N, seed=21))
-        ref = dwdt_norm(traj, cfg)
-        assert ref.values.min() > 0
+        f = randomized_borderline(d, N, seed=21)
+        traj, snapshots = solve_collecting(cfg, f)
+        ref = dwdt_norm(f, cfg, snapshots)
+        assert np.array_equal(ref.times, traj.times) and ref.values.min() > 0
         np.testing.assert_allclose(traj.dwdt_hminus1, ref.values, rtol=1e-12, atol=0)
 
     def test_matches_reference_after_resume(self):
         cfg = self.config(3, snapshot_cadence=4)
         f = randomized_borderline(3, 16, seed=22)
-        full = solve(cfg, f)
+        full, snapshots = solve_collecting(cfg, f)
         j = 3
-        part = solve(cfg, f, resume_band=full.w_band[j], resume_time=float(full.times[j]))
-        ref = dwdt_norm(part, cfg)
+        t_j, w_j = snapshots[j]
+        part, resumed = solve_collecting(cfg, f, resume_band=w_j, resume_time=t_j)
+        ref = dwdt_norm(f, cfg, resumed)
         np.testing.assert_allclose(part.dwdt_hminus1, ref.values, rtol=1e-12, atol=0)
         np.testing.assert_allclose(
             part.dwdt_hminus1[0], full.dwdt_hminus1[j], rtol=1e-12, atol=0
@@ -185,15 +180,16 @@ class TestRecordedDwdt:
         # by mode
         cfg = self.config(2, snapshot_cadence=5)
         w0 = shear_field(grid2_mid, cfg.cutoff, seed=23)
-        traj = solve(cfg, zeros_field(grid2_mid, 2), resume_band=w0.data,
-                     resume_time=0.0)
-        ref = dwdt_norm(traj, cfg)
+        zero = zeros_field(grid2_mid, 2)
+        traj, snapshots = solve_collecting(cfg, zero, resume_band=w0.data, resume_time=0.0)
+        ref = dwdt_norm(zero, cfg, snapshots)
         ksq = grid2_mid.ksq
         weight = grid2_mid.weight
         heat = np.array([
             np.sqrt(grid2_mid.cell_volume
-                    * np.sum(weight * ksq**2 / (1.0 + ksq) * np.abs(w.data) ** 2))
-            for w in traj.w_states
+                    * np.sum(weight * ksq**2 / (1.0 + ksq)
+                             * np.abs(band_field(grid2_mid, w).data) ** 2))
+            for _, w in snapshots
         ])
         np.testing.assert_allclose(traj.dwdt_hminus1, ref.values, rtol=1e-12, atol=0)
         np.testing.assert_allclose(ref.values, heat, rtol=1e-12, atol=0)

@@ -25,11 +25,11 @@ from nsrw.experiments import (
     run_experiment,
 )
 from nsrw.heat import condg_check, default_decay_time_grid
-from nsrw.solver import _Stepper, iter_u
+from nsrw.solver import _Stepper, u_half
 from nsrw.spectral import TransportPlan, make_grid
 from nsrw.tails import default_time_grid
 
-from conftest import traced_peak
+from conftest import solve_collecting, traced_peak
 
 
 def run(tmp_path, name, **fields):
@@ -527,34 +527,38 @@ class TestStreamedSolve:
         assert snaps == [(11, 11 * band_bytes), (23, 23 * band_bytes)]
         assert abs(peaks[1] - peaks[0]) < band_bytes
 
-    def test_streamed_jobs_match_the_kept_trajectory(self, tmp_path, monkeypatch):
+    def test_streamed_jobs_match_the_collected_snapshots(self, tmp_path, monkeypatch):
         # the runner's residuals, div_rel and snapshot_bytes are those of
-        # the library path on a trajectory that keeps every snapshot, bit
-        # for bit, and the runner's trajectory keeps that one's last w
+        # the library path on the snapshots a collecting consumer keeps of
+        # the same solve, bit for bit, and both trajectories keep the same
+        # last w
         kept = self.keep_trajectory(monkeypatch)
         res, cfg = run(tmp_path, "o", experiment="solve", d=3, N=16, s=0.2, T=0.125,
                        snapshot_cadence=3, write_checkpoints=True, master_seed=7)
         ((streamed, args, kwargs),) = kept
         assert callable(kwargs["on_snapshot"])
-        whole = nsrw.solver.solve(*args, resume_band=kwargs["resume_band"],
-                                  resume_time=kwargs["resume_time"])
+        whole, snapshots = solve_collecting(*args, resume_band=kwargs["resume_band"],
+                                            resume_time=kwargs["resume_time"])
         grid = make_grid(3, 16, cfg.L)
-        assert len(whole.w_band) == whole.times.size == streamed.times.size > 2
+        assert len(snapshots) == whole.times.size == streamed.times.size > 2
         assert np.array_equal(streamed.times, whole.times)
-        assert len(streamed.w_band) == 1
-        assert np.array_equal(streamed.w_band[0], whole.w_band[-1])
+        assert np.array_equal([t for t, _ in snapshots], whole.times)
+        assert np.array_equal(streamed.w_band, whole.w_band)
+        assert whole.w_band is snapshots[-1][1]
 
+        f_om = args[1]
         plan = TransportPlan(grid)
-        mids, vals = nse_residual(grid, whole.times, iter_u(whole), plan)
+        mids, vals = nse_residual(grid, whole.times,
+                                  (u_half(f_om, t, w) for t, w in snapshots), plan)
         out = res.output_dir
         rows = np.loadtxt(out / "plotdata" / "nse_residual.tsv", skiprows=1, ndmin=2)
         assert np.array_equal(rows[:, 0], mids) and np.array_equal(rows[:, 1], vals)
-        div_rel = [grid.divergence_ratio(grid.scatter(w)) for w in whole.w_band]
+        div_rel = [grid.divergence_ratio(grid.scatter(w)) for _, w in snapshots]
         series = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1, ndmin=2)
         header = (out / "series.csv").read_text().splitlines()[0].split(",")
         assert np.array_equal(series[:, header.index("div_rel")], div_rel)
         counters = json.loads((out / "meta.json").read_text())["counters"]
-        assert counters["snapshot_bytes"] == sum(w.nbytes for w in whole.w_band)
+        assert counters["snapshot_bytes"] == sum(w.nbytes for _, w in snapshots)
         assert counters["residual_fft_lines"] == plan.fft_lines
 
     def test_kept_trajectory_serves_the_traced_benchmark_reads(self, tmp_path, monkeypatch):
@@ -570,7 +574,7 @@ class TestStreamedSolve:
         w, g = traj.w_states[-1], traj.g_states[-1]
         t_prev = float(traj.times[-2])
         assert t_prev < traj.times[-1] == 0.125
-        assert np.array_equal(w.data, make_grid(3, 16, 2.0 * np.pi).scatter(traj.w_band[-1]))
+        assert np.array_equal(w.data, make_grid(3, 16, 2.0 * np.pi).scatter(traj.w_band))
         assert np.abs(w.data).max() > 0 and np.abs(g.data).max() > 0
 
 
@@ -714,7 +718,7 @@ class TestResume:
                  ["checkpoints"]]
         assert len(files) == traj.times.size == len(seen) == 5
         # the runner consumed every snapshot; the trajectory keeps the last
-        assert len(traj.w_band) == 1 and traj.w_band[0] is seen[-1]
+        assert traj.w_band is seen[-1]
         grid = make_grid(3, 16, 2.0 * np.pi)
         ball = grid.kabs[grid.band(3)] < 4.0
         assert int(ball.sum()) == 148

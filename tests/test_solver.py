@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +6,14 @@ import pytest
 from conftest import (
     TWO_PI,
     FullLattice,
+    band_field,
     cut,
     full_spectrum,
     random_divfree_field,
     random_real_field,
     shear_field,
+    solve_collecting,
+    traced_peak,
 )
 from nsrw.data import borderline_field, smooth_random_field, taylor_green
 from nsrw.heat import heat_semigroup
@@ -20,12 +22,12 @@ from nsrw.solver import (
     SolverConfig,
     StepFailureError,
     _Stepper,
-    iter_u,
     nonlinear_rhs,
     solve,
     step,
     stepping_lattice_size,
     time_partition,
+    u_half,
 )
 from nsrw.spectral import (
     TransportPlan,
@@ -293,9 +295,9 @@ class TestTimePartition:
 class TestSolve:
     def test_zero_data_zero_trajectory(self, grid2_mid):
         cfg = config32()
-        traj = solve(cfg, zeros_field(grid2_mid, 2))
-        for w in traj.w_states:
-            assert np.all(w.data == 0.0)
+        _, snapshots = solve_collecting(cfg, zeros_field(grid2_mid, 2))
+        for _, w in snapshots:
+            assert np.all(w == 0.0)
 
     def test_taylor_green_null(self):
         g = make_grid(2, 32, TWO_PI)
@@ -308,8 +310,9 @@ class TestSolve:
     def test_support_and_divergence_invariants(self, grid2_mid):
         f = smooth_random_field(grid2_mid, seed=8, band=2)
         cfg = config32()
-        traj = solve(cfg, f)
-        for w in traj.w_states[1:]:
+        _, snapshots = solve_collecting(cfg, f)
+        for _, h in snapshots[1:]:
+            w = band_field(grid2_mid, h)
             outside = w.data * (grid2_mid.kabs >= cfg.cutoff)
             assert np.abs(outside).max() == 0.0
             nrm = l2_norm(w)
@@ -319,47 +322,46 @@ class TestSolve:
     def test_snapshots_are_band_arrays(self, grid3):
         # each snapshot is the stepper's cube |k_i| <= k_max of the field
         # it stands for, bit for bit, with an exactly conjugate-symmetric
-        # plane 0, and the field is zero off it. A run that hands its
-        # snapshots out keeps only the last; one without keeps them all,
-        # the same bits
+        # plane 0, and the field is zero off it. The run hands every
+        # snapshot out and keeps only the last, w(T)
         f = smooth_random_field(grid3, seed=4, band=2)
         cfg = SolverConfig(cutoff=4.0, T=4.0 / 128.0, dt=1.0 / 128.0,
                            substep_near_zero=False, snapshot_cadence=1)
         seen = []
         traj = solve(cfg, f, on_snapshot=lambda i, t, w: seen.append((i, t, w)))
-        kept = solve(cfg, f)
         band = grid3.band(3)  # k_max = ceil(4) - 1
         assert [i for i, _, _ in seen] == list(range(5))
-        assert [t for _, t, _ in seen] == list(traj.times) == list(kept.times)
-        assert len(traj.w_band) == 1 and traj.w_band[0] is seen[-1][2]
-        assert len(kept.w_band) == 5
-        for (_, _, w), h, field in zip(seen, kept.w_band, kept.w_states):
-            assert np.array_equal(w, h) and h.shape == (3, 7, 7, 4)
-            assert np.array_equal(h, field.data[(slice(None), *band)])
-            assert np.array_equal(grid3.scatter(h), field.data)
+        assert [t for _, t, _ in seen] == list(traj.times)
+        assert traj.w_band is seen[-1][2]
+        (field,) = traj.w_states
+        assert np.array_equal(grid3.scatter(traj.w_band), field.data)
+        for _, _, h in seen:
+            assert h.shape == (3, 7, 7, 4)
+            full = grid3.scatter(h)
+            assert np.array_equal(h, full[(slice(None), *band)])
+            full[(slice(None), *band)] = 0.0
+            assert not full.any()
             assert grid3.plane_asymmetry(h) == 0.0
-        assert np.abs(traj.w_band[-1]).max() > 0
+        assert np.abs(traj.w_band).max() > 0
 
-    def test_peak_memory_grows_by_the_w_snapshots(self, grid3):
-        # the trajectory keeps its data and derives g, and keeps each w
-        # snapshot as a band array of the stepper's cube: doubling T adds
-        # its snapshots' bytes to the peak, and nothing of the N grid's size
+    def test_peak_memory_is_flat_in_T(self, grid3):
+        # the run holds no snapshot list: doubling T adds 40 snapshots of
+        # 9,408 bytes each (the cube |k_i| <= 3) but raises the traced peak
+        # of a library solve without a consumer by less than one of them.
+        # The first run warms the caches
         f = smooth_random_field(grid3, seed=3, band=2)
-        peaks, trajs = [], []
+
+        def config(steps):
+            return SolverConfig(cutoff=4.0, T=steps / 128.0, dt=1.0 / 128.0,
+                                substep_near_zero=False, snapshot_cadence=1)
+
+        solve(config(40), f)
+        peaks = []
         for steps in (40, 80):
-            cfg = SolverConfig(cutoff=4.0, T=steps / 128.0, dt=1.0 / 128.0,
-                               substep_near_zero=False, snapshot_cadence=1)
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                trajs.append(solve(cfg, f))
-                peaks.append(tracemalloc.get_traced_memory()[1] - base)
-            finally:
-                tracemalloc.stop()
-        assert [len(t.w_band) for t in trajs] == [41, 81]
-        added = sum(w.nbytes for w in trajs[1].w_band) - sum(w.nbytes for w in trajs[0].w_band)
-        assert added == 40 * 3 * 7 * 7 * 4 * 16
-        assert peaks[1] - peaks[0] <= 1.25 * added
+            traj, peak = traced_peak(lambda: solve(config(steps), f))
+            assert traj.times.size == steps + 1 and traj.w_band.nbytes == 3 * 7 * 7 * 4 * 16
+            peaks.append(peak)
+        assert abs(peaks[1] - peaks[0]) < 3 * 7 * 7 * 4 * 16
 
     def test_energy_inequality_randomized(self):
         g = make_grid(2, 32, TWO_PI)
@@ -405,24 +407,21 @@ class TestSolve:
 
         def run(cutoff):
             cfg = config32(cutoff=cutoff, T=0.25, dt=1.0 / 128.0, track_energy=False)
-            return solve(cfg, f)
+            return [band_field(g, w) for _, w in solve_collecting(cfg, f)[1]]
 
         ref = run(32.0 / 3.0)
         gaps = []
         for n in (4.0, 6.0, 8.0):
-            traj = run(n)
-            sup = max(
-                l2_norm(a - b) for a, b in zip(traj.w_states, ref.w_states)
-            )
+            sup = max(l2_norm(a - b) for a, b in zip(run(n), ref))
             gaps.append(sup)
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_resume_matches_uninterrupted(self, grid2_mid):
         f = smooth_random_field(grid2_mid, seed=10, band=2)
         cfg = config32(snapshot_cadence=16)
-        full = solve(cfg, f)
-        j = 2  # some interior snapshot (a step boundary)
-        partial = solve(cfg, f, resume_band=full.w_band[j], resume_time=float(full.times[j]))
+        full, snapshots = solve_collecting(cfg, f)
+        t_j, w_j = snapshots[2]  # some interior snapshot (a step boundary)
+        partial = solve(cfg, f, resume_band=w_j, resume_time=t_j)
         diff = l2_norm(partial.w_states[-1] - full.w_states[-1])
         assert diff <= 1e-12 * max(l2_norm(full.w_states[-1]), 1e-30)
 
@@ -463,16 +462,16 @@ class TestSolve:
         # ball |xi| < 8: the stepping lattice would drop it
         f = smooth_random_field(grid2_mid, seed=17, band=2)
         cfg = config32()
-        full = solve(cfg, f)
-        state = full.w_states[2]
+        _, snapshots = solve_collecting(cfg, f)
+        t2, w2 = snapshots[2]
+        state = band_field(grid2_mid, w2)
         amp = 1e-6 * np.abs(state.data).max()
         state.data[0, 0, 12] += amp * (1 + 1j)  # the mode and its mirror
         with pytest.raises(ValueError, match=r"resume state has support outside the cutoff "
                            r"ball .* at lattice mode \(0, -?12\)"):
-            solve(cfg, f, resume_band=state.data,
-                  resume_time=float(full.times[2]))
+            solve(cfg, f, resume_band=state.data, resume_time=t2)
         with pytest.raises(ValueError, match="state has support outside the cutoff ball"):
-            step(state, float(full.times[2]), cfg.dt, cfg, f)
+            step(state, t2, cfg.dt, cfg, f)
 
     def test_rejects_resume_band_of_another_shape_or_asymmetric(self, grid2_mid):
         # the band's radius is read off its last axis; mode (1, 0) lies on
@@ -517,10 +516,10 @@ class TestSolverConfig:
 class TestReconstruct:
     def test_initial_snapshot_is_data(self, grid2_mid):
         f = smooth_random_field(grid2_mid, seed=14, band=2)
-        traj = solve(config32(), f)
-        u_half = list(iter_u(traj))
-        want = f.data
-        assert np.abs(u_half[0] - want).max() < 1e-14 * np.abs(f.data).max()
+        _, snapshots = solve_collecting(config32(), f)
+        t0, w0 = snapshots[0]
+        assert t0 == 0.0
+        assert np.abs(u_half(f, t0, w0) - f.data).max() < 1e-14 * np.abs(f.data).max()
 
     def test_taylor_green_exact_solution(self):
         g = make_grid(2, 64, TWO_PI)
@@ -528,7 +527,7 @@ class TestReconstruct:
         cfg = SolverConfig(cutoff=16.0, T=0.5, dt=1.0 / 64.0,
                            substep_near_zero=False, snapshot_cadence=8)
         traj = solve(cfg, f)
-        u_half = list(iter_u(traj))
         t_end = float(traj.times[-1])
         exact = np.exp(-2.0 * t_end) * f.data
-        assert np.abs(u_half[-1] - exact).max() <= 1e-5 * np.abs(f.data).max()
+        u_end = u_half(f, t_end, traj.w_band)
+        assert np.abs(u_end - exact).max() <= 1e-5 * np.abs(f.data).max()

@@ -42,7 +42,8 @@ CALLER_FILES = sorted(
 )
 
 ORACLES = {
-    "dwdt_norm": "reference for the dw/dt the solver records (Trajectory.dwdt_hminus1)",
+    "dwdt_norm": "reference for the dw/dt the solver records (Trajectory.dwdt_hminus1), "
+                 "recomputed on the N grid from the snapshots a consumer collects",
     "zeros_field": "criterion-1 operator: the zero field of the operator identities",
     "ring_index": "criterion-1 operator: the ring label of each lattice mode",
     "ring_project": "criterion-1 operator: one ring's piece of a field",
@@ -54,11 +55,10 @@ ORACLES = {
     "serialize_config": "the parse -> serialize -> parse identity of the config schema",
     "coefficient_matrix": "the vectorised draws behind the acceptance statistics, "
                           "row i bit-identical to sample i",
-    "nse_residual": "the residual over a whole sequence of states, for the manufactured "
-                    "solutions and as the reference the solve runner's streamed residual "
-                    "matches bit for bit; both run diagnostics._ResidualPair on each pair",
-    "iter_u": "u at each snapshot a trajectory keeps, the library input of nse_residual; "
-              "the solve runner forms each u with u_half as the snapshot is handed out",
+    "nse_residual": "the residual over any sequence of states, for the manufactured "
+                    "solutions and, over u_half of the snapshots a consumer collects, as the "
+                    "reference the solve runner's streamed residual matches bit for bit; "
+                    "both run diagnostics._ResidualPair on each pair",
     "moment_bound_check": "the paper's moment bound (E norm^r)^{1/r} <= C |f|_{H^{-s}}; "
                           "tails checks the equivalent Gaussian tail",
 }
