@@ -120,6 +120,29 @@ class TestDwdt:
         want = ksq / np.sqrt(1.0 + ksq) * l2_norm(w)
         assert abs(rep.values[0] - want) <= 1e-8 * want
 
+    def test_band_arrays_and_whole_half_spectra_agree(self, grid2_mid):
+        # a snapshot as solve hands it out and the same snapshot scattered
+        # to a whole half spectrum (the band of radius N/2) give one report
+        f = smooth_random_field(grid2_mid, seed=9, band=2)
+        cfg = SolverConfig(cutoff=8.0, T=6.0 / 128.0, dt=1.0 / 128.0,
+                           substep_near_zero=False, snapshot_cadence=2)
+        _, snapshots = solve_collecting(cfg, f)
+        bands = dwdt_norm(f, cfg, snapshots)
+        whole = dwdt_norm(f, cfg, [(t, grid2_mid.scatter(w)) for t, w in snapshots])
+        np.testing.assert_array_equal(whole.times, bands.times)
+        np.testing.assert_allclose(whole.values, bands.values, rtol=1e-13, atol=0.0)
+
+    def test_consumes_a_one_shot_generator(self, grid2_mid):
+        f = smooth_random_field(grid2_mid, seed=12, band=2)
+        cfg = SolverConfig(cutoff=8.0, T=4.0 / 128.0, dt=1.0 / 128.0,
+                           substep_near_zero=False, snapshot_cadence=1)
+        _, snapshots = solve_collecting(cfg, f)
+        listed = dwdt_norm(f, cfg, snapshots)
+        streamed = dwdt_norm(f, cfg, (pair for pair in snapshots))
+        np.testing.assert_array_equal(streamed.times, listed.times)
+        np.testing.assert_array_equal(streamed.values, listed.values)
+        assert streamed.time_norm == listed.time_norm
+
     def test_randomized_run_stable_under_cadence(self):
         g = make_grid(2, 32, TWO_PI)
         f = borderline_field(g, 0.25, seed=2)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from nsrw.randomization import RandomModel, randomize, sample_coefficients
 from nsrw.solver import (
     SolverConfig,
     StepFailureError,
+    Trajectory,
     _Stepper,
     nonlinear_rhs,
     solve,
@@ -494,6 +496,89 @@ class TestSolve:
         f = taylor_green(g)
         with pytest.raises(ValueError):
             solve(config32(dt=0.2, T=1.0), f)
+
+
+def _stream_case(d, N, **kw):
+    """Data and a short config for the streaming tests: d=2 N=32 cutoff 8,
+    d=3 N=16 cutoff 4, 7 steps of 1/128 unless kw says otherwise."""
+    grid = make_grid(d, N, TWO_PI)
+    base = dict(cutoff={2: 8.0, 3: 4.0}[d], T=7.0 / 128.0, dt=1.0 / 128.0,
+                substep_near_zero=False)
+    base.update(kw)
+    return smooth_random_field(grid, seed=5, band=2), SolverConfig(**base)
+
+
+class TestOneSnapshotPath:
+    """solve hands every snapshot to its consumer, keeps only w(T), and
+    runs the same numerics with a consumer and without one."""
+
+    @pytest.mark.parametrize("integrator", ["ifrk4", "ifeuler"])
+    @pytest.mark.parametrize("cadence", [1, 3])
+    @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
+    def test_consumer_does_not_change_the_run(self, d, N, cadence, integrator):
+        f, cfg = _stream_case(d, N, snapshot_cadence=cadence, integrator=integrator)
+        bare = solve(cfg, f)
+        traj, snapshots = solve_collecting(cfg, f)
+        assert traj.w_band is snapshots[-1][1]
+        assert [t for t, _ in snapshots] == list(traj.times)
+        assert np.array_equal(bare.times, traj.times)
+        assert np.array_equal(bare.w_band, traj.w_band)
+        assert np.array_equal(bare.dwdt_hminus1, traj.dwdt_hminus1)
+        assert (bare.rhs_evaluations, bare.fft_lines) == (traj.rhs_evaluations, traj.fft_lines)
+        for field in dataclasses.fields(bare.energy_log):
+            assert np.array_equal(getattr(bare.energy_log, field.name),
+                                  getattr(traj.energy_log, field.name))
+
+    @pytest.mark.parametrize("cadence", [1, 3, 8])
+    @pytest.mark.parametrize("substep", [False, True])
+    def test_snapshots_fall_on_the_cadence(self, grid2_mid, substep, cadence):
+        # step is the snapshot time's index in time_partition: every
+        # cadence-th step from 0, and the last step whatever the cadence
+        f = smooth_random_field(grid2_mid, seed=6, band=2)
+        cfg = config32(T=10.0 / 128.0, substep_near_zero=substep, snapshot_cadence=cadence)
+        times = time_partition(cfg.T, cfg.dt, substep)
+        last = times.size - 1
+        seen = []
+        traj = solve(cfg, f, on_snapshot=lambda i, t, w: seen.append((i, t)))
+        steps = [i for i, _ in seen]
+        assert steps == sorted(set(list(range(0, last, cadence)) + [last]))
+        assert [t for _, t in seen] == [float(times[i]) for i in steps]
+        assert np.array_equal(traj.times, times[steps])
+        assert traj.dwdt_hminus1.shape == (len(steps),)
+
+    @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
+    def test_resume_hands_out_the_uninterrupted_tail(self, d, N):
+        # resumed at a snapshot on the cadence, the run hands out the same
+        # steps and times as the uninterrupted run from there on
+        f, cfg = _stream_case(d, N, T=12.0 / 128.0, snapshot_cadence=4)
+        _, full = solve_collecting(cfg, f)
+        t_j, w_j = full[1]
+        seen = []
+        solve(cfg, f, resume_band=w_j, resume_time=t_j,
+              on_snapshot=lambda i, t, w: seen.append((t, w)))
+        assert [t for t, _ in seen] == [t for t, _ in full[1:]]
+        scale = max(np.abs(w).max() for _, w in full)
+        for (_, w), (_, w_full) in zip(seen, full[1:]):
+            assert np.abs(w - w_full).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
+    def test_states_are_one_element_lists_at_T(self, d, N):
+        f, cfg = _stream_case(d, N)
+        traj = solve(cfg, f)
+        (w,) = traj.w_states
+        (g,) = traj.g_states
+        assert np.array_equal(w.data, traj.f_omega.grid.scatter(traj.w_band))
+        T = float(traj.times[-1])
+        assert T == cfg.T
+        expect = friedrichs_cutoff(heat_semigroup(f, T), cfg.cutoff)
+        assert np.array_equal(g.data, expect.data)
+
+    @pytest.mark.parametrize("name", [fld.name for fld in dataclasses.fields(Trajectory)])
+    def test_trajectory_field_is_required(self, name):
+        # solve is the one constructor and sets every field
+        (fld,) = [x for x in dataclasses.fields(Trajectory) if x.name == name]
+        assert fld.default is dataclasses.MISSING
+        assert fld.default_factory is dataclasses.MISSING
 
 
 class TestSolverConfig:
