@@ -1,6 +1,6 @@
 """Binary state checkpoints with a bit-exact round trip.
 
-Version 4 layout, all little-endian: magic "NSRW", version u32, d u32,
+Version 5 layout, all little-endian: magic "NSRW", version u32, d u32,
 N u32, then L, t, cutoff as f64; then the fingerprint, a u32 byte count
 followed by that many bytes of canonical JSON (sorted keys, no spaces)
 naming the settings that fix the trajectory; then the band radius k as
@@ -10,20 +10,29 @@ state's coefficients in the ball |xi| < cutoff and nothing else. The state
 is a band array on the cube |k_i| <= k of the rfft half lattice
 (spectral.Grid.band): each of the d components, shape
 (min(2k+1, N), ..., min(2k+1, N), min(k, N/2) + 1), rows 0..k, -k..-1 in
-FFT order on every axis but the last, which runs 0..min(k, N/2). For each
-component in turn, the payload holds the entries of that array where
-Grid.band_kabs(k) < cutoff (the stepper's own ball mask), in
-row-major order, as interleaved (re, im) f64 pairs. Loading puts them back
-on the cube, zero off the ball. solve's snapshots are zero off the ball by
-construction: at d=3 N=32 and the default cutoff 8 the ball holds 1,148 of
-the cube's 1,800 modes per component, so a file is 55,416 bytes; the cube
-would take 86,712 and the whole half lattice 836 KB. The last-axis plane 0,
-and plane N/2 when the band holds it, are their own mirror images and
-must be conjugate-symmetric; the ball is symmetric, so both partners of
-every such mode are stored.
+FFT order on every axis but the last, which runs 0..min(k, N/2).
 
-Versions 1 to 3 are refused: no writer has produced them since version 4,
-and the fingerprint every version-4 file carries pins d, N, L and the
+The last-axis plane 0, and plane N/2 when the band holds it, are their
+own mirror images: a real field's coefficients there are
+conjugate-symmetric, a(-xi) = conj a(xi), so one member of each mirror
+pair fixes the other. For each component in turn, the payload holds the
+entries of that array where Grid.band_kabs(k) < cutoff (the stepper's own
+ball mask), less, on each self-mirrored plane, the member of every mirror
+pair whose flattened plane index is the larger, in row-major order, as
+interleaved (re, im) f64 pairs; the self-mirrored modes (xi = 0 when the
+cube stays inside the 2/3 band) are stored. The values are those of
+Grid.symmetrize(w_band). Loading puts them back on the cube, rebuilds
+each dropped partner as the conjugate of its stored mirror and leaves
+zero off the ball, so a load returns symmetrize(w_band) value for value
+(a zero may come back with the other sign): w_band itself for solve's
+snapshots, which are symmetrized and zero off the ball by construction. At d=3 N=32 and the default cutoff 8 the ball
+holds 1,148 of the cube's 1,800 modes per component, 193 of them on
+plane 0, of which 96 are dropped partners, so a file is 50,808 bytes;
+storing both partners took 55,416, the cube would take 86,712 and the
+whole half lattice 836 KB.
+
+Versions 1 to 4 are refused: no writer has produced them since version 5,
+and the fingerprint every version-5 file carries pins d, N, L and the
 cutoff.
 
 Files are replaced atomically: a reader sees either the previous file or
@@ -42,10 +51,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import Grid, band_shape, make_grid
+from .spectral import Grid, _conjugate_mirror, band_shape, make_grid
 
 MAGIC = b"NSRW"
-VERSION = 4
+VERSION = 5
 _HEADER = struct.Struct("<4sIIIddd")
 _U32 = struct.Struct("<I")
 
@@ -60,13 +69,29 @@ def _canonical(fingerprint: dict) -> bytes:
 
 
 def _least_ball_modes(grid: Grid, cutoff: float) -> int:
-    """A lower bound on the modes of the ball |xi| < cutoff on the half
-    lattice, built from no array: the ball holds the cube |k_i| <= m whole
-    (Grid.ball_radius over all d axes, m <= N/2 - 1), and that cube has
-    (2m + 1)^(d-1) (m + 1) modes on the half lattice."""
+    """A lower bound on the modes a file stores per component of the ball
+    |xi| < cutoff, built from no array: the ball holds the cube |k_i| <= m
+    whole (Grid.ball_radius over all d axes, m <= N/2 - 1). That cube has
+    (2m + 1)^(d-1) modes on each of its planes 1..m, all stored, and as
+    many on plane 0, whose only self-mirrored mode is xi = 0: one of each
+    of their mirror pairs and xi = 0 are stored."""
     d, N = grid.d, grid.N
     m = min(grid.ball_radius(cutoff, axes=d), N // 2 - 1)
-    return (2 * m + 1) ** (d - 1) * (m + 1)
+    plane = (2 * m + 1) ** (d - 1)
+    return plane * m + (plane + 1) // 2
+
+
+def _stored_modes(grid: Grid, ball: np.ndarray) -> tuple:
+    """The modes of the ball mask on its cube that a file stores, and the
+    plane mask of the mirror partners it drops on each self-mirrored plane:
+    the members of the mirror pairs whose flattened plane index exceeds
+    their mirror's."""
+    flat = np.arange(math.prod(ball.shape[:-1])).reshape(ball.shape[:-1])
+    dropped = flat > _conjugate_mirror(flat, grid.d - 1)
+    stored = ball.copy()
+    for plane in grid._mirrored_planes(ball):
+        stored[..., plane] &= ~dropped
+    return stored, dropped
 
 
 def _require_cutoff(cutoff: float):
@@ -84,11 +109,13 @@ def save_checkpoint(grid: Grid, w_band: np.ndarray, t: float, cutoff: float,
                     fingerprint: dict, path: str | Path) -> None:
     """Write the band array w_band, one component per dimension on the cube
     |k_i| <= k of the half lattice that holds the ball |xi| < cutoff, as a
-    version-4 checkpoint of its coefficients in the ball. It refuses a band
-    whose radius k (read off its last axis) is not the ball's, a nonzero
-    coefficient off the ball, a plane 0 (or N/2) that is not
-    conjugate-symmetric, and a time t that is not finite and >= 0, before
-    it writes anything; the snapshots of solve pass all four."""
+    version-5 checkpoint of its coefficients in the ball: those of
+    Grid.symmetrize(w_band), one member of each mirror pair on the
+    self-mirrored planes. It refuses a band whose radius k (read off its
+    last axis) is not the ball's, a nonzero coefficient off the ball, a
+    plane 0 (or N/2) that is not conjugate-symmetric within HERMITIAN_RTOL,
+    and a time t that is not finite and >= 0, before it writes anything;
+    the snapshots of solve pass all four, and are their own symmetrization."""
     cutoff = float(cutoff)
     _require_cutoff(cutoff)
     t = float(t)
@@ -105,7 +132,8 @@ def save_checkpoint(grid: Grid, w_band: np.ndarray, t: float, cutoff: float,
     ball = grid.require_in_ball("a checkpointed state", w_band, cutoff, 0.0)
     header = _HEADER.pack(MAGIC, VERSION, grid.d, grid.N, grid.L, t, cutoff)
     fp = _canonical(fingerprint)
-    payload = w_band[:, ball].astype("<c16", copy=False).tobytes()
+    stored, _ = _stored_modes(grid, ball)
+    payload = grid.symmetrize(w_band)[:, stored].astype("<c16", copy=False).tobytes()
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
@@ -128,8 +156,10 @@ def _check_fingerprint(found: dict, expected: dict):
 
 
 def load_checkpoint(path: str | Path, expect_fingerprint: dict | None = None):
-    """Read a version-4 checkpoint; returns (w_band, t, cutoff) with the
-    band array of the cutoff ball's cube, zero off the ball (see
+    """Read a version-5 checkpoint; returns (w_band, t, cutoff) with the
+    band array of the cutoff ball's cube, zero off the ball, each dropped
+    mirror partner the conjugate of its stored mirror: the
+    Grid.symmetrize of the band that was saved, value for value (see
     save_checkpoint).
 
     With expect_fingerprint, a file whose fingerprint differs is refused,
@@ -191,13 +221,19 @@ def load_checkpoint(path: str | Path, expect_fingerprint: dict | None = None):
     # the cube is a small multiple of the inscribed cube, whose payload is
     # now known to be present
     ball = grid.band_kabs(k) < cutoff
-    expected = d * int(np.count_nonzero(ball)) * 16
+    stored, dropped = _stored_modes(grid, ball)
+    expected = d * int(np.count_nonzero(stored)) * 16
     if len(payload) != expected:
         raise CheckpointError(
             f"checkpoint truncated: expected {expected} payload bytes, got {len(payload)}"
         )
     w_band = np.zeros(band_shape(d, N, k), dtype=np.complex128)
-    w_band[:, ball] = np.frombuffer(payload, dtype="<c16").reshape(d, -1)
+    w_band[:, stored] = np.frombuffer(payload, dtype="<c16").reshape(d, -1)
+    for plane in grid._mirrored_planes(w_band):
+        # a view: each dropped partner of the ball is its mirror's conjugate
+        values = w_band[..., plane]
+        partners = ball[..., plane] & dropped
+        values[:, partners] = _conjugate_mirror(values, d - 1)[:, partners]
     try:
         grid.require_real_band("checkpoint payload", w_band)
     except ValueError as exc:

@@ -73,28 +73,38 @@ def default_time_grid(T: float) -> np.ndarray:
 
 def _power_law_cells(times: np.ndarray, F: np.ndarray) -> float:
     """Integrate F over [times[0], times[-1]] treating each cell as a power
-    law, plus the [0, times[0]] head extrapolated from the first cell."""
-    total = 0.0
-    t0, f0, f1 = times[0], F[0], F[1]
+    law, plus the [0, times[0]] head extrapolated from the first cell.
+
+    The cells are formed as arrays, where + - * / and np.log give the bits
+    they give float64 scalars, all but rho^(beta + 1), which is raised on
+    Python floats as the scalars raise it (a vectorized np.power is not);
+    the head and the cells are then summed in order."""
+    fa, fb, ta, tb = F[:-1], F[1:], times[:-1], times[1:]
+    # a cell not positive at both ends gets garbage power-law values, unread
+    with np.errstate(all="ignore"):
+        rho = tb / ta
+        log_rho = np.log(rho)
+        beta = np.log(fb / fa) / log_rho
+        b1 = beta + 1.0
+        grown = np.array(list(map(_pow, rho.tolist(), b1.tolist())))
+        power = np.where(np.abs(b1) < 1e-8, fa * ta * log_rho, fa * ta * (grown - 1.0) / b1)
+        cells = np.where((fa > 0) & (fb > 0), power, 0.5 * (fa + fb) * (tb - ta))
     # head: F ~ f0 * (t/t0)^beta on [0, t0]
-    if f0 > 0 and f1 > 0:
-        beta = np.log(f1 / f0) / np.log(times[1] / t0)
-        if beta <= -1.0 + 1e-9:
+    head = 0.0
+    if F[0] > 0 and F[1] > 0:
+        if beta[0] <= -1.0 + 1e-9:
             raise ValueError("space-time integrand is non-integrable near t = 0")
-        total += f0 * t0 / (beta + 1.0)
-    for i in range(times.size - 1):
-        fa, fb = F[i], F[i + 1]
-        ta, tb = times[i], times[i + 1]
-        if fa > 0 and fb > 0:
-            rho = tb / ta
-            beta = np.log(fb / fa) / np.log(rho)
-            if abs(beta + 1.0) < 1e-8:
-                total += fa * ta * np.log(rho)
-            else:
-                total += fa * ta * (rho ** (beta + 1.0) - 1.0) / (beta + 1.0)
-        else:
-            total += 0.5 * (fa + fb) * (tb - ta)
-    return total
+        head = F[0] * times[0] / b1[0]
+    return float(np.add.accumulate(np.concatenate(([head], cells)))[-1])
+
+
+def _pow(x: float, y: float) -> float:
+    """x ** y for Python floats x > 0, inf where it overflows, as numpy's
+    float64 scalars give it."""
+    try:
+        return x**y
+    except OverflowError:
+        return float("inf")
 
 
 def space_time_norm(f_omega: SpectralField, spec: NormSpec) -> float:

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import math
 import resource
 import tracemalloc
@@ -291,6 +292,52 @@ def heat_norms_oracle(f, symbols, times, p):
         else:
             out[lo : lo + tt.size] = (vol * np.sum(msq ** (p / 2.0), axis=sp)) ** (1.0 / p)
     return out
+
+
+def power_law_cells_oracle(times, F):
+    """The power-law quadrature of F over [0, times[-1]] as a loop over
+    numpy float64 scalars, cell by cell: the reference that
+    tails._power_law_cells reproduces bit for bit."""
+    total = 0.0
+    t0, f0, f1 = times[0], F[0], F[1]
+    # head: F ~ f0 * (t/t0)^beta on [0, t0]
+    if f0 > 0 and f1 > 0:
+        beta = np.log(f1 / f0) / np.log(times[1] / t0)
+        if beta <= -1.0 + 1e-9:
+            raise ValueError("space-time integrand is non-integrable near t = 0")
+        total += f0 * t0 / (beta + 1.0)
+    for i in range(times.size - 1):
+        fa, fb = F[i], F[i + 1]
+        ta, tb = times[i], times[i + 1]
+        if fa > 0 and fb > 0:
+            rho = tb / ta
+            beta = np.log(fb / fa) / np.log(rho)
+            if abs(beta + 1.0) < 1e-8:
+                total += fa * ta * np.log(rho)
+            else:
+                total += fa * ta * (rho ** (beta + 1.0) - 1.0) / (beta + 1.0)
+        else:
+            total += 0.5 * (fa + fb) * (tb - ta)
+    return total
+
+
+def stored_mask(grid, cutoff):
+    """The modes of the ball |xi| < cutoff on its cube that a version-5 file
+    stores: all but, on the self-mirrored last-axis planes 0 and N/2, the
+    member of each mirror pair xi, -xi whose place in the plane's row-major
+    order is the later one, found from the lattice rows of the cube."""
+    N = grid.N
+    band = grid.band(grid.ball_radius(cutoff))
+    ball = grid.kabs[band] < cutoff
+    rows = [np.arange(N)[index].ravel() for index in band[:-1]]
+    modes = list(itertools.product(*rows))
+    place = {mode: i for i, mode in enumerate(modes)}
+    stored = ball.copy()
+    for plane in (0, N // 2)[: 1 + (ball.shape[-1] == N // 2 + 1)]:
+        for i, mode in enumerate(modes):
+            if place[tuple(-r % N for r in mode)] < i:
+                stored[np.unravel_index(i, ball.shape[:-1]) + (plane,)] = False
+    return stored
 
 
 def traced_peak(fn):

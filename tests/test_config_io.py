@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 import nsrw
-from conftest import TWO_PI, address_space_cap, random_divfree_field, traced_peak
+from conftest import (
+    TWO_PI,
+    address_space_cap,
+    random_divfree_field,
+    solve_collecting,
+    stored_mask,
+    traced_peak,
+)
 from nsrw.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from nsrw.cli import build_parser, main
 from nsrw.config import (
@@ -24,7 +31,9 @@ from nsrw.config import (
     serialize_config,
     validate_config,
 )
-from nsrw.spectral import fourier_field, make_grid
+from nsrw.data import smooth_random_field
+from nsrw.solver import SolverConfig
+from nsrw.spectral import HERMITIAN_RTOL, fourier_field, make_grid
 
 
 # every float-typed field of ExperimentConfig
@@ -181,10 +190,19 @@ CUTOFF = 4.0
 WHOLE = 100.0
 
 
+def version4_file(grid, h, cutoff, fingerprint):
+    """The bytes of a version-4 checkpoint of the band array h: every mode
+    of the ball stored, both members of each mirror pair on plane 0."""
+    fp = json.dumps(fingerprint, sort_keys=True, separators=(",", ":")).encode()
+    return (struct.pack("<4sIIIddd", b"NSRW", 4, grid.d, grid.N, grid.L, 0.0, cutoff)
+            + struct.pack("<I", len(fp)) + fp + struct.pack("<I", h.shape[-1] - 1)
+            + h[:, ball_mask(grid, cutoff)].astype("<c16").tobytes())
+
+
 def header(d, N, cutoff, k, L=TWO_PI):
-    """A version-4 checkpoint's bytes up to its payload, with an empty
+    """A version-5 checkpoint's bytes up to its payload, with an empty
     fingerprint."""
-    return (struct.pack("<4sIIIddd", b"NSRW", 4, d, N, L, 0.0, cutoff)
+    return (struct.pack("<4sIIIddd", b"NSRW", 5, d, N, L, 0.0, cutoff)
             + struct.pack("<I", 2) + b"{}" + struct.pack("<I", k))
 
 
@@ -215,9 +233,9 @@ class TestCheckpoint:
     ])
     def test_band_round_trip(self, tmp_path, d, L, cutoff, k):
         # a state in the ball |xi| < cutoff is stored as its coefficients in
-        # the ball and comes back as the band array of the ball's cube
-        # |k_i| <= k, bit for bit, zero off the ball; saving it again writes
-        # the same bytes
+        # the ball, one of each mirror pair on plane 0 (and N/2), and comes
+        # back as the band array of the ball's cube |k_i| <= k, bit for bit,
+        # zero off the ball; saving it again writes the same bytes
         grid = make_grid(d, 16, L)
         f, h = ball_state(grid, 11 + k, cutoff)
         assert h.shape == (d,) + (min(2 * k + 1, 16),) * (d - 1) + (k + 1,)
@@ -230,10 +248,60 @@ class TestCheckpoint:
         assert np.array_equal(w, h)
         assert np.array_equal(grid.scatter(w), f.data)
         fp = json.dumps(FINGERPRINT, sort_keys=True, separators=(",", ":")).encode()
-        assert path.stat().st_size == 48 + len(fp) + d * int(ball.sum()) * 16
+        assert path.stat().st_size == 48 + len(fp) + d * int(stored_mask(grid, cutoff).sum()) * 16
         path2 = tmp_path / "again.nsrw"
         save_checkpoint(grid, h, 0.5, cutoff, FINGERPRINT, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize("d, N, cutoff", [(2, 32, 8.0), (3, 16, 4.0)])
+    def test_every_solve_snapshot_round_trips(self, tmp_path, d, N, cutoff):
+        # solve's snapshots are symmetrized on plane 0, so each comes back
+        # equal from the half of plane 0's mirror pairs a file stores
+        grid = make_grid(d, N, TWO_PI)
+        config = SolverConfig(cutoff=cutoff, T=7.0 / 128.0, dt=1.0 / 128.0,
+                              snapshot_cadence=1, substep_near_zero=False)
+        _, snapshots = solve_collecting(config, smooth_random_field(grid, seed=5, band=2))
+        assert len(snapshots) == 8
+        path = tmp_path / "snapshot.nsrw"
+        for t, band in snapshots:
+            save_checkpoint(grid, band, t, cutoff, FINGERPRINT, path)
+            w, t_loaded, _ = load_checkpoint(path, FINGERPRINT)
+            assert t_loaded == t and np.array_equal(w, band)
+
+    def test_asymmetric_band_loads_as_its_symmetrization(self, tmp_path, grid2, grid3):
+        # a plane 0 asymmetric within HERMITIAN_RTOL is saved as the values
+        # of its symmetrization, and that is what comes back
+        for grid in (grid2, grid3):
+            _, h = ball_state(grid, 6, CUTOFF)
+            skewed = h.copy()
+            # mode (1, 0[, 0]) of component 1, stored, where the file drops
+            # its mirror partner; a divergence-free field's component 0 is
+            # zero there
+            skewed[(1, 1) + (0,) * (grid.d - 1)] += 0.5 * HERMITIAN_RTOL * np.abs(h).max()
+            assert 0 < grid.plane_asymmetry(skewed) <= HERMITIAN_RTOL
+            path = tmp_path / f"skewed{grid.d}.nsrw"
+            save_checkpoint(grid, skewed, 0.0, CUTOFF, FINGERPRINT, path)
+            w, _, _ = load_checkpoint(path, FINGERPRINT)
+            assert np.array_equal(w, grid.symmetrize(skewed))
+            assert not np.array_equal(w, skewed)
+
+    @pytest.mark.parametrize("d, N, payload", [(2, 64, 12_704), (3, 64, 409_728)])
+    def test_payload_size_at_the_default_cutoff(self, tmp_path, d, N, payload):
+        # the ball |xi| < N/4 less the dropped mirror partners on plane 0:
+        # 412 - 15 modes per component at d=2, 8,932 - 396 at d=3
+        grid = make_grid(d, N, TWO_PI)
+        path = tmp_path / "state.nsrw"
+        save_checkpoint(grid, ball_state(grid, 14, N / 4)[1], 0.0, N / 4, {}, path)
+        assert path.stat().st_size - 48 - len(b"{}") == payload
+
+    def test_version_4_file_refused(self, tmp_path, grid2):
+        # a file in the version-4 layout, which stored both partners of every
+        # mirror pair on plane 0, is refused by its version alone
+        path = tmp_path / "v4.nsrw"
+        path.write_bytes(version4_file(grid2, ball_state(grid2, 3, CUTOFF)[1], CUTOFF,
+                                       FINGERPRINT))
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 4$"):
+            load_checkpoint(path, FINGERPRINT)
 
     def test_save_refuses_an_array_that_is_no_band(self, tmp_path, grid2):
         _, h = ball_state(grid2, 3, CUTOFF)
@@ -284,13 +352,11 @@ class TestCheckpoint:
         path = tmp_path / "state.nsrw"
         save_checkpoint(grid2, h, 0.0, CUTOFF, FINGERPRINT, path)
         blob = bytearray(path.read_bytes())
-        ball = ball_mask(grid2, CUTOFF)
-        payload = len(blob) - 2 * int(ball.sum()) * 16
-        # component 0, mode (1, 0): last-axis plane 0, mirror partner (-1, 0),
-        # which the ball holds too; its place among the ball's modes
-        place = int(np.flatnonzero(ball.ravel()).tolist().index(1 * 4 + 0))
-        offset = payload + place * 16
-        blob[offset : offset + 8] = struct.pack("<d", 0.5)
+        payload = len(blob) - 2 * int(stored_mask(grid2, CUTOFF).sum()) * 16
+        # component 0, mode (0, 0), the first stored entry: its own mirror,
+        # so its imaginary part is the asymmetry a payload can carry, where
+        # every dropped partner is rebuilt as its mirror's conjugate
+        blob[payload + 8 : payload + 16] = struct.pack("<d", 0.5)
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="planes 0 and N/2 are not conjugate"):
             load_checkpoint(path)
@@ -316,7 +382,7 @@ class TestCheckpoint:
         path = tmp_path / "state.nsrw"
         save_checkpoint(grid2, ball_state(grid2, 3, CUTOFF)[1], 0.0, CUTOFF, FINGERPRINT, path)
         blob = bytearray(path.read_bytes())
-        assert blob[4] == 4
+        assert blob[4] == 5
         blob[4] = 99
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="unsupported checkpoint version 99$"):
@@ -324,7 +390,8 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("version", [1, 2, 3])
     def test_earlier_versions_refused(self, tmp_path, grid2, version):
-        # only version 4 is read: the earlier layouts are refused like any other
+        # only version 5 is read: the earlier layouts are refused like any
+        # other (version 4 by test_version_4_file_refused)
         path = tmp_path / "state.nsrw"
         save_checkpoint(grid2, ball_state(grid2, 3, CUTOFF)[1], 0.0, CUTOFF, FINGERPRINT, path)
         blob = bytearray(path.read_bytes())
@@ -359,7 +426,7 @@ class TestCheckpoint:
         assert peak < 2**20
 
     def test_band_radius_above_half_refused_before_the_grid_is_built(self, tmp_path):
-        # a version-4 header claiming d=3, N=128 and a band radius past N/2
+        # a header claiming d=3, N=128 and a band radius past N/2
         path = tmp_path / "wide.nsrw"
         path.write_bytes(header(3, 128, CUTOFF, 65))
         tracemalloc.start()
@@ -390,8 +457,9 @@ class TestCheckpoint:
         assert peak < 2**20
 
     @pytest.mark.parametrize("cutoff, k, message", [
-        # the ball |xi| < 8 holds the cube |k_i| <= 4 whole: 405 modes
-        pytest.param(8.0, 7, "truncated: its cutoff ball needs at least 19440 payload "
+        # the ball |xi| < 8 holds the cube |k_i| <= 4 whole: 405 modes, of
+        # which 365 are stored, 41 of the 81 on plane 0
+        pytest.param(8.0, 7, "truncated: its cutoff ball needs at least 17520 payload "
                      "bytes, got 0$", id="short"),
         pytest.param(8.0, 3, r"band radius k=3 is not that of its cutoff ball \|xi\| < 8, "
                      "k=7$", id="radius"),
@@ -445,35 +513,37 @@ class TestCheckpoint:
         path = tmp_path / "state.nsrw"
         save_checkpoint(grid2, h, 0.0, CUTOFF, FINGERPRINT, path)
         blob = path.read_bytes()
-        # 26 modes per component: the cube |k_i| <= 3 less its corners
+        # 26 modes per component, the cube |k_i| <= 3 less its corners, of
+        # which 23 are stored: plane 0's 7 modes keep mode 0 and one of each
+        # of their 3 mirror pairs
         path.write_bytes(blob[:-1])
-        with pytest.raises(CheckpointError, match="truncated: expected 832 payload bytes, "
-                           "got 831"):
+        with pytest.raises(CheckpointError, match="truncated: expected 736 payload bytes, "
+                           "got 735"):
             load_checkpoint(path)
         path.write_bytes(blob + bytes(16))
-        with pytest.raises(CheckpointError, match="truncated: expected 832 payload bytes, "
-                           "got 848"):
+        with pytest.raises(CheckpointError, match="truncated: expected 736 payload bytes, "
+                           "got 752"):
             load_checkpoint(path)
-        # below the 15 modes per component of the inscribed cube |k_i| <= 2:
-        # refused before the mask is built
-        path.write_bytes(blob[: len(blob) - 832 + 479])
+        # below the 13 stored modes per component of the inscribed cube
+        # |k_i| <= 2 (15 modes, 5 on plane 0): refused before the mask is built
+        path.write_bytes(blob[: len(blob) - 736 + 415])
         with pytest.raises(CheckpointError, match="truncated: its cutoff ball needs at least "
-                           "480 payload bytes, got 479"):
+                           "416 payload bytes, got 415"):
             load_checkpoint(path)
-        path.write_bytes(blob[: len(blob) - 832 - 2])
+        path.write_bytes(blob[: len(blob) - 736 - 2])
         with pytest.raises(CheckpointError, match="truncated: band radius missing"):
             load_checkpoint(path)
 
     def test_load_holds_the_band_only(self, tmp_path):
         # a checkpoint of a d=3 N=32 solve at the default cutoff N/4 holds
-        # the ball |xi| < 8 (55.1 KB of payload, where its cube |k_i| <= 7
+        # the ball |xi| < 8 (50.5 KB of payload, where its cube |k_i| <= 7
         # took 86.4 KB); loading it returns the cube's band array and forms
         # no full spectrum, which alone is 1.5 MiB
         grid = make_grid(3, 32, TWO_PI)
         _, h = ball_state(grid, 12, 8.0)
         path = tmp_path / "band.nsrw"
         save_checkpoint(grid, h, 0.25, 8.0, FINGERPRINT, path)
-        assert h.nbytes == 86_400 and path.stat().st_size - 55_104 < 100
+        assert h.nbytes == 86_400 and 0 < path.stat().st_size - 50_496 < 100
         (w, t, cutoff), peak = traced_peak(lambda: load_checkpoint(path, FINGERPRINT))
         assert np.array_equal(w, h) and (t, cutoff) == (0.25, 8.0)
         assert peak < 2**20
@@ -481,7 +551,8 @@ class TestCheckpoint:
     def test_solve_checkpoint_size(self, tmp_path):
         # a checkpoint of the d=3 N=32 solve at its default cutoff 8, with
         # that solve's own fingerprint: 1,148 of the cube's 1,800 modes per
-        # component, 55,416 bytes in all
+        # component, less 96 dropped mirror partners on plane 0, 50,808
+        # bytes in all
         cfg = config_from_dict({"experiment": "solve", "d": 3, "N": 32, "s": 0.2,
                                 "T": 0.125, "dt": 1.0 / 256.0})
         grid = make_grid(3, 32, cfg.L)
@@ -489,7 +560,7 @@ class TestCheckpoint:
         path = tmp_path / "state.nsrw"
         save_checkpoint(grid, ball_state(grid, 13, 8.0)[1], 0.0, 8.0,
                         cfg.trajectory_fingerprint(), path)
-        assert path.stat().st_size == 55_416
+        assert path.stat().st_size == 50_808
 
     @pytest.mark.parametrize("d, N, L", [(4, 16, TWO_PI), (2, 15, TWO_PI), (3, 6, TWO_PI),
                                          (2, 16, 0.0), (2, 16, float("inf"))])
@@ -520,20 +591,22 @@ class TestCheckpoint:
             save_checkpoint(grid2, ball_state(grid2, 10, CUTOFF)[1], t, CUTOFF, FINGERPRINT, path)
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("k, cutoff, modes", [pytest.param(3, CUTOFF, 26, id="3-7-4"),
-                                                  pytest.param(8, WHOLE, 16 * 9, id="8-16-9")])
+    @pytest.mark.parametrize("k, cutoff, modes", [pytest.param(3, CUTOFF, 23, id="3-7-4"),
+                                                  pytest.param(8, WHOLE, 130, id="8-16-9")])
     def test_header_layout(self, tmp_path, grid2, k, cutoff, modes):
         # magic, version u32, d u32, N u32, L f64, t f64, cutoff f64, then a
         # u32 length and the canonical JSON fingerprint, then the band
         # radius k as u32, then, per component, the band array's entries in
-        # the ball |xi| < cutoff in row-major order as complex128, all
-        # little-endian; k = N/2 is the whole half spectrum
+        # the ball |xi| < cutoff less the later member of each mirror pair on
+        # planes 0 and N/2, in row-major order as complex128, all
+        # little-endian; k = N/2 is the whole half spectrum (16 x 9 modes,
+        # 7 pairs dropped on each of its planes 0 and 8)
         f, h = ball_state(grid2, 5, cutoff)
         path = tmp_path / "state.nsrw"
         save_checkpoint(grid2, h, 1.5, cutoff, FINGERPRINT, path)
         blob = path.read_bytes()
         magic, version, d, N, L, t, n = struct.unpack_from("<4sIIIddd", blob)
-        assert magic == b"NSRW" and version == 4
+        assert magic == b"NSRW" and version == 5
         assert (d, N) == (2, 16) and L == pytest.approx(TWO_PI)
         assert (t, n) == (1.5, cutoff)
         (length,) = struct.unpack_from("<I", blob, 40)
@@ -541,13 +614,13 @@ class TestCheckpoint:
         assert fp == json.dumps(FINGERPRINT, sort_keys=True, separators=(",", ":")).encode()
         assert struct.unpack_from("<I", blob, 44 + length) == (k,)
         assert len(blob) == 48 + length + d * modes * 16
-        ball = ball_mask(grid2, cutoff)
-        assert int(ball.sum()) == modes
+        stored = stored_mask(grid2, cutoff)
+        assert int(stored.sum()) == modes
         payload = np.frombuffer(blob[48 + length :], dtype="<c16").reshape(2, modes)
-        assert np.array_equal(payload, h[:, ball])
-        cube = np.zeros_like(h)
-        cube[:, ball] = payload
-        assert np.array_equal(grid2.scatter(cube), f.data)
+        assert np.array_equal(payload, h[:, stored])
+        # the loader rebuilds each dropped partner from its stored mirror
+        w, _, _ = load_checkpoint(path)
+        assert np.array_equal(grid2.scatter(w), f.data)
 
 
 class TestCli:
@@ -678,6 +751,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "missing.nsrw" in err
+
+    def test_version_4_checkpoint_exit_code(self, tmp_path, capsys):
+        # a version-4 file of this very run is refused, exit code 2
+        cfgfile = write_config(tmp_path, d=2, N=16, T=0.25, dt=0.015625)
+        cfg = validate_config(parse_config(cfgfile))
+        grid = make_grid(2, 16, cfg.L)
+        cutoff = cfg.effective_cutoff()
+        v4 = tmp_path / "checkpoint_0000.nsrw"
+        v4.write_bytes(version4_file(grid, ball_state(grid, 3, cutoff)[1], cutoff,
+                                     cfg.trajectory_fingerprint()))
+        out = tmp_path / "out"
+        status = main(["solve", "--config", str(cfgfile), "--out", str(out),
+                       "--resume", str(v4)])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "unsupported checkpoint version 4" in err
+        assert not out.exists()
 
     def test_missing_checkpoint_leaves_no_output_dir(self, tmp_path):
         cfgfile = write_config(tmp_path, d=2, N=16, T=0.25, dt=0.015625)

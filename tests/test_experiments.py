@@ -29,7 +29,7 @@ from nsrw.solver import _Stepper, u_half
 from nsrw.spectral import TransportPlan, make_grid
 from nsrw.tails import default_time_grid
 
-from conftest import solve_collecting, traced_peak
+from conftest import solve_collecting, stored_mask, traced_peak
 
 
 def run(tmp_path, name, **fields):
@@ -727,12 +727,14 @@ class TestResume:
             assert path.name == f"checkpoint_{2 * i:04d}.nsrw"
             # the default cutoff N/4 = 4 holds the cube |k_i| <= 3; the
             # snapshot is zero off the ball, and the file holds the ball
+            # less the later member of each mirror pair on plane 0
             assert h.shape == (3, 7, 7, 4)
             assert not np.any(h[:, ~ball])
             w, ck_t, _ = load_checkpoint(path)
             assert ck_t == t
             assert np.array_equal(w, h)
-            assert path.read_bytes().endswith(h[:, ball].astype("<c16").tobytes())
+            stored = stored_mask(grid, 4.0)
+            assert path.read_bytes().endswith(h[:, stored].astype("<c16").tobytes())
 
     def test_resume_into_its_own_directory_keeps_every_checkpoint(self, tmp_path):
         # checkpoints are named by their step boundary: a resume into the
@@ -847,18 +849,18 @@ class TestResume:
         w, _, _ = load_checkpoint(ckpt)
         # the default cutoff N/4 = 8 holds the cube |k_i| <= 7
         assert w.shape == (2, 15, 8)
-        # perturb component 0 at mode (1, 0) on last-axis plane 0 but not its
-        # mirror partner (-1, 0), which the band also holds
+        # give component 0 an imaginary part at xi = 0, its own mirror image
+        # on last-axis plane 0: the asymmetry a file can carry, where every
+        # dropped partner is rebuilt as its stored mirror's conjugate
         bad_w = w.copy()
-        bad_w[0, 1, 0] += 1e-3 * np.abs(w).max()
-        grid = make_grid(2, 32, 2.0 * np.pi)
-        ball = grid.kabs[grid.band(7)] < 8.0
-        assert ball[1, 0]
+        bad_w[0, 0, 0] += 1e-3j * np.abs(w).max()
+        stored = stored_mask(make_grid(2, 32, 2.0 * np.pi), 8.0)
+        assert stored[0, 0]
         blob = ckpt.read_bytes()
-        payload = w[:, ball].astype("<c16").tobytes()
+        payload = w[:, stored].astype("<c16").tobytes()
         assert blob.endswith(payload)
         bad = tmp_path / "bad.nsrw"
-        bad.write_bytes(blob[: -len(payload)] + bad_w[:, ball].astype("<c16").tobytes())
+        bad.write_bytes(blob[: -len(payload)] + bad_w[:, stored].astype("<c16").tobytes())
         cfg2 = validate_config(
             ExperimentConfig(**{**common, "output_dir": str(tmp_path / "resumed"),
                                 "write_checkpoints": False})

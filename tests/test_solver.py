@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from nsrw.spectral import (
     friedrichs_cutoff,
     l2_norm,
     leray_project,
+    linf_norm,
     make_grid,
     multiplier,
     projected_transport_half,
@@ -494,8 +496,31 @@ class TestSolve:
     def test_stability_guard(self):
         g = make_grid(2, 32, TWO_PI)
         f = taylor_green(g)
-        with pytest.raises(ValueError):
-            solve(config32(dt=0.2, T=1.0), f)
+        config = config32(dt=0.2, T=1.0)
+        with pytest.raises(ValueError, match=re.escape(_stability_message(config, f))):
+            solve(config, f)
+
+    @pytest.mark.parametrize("dt", [1.0 / 256.0, 1.0 / 32.0, 0.25])
+    @pytest.mark.parametrize("d, N", [(2, 64), (3, 16), (3, 32)])
+    def test_stability_guard_reads_max_g_bit_for_bit(self, d, N, dt):
+        # max|g| read off the heat sweep is the whole-lattice linf_norm of
+        # the heat-evolved, truncated data, bit for bit: data scaled so that
+        # every dt here fails the guard, whose message prints max|g| exactly
+        grid = make_grid(d, N, TWO_PI)
+        f = 1e4 * smooth_random_field(grid, seed=8)
+        config = SolverConfig(cutoff=N / 4.0, T=1.0, dt=dt, substep_near_zero=False)
+        with pytest.raises(ValueError, match=re.escape(_stability_message(config, f))):
+            solve(config, f)
+
+
+def _stability_message(config, f):
+    """The stability guard's refusal, from max|g| at t = dt formed on the
+    whole lattice."""
+    gmax = linf_norm(friedrichs_cutoff(heat_semigroup(f, config.dt), config.cutoff))
+    bound = 1.0 / (config.cutoff * gmax)
+    assert config.dt >= 0.5 * bound
+    return (f"dt = {config.dt} exceeds half the explicit stability estimate {bound} "
+            f"(from max|g| = {gmax} at t = dt and cutoff {config.cutoff})")
 
 
 def _stream_case(d, N, **kw):

@@ -59,6 +59,9 @@ ORACLES = {
                     "solutions and, over u_half of the snapshots a consumer collects, as the "
                     "reference the solve runner's streamed residual matches bit for bit; "
                     "both run diagnostics._ResidualPair on each pair",
+    "linf_norm": "the whole-lattice L-infinity norm: the reference of the heat sweep's "
+                 "p = inf reduction and of the max|g| the solver's stability guard reads "
+                 "off that sweep",
     "moment_bound_check": "the paper's moment bound (E norm^r)^{1/r} <= C |f|_{H^{-s}}; "
                           "tails checks the equivalent Gaussian tail",
 }

@@ -1,9 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, mode_pair_field, monte_carlo_tails
+from conftest import TWO_PI, mode_pair_field, monte_carlo_tails, power_law_cells_oracle
 from nsrw import tails
 from nsrw.data import borderline_field
 from nsrw.randomization import RandomModel
@@ -92,6 +93,70 @@ class TestSpaceTimeNorm:
         v0 = space_time_norm(f, s1)
         v1 = space_time_norm(f, NormSpec(0.3, 1.0, 2.0, 2.0, 2.0, 0.25, 1.0))
         assert abs(v1 - 2.0 * v0) < 1e-10 * v1
+
+
+def _quadrature(fn, times, F):
+    """fn(times, F) as the bytes of its float64 value, or its ValueError's
+    message."""
+    try:
+        return struct.pack("<d", fn(times, F))
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestPowerLawCells:
+    """tails._power_law_cells gives the bits of the float64-scalar loop
+    (conftest.power_law_cells_oracle) on every kind of cell."""
+
+    TIMES = tails.default_time_grid(0.75)
+
+    def check(self, F):
+        # the scalars warn where an overflow or a NaN arises; the values stand
+        with np.errstate(all="ignore"):
+            expected = _quadrature(power_law_cells_oracle, self.TIMES, F)
+        assert _quadrature(tails._power_law_cells, self.TIMES, F) == expected
+        return expected
+
+    def test_random_integrands(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            F = (self.TIMES ** rng.uniform(-0.95, 3.0) * rng.uniform(1e-3, 1e3)
+                 * np.exp(rng.normal(0.0, 0.5, self.TIMES.size)))
+            # an integrable head, so that every integrand reaches the cells
+            F[0] = F[1] * (self.TIMES[0] / self.TIMES[1]) ** 0.5
+            assert isinstance(self.check(F), bytes)
+
+    def test_zero_cells(self):
+        rng = np.random.default_rng(12)
+        for first in (0, 1, 2, 50):
+            F = self.TIMES ** 0.5 * rng.uniform(0.5, 2.0, self.TIMES.size)
+            F[first] = 0.0
+            F[rng.integers(0, self.TIMES.size, 20)] = 0.0
+            self.check(F)
+        self.check(np.zeros(self.TIMES.size))
+
+    def test_cells_of_slope_minus_one(self):
+        # |beta + 1| < 1e-8 takes the log branch, on either side of -1; the
+        # head cell keeps an integrable slope
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            F = self.TIMES ** (-1.0 + rng.uniform(-5e-9, 5e-9, self.TIMES.size))
+            F[0] = F[1] * (self.TIMES[0] / self.TIMES[1]) ** 0.5
+            self.check(F)
+
+    def test_non_integrable_head_refused(self):
+        for slope in (-1.0, -1.0 + 5e-10, -2.0):
+            assert self.check(self.TIMES ** slope) == (
+                "space-time integrand is non-integrable near t = 0")
+
+    def test_overflowing_and_nan_cells(self):
+        # a finite ratio whose power overflows: rho^(beta + 1) = 1.75e308 rho
+        F = np.ones(self.TIMES.size)
+        F[7] = 1.75e308
+        assert self.check(F) == struct.pack("<d", math.inf)
+        F = np.ones(self.TIMES.size)
+        F[40] = math.nan
+        assert math.isnan(struct.unpack("<d", self.check(F))[0])
 
 
 class TestSampling:
