@@ -33,8 +33,8 @@ from .heat import (
     _condg_from_sweeps,
     _in_window,
     _SweepField,
-    check_linear_estimates,
     default_decay_time_grid,
+    linear_estimates,
 )
 from .randomization import hminus_s_norm, randomized, verify_subgaussian
 from .solver import solve, stepping_lattice_size, u_half
@@ -239,9 +239,10 @@ def _run_heatflow(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str
     # condg is read off the k = 0 and k = 1 sweeps, so those always run
     swept = sorted(set(cfg.k_orders) | {0, 1})
     with phases("sweeps"):
-        # the orders share the field's checks, H^{-s} norm and shell sums
+        # the orders share one sweep and the field's checks, H^{-s} norm and
+        # shell sums
         field = _SweepField(f_om)
-        reports = {k: check_linear_estimates(field, cfg.s, k, t_grid) for k in swept}
+        reports = linear_estimates(field, cfg.s, swept, t_grid)
     for k in cfg.k_orders:
         rep = reports[k]
         target = -(cfg.s + k) / 2.0
@@ -280,6 +281,7 @@ def _run_heatflow(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str
             "decay_times": len(t_grid),
             "field_transforms": field.transforms,
             "pruned_field_transforms": field.pruned_transforms,
+            "sweep_fft_lines": field.fft_lines,
         },
     }
     return summary, failures, (names, columns), plotdata, meta

@@ -425,8 +425,7 @@ def _check_stability(config: SolverConfig, f_omega: SpectralField):
     # runs in one-component work arrays: the heat-evolved field and its
     # inverse transform are never formed whole
     field = _SweepField(friedrichs_cutoff(f_omega, config.cutoff))
-    ones = np.ones((1,) * f_omega.grid.d)
-    gmax = float(_heat_norms(field, [ones], np.array([config.dt]), (np.inf,))[0, 0])
+    gmax = float(_heat_norms(field, np.array([config.dt]), (np.inf,))[0, 0, 0])
     if gmax <= 0:
         return
     bound = 1.0 / (config.cutoff * gmax)

@@ -717,6 +717,14 @@ def _band_passes(buf: np.ndarray, k: int, axes, fft) -> int:
     return lines
 
 
+def _band_row(grid: Grid, band: tuple, ax: int) -> np.ndarray:
+    """grid.axis_frequency(ax) as complex, on the rows of axis ax that
+    band holds."""
+    row = grid.axis_frequency(ax).astype(np.complex128)
+    index = band[ax]
+    return row if isinstance(index, slice) else np.take(row, index.ravel(), axis=ax)
+
+
 class TransportPlan:
     """Index maps and work buffers of the transport kernel on one grid.
 
@@ -752,9 +760,12 @@ class TransportPlan:
         self.prod = np.empty((1,) + grid.shape)
         self.calls = 0
         self.fft_lines = 0
-        self.freqs = tuple(np.broadcast_to(grid.axis_frequency(ax), grid.half_shape)[self.out_band]
-                           for ax in range(d))
         ksq = grid.ksq[self.out_band]
+        # each axis' frequency on the output band, complex, so that its
+        # products with complex arrays need no cast buffer, and a
+        # broadcast view of one row of the band's cube
+        self.freqs = tuple(np.broadcast_to(_band_row(grid, self.out_band, ax), ksq.shape)
+                           for ax in range(d))
         self.inv_ksq = 1.0 / np.where(ksq == 0.0, 1.0, ksq)
         self.nyquist = grid.nyquist_mask[self.out_band]
 
@@ -796,8 +807,12 @@ def projected_transport_half(u_band: np.ndarray, plan: TransportPlan,
     if out is None:
         out = np.empty((d,) + plan.inv_ksq.shape, dtype=np.complex128)
     # each product is transformed in the first slot of X, whose spectrum
-    # of u the inverse pass has spent
+    # of u the inverse pass has spent; the products with the frequencies
+    # are formed in the second, spent as well, and the dot product in the
+    # first once the last product has been summed
     prod, slot = plan.prod, X[:1]
+    shape = out.shape[1:]
+    tmp, dot = (X[i].reshape(-1)[: math.prod(shape)].reshape(shape) for i in (1, 0))
     for i, j in plan.pairs:
         np.multiply(U[i], U[j], out=prod[0])
         np.fft.rfft(prod, axis=d, norm="ortho", out=slot)
@@ -808,14 +823,14 @@ def projected_transport_half(u_band: np.ndarray, plan: TransportPlan,
             if b == 0:
                 np.multiply(f[0], T, out=out[a])
             else:
-                out[a] += f[b] * T
+                out[a] += np.multiply(f[b], T, out=tmp)
     plan.fft_lines += lines
-    dot = f[0] * out[0]
+    np.multiply(f[0], out[0], out=dot)
     for i in range(1, d):
-        dot += f[i] * out[i]
+        dot += np.multiply(f[i], out[i], out=tmp)
     dot *= plan.inv_ksq
     for i in range(d):
-        out[i] -= f[i] * dot
+        out[i] -= np.multiply(f[i], dot, out=tmp)
     out *= 1j
     out[:, plan.nyquist] = 0.0
     return out

@@ -20,7 +20,7 @@ import numpy as np
 
 from .heat import _heat_norms, _SweepField
 from .randomization import RandomModel, hminus_s_norm, randomized
-from .spectral import SpectralField
+from .spectral import SpectralField, fourier_field
 
 __all__ = [
     "NormSpec",
@@ -134,9 +134,12 @@ def _space_time_norms(f_omega: SpectralField, specs: tuple) -> list:
         raise ValueError("norms of one heat sweep must share sigma and T")
     field = _SweepField(f_omega)
     sigma, T = specs[0].sigma, specs[0].T
+    if sigma != 0:
+        # (-Laplacian)^{sigma/2} multiplies each coefficient by |xi|^sigma,
+        # a real even symbol, so the weighted field passes the same checks
+        field = _SweepField(fourier_field(f_omega.grid, f_omega.data * f_omega.grid.kabs**sigma))
     times = default_time_grid(T)
-    sweep = _heat_norms(field, [f_omega.grid.kabs**sigma], times,
-                        tuple(spec.p for spec in specs))
+    (sweep,) = _heat_norms(field, times, tuple(spec.p for spec in specs))
     norms = []
     for spec, vals in zip(specs, sweep):
         F = times ** (spec.q * spec.gamma) * vals**spec.q

@@ -294,6 +294,50 @@ def heat_norms_oracle(f, symbols, times, p):
     return out
 
 
+def derivative_norms_oracle(f, k, times, p):
+    """|grad^k e^{tD} f|_{L^p} for every t, each derivative formed as
+    heat._heat_norms forms it, with fresh arrays and one np.fft call per
+    axis: a * E, times each factor i xi_a just before the pass along axis
+    a (on the last axis, just before the irfft). The derivatives are
+    (i xi_a1)...(i xi_ak), a1 <= ... <= ak, each weighted by its number of
+    orderings, and their squares are summed component by component in the
+    sweep's order: by the factors on the leading axes (those starting on
+    axis 0, then on axis 1, then none), then by the last-axis count. That
+    heat._heat_norms must reproduce bit for bit on real, Nyquist-free
+    data."""
+    g = f.grid
+    d, N = g.d, g.N
+    sp = tuple(range(1, 1 + d))
+    chunk = max(1, _BLOCK_ELEMS // math.prod(g.shape))
+    factors = [1j * g.axis_frequency(ax) for ax in range(d)]
+
+    def order(axes):
+        lead = axes[: k - axes.count(d - 1)]
+        return (lead == (), lead, axes.count(d - 1))
+
+    derivatives = sorted(itertools.combinations_with_replacement(range(d), k), key=order)
+    out = np.empty(times.size)
+    for lo in range(0, times.size, chunk):
+        tt = times[lo : lo + chunk]
+        decay = np.exp(-tt.reshape((-1,) + (1,) * d) * g.ksq[None])
+        msq = np.zeros((tt.size,) + g.shape)
+        for a in f.data:
+            for axes in derivatives:
+                spec = a * decay
+                for ax in range(d):
+                    for _ in range(axes.count(ax)):
+                        spec = spec * factors[ax]
+                    if ax < d - 1:
+                        spec = np.fft.ifft(spec, axis=1 + ax, norm="ortho")
+                real = np.fft.irfft(spec, n=N, axis=d, norm="ortho")
+                msq = msq + real * real * len(set(itertools.permutations(axes)))
+        if np.isinf(p):
+            out[lo : lo + tt.size] = np.sqrt(np.max(msq, axis=sp))
+        else:
+            out[lo : lo + tt.size] = (g.cell_volume * np.sum(msq ** (p / 2.0), axis=sp)) ** (1.0 / p)
+    return out
+
+
 def power_law_cells_oracle(times, F):
     """The power-law quadrature of F over [0, times[-1]] as a loop over
     numpy float64 scalars, cell by cell: the reference that

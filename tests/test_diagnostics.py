@@ -279,7 +279,7 @@ class TestCondtg:
         sweeps = []
         heat_norms = tails._heat_norms
         monkeypatch.setattr(tails, "_heat_norms",
-                            lambda *a: sweeps.append(a[3]) or heat_norms(*a))
+                            lambda *a: sweeps.append(a[2]) or heat_norms(*a))
         rep = condtg_check(f, s, gamma, T)
         assert sweeps == [(6.0, 8.0 / 3.0), (8.0,)]
         bracket = fourier_field(grid3, f.data * (1.0 + grid3.kabs**0.5))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import signal
 import subprocess
@@ -244,12 +245,17 @@ class TestArtifacts:
             assert 0.0 < rss["data"] and sorted(rss.values()) == list(rss.values())
             assert list(rss.values())[-1] <= meta["peak_rss_mib"]
             if verb == "heatflow":
-                # k = 0, 1, 2 swept: 1 + 2 + 4 derivatives of a 2-component
-                # field; at d = 2 N = 32 every decay time is in one block,
-                # which the early times keep on the whole half lattice
+                # k = 0, 1, 2 swept: 1 + 2 + 3 distinct derivatives of a
+                # 2-component field (the mixed second partial once); at
+                # d = 2 N = 32 every decay time is in one block, which the
+                # early times keep on the whole half lattice. Each time and
+                # component runs 3 passes along axis 0 (order 0's and those
+                # of the branches with a factor on axis 0, i xi_0 and
+                # (i xi_0)^2), 17 lines each, and 6 irffts of 32 lines
                 times = summary["times"]
-                want = {"decay_times": times, "field_transforms": times * 7 * 2,
-                        "pruned_field_transforms": 0}
+                want = {"decay_times": times, "field_transforms": times * 6 * 2,
+                        "pruned_field_transforms": 0,
+                        "sweep_fft_lines": times * 2 * (3 * 17 + 6 * 32)}
             elif verb == "tails":
                 want = {"samples": 210, "time_points": default_time_grid(cfg.T).size}
             else:
@@ -313,17 +319,52 @@ class TestArtifacts:
     @pytest.mark.parametrize("k_orders", [[0, 1], [2]])
     @pytest.mark.parametrize("d", [2, 3])
     def test_heatflow_counts_the_transforms_its_sweeps_run(self, tmp_path, d, k_orders):
-        # each decay time transforms every component of every order-k
-        # derivative (d^k of them) once, for k_orders and the k = 0, 1 that
-        # condg reads
+        # each decay time transforms every component of every distinct
+        # order-k derivative once, for k_orders and the k = 0, 1 that condg
+        # reads: 1, d and d(d+1)/2 of them for k = 0, 1, 2, a mixed second
+        # partial evaluated once and weighted by 2 in the sum
         res, _ = run(tmp_path, "heatflow", experiment="heatflow", d=d, N=16, s=0.2,
                      k_orders=k_orders)
         counters = json.loads((res.output_dir / "meta.json").read_text())["counters"]
         times = json.loads((res.output_dir / "summary.json").read_text())["times"]
         swept = sorted(set(k_orders) | {0, 1})
         assert counters["decay_times"] == times
-        assert counters["field_transforms"] == times * sum(d**k for k in swept) * d
+        assert counters["field_transforms"] == times * sum(math.comb(d + k - 1, k)
+                                                           for k in swept) * d
         assert 0 <= counters["pruned_field_transforms"] <= counters["field_transforms"]
+
+    # at d = 3, per time and component: orders 0 and 1 run 2 passes along
+    # axis 0 (order 0's and i xi_0's), 3 along axis 1 (those two and
+    # i xi_1's) and 4 irffts; with k = 2, 4, 6 and 10
+    @pytest.mark.parametrize("k_orders, passes", [([0, 1], (2, 3, 4)), ([2], (4, 6, 10))])
+    def test_heatflow_counts_the_lines_its_sweeps_run(self, tmp_path, monkeypatch, k_orders,
+                                                      passes):
+        # sweep_fft_lines, summed over the blocks of times at the radius
+        # each block ran at: a pass along axis 0 runs on the lines whose
+        # axis-1 row and last-axis plane lie in the block's cube, one along
+        # axis 1 on every axis-0 row, and an irfft on every line
+        blocks = []
+        sweep_block = heat._sweep_block
+
+        def recording(plan, work, lo, k):
+            blocks.append((min(plan.chunk, plan.times.size - lo), k))
+            return sweep_block(plan, work, lo, k)
+
+        monkeypatch.setattr(heat, "_sweep_block", recording)
+        # T = 3 at 32 points per decade gives 61 decay times: two blocks
+        # of 24 on the whole half lattice and a last one on a smaller cube
+        N = 16
+        res, _ = run(tmp_path, "heatflow", experiment="heatflow", d=3, N=N, s=0.2, T=3.0,
+                     t_points_per_decade=32, k_orders=k_orders)
+        counters = json.loads((res.output_dir / "meta.json").read_text())["counters"]
+        pass0, pass1, irffts = passes
+        want = 0
+        for n, k in blocks:
+            rows = min(2 * k + 1, N)
+            want += 3 * n * (pass0 * rows * (k + 1) + pass1 * N * (k + 1) + irffts * N * N)
+        assert sum(n for n, _ in blocks) == counters["decay_times"]
+        assert any(k < N // 2 for _, k in blocks) and any(k == N // 2 for _, k in blocks)
+        assert counters["sweep_fft_lines"] == want
 
     def test_randomized_heatflow_holds_no_more_than_unrandomized(self, tmp_path):
         # the draw replaces the data: the runner drops the unrandomized field

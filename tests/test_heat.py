@@ -7,6 +7,7 @@ from scipy.integrate import quad
 import nsrw.heat as heat
 from conftest import (
     TWO_PI,
+    derivative_norms_oracle,
     heat_norms_oracle,
     mode_pair_field,
     random_divfree_field,
@@ -43,6 +44,41 @@ from nsrw.spectral import (
 
 def _no_sweep(*args):
     raise AssertionError("a sweep ran before its time grid was checked")
+
+
+def _assert_order_row(f, k, times, p, got):
+    # order 0 is bit for bit the straightforward sweep's; a derivative is
+    # bit for bit the sweep with its factors where _heat_norms applies
+    # them, and within rounding of the straightforward sweep, which applies
+    # them all before the first pass
+    plain = heat_norms_oracle(f, _derivative_symbols(f.grid, k), times, p)
+    if k == 0:
+        assert np.array_equal(got, plain)
+    else:
+        assert np.array_equal(got, derivative_norms_oracle(f, k, times, p))
+        np.testing.assert_allclose(got, plain, rtol=1e-15, atol=0)
+
+
+# A branch of the heat sweep multiplies its spectrum by a last-axis factor
+# after the irfft of the output before (heat._finish), so irfft must leave
+# its input as it was, on the sweep's shapes: blocks of times at d = 2 and
+# 3, whole or zero beyond a plane k (a pruned block), and slabs of axis-0
+# rows, strided views of the block
+@pytest.mark.parametrize("view", ["whole", "pruned", "slab"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_irfft_leaves_its_input_unchanged(d, view):
+    N = 16
+    rng = np.random.default_rng(d)
+    shape = (3,) + (N,) * (d - 1) + (N // 2 + 1,)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if view == "pruned":
+        x[..., 4:] = 0.0
+    elif view == "slab":
+        x = x[:, 2:4]
+    before = x.tobytes()
+    real = np.empty(x.shape[:-1] + (N,))
+    np.fft.irfft(x, n=N, axis=-1, norm="ortho", out=real)
+    assert x.tobytes() == before
 
 
 class TestSemigroup:
@@ -219,8 +255,10 @@ class TestHeatNormsOracle:
     # |xi|^2 shells, which the decay is formed on; its times are scaled by
     # (L / 2 pi)^2, so that t |xi|^2 and the pruning are those at 2 pi)
     @pytest.mark.parametrize("t_first, t_last, prunes", [(1e-3, 1.0, False), (0.1, 3.0, True)])
+    # (each order of one sweep gets its own row; the sweep shares passes
+    # between the orders, not their norms)
     @pytest.mark.parametrize("L", [TWO_PI, 5.0])
-    @pytest.mark.parametrize("orders", [(0,), (1,), (0, 1)])
+    @pytest.mark.parametrize("orders", [(0,), (1,), (0, 1), (0, 1, 2)])
     @pytest.mark.parametrize("p", [4.0, 6.0, 8.0 / 3.0, np.inf])
     @pytest.mark.parametrize("ncomp", ["scalar", "vector"])
     @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
@@ -232,10 +270,11 @@ class TestHeatNormsOracle:
         chunk = heat._BLOCK_ELEMS // N**d
         # a short last block
         times = np.geomspace(t_first, t_last, chunk + chunk // 3 + 1) * (L / TWO_PI) ** 2
-        symbols = [sym for k in orders for sym in _derivative_symbols(grid, k)]
         field = _SweepField(f)
-        (got,) = _heat_norms(field, symbols, times, (p,))
-        assert np.array_equal(got, heat_norms_oracle(f, symbols, times, p))
+        rows = _heat_norms(field, times, (p,), orders)
+        assert rows.shape == (len(orders), 1, times.size)
+        for k, (got,) in zip(orders, rows):
+            _assert_order_row(f, k, times, p, got)
         assert (field.pruned_transforms > 0) == prunes
 
     # condtg's shared d=3 sweep reduces (6, 8/3): every exponent but the
@@ -248,10 +287,9 @@ class TestHeatNormsOracle:
         f = zero_nyquist(random_real_field(grid, d, seed=22))
         chunk = heat._BLOCK_ELEMS // N**d
         times = np.geomspace(1e-3, 3.0, 2 * chunk + 1)
-        symbols = [sym for k in orders for sym in _derivative_symbols(grid, k)]
-        rows = _heat_norms(_SweepField(f), symbols, times, exponents)
-        for row, p in zip(rows, exponents):
-            assert np.array_equal(row, heat_norms_oracle(f, symbols, times, p))
+        for k, rows in zip(orders, _heat_norms(_SweepField(f), times, exponents, orders)):
+            for row, p in zip(rows, exponents):
+                _assert_order_row(f, k, times, p, row)
 
     @pytest.mark.parametrize("orders", [(0,), (1,)])
     @pytest.mark.parametrize("p", [4.0, np.inf])
@@ -265,31 +303,31 @@ class TestHeatNormsOracle:
         mode = (grid.N // 2 - 2, 1) + (0,) * (d - 2)
         f = mode_pair_field(grid, mode, [1.0] + [0.5j] * (d - 1))
         times = np.geomspace(0.1, 3.0, 12)
-        symbols = [sym for k in orders for sym in _derivative_symbols(grid, k)]
         field = _SweepField(f)
-        (got,) = _heat_norms(field, symbols, times, (p,))
+        ((got,),) = _heat_norms(field, times, (p,), orders)
         assert np.all(got > 0.0)
-        assert np.array_equal(got, heat_norms_oracle(f, symbols, times, p))
-        assert field.pruned_transforms == times.size * len(symbols) * d
+        _assert_order_row(f, orders[0], times, p, got)
+        assert field.pruned_transforms == times.size * d ** orders[0] * d
 
     def test_work_arrays_hold_one_component(self):
         # the sweep's transient memory at d=3 N=32 over heatflow's decay
-        # grid, k = 0 and 1: one-component blocks of 3 times, the symbol
-        # product formed in the block and the decay formed on the |xi|^2
-        # shells and gathered into one buffer of the call read 2.52
-        # times the whole-lattice field's bytes (2.24 with a kept decay
-        # table, 2.51 with the decay formed on the whole half lattice);
-        # with a separate symbol product and a fresh decay block per time
-        # block they read 2.42 and 3.01, and all-component blocks of 4
-        # times with whole-array checks 5.9. The blocks are physical-space
-        # arrays, so the bound stays in the whole lattice's bytes, twice
-        # those of the half-lattice field
+        # grid, k = 0 and 1 in one sweep: one-component blocks of 3 times,
+        # a * E formed in the block and the decay formed on the |xi|^2
+        # shells and gathered into one buffer of the call, one sum per
+        # order, and the passes after pass 0 and the irffts run in slabs
+        # of N/8 rows, read 2.15 times the whole-lattice field's bytes.
+        # Two sweeps, one per order, with whole-block irffts read 2.52
+        # (2.24 with a kept decay table, 2.51 with the decay formed on the
+        # whole half lattice); with a separate symbol product and a fresh
+        # decay block per time block they read 2.42 and 3.01, and
+        # all-component blocks of 4 times with whole-array checks 5.9. The
+        # blocks are physical-space arrays, so the bound stays in the whole
+        # lattice's bytes, twice those of the half-lattice field
         grid = make_grid(3, 32, TWO_PI)
         f = borderline_field(grid, 0.2, seed=3)
         times = default_decay_time_grid(grid, 1.0, 16)
-        symbols = _derivative_symbols(grid, 0) + _derivative_symbols(grid, 1)
-        first = _heat_norms(_SweepField(f), symbols, times, (np.inf,))  # builds the shell index
-        again, peak = traced_peak(lambda: _heat_norms(_SweepField(f), symbols, times, (np.inf,)))
+        first = _heat_norms(_SweepField(f), times, (np.inf,), (0, 1))  # builds the shell index
+        again, peak = traced_peak(lambda: _heat_norms(_SweepField(f), times, (np.inf,), (0, 1)))
         assert np.array_equal(again, first)
         assert peak < 2.75 * (3 * 32**3 * 16)
 
@@ -299,12 +337,11 @@ class TestHeatNormsOracle:
         # gathered into one buffer of the call, so no 385 x 64*33 array
         # (6.2 MiB, the decay table once kept for the whole run) is built.
         # The first sweep, the shell index included, peaked at 3.15 MiB:
-        # the block, the real block, msq and the decay block are 2.8 MiB
+        # the block, the real block, the sum and the decay block are 2.8 MiB
         grid = make_grid(2, 64, TWO_PI)
         f = borderline_field(grid, 0.2, seed=4)
         times = default_time_grid(1.0)
-        symbols = [grid.kabs**0.0]
-        _, peak = traced_peak(lambda: _heat_norms(_SweepField(f), symbols, times, (4.0,)))
+        _, peak = traced_peak(lambda: _heat_norms(_SweepField(f), times, (4.0,)))
         table = times.size * math.prod(grid.half_shape) * 8
         assert peak < 0.6 * table, peak
 
@@ -350,9 +387,10 @@ class TestHeatNormsOracle:
             with pytest.raises(ValueError, match=message):
                 check()
 
-    # one all-ones symbol, the d symbols of k = 1, and both; a one-component
-    # field sums no second component; at L = 5 rounding splits modes of
-    # equal integer |k|^2 into separate |xi|^2 shells
+    # order 0, order 1, and both in one sweep, which reads each order's
+    # masses; a one-component field sums no second component; at L = 5
+    # rounding splits modes of equal integer |k|^2 into separate |xi|^2
+    # shells
     @pytest.mark.parametrize("L", [TWO_PI, 5.0])
     @pytest.mark.parametrize("ncomp", ["scalar", "vector"])
     @pytest.mark.parametrize("orders", [(0,), (1,), (0, 1)])
@@ -360,27 +398,29 @@ class TestHeatNormsOracle:
     def test_shell_masses_match_a_straightforward_bincount(self, d, orders, ncomp, L,
                                                            monkeypatch):
         # both shell masses scale one sum of |a_c|^2 over the components:
-        # the |xi|^2 shells' by the Parseval weights, the box shells' (which
-        # _block_radii reads) by the sum of |symbol|^2, bit for bit those
-        # of the summed stack
+        # the |xi|^2 shells' by the Parseval weights, each order's box
+        # shells' (which _block_radii reads) by the sum of |symbol|^2 over
+        # its d^k derivatives, bit for bit those of the summed stack
         grid = make_grid(d, 16, L)
         f = zero_nyquist(random_real_field(grid, 1 if ncomp == "scalar" else d, seed=23))
-        symbols = [sym for k in orders for sym in _derivative_symbols(grid, k)]
         coeff_sq = np.sum(np.abs(f.data) ** 2, axis=0)
-        sym_sq = sum(np.abs(np.broadcast_to(sym, grid.half_shape)) ** 2 for sym in symbols)
         shells, index = grid.ksq_shells
         seen = []
         block_radii = heat._block_radii
         monkeypatch.setattr(heat, "_block_radii",
                             lambda mass, *a: seen.append(mass) or block_radii(mass, *a))
         field = _SweepField(f)
-        _heat_norms(field, symbols, np.geomspace(1e-3, 1.0, 4), (np.inf,))
+        _heat_norms(field, np.geomspace(1e-3, 1.0, 4), (np.inf,), orders)
         assert np.array_equal(field.ksq_shells[0], shells)
         assert np.array_equal(field.ksq_shells[1],
                               np.bincount(index.ravel(), weights=(coeff_sq * grid.weight).ravel()))
-        assert np.array_equal(seen[0], np.bincount(grid.box_radius().ravel(),
-                                                   weights=(coeff_sq * sym_sq).ravel(),
-                                                   minlength=grid.N // 2 + 1))
+        assert len(seen) == len(orders)
+        for k, mass in zip(orders, seen):
+            sym_sq = sum(np.abs(np.broadcast_to(sym, grid.half_shape)) ** 2
+                         for sym in _derivative_symbols(grid, k))
+            assert np.array_equal(mass, np.bincount(grid.box_radius().ravel(),
+                                                    weights=(coeff_sq * sym_sq).ravel(),
+                                                    minlength=grid.N // 2 + 1))
 
 
 class TestCondg:

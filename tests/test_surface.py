@@ -62,6 +62,10 @@ ORACLES = {
     "linf_norm": "the whole-lattice L-infinity norm: the reference of the heat sweep's "
                  "p = inf reduction and of the max|g| the solver's stability guard reads "
                  "off that sweep",
+    "check_linear_estimates": "one derivative order's L2 and Linf decay reports, the form "
+                              "the criterion tests check against closed forms and per-time "
+                              "oracles; heatflow runs all its orders through "
+                              "linear_estimates, of which it is the one-order case",
     "moment_bound_check": "the paper's moment bound (E norm^r)^{1/r} <= C |f|_{H^{-s}}; "
                           "tails checks the equivalent Gaussian tail",
 }
