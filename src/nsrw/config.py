@@ -18,7 +18,7 @@ from .diagnostics import condtg_inadmissible
 from .randomization import FAMILIES, RandomModel
 from .solver import INTEGRATORS, SolverConfig
 from .spectral import dealias_cutoff
-from .tails import TAIL_FIT_MIN_SAMPLES, NormSpec, check_admissible
+from .tails import TAIL_FIT_MIN_SAMPLES, NormSpec, _inadmissible
 
 EXPERIMENTS = ("randomize", "heatflow", "tails", "solve", "report")
 DATA_KINDS = ("borderline", "taylor_green", "smooth_random")
@@ -189,24 +189,15 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         _fail("cutoff", f"must lie in (0, {band}] (the dealiased band), got {cfg.cutoff}")
     if cfg.data_tilt is not None and not cfg.data_tilt > cfg.d / 2.0:
         _fail("data_tilt", f"must exceed d/2 = {cfg.d / 2.0} for summable data")
-    if cfg.experiment == "tails":
-        if cfg.monte_carlo_M < TAIL_FIT_MIN_SAMPLES:
-            _fail(
-                "monte_carlo_M",
-                f"tails needs at least {TAIL_FIT_MIN_SAMPLES} samples for its tail fit, "
-                f"got {cfg.monte_carlo_M}",
-            )
-        if not check_admissible(cfg.norm_spec()):
-            _fail(
-                "gamma",
-                f"inadmissible exponents: need (sigma + s - 2*gamma)*q < 2, got "
-                f"({cfg.sigma} + {cfg.s} - 2*{cfg.gamma})*{cfg.q} = "
-                f"{(cfg.sigma + cfg.s - 2 * cfg.gamma) * cfg.q}",
-            )
-    if cfg.experiment == "report":
-        if not cfg.gamma < 0:
-            _fail("gamma", "the report experiment weights the forcing norms and needs gamma < 0")
-        problem = condtg_inadmissible(cfg.d, cfg.s, cfg.gamma, cfg.T)
+    if cfg.experiment == "tails" and cfg.monte_carlo_M < TAIL_FIT_MIN_SAMPLES:
+        _fail(
+            "monte_carlo_M",
+            f"tails needs at least {TAIL_FIT_MIN_SAMPLES} samples for its tail fit, "
+            f"got {cfg.monte_carlo_M}",
+        )
+    if cfg.experiment in ("tails", "report"):
+        problem = (_inadmissible(cfg.norm_spec()) if cfg.experiment == "tails"
+                   else condtg_inadmissible(cfg.d, cfg.s, cfg.gamma, cfg.T))
         if problem is not None:
             _fail("gamma", problem)
     return cfg

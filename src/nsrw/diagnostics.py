@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heat import _require_sweep_space, heat_semigroup
+from .heat import _SweepField, heat_semigroup
 from .solver import SolverConfig, nonlinear_rhs
 from .spectral import (
     Grid,
@@ -31,7 +31,7 @@ from .spectral import (
     fourier_field,
     projected_transport_half,
 )
-from .tails import NormSpec, _space_time_norms, check_admissible
+from .tails import NormSpec, _inadmissible, _space_time_norms
 
 __all__ = [
     "DwdtReport",
@@ -112,16 +112,15 @@ CONDTG_NORMS = {
 
 
 def condtg_inadmissible(d: int, s: float, gamma: float, T: float) -> str | None:
-    """Why condtg's norms are inadmissible at these exponents, naming the
-    first of CONDTG_NORMS[d] that check_admissible refuses, or None: the
-    one rule condtg_check and the config validation apply."""
+    """Why condtg's norms are inadmissible, or None: gamma < 0, and then
+    tails._inadmissible's refusal of the first of CONDTG_NORMS[d], named.
+    condtg_check and the config apply this one rule."""
+    if not gamma < 0:
+        return f"condtg's forcing norms need gamma < 0, got {gamma}"
     for name, p, q, sigma in CONDTG_NORMS[d]:
-        if not check_admissible(NormSpec(gamma=gamma, sigma=sigma, p=p, q=q, r=p, s=s, T=T)):
-            return (
-                f"inadmissible combination for condtg's {name} norm: need "
-                f"(sigma + s - 2*gamma)*q < 2, got ({sigma} + {s} - 2*{gamma})*{q} = "
-                f"{(sigma + s - 2.0 * gamma) * q}"
-            )
+        refusal = _inadmissible(NormSpec(gamma=gamma, sigma=sigma, p=p, q=q, r=p, s=s, T=T))
+        if refusal is not None:
+            return f"condtg's {name} norm: {refusal}"
     return None
 
 
@@ -132,25 +131,18 @@ def condtg_check(f_omega: SpectralField, s: float, gamma: float, T: float) -> Co
     three norms (two of them of [I + (-Laplacian)^{1/4}] g) are summed.
     Inadmissible (gamma, s, sigma, q) combinations are rejected.
     """
-    if gamma >= 0:
-        raise ValueError("condtg_check needs gamma < 0")
     grid = f_omega.grid
     problem = condtg_inadmissible(grid.d, s, gamma, T)
     if problem is not None:
         raise ValueError(problem)
-    # the bracket field below is formed on the half lattice, so the space
-    # is checked before it, as the sweep field checks it
-    _require_sweep_space(f_omega)
     norms = CONDTG_NORMS[grid.d]
     comps = {}
-    # the norms of one field reduce one heat sweep of it
+    # the norms of one multiplier reduce one heat sweep of its field
     for sigma in dict.fromkeys(row[3] for row in norms):
         rows = [row for row in norms if row[3] == sigma]
-        fld = f_omega if sigma == 0 else fourier_field(
-            grid, f_omega.data * (1.0 + grid.kabs**sigma))
-        specs = tuple(NormSpec(gamma=gamma, sigma=0.0, p=p, q=q, r=p, s=s, T=T)
-                      for _, p, q, _ in rows)
-        comps.update(zip((row[0] for row in rows), _space_time_norms(fld, specs)))
+        field = _SweepField(f_omega, None if sigma == 0 else 1.0 + grid.kabs**sigma)
+        norm_values = _space_time_norms(field, T, [(p, q, gamma) for _, p, q, _ in rows])
+        comps.update(zip((row[0] for row in rows), norm_values))
     return CondtgReport(d=grid.d, components=comps, lam=float(sum(comps.values())))
 
 

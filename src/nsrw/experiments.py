@@ -2,14 +2,13 @@
 
 Each experiment writes series.csv, summary.json, plotdata/*.tsv and a
 meta.json (timestamps, execution environment, the process's peak resident
-set and, for every verb but randomize, per-phase wall seconds, the peak
-resident set after the data build and at the end of each phase, and
-counters) under the configured output directory, and nothing anywhere
-else; a solve with write_checkpoints also writes each
-snapshot's checkpoint there as the snapshot is taken. summary.json and
-series.csv are byte-deterministic for a fixed config and seed,
-independent of the worker count: every Monte Carlo sample derives its own
-counter stream and results are reduced in sample-index order.
+set, per-phase wall seconds, the peak resident set after the data build
+and at the end of each phase, and counters) under the configured output
+directory, and nothing anywhere else; a solve with write_checkpoints also
+writes each snapshot's checkpoint there as the snapshot is taken.
+summary.json and series.csv are byte-deterministic for a fixed config and
+seed, independent of the worker count: every Monte Carlo sample derives
+its own counter stream and results are reduced in sample-index order.
 """
 
 from __future__ import annotations
@@ -180,9 +179,11 @@ def _run_randomize(cfg: ExperimentConfig, workers: int, outdir: Path, resume: st
     model = cfg.random_model()
     base = hminus_s_norm(f, cfg.s)
     M = cfg.monte_carlo_M
-    ratios = np.array(_ordered_map(
-        lambda i: hminus_s_norm(randomized(f, model, i), cfg.s) / base, M, workers
-    ))
+    phases = _Phases()
+    with phases("samples"):
+        ratios = np.array(_ordered_map(
+            lambda i: hminus_s_norm(randomized(f, model, i), cfg.s) / base, M, workers
+        ))
     report = verify_subgaussian(model, np.linspace(-10.0, 10.0, 200))
     occ = part.occupancy()
 
@@ -219,7 +220,7 @@ def _run_randomize(cfg: ExperimentConfig, workers: int, outdir: Path, resume: st
     plotdata = {
         "subgaussian_margin": (["gamma", "margin"], [report.gammas, report.margins])
     }
-    return summary, failures, series, plotdata, {}
+    return summary, failures, series, plotdata, {**phases.meta(), "counters": {"samples": M}}
 
 
 def _run_heatflow(cfg: ExperimentConfig, workers: int, outdir: Path, resume: str | None):

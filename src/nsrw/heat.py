@@ -128,33 +128,28 @@ _BLOCK_ELEMS = 24 * 64**2
 _DROPPED_MASS_RATIO = 2.0**-106
 
 
-def _require_sweep_space(f: SpectralField):
-    """Refuse a field the heat sweeps cannot take because it is not in
-    fourier space: the first of _SweepField's checks, which condtg_check
-    runs before it forms its bracket field on the half lattice."""
-    if f.space != FOURIER:
-        raise ValueError("heat sweep data must be a fourier-space field")
-
-
 class _SweepField:
     """A field the heat sweeps accept, checked once: in fourier space, real
     (its planes 0 and N/2 conjugate-symmetric) and zero on its Nyquist
-    rows. The decay checks of one field (heatflow's orders k and condg)
-    share the check, the H^{-s} norms and the |xi|^2 shell masses.
+    rows. With a symbol, a real even multiplier (|xi|^sigma), it holds
+    symbol * f, real and zero on those rows too. The decay checks of one
+    field (heatflow's orders k and condg) share the check, the H^{-s} norms
+    and the |xi|^2 shell masses.
     transforms counts the derivative fields their sweeps formed, one per
     time, component and distinct derivative (_sweep_branches), each one
     last-axis irfft; pruned_transforms those of them that ran on a cube
     smaller than the half lattice; fft_lines the 1-D lines that the
     sweeps' leading-axis passes and last-axis irffts ran."""
 
-    def __init__(self, f: SpectralField):
-        _require_sweep_space(f)
+    def __init__(self, f: SpectralField, symbol: np.ndarray | None = None):
+        if f.space != FOURIER:
+            raise ValueError("heat sweep data must be a fourier-space field")
         require_real_field("heat sweep data", f)
         if np.any(f.data[:, f.grid.nyquist_mask]):
             # a derivative symbol would break the conjugate symmetry there
             raise ValueError("heat sweep data has content on its Nyquist rows; "
                              "the sweeps need it zero there")
-        self.f = f
+        self.f = f if symbol is None else fourier_field(f.grid, f.data * symbol)
         self.transforms = 0
         self.pruned_transforms = 0
         self.fft_lines = 0
@@ -468,8 +463,8 @@ def _heat_norms(field: _SweepField, times: np.ndarray, exponents: tuple,
     once per exponent.
 
     grad^k f stacks the order-k derivatives of every component (see
-    _SweepPlan, which shares the passes between them); a caller wanting a
-    multiplier of f forms it in the field first. f is real and zero on its
+    _SweepPlan, which shares the passes between them); a multiplier of f
+    is the field's symbol (_SweepField). f is real and zero on its
     Nyquist rows, so every derivative is conjugate-symmetric and the sweep
     runs on the rfft half spectrum.
 

@@ -311,8 +311,9 @@ class _Stepper:
         self._exp_cache: dict = {}
 
     def embed(self, a: np.ndarray) -> np.ndarray:
-        """The ball part of a half spectrum as a band array."""
-        return a[(Ellipsis, *self.band)] * self.ball
+        """The ball part of a half spectrum as a band array, C-contiguous as
+        the stepper's states are, so a resumed state's sums group alike."""
+        return np.multiply(a[(Ellipsis, *self.band)], self.ball, order="C")
 
     def decay(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
         """(e^{-dt|xi|^2}, e^{-dt|xi|^2/2}), kept for the current dt only:
@@ -366,11 +367,13 @@ class _Stepper:
         track, also the step's contribution to the dissipation and |forcing
         pairing| integrals. RK4 accumulates them with its own stage
         quadrature, so its ledger converges at fourth order; the Euler
-        ledger is exact for the scheme (see EnergyLog)."""
+        ledger is exact for the scheme (see EnergyLog). The new state is
+        symmetrized in place (Grid.symmetrize), as solve hands it out."""
         E, E2 = self.decay(dt)
         if self.config.integrator == "ifeuler":
             v = what + dt * a
             w_new = E * v
+            self.grid._symmetrize_planes(w_new)
             if not track:
                 return w_new, None
             # |E v|^2 + sum (1 - e^{-2dt|xi|^2}) |v|^2 = |w|^2 + 2dt<w, a> + dt^2 |a|^2
@@ -389,6 +392,7 @@ class _Stepper:
         w3 = Ew + dt * (E2 * c)
         dd = self.rhs(w3, E * g0)
         w_new = Ew + (dt / 6.0) * (E * a + 2.0 * E2 * (b + c) + dd)
+        self.grid._symmetrize_planes(w_new)
         if not track:
             return w_new, None
         d_incr = (dt / 6.0) * (
@@ -417,7 +421,7 @@ def step(state: SpectralField, t: float, dt: float, config: SolverConfig,
     out, _ = stepper.advance(what, *stepper.stage0(what, t), dt)
     if not np.all(np.isfinite(out)):
         raise StepFailureError(t)
-    return fourier_field(grid, grid.scatter(grid.symmetrize(out)))
+    return fourier_field(grid, grid.scatter(out))
 
 
 def _check_stability(config: SolverConfig, f_omega: SpectralField):
@@ -454,12 +458,14 @@ def solve(
     grid's half lattice (see Trajectory.w_band), handed to on_snapshot, if
     given, as on_snapshot(step, t, w_band) as it is taken, while the run
     goes on; step is t's index in time_partition, the same in a run and its
-    resumes. The run holds no snapshot list: a caller that wants every
-    snapshot collects them in its consumer. The trajectory keeps the last
-    snapshot, w(T), every snapshot time, the dw/dt values and f_omega, from
-    which it derives the forcing. A resume at T, or from a band of another
-    shape, or not a real field's (Grid.require_real_band), or with support
-    outside the ball is refused before the first snapshot.
+    resumes. w_band is a read-only view of the state the run goes on from,
+    so a resume from it continues the run bit for bit. The run holds no
+    snapshot list: a caller that wants every snapshot collects them in its
+    consumer. The trajectory keeps the last snapshot, w(T), every snapshot
+    time, the dw/dt values and f_omega, from which it derives the forcing.
+    A resume at T, or from a band of another shape, or not a real field's
+    (Grid.require_real_band), or with support outside the ball is refused
+    before the first snapshot.
     """
     grid = f_omega.grid
     if f_omega.space != FOURIER:
@@ -492,6 +498,8 @@ def solve(
         grid.require_in_ball("resume state", resume_band, config.cutoff, BALL_RTOL)
         start = int(hits[0])
         what = stepper.embed(grid.scatter(resume_band))
+        # a checkpoint's band is symmetric already, and keeps its bits
+        grid._symmetrize_planes(what)
 
     snap_times, dwdt = [], []
     w_band = None  # the last snapshot
@@ -501,7 +509,9 @@ def solve(
         right-hand side and hand it out."""
         nonlocal w_band
         snap_times.append(times[step])
-        w_band = grid.symmetrize(state)
+        # the stepper's own state, which no later step writes to
+        w_band = state.view()
+        w_band.flags.writeable = False
         dwdt.append(stepper.dwdt_hminus1(state, rhs0))
         if on_snapshot is not None:
             on_snapshot(step, float(times[step]), w_band)

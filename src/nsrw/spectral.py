@@ -212,10 +212,15 @@ class Grid:
         mirror of a band row lies in the band and the values are those of
         symmetrize(scatter(h)) on the cube, bit for bit."""
         out = np.array(h, dtype=np.complex128)
+        self._symmetrize_planes(out)
+        return out
+
+    def _symmetrize_planes(self, h: np.ndarray):
+        """symmetrize in place on the complex band array h; the result is
+        exactly conjugate-symmetric, so a second pass changes no bit."""
         for plane in self._mirrored_planes(h):
             p = h[..., plane]
-            out[..., plane] = 0.5 * (p + _conjugate_mirror(p, self.d - 1))
-        return out
+            h[..., plane] = 0.5 * (p + _conjugate_mirror(p, self.d - 1))
 
     def plane_asymmetry(self, h: np.ndarray) -> float:
         """max |a(xi) - conj a(-xi)| over the planes 0 and N/2 of the band

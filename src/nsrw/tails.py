@@ -20,7 +20,7 @@ import numpy as np
 
 from .heat import _heat_norms, _SweepField
 from .randomization import RandomModel, hminus_s_norm, randomized
-from .spectral import SpectralField, fourier_field
+from .spectral import SpectralField
 
 __all__ = [
     "NormSpec",
@@ -56,9 +56,23 @@ class NormSpec:
 
 
 def check_admissible(spec: NormSpec) -> bool:
-    """True iff (sigma + s - 2*gamma) * q < 2 and r >= p >= q >= 2."""
+    """True iff (sigma + s - 2*gamma) * q < 2 and r >= p >= q >= 2. With
+    sigma, s >= 0 (NormSpec) this gives gamma * q > -1, in float64 too, so
+    the time weight t^{q*gamma} is integrable."""
     ordered = spec.r >= spec.p >= spec.q >= 2
     return bool(ordered and (spec.sigma + spec.s - 2.0 * spec.gamma) * spec.q < 2.0)
+
+
+def _inadmissible(spec: NormSpec) -> str | None:
+    """The one refusal message of an inadmissible exponent set (see
+    check_admissible), or None for an admissible one."""
+    if check_admissible(spec):
+        return None
+    return (
+        f"inadmissible exponents: need (sigma + s - 2*gamma)*q < 2 and r >= p >= q >= 2, "
+        f"got ({spec.sigma} + {spec.s} - 2*{spec.gamma})*{spec.q} = "
+        f"{(spec.sigma + spec.s - 2.0 * spec.gamma) * spec.q}, r={spec.r}, p={spec.p}"
+    )
 
 
 # decades of (0, T] the quadrature grid spans
@@ -111,39 +125,28 @@ def space_time_norm(f_omega: SpectralField, spec: NormSpec) -> float:
     """Weighted L^q-in-time, L^p-in-space norm of the heat evolution.
 
     Quadrature is power-law aware on the geometric grid default_time_grid(T),
-    which resolves the t^{q*gamma} weight; gamma*q <= -1 is rejected as
-    divergent.
+    which resolves the t^{q*gamma} weight. Inadmissible exponents are
+    refused (_inadmissible) before the field is checked.
     """
-    return _space_time_norms(f_omega, (spec,))[0]
+    refusal = _inadmissible(spec)
+    if refusal is not None:
+        raise ValueError(refusal)
+    # (-Laplacian)^{sigma/2} multiplies each coefficient by |xi|^sigma
+    symbol = None if spec.sigma == 0 else f_omega.grid.kabs**spec.sigma
+    field = _SweepField(f_omega, symbol)
+    return _space_time_norms(field, spec.T, ((spec.p, spec.q, spec.gamma),))[0]
 
 
-def _space_time_norms(f_omega: SpectralField, specs: tuple) -> list:
-    """space_time_norm for each of specs that share sigma and T: they share
-    one heat sweep over default_time_grid(T), reduced once per exponent p.
-    The specs are checked before the field, and both before any sweep."""
-    for spec in specs:
-        if not check_admissible(spec):
-            raise ValueError(
-                f"inadmissible exponents: need (sigma+s-2*gamma)*q < 2 and r >= p >= q >= 2, "
-                f"got sigma={spec.sigma}, s={spec.s}, gamma={spec.gamma}, "
-                f"q={spec.q}, p={spec.p}, r={spec.r}"
-            )
-        if spec.q * spec.gamma <= -1.0:
-            raise ValueError("gamma*q <= -1 makes the time integral divergent")
-    if len({(spec.sigma, spec.T) for spec in specs}) != 1:
-        raise ValueError("norms of one heat sweep must share sigma and T")
-    field = _SweepField(f_omega)
-    sigma, T = specs[0].sigma, specs[0].T
-    if sigma != 0:
-        # (-Laplacian)^{sigma/2} multiplies each coefficient by |xi|^sigma,
-        # a real even symbol, so the weighted field passes the same checks
-        field = _SweepField(fourier_field(f_omega.grid, f_omega.data * f_omega.grid.kabs**sigma))
+def _space_time_norms(field: _SweepField, T: float, exponents) -> list:
+    """The weighted space-time norm of field.f for each (p, q, gamma) of
+    exponents: one heat sweep over default_time_grid(T), reduced once per
+    exponent p."""
     times = default_time_grid(T)
-    (sweep,) = _heat_norms(field, times, tuple(spec.p for spec in specs))
+    (sweep,) = _heat_norms(field, times, tuple(p for p, _, _ in exponents))
     norms = []
-    for spec, vals in zip(specs, sweep):
-        F = times ** (spec.q * spec.gamma) * vals**spec.q
-        norms.append(float(_power_law_cells(times, F) ** (1.0 / spec.q)))
+    for (_, q, gamma), vals in zip(exponents, sweep):
+        F = times ** (q * gamma) * vals**q
+        norms.append(float(_power_law_cells(times, F) ** (1.0 / q)))
     return norms
 
 

@@ -34,6 +34,7 @@ from nsrw.config import (
 from nsrw.data import smooth_random_field
 from nsrw.solver import SolverConfig
 from nsrw.spectral import HERMITIAN_RTOL, fourier_field, make_grid
+from nsrw.tails import NormSpec, _inadmissible
 
 
 # every float-typed field of ExperimentConfig
@@ -87,9 +88,12 @@ class TestConfigParsing:
         assert config_from_dict({"experiment": "tails", "p": 6.0}).norm_spec().r == 6.0
 
     def test_tails_admissibility_eager(self):
-        # (sigma + s - 2*gamma) * q must be < 2 at parse time
-        with pytest.raises(ConfigError, match="inadmissible"):
+        # (sigma + s - 2*gamma) * q must be < 2 at parse time, refused with
+        # the space-time norm's own message
+        spec = NormSpec(gamma=0.0, sigma=0.5, p=4.0, q=4, r=4.0, s=0.25, T=1.0)
+        with pytest.raises(ConfigError) as exc:
             config_from_dict({"experiment": "tails", "sigma": 0.5, "s": 0.25, "q": 4})
+        assert str(exc.value) == f"config field 'gamma': {_inadmissible(spec)}"
         cfg = config_from_dict(
             {"experiment": "tails", "sigma": 0.5, "s": 0.25, "gamma": 0.2, "q": 4}
         )
@@ -98,8 +102,12 @@ class TestConfigParsing:
     def test_report_needs_negative_gamma(self):
         with pytest.raises(ConfigError, match="gamma < 0"):
             config_from_dict({"experiment": "report"})
-        with pytest.raises(ConfigError, match="inadmissible"):
+        # condtg's rule, with the one refusal message naming the norm
+        spec = NormSpec(gamma=-0.2, sigma=0.0, p=4.0, q=4.0, r=4.0, s=0.25, T=1.0)
+        with pytest.raises(ConfigError) as exc:
             config_from_dict({"experiment": "report", "gamma": -0.2, "s": 0.25})
+        assert str(exc.value) == ("config field 'gamma': condtg's L4_L4 norm: "
+                                  f"{_inadmissible(spec)}")
         cfg = config_from_dict({"experiment": "report", "gamma": -0.1, "s": 0.25})
         assert cfg.gamma == -0.1
 

@@ -29,7 +29,7 @@ from nsrw.spectral import (
     transform,
     zeros_field,
 )
-from nsrw.tails import NormSpec, space_time_norm
+from nsrw.tails import NormSpec, _inadmissible, space_time_norm
 
 
 def randomized_borderline(d, N, seed):
@@ -254,11 +254,16 @@ class TestCondtg:
         f2 = borderline_field(grid2, 0.25, seed=5)
         with pytest.raises(ValueError):
             condtg_check(f2, 0.25, gamma=0.0, T=1.0)  # gamma must be < 0
-        with pytest.raises(ValueError):
-            condtg_check(f2, 0.25, gamma=-0.2, T=1.0)  # (s - 2g)*4 >= 2
+        # (s - 2g)*4 >= 2 at d = 2, and (1/2 + s - 2g)*8/3 >= 2 for the first
+        # norm refused at d = 3: refused with the one message, naming the norm
         f3 = borderline_field(grid3, 0.2, seed=6)
-        with pytest.raises(ValueError):
-            condtg_check(f3, 0.2, gamma=-0.1, T=1.0)  # s - 2g >= 1/4
+        for f, s, gamma, name, spec in (
+                (f2, 0.25, -0.2, "L4_L4", dict(sigma=0.0, p=4.0, q=4.0)),
+                (f3, 0.2, -0.1, "L83_L83_bracket", dict(sigma=0.5, p=8.0 / 3.0, q=8.0 / 3.0))):
+            refusal = _inadmissible(NormSpec(gamma=gamma, r=spec["p"], s=s, T=1.0, **spec))
+            with pytest.raises(ValueError) as exc:
+                condtg_check(f, s, gamma=gamma, T=1.0)
+            assert str(exc.value) == f"condtg's {name} norm: {refusal}"
 
     def test_refuses_a_physical_field_alike_at_d2_and_d3(self, grid2, grid3):
         # the space is checked before d=3 forms its bracket field on the

@@ -28,7 +28,7 @@ from nsrw.experiments import (
 from nsrw.heat import condg_check, default_decay_time_grid
 from nsrw.solver import _Stepper, u_half
 from nsrw.spectral import TransportPlan, make_grid
-from nsrw.tails import default_time_grid
+from nsrw.tails import NormSpec, _inadmissible, default_time_grid
 
 from conftest import solve_collecting, stored_mask, traced_peak
 
@@ -216,6 +216,8 @@ class TestArtifacts:
         assert blobs[0] == blobs[1]
 
     @pytest.mark.parametrize("verb, fields, phases", [
+        ("randomize", dict(d=2, N=16, monte_carlo_M=40, master_seed=3, workers=2),
+         {"samples"}),
         ("heatflow", dict(d=2, N=32, k_orders=[0, 2], master_seed=4), {"sweeps"}),
         ("tails", dict(d=2, N=16, monte_carlo_M=210, master_seed=3, workers=2),
          {"samples", "fit"}),
@@ -256,6 +258,8 @@ class TestArtifacts:
                 want = {"decay_times": times, "field_transforms": times * 6 * 2,
                         "pruned_field_transforms": 0,
                         "sweep_fft_lines": times * 2 * (3 * 17 + 6 * 32)}
+            elif verb == "randomize":
+                want = {"samples": 40}
             elif verb == "tails":
                 want = {"samples": 210, "time_points": default_time_grid(cfg.T).size}
             else:
@@ -267,6 +271,10 @@ class TestArtifacts:
             assert meta["peak_rss_mib"] > 0.0
             telemetry = {"phase_seconds", "phase_peak_rss_mib", "counters",
                          "peak_rss_mib"} | phases | set(want)
+            if verb == "randomize":
+                # its summary's samples is the configured M, not a reading
+                assert summary["samples"] == cfg.monte_carlo_M
+                telemetry.remove("samples")
             assert not telemetry & set(summary)
         assert blobs[0] == blobs[1]
 
@@ -431,9 +439,12 @@ class TestArtifacts:
         fields = dict(experiment="report", d=3, N=16, s=0.01, monte_carlo_M=4)
         gamma = -0.11999999999999998
         assert 0.01 - 2.0 * gamma < 0.25
-        with pytest.raises(ConfigError, match="'gamma': inadmissible combination for "
-                           "condtg's L83_L83_bracket norm"):
+        spec = NormSpec(gamma=gamma, sigma=0.5, p=8.0 / 3.0, q=8.0 / 3.0, r=8.0 / 3.0,
+                        s=0.01, T=1.0)
+        with pytest.raises(ConfigError) as exc:
             validate_config(ExperimentConfig(gamma=gamma, **fields))
+        assert str(exc.value) == ("config field 'gamma': condtg's L83_L83_bracket norm: "
+                                  f"{_inadmissible(spec)}")
         # two ulps closer to 0 the config is admissible, and the run goes
         # through condtg's own check on every sample
         res, _ = run(tmp_path, "inside", gamma=-0.11999999999999995, **fields)
@@ -805,6 +816,41 @@ class TestResume:
         for entry in first + resumed:
             assert load_checkpoint(out / entry["file"])[1] == entry["time"]
         assert start.read_bytes() == kept
+
+    def test_resume_rewrites_every_checkpoint_bit_for_bit(self, tmp_path):
+        # a resume from a mid-run checkpoint into the run's own directory
+        # writes every checkpoint it takes again with the bytes the
+        # uninterrupted run wrote, through the ramp and after it, and its
+        # series rows hold the same states; the cumulative ledger columns
+        # restart at 0 by design
+        cfgfile = tmp_path / "solve.json"
+        cfgfile.write_text(json.dumps(dict(
+            d=3, N=16, s=0.2, T=0.125, dt=1.0 / 64.0, snapshot_cadence=3,
+            write_checkpoints=True,
+        )))
+        out = tmp_path / "o"
+        argv = ["solve", "--config", str(cfgfile), "--out", str(out)]
+
+        def written():
+            return {p.name: p.read_bytes() for p in out.glob("checkpoint_*.nsrw")}
+
+        def series():
+            lines = (out / "series.csv").read_text().splitlines()
+            return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+        assert main(argv) == 0
+        first, (header, full_rows) = written(), series()
+        listed = json.loads((out / "summary.json").read_text())["checkpoints"]
+        start = listed[len(listed) // 3]
+        assert main(argv + ["--resume", str(out / start["file"])]) == 0
+        rewritten = json.loads((out / "summary.json").read_text())["checkpoints"]
+        assert rewritten == listed[len(listed) // 3:] and len(rewritten) > 10
+        assert written() == first
+        _, rows = series()
+        by_time = {row[0]: row for row in full_rows}
+        for name in ("w_l2", "kinetic", "div_rel", "dwdt_hminus1"):
+            j = header.index(name)
+            assert [row[j] for row in rows] == [by_time[row[0]][j] for row in rows]
 
     def test_resume_refuses_checkpoint_of_another_run(self, tmp_path):
         common = dict(

@@ -426,8 +426,8 @@ class TestSolve:
         full, snapshots = solve_collecting(cfg, f)
         t_j, w_j = snapshots[2]  # some interior snapshot (a step boundary)
         partial = solve(cfg, f, resume_band=w_j, resume_time=t_j)
-        diff = l2_norm(partial.w_states[-1] - full.w_states[-1])
-        assert diff <= 1e-12 * max(l2_norm(full.w_states[-1]), 1e-30)
+        # the snapshot is the state the run went on from: bit for bit
+        assert np.array_equal(partial.w_band, full.w_band)
 
     def test_rejects_bad_data(self, grid2_mid):
         cfg = config32()
@@ -571,20 +571,32 @@ class TestOneSnapshotPath:
         assert np.array_equal(traj.times, times[steps])
         assert traj.dwdt_hminus1.shape == (len(steps),)
 
+    @pytest.mark.parametrize("integrator, ramp", [("ifrk4", False), ("ifeuler", True)])
     @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
-    def test_resume_hands_out_the_uninterrupted_tail(self, d, N):
+    def test_resume_hands_out_the_uninterrupted_tail(self, d, N, integrator, ramp):
         # resumed at a snapshot on the cadence, the run hands out the same
-        # steps and times as the uninterrupted run from there on
-        f, cfg = _stream_case(d, N, T=12.0 / 128.0, snapshot_cadence=4)
+        # steps, times and states as the uninterrupted run from there on,
+        # bit for bit: the snapshot is the state the run went on from
+        f, cfg = _stream_case(d, N, T=12.0 / 128.0, snapshot_cadence=4,
+                              integrator=integrator, substep_near_zero=ramp)
         _, full = solve_collecting(cfg, f)
         t_j, w_j = full[1]
         seen = []
         solve(cfg, f, resume_band=w_j, resume_time=t_j,
               on_snapshot=lambda i, t, w: seen.append((t, w)))
         assert [t for t, _ in seen] == [t for t, _ in full[1:]]
-        scale = max(np.abs(w).max() for _, w in full)
         for (_, w), (_, w_full) in zip(seen, full[1:]):
-            assert np.abs(w - w_full).max() <= 1e-12 * scale
+            assert np.array_equal(w, w_full)
+
+    def test_snapshots_are_read_only(self):
+        # a consumer cannot write into the state the run goes on from
+        f, cfg = _stream_case(2, 32)
+
+        def scribble(step, t, w):
+            w[0, 1, 0] = 1.0
+
+        with pytest.raises(ValueError, match="read-only"):
+            solve(cfg, f, on_snapshot=scribble)
 
     @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)])
     def test_states_are_one_element_lists_at_T(self, d, N):

@@ -26,6 +26,10 @@ listed in FIELDS with the reason it stays.
 Every `from nsrw.M import name` and `import nsrw.M` in perfbench/*.py
 resolves, so a name the benchmark imports cannot leave the package
 unnoticed.
+
+Each private (underscored) top-level function and class of src/nsrw needs
+a caller in src/nsrw/*.py outside its own definition: a helper that loses
+its last caller goes with it.
 """
 
 import ast
@@ -301,3 +305,37 @@ def test_every_benchmark_import_resolves():
     unresolved = [f"{where} {module}.{name}" if name else f"{where} {module}"
                   for where, module, name in imports if not _resolves(module, name)]
     assert not unresolved, f"perfbench imports names the package lacks: {unresolved}"
+
+
+def _package_references() -> set:
+    """The names a Name, an Attribute or an ImportFrom alias refers to in
+    src/nsrw/*.py (the re-exporting __init__ aside), each top-level
+    definition's references to its own name left out."""
+    used = set()
+    for path in CALLER_FILES:
+        if path.parent != PACKAGE:
+            continue
+        for top in ast.parse(path.read_text()).body:
+            refs = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    refs.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    refs.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    refs.update(alias.name for alias in node.names)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                refs.discard(top.name)
+            used |= refs
+    return used
+
+
+def test_every_private_definition_has_a_caller():
+    used = _package_references()
+    orphans = sorted(
+        f"{path.name}:{node.name}" for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and node.name not in used
+    )
+    assert not orphans, f"private definitions nothing in src/nsrw calls: {orphans}"

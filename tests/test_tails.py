@@ -8,7 +8,7 @@ from conftest import TWO_PI, mode_pair_field, monte_carlo_tails, power_law_cells
 from nsrw import tails
 from nsrw.data import borderline_field
 from nsrw.randomization import RandomModel
-from nsrw.spectral import l2_norm, make_grid, zeros_field
+from nsrw.spectral import Grid, l2_norm, make_grid, transform, zeros_field
 from nsrw.tails import (
     NormSpec,
     check_admissible,
@@ -41,6 +41,34 @@ class TestAdmissible:
         assert check_admissible(spec_with(p=2.0, q=4.0)) is False  # p < q
         assert check_admissible(spec_with(r=3.0, p=4.0)) is False  # r < p
         assert check_admissible(spec_with(q=1.0, p=4.0)) is False  # q < 2
+
+    @pytest.mark.parametrize("q", [2.0, 8.0 / 3.0, 4.0, 8.0])
+    @pytest.mark.parametrize("s", [0.0, 0.1, 0.5])
+    @pytest.mark.parametrize("sigma", [0.0, 0.1, 0.5])
+    def test_admissible_exponents_keep_the_time_weight_integrable(self, sigma, s, q):
+        # (sigma + s - 2 gamma) q < 2 with sigma, s >= 0 and q >= 2 gives
+        # gamma q > -1 in float64 too: no admissible spec has a divergent
+        # t^{q gamma} weight, at gamma = -1/q or an ulp or more either side
+        edge = -1.0 / q
+        gammas = [edge, np.nextafter(edge, 0.0), np.nextafter(edge, -1.0),
+                  *(edge + step for step in (-1e-3, -1e-9, 1e-9, 1e-3, 0.1))]
+        admissible = 0
+        for gamma in gammas:
+            spec = spec_with(sigma=sigma, s=s, gamma=gamma, q=q, p=q, r=q)
+            if check_admissible(spec):
+                admissible += 1
+                assert gamma * q > -1.0, gamma
+        if sigma == s == 0.0:
+            # there the rule is gamma q > -1 itself: the gammas above the
+            # edge by 1e-9 or more are admitted
+            assert admissible >= 3
+
+    def test_refusal_message(self):
+        spec = spec_with(sigma=0.5, s=0.25, gamma=-0.1, q=4.0)
+        assert tails._inadmissible(spec) == (
+            "inadmissible exponents: need (sigma + s - 2*gamma)*q < 2 and r >= p >= q >= 2, "
+            "got (0.5 + 0.25 - 2*-0.1)*4.0 = 3.8, r=4.0, p=4.0")
+        assert tails._inadmissible(spec_with()) is None
 
 
 class TestSpaceTimeNorm:
@@ -79,11 +107,32 @@ class TestSpaceTimeNorm:
         assert abs(norms[128] - norms[64]) / norms[128] < 0.01
 
     def test_rejects_inadmissible(self, grid2):
+        # each with the one refusal message, before the field is checked
         f = borderline_field(grid2, 0.25, seed=3)
-        with pytest.raises(ValueError):
-            space_time_norm(f, spec_with(sigma=0.5))
-        with pytest.raises(ValueError):
-            space_time_norm(f, spec_with(gamma=-0.5, q=2.0, p=2.0, r=2.0, s=0.0))
+        for spec in (spec_with(sigma=0.5),
+                     spec_with(gamma=-0.5, q=2.0, p=2.0, r=2.0, s=0.0),
+                     spec_with(p=2.0, q=4.0)):
+            refusal = tails._inadmissible(spec)
+            assert refusal.startswith("inadmissible exponents: ")
+            with pytest.raises(ValueError) as exc:
+                space_time_norm(f, spec)
+            assert str(exc.value) == refusal
+            with pytest.raises(ValueError) as exc:
+                space_time_norm(transform(f, "inverse"), spec)
+            assert str(exc.value) == refusal
+
+    def test_weighted_sample_checks_its_field_once(self, grid2, monkeypatch):
+        # sigma != 0: the raw field is checked, and the weighted field, real
+        # and zero on its Nyquist rows by construction, is not checked again
+        calls = []
+        asymmetry = Grid.plane_asymmetry
+        monkeypatch.setattr(Grid, "plane_asymmetry",
+                            lambda self, h: calls.append(h.shape) or asymmetry(self, h))
+        f = borderline_field(grid2, 0.25, seed=4)
+        spec = spec_with(sigma=0.5, gamma=0.3)
+        (value,) = sample_space_time_norms(f, RandomModel("gaussian", 9), spec, 1)
+        assert len(calls) == 1
+        assert value > 0.0
 
     def test_sigma_weight_applied(self, grid2):
         # single mode: (-Laplacian)^{sigma/2} multiplies by |xi|^sigma
